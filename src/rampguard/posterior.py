@@ -27,6 +27,7 @@ __all__ = [
     "init_posterior",
     "update_stats",
     "compute_posterior",
+    "posterior_moments",
     "estimate_variance",
 ]
 
@@ -166,15 +167,30 @@ def compute_posterior(
     the precision-weighted average of the prior mean and the sample mean,
     and each posterior variance is the reciprocal total precision.
     """
+    mu_p, sigma_p_sq = posterior_moments(
+        prior,
+        variance.sigma_sq,
+        stats.counts,
+        (stats.control_sums[0], stats.treated_sums[1]),
+    )
+    return PosteriorState(mu_p=mu_p, sigma_p_sq=sigma_p_sq)
+
+
+def posterior_moments(prior: GaussianPrior, sigma_sq: Pair, counts, sums) -> tuple[Pair, Pair]:
+    """Posterior means and variances from per-arm counts and observed sums.
+
+    The arithmetic of :func:`compute_posterior`, without its validation;
+    ``counts`` and ``sums`` are ``(control, treatment)`` pairs of scalars or
+    of equal-shape numpy arrays, so one call updates many replications.
+    """
     mu, var = [0.0, 0.0], [0.0, 0.0]
-    sums = (stats.control_sums[0], stats.treated_sums[1])
     for w in (0, 1):
         prior_prec = 1.0 / prior.sigma0_sq[w]
-        data_prec = stats.counts[w] / variance.sigma_sq[w]
+        data_prec = counts[w] / sigma_sq[w]
         total = prior_prec + data_prec
-        mu[w] = (prior.mu0[w] * prior_prec + sums[w] / variance.sigma_sq[w]) / total
+        mu[w] = (prior.mu0[w] * prior_prec + sums[w] / sigma_sq[w]) / total
         var[w] = 1.0 / total
-    return PosteriorState(mu_p=(mu[0], mu[1]), sigma_p_sq=(var[0], var[1]))
+    return (mu[0], mu[1]), (var[0], var[1])
 
 
 def estimate_variance(

@@ -1,10 +1,17 @@
 """Replicated experiment runs with per-replication random streams.
 
-Every replication owns a random stream keyed by (seed, replication index),
-so results are bitwise reproducible for a given seed and configuration no
-matter how the replications are distributed over worker processes. The
-aggregation walks replications in index order, which keeps summaries
-byte-identical across worker counts.
+Two engines run the replications. Analytic runs with known variances on a
+scenario whose stage sums have an exact law (Gaussian and scaled-Bernoulli
+families) take the batch engine (``batch.run_rrc_block``): replications are
+grouped into blocks of ``BLOCK_SIZE``, and each block owns one random stream
+keyed by (seed, ``STREAM_TAG``, block index). Every other run takes the
+per-unit engine, where each replication owns a stream keyed by (seed,
+replication index, 0) and draws every unit's outcomes.
+
+Either way a replication's result depends only on the seed and its index:
+blocks are always drawn whole, and workers take whole blocks or whole
+replications. The aggregation walks replications in index order, which
+keeps summaries byte-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -15,14 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batch import BlockTraces, run_rrc_block
 from .mc_solver import CostFunction, TreatmentEffectCost, run_cantelli_experiment
 from .posterior import GaussianPrior, OutcomeVariance, VariancePolicy
-from .scenarios import Scenario, ScenarioFeed
+from .scenarios import Scenario, ScenarioFeed, has_sum_law
 from .schedules import RiskSchedule
-from .solver import run_rrc_experiment
+from .solver import BRANCHES, run_rrc_experiment
 from .thompson import ThompsonConfig, run_thompson_experiment
 
 __all__ = [
+    "BLOCK_SIZE",
+    "STREAM_TAG",
     "AnalyticPolicy",
     "CantelliPolicy",
     "ThompsonPolicy",
@@ -35,9 +45,23 @@ __all__ = [
 
 QUANTILE_LEVELS = (25.0, 50.0, 75.0)
 
+# Replications per batch-engine block; every block is drawn whole.
+BLOCK_SIZE = 256
+# Second key word of every batch-engine stream (see replication_stream).
+STREAM_TAG = 0xFFFF_FFFF
+
 
 def replication_stream(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for a (seed, key...) address."""
+    """Independent generator for a (seed, key...) address.
+
+    numpy's ``SeedSequence`` pads short keys with zero words, so
+    ``(seed, b)`` and ``(seed, b, 0)`` give the same stream. An untagged
+    batch key ``(seed, block)`` would therefore replay the per-unit stream
+    ``(seed, rep, 0)`` of replication ``rep == block``. Batch keys are
+    ``(seed, STREAM_TAG, block)`` instead: a per-unit key ``(seed, rep, t)``
+    can reach one only from a replication index of ``STREAM_TAG = 2**32 - 1``
+    or more, which no run can hold in memory.
+    """
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(key)))
 
 
@@ -71,9 +95,6 @@ class ThompsonPolicy:
     prior: GaussianPrior
     sigma_sq: "tuple[float, float] | None" = None
     cap_at_half: bool = False
-
-
-Policy = "AnalyticPolicy | CantelliPolicy | ThompsonPolicy"
 
 
 @dataclass(frozen=True)
@@ -132,6 +153,60 @@ def _run_one(policy, scenario: Scenario, schedule: RiskSchedule, seed: int, rep:
 
 def _run_chunk(policy, scenario, schedule, seed, reps):
     return [_run_one(policy, scenario, schedule, seed, rep) for rep in reps]
+
+
+def _takes_batch_engine(policy, scenario: Scenario) -> bool:
+    return (
+        isinstance(policy, AnalyticPolicy)
+        and policy.variance.mode == "known"
+        and has_sum_law(scenario)
+    )
+
+
+def _run_blocks(policy, scenario, schedule, seed, blocks) -> list[BlockTraces]:
+    return [
+        run_rrc_block(
+            policy.prior,
+            policy.variance,
+            schedule,
+            scenario,
+            replication_stream(seed, STREAM_TAG, block),
+            BLOCK_SIZE,
+        )
+        for block in blocks
+    ]
+
+
+def _map_chunks(fn, count: int, workers: int, *args) -> list:
+    """``fn(*args, items)`` over items 0..count-1, results in item order.
+
+    Items are dealt round-robin into at most ``4 * workers`` chunks; the
+    pool never has more processes than CPUs or chunks, and a pool of one
+    runs in this process instead.
+    """
+    chunk_count = min(count, workers * 4)
+    chunks = [range(i, count, chunk_count) for i in range(chunk_count)]
+    pool_size = min(workers, os.cpu_count() or 1, chunk_count)
+    if pool_size <= 1:
+        return fn(*args, range(count))
+    results: list = [None] * count
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        futures = [pool.submit(fn, *args, chunk) for chunk in chunks]
+        for chunk, fut in zip(chunks, futures):
+            for item, result in zip(chunk, fut.result()):
+                results[item] = result
+    return results
+
+
+def _compact_traces(block: BlockTraces, count: int) -> list[CompactTrace]:
+    """Traces of the block's first ``count`` replications."""
+    rows = (
+        block.m[:count].tolist(),
+        np.array(BRANCHES, dtype=object)[block.branch[:count]].tolist(),
+        block.stage_cost[:count].tolist(),
+        block.cum_cost[:count].tolist(),
+    )
+    return [CompactTrace(*map(tuple, row)) for row in zip(*rows)]
 
 
 @dataclass
@@ -197,33 +272,40 @@ def run_replications(
     Ruin is accounted on the true (counterfactual-aware) costs: a
     replication is ruined when its final cumulative cost is at or below the
     budget. Quantile curves cover the treated-group sizes and the running
-    budget surplus per stage.
+    budget surplus per stage. The engine follows from the inputs alone
+    (see the module docstring).
     """
     if K_rep < 1:
         raise ValueError(f"K_rep must be >= 1, got {K_rep!r}")
     workers = max(1, int(workers))
 
-    if workers == 1 or K_rep == 1:
-        traces = [_run_one(policy, scenario, schedule, seed, rep) for rep in range(K_rep)]
-    else:
-        chunk_count = min(K_rep, workers * 4)
-        chunks = [list(range(i, K_rep, chunk_count)) for i in range(chunk_count)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, policy, scenario, schedule, seed, chunk)
-                for chunk in chunks
-            ]
-            traces = [None] * K_rep
-            for chunk, fut in zip(chunks, futures):
-                for rep, trace in zip(chunk, fut.result()):
-                    traces[rep] = trace
+    if _takes_batch_engine(policy, scenario):
+        n_blocks = -(-K_rep // BLOCK_SIZE)
+        blocks = _map_chunks(_run_blocks, n_blocks, workers, policy, scenario, schedule, seed)
+        traces = None
+        if keep_traces:
+            traces = []
+            for i, block in enumerate(blocks):
+                traces += _compact_traces(block, K_rep - i * BLOCK_SIZE)
+        m_matrix = np.concatenate([b.m for b in blocks])[:K_rep]
+        cum_matrix = np.concatenate([b.cum_cost for b in blocks])[:K_rep]
+        return _summarize(m_matrix, cum_matrix, traces, schedule, seed)
 
+    traces = _map_chunks(_run_chunk, K_rep, workers, policy, scenario, schedule, seed)
+    return _summarize_traces(traces, schedule, seed, keep_traces)
+
+
+def _summarize_traces(traces, schedule, seed, keep_traces) -> ReplicationSummary:
     stages = len(traces[0].m)
     if any(len(t.m) != stages for t in traces):
         raise RuntimeError("replications produced traces of different lengths")
-
     m_matrix = np.array([t.m for t in traces], dtype=float)
     cum_matrix = np.array([t.cum_cost for t in traces], dtype=float)
+    return _summarize(m_matrix, cum_matrix, traces if keep_traces else None, schedule, seed)
+
+
+def _summarize(m_matrix, cum_matrix, traces, schedule, seed) -> ReplicationSummary:
+    K_rep, stages = m_matrix.shape
     final_costs = cum_matrix[:, -1] if stages else np.zeros(K_rep)
     ruined = final_costs <= schedule.budget
     ruin_rate = float(ruined.mean())
@@ -247,5 +329,5 @@ def run_replications(
         m_quantiles=m_quant,
         surplus_quantiles=surplus_quant,
         final_costs=final_costs,
-        traces=traces if keep_traces else None,
+        traces=traces,
     )

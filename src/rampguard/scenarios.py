@@ -31,6 +31,8 @@ __all__ = [
     "Scenario",
     "ScenarioFeed",
     "generate_stage_outcomes",
+    "draw_stage_sums",
+    "has_sum_law",
     "builtin_scenarios",
     "scenario_from_config",
 ]
@@ -158,6 +160,62 @@ _GENERATORS = {
     "bernoulli_scaled": _bernoulli_pair,
     "student_t_shifted": _student_pair,
 }
+
+
+def _gaussian_sums(scn: Scenario, t: int, m: np.ndarray, rng: np.random.Generator):
+    v0, v1 = scn.true_var(0, t), scn.true_var(1, t)
+    rho = scn.correlation or 0.0
+    rest = scn.population[t - 1] - m
+    z = rng.standard_normal((3, m.shape[0]))
+    treated = scn.true_mean(1, t) * m + np.sqrt(v1 * m) * z[0]
+    counterfactual = scn.true_mean(0, t) * m + np.sqrt(v0 * m) * (
+        rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
+    )
+    control = scn.true_mean(0, t) * rest + np.sqrt(v0 * rest) * z[2]
+    return treated, counterfactual, control
+
+
+def _bernoulli_sums(scn: Scenario, t: int, m: np.ndarray, rng: np.random.Generator):
+    scale = scn.bernoulli_scale
+    p0, p1 = scn.bernoulli_p  # type: ignore[misc]
+    treated = scale * rng.binomial(m, p1)
+    counterfactual = scale * rng.binomial(m, p0)
+    control = scale * rng.binomial(scn.population[t - 1] - m, p0)
+    return treated, counterfactual, control
+
+
+# Families whose stage sums have an exact law that can be drawn directly.
+_SUM_LAWS = {
+    "gaussian_iid": _gaussian_sums,
+    "gaussian_time_varying": _gaussian_sums,
+    "gaussian_correlated": _gaussian_sums,
+    "bernoulli_scaled": _bernoulli_sums,
+}
+
+
+def has_sum_law(scenario: Scenario) -> bool:
+    """Whether :func:`draw_stage_sums` supports the scenario's family."""
+    return scenario.family in _SUM_LAWS
+
+
+def draw_stage_sums(
+    scenario: Scenario, t: int, m: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage-t sums for many replications, drawn from their exact laws.
+
+    ``m`` holds each replication's treated-group size. Returns, per
+    replication, the treated units' outcome sum under treatment, the same
+    units' counterfactual sum under control (the true stage cost is the
+    difference) and the control group's outcome sum: the quantities a
+    ``ScenarioFeed`` stage reports, without drawing individual units.
+    Gaussian arms give normal sums (the pair of a treated group is
+    bivariate normal under correlated arms) and scaled-Bernoulli arms give
+    scaled binomial counts. The generator is consumed in a fixed order:
+    treated, counterfactual, then control, each for every replication.
+    """
+    if not 1 <= t <= scenario.T:
+        raise ValueError(f"stage {t} outside 1..{scenario.T}")
+    return _SUM_LAWS[scenario.family](scenario, t, m, rng)
 
 
 def generate_stage_outcomes(

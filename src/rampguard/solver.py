@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .normal import normal_quantile
 from .posterior import (
     GaussianPrior,
@@ -39,6 +41,7 @@ __all__ = [
     "BRANCH_ROOT",
     "BRANCH_EMPTY",
     "BRANCH_ZERO_TOL",
+    "BRANCHES",
     "Z_SLACK",
     "PredictiveMoments",
     "QuadraticCoefficients",
@@ -46,6 +49,7 @@ __all__ = [
     "predictive_moments",
     "quadratic_coefficients",
     "solve_ramp_size",
+    "solve_ramp_sizes",
     "run_rrc_experiment",
 ]
 
@@ -54,6 +58,9 @@ BRANCH_NO_REAL_ROOT = "no_real_root"
 BRANCH_ROOT = "root_selected"
 BRANCH_EMPTY = "empty_valid_set"
 BRANCH_ZERO_TOL = "zero_tolerance"
+# Branch labels by the codes that solve_ramp_sizes returns.
+BRANCHES = (BRANCH_CAP, BRANCH_NO_REAL_ROOT, BRANCH_ROOT, BRANCH_EMPTY, BRANCH_ZERO_TOL)
+_CODE = {label: code for code, label in enumerate(BRANCHES)}
 
 # Absolute slack on the tail-condition comparison; the brute-force oracles
 # in the test suite apply the same slack so boundary cases cannot flip.
@@ -225,6 +232,87 @@ def solve_ramp_size(
     if valid:
         return decision(max(valid), BRANCH_ROOT)
     return decision(0, BRANCH_EMPTY)
+
+
+def _satisfied(moments: PredictiveMoments, S_T1_prev, b_t: float, m, limit: float) -> np.ndarray:
+    """Elementwise ``_z_statistic(...) <= limit``; call under ``np.errstate``.
+
+    Where the predictive variance is zero, ``num / 0`` gives -inf, +inf or
+    NaN (for num < 0, > 0, == 0), which compare against ``limit`` exactly
+    as the scalar path's -inf and +inf do.
+    """
+    num = b_t - S_T1_prev - moments.mu_tilde(m)
+    return num / np.sqrt(moments.sigma_tilde_sq(m)) <= limit
+
+
+def solve_ramp_sizes(
+    moments: PredictiveMoments,
+    S_T1_prev: np.ndarray,
+    b_t: float,
+    Delta_t: float,
+    N_t: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_ramp_size`` for many states that share one stage.
+
+    ``moments`` holds arrays (posterior moments and ``m1_prev``, one entry
+    per state) and ``S_T1_prev`` the matching cumulative treated sums;
+    ``b_t``, ``Delta_t`` and ``N_t`` are the stage's scalars. The cap test,
+    the quadratic, the floored-root candidates and their re-check are those
+    of the scalar solver, evaluated for every state at once, so each entry
+    equals the scalar decision bit for bit. Returns ``(m, branch)`` as
+    arrays; ``branch`` holds indices into ``BRANCHES``.
+    """
+    if N_t < 1:
+        raise ValueError(f"N_t must be >= 1, got {N_t!r}")
+    if not 0.0 <= Delta_t < 1.0:
+        raise ValueError(f"Delta_t must be in [0, 1), got {Delta_t!r}")
+
+    S = np.asarray(S_T1_prev, dtype=float)
+    cap = N_t // 2
+    zeros = np.zeros(S.shape, dtype=np.int64)
+    if Delta_t == 0.0:
+        return zeros, np.full(S.shape, _CODE[BRANCH_ZERO_TOL], dtype=np.int8)
+    if cap == 0:
+        return zeros, np.full(S.shape, _CODE[BRANCH_CAP], dtype=np.int8)
+
+    q = normal_quantile(Delta_t)
+    limit = q + Z_SLACK
+    # Rows of other branches compute NaN or overflowing roots; the masks
+    # below discard them, as the scalar path never computes them.
+    with np.errstate(all="ignore"):
+        at_cap = _satisfied(moments, S, b_t, cap, limit)
+        coef = quadratic_coefficients(moments, S, b_t, q)
+        A, B, C = coef.A, coef.B, coef.C
+        tiny = _DEGENERATE_A * np.maximum(np.maximum(np.abs(B), np.abs(C)), 1.0)
+        degenerate = np.abs(A) < tiny
+        linear = degenerate & (np.abs(B) >= tiny)
+        disc = B * B - 4.0 * A * C
+        no_root = np.where(degenerate, ~linear, disc < 0.0)
+        sq = np.sqrt(disc)
+        two_a = 2.0 * A
+        high = np.where(linear, -C / B, (-B + sq) / two_a)
+        low = np.where(linear, high, (-B - sq) / two_a)
+        base = np.floor(np.stack((high, low)))
+        candidates = np.concatenate((base, base + 1.0))
+        valid = (
+            (candidates >= 0.0)
+            & (candidates <= cap)
+            & _satisfied(moments, S, b_t, candidates, limit)
+        )
+    best = np.where(valid, candidates, -1.0).max(axis=0)
+    found = best >= 0.0
+
+    m = np.where(at_cap, cap, np.where(found & ~no_root, best, 0.0))
+    branch = np.where(
+        at_cap,
+        _CODE[BRANCH_CAP],
+        np.where(
+            no_root,
+            _CODE[BRANCH_NO_REAL_ROOT],
+            np.where(found, _CODE[BRANCH_ROOT], _CODE[BRANCH_EMPTY]),
+        ),
+    )
+    return m.astype(np.int64), branch.astype(np.int8)
 
 
 def run_rrc_experiment(

@@ -35,7 +35,7 @@ from rampguard.replication import (
 )
 from rampguard.scenarios import builtin_scenarios
 from rampguard.schedules import RiskSchedule, sinc_gamma, uniform_tolerance
-from rampguard.solver import Z_SLACK, solve_ramp_size
+from rampguard.solver import Z_SLACK, PredictiveMoments, solve_ramp_size, solve_ramp_sizes
 
 WORKERS = resolve_workers()
 PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
@@ -238,6 +238,14 @@ def test_criterion_4_solver_oracle_equivalence():
         got = solve_ramp_size(posterior, variance, m1_prev, s_prev, b_t, delta_t, n_t).m
         want = oracle_analytic(posterior, variance, m1_prev, s_prev, b_t, delta_t, n_t)
         mismatches += got != want
+        moments = PredictiveMoments(
+            tuple(np.array([v]) for v in posterior.mu_p),
+            tuple(np.array([v]) for v in posterior.sigma_p_sq),
+            variance.sigma_sq,
+            np.array([m1_prev]),
+        )
+        got_vec = solve_ramp_sizes(moments, np.array([s_prev]), b_t, delta_t, n_t)[0][0]
+        mismatches += got_vec != want
 
     for _ in range(2000):
         q = PosteriorQuantities(
@@ -260,7 +268,11 @@ def test_criterion_4_solver_oracle_equivalence():
 
     elapsed = time.time() - start
     ok = mismatches == 0 and elapsed < 30.0
-    report(4, ok, f"0 mismatches required, saw {mismatches}; {elapsed:.1f}s (< 30s)")
+    report(
+        4, ok,
+        f"0 mismatches required (scalar, vectorized and Cantelli solvers), saw {mismatches}; "
+        f"{elapsed:.1f}s (< 30s)",
+    )
     assert ok
 
 

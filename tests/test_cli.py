@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from rampguard import cli, replication
 from rampguard.cli import main
 
 GOLDEN = Path(__file__).parent / "data"
@@ -124,24 +125,34 @@ class TestRun:
         assert (out1 / "summary.json").read_bytes() == (out8 / "summary.json").read_bytes()
         assert (out1 / "schedule.csv").read_bytes() == (out8 / "schedule.csv").read_bytes()
 
+    GOLDEN_ARGS = [
+        "run", "--scenario", "nte", "--budget", "-500", "--delta", "0.05",
+        "--T", "4", "--reps", "5", "--seed", "0", "--workers", "1",
+    ]
+
+    @staticmethod
+    def assert_golden(out_dir, prefix):
+        for name in ("quantiles.csv", "schedule.csv", "summary.json"):
+            assert (out_dir / name).read_text() == (GOLDEN / f"{prefix}_{name}").read_text(), name
+
     def test_golden_outputs(self, tmp_path):
-        code = main(
-            [
-                "run", "--scenario", "nte", "--budget", "-500", "--delta", "0.05",
-                "--T", "4", "--reps", "5", "--seed", "0", "--out", str(tmp_path),
-                "--workers", "1",
-            ]
+        # The per-unit reference engine at the CLI's config and seed, written
+        # by the CLI's writers. The command itself takes the batch engine
+        # (pinned by the next test), so the replications run here directly.
+        config = cli._resolve_run_config(cli._build_parser().parse_args(self.GOLDEN_ARGS))
+        policy = cli._policy_for(config)
+        traces = replication._run_chunk(
+            policy, config.scenario, config.schedule, config.seed, range(config.replications)
         )
-        assert code == 0
-        assert (tmp_path / "quantiles.csv").read_text() == (
-            GOLDEN / "golden_quantiles.csv"
-        ).read_text()
-        assert (tmp_path / "schedule.csv").read_text() == (
-            GOLDEN / "golden_schedule.csv"
-        ).read_text()
-        assert (tmp_path / "summary.json").read_text() == (
-            GOLDEN / "golden_summary.json"
-        ).read_text()
+        summary = replication._summarize_traces(traces, config.schedule, config.seed, True)
+        cli._write_schedule_csv(str(tmp_path / "schedule.csv"), summary)
+        cli._write_summary_json(str(tmp_path / "summary.json"), summary)
+        cli._write_quantiles_csv(str(tmp_path / "quantiles.csv"), summary)
+        self.assert_golden(tmp_path, "golden")
+
+    def test_golden_outputs_batch_engine(self, tmp_path):
+        assert main([*self.GOLDEN_ARGS, "--out", str(tmp_path)]) == 0
+        self.assert_golden(tmp_path, "golden_batch")
 
 
 class TestReproduce:

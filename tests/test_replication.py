@@ -1,8 +1,11 @@
 import json
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from rampguard import replication
 from rampguard.posterior import GaussianPrior, VariancePolicy
 from rampguard.replication import (
     AnalyticPolicy,
@@ -37,6 +40,58 @@ class TestStreams:
         assert resolve_workers(5) == 5
         monkeypatch.delenv("RAMPGUARD_THREADS")
         assert resolve_workers() >= 1
+
+
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class TestPoolBound:
+    @pytest.fixture
+    def executor(self, monkeypatch):
+        monkeypatch.setattr(replication, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(InlineExecutor, "sizes", [])
+        return InlineExecutor
+
+    @pytest.mark.parametrize(
+        "policy,name,reps,cpus,expected",
+        [
+            (ThompsonPolicy(c=1.0, prior=PRIOR), "npte", 3, 64, 3),  # bounded by chunks
+            (ThompsonPolicy(c=1.0, prior=PRIOR), "npte", 40, 3, 3),  # bounded by CPUs
+            (ANALYTIC, "norm", 600, 64, 3),  # batch engine: 3 blocks of 256
+        ],
+    )
+    def test_pool_size(self, executor, monkeypatch, policy, name, reps, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sched = RiskSchedule.uniform(-500.0, 0.05, 2)
+        scn = builtin_scenarios()[name]
+        pooled = run_replications(policy, scn, sched, reps, 1, workers=10_000)
+        assert executor.sizes == [expected]
+        serial = run_replications(policy, scn, sched, reps, 1, workers=1)
+        assert executor.sizes == [expected]  # one worker never builds a pool
+        assert summary_fingerprint(pooled) == summary_fingerprint(serial)
+
+    def test_one_cpu_runs_in_process(self, executor, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        sched = RiskSchedule.uniform(-500.0, 0.05, 2)
+        run_replications(ANALYTIC, builtin_scenarios()["fat"], sched, 5, 0, workers=8)
+        assert executor.sizes == []
 
 
 class TestRunReplications:

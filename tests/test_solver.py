@@ -16,13 +16,18 @@ from rampguard.scenarios import ScenarioFeed, builtin_scenarios
 from rampguard.schedules import RiskSchedule
 from rampguard.solver import (
     BRANCH_CAP,
+    BRANCH_EMPTY,
+    BRANCH_NO_REAL_ROOT,
     BRANCH_ROOT,
     BRANCH_ZERO_TOL,
+    BRANCHES,
     Z_SLACK,
+    PredictiveMoments,
     predictive_moments,
     quadratic_coefficients,
     run_rrc_experiment,
     solve_ramp_size,
+    solve_ramp_sizes,
 )
 
 PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
@@ -235,6 +240,86 @@ def stage_configs(draw):
 @given(stage_configs())
 def test_solver_equals_oracle_property(cfg):
     assert solve_ramp_size(*cfg).m == oracle_max_m(*cfg)
+
+
+def solve_vectorized(states, b_t, delta_t, n_t):
+    """solve_ramp_sizes over (posterior, variance, m1_prev, s_t1_prev) states."""
+    cols = np.array(
+        [p.mu_p + p.sigma_p_sq + v.sigma_sq + (m1, s) for p, v, m1, s in states], dtype=float
+    ).T
+    moments = PredictiveMoments(
+        mu_p=(cols[0], cols[1]), sigma_p_sq=(cols[2], cols[3]), sigma_sq=(cols[4], cols[5]),
+        m1_prev=cols[6],
+    )
+    m, branch = solve_ramp_sizes(moments, cols[7], b_t, delta_t, n_t)
+    return [(int(mi), BRANCHES[bi]) for mi, bi in zip(m, branch)]
+
+
+def assert_vectorized_equals_scalar(states, b_t, delta_t, n_t):
+    got = solve_vectorized(states, b_t, delta_t, n_t)
+    for state, vec in zip(states, got):
+        d = solve_ramp_size(*state, b_t, delta_t, n_t)
+        assert vec == (d.m, d.branch), f"vectorized {vec} vs scalar {d} on {state}"
+
+
+def _degenerate_state(effect_sign):
+    """A state whose quadratic has A == 0: effect**2 == q**2 (sp0 + sp1)."""
+    q, sp = normal_quantile(0.01), 0.5
+    effect = effect_sign * math.sqrt(2 * q * q * sp)
+    return PosteriorState((0.0, effect), (sp, sp)), VAR10, q, effect
+
+
+def _degenerate_no_root():
+    # B == 0 as well: b_t - S cancels q**2 (v0 + v1) against 2 * slack * effect.
+    post, var, q, effect = _degenerate_state(-1.0)
+    b_t = -q * q * 20.0 / (2 * effect)
+    return (post, var, 0, 0.0), b_t, 0.01, 500
+
+
+BRANCH_CASES = [
+    (BRANCH_CAP, ((PosteriorState((0.0, 50.0), (0.01, 0.01)), VAR10, 100, 5000.0), -1.0, 0.005, 501)),
+    (BRANCH_CAP, ((FLAT_POST, VAR10, 0, 0.0), -500.0, 0.01, 1)),
+    (BRANCH_ROOT, ((FLAT_POST, VAR10, 0, 0.0), -500.0, 0.005, 500)),
+    (BRANCH_EMPTY, ((FLAT_POST, VAR10, 0, -600.0), -500.0, 0.005, 500)),
+    (BRANCH_EMPTY, ((_degenerate_state(-1.0)[0], VAR10, 0, 0.0), 30.0, 0.01, 500)),
+    (BRANCH_NO_REAL_ROOT, ((PosteriorState((0.0, 0.0), (1.0, 1.0)), VAR10, 1000, -500.0), -500.0, 0.01, 500)),
+    (BRANCH_NO_REAL_ROOT, _degenerate_no_root()),
+    (BRANCH_ZERO_TOL, ((FLAT_POST, VAR10, 0, 0.0), -500.0, 0.0, 500)),
+]
+
+
+class TestSolveRampSizes:
+    @pytest.mark.parametrize("branch,case", BRANCH_CASES)
+    def test_each_branch_by_hand(self, branch, case):
+        state, b_t, delta_t, n_t = case
+        assert solve_ramp_size(*state, b_t, delta_t, n_t).branch == branch
+        assert_vectorized_equals_scalar([state], b_t, delta_t, n_t)
+
+    def test_randomized_groups(self):
+        # Rows of different branches share each array call.
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            _, _, _, _, b_t, delta_t, n_t = random_stage_config(rng)
+            states = [random_stage_config(rng)[:4] for _ in range(40)]
+            assert_vectorized_equals_scalar(states, b_t, delta_t, n_t)
+
+    def test_bad_inputs(self):
+        states = [(FLAT_POST, VAR10, 0, 0.0)]
+        with pytest.raises(ValueError):
+            solve_vectorized(states, -500.0, 1.0, 500)
+        with pytest.raises(ValueError):
+            solve_vectorized(states, -500.0, 0.01, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(stage_configs(), min_size=1, max_size=6),
+    st.floats(-900, -1),
+    st.one_of(st.just(0.0), st.floats(1e-6, 0.95)),
+    st.integers(1, 600),
+)
+def test_vectorized_solver_equals_scalar_property(cfgs, b_t, delta_t, n_t):
+    assert_vectorized_equals_scalar([cfg[:4] for cfg in cfgs], b_t, delta_t, n_t)
 
 
 class TestRunExperiment:
