@@ -10,12 +10,15 @@ out.
 import numpy as np
 
 from rampguard import (
+    AnalyticPolicy,
     GaussianPrior,
+    OutcomeVariance,
     RiskSchedule,
     ScenarioFeed,
     VariancePolicy,
     builtin_scenarios,
-    run_rrc_experiment,
+    compute_posterior,
+    run_stages,
 )
 
 prior = GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=(100.0, 100.0))
@@ -23,7 +26,11 @@ schedule = RiskSchedule.uniform(budget=-500.0, delta=0.05, T=10)
 scenario = builtin_scenarios()["pte"]
 feed = ScenarioFeed(scenario, np.random.default_rng(7))
 
-trace = run_rrc_experiment(prior, VariancePolicy(), schedule, feed)
+trace = run_stages(schedule, feed, AnalyticPolicy(prior, VariancePolicy()))
+# Posterior after every observation, under the last stage's known variances.
+final = compute_posterior(
+    prior, OutcomeVariance(feed.true_variance(trace.num_stages)), trace.final_stats
+)
 
 print(f"budget {schedule.budget:+.0f}, tolerance {schedule.delta:.0%}, "
       f"per-stage tolerance {schedule.stage_tolerances[0]:.4%}")
@@ -36,4 +43,4 @@ print(f"stopped because: {trace.stop_reason}")
 print(f"final cumulative cost {trace.total_cost:+.1f} -> budget surplus "
       f"{trace.budget_surplus:+.1f} ({'ruined' if trace.ruined else 'budget respected'})")
 print(f"posterior effect estimate: "
-      f"{trace.final_posterior.mu_p[1] - trace.final_posterior.mu_p[0]:+.3f}")
+      f"{final.mu_p[1] - final.mu_p[0]:+.3f}")

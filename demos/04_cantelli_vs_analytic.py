@@ -12,11 +12,11 @@ import numpy as np
 
 from rampguard import (
     CappedEffectCost,
+    GaussianPosteriorSampler,
     GaussianPrior,
     OutcomeVariance,
     TreatmentEffectCost,
     estimate_posterior_quantities,
-    gaussian_exact_sampler,
     init_posterior,
     solve_ramp_size,
     solve_ramp_size_cantelli,
@@ -30,7 +30,7 @@ B = -500.0
 print(f"{'Delta_t':>9} {'analytic m':>11} {'sampling m':>11}")
 for delta_t in (0.05, 0.01, 0.005, 0.001):
     exact = solve_ramp_size(posterior, variance, 0, 0.0, B, delta_t, 500)
-    sampler = gaussian_exact_sampler(posterior, variance)
+    sampler = GaussianPosteriorSampler(posterior, variance)
     q = estimate_posterior_quantities(
         sampler, TreatmentEffectCost(), B, 100_000, np.random.default_rng(1)
     )
@@ -40,7 +40,7 @@ for delta_t in (0.05, 0.01, 0.005, 0.001):
 print("\nWith a floored per-unit cost (losses capped at -5), only the")
 print("sampling solver applies; capping losses makes larger ramps safe:")
 q_capped = estimate_posterior_quantities(
-    gaussian_exact_sampler(posterior, variance),
+    GaussianPosteriorSampler(posterior, variance),
     CappedEffectCost(floor=-5.0),
     B,
     100_000,

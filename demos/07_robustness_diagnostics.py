@@ -17,13 +17,14 @@ overshoot its tolerance.
 import numpy as np
 
 from rampguard import (
+    AnalyticPolicy,
     GaussianPrior,
     RiskSchedule,
     ScenarioFeed,
     VariancePolicy,
     builtin_scenarios,
     robustness_diagnostics,
-    run_rrc_experiment,
+    run_stages,
 )
 
 prior = GaussianPrior((0.0, 0.0), (100.0, 100.0))
@@ -32,7 +33,7 @@ schedule = RiskSchedule.uniform(-500.0, 0.05, 10)
 for name in ("fat", "dec"):
     scenario = builtin_scenarios()[name]
     feed = ScenarioFeed(scenario, np.random.default_rng(3))
-    trace = run_rrc_experiment(prior, VariancePolicy(), schedule, feed)
+    trace = run_stages(schedule, feed, AnalyticPolicy(prior, VariancePolicy()))
     checks = robustness_diagnostics(scenario, trace, prior, (10.0, 10.0))
     print(f"\nscenario {name}: stages with treated units = {[c.stage for c in checks]}")
     print(f"{'stage':>5} {'m':>5} {'effect>=hist':>13} {'var ok':>7} {'verdict':>8}")

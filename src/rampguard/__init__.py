@@ -14,9 +14,8 @@ from .mc_solver import (
     PosteriorQuantities,
     TreatmentEffectCost,
     cost_from_config,
+    CantelliPolicy,
     estimate_posterior_quantities,
-    gaussian_exact_sampler,
-    run_cantelli_experiment,
     solve_ramp_size_cantelli,
 )
 from .normal import normal_cdf, normal_pdf, normal_quantile
@@ -31,14 +30,10 @@ from .posterior import (
     estimate_variance,
     init_posterior,
     update_stats,
-    zero_stats,
 )
 from .replication import (
-    AnalyticPolicy,
-    CantelliPolicy,
     CompactTrace,
     ReplicationSummary,
-    ThompsonPolicy,
     replication_stream,
     resolve_workers,
     run_replications,
@@ -61,16 +56,24 @@ from .schedules import (
     validate_schedule,
 )
 from .solver import (
+    AnalyticPolicy,
     PredictiveMoments,
     QuadraticCoefficients,
     StageDecision,
     predictive_moments,
     quadratic_coefficients,
-    run_rrc_experiment,
     solve_ramp_size,
 )
-from .thompson import ThompsonConfig, run_thompson_experiment, thompson_assignment_probability
-from .trace import ExperimentTrace, StageFeed, StageOutcome, StageRecord
+from .thompson import ThompsonPolicy, thompson_assignment_probability
+from .trace import (
+    ExperimentTrace,
+    Policy,
+    Stage,
+    StageFeed,
+    StageOutcome,
+    StageRecord,
+    run_stages,
+)
 
 __version__ = "0.1.0"
 
@@ -85,6 +88,7 @@ __all__ = [
     "GaussianPrior",
     "InsufficientDataError",
     "OutcomeVariance",
+    "Policy",
     "PosteriorQuantities",
     "PosteriorState",
     "PredictiveMoments",
@@ -95,13 +99,13 @@ __all__ = [
     "ScenarioFeed",
     "ScheduleError",
     "ScheduleReport",
+    "Stage",
     "StageDecision",
     "StageDiagnostic",
     "StageFeed",
     "StageOutcome",
     "StageRecord",
     "SufficientStats",
-    "ThompsonConfig",
     "ThompsonPolicy",
     "TreatmentEffectCost",
     "VariancePolicy",
@@ -110,7 +114,6 @@ __all__ = [
     "cost_from_config",
     "estimate_posterior_quantities",
     "estimate_variance",
-    "gaussian_exact_sampler",
     "generate_stage_outcomes",
     "init_posterior",
     "normal_cdf",
@@ -121,10 +124,8 @@ __all__ = [
     "replication_stream",
     "resolve_workers",
     "robustness_diagnostics",
-    "run_cantelli_experiment",
     "run_replications",
-    "run_rrc_experiment",
-    "run_thompson_experiment",
+    "run_stages",
     "scenario_from_config",
     "schedule_from_config",
     "sinc_gamma",
@@ -135,5 +136,4 @@ __all__ = [
     "uniform_tolerance",
     "update_stats",
     "validate_schedule",
-    "zero_stats",
 ]

@@ -1,15 +1,15 @@
 """Struct-of-arrays engine: the analytic ramp loop over a block of replications.
 
-``run_rrc_experiment`` runs one replication against a ``ScenarioFeed`` that
-draws every unit's pair of potential outcomes. Under known variances the
+``trace.run_stages`` with an ``AnalyticPolicy`` runs one replication against
+a ``ScenarioFeed`` that draws every unit's pair of potential outcomes. Under known variances the
 solver needs only each stage's sums, and for Gaussian and scaled-Bernoulli
 scenarios those sums have exact laws (``draw_stage_sums``). This engine
 keeps one array entry per replication for the running statistics, draws
 the stage sums for the whole block at once, folds them into array-valued
 posteriors and solves every replication's stage with one
-``solve_ramp_sizes`` call. It applies the same schedule validation,
-tolerance gating and half-population cap as the per-unit loop, which stays
-the reference that the tests compare this engine against.
+``solve_ramp_sizes`` call. It applies the same schedule validation and
+half-population cap as the per-unit loop, which stays the reference that
+the tests compare this engine against.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .posterior import GaussianPrior, VariancePolicy, posterior_moments, zero_stats
+from .posterior import GaussianPrior, SufficientStats, VariancePolicy, posterior_moments
 from .scenarios import Scenario, draw_stage_sums
-from .schedules import REL_SLACK, RiskSchedule, ScheduleError, validate_schedule
+from .schedules import RiskSchedule, ScheduleError, validate_schedule
 from .solver import PredictiveMoments, solve_ramp_sizes
 
 __all__ = ["BlockTraces", "run_rrc_block"]
@@ -49,9 +49,9 @@ def run_rrc_block(
 ) -> BlockTraces:
     """Run ``size`` independent replications of the analytic ramp loop.
 
-    Stages run while the schedule has entries, the scenario has stages and
-    the tolerance product stays at or above ``1 - delta``; these stop rules
-    do not depend on the data, so every replication runs the same stages.
+    Stages run while the schedule has entries and the scenario has stages;
+    these stop rules do not depend on the data, so every replication runs
+    the same stages.
     ``variance_policy`` must be in known mode (the variances then do not
     depend on the data either) and the scenario's family must have a sum
     law; ``replication.run_replications`` checks both before it gets here.
@@ -67,16 +67,12 @@ def run_rrc_block(
     sum_treated = np.zeros(size)
     cum_cost = np.zeros(size)
     columns: list[tuple[np.ndarray, ...]] = []
-    tol_product = 1.0
-    floor = (1.0 - schedule.delta) * (1.0 - REL_SLACK)
 
     for t in range(1, min(schedule.num_stages, scenario.T) + 1):
         delta_t = schedule.stage_tolerances[t - 1]
-        if tol_product * (1.0 - delta_t) < floor:
-            break
         n_t = scenario.population[t - 1]
         truth = (scenario.true_var(0, t), scenario.true_var(1, t))
-        sigma_sq = variance_policy.resolve(zero_stats(), truth).sigma_sq
+        sigma_sq = variance_policy.resolve(SufficientStats(), truth).sigma_sq
         mu_p, sigma_p_sq = posterior_moments(prior, sigma_sq, counts, (sum_control, sum_treated))
         m, branch = solve_ramp_sizes(
             PredictiveMoments(mu_p, sigma_p_sq, sigma_sq, counts[1]),
@@ -95,7 +91,6 @@ def run_rrc_block(
         sum_treated = sum_treated + treated
         sum_control = sum_control + control
         counts = (counts[0] + (n_t - m), counts[1] + m)
-        tol_product *= 1.0 - delta_t
 
     if not columns:
         empty = np.zeros((size, 0))

@@ -20,9 +20,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from .posterior import (
@@ -33,23 +36,17 @@ from .posterior import (
     compute_posterior,
     update_stats,
 )
-from .replication import (
-    AnalyticPolicy,
-    CantelliPolicy,
-    ReplicationSummary,
-    ThompsonPolicy,
-    resolve_workers,
-    run_replications,
-)
+from .mc_solver import CantelliPolicy
+from .replication import ReplicationSummary, resolve_workers, run_replications
 from .scenarios import Scenario, builtin_scenarios, scenario_from_config
 from .schedules import (
-    REL_SLACK,
     RiskSchedule,
     ScheduleError,
     schedule_from_config,
     validate_schedule,
 )
-from .solver import solve_ramp_size
+from .solver import AnalyticPolicy, solve_ramp_size
+from .thompson import ThompsonPolicy
 
 __all__ = ["main", "cmd_run", "cmd_reproduce", "cmd_next_stage"]
 
@@ -215,26 +212,26 @@ def _write_schedule_csv(path: str, summary: ReplicationSummary) -> None:
                 )
 
 
-def _write_quantiles_csv(path: str, summary: ReplicationSummary, header_lines=()) -> None:
+def _write_table(path: str, header_lines, columns, rows) -> None:
+    """CSV file with ``# `` provenance lines, a column row and the data rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
-        writer.writerow(
-            ["stage", "m_q25", "m_q50", "m_q75", "surplus_q25", "surplus_q50", "surplus_q75"]
-        )
-        for t in range(summary.stages):
-            writer.writerow(
-                [
-                    t + 1,
-                    summary.m_quantiles[0, t],
-                    summary.m_quantiles[1, t],
-                    summary.m_quantiles[2, t],
-                    summary.surplus_quantiles[0, t],
-                    summary.surplus_quantiles[1, t],
-                    summary.surplus_quantiles[2, t],
-                ]
-            )
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _write_quantiles_csv(path: str, summary: ReplicationSummary, header_lines=()) -> None:
+    _write_table(
+        path,
+        header_lines,
+        ["stage", "m_q25", "m_q50", "m_q75", "surplus_q25", "surplus_q50", "surplus_q75"],
+        (
+            [t + 1, *summary.m_quantiles[:, t], *summary.surplus_quantiles[:, t]]
+            for t in range(summary.stages)
+        ),
+    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -395,23 +392,20 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             "ruin_rate": summary.ruin_rate,
         }
         if figure.startswith("fig2"):
-            with open(
-                os.path.join(out_dir, "spend.csv"), "w", encoding="utf-8", newline=""
-            ) as fh:
-                for line in header:
-                    fh.write(f"# {line}\n")
-                writer = csv.writer(fh)
-                writer.writerow(["replication", "final_cost", "ruined"])
-                for rep, cost in enumerate(summary.final_costs):
-                    writer.writerow([rep, float(cost), int(cost <= schedule.budget)])
-            with open(
-                os.path.join(out_dir, "ruin.csv"), "w", encoding="utf-8", newline=""
-            ) as fh:
-                for line in header:
-                    fh.write(f"# {line}\n")
-                writer = csv.writer(fh)
-                writer.writerow(["scenario", "ruin_rate", "half_width", "replications", "delta"])
-                writer.writerow(
+            _write_table(
+                os.path.join(out_dir, "spend.csv"),
+                header,
+                ["replication", "final_cost", "ruined"],
+                (
+                    [rep, float(cost), int(cost <= schedule.budget)]
+                    for rep, cost in enumerate(summary.final_costs)
+                ),
+            )
+            _write_table(
+                os.path.join(out_dir, "ruin.csv"),
+                header,
+                ["scenario", "ruin_rate", "half_width", "replications", "delta"],
+                [
                     [
                         job["scenario"],
                         summary.ruin_rate,
@@ -419,7 +413,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                         reps,
                         schedule.delta,
                     ]
-                )
+                ],
+            )
         provenance["runs"].append(run_info)
 
     with open(os.path.join(out_dir, "provenance.json"), "w", encoding="utf-8") as fh:
@@ -432,10 +427,15 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------- next-stage
 
 
+# Relative slack of the check sumsq >= sum**2 / count on observed sums.
+_SUMSQ_SLACK = 1e-12
+
+
 def _stats_to_json(stats: SufficientStats) -> dict[str, Any]:
+    # Version-1 layout: per-arm pairs whose unobservable halves stay 0.
     return {
-        "treated_sums": list(stats.treated_sums),
-        "control_sums": list(stats.control_sums),
+        "treated_sums": [0.0, stats.sum_treated],
+        "control_sums": [stats.sum_control, 0.0],
         "counts": list(stats.counts),
         "treated_sumsq": stats.treated_sumsq,
         "control_sumsq": stats.control_sumsq,
@@ -444,8 +444,8 @@ def _stats_to_json(stats: SufficientStats) -> dict[str, Any]:
 
 def _stats_from_json(d: dict[str, Any]) -> SufficientStats:
     return SufficientStats(
-        treated_sums=tuple(d["treated_sums"]),
-        control_sums=tuple(d["control_sums"]),
+        sum_treated=float(d["treated_sums"][1]),
+        sum_control=float(d["control_sums"][0]),
         counts=tuple(int(v) for v in d["counts"]),
         treated_sumsq=float(d["treated_sumsq"]),
         control_sumsq=float(d["control_sumsq"]),
@@ -483,6 +483,42 @@ def _fresh_state(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
+def _observed_sums(args: argparse.Namespace, pending: dict[str, Any], mode: str):
+    """The pending stage's observations, refused where they void the guarantee.
+
+    Non-finite values, nonzero sums for an arm without units and sums of
+    squares below ``sum**2 / count`` cannot come from real outcomes; in
+    estimated mode, missing sums of squares would read as zero variance.
+    """
+    if args.treated_sum is None or args.control_sum is None:
+        raise ConfigError(
+            f"stage {pending['stage']} ran with m={pending['m']}; provide "
+            "--treated-sum and --control-sum before the next decision"
+        )
+    if mode == "estimated" and (args.treated_sumsq is None or args.control_sumsq is None):
+        raise ConfigError(
+            "estimated variance mode needs --treated-sumsq and --control-sumsq "
+            "with the observed sums"
+        )
+    m, n = int(pending["m"]), int(pending["n"])
+    for arm, count, total, sumsq in (
+        ("treated", m, args.treated_sum, args.treated_sumsq),
+        ("control", n - m, args.control_sum, args.control_sumsq),
+    ):
+        given = [v for v in (total, sumsq) if v is not None]
+        if not all(math.isfinite(v) for v in given):
+            raise ConfigError(f"the {arm} sums must be finite, got {given}")
+        if count == 0 and any(v != 0.0 for v in given):
+            raise ConfigError(f"the {arm} group was empty, so its sums must be 0, got {given}")
+        if sumsq is not None and count > 0:
+            floor = total * total / count
+            if sumsq < floor * (1.0 - _SUMSQ_SLACK):
+                raise ConfigError(
+                    f"--{arm}-sumsq {sumsq!r} is below {arm}-sum**2 / {count} = {floor!r}"
+                )
+    return args.treated_sum, args.control_sum, args.treated_sumsq or 0.0, args.control_sumsq or 0.0
+
+
 def cmd_next_stage(args: argparse.Namespace) -> int:
     if os.path.exists(args.state):
         with open(args.state, "r", encoding="utf-8") as fh:
@@ -492,6 +528,10 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
                 raise ConfigError(f"state file {args.state} is not valid JSON: {exc}") from None
     else:
         state = _fresh_state(args)
+    consumed = state["consumed"]
+    schedule = RiskSchedule(
+        state["budget"], state["delta"], consumed["stage_budgets"], consumed["stage_tolerances"]
+    )
 
     inputs = {
         "n_next": args.n_next,
@@ -516,49 +556,32 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
     stats = _stats_from_json(state["stats"])
     pending = state.get("pending")
     if pending is not None:
-        if args.treated_sum is None or args.control_sum is None:
-            raise ConfigError(
-                f"stage {pending['stage']} ran with m={pending['m']}; provide "
-                "--treated-sum and --control-sum before the next decision"
-            )
         stats = update_stats(
             stats,
             int(pending["m"]),
             int(pending["n"]),
-            float(args.treated_sum),
-            float(args.control_sum),
-            float(args.treated_sumsq or 0.0),
-            float(args.control_sumsq or 0.0),
+            *_observed_sums(args, pending, state["variance_mode"]),
         )
         state["stats"] = _stats_to_json(stats)
         state["pending"] = None
     elif args.treated_sum is not None or args.control_sum is not None:
         raise ConfigError("no stage is awaiting observations; drop the observed sums")
 
-    delta = float(state["delta"])
-    product = float(state["tolerance_product"])
-    if product <= (1.0 - delta) * (1.0 + REL_SLACK):
+    # The stage is admitted by the rule that validates a whole schedule.
+    # Once delta is spent, every call that names no stage it still admits
+    # (a zero-tolerance stage it does) is answered as exhausted.
+    try:
+        if args.n_next is None or args.delta_next is None or args.b_next is None:
+            raise ConfigError("--n-next, --delta-next and --b-next are required")
+        next_schedule = schedule.extended(args.b_next, args.delta_next)
+    except (ConfigError, ScheduleError):
+        if not schedule.exhausted():
+            raise
         state["last_call"] = {"inputs": inputs, "outputs": {"terminal": True}}
         _write_state(args.state, state)
         print("tolerance budget exhausted; no further stages can run")
         return EXIT_EXHAUSTED
-
-    if args.n_next is None or args.delta_next is None or args.b_next is None:
-        raise ConfigError("--n-next, --delta-next and --b-next are required")
     n_next = int(args.n_next)
-    delta_next = float(args.delta_next)
-    b_next = float(args.b_next)
-    budget = float(state["budget"])
-    if b_next < budget:
-        return _fail(EXIT_SCHEDULE, f"stage budget {b_next} is below the total budget {budget}")
-    if not 0.0 <= delta_next < 1.0:
-        return _fail(EXIT_SCHEDULE, f"stage tolerance must be in [0, 1), got {delta_next}")
-    if product * (1.0 - delta_next) < (1.0 - delta) * (1.0 - REL_SLACK):
-        return _fail(
-            EXIT_SCHEDULE,
-            f"stage tolerance {delta_next} exceeds the remaining headroom "
-            f"{1.0 - (1.0 - delta) / product:.6g}",
-        )
 
     prior = GaussianPrior(
         mu0=_pair(state["prior"]["mu0"]), sigma0_sq=_pair(state["prior"]["sigma0_sq"])
@@ -575,8 +598,8 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
         variance,
         M1_prev=stats.counts[1],
         S_T1_prev=stats.sum_treated,
-        b_t=b_next,
-        Delta_t=delta_next,
+        b_t=next_schedule.stage_budgets[-1],
+        Delta_t=next_schedule.stage_tolerances[-1],
         N_t=n_next,
     )
 
@@ -588,9 +611,11 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
         "branch": decision.branch,
     }
     state["pending"] = {"stage": stage, "m": decision.m, "n": n_next}
-    state["consumed"]["stage_budgets"].append(b_next)
-    state["consumed"]["stage_tolerances"].append(delta_next)
-    state["tolerance_product"] = product * (1.0 - delta_next)
+    state["consumed"] = {
+        "stage_budgets": list(next_schedule.stage_budgets),
+        "stage_tolerances": list(next_schedule.stage_tolerances),
+    }
+    state["tolerance_product"] = next_schedule.tolerance_product()
     state["stage"] = stage + 1
     state["last_call"] = {"inputs": inputs, "outputs": outputs}
     _write_state(args.state, state)
@@ -599,14 +624,27 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
 
 
 def _write_state(path: str, state: dict[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Replace the state file atomically: a crash leaves the old or the new one."""
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(os.path.abspath(path)), prefix=".rampguard-state-"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(state, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # --------------------------------------------------------------- main
 
 
+# Built once per process: building costs more than a whole next-stage call.
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rampguard",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -26,11 +26,7 @@ from .posterior import (
     PosteriorState,
     VariancePolicy,
     compute_posterior,
-    init_posterior,
-    update_stats,
-    zero_stats,
 )
-from .schedules import REL_SLACK, RiskSchedule, ScheduleError, validate_schedule
 from .solver import (
     BRANCH_CAP,
     BRANCH_EMPTY,
@@ -39,20 +35,18 @@ from .solver import (
     BRANCH_ZERO_TOL,
     StageDecision,
 )
-from .trace import ExperimentTrace, StageFeed, StageRecord
+from .trace import Stage
 
 __all__ = [
     "CostFunction",
     "TreatmentEffectCost",
     "CappedEffectCost",
     "cost_from_config",
-    "JointSample",
     "GaussianPosteriorSampler",
-    "gaussian_exact_sampler",
     "PosteriorQuantities",
     "estimate_posterior_quantities",
     "solve_ramp_size_cantelli",
-    "run_cantelli_experiment",
+    "CantelliPolicy",
 ]
 
 # Populations at or below this size are solved by direct grid scan, which
@@ -113,21 +107,6 @@ def cost_from_config(spec: "str | dict[str, Any]") -> CostFunction:
     raise KeyError(f"unknown cost function {name!r}")
 
 
-@dataclass(frozen=True)
-class JointSample:
-    """One joint posterior draw: imputed history plus two fresh unit pairs.
-
-    ``imputed_controls[r]`` are the sampled counterfactual control outcomes
-    of the units treated at history stage r. Each fresh pair is (control
-    outcome, treated outcome) for one incoming unit.
-    """
-
-    mean_control: float
-    mean_treatment: float
-    imputed_controls: tuple[np.ndarray, ...]
-    fresh: tuple[tuple[float, float], tuple[float, float]]
-
-
 class GaussianPosteriorSampler:
     """Exact posterior sampler for the conjugate Gaussian model.
 
@@ -150,23 +129,6 @@ class GaussianPosteriorSampler:
         self.history_sizes = tuple(a.shape[0] for a in self.history)
         self.m1_prev = int(sum(self.history_sizes))
         self.observed_treated_sum = float(sum(a.sum() for a in self.history))
-
-    def draw(self, rng: np.random.Generator) -> JointSample:
-        mu0, mu1 = self._draw_means(rng, 1)
-        mu0, mu1 = float(mu0[0]), float(mu1[0])
-        sd0 = math.sqrt(self.variance.sigma_sq[0])
-        sd1 = math.sqrt(self.variance.sigma_sq[1])
-        imputed = tuple(rng.normal(mu0, sd0, size) for size in self.history_sizes)
-        fresh = tuple(
-            (float(rng.normal(mu0, sd0)), float(rng.normal(mu1, sd1)))
-            for _ in range(2)
-        )
-        return JointSample(
-            mean_control=mu0,
-            mean_treatment=mu1,
-            imputed_controls=imputed,
-            fresh=(fresh[0], fresh[1]),
-        )
 
     def _draw_means(self, rng: np.random.Generator, k: int):
         mp, sp = self.posterior.mu_p, self.posterior.sigma_p_sq
@@ -215,15 +177,6 @@ class GaussianPosteriorSampler:
             fresh1 = mu1 + sd1 * rng.standard_normal(k)
             h.append(np.asarray(cost.evaluate(fresh1, fresh0), dtype=float))
         return r_prev, h[0], h[1]
-
-
-def gaussian_exact_sampler(
-    posterior: PosteriorState,
-    variance: OutcomeVariance,
-    history: "list[np.ndarray] | tuple[np.ndarray, ...]" = (),
-) -> GaussianPosteriorSampler:
-    """Build the exact conjugate-Gaussian posterior sampler."""
-    return GaussianPosteriorSampler(posterior, variance, history)
 
 
 @dataclass(frozen=True)
@@ -370,103 +323,32 @@ def solve_ramp_size_cantelli(
     return decision(best, BRANCH_ROOT if best >= 1 else BRANCH_EMPTY)
 
 
-def run_cantelli_experiment(
-    prior: GaussianPrior,
-    variance_policy: VariancePolicy,
-    schedule: RiskSchedule,
-    stage_feed: StageFeed,
-    *,
-    cost: CostFunction = TreatmentEffectCost(),
-    samples_per_stage: int = 10_000,
-    sample_rng: "np.random.Generator | Callable[[int], np.random.Generator] | None" = None,
-) -> ExperimentTrace:
-    """Adaptive ramp loop driven by the Monte-Carlo Cantelli solver.
+@dataclass(frozen=True)
+class CantelliPolicy:
+    """The Monte-Carlo Cantelli solver as a stage-loop policy.
 
-    Mirrors the analytic loop but retains every stage's observed treated
-    outcomes so later stages can impute their counterfactuals.
-    ``sample_rng`` supplies the sampling stream, either a single generator
-    consumed across stages or a callable mapping the stage index to a
-    dedicated generator.
+    Each stage imputes the counterfactuals of every earlier treated unit
+    from ``samples`` posterior draws on the stage's own sampling stream; a
+    zero-tolerance stage draws no samples.
     """
-    report = validate_schedule(schedule)
-    if not report.valid:
-        raise ScheduleError(f"schedule failed validation: {report}")
-    if sample_rng is None:
-        sample_rng = np.random.default_rng(0)
-    if isinstance(sample_rng, np.random.Generator):
-        fixed = sample_rng
-        rng_for_stage = lambda t: fixed  # noqa: E731 - trivial adapter
-    else:
-        rng_for_stage = sample_rng
 
-    trace = ExperimentTrace(budget=schedule.budget)
-    stats = zero_stats()
-    history: list[np.ndarray] = []
-    variance: OutcomeVariance | None = None
-    tol_product = 1.0
-    floor = (1.0 - schedule.delta) * (1.0 - REL_SLACK)
-    cum_cost = 0.0
-    stop_reason = "schedule_exhausted"
+    prior: GaussianPrior
+    variance: VariancePolicy
+    samples: int = 10_000
+    cost: CostFunction = TreatmentEffectCost()
 
-    for t in range(1, schedule.num_stages + 1):
-        delta_t = schedule.stage_tolerances[t - 1]
-        if tol_product * (1.0 - delta_t) < floor:
-            stop_reason = "tolerance_exhausted"
-            break
-        if t > stage_feed.num_stages:
-            stop_reason = "feed_exhausted"
-            break
-
-        b_t = schedule.stage_budgets[t - 1]
-        n_t = stage_feed.population(t)
-        variance = variance_policy.resolve(stats, stage_feed.true_variance(t))
-        posterior = compute_posterior(prior, variance, stats)
-
-        if delta_t == 0.0:
-            decision = StageDecision(0, BRANCH_ZERO_TOL, 0.0)
-        else:
-            sampler = GaussianPosteriorSampler(posterior, variance, history)
-            quantities = estimate_posterior_quantities(
-                sampler, cost, schedule.budget, samples_per_stage, rng_for_stage(t)
+    def decide(self, stage: Stage) -> StageDecision:
+        if any(outcomes is None for outcomes in stage.history):
+            raise ValueError(
+                "the Monte-Carlo solver needs a stage feed that reports the "
+                "treated outcomes"
             )
-            decision = solve_ramp_size_cantelli(quantities, b_t, delta_t, n_t)
-
-        outcome = stage_feed.run_stage(t, decision.m)
-        cum_cost += outcome.true_cost
-        trace.records.append(
-            StageRecord(
-                stage=t,
-                n_units=n_t,
-                m=decision.m,
-                branch=decision.branch,
-                treated_sum=outcome.treated_sum,
-                control_sum=outcome.control_sum,
-                stage_cost=outcome.true_cost,
-                cum_cost=cum_cost,
-            )
+        variance = self.variance.resolve(stage.stats, stage.feed.true_variance(stage.t))
+        posterior = compute_posterior(self.prior, variance, stage.stats)
+        if stage.delta_t == 0.0:
+            return StageDecision(0, BRANCH_ZERO_TOL, 0.0)
+        sampler = GaussianPosteriorSampler(posterior, variance, stage.history)
+        quantities = estimate_posterior_quantities(
+            sampler, self.cost, stage.budget, self.samples, stage.streams(stage.t)
         )
-        if decision.m > 0:
-            if outcome.treated_outcomes is None:
-                raise ValueError(
-                    "stage feed must retain treated outcomes for the "
-                    "Monte-Carlo solver (keep_treated=True)"
-                )
-            history.append(outcome.treated_outcomes)
-        stats = update_stats(
-            stats,
-            decision.m,
-            n_t,
-            outcome.treated_sum,
-            outcome.control_sum,
-            outcome.treated_sumsq,
-            outcome.control_sumsq,
-        )
-        tol_product *= 1.0 - delta_t
-
-    trace.stop_reason = stop_reason
-    trace.final_stats = stats
-    if variance is None:
-        trace.final_posterior = init_posterior(prior)
-    else:
-        trace.final_posterior = compute_posterior(prior, variance, stats)
-    return trace
+        return solve_ramp_size_cantelli(quantities, stage.b_t, stage.delta_t, stage.n_units)

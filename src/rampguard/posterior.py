@@ -23,7 +23,6 @@ __all__ = [
     "SufficientStats",
     "PosteriorState",
     "VariancePolicy",
-    "zero_stats",
     "init_posterior",
     "update_stats",
     "compute_posterior",
@@ -78,28 +77,18 @@ class OutcomeVariance:
 class SufficientStats:
     """Cumulative sums, counts and sums of squares of observed outcomes.
 
-    ``treated_sums[w]`` accumulates outcomes of treated units under arm w
-    and ``control_sums[w]`` those of control units; only ``treated_sums[1]``
-    and ``control_sums[0]`` are observable and ever updated. ``counts`` are
-    the cumulative treated and control group sizes ``(M(0), M(1))`` indexed
-    by arm. The sum-of-squares accumulators back the variance estimator.
+    ``sum_treated`` accumulates the treated units' outcomes under treatment
+    and ``sum_control`` the control units' outcomes under control, the only
+    two sums a deployment observes. ``counts`` are the cumulative control
+    and treated group sizes ``(M(0), M(1))`` indexed by arm. The
+    sum-of-squares accumulators back the variance estimator.
     """
 
-    treated_sums: Pair = (0.0, 0.0)
-    control_sums: Pair = (0.0, 0.0)
+    sum_treated: float = 0.0
+    sum_control: float = 0.0
     counts: tuple[int, int] = (0, 0)
     treated_sumsq: float = 0.0
     control_sumsq: float = 0.0
-
-    @property
-    def sum_treated(self) -> float:
-        """Cumulative observed treated-group sum (arm 1)."""
-        return self.treated_sums[1]
-
-    @property
-    def sum_control(self) -> float:
-        """Cumulative observed control-group sum (arm 0)."""
-        return self.control_sums[0]
 
 
 @dataclass(frozen=True)
@@ -111,10 +100,6 @@ class PosteriorState:
 
     def __post_init__(self) -> None:
         _check_pair_positive("sigma_p_sq", self.sigma_p_sq)
-
-
-def zero_stats() -> SufficientStats:
-    return SufficientStats()
 
 
 def init_posterior(prior: GaussianPrior) -> PosteriorState:
@@ -149,8 +134,8 @@ def update_stats(
     if enforce_half_cap and m_t > N_t // 2:
         raise ValueError(f"m_t={m_t} exceeds the cap floor(N_t/2)={N_t // 2}")
     return SufficientStats(
-        treated_sums=(stats.treated_sums[0], stats.treated_sums[1] + float(treated_sum)),
-        control_sums=(stats.control_sums[0] + float(control_sum), stats.control_sums[1]),
+        sum_treated=stats.sum_treated + float(treated_sum),
+        sum_control=stats.sum_control + float(control_sum),
         counts=(stats.counts[0] + (N_t - m_t), stats.counts[1] + m_t),
         treated_sumsq=stats.treated_sumsq + float(treated_sumsq),
         control_sumsq=stats.control_sumsq + float(control_sumsq),
@@ -168,10 +153,7 @@ def compute_posterior(
     and each posterior variance is the reciprocal total precision.
     """
     mu_p, sigma_p_sq = posterior_moments(
-        prior,
-        variance.sigma_sq,
-        stats.counts,
-        (stats.control_sums[0], stats.treated_sums[1]),
+        prior, variance.sigma_sq, stats.counts, (stats.sum_control, stats.sum_treated)
     )
     return PosteriorState(mu_p=mu_p, sigma_p_sq=sigma_p_sq)
 
@@ -206,8 +188,8 @@ def estimate_variance(
     """
     out = [0.0, 0.0]
     accum = (
-        (stats.counts[0], stats.control_sums[0], stats.control_sumsq),
-        (stats.counts[1], stats.treated_sums[1], stats.treated_sumsq),
+        (stats.counts[0], stats.sum_control, stats.control_sumsq),
+        (stats.counts[1], stats.sum_treated, stats.treated_sumsq),
     )
     for w in (0, 1):
         count, total, sumsq = accum[w]

@@ -23,19 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import BlockTraces, run_rrc_block
-from .mc_solver import CostFunction, TreatmentEffectCost, run_cantelli_experiment
-from .posterior import GaussianPrior, OutcomeVariance, VariancePolicy
 from .scenarios import Scenario, ScenarioFeed, has_sum_law
 from .schedules import RiskSchedule
-from .solver import BRANCHES, run_rrc_experiment
-from .thompson import ThompsonConfig, run_thompson_experiment
+from .solver import BRANCHES, AnalyticPolicy
+from .trace import Policy, run_stages
 
 __all__ = [
     "BLOCK_SIZE",
     "STREAM_TAG",
-    "AnalyticPolicy",
-    "CantelliPolicy",
-    "ThompsonPolicy",
     "CompactTrace",
     "ReplicationSummary",
     "run_replications",
@@ -66,38 +61,6 @@ def replication_stream(seed: int, *key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class AnalyticPolicy:
-    """Run the closed-form ramp solver."""
-
-    prior: GaussianPrior
-    variance: VariancePolicy
-
-
-@dataclass(frozen=True)
-class CantelliPolicy:
-    """Run the Monte-Carlo Cantelli solver."""
-
-    prior: GaussianPrior
-    variance: VariancePolicy
-    samples: int = 10_000
-    cost: CostFunction = TreatmentEffectCost()
-
-
-@dataclass(frozen=True)
-class ThompsonPolicy:
-    """Run the Thompson-sampling baseline.
-
-    ``sigma_sq`` fixes the model variances; None falls back to the feed's
-    stage-1 ground truth.
-    """
-
-    c: float
-    prior: GaussianPrior
-    sigma_sq: "tuple[float, float] | None" = None
-    cap_at_half: bool = False
-
-
-@dataclass(frozen=True)
 class CompactTrace:
     """Per-stage essentials of one replication, in stage order."""
 
@@ -120,34 +83,9 @@ def _compact(trace) -> CompactTrace:
     )
 
 
-def _run_one(policy, scenario: Scenario, schedule: RiskSchedule, seed: int, rep: int):
-    feed_rng = replication_stream(seed, rep, 0)
-    if isinstance(policy, AnalyticPolicy):
-        feed = ScenarioFeed(scenario, feed_rng)
-        trace = run_rrc_experiment(policy.prior, policy.variance, schedule, feed)
-    elif isinstance(policy, CantelliPolicy):
-        feed = ScenarioFeed(scenario, feed_rng, keep_treated=True)
-        trace = run_cantelli_experiment(
-            policy.prior,
-            policy.variance,
-            schedule,
-            feed,
-            cost=policy.cost,
-            samples_per_stage=policy.samples,
-            sample_rng=lambda t: replication_stream(seed, rep, t),
-        )
-    elif isinstance(policy, ThompsonPolicy):
-        feed = ScenarioFeed(scenario, feed_rng)
-        sigma_sq = policy.sigma_sq or feed.true_variance(1)
-        config = ThompsonConfig(
-            c=policy.c,
-            prior=policy.prior,
-            variance=OutcomeVariance(sigma_sq),
-            cap_at_half=policy.cap_at_half,
-        )
-        trace = run_thompson_experiment(config, feed, feed_rng, budget=schedule.budget)
-    else:
-        raise TypeError(f"unknown policy type {type(policy).__name__}")
+def _run_one(policy: Policy, scenario: Scenario, schedule: RiskSchedule, seed: int, rep: int):
+    feed = ScenarioFeed(scenario, replication_stream(seed, rep, 0))
+    trace = run_stages(schedule, feed, policy, lambda t: replication_stream(seed, rep, t))
     return _compact(trace)
 
 
@@ -155,9 +93,11 @@ def _run_chunk(policy, scenario, schedule, seed, reps):
     return [_run_one(policy, scenario, schedule, seed, rep) for rep in reps]
 
 
-def _takes_batch_engine(policy, scenario: Scenario) -> bool:
+def _takes_batch_engine(policy: Policy, scenario: Scenario) -> bool:
+    # The batch engine reproduces AnalyticPolicy.decide itself, so a
+    # subclass, which may override it, keeps the per-unit engine.
     return (
-        isinstance(policy, AnalyticPolicy)
+        type(policy) is AnalyticPolicy
         and policy.variance.mode == "known"
         and has_sum_law(scenario)
     )

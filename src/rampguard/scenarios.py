@@ -232,16 +232,13 @@ class ScenarioFeed:
     """StageFeed backed by a scenario and a replication-local RNG.
 
     Units are exchangeable within a stage, so the first m generated units
-    form the treated group. Set ``keep_treated`` to retain the individual
-    observed treated outcomes (the Monte-Carlo solver needs them).
+    form the treated group; their individual observed outcomes are reported
+    too (the Monte-Carlo solver needs them).
     """
 
-    def __init__(
-        self, scenario: Scenario, rng: np.random.Generator, keep_treated: bool = False
-    ) -> None:
+    def __init__(self, scenario: Scenario, rng: np.random.Generator) -> None:
         self.scenario = scenario
         self.rng = rng
-        self.keep_treated = keep_treated
 
     @property
     def num_stages(self) -> int:
@@ -266,7 +263,7 @@ class ScenarioFeed:
             control_sum=float(control.sum()),
             control_sumsq=float((control * control).sum()),
             true_cost=float((y1[:m] - y0[:m]).sum()),
-            treated_outcomes=treated.copy() if self.keep_treated else None,
+            treated_outcomes=treated,
         )
 
 

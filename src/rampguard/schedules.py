@@ -138,6 +138,13 @@ class RiskSchedule:
             prod *= 1.0 - d
         return prod
 
+    def exhausted(self) -> bool:
+        """True once the stages spend all of ``delta`` up to rounding slack.
+
+        Only stages whose tolerance is zero or below the slack can follow.
+        """
+        return self.tolerance_product() <= (1.0 - self.delta) * (1.0 + REL_SLACK)
+
     def extended(self, b_next: float, delta_next: float) -> "RiskSchedule":
         """Append one stage, accepted only if the product constraint holds.
 
@@ -171,12 +178,8 @@ class RiskSchedule:
         T: int,
         stage_budgets: "tuple[float, ...] | list[float] | None" = None,
     ) -> "RiskSchedule":
-        tol = uniform_tolerance(delta, T)
-        if stage_budgets is None:
-            budgets: tuple[float, ...] = (float(budget),) * T
-        else:
-            budgets = tuple(float(b) for b in stage_budgets)
-        return cls(budget, delta, budgets, tol)
+        budgets = (budget,) * T if stage_budgets is None else stage_budgets
+        return cls(budget, delta, budgets, uniform_tolerance(delta, T))
 
     @classmethod
     def sinc(
@@ -186,12 +189,8 @@ class RiskSchedule:
         horizon: int,
         stage_budgets: "tuple[float, ...] | list[float] | None" = None,
     ) -> "RiskSchedule":
-        tol = sinc_schedule(delta, horizon)
-        if stage_budgets is None:
-            budgets: tuple[float, ...] = (float(budget),) * horizon
-        else:
-            budgets = tuple(float(b) for b in stage_budgets)
-        return cls(budget, delta, budgets, tol)
+        budgets = (budget,) * horizon if stage_budgets is None else stage_budgets
+        return cls(budget, delta, budgets, sinc_schedule(delta, horizon))
 
     def to_config(self) -> dict[str, Any]:
         return {

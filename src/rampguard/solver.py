@@ -28,12 +28,8 @@ from .posterior import (
     PosteriorState,
     VariancePolicy,
     compute_posterior,
-    init_posterior,
-    update_stats,
-    zero_stats,
 )
-from .schedules import REL_SLACK, RiskSchedule, ScheduleError, validate_schedule
-from .trace import ExperimentTrace, StageFeed, StageRecord
+from .trace import Stage
 
 __all__ = [
     "BRANCH_CAP",
@@ -43,6 +39,7 @@ __all__ = [
     "BRANCH_ZERO_TOL",
     "BRANCHES",
     "Z_SLACK",
+    "AnalyticPolicy",
     "PredictiveMoments",
     "QuadraticCoefficients",
     "StageDecision",
@@ -50,7 +47,6 @@ __all__ = [
     "quadratic_coefficients",
     "solve_ramp_size",
     "solve_ramp_sizes",
-    "run_rrc_experiment",
 ]
 
 BRANCH_CAP = "cap_at_half"
@@ -315,87 +311,26 @@ def solve_ramp_sizes(
     return m.astype(np.int64), branch.astype(np.int8)
 
 
-def run_rrc_experiment(
-    prior: GaussianPrior,
-    variance_policy: VariancePolicy,
-    schedule: RiskSchedule,
-    stage_feed: StageFeed,
-) -> ExperimentTrace:
-    """Run the full adaptive ramp loop against a stage feed.
+@dataclass(frozen=True)
+class AnalyticPolicy:
+    """The closed-form ramp solver as a stage-loop policy.
 
-    Stages execute while the schedule has entries, the feed has populations
-    and the running tolerance product still exceeds ``1 - delta``. Each
-    stage resolves the outcome variances per the policy, refreshes the
-    posterior, solves for m, commits the stage through the feed and folds
-    the observed sums back into the statistics.
+    Each stage resolves the outcome variances per ``variance``, refreshes
+    the posterior and solves for the largest admissible m.
     """
-    report = validate_schedule(schedule)
-    if not report.valid:
-        raise ScheduleError(f"schedule failed validation: {report}")
 
-    trace = ExperimentTrace(budget=schedule.budget)
-    stats = zero_stats()
-    variance: OutcomeVariance | None = None
-    tol_product = 1.0
-    floor = (1.0 - schedule.delta) * (1.0 - REL_SLACK)
-    cum_cost = 0.0
-    stop_reason = "schedule_exhausted"
+    prior: GaussianPrior
+    variance: VariancePolicy
 
-    for t in range(1, schedule.num_stages + 1):
-        delta_t = schedule.stage_tolerances[t - 1]
-        # A stage may run iff consuming its tolerance keeps the prefix
-        # product at or above 1 - delta (zero-tolerance stages always fit).
-        if tol_product * (1.0 - delta_t) < floor:
-            stop_reason = "tolerance_exhausted"
-            break
-        if t > stage_feed.num_stages:
-            stop_reason = "feed_exhausted"
-            break
-
-        b_t = schedule.stage_budgets[t - 1]
-        n_t = stage_feed.population(t)
-        variance = variance_policy.resolve(stats, stage_feed.true_variance(t))
-        posterior = compute_posterior(prior, variance, stats)
-
-        decision = solve_ramp_size(
-            posterior,
+    def decide(self, stage: Stage) -> StageDecision:
+        stats = stage.stats
+        variance = self.variance.resolve(stats, stage.feed.true_variance(stage.t))
+        return solve_ramp_size(
+            compute_posterior(self.prior, variance, stats),
             variance,
             M1_prev=stats.counts[1],
             S_T1_prev=stats.sum_treated,
-            b_t=b_t,
-            Delta_t=delta_t,
-            N_t=n_t,
+            b_t=stage.b_t,
+            Delta_t=stage.delta_t,
+            N_t=stage.n_units,
         )
-        outcome = stage_feed.run_stage(t, decision.m)
-        cum_cost += outcome.true_cost
-        trace.records.append(
-            StageRecord(
-                stage=t,
-                n_units=n_t,
-                m=decision.m,
-                branch=decision.branch,
-                treated_sum=outcome.treated_sum,
-                control_sum=outcome.control_sum,
-                stage_cost=outcome.true_cost,
-                cum_cost=cum_cost,
-            )
-        )
-        stats = update_stats(
-            stats,
-            decision.m,
-            n_t,
-            outcome.treated_sum,
-            outcome.control_sum,
-            outcome.treated_sumsq,
-            outcome.control_sumsq,
-        )
-        tol_product *= 1.0 - delta_t
-
-    trace.stop_reason = stop_reason
-    trace.final_stats = stats
-    # Posterior reflecting everything observed, under the last variances used.
-    if variance is None:
-        trace.final_posterior = init_posterior(prior)
-    else:
-        trace.final_posterior = compute_posterior(prior, variance, stats)
-    return trace

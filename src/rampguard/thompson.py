@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .normal import normal_cdf
 from .posterior import (
     GaussianPrior,
@@ -24,33 +22,13 @@ from .posterior import (
     PosteriorState,
     compute_posterior,
     init_posterior,
-    update_stats,
-    zero_stats,
 )
-from .trace import ExperimentTrace, StageFeed, StageRecord
+from .solver import StageDecision
+from .trace import Stage
 
-__all__ = ["ThompsonConfig", "thompson_assignment_probability", "run_thompson_experiment"]
+__all__ = ["ThompsonPolicy", "thompson_assignment_probability"]
 
 BRANCH_THOMPSON = "thompson"
-
-
-@dataclass(frozen=True)
-class ThompsonConfig:
-    """Tuning exponent, prior and outcome variances for the baseline.
-
-    ``cap_at_half`` optionally clamps the per-stage treated count at half
-    the incoming population; the assignment rule itself has no such cap,
-    so it defaults off.
-    """
-
-    c: float
-    prior: GaussianPrior
-    variance: OutcomeVariance
-    cap_at_half: bool = False
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"c must be finite and > 0, got {self.c!r}")
 
 
 def thompson_assignment_probability(posterior: PosteriorState, c: float) -> float:
@@ -79,56 +57,37 @@ def thompson_assignment_probability(posterior: PosteriorState, c: float) -> floa
     return e / (1.0 + e)
 
 
-def run_thompson_experiment(
-    config: ThompsonConfig,
-    stage_feed: StageFeed,
-    rng: np.random.Generator,
-    budget: float = -500.0,
-) -> ExperimentTrace:
-    """Run the bandit over every stage the feed offers.
+@dataclass(frozen=True)
+class ThompsonPolicy:
+    """The Thompson-sampling baseline as a stage-loop policy.
 
-    Per stage the treated count is binomial in the incoming population at
-    the current assignment probability (each user assigned independently).
-    ``budget`` only anchors the surplus accounting in the trace.
+    The treated count is binomial in the incoming population at the current
+    assignment probability (each user assigned independently), drawn from
+    the feed's generator. ``sigma_sq`` fixes the model variances; None
+    falls back to the feed's stage-1 ground truth. ``cap_at_half``
+    optionally clamps the treated count at half the incoming population;
+    the assignment rule itself has no such cap, so it defaults off. The
+    baseline is not budget-aware: it ignores the stage thresholds and
+    tolerances.
     """
-    trace = ExperimentTrace(budget=budget)
-    stats = zero_stats()
-    posterior = init_posterior(config.prior)
-    cum_cost = 0.0
 
-    for t in range(1, stage_feed.num_stages + 1):
-        n_t = stage_feed.population(t)
-        p_t = thompson_assignment_probability(posterior, config.c)
-        m_t = int(rng.binomial(n_t, p_t))
-        if config.cap_at_half:
-            m_t = min(m_t, n_t // 2)
-        outcome = stage_feed.run_stage(t, m_t)
-        cum_cost += outcome.true_cost
-        trace.records.append(
-            StageRecord(
-                stage=t,
-                n_units=n_t,
-                m=m_t,
-                branch=BRANCH_THOMPSON,
-                treated_sum=outcome.treated_sum,
-                control_sum=outcome.control_sum,
-                stage_cost=outcome.true_cost,
-                cum_cost=cum_cost,
-            )
-        )
-        stats = update_stats(
-            stats,
-            m_t,
-            n_t,
-            outcome.treated_sum,
-            outcome.control_sum,
-            outcome.treated_sumsq,
-            outcome.control_sumsq,
-            enforce_half_cap=False,
-        )
-        posterior = compute_posterior(config.prior, config.variance, stats)
+    c: float
+    prior: GaussianPrior
+    sigma_sq: "tuple[float, float] | None" = None
+    cap_at_half: bool = False
 
-    trace.stop_reason = "feed_exhausted"
-    trace.final_stats = stats
-    trace.final_posterior = posterior
-    return trace
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError(f"c must be finite and > 0, got {self.c!r}")
+
+    def decide(self, stage: Stage) -> StageDecision:
+        if stage.t == 1:
+            posterior = init_posterior(self.prior)
+        else:
+            variance = OutcomeVariance(self.sigma_sq or stage.feed.true_variance(1))
+            posterior = compute_posterior(self.prior, variance, stage.stats)
+        p_t = thompson_assignment_probability(posterior, self.c)
+        m_t = int(stage.feed.rng.binomial(stage.n_units, p_t))
+        if self.cap_at_half:
+            m_t = min(m_t, stage.n_units // 2)
+        return StageDecision(m_t, BRANCH_THOMPSON, m_t / stage.n_units)

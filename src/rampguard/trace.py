@@ -1,28 +1,40 @@
-"""Experiment traces and the stage-feed interface shared by all runners."""
+"""The stage loop shared by every policy, with its feed and trace types."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from .posterior import PosteriorState, SufficientStats
+from .posterior import SufficientStats, update_stats
+from .schedules import RiskSchedule, ScheduleError, validate_schedule
 
-__all__ = ["StageOutcome", "StageRecord", "ExperimentTrace", "StageFeed"]
+if TYPE_CHECKING:
+    from .solver import StageDecision
+
+__all__ = [
+    "StageOutcome",
+    "StageRecord",
+    "ExperimentTrace",
+    "StageFeed",
+    "Stage",
+    "Policy",
+    "run_stages",
+]
 
 
 @dataclass(frozen=True)
 class StageOutcome:
-    """What one experiment stage produced, as seen by the runner.
+    """What one experiment stage produced, as seen by the stage loop.
 
     The sums and sums of squares are the observable side (treated outcomes
     under treatment, control outcomes under control). ``true_cost`` is the
     simulator-side sum of per-treated-unit effects, which requires both
     potential outcomes and is never observable in a real deployment.
-    ``treated_outcomes`` carries the individual observed treated values when
-    a runner needs them (the Monte-Carlo solver does), else None.
+    ``treated_outcomes`` carries the individual observed treated values, or
+    None from a feed that does not report them (the Monte-Carlo solver
+    needs them).
     """
 
     treated_sum: float
@@ -34,7 +46,13 @@ class StageOutcome:
 
 
 class StageFeed(Protocol):
-    """Per-stage oracle: population sizes up front, outcomes on demand."""
+    """Per-stage oracle: population sizes up front, outcomes on demand.
+
+    Policies that randomize their assignment (the Thompson baseline) draw
+    from the feed's ``rng``.
+    """
+
+    rng: np.random.Generator
 
     @property
     def num_stages(self) -> int: ...
@@ -73,7 +91,6 @@ class ExperimentTrace:
     budget: float
     records: list[StageRecord] = field(default_factory=list)
     stop_reason: str = ""
-    final_posterior: "PosteriorState | None" = None
     final_stats: "SufficientStats | None" = None
 
     @property
@@ -94,6 +111,100 @@ class ExperimentTrace:
     def ruined(self) -> bool:
         return self.total_cost <= self.budget
 
-    @property
-    def ramp_sizes(self) -> list[int]:
-        return [r.m for r in self.records]
+
+class Stage(NamedTuple):
+    """What a policy may read when it decides stage ``t``.
+
+    ``b_t`` and ``delta_t`` are the stage's threshold and tolerance and
+    ``budget`` the schedule's total budget. ``stats`` folds in every
+    earlier stage; ``history`` holds the treated outcomes of each earlier
+    stage that treated units, as the feed reported them. ``streams(t)`` is
+    the sampling stream of stage t for policies that sample.
+    """
+
+    t: int
+    n_units: int
+    b_t: float
+    delta_t: float
+    budget: float
+    stats: SufficientStats
+    feed: StageFeed
+    history: "list[np.ndarray | None]"
+    streams: Callable[[int], np.random.Generator]
+
+
+class Policy(Protocol):
+    """A ramp-size rule. A policy that may treat more than half of a stage
+    sets ``cap_at_half = False``; the loop enforces the cap otherwise."""
+
+    def decide(self, stage: Stage) -> "StageDecision": ...
+
+
+def run_stages(
+    schedule: RiskSchedule,
+    feed: StageFeed,
+    policy: Policy,
+    streams: "Callable[[int], np.random.Generator] | None" = None,
+) -> ExperimentTrace:
+    """Run one experiment: stages 1..min(schedule, feed) under ``policy``.
+
+    Each stage asks the policy for its treated-group size, commits the
+    stage through the feed and folds the observed sums into the running
+    statistics. A valid schedule admits every one of its stages, so the
+    schedule and the feed are the only stop rules. ``streams`` maps a stage
+    to its sampling stream; by default stage t samples from a generator
+    seeded t.
+    """
+    report = validate_schedule(schedule)
+    if not report.valid:
+        raise ScheduleError(f"schedule failed validation: {report}")
+    if not callable(getattr(policy, "decide", None)):
+        raise TypeError(f"{type(policy).__name__} is not a policy: it has no decide method")
+    if streams is None:
+        streams = np.random.default_rng
+    enforce_half_cap = getattr(policy, "cap_at_half", True)
+
+    trace = ExperimentTrace(budget=schedule.budget)
+    stats = SufficientStats()
+    history: list[np.ndarray | None] = []
+    cum_cost = 0.0
+    stages = min(schedule.num_stages, feed.num_stages)
+    for t in range(1, stages + 1):
+        n_t = feed.population(t)
+        b_t = schedule.stage_budgets[t - 1]
+        delta_t = schedule.stage_tolerances[t - 1]
+        decision = policy.decide(
+            Stage(t, n_t, b_t, delta_t, schedule.budget, stats, feed, history, streams)
+        )
+        outcome = feed.run_stage(t, decision.m)
+        cum_cost += outcome.true_cost
+        trace.records.append(
+            StageRecord(
+                stage=t,
+                n_units=n_t,
+                m=decision.m,
+                branch=decision.branch,
+                treated_sum=outcome.treated_sum,
+                control_sum=outcome.control_sum,
+                stage_cost=outcome.true_cost,
+                cum_cost=cum_cost,
+            )
+        )
+        if decision.m > 0:
+            history.append(outcome.treated_outcomes)
+        stats = update_stats(
+            stats,
+            decision.m,
+            n_t,
+            outcome.treated_sum,
+            outcome.control_sum,
+            outcome.treated_sumsq,
+            outcome.control_sumsq,
+            enforce_half_cap=enforce_half_cap,
+        )
+
+    trace.stop_reason = (
+        "schedule_exhausted" if schedule.num_stages <= feed.num_stages else "feed_exhausted"
+    )
+    trace.final_stats = stats
+    return trace

@@ -15,24 +15,19 @@ import time
 import numpy as np
 import pytest
 
+from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy
 from rampguard.mc_solver import solve_ramp_size_cantelli
 from rampguard.normal import normal_cdf, normal_quantile
 from rampguard.posterior import (
     GaussianPrior,
     OutcomeVariance,
     PosteriorState,
+    SufficientStats,
     VariancePolicy,
     compute_posterior,
     update_stats,
-    zero_stats,
 )
-from rampguard.replication import (
-    AnalyticPolicy,
-    CantelliPolicy,
-    ThompsonPolicy,
-    resolve_workers,
-    run_replications,
-)
+from rampguard.replication import resolve_workers, run_replications
 from rampguard.scenarios import builtin_scenarios
 from rampguard.schedules import RiskSchedule, sinc_gamma, uniform_tolerance
 from rampguard.solver import Z_SLACK, PredictiveMoments, solve_ramp_size, solve_ramp_sizes
@@ -301,7 +296,7 @@ def test_criterion_5_posterior_correctness():
         prior = GaussianPrior((0.2, -0.1), (6.0, 3.0))
         var = OutcomeVariance((2.25, 6.25))
         stats = update_stats(
-            zero_stats(), n_t, n_t + n_c, float(y_t.sum()), float(y_c.sum()),
+            SufficientStats(), n_t, n_t + n_c, float(y_t.sum()), float(y_c.sum()),
             enforce_half_cap=False,
         )
         post = compute_posterior(prior, var, stats)
@@ -319,7 +314,7 @@ def test_criterion_5_posterior_correctness():
     rng = np.random.default_rng(78)
     stream_worst = 0.0
     for _ in range(20):
-        seq = zero_stats()
+        seq = SufficientStats()
         totals = np.zeros(4)
         counts = np.zeros(2, dtype=int)
         for _ in range(10):
@@ -329,7 +324,7 @@ def test_criterion_5_posterior_correctness():
             totals += vals
             counts += (n - m, m)
         merged = update_stats(
-            zero_stats(), int(counts[1]), int(counts.sum()), *map(float, totals)
+            SufficientStats(), int(counts[1]), int(counts.sum()), *map(float, totals)
         )
         a = compute_posterior(PRIOR, OutcomeVariance((10.0, 10.0)), seq)
         b = compute_posterior(PRIOR, OutcomeVariance((10.0, 10.0)), merged)

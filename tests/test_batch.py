@@ -5,13 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from rampguard import batch, replication
+from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, batch, replication
 from rampguard.posterior import GaussianPrior, VariancePolicy
 from rampguard.replication import (
     STREAM_TAG,
-    AnalyticPolicy,
-    CantelliPolicy,
-    ThompsonPolicy,
     replication_stream,
     resolve_workers,
     run_replications,

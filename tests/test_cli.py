@@ -4,8 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
-from rampguard import cli, replication
+import numpy as np
+import pytest
+
+from rampguard import AnalyticPolicy, cli, replication
 from rampguard.cli import main
+from rampguard.posterior import GaussianPrior, VariancePolicy
+from rampguard.scenarios import ScenarioFeed, builtin_scenarios
+from rampguard.schedules import RiskSchedule
+from rampguard.trace import run_stages
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -306,6 +313,171 @@ class TestNextStage:
         code = main(["next-stage", "--state", str(tmp_path / "s.json"), "--n-next", "10",
                      "--delta-next", "0.01", "--b-next", "-5"])
         assert code == 1
+
+    def test_fresh_state_with_nonnegative_budget_exits_two(self, tmp_path):
+        state = tmp_path / "state.json"
+        args = [*self.FRESH, "--state", str(state)]
+        args[args.index("--budget") + 1] = "0"
+        args[args.index("--b-next") + 1] = "0"
+        assert main(args) == 2
+        assert not state.exists()
+
+    def test_zero_tolerance_stage_after_spent_delta_is_decided(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        args = [*self.FRESH, "--state", str(state)]
+        args[args.index("--delta-next") + 1] = "0.05"
+        assert main(args) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "next-stage", "--state", str(state),
+                "--treated-sum", "10.0", "--control-sum", "480.0",
+                "--n-next", "500", "--delta-next", "0", "--b-next", "-500",
+            ]
+        )
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["m_next"], out["branch"]) == (0, "zero_tolerance")
+
+    ESTIMATED = [
+        "next-stage", "--budget", "-500", "--delta", "0.05",
+        "--variance-mode", "estimated", "--pretrial-sigma-sq", "10", "10",
+        "--n-next", "500", "--delta-next", "0.005", "--b-next", "-500",
+    ]
+    NEXT = ["--n-next", "500", "--delta-next", "0.005", "--b-next", "-500"]
+
+    @pytest.mark.parametrize(
+        "opening, observed",
+        [
+            # Estimated mode reads missing sums of squares as zero variance.
+            ("ESTIMATED", ["--treated-sum", "13.0", "--control-sum", "487.0"]),
+            ("ESTIMATED", ["--treated-sum", "13.0", "--control-sum", "487.0",
+                           "--treated-sumsq", "143.0"]),
+            ("FRESH", ["--treated-sum", "nan", "--control-sum", "487.0"]),
+            ("FRESH", ["--treated-sum", "13.0", "--control-sum", "inf"]),
+            ("FRESH", ["--treated-sum", "13.0", "--control-sum", "487.0",
+                       "--control-sumsq=-inf"]),
+            # Cauchy-Schwarz: 13 treated units summing to 13 need sumsq >= 13.
+            ("FRESH", ["--treated-sum", "13.0", "--control-sum", "487.0",
+                       "--treated-sumsq", "12.9"]),
+            ("FRESH", ["--treated-sum", "13.0", "--control-sum", "487.0",
+                       "--control-sumsq", "-1.0"]),
+        ],
+    )
+    def test_observations_that_void_the_guarantee_exit_one(self, tmp_path, opening, observed):
+        state = tmp_path / "state.json"
+        assert main([*getattr(self, opening), "--state", str(state)]) == 0
+        before = state.read_bytes()
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
+        assert state.read_bytes() == before
+
+    def test_sums_for_an_empty_group_exit_one(self, tmp_path):
+        state = tmp_path / "state.json"
+        args = [*self.FRESH, "--state", str(state)]
+        args[args.index("--delta-next") + 1] = "0"  # m = 0: no treated units
+        assert main(args) == 0
+        observed = ["--control-sum", "487.0", "--treated-sum"]
+        assert main(["next-stage", "--state", str(state), *observed, "1.0", *self.NEXT]) == 1
+        assert main(["next-stage", "--state", str(state), *observed, "0.0", *self.NEXT]) == 0
+
+    def test_sumsq_at_the_cauchy_schwarz_bound_is_accepted(self, tmp_path):
+        state = tmp_path / "state.json"
+        assert main([*self.ESTIMATED, "--state", str(state)]) == 0
+        # m = 13 equal outcomes of 1.0 and 487 of 1.0: sumsq == sum**2 / count.
+        observed = [
+            "--treated-sum", "13.0", "--control-sum", "487.0",
+            "--treated-sumsq", "13.0", "--control-sumsq", "487.0",
+        ]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
+
+    def test_failed_state_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        state = tmp_path / "state.json"
+        assert main([*self.FRESH, "--state", str(state)]) == 0
+        before = state.read_bytes()
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+        code = main(
+            [
+                "next-stage", "--state", str(state),
+                "--treated-sum", "13.0", "--control-sum", "487.0", *self.NEXT,
+            ]
+        )
+        assert code == 3
+        assert state.read_bytes() == before
+        assert os.listdir(tmp_path) == ["state.json"]
+
+
+class RecordingFeed(ScenarioFeed):
+    """A scenario feed that keeps every stage outcome it reports."""
+
+    def __init__(self, scenario, rng):
+        super().__init__(scenario, rng)
+        self.outcomes = []
+
+    def run_stage(self, t, m):
+        outcome = super().run_stage(t, m)
+        self.outcomes.append(outcome)
+        return outcome
+
+
+class TestNextStageMatchesTheLoop:
+    """Replaying a run's observed sums through next-stage gives its decisions."""
+
+    PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
+    SPENT_THEN_ZERO = RiskSchedule(
+        -500.0,
+        0.05,
+        (-400.0, -450.0, -500.0, -500.0, -500.0, -500.0),
+        (0.02, 0.02, 1.0 - 0.95 / (0.98 * 0.98), 0.0, 0.0, 0.0),
+    )
+
+    @pytest.mark.parametrize("mode", ["known", "estimated"])
+    @pytest.mark.parametrize(
+        "scenario, schedule, seed",
+        [
+            ("pte", RiskSchedule.uniform(-500.0, 0.05, 10), 11),
+            ("nte", RiskSchedule.uniform(-500.0, 0.05, 10), 12),
+            ("pte", SPENT_THEN_ZERO, 13),
+            ("fat", SPENT_THEN_ZERO, 14),
+        ],
+    )
+    def test_stage_decisions_agree(self, tmp_path, capsys, mode, scenario, schedule, seed):
+        if mode == "known":
+            variance = VariancePolicy(values=(10.0, 10.0))
+            opening = ["--variance-mode", "known", "--sigma-sq", "10.0", "10.0"]
+        else:
+            variance = VariancePolicy(mode="estimated", pretrial=(10.0, 10.0))
+            opening = ["--variance-mode", "estimated", "--pretrial-sigma-sq", "10.0", "10.0"]
+        feed = RecordingFeed(builtin_scenarios()[scenario], np.random.default_rng(seed))
+        trace = run_stages(schedule, feed, AnalyticPolicy(self.PRIOR, variance))
+        assert schedule.exhausted()
+
+        state = str(tmp_path / "state.json")
+        head = ["--budget", repr(schedule.budget), "--delta", repr(schedule.delta), *opening]
+        for record, outcome in zip(trace.records, feed.outcomes):
+            t = record.stage
+            code = main(
+                [
+                    "next-stage", "--state", state, *head,
+                    "--n-next", str(record.n_units),
+                    "--delta-next", repr(schedule.stage_tolerances[t - 1]),
+                    "--b-next", repr(schedule.stage_budgets[t - 1]),
+                ]
+            )
+            assert code == 0, f"stage {t}"
+            out = json.loads(capsys.readouterr().out)
+            assert (out["m_next"], out["branch"]) == (record.m, record.branch), f"stage {t}"
+            head = [
+                "--treated-sum", repr(outcome.treated_sum),
+                "--control-sum", repr(outcome.control_sum),
+                "--treated-sumsq", repr(outcome.treated_sumsq),
+                "--control-sumsq", repr(outcome.control_sumsq),
+            ]
+        assert main(["next-stage", "--state", state, *head]) == cli.EXIT_EXHAUSTED
 
 
 class TestConsoleEntry:

@@ -5,13 +5,13 @@ import pytest
 
 from rampguard.mc_solver import (
     CappedEffectCost,
+    CantelliPolicy,
     CostFunction,
+    GaussianPosteriorSampler,
     PosteriorQuantities,
     TreatmentEffectCost,
     cost_from_config,
     estimate_posterior_quantities,
-    gaussian_exact_sampler,
-    run_cantelli_experiment,
     solve_ramp_size_cantelli,
 )
 from rampguard.posterior import (
@@ -23,6 +23,7 @@ from rampguard.posterior import (
 from rampguard.scenarios import ScenarioFeed, builtin_scenarios
 from rampguard.schedules import RiskSchedule
 from rampguard.solver import BRANCH_ZERO_TOL, solve_ramp_size
+from rampguard.trace import StageOutcome, run_stages
 
 
 class ZeroCost(CostFunction):
@@ -85,20 +86,19 @@ class TestCostFunctions:
 
 class TestSampler:
     def test_point_prior_pins_the_means(self):
+        # Near-zero posterior and outcome variances: every fresh cost is
+        # mu(1) - mu(0) = -5, and the history cost of four treated zeros
+        # is 0 - 4 * mu(0) = -8.
         posterior = PosteriorState((2.0, -3.0), (1e-18, 1e-18))
-        sampler = gaussian_exact_sampler(posterior, OutcomeVariance((1.0, 1.0)))
-        sample = sampler.draw(np.random.default_rng(0))
-        assert sample.mean_control == pytest.approx(2.0, abs=1e-8)
-        assert sample.mean_treatment == pytest.approx(-3.0, abs=1e-8)
-
-    def test_draw_shapes(self):
-        history = [np.ones(5), np.full(3, 2.0)]
-        sampler = gaussian_exact_sampler(
-            PosteriorState((0.0, 0.0), (1.0, 1.0)), OutcomeVariance((1.0, 1.0)), history
+        sampler = GaussianPosteriorSampler(
+            posterior, OutcomeVariance((1e-18, 1e-18)), [np.zeros(4)]
         )
-        sample = sampler.draw(np.random.default_rng(1))
-        assert [a.shape[0] for a in sample.imputed_controls] == [5, 3]
-        assert len(sample.fresh) == 2 and len(sample.fresh[0]) == 2
+        r_prev, h1, h2 = sampler.draw_cost_batch(
+            TreatmentEffectCost(), 10, np.random.default_rng(0)
+        )
+        np.testing.assert_allclose(h1, -5.0, atol=1e-8)
+        np.testing.assert_allclose(h2, -5.0, atol=1e-8)
+        np.testing.assert_allclose(r_prev, -8.0, atol=1e-8)
 
     def test_counterfactual_sum_moments(self):
         # Mean M * mu_p(0); variance M^2 sp0 + M v0.
@@ -106,7 +106,7 @@ class TestSampler:
         variance = OutcomeVariance((2.5, 1.0))
         m1_prev = 40
         history = [np.zeros(m1_prev)]
-        sampler = gaussian_exact_sampler(posterior, variance, history)
+        sampler = GaussianPosteriorSampler(posterior, variance, history)
         rng = np.random.default_rng(7)
         k = 100_000
         r_prev, _, _ = sampler.draw_cost_batch(TreatmentEffectCost(), k, rng)
@@ -129,10 +129,10 @@ class TestSampler:
         variance = OutcomeVariance((3.0, 2.0))
         history = [np.full(30, 1.1), np.full(20, 0.4)]
         k = 60_000
-        fast = gaussian_exact_sampler(posterior, variance, history).draw_cost_batch(
+        fast = GaussianPosteriorSampler(posterior, variance, history).draw_cost_batch(
             TreatmentEffectCost(), k, np.random.default_rng(3)
         )
-        slow = gaussian_exact_sampler(posterior, variance, history).draw_cost_batch(
+        slow = GaussianPosteriorSampler(posterior, variance, history).draw_cost_batch(
             EffectNoFlag(), k, np.random.default_rng(4)
         )
         assert fast[0].mean() == pytest.approx(slow[0].mean(), abs=4 * 50 / math.sqrt(k))
@@ -141,7 +141,7 @@ class TestSampler:
     def test_fresh_costs_share_the_mean_draw(self):
         # With large posterior spread the two fresh units' costs correlate.
         posterior = PosteriorState((0.0, 0.0), (50.0, 50.0))
-        sampler = gaussian_exact_sampler(posterior, OutcomeVariance((0.1, 0.1)))
+        sampler = GaussianPosteriorSampler(posterior, OutcomeVariance((0.1, 0.1)))
         _, h1, h2 = sampler.draw_cost_batch(
             TreatmentEffectCost(), 20_000, np.random.default_rng(5)
         )
@@ -150,7 +150,7 @@ class TestSampler:
 
 class TestEstimator:
     def test_zero_cost_never_ruins(self):
-        sampler = gaussian_exact_sampler(
+        sampler = GaussianPosteriorSampler(
             PosteriorState((0.0, 0.0), (1.0, 1.0)), OutcomeVariance((1.0, 1.0)),
             [np.ones(10)],
         )
@@ -165,7 +165,7 @@ class TestEstimator:
     def test_degenerate_samples_zero_variances(self):
         posterior = PosteriorState((1.0, 1.0), (1e-18, 1e-18))
         variance = OutcomeVariance((1e-18, 1e-18))
-        sampler = gaussian_exact_sampler(posterior, variance, [np.ones(4)])
+        sampler = GaussianPosteriorSampler(posterior, variance, [np.ones(4)])
         q = estimate_posterior_quantities(
             sampler, TreatmentEffectCost(), -500.0, 500, np.random.default_rng(1)
         )
@@ -174,7 +174,7 @@ class TestEstimator:
         assert q.phi5 == pytest.approx(0.0, abs=1e-12)
 
     def test_first_stage_history_terms_are_exactly_zero(self):
-        sampler = gaussian_exact_sampler(
+        sampler = GaussianPosteriorSampler(
             PosteriorState((0.0, 0.0), (100.0, 100.0)), OutcomeVariance((10.0, 10.0))
         )
         q = estimate_posterior_quantities(
@@ -191,7 +191,7 @@ class TestEstimator:
         posterior = PosteriorState((100.0, 0.0), (1e-12, 1e-12))
         variance = OutcomeVariance((1e-6, 1e-6))
         # History cost is hugely negative with certainty: no survivors.
-        sampler = gaussian_exact_sampler(posterior, variance, [np.zeros(100)])
+        sampler = GaussianPosteriorSampler(posterior, variance, [np.zeros(100)])
         q = estimate_posterior_quantities(
             sampler, TreatmentEffectCost(), -500.0, 100, np.random.default_rng(3)
         )
@@ -204,7 +204,7 @@ class TestEstimator:
     def test_natural_phi6_tracks_history_covariance(self):
         posterior = PosteriorState((0.0, 0.0), (4.0, 4.0))
         variance = OutcomeVariance((1.0, 1.0))
-        sampler = gaussian_exact_sampler(posterior, variance, [np.zeros(50)])
+        sampler = GaussianPosteriorSampler(posterior, variance, [np.zeros(50)])
         q = estimate_posterior_quantities(
             sampler, TreatmentEffectCost(), -1e9, 200_000, np.random.default_rng(4)
         )
@@ -280,7 +280,7 @@ class TestCantelliSolver:
             b = float(rng.uniform(-900, -50))
             delta = float(rng.uniform(0.001, 0.4))
             n = int(rng.integers(10, 1001))
-            sampler = gaussian_exact_sampler(posterior, variance)
+            sampler = GaussianPosteriorSampler(posterior, variance)
             q = estimate_posterior_quantities(
                 sampler, TreatmentEffectCost(), b, 100_000, rng
             )
@@ -291,46 +291,66 @@ class TestCantelliSolver:
         assert wins >= 0.95 * trials
 
 
+class NoTreatedOutcomesFeed:
+    """A two-stage feed that reports sums but not the treated outcomes."""
+
+    num_stages = 2
+
+    def population(self, t):
+        return 500
+
+    def true_variance(self, t):
+        return (10.0, 10.0)
+
+    def run_stage(self, t, m):
+        return StageOutcome(float(m), float(m), 0.0, 0.0, float(m))
+
+
 class TestRunCantelli:
+    PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
+
     def test_short_run_shape_and_cap(self):
         scn = builtin_scenarios()["norm"]
         sched = RiskSchedule.uniform(-500.0, 0.05, 10)
-        feed = ScenarioFeed(scn, np.random.default_rng(0), keep_treated=True)
-        trace = run_cantelli_experiment(
-            GaussianPrior((0.0, 0.0), (100.0, 100.0)),
-            VariancePolicy(),
+        feed = ScenarioFeed(scn, np.random.default_rng(0))
+        sample_rng = np.random.default_rng(1)
+        trace = run_stages(
             sched,
             feed,
-            samples_per_stage=2000,
-            sample_rng=np.random.default_rng(1),
+            CantelliPolicy(self.PRIOR, VariancePolicy(), samples=2000),
+            lambda t: sample_rng,
         )
         assert trace.num_stages == 10
         assert all(r.m <= r.n_units // 2 for r in trace.records)
 
     def test_requires_treated_outcome_retention(self):
-        scn = builtin_scenarios()["pte"]
-        sched = RiskSchedule.uniform(-500.0, 0.05, 4)
-        feed = ScenarioFeed(scn, np.random.default_rng(0), keep_treated=False)
-        with pytest.raises(ValueError, match="keep_treated"):
-            run_cantelli_experiment(
-                GaussianPrior((0.0, 0.0), (100.0, 100.0)),
-                VariancePolicy(),
-                sched,
-                feed,
-                samples_per_stage=500,
-                sample_rng=np.random.default_rng(1),
-            )
+        sched = RiskSchedule.uniform(-500.0, 0.05, 2)
+        policy = CantelliPolicy(self.PRIOR, VariancePolicy(), samples=500)
+        with pytest.raises(ValueError, match="treated outcomes"):
+            run_stages(sched, NoTreatedOutcomesFeed(), policy)
+
+    def test_zero_tolerance_stage_draws_no_samples(self):
+        sched = RiskSchedule(-500.0, 0.05, (-500.0,) * 2, (0.0, 0.05))
+        feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(0))
+        drawn = []
+
+        def streams(t):
+            drawn.append(t)
+            return np.random.default_rng(t)
+
+        trace = run_stages(sched, feed, CantelliPolicy(self.PRIOR, VariancePolicy()), streams)
+        assert trace.records[0].m == 0 and trace.records[0].branch == BRANCH_ZERO_TOL
+        assert drawn == [2]
 
     def test_more_conservative_than_analytic_on_stage_one(self):
         scn = builtin_scenarios()["pte"]
         sched = RiskSchedule.uniform(-500.0, 0.05, 1)
-        feed = ScenarioFeed(scn, np.random.default_rng(2), keep_treated=True)
-        trace = run_cantelli_experiment(
-            GaussianPrior((0.0, 0.0), (100.0, 100.0)),
-            VariancePolicy(),
+        feed = ScenarioFeed(scn, np.random.default_rng(2))
+        sample_rng = np.random.default_rng(3)
+        trace = run_stages(
             sched,
             feed,
-            samples_per_stage=50_000,
-            sample_rng=np.random.default_rng(3),
+            CantelliPolicy(self.PRIOR, VariancePolicy(), samples=50_000),
+            lambda t: sample_rng,
         )
         assert 0 <= trace.records[0].m <= 13

@@ -9,12 +9,12 @@ from rampguard.posterior import (
     GaussianPrior,
     InsufficientDataError,
     OutcomeVariance,
+    SufficientStats,
     VariancePolicy,
     compute_posterior,
     estimate_variance,
     init_posterior,
     update_stats,
-    zero_stats,
 )
 
 
@@ -64,40 +64,40 @@ class TestInit:
 
 class TestUpdateStats:
     def test_empty_treatment_group(self):
-        stats = update_stats(zero_stats(), 0, 500, 0.0, 12.5)
-        assert stats.treated_sums[1] == 0.0
+        stats = update_stats(SufficientStats(), 0, 500, 0.0, 12.5)
+        assert stats.sum_treated == 0.0
         assert stats.counts == (500, 0)
-        assert stats.control_sums[0] == 12.5
+        assert stats.sum_control == 12.5
 
     def test_direct_accumulation(self):
-        stats = update_stats(zero_stats(), 10, 500, treated_sum=20.0, control_sum=3.0)
+        stats = update_stats(SufficientStats(), 10, 500, treated_sum=20.0, control_sum=3.0)
         assert stats.counts == (490, 10)
         assert stats.sum_treated == 20.0
 
     def test_merge_equals_sequence(self):
-        a = update_stats(zero_stats(), 10, 100, 5.0, 7.0, 2.0, 3.0)
+        a = update_stats(SufficientStats(), 10, 100, 5.0, 7.0, 2.0, 3.0)
         a = update_stats(a, 20, 200, 11.0, -2.0, 4.0, 1.0)
-        merged = update_stats(zero_stats(), 30, 300, 16.0, 5.0, 6.0, 4.0)
+        merged = update_stats(SufficientStats(), 30, 300, 16.0, 5.0, 6.0, 4.0)
         assert a == merged
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            update_stats(zero_stats(), 251, 500, 0.0, 0.0)
+            update_stats(SufficientStats(), 251, 500, 0.0, 0.0)
         # Uncapped mode admits anything up to the full population.
-        stats = update_stats(zero_stats(), 400, 500, 1.0, 1.0, enforce_half_cap=False)
+        stats = update_stats(SufficientStats(), 400, 500, 1.0, 1.0, enforce_half_cap=False)
         assert stats.counts == (100, 400)
         with pytest.raises(ValueError):
-            update_stats(zero_stats(), 501, 500, 0.0, 0.0, enforce_half_cap=False)
+            update_stats(SufficientStats(), 501, 500, 0.0, 0.0, enforce_half_cap=False)
 
 
 class TestComputePosterior:
     def test_no_data_returns_prior(self):
-        post = compute_posterior(PRIOR, VAR10, zero_stats())
+        post = compute_posterior(PRIOR, VAR10, SufficientStats())
         assert post.mu_p == PRIOR.mu0
         assert post.sigma_p_sq == PRIOR.sigma0_sq
 
     def test_closed_form_example(self):
-        stats = update_stats(zero_stats(), 10, 500, treated_sum=20.0, control_sum=0.0)
+        stats = update_stats(SufficientStats(), 10, 500, treated_sum=20.0, control_sum=0.0)
         post = compute_posterior(PRIOR, VAR10, stats)
         assert post.mu_p[1] == pytest.approx(2.0 / 1.01, rel=1e-12)
         assert post.sigma_p_sq[1] == pytest.approx(1.0 / 1.01, rel=1e-12)
@@ -111,7 +111,9 @@ class TestComputePosterior:
             total = float(rng.normal(0, 10))
             prior = GaussianPrior((mu0, mu0), (s0, s0))
             var = OutcomeVariance((s, s))
-            stats = update_stats(zero_stats(), m, 2 * m + 1, treated_sum=total, control_sum=0.0)
+            stats = update_stats(
+                SufficientStats(), m, 2 * m + 1, treated_sum=total, control_sum=0.0
+            )
             post = compute_posterior(prior, var, stats)
             w1 = (1 / s0) / (1 / s0 + m / s)
             expected = w1 * mu0 + (1 - w1) * (total / m)
@@ -127,7 +129,7 @@ class TestComputePosterior:
             prior = GaussianPrior((0.5, -0.3), (4.0, 9.0))
             var = OutcomeVariance((4.0, 9.0))
             stats = update_stats(
-                zero_stats(),
+                SufficientStats(),
                 n_t,
                 n_t + n_c,
                 float(y_t.sum()),
@@ -144,7 +146,7 @@ class TestComputePosterior:
 
     def test_streaming_equals_merged(self):
         rng = np.random.default_rng(3)
-        seq = zero_stats()
+        seq = SufficientStats()
         totals = np.zeros(4)
         counts = np.zeros(2, dtype=int)
         for _ in range(12):
@@ -155,7 +157,7 @@ class TestComputePosterior:
             totals += (ts, cs, tq, cq)
             counts += (n - m, m)
         merged = update_stats(
-            zero_stats(),
+            SufficientStats(),
             int(counts[1]),
             int(counts.sum()),
             totals[0],
@@ -171,7 +173,7 @@ class TestComputePosterior:
 
     @given(st.integers(min_value=0, max_value=2000), st.integers(min_value=1, max_value=2000))
     def test_posterior_variance_decreasing_in_count(self, m1, extra):
-        stats_small = update_stats(zero_stats(), m1, 2 * m1 + 2, 0.0, 0.0)
+        stats_small = update_stats(SufficientStats(), m1, 2 * m1 + 2, 0.0, 0.0)
         stats_big = update_stats(stats_small, extra, 2 * extra, 0.0, 0.0)
         v_small = compute_posterior(PRIOR, VAR10, stats_small).sigma_p_sq[1]
         v_big = compute_posterior(PRIOR, VAR10, stats_big).sigma_p_sq[1]
@@ -185,7 +187,7 @@ class TestEstimateVariance:
         treated = np.asarray(treated, dtype=float)
         n = len(control) + len(treated)
         return update_stats(
-            zero_stats(),
+            SufficientStats(),
             len(treated),
             max(n, 2 * len(treated)),
             float(treated.sum()),
@@ -221,7 +223,7 @@ class TestEstimateVariance:
         assert estimate_variance(a).sigma_sq == pytest.approx(estimate_variance(b).sigma_sq)
 
     def test_insufficient_data_raises_and_fallback_fills(self):
-        stats = update_stats(zero_stats(), 1, 3, 4.0, 2.0, 16.0, 4.0)
+        stats = update_stats(SufficientStats(), 1, 3, 4.0, 2.0, 16.0, 4.0)
         with pytest.raises(InsufficientDataError):
             estimate_variance(stats)
         est = estimate_variance(stats, fallback=(7.0, 9.0))
@@ -231,17 +233,17 @@ class TestEstimateVariance:
 class TestVariancePolicy:
     def test_known_explicit_values(self):
         policy = VariancePolicy(mode="known", values=(3.0, 4.0))
-        assert policy.resolve(zero_stats(), (9.0, 9.0)).sigma_sq == (3.0, 4.0)
+        assert policy.resolve(SufficientStats(), (9.0, 9.0)).sigma_sq == (3.0, 4.0)
 
     def test_known_falls_back_to_feed_truth(self):
         policy = VariancePolicy(mode="known")
-        assert policy.resolve(zero_stats(), (9.0, 8.0)).sigma_sq == (9.0, 8.0)
+        assert policy.resolve(SufficientStats(), (9.0, 8.0)).sigma_sq == (9.0, 8.0)
         with pytest.raises(ValueError):
-            policy.resolve(zero_stats(), None)
+            policy.resolve(SufficientStats(), None)
 
     def test_estimated_requires_pretrial_at_start(self):
         policy = VariancePolicy(mode="estimated")
         with pytest.raises(InsufficientDataError):
-            policy.resolve(zero_stats(), None)
+            policy.resolve(SufficientStats(), None)
         primed = VariancePolicy(mode="estimated", pretrial=(10.0, 10.0))
-        assert primed.resolve(zero_stats(), None).sigma_sq == (10.0, 10.0)
+        assert primed.resolve(SufficientStats(), None).sigma_sq == (10.0, 10.0)

@@ -5,12 +5,9 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from rampguard import replication
+from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, replication
 from rampguard.posterior import GaussianPrior, VariancePolicy
 from rampguard.replication import (
-    AnalyticPolicy,
-    CantelliPolicy,
-    ThompsonPolicy,
     replication_stream,
     resolve_workers,
     run_replications,

@@ -11,7 +11,8 @@ from rampguard.scenarios import (
     scenario_from_config,
 )
 from rampguard.schedules import RiskSchedule
-from rampguard.solver import run_rrc_experiment
+from rampguard.solver import AnalyticPolicy
+from rampguard.trace import run_stages
 
 PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
 
@@ -154,7 +155,7 @@ class TestConfig:
 class TestFeed:
     def test_true_cost_uses_both_potentials(self):
         scn = builtin_scenarios()["nte"]
-        feed = ScenarioFeed(scn, np.random.default_rng(0), keep_treated=True)
+        feed = ScenarioFeed(scn, np.random.default_rng(0))
         out = feed.run_stage(1, 100)
         assert out.treated_outcomes is not None and out.treated_outcomes.shape == (100,)
         assert out.treated_sum == pytest.approx(float(out.treated_outcomes.sum()))
@@ -177,7 +178,7 @@ class TestDiagnostics:
         scn = builtin_scenarios()[name]
         sched = RiskSchedule.uniform(-500.0, delta, scn.T)
         feed = ScenarioFeed(scn, np.random.default_rng(seed))
-        return scn, run_rrc_experiment(PRIOR, VariancePolicy(), sched, feed)
+        return scn, run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
 
     def test_stationary_scenario_passes(self):
         scn, trace = self._trace("pte")
@@ -211,5 +212,5 @@ class TestDiagnostics:
         scn = builtin_scenarios()["pte"]
         sched = RiskSchedule(-500.0, 0.0, (-500.0,) * 3, (0.0,) * 3)
         feed = ScenarioFeed(scn, np.random.default_rng(0))
-        trace = run_rrc_experiment(PRIOR, VariancePolicy(), sched, feed)
+        trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
         assert robustness_diagnostics(scn, trace, PRIOR, (10.0, 10.0)) == []

@@ -168,6 +168,15 @@ class TestConstructionAndExtension:
         with pytest.raises(ScheduleError):
             sched.extended(-500.0, 0.02)
 
+    def test_spent_schedule_is_exhausted_but_admits_zero_tolerance(self):
+        spent = RiskSchedule.uniform(-500.0, 0.05, 10)
+        assert spent.exhausted()
+        assert spent.extended(-500.0, 0.0).num_stages == 11
+        with pytest.raises(ScheduleError):
+            spent.extended(-500.0, 1e-6)
+        fresh = RiskSchedule(-500.0, 0.05, (-500.0,) * 9, uniform_tolerance(0.05, 10)[:9])
+        assert not fresh.exhausted()
+
     def test_extension_rejected_below_budget_floor(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 2)
         with pytest.raises(ScheduleError):

@@ -22,13 +22,14 @@ from rampguard.solver import (
     BRANCH_ZERO_TOL,
     BRANCHES,
     Z_SLACK,
+    AnalyticPolicy,
     PredictiveMoments,
     predictive_moments,
     quadratic_coefficients,
-    run_rrc_experiment,
     solve_ramp_size,
     solve_ramp_sizes,
 )
+from rampguard.trace import run_stages
 
 PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
 VAR10 = OutcomeVariance((10.0, 10.0))
@@ -326,7 +327,7 @@ class TestRunExperiment:
     def test_zero_tolerance_schedule_runs_nothing_risky(self):
         sched = RiskSchedule(-500.0, 0.0, (-500.0,) * 5, (0.0,) * 5)
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(0))
-        trace = run_rrc_experiment(PRIOR, VariancePolicy(), sched, feed)
+        trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
         assert [r.m for r in trace.records] == [0] * 5
         assert trace.total_cost == 0.0
         assert all(r.stage_cost == 0.0 for r in trace.records)
@@ -334,15 +335,29 @@ class TestRunExperiment:
     def test_cap_respected_everywhere(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 10)
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(1))
-        trace = run_rrc_experiment(PRIOR, VariancePolicy(), sched, feed)
+        trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
         assert all(r.m <= r.n_units // 2 for r in trace.records)
         assert trace.num_stages == 10
-        assert trace.stop_reason in ("schedule_exhausted", "tolerance_exhausted")
+        assert trace.stop_reason == "schedule_exhausted"
+
+    def test_feed_shorter_than_schedule_stops_the_run(self):
+        sched = RiskSchedule.uniform(-500.0, 0.05, 12)
+        feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(1))
+        trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
+        assert trace.num_stages == 10
+        assert trace.stop_reason == "feed_exhausted"
+
+    def test_spent_tolerance_then_zero_stages_still_run(self):
+        sched = RiskSchedule(-500.0, 0.05, (-500.0,) * 4, (0.03, 1 - 0.95 / 0.97, 0.0, 0.0))
+        feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(1))
+        trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
+        assert [r.branch for r in trace.records[2:]] == [BRANCH_ZERO_TOL] * 2
+        assert [r.m for r in trace.records[2:]] == [0, 0]
 
     def test_cumulative_cost_identity(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 10)
         feed = ScenarioFeed(builtin_scenarios()["nte"], np.random.default_rng(2))
-        trace = run_rrc_experiment(PRIOR, VariancePolicy(), sched, feed)
+        trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
         running = 0.0
         for r in trace.records:
             running += r.stage_cost
@@ -353,12 +368,11 @@ class TestRunExperiment:
         sched = RiskSchedule.uniform(-500.0, 0.05, 3)
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(3))
         policy = VariancePolicy(mode="estimated", pretrial=(10.0, 10.0))
-        trace = run_rrc_experiment(PRIOR, policy, sched, feed)
+        trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, policy))
         assert trace.num_stages == 3
         known_feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(3))
-        known = run_rrc_experiment(
-            PRIOR, VariancePolicy(values=(10.0, 10.0)), sched, known_feed
-        )
+        known_policy = AnalyticPolicy(PRIOR, VariancePolicy(values=(10.0, 10.0)))
+        known = run_stages(sched, known_feed, known_policy)
         # Stage 1 has no data, so the pretrial pair acts as the known pair.
         assert trace.records[0].m == known.records[0].m
 
@@ -366,7 +380,7 @@ class TestRunExperiment:
         bad = RiskSchedule(-500.0, 0.01, (-500.0,) * 3, (0.02, 0.0, 0.0))
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(4))
         with pytest.raises(Exception):
-            run_rrc_experiment(PRIOR, VariancePolicy(), bad, feed)
+            run_stages(bad, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
 
     def test_pte_median_reaches_max_power(self):
         # Median over a small replication batch; the full-size check lives
@@ -376,6 +390,6 @@ class TestRunExperiment:
         finals = []
         for rep in range(40):
             feed = ScenarioFeed(scenario, np.random.default_rng(1000 + rep))
-            trace = run_rrc_experiment(PRIOR, VariancePolicy(), sched, feed)
+            trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
             finals.append(max(r.m for r in trace.records))
         assert np.median(finals) == 250

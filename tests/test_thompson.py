@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rampguard.posterior import GaussianPrior, OutcomeVariance, PosteriorState
+from rampguard.posterior import GaussianPrior, PosteriorState
 from rampguard.scenarios import ScenarioFeed, builtin_scenarios
-from rampguard.thompson import (
-    ThompsonConfig,
-    run_thompson_experiment,
-    thompson_assignment_probability,
-)
+from rampguard.schedules import RiskSchedule
+from rampguard.thompson import ThompsonPolicy, thompson_assignment_probability
+from rampguard.trace import run_stages
 
 BANDIT_PRIOR = GaussianPrior((0.0, -2.0), (0.05, 0.05))
 
@@ -78,31 +76,38 @@ class TestAssignmentProbability:
 
 
 class TestRunThompson:
-    def _run(self, c, seed=0, cap=False, scenario="npte"):
+    def _run(self, c, seed=0, cap=False, scenario="npte", stages=None):
         scn = builtin_scenarios()[scenario]
-        rng = np.random.default_rng(seed)
-        feed = ScenarioFeed(scn, rng)
-        config = ThompsonConfig(
-            c=c, prior=BANDIT_PRIOR, variance=OutcomeVariance((10.0, 10.0)), cap_at_half=cap
-        )
-        return run_thompson_experiment(config, feed, rng, budget=-500.0)
+        sched = RiskSchedule.uniform(-500.0, 0.01, stages or scn.T)
+        feed = ScenarioFeed(scn, np.random.default_rng(seed))
+        policy = ThompsonPolicy(c=c, prior=BANDIT_PRIOR, sigma_sq=(10.0, 10.0), cap_at_half=cap)
+        return run_stages(sched, feed, policy)
+
+    def test_rejects_nonpositive_c(self):
+        for c in (0.0, -1.0, float("inf")):
+            with pytest.raises(ValueError):
+                ThompsonPolicy(c=c, prior=BANDIT_PRIOR)
 
     def test_symmetric_prior_treats_about_half(self):
         scn = builtin_scenarios()["pte"]
-        config = ThompsonConfig(
-            c=3.0,
-            prior=GaussianPrior((0.0, 0.0), (100.0, 100.0)),
-            variance=OutcomeVariance((10.0, 10.0)),
+        sched = RiskSchedule.uniform(-500.0, 0.01, scn.T)
+        policy = ThompsonPolicy(
+            c=3.0, prior=GaussianPrior((0.0, 0.0), (100.0, 100.0)), sigma_sq=(10.0, 10.0)
         )
         firsts = []
         for seed in range(100):
-            rng = np.random.default_rng(seed)
-            feed = ScenarioFeed(scn, rng)
-            trace = run_thompson_experiment(config, feed, rng)
+            feed = ScenarioFeed(scn, np.random.default_rng(seed))
+            trace = run_stages(sched, feed, policy)
             firsts.append(trace.records[0].m)
         # Binomial(500, 0.5): mean 250, sd ~11; the average of 100 runs
         # stays within a few standard errors.
         assert np.mean(firsts) == pytest.approx(250, abs=5)
+
+    def test_stops_where_the_schedule_ends(self):
+        short = self._run(1.0, seed=1, stages=3)
+        assert short.num_stages == 3
+        assert short.stop_reason == "schedule_exhausted"
+        assert self._run(1.0, seed=1).stop_reason == "schedule_exhausted"
 
     def test_rigidity_ordering_in_c(self):
         stage1 = {
