@@ -1,88 +1,135 @@
-"""Struct-of-arrays engine: the analytic ramp loop over a block of replications.
+"""Struct-of-arrays engine: the stage loop over a block of replications.
 
-``trace.run_stages`` with an ``AnalyticPolicy`` runs one replication against
-a ``ScenarioFeed`` that draws every unit's pair of potential outcomes. Under known variances the
-solver needs only each stage's sums, and for Gaussian and scaled-Bernoulli
-scenarios those sums have exact laws (``draw_stage_sums``). This engine
-keeps one array entry per replication for the running statistics, draws
-the stage sums for the whole block at once, folds them into array-valued
-posteriors and solves every replication's stage with one
-``solve_ramp_sizes`` call. It applies the same schedule validation and
-half-population cap as the per-unit loop, which stays the reference that
-the tests compare this engine against.
+``trace.run_stages`` runs one replication against a ``ScenarioFeed`` that
+draws every unit's pair of potential outcomes. A policy whose decision
+reads only the running sums and counts, with variances that do not depend
+on the data, needs no individual outcomes, and for Gaussian and
+scaled-Bernoulli scenarios the stage sums have exact laws
+(``draw_stage_sums``). ``run_block`` keeps one array entry per
+replication for the running statistics and asks the policy for every
+replication's stage decision at once through its ``decide_block``, which
+sits beside the policy's scalar ``decide``:
+
+- ``AnalyticPolicy`` solves the whole block with ``solve_ramp_sizes``;
+- ``ThompsonPolicy`` draws the block's treated counts with one binomial
+  call at the vectorized assignment probabilities.
+
+Per stage the block's generator is consumed by the decision first (the
+Thompson binomial draw; the analytic solver draws nothing), then by
+``draw_stage_sums`` (treated, counterfactual, control). The loop applies
+the same schedule validation and treated-count range check as the
+per-unit loop, which stays the reference that the tests compare this
+engine against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .posterior import GaussianPrior, SufficientStats, VariancePolicy, posterior_moments
+from .posterior import GaussianPrior, Pair, posterior_moments
 from .scenarios import Scenario, draw_stage_sums
 from .schedules import RiskSchedule, ScheduleError, validate_schedule
-from .solver import PredictiveMoments, solve_ramp_sizes
 
-__all__ = ["BlockTraces", "run_rrc_block"]
+__all__ = ["BlockStage", "BlockPolicy", "BlockTraces", "run_block"]
 
 
 @dataclass(frozen=True)
 class BlockTraces:
     """Per-stage results of a block, shaped (replications, stages run).
 
-    ``branch`` holds indices into ``solver.BRANCHES``.
+    ``branch`` holds indices into ``labels``, the policy's branch labels.
     """
 
     m: np.ndarray
     branch: np.ndarray
     stage_cost: np.ndarray
     cum_cost: np.ndarray
+    labels: tuple[str, ...]
 
 
-def run_rrc_block(
-    prior: GaussianPrior,
-    variance_policy: VariancePolicy,
+class BlockStage(NamedTuple):
+    """What a policy may read when it decides stage ``t`` for a block.
+
+    ``counts`` (whole numbers held as floats), ``sum_control`` and
+    ``sum_treated`` are the running statistics of every replication, one
+    array entry each. ``rng`` is the block's stream.
+    """
+
+    t: int
+    n_units: int
+    b_t: float
+    delta_t: float
+    counts: tuple[np.ndarray, np.ndarray]
+    sum_control: np.ndarray
+    sum_treated: np.ndarray
+    scenario: Scenario
+    rng: np.random.Generator
+
+    def true_variance(self, t: int) -> Pair:
+        return (self.scenario.true_var(0, t), self.scenario.true_var(1, t))
+
+    def posterior(self, prior: GaussianPrior, sigma_sq: Pair):
+        """Array posterior moments ``(mu_p, sigma_p_sq)`` of every replication."""
+        return posterior_moments(prior, sigma_sq, self.counts, (self.sum_control, self.sum_treated))
+
+
+class BlockPolicy(Protocol):
+    """A policy the block loop can run. ``decide_block`` returns ``(m,
+    branch)`` arrays, ``branch`` indexing ``branch_labels``; a policy that
+    may treat more than half of a stage sets ``cap_at_half = False``."""
+
+    branch_labels: tuple[str, ...]
+
+    def decide_block(self, stage: BlockStage) -> tuple[np.ndarray, np.ndarray]: ...
+
+
+def run_block(
+    policy: BlockPolicy,
     schedule: RiskSchedule,
     scenario: Scenario,
     rng: np.random.Generator,
     size: int,
 ) -> BlockTraces:
-    """Run ``size`` independent replications of the analytic ramp loop.
+    """Run ``size`` independent replications of the stage loop under ``policy``.
 
     Stages run while the schedule has entries and the scenario has stages;
     these stop rules do not depend on the data, so every replication runs
-    the same stages.
-    ``variance_policy`` must be in known mode (the variances then do not
-    depend on the data either) and the scenario's family must have a sum
-    law; ``replication.run_replications`` checks both before it gets here.
+    the same stages. The scenario's family must have a sum law and the
+    policy's decision must read only the running sums and counts;
+    ``replication.run_replications`` checks both before it gets here.
     """
     report = validate_schedule(schedule)
     if not report.valid:
         raise ScheduleError(f"schedule failed validation: {report}")
-    if variance_policy.mode != "known":
-        raise ValueError("the batch engine needs known outcome variances")
+    half_cap = getattr(policy, "cap_at_half", True)
 
-    counts = (np.zeros(size), np.zeros(size))  # whole numbers, held as floats
+    counts = (np.zeros(size), np.zeros(size))
     sum_control = np.zeros(size)
     sum_treated = np.zeros(size)
     cum_cost = np.zeros(size)
     columns: list[tuple[np.ndarray, ...]] = []
 
     for t in range(1, min(schedule.num_stages, scenario.T) + 1):
-        delta_t = schedule.stage_tolerances[t - 1]
         n_t = scenario.population[t - 1]
-        truth = (scenario.true_var(0, t), scenario.true_var(1, t))
-        sigma_sq = variance_policy.resolve(SufficientStats(), truth).sigma_sq
-        mu_p, sigma_p_sq = posterior_moments(prior, sigma_sq, counts, (sum_control, sum_treated))
-        m, branch = solve_ramp_sizes(
-            PredictiveMoments(mu_p, sigma_p_sq, sigma_sq, counts[1]),
-            sum_treated,
-            schedule.stage_budgets[t - 1],
-            delta_t,
-            n_t,
+        m, branch = policy.decide_block(
+            BlockStage(
+                t,
+                n_t,
+                schedule.stage_budgets[t - 1],
+                schedule.stage_tolerances[t - 1],
+                counts,
+                sum_control,
+                sum_treated,
+                scenario,
+                rng,
+            )
         )
-        if m.min(initial=0) < 0 or m.max(initial=0) > n_t // 2:
-            raise ValueError(f"stage {t}: m outside [0, {n_t // 2}]")
+        top = n_t // 2 if half_cap else n_t
+        if m.min(initial=0) < 0 or m.max(initial=0) > top:
+            raise ValueError(f"stage {t}: m outside [0, {top}]")
 
         treated, counterfactual, control = draw_stage_sums(scenario, t, m, rng)
         stage_cost = np.where(m > 0, treated - counterfactual, 0.0)
@@ -92,7 +139,8 @@ def run_rrc_block(
         sum_control = sum_control + control
         counts = (counts[0] + (n_t - m), counts[1] + m)
 
+    labels = tuple(policy.branch_labels)
     if not columns:
         empty = np.zeros((size, 0))
-        return BlockTraces(empty.astype(np.int64), empty.astype(np.int8), empty, empty)
-    return BlockTraces(*(np.stack(col, axis=1) for col in zip(*columns)))
+        return BlockTraces(empty.astype(np.int64), empty.astype(np.int8), empty, empty, labels)
+    return BlockTraces(*(np.stack(col, axis=1) for col in zip(*columns)), labels)

@@ -10,9 +10,10 @@ Three subcommands:
 - ``next-stage``: operational single-step mode; feeds observed sums into a
   JSON state file and prints the next treated-group size.
 
-Exit codes: 0 success, 1 config error, 2 invalid schedule, 3 runtime
-failure, 4 tolerance budget exhausted (next-stage only). The environment
-variable ``RAMPGUARD_THREADS`` bounds the worker count.
+Exit codes: 0 success (``--help`` too), 1 config error (a usage error such
+as an unknown flag included), 2 invalid schedule, 3 runtime failure, 4
+tolerance budget exhausted (next-stage only). The environment variable
+``RAMPGUARD_THREADS`` bounds the worker count.
 """
 
 from __future__ import annotations
@@ -519,6 +520,34 @@ def _observed_sums(args: argparse.Namespace, pending: dict[str, Any], mode: str)
     return args.treated_sum, args.control_sum, args.treated_sumsq or 0.0, args.control_sumsq or 0.0
 
 
+# Keys of a version-1 state file that next-stage reads, with their own keys.
+_STATE_KEYS = {
+    "budget": (),
+    "delta": (),
+    "prior": ("mu0", "sigma0_sq"),
+    "variance_mode": (),
+    "stage": (),
+    "consumed": ("stage_budgets", "stage_tolerances"),
+    "stats": ("treated_sums", "control_sums", "counts", "treated_sumsq", "control_sumsq"),
+}
+
+
+def _check_state(path: str, state: Any) -> None:
+    """Refuse a state file this version cannot read."""
+    if not isinstance(state, dict):
+        raise ConfigError(f"state file {path} does not hold a JSON object")
+    if state.get("version") != 1:
+        raise ConfigError(
+            f"state file {path} has version {state.get('version')!r}; this release reads version 1"
+        )
+    for key, inner in _STATE_KEYS.items():
+        if key not in state:
+            raise ConfigError(f"state file {path} lacks the key {key!r}")
+        missing = [k for k in inner if not isinstance(state[key], dict) or k not in state[key]]
+        if missing:
+            raise ConfigError(f"state file {path} lacks {key}.{missing[0]}")
+
+
 def cmd_next_stage(args: argparse.Namespace) -> int:
     if os.path.exists(args.state):
         with open(args.state, "r", encoding="utf-8") as fh:
@@ -526,6 +555,7 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
                 state = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"state file {args.state} is not valid JSON: {exc}") from None
+        _check_state(args.state, state)
     else:
         state = _fresh_state(args)
     consumed = state["consumed"]
@@ -703,7 +733,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of an invalid schedule.
+        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -1,12 +1,13 @@
 """Replicated experiment runs with per-replication random streams.
 
-Two engines run the replications. Analytic runs with known variances on a
-scenario whose stage sums have an exact law (Gaussian and scaled-Bernoulli
-families) take the batch engine (``batch.run_rrc_block``): replications are
-grouped into blocks of ``BLOCK_SIZE``, and each block owns one random stream
-keyed by (seed, ``STREAM_TAG``, block index). Every other run takes the
-per-unit engine, where each replication owns a stream keyed by (seed,
-replication index, 0) and draws every unit's outcomes.
+Two engines run the replications. On a scenario whose stage sums have an
+exact law (Gaussian and scaled-Bernoulli families), analytic runs with
+known variances and Thompson runs take the batch engine
+(``batch.run_block``): replications are grouped into blocks of
+``BLOCK_SIZE``, and each block owns one random stream keyed by (seed,
+``STREAM_TAG``, block index). Every other run takes the per-unit engine,
+where each replication owns a stream keyed by (seed, replication index, 0)
+and draws every unit's outcomes.
 
 Either way a replication's result depends only on the seed and its index:
 blocks are always drawn whole, and workers take whole blocks or whole
@@ -22,10 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BlockTraces, run_rrc_block
+from .batch import BlockTraces, run_block
 from .scenarios import Scenario, ScenarioFeed, has_sum_law
 from .schedules import RiskSchedule
-from .solver import BRANCHES, AnalyticPolicy
+from .solver import AnalyticPolicy
+from .thompson import ThompsonPolicy
 from .trace import Policy, run_stages
 
 __all__ = [
@@ -94,24 +96,19 @@ def _run_chunk(policy, scenario, schedule, seed, reps):
 
 
 def _takes_batch_engine(policy: Policy, scenario: Scenario) -> bool:
-    # The batch engine reproduces AnalyticPolicy.decide itself, so a
-    # subclass, which may override it, keeps the per-unit engine.
-    return (
-        type(policy) is AnalyticPolicy
-        and policy.variance.mode == "known"
-        and has_sum_law(scenario)
-    )
+    # A policy's decide_block reproduces its own decide, so a subclass,
+    # which may override decide alone, keeps the per-unit engine.
+    if not has_sum_law(scenario):
+        return False
+    if type(policy) is AnalyticPolicy:
+        return policy.variance.mode == "known"
+    return type(policy) is ThompsonPolicy
 
 
 def _run_blocks(policy, scenario, schedule, seed, blocks) -> list[BlockTraces]:
     return [
-        run_rrc_block(
-            policy.prior,
-            policy.variance,
-            schedule,
-            scenario,
-            replication_stream(seed, STREAM_TAG, block),
-            BLOCK_SIZE,
+        run_block(
+            policy, schedule, scenario, replication_stream(seed, STREAM_TAG, block), BLOCK_SIZE
         )
         for block in blocks
     ]
@@ -142,7 +139,7 @@ def _compact_traces(block: BlockTraces, count: int) -> list[CompactTrace]:
     """Traces of the block's first ``count`` replications."""
     rows = (
         block.m[:count].tolist(),
-        np.array(BRANCHES, dtype=object)[block.branch[:count]].tolist(),
+        np.array(block.labels, dtype=object)[block.branch[:count]].tolist(),
         block.stage_cost[:count].tolist(),
         block.cum_cost[:count].tolist(),
     )

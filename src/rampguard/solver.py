@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -26,10 +27,14 @@ from .posterior import (
     GaussianPrior,
     OutcomeVariance,
     PosteriorState,
+    SufficientStats,
     VariancePolicy,
     compute_posterior,
 )
 from .trace import Stage
+
+if TYPE_CHECKING:
+    from .batch import BlockStage
 
 __all__ = [
     "BRANCH_CAP",
@@ -64,6 +69,11 @@ Z_SLACK = 1e-12
 
 # Threshold below which the quadratic degenerates to a linear equation.
 _DEGENERATE_A = 1e-12
+
+# Relative rounding slack on the discriminant. A double root (always the
+# case at Delta_t = 1/2, where q = 0) can round to a slightly negative
+# discriminant; it is kept as a root, whose candidates are re-checked.
+_DISC_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -212,10 +222,11 @@ def solve_ramp_size(
         else:
             return decision(0, BRANCH_NO_REAL_ROOT)
     else:
-        disc = coef.B * coef.B - 4.0 * coef.A * coef.C
-        if disc < 0.0:
+        b2, ac4 = coef.B * coef.B, 4.0 * coef.A * coef.C
+        disc = b2 - ac4
+        if disc < -_DISC_SLACK * (b2 + abs(ac4)):
             return decision(0, BRANCH_NO_REAL_ROOT)
-        sq = math.sqrt(disc)
+        sq = math.sqrt(max(disc, 0.0))
         roots.append((-coef.B + sq) / (2.0 * coef.A))
         roots.append((-coef.B - sq) / (2.0 * coef.A))
 
@@ -282,9 +293,10 @@ def solve_ramp_sizes(
         tiny = _DEGENERATE_A * np.maximum(np.maximum(np.abs(B), np.abs(C)), 1.0)
         degenerate = np.abs(A) < tiny
         linear = degenerate & (np.abs(B) >= tiny)
-        disc = B * B - 4.0 * A * C
-        no_root = np.where(degenerate, ~linear, disc < 0.0)
-        sq = np.sqrt(disc)
+        b2, ac4 = B * B, 4.0 * A * C
+        disc = b2 - ac4
+        no_root = np.where(degenerate, ~linear, disc < -_DISC_SLACK * (b2 + np.abs(ac4)))
+        sq = np.sqrt(np.maximum(disc, 0.0))
         two_a = 2.0 * A
         high = np.where(linear, -C / B, (-B + sq) / two_a)
         low = np.where(linear, high, (-B - sq) / two_a)
@@ -317,10 +329,13 @@ class AnalyticPolicy:
 
     Each stage resolves the outcome variances per ``variance``, refreshes
     the posterior and solves for the largest admissible m.
+    ``decide_block`` does the same for a block of replications under known
+    variances.
     """
 
     prior: GaussianPrior
     variance: VariancePolicy
+    branch_labels: ClassVar[tuple[str, ...]] = BRANCHES
 
     def decide(self, stage: Stage) -> StageDecision:
         stats = stage.stats
@@ -333,4 +348,18 @@ class AnalyticPolicy:
             b_t=stage.b_t,
             Delta_t=stage.delta_t,
             N_t=stage.n_units,
+        )
+
+    def decide_block(self, stage: BlockStage) -> tuple[np.ndarray, np.ndarray]:
+        if self.variance.mode != "known":
+            raise ValueError("the batch engine needs known outcome variances")
+        truth = stage.true_variance(stage.t)
+        sigma_sq = self.variance.resolve(SufficientStats(), truth).sigma_sq
+        mu_p, sigma_p_sq = stage.posterior(self.prior, sigma_sq)
+        return solve_ramp_sizes(
+            PredictiveMoments(mu_p, sigma_p_sq, sigma_sq, stage.counts[1]),
+            stage.sum_treated,
+            stage.b_t,
+            stage.delta_t,
+            stage.n_units,
         )

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, ClassVar
+
+import numpy as np
 
 from .normal import normal_cdf
 from .posterior import (
@@ -26,7 +29,14 @@ from .posterior import (
 from .solver import StageDecision
 from .trace import Stage
 
-__all__ = ["ThompsonPolicy", "thompson_assignment_probability"]
+if TYPE_CHECKING:
+    from .batch import BlockStage
+
+__all__ = [
+    "ThompsonPolicy",
+    "thompson_assignment_probabilities",
+    "thompson_assignment_probability",
+]
 
 BRANCH_THOMPSON = "thompson"
 
@@ -43,14 +53,34 @@ def thompson_assignment_probability(posterior: PosteriorState, c: float) -> floa
     z = (posterior.mu_p[1] - posterior.mu_p[0]) / math.sqrt(
         posterior.sigma_p_sq[0] + posterior.sigma_p_sq[1]
     )
+    return _sharpened_cdf(z, c)
+
+
+def thompson_assignment_probabilities(mu_p, sigma_p_sq, c: float) -> np.ndarray:
+    """``thompson_assignment_probability`` for many posteriors at once.
+
+    ``mu_p`` and ``sigma_p_sq`` are ``(control, treatment)`` pairs of
+    equal-shape arrays (or scalars). The z-scores are computed on the
+    arrays, in the scalar function's order; the rest runs the scalar
+    function's ``math`` code per entry, because numpy's ``log`` and ``exp``
+    may differ from ``math``'s by an ulp, which ``c * logit(p)`` can widen
+    to a hundred. Each entry therefore equals the scalar probability bit
+    for bit.
+    """
+    z = (mu_p[1] - mu_p[0]) / np.sqrt(sigma_p_sq[0] + sigma_p_sq[1])
+    flat = np.ravel(z).tolist()
+    p = np.fromiter(map(_sharpened_cdf, flat, [c] * len(flat)), float, len(flat))
+    return p.reshape(np.shape(z))
+
+
+def _sharpened_cdf(z: float, c: float) -> float:
+    """expit(c * logit(Phi(z))), written to avoid overflow on either side."""
     p = normal_cdf(z)
     if p <= 0.0:
         return 0.0
     if p >= 1.0:
         return 1.0
-    logit = math.log(p) - math.log1p(-p)
-    # expit(c * logit(p)), written to avoid overflow on either side.
-    x = c * logit
+    x = c * (math.log(p) - math.log1p(-p))
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
@@ -68,13 +98,15 @@ class ThompsonPolicy:
     optionally clamps the treated count at half the incoming population;
     the assignment rule itself has no such cap, so it defaults off. The
     baseline is not budget-aware: it ignores the stage thresholds and
-    tolerances.
+    tolerances. ``decide_block`` makes the same decision for a block of
+    replications, with one binomial draw from the block's stream.
     """
 
     c: float
     prior: GaussianPrior
     sigma_sq: "tuple[float, float] | None" = None
     cap_at_half: bool = False
+    branch_labels: ClassVar[tuple[str, ...]] = (BRANCH_THOMPSON,)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.c) and self.c > 0.0):
@@ -91,3 +123,17 @@ class ThompsonPolicy:
         if self.cap_at_half:
             m_t = min(m_t, stage.n_units // 2)
         return StageDecision(m_t, BRANCH_THOMPSON, m_t / stage.n_units)
+
+    def decide_block(self, stage: BlockStage) -> tuple[np.ndarray, np.ndarray]:
+        if stage.t == 1:
+            posterior = init_posterior(self.prior)
+            mu_p, sigma_p_sq = posterior.mu_p, posterior.sigma_p_sq
+        else:
+            variance = OutcomeVariance(self.sigma_sq or stage.true_variance(1))
+            mu_p, sigma_p_sq = stage.posterior(self.prior, variance.sigma_sq)
+        p_t = thompson_assignment_probabilities(mu_p, sigma_p_sq, self.c)
+        size = stage.sum_treated.shape
+        m_t = stage.rng.binomial(stage.n_units, np.broadcast_to(p_t, size))
+        if self.cap_at_half:
+            m_t = np.minimum(m_t, stage.n_units // 2)
+        return m_t, np.zeros(size, dtype=np.int8)

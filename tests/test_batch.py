@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, batch, replication
+from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, replication, solver
 from rampguard.posterior import GaussianPrior, VariancePolicy
 from rampguard.replication import (
+    BLOCK_SIZE,
     STREAM_TAG,
     replication_stream,
     resolve_workers,
@@ -102,6 +103,44 @@ def test_batch_statistics_match_the_per_unit_engine(name):
     assert fast.m_quantiles[:, 0].tolist() == ref.m_quantiles[:, 0].tolist()
 
 
+@pytest.mark.parametrize("name", ["npte", "norm", "bern"])
+@pytest.mark.parametrize("c", [0.25, 4.0])
+def test_batch_thompson_matches_the_per_unit_engine(name, c):
+    """Per-stage mean m and mean final cost within 5 standard errors.
+
+    The flat prior starts every replication at p = 1/2, so both values of
+    c treat about half of stage 1 and then diverge. Five stages cover the
+    dynamics (``npte``'s treatment mean rises from -2 to 0 over them) at
+    half the cost of ten.
+    """
+    scn = builtin_scenarios()[name]
+    policy = ThompsonPolicy(c=c, prior=PRIOR)
+    sched = RiskSchedule.uniform(-500.0, 0.01, 5)
+    assert replication._takes_batch_engine(policy, scn)
+    k_batch, k_unit = 50_000, 4_000
+    blocks = replication._map_chunks(
+        replication._run_blocks, -(-k_batch // BLOCK_SIZE), WORKERS, policy, scn, sched, 0
+    )
+    traces = replication._map_chunks(replication._run_chunk, k_unit, WORKERS, policy, scn, sched, 0)
+    fast = (np.concatenate([b.m for b in blocks]), np.concatenate([b.cum_cost[:, -1] for b in blocks]))
+    ref = (np.array([t.m for t in traces]), np.array([t.total_cost for t in traces]))
+    assert {label for b in blocks for label in b.labels} == {"thompson"}
+    for label, x, y in zip(("m", "final cost"), fast, ref):
+        se = np.sqrt(x.var(axis=0) / len(x) + y.var(axis=0) / len(y))
+        gap = np.abs(x.mean(axis=0) - y.mean(axis=0))
+        assert np.all(gap <= 5.0 * se), (label, x.mean(axis=0), y.mean(axis=0), se)
+
+
+def test_capped_thompson_batch_stays_within_half():
+    scn = builtin_scenarios()["pte"]
+    policy = ThompsonPolicy(c=0.25, prior=PRIOR, cap_at_half=True)
+    assert replication._takes_batch_engine(policy, scn)
+    summary = run_replications(policy, scn, SCHED_05, 1000, 0, keep_traces=True)
+    m = np.array([t.m for t in summary.traces])
+    assert m.max() == scn.population[0] // 2  # the cap binds
+    assert np.all(m <= np.array(scn.population) // 2)
+
+
 def test_prefix_property():
     scn = builtin_scenarios()["norm"]
     short = run_replications(ANALYTIC, scn, SCHED_05, 100, 3, keep_traces=True)
@@ -110,20 +149,33 @@ def test_prefix_property():
     np.testing.assert_array_equal(long.final_costs[:100], short.final_costs)
 
 
+class SubclassedThompson(ThompsonPolicy):
+    """May override decide alone, so it keeps the per-unit engine."""
+
+
 def test_engine_follows_the_inputs(monkeypatch):
     calls = []
 
-    def spy(prior, variance, schedule, scenario, rng, size):
+    def spy(policy, schedule, scenario, rng, size):
         calls.append(scenario.name)
-        return real(prior, variance, schedule, scenario, rng, size)
+        return real(policy, schedule, scenario, rng, size)
 
-    real = replication.run_rrc_block
-    monkeypatch.setattr(replication, "run_rrc_block", spy)
+    real = replication.run_block
+    monkeypatch.setattr(replication, "run_block", spy)
     sched = RiskSchedule.uniform(-500.0, 0.05, 3)
     scenarios = builtin_scenarios()
-    batch_names = ["norm", "npte", "corr", "bern", "dec"]
-    for name in batch_names:
-        run_replications(ANALYTIC, scenarios[name], sched, 3, 0)
+    thompson = ThompsonPolicy(c=1.0, prior=PRIOR)
+    batch_runs = [
+        (ANALYTIC, "norm"),
+        (ANALYTIC, "npte"),
+        (ANALYTIC, "corr"),
+        (ANALYTIC, "bern"),
+        (ANALYTIC, "dec"),
+        (thompson, "norm"),
+    ]
+    for policy, name in batch_runs:
+        run_replications(policy, scenarios[name], sched, 3, 0)
+    batch_names = [name for _, name in batch_runs]
     assert calls == batch_names
 
     estimated = AnalyticPolicy(PRIOR, VariancePolicy(mode="estimated", pretrial=(10.0, 10.0)))
@@ -131,7 +183,8 @@ def test_engine_follows_the_inputs(monkeypatch):
         (ANALYTIC, "fat"),
         (estimated, "norm"),
         (CantelliPolicy(PRIOR, VariancePolicy(), samples=200), "norm"),
-        (ThompsonPolicy(c=1.0, prior=PRIOR), "norm"),
+        (thompson, "fat"),
+        (SubclassedThompson(c=1.0, prior=PRIOR), "norm"),
     ]
     for policy, name in per_unit:
         run_replications(policy, scenarios[name], sched, 2, 0)
@@ -152,7 +205,20 @@ def test_block_keeps_the_per_unit_checks(monkeypatch):
         m = np.full(S.shape, n_t // 2 + 1, dtype=np.int64)
         return m, np.zeros(S.shape, dtype=np.int8)
 
-    monkeypatch.setattr(batch, "solve_ramp_sizes", over_cap)
+    monkeypatch.setattr(solver, "solve_ramp_sizes", over_cap)
     with pytest.raises(ValueError, match="outside"):
         run_replications(ANALYTIC, scn, SCHED_05, 5, 0)
+
+
+@pytest.mark.parametrize("cap,excess", [(False, 501), (True, 251)])
+def test_block_checks_the_thompson_range(monkeypatch, cap, excess):
+    # Uncapped Thompson may treat the whole stage, and no more.
+    def too_many(self, stage):
+        m = np.full(stage.sum_treated.shape, excess, dtype=np.int64)
+        return m, np.zeros(m.shape, dtype=np.int8)
+
+    monkeypatch.setattr(ThompsonPolicy, "decide_block", too_many)
+    policy = ThompsonPolicy(c=1.0, prior=PRIOR, cap_at_half=cap)
+    with pytest.raises(ValueError, match=f"outside \\[0, {excess - 1}\\]"):
+        run_replications(policy, builtin_scenarios()["norm"], SCHED_05, 5, 0)
 

@@ -71,6 +71,16 @@ class TestRun:
     def test_missing_budget_exits_one(self):
         assert main(["run", "--scenario", "pte"]) == 1
 
+    def test_unknown_flag_exits_one_not_two(self, capsys):
+        # Exit 2 is kept for an invalid schedule; argparse would use it here.
+        assert main(["run", "--bogus"]) == 1
+        assert "--bogus" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert main(["next-stage", "--help"]) == 0
+        assert "--state" in capsys.readouterr().out
+
     def test_config_file_with_flag_overrides(self, tmp_path):
         config = {
             "scenario": "pte",
@@ -308,6 +318,36 @@ class TestNextStage:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda state: state.update(version=7), "version 7"),
+            (lambda state: state.pop("version"), "version None"),
+            (lambda state: state.pop("consumed"), "'consumed'"),
+            (lambda state: state["stats"].pop("counts"), "stats.counts"),
+        ],
+        ids=["future-version", "no-version", "no-consumed", "no-stats-counts"],
+    )
+    def test_unreadable_state_exits_one(self, tmp_path, capsys, edit, message):
+        state = tmp_path / "state.json"
+        assert main([*self.FRESH, "--state", str(state)]) == 0
+        saved = json.loads(state.read_text())
+        edit(saved)
+        state.write_text(json.dumps(saved))
+        before = state.read_text()
+        capsys.readouterr()
+        code = main(
+            [
+                "next-stage", "--state", str(state),
+                "--treated-sum", "13.0", "--control-sum", "487.0",
+                "--n-next", "500", "--delta-next", "0.005", "--b-next", "-500",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(state) in err and message in err
+        assert state.read_text() == before
 
     def test_fresh_state_requires_budget(self, tmp_path):
         code = main(["next-stage", "--state", str(tmp_path / "s.json"), "--n-next", "10",

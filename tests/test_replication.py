@@ -59,6 +59,10 @@ class InlineExecutor:
         return future
 
 
+class PerUnitThompson(ThompsonPolicy):
+    """A subclass keeps the per-unit engine, which pools replications."""
+
+
 class TestPoolBound:
     @pytest.fixture
     def executor(self, monkeypatch):
@@ -69,8 +73,8 @@ class TestPoolBound:
     @pytest.mark.parametrize(
         "policy,name,reps,cpus,expected",
         [
-            (ThompsonPolicy(c=1.0, prior=PRIOR), "npte", 3, 64, 3),  # bounded by chunks
-            (ThompsonPolicy(c=1.0, prior=PRIOR), "npte", 40, 3, 3),  # bounded by CPUs
+            (PerUnitThompson(c=1.0, prior=PRIOR), "npte", 3, 64, 3),  # bounded by chunks
+            (PerUnitThompson(c=1.0, prior=PRIOR), "npte", 40, 3, 3),  # bounded by CPUs
             (ANALYTIC, "norm", 600, 64, 3),  # batch engine: 3 blocks of 256
         ],
     )

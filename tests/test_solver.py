@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rampguard.normal import normal_quantile
@@ -237,8 +237,22 @@ def stage_configs(draw):
     return posterior, variance, m1_prev, s, b, delta, n
 
 
+# At Delta_t = 1/2 (q = 0) the quadratic has a double root, and its
+# discriminant rounds to -3.6e-15 here; m = 1 is admissible.
+DOUBLE_ROOT = (
+    PosteriorState((0.0, -1.8440850451518425), (1.0, 1.0)),
+    OutcomeVariance((1.0, 1.0)),
+    0,
+    1.0,
+    -2.0,
+    0.5,
+    4,
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(stage_configs())
+@example(DOUBLE_ROOT)
 def test_solver_equals_oracle_property(cfg):
     assert solve_ramp_size(*cfg).m == oracle_max_m(*cfg)
 
@@ -286,6 +300,7 @@ BRANCH_CASES = [
     (BRANCH_NO_REAL_ROOT, ((PosteriorState((0.0, 0.0), (1.0, 1.0)), VAR10, 1000, -500.0), -500.0, 0.01, 500)),
     (BRANCH_NO_REAL_ROOT, _degenerate_no_root()),
     (BRANCH_ZERO_TOL, ((FLAT_POST, VAR10, 0, 0.0), -500.0, 0.0, 500)),
+    (BRANCH_ROOT, (DOUBLE_ROOT[:4], *DOUBLE_ROOT[4:])),
 ]
 
 

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rampguard.posterior import GaussianPrior, PosteriorState
+from rampguard.batch import BlockStage
+from rampguard.posterior import GaussianPrior, PosteriorState, SufficientStats
 from rampguard.scenarios import ScenarioFeed, builtin_scenarios
 from rampguard.schedules import RiskSchedule
-from rampguard.thompson import ThompsonPolicy, thompson_assignment_probability
-from rampguard.trace import run_stages
+from rampguard.thompson import (
+    ThompsonPolicy,
+    thompson_assignment_probabilities,
+    thompson_assignment_probability,
+)
+from rampguard.trace import Stage, run_stages
 
 BANDIT_PRIOR = GaussianPrior((0.0, -2.0), (0.05, 0.05))
 
@@ -73,6 +78,67 @@ class TestAssignmentProbability:
         assert thompson_assignment_probability(post, hi) >= (
             thompson_assignment_probability(post, lo) - 1e-12
         )
+
+
+POSTERIORS = st.lists(
+    st.tuples(
+        st.floats(-1e3, 1e3),
+        st.floats(-1e3, 1e3),
+        st.floats(1e-6, 1e3),
+        st.floats(1e-6, 1e3),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(rows=POSTERIORS, c=st.floats(0.01, 20.0))
+# p rounds to 1, p rounds to 0 (|z| ~ 7e5), the fig1e prior, and p = 1/2.
+@example(rows=[(0.0, 10.0, 0.5, 0.5)], c=1.0)
+@example(rows=[(0.0, -1e3, 1e-6, 1e-6)], c=0.25)
+@example(rows=[(0.0, -2.0, 0.05, 0.05)], c=0.25)
+@example(rows=[(1.5, 1.5, 2.0, 3.0)], c=4.0)
+def test_block_probability_equals_the_scalar(rows, c):
+    mu0, mu1, s0, s1 = (np.array(col) for col in zip(*rows))
+    got = thompson_assignment_probabilities((mu0, mu1), (s0, s1), c)
+    want = [
+        thompson_assignment_probability(PosteriorState((a, b), (x, y)), c)
+        for a, b, x, y in rows
+    ]
+    assert got.tolist() == want
+
+
+class RecordingRng:
+    """Records the assignment probabilities a policy draws with; treats no one."""
+
+    def __init__(self):
+        self.p = []
+
+    def binomial(self, n, p):
+        self.p += np.atleast_1d(p).tolist()
+        return np.zeros(np.shape(p), dtype=np.int64)
+
+
+@pytest.mark.parametrize("t", [1, 2, 4])
+@pytest.mark.parametrize("sigma_sq", [None, (3.0, 5.0)])
+def test_block_decision_draws_at_the_scalar_probabilities(t, sigma_sq):
+    # linkedin's variances change by stage, so the stage-1 fallback shows.
+    scn = builtin_scenarios()["linkedin"]
+    policy = ThompsonPolicy(c=0.25, prior=BANDIT_PRIOR, sigma_sq=sigma_sq)
+    rng = np.random.default_rng(t)
+    counts = (rng.integers(0, 20_000, 30).astype(float), rng.integers(0, 20_000, 30).astype(float))
+    sums = (rng.normal(0.0, 300.0, 30), rng.normal(0.0, 300.0, 30))
+    n_t = scn.population[t - 1]
+
+    block_rng = RecordingRng()
+    policy.decide_block(BlockStage(t, n_t, -500.0, 0.01, counts, *sums, scn, block_rng))
+    scalar_rng = RecordingRng()
+    feed = ScenarioFeed(scn, scalar_rng)
+    for c0, c1, s0, s1 in zip(*counts, *sums):
+        stats = SufficientStats(sum_treated=s1, sum_control=s0, counts=(int(c0), int(c1)))
+        policy.decide(Stage(t, n_t, -500.0, 0.01, -500.0, stats, feed, [], None))
+    assert block_rng.p == scalar_rng.p
+    assert len(set(block_rng.p)) == (1 if t == 1 else 30)
 
 
 class TestRunThompson:
