@@ -520,32 +520,78 @@ def _observed_sums(args: argparse.Namespace, pending: dict[str, Any], mode: str)
     return args.treated_sum, args.control_sum, args.treated_sumsq or 0.0, args.control_sumsq or 0.0
 
 
-# Keys of a version-1 state file that next-stage reads, with their own keys.
-_STATE_KEYS = {
-    "budget": (),
-    "delta": (),
-    "prior": ("mu0", "sigma0_sq"),
-    "variance_mode": (),
-    "stage": (),
-    "consumed": ("stage_budgets", "stage_tolerances"),
-    "stats": ("treated_sums", "control_sums", "counts", "treated_sumsq", "control_sumsq"),
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _list_of(check, length=None):
+    return lambda v: (
+        isinstance(v, list) and length in (None, len(v)) and all(map(check, v))
+    )
+
+
+_NUMBER = (_is_number, "a number")
+_COUNT = (_is_count, "an integer")
+_PAIR = (_list_of(_is_number, 2), "a list of two numbers")
+_NUMBERS = (_list_of(_is_number), "a list of numbers")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+
+# What next-stage reads from a version-1 state file: each key with the
+# check of its value and what the check wants, or with its own keys.
+_STATE_SCHEMA = {
+    "budget": _NUMBER,
+    "delta": _NUMBER,
+    "prior": {"mu0": _PAIR, "sigma0_sq": _PAIR},
+    "variance_mode": (lambda v: v in ("known", "estimated"), "'known' or 'estimated'"),
+    "sigma_sq": _PAIR,
+    "pretrial_sigma_sq": _PAIR,
+    "stage": _COUNT,
+    "consumed": {"stage_budgets": _NUMBERS, "stage_tolerances": _NUMBERS},
+    "stats": {
+        "treated_sums": _PAIR,
+        "control_sums": _PAIR,
+        "counts": (_list_of(_is_count, 2), "a list of two integers"),
+        "treated_sumsq": _NUMBER,
+        "control_sumsq": _NUMBER,
+    },
+    "pending": {"stage": _COUNT, "m": _COUNT, "n": _COUNT},
+    "last_call": {"inputs": _OBJECT, "outputs": _OBJECT},
 }
+# Keys that may be null or absent.
+_NULLABLE_STATE_KEYS = {"sigma_sq", "pretrial_sigma_sq", "pending", "last_call"}
+
+
+def _check_state_values(path: str, state: dict, schema: dict, prefix: str = "") -> None:
+    for key, spec in schema.items():
+        name = prefix + key
+        value = state.get(key)
+        if value is None and name in _NULLABLE_STATE_KEYS:
+            continue
+        if key not in state:
+            raise ConfigError(f"state file {path} lacks {name!r}")
+        if isinstance(spec, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"state file {path}: {name} must be an object, got {value!r}")
+            _check_state_values(path, value, spec, name + ".")
+        elif not spec[0](value):
+            raise ConfigError(f"state file {path}: {name} must be {spec[1]}, got {value!r}")
 
 
 def _check_state(path: str, state: Any) -> None:
-    """Refuse a state file this version cannot read."""
+    """Refuse a state file this version cannot read, naming the first bad key."""
     if not isinstance(state, dict):
         raise ConfigError(f"state file {path} does not hold a JSON object")
     if state.get("version") != 1:
         raise ConfigError(
             f"state file {path} has version {state.get('version')!r}; this release reads version 1"
         )
-    for key, inner in _STATE_KEYS.items():
-        if key not in state:
-            raise ConfigError(f"state file {path} lacks the key {key!r}")
-        missing = [k for k in inner if not isinstance(state[key], dict) or k not in state[key]]
-        if missing:
-            raise ConfigError(f"state file {path} lacks {key}.{missing[0]}")
+    _check_state_values(path, state, _STATE_SCHEMA)
+    if state["variance_mode"] == "known" and state.get("sigma_sq") is None:
+        raise ConfigError(f"state file {path}: known variance mode needs sigma_sq")
 
 
 def cmd_next_stage(args: argparse.Namespace) -> int:

@@ -15,6 +15,8 @@ the model, so no MCMC is involved.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -54,6 +56,17 @@ __all__ = [
 # the boundary-candidate scan.
 _GRID_LIMIT = 10_000
 
+# Per-unit history imputation runs in this many fixed row shards, each on
+# its own child stream, so its draws do not depend on the thread count.
+_SHARDS = 8
+# Doubles in one shard's reused draw buffer (4 MiB).
+_BUFFER_DOUBLES = 2**19
+
+
+def _imputation_threads() -> int:
+    """Threads that run the imputation shards of one call."""
+    return min(_SHARDS, os.cpu_count() or 1)
+
 
 class CostFunction:
     """Deterministic per-unit cost of treating a unit.
@@ -62,12 +75,19 @@ class CostFunction:
     real cost; subclasses must be picklable values. ``is_linear_effect``
     marks the plain difference cost, for which sums over imputed units can
     be sampled through their Gaussian aggregate instead of per unit.
+    ``evaluate_into`` writes ``evaluate(y1, y0)`` into the float array
+    ``out``, which may be ``y0`` itself; override it with ufunc ``out=``
+    calls to spare the per-unit imputation a temporary array.
     """
 
     is_linear_effect = False
 
     def evaluate(self, y1, y0):
         raise NotImplementedError
+
+    def evaluate_into(self, y1, y0, out):
+        out[...] = self.evaluate(y1, y0)
+        return out
 
     def __call__(self, y1, y0):
         return self.evaluate(y1, y0)
@@ -82,6 +102,9 @@ class TreatmentEffectCost(CostFunction):
     def evaluate(self, y1, y0):
         return np.asarray(y1) - np.asarray(y0)
 
+    def evaluate_into(self, y1, y0, out):
+        return np.subtract(y1, y0, out=out)
+
 
 @dataclass(frozen=True)
 class CappedEffectCost(CostFunction):
@@ -91,6 +114,10 @@ class CappedEffectCost(CostFunction):
 
     def evaluate(self, y1, y0):
         return np.maximum(np.asarray(y1) - np.asarray(y0), self.floor)
+
+    def evaluate_into(self, y1, y0, out):
+        np.subtract(y1, y0, out=out)
+        return np.maximum(out, self.floor, out=out)
 
 
 def cost_from_config(spec: "str | dict[str, Any]") -> CostFunction:
@@ -145,31 +172,39 @@ class GaussianPosteriorSampler:
         treated unit's observed value against its imputed counterfactual
         and sums. For the linear effect cost that sum depends on the
         imputed values only through their total, which is sampled directly
-        from its Gaussian law; other costs impute per unit.
+        from its Gaussian law on ``rng``.
+
+        Other costs impute per unit, in ``_SHARDS`` fixed row shards
+        ``k*i//8 .. k*(i+1)//8``, shard ``i`` on child ``i`` of
+        ``rng.spawn(8)`` (spawning draws nothing from ``rng``). A shard
+        draws each history array's counterfactuals row-major in chunks that
+        fit its reused buffer of ``_BUFFER_DOUBLES`` doubles (one row if a
+        stage treated more units) and reduces them in place through
+        ``cost.evaluate_into``. The shards run on up to
+        ``_imputation_threads()`` threads, joined before the return; the
+        result does not depend on the thread count.
+
+        ``rng`` itself draws, in order: the two arm means, the linear
+        cost's imputed total (linear costs only) and the two fresh units.
         """
         mu0, mu1 = self._draw_means(rng, k)
         v0, v1 = self.variance.sigma_sq
         sd0, sd1 = math.sqrt(v0), math.sqrt(v1)
 
-        if self.m1_prev == 0:
-            r_prev = np.zeros(k)
-        elif cost.is_linear_effect:
+        r_prev = np.zeros(k)
+        if self.m1_prev and cost.is_linear_effect:
             m = float(self.m1_prev)
             imputed_total = m * mu0 + math.sqrt(m * v0) * rng.standard_normal(k)
             r_prev = self.observed_treated_sum - imputed_total
-        else:
-            r_prev = np.zeros(k)
-            # Chunk draws so the k x m imputation blocks stay modest.
-            chunk = max(1, int(4e6 // max(self.m1_prev, 1)))
-            for lo in range(0, k, chunk):
-                hi = min(lo + chunk, k)
-                block = np.zeros(hi - lo)
-                for arr in self.history:
-                    imputed = mu0[lo:hi, None] + sd0 * rng.standard_normal(
-                        (hi - lo, arr.shape[0])
-                    )
-                    block += cost.evaluate(arr[None, :], imputed).sum(axis=1)
-                r_prev[lo:hi] = block
+        elif self.m1_prev:
+            rows = [slice(k * i // _SHARDS, k * (i + 1) // _SHARDS) for i in range(_SHARDS)]
+            shards = [
+                (cost, mu0[r], sd0, child, r_prev[r])
+                for r, child in zip(rows, rng.spawn(_SHARDS))
+            ]
+            with ThreadPoolExecutor(_imputation_threads()) as pool:
+                # Reading every result re-raises a shard's exception here.
+                list(pool.map(lambda shard: self._impute_shard(*shard), shards))
 
         h = []
         for _ in range(2):
@@ -177,6 +212,32 @@ class GaussianPosteriorSampler:
             fresh1 = mu1 + sd1 * rng.standard_normal(k)
             h.append(np.asarray(cost.evaluate(fresh1, fresh0), dtype=float))
         return r_prev, h[0], h[1]
+
+    def _impute_shard(
+        self,
+        cost: CostFunction,
+        mu0: np.ndarray,
+        sd0: float,
+        rng: np.random.Generator,
+        out: np.ndarray,
+    ) -> None:
+        """Add each row's history cost to ``out``, imputing from ``rng``."""
+        rows = out.shape[0]
+        widest = max(self.history_sizes)
+        buf = np.empty(min(rows * widest, max(widest, _BUFFER_DOUBLES)))
+        for arr in self.history:
+            n = arr.shape[0]
+            if n == 0:
+                continue
+            step = max(1, _BUFFER_DOUBLES // n)
+            for lo in range(0, rows, step):
+                hi = min(lo + step, rows)
+                imputed = buf[: (hi - lo) * n].reshape(hi - lo, n)
+                rng.standard_normal(out=imputed)
+                imputed *= sd0
+                imputed += mu0[lo:hi, None]
+                cost.evaluate_into(arr, imputed, imputed)
+                out[lo:hi] += imputed.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -328,8 +389,9 @@ class CantelliPolicy:
     """The Monte-Carlo Cantelli solver as a stage-loop policy.
 
     Each stage imputes the counterfactuals of every earlier treated unit
-    from ``samples`` posterior draws on the stage's own sampling stream; a
-    zero-tolerance stage draws no samples.
+    from ``samples`` posterior draws on the stage's own sampling stream (a
+    non-linear cost's per-unit imputation on child streams spawned from
+    it); a zero-tolerance stage draws no samples.
     """
 
     prior: GaussianPrior

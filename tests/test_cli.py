@@ -171,6 +171,16 @@ class TestRun:
         assert main([*self.GOLDEN_ARGS, "--out", str(tmp_path)]) == 0
         self.assert_golden(tmp_path, "golden_batch")
 
+    def test_golden_outputs_linear_cantelli(self, tmp_path):
+        # The linear cost samples its imputed total on the stage stream, so
+        # these outputs predate the sharded per-unit imputation unchanged.
+        args = [
+            "run", "--scenario", "norm", "--algo", "rrc_cantelli", "--budget", "-500",
+            "--delta", "0.05", "--T", "10", "--reps", "20", "--seed", "5", "--workers", "1",
+        ]
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        self.assert_golden(tmp_path, "golden_cantelli")
+
 
 class TestReproduce:
     def test_fig2c_small(self, tmp_path):
@@ -326,8 +336,22 @@ class TestNextStage:
             (lambda state: state.pop("version"), "version None"),
             (lambda state: state.pop("consumed"), "'consumed'"),
             (lambda state: state["stats"].pop("counts"), "stats.counts"),
+            (lambda state: state.update(budget="-500"), "budget must be a number"),
+            (
+                lambda state: state["stats"].update(counts=["a", "b"]),
+                "stats.counts must be a list of two integers",
+            ),
+            (lambda state: state.update(variance_mode="bogus"), "variance_mode"),
+            (lambda state: state.update(sigma_sq=None), "needs sigma_sq"),
+            (lambda state: state.update(pending=[1, 13, 500]), "pending must be an object"),
+            (lambda state: state["pending"].update(m=13.5), "pending.m must be an integer"),
         ],
-        ids=["future-version", "no-version", "no-consumed", "no-stats-counts"],
+        ids=[
+            "future-version", "no-version", "no-consumed", "no-stats-counts",
+            "string-budget", "string-counts", "unknown-variance-mode", "known-without-sigma-sq",
+            "pending-not-object",
+            "fractional-pending-m",
+        ],
     )
     def test_unreadable_state_exits_one(self, tmp_path, capsys, edit, message):
         state = tmp_path / "state.json"

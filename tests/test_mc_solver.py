@@ -1,8 +1,12 @@
+import json
 import math
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rampguard import mc_solver
 from rampguard.mc_solver import (
     CappedEffectCost,
     CantelliPolicy,
@@ -20,15 +24,66 @@ from rampguard.posterior import (
     PosteriorState,
     VariancePolicy,
 )
+from rampguard.replication import run_replications
 from rampguard.scenarios import ScenarioFeed, builtin_scenarios
 from rampguard.schedules import RiskSchedule
 from rampguard.solver import BRANCH_ZERO_TOL, solve_ramp_size
 from rampguard.trace import StageOutcome, run_stages
 
 
+GOLDEN = Path(__file__).parent / "data"
+
+
 class ZeroCost(CostFunction):
     def evaluate(self, y1, y0):
         return np.zeros(np.broadcast(np.asarray(y1), np.asarray(y0)).shape)
+
+
+class HingeCost(CostFunction):
+    """A user cost that defines only ``evaluate``: losses count twice."""
+
+    def evaluate(self, y1, y0):
+        d = np.asarray(y1) - np.asarray(y0)
+        return np.where(d < 0.0, 2.0 * d, d)
+
+
+def reference_cost_batch(sampler, cost, k, rng, impute_rng=None):
+    """The allocating per-unit formula that the sharded kernel replaced.
+
+    The means, the linear cost's imputed total and the fresh units come
+    from ``rng``; a non-linear cost's per-unit counterfactuals come from
+    ``impute_rng`` (they used to come from ``rng`` too, between the means
+    and the fresh units).
+    """
+    mp, sp = sampler.posterior.mu_p, sampler.posterior.sigma_p_sq
+    mu0 = mp[0] + math.sqrt(sp[0]) * rng.standard_normal(k)
+    mu1 = mp[1] + math.sqrt(sp[1]) * rng.standard_normal(k)
+    v0, v1 = sampler.variance.sigma_sq
+    sd0, sd1 = math.sqrt(v0), math.sqrt(v1)
+    if sampler.m1_prev == 0:
+        r_prev = np.zeros(k)
+    elif cost.is_linear_effect:
+        m = float(sampler.m1_prev)
+        imputed_total = m * mu0 + math.sqrt(m * v0) * rng.standard_normal(k)
+        r_prev = sampler.observed_treated_sum - imputed_total
+    else:
+        r_prev = np.zeros(k)
+        chunk = max(1, int(4e6 // max(sampler.m1_prev, 1)))
+        for lo in range(0, k, chunk):
+            hi = min(lo + chunk, k)
+            block = np.zeros(hi - lo)
+            for arr in sampler.history:
+                imputed = mu0[lo:hi, None] + sd0 * impute_rng.standard_normal(
+                    (hi - lo, arr.shape[0])
+                )
+                block += cost.evaluate(arr[None, :], imputed).sum(axis=1)
+            r_prev[lo:hi] = block
+    h = []
+    for _ in range(2):
+        fresh0 = mu0 + sd0 * rng.standard_normal(k)
+        fresh1 = mu1 + sd1 * rng.standard_normal(k)
+        h.append(np.asarray(cost.evaluate(fresh1, fresh0), dtype=float))
+    return r_prev, h[0], h[1]
 
 
 def quantities(**kw):
@@ -146,6 +201,104 @@ class TestSampler:
             TreatmentEffectCost(), 20_000, np.random.default_rng(5)
         )
         assert np.corrcoef(h1, h2)[0, 1] > 0.95
+
+
+class TestShardedImputation:
+    POSTERIOR = PosteriorState((0.3, 1.0), (0.2, 0.4))
+    VARIANCE = OutcomeVariance((3.0, 2.0))
+
+    def sampler(self, *sizes):
+        rng = np.random.default_rng(17)
+        history = [1.0 + rng.standard_normal(n) for n in sizes]
+        return GaussianPosteriorSampler(self.POSTERIOR, self.VARIANCE, history)
+
+    @pytest.mark.parametrize("k", [1, 7, 1003])
+    def test_output_ignores_threads_and_buffer_size(self, monkeypatch, k):
+        # An empty history array, and at a 64-double buffer one array of
+        # 10 units (6 rows per chunk) and one of 100 (one row per chunk).
+        sampler = self.sampler(10, 0, 100)
+        cost = CappedEffectCost(floor=0.0)
+
+        def draw(threads, buffer):
+            monkeypatch.setattr(mc_solver, "_imputation_threads", lambda: threads)
+            monkeypatch.setattr(mc_solver, "_BUFFER_DOUBLES", buffer)
+            return sampler.draw_cost_batch(cost, k, np.random.default_rng(9))
+
+        want = draw(8, 2**19)
+        for threads, buffer in ((1, 2**19), (1, 64), (8, 64), (3, 64)):
+            got = draw(threads, buffer)
+            for a, b in zip(want, got):
+                assert a.tobytes() == b.tobytes(), (threads, buffer)
+
+    @pytest.mark.parametrize(
+        "cost", [CappedEffectCost(floor=0.0), HingeCost()], ids=["capped", "user-cost"]
+    )
+    def test_sharded_history_cost_has_the_reference_law(self, cost):
+        sampler = self.sampler(30, 0, 45)
+        k = 60_000
+        got, _, _ = sampler.draw_cost_batch(cost, k, np.random.default_rng(21))
+        want, _, _ = reference_cost_batch(
+            sampler, cost, k, np.random.default_rng(22), np.random.default_rng(23)
+        )
+        se = math.sqrt((got.var() + want.var()) / k)
+        assert abs(got.mean() - want.mean()) <= 4 * se
+        assert got.var() == pytest.approx(want.var(), rel=0.05)
+
+    @pytest.mark.parametrize(
+        "cost,sizes",
+        [
+            (TreatmentEffectCost(), (30, 0, 45)),
+            (TreatmentEffectCost(), ()),
+            (CappedEffectCost(floor=0.0), (30, 0, 45)),
+            (HingeCost(), (12,)),
+        ],
+        ids=["linear", "linear-first-stage", "capped", "user-cost"],
+    )
+    def test_parent_stream_draws_are_unchanged(self, cost, sizes):
+        sampler = self.sampler(*sizes)
+        got = sampler.draw_cost_batch(cost, 501, np.random.default_rng(5))
+        want = reference_cost_batch(
+            sampler, cost, 501, np.random.default_rng(5), np.random.default_rng(6)
+        )
+        same = slice(None) if cost.is_linear_effect else slice(1, None)
+        for a, b in zip(got[same], want[same]):
+            assert a.tobytes() == b.tobytes()
+
+    def test_spawning_draws_nothing_from_the_parent_stream(self):
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        self.sampler(20).draw_cost_batch(CappedEffectCost(floor=0.0), 100, rng)
+        # No history: the same draws from the stream, and no spawn.
+        self.sampler().draw_cost_batch(CappedEffectCost(floor=0.0), 100, twin)
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize(
+        "cost",
+        [TreatmentEffectCost(), CappedEffectCost(floor=-0.5), HingeCost()],
+        ids=["effect", "capped", "base-fallback"],
+    )
+    def test_evaluate_into_equals_evaluate_in_place(self, cost):
+        rng = np.random.default_rng(8)
+        y1 = rng.standard_normal(40)
+        y0 = rng.standard_normal((25, 40))
+        want = cost.evaluate(y1, y0.copy())
+        got = cost.evaluate_into(y1, y0, y0)
+        assert got is y0
+        assert y0.tobytes() == np.asarray(want, dtype=float).tobytes()
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(mc_solver, "_imputation_threads", lambda: 8)
+        before = threading.active_count()
+        self.sampler(50).draw_cost_batch(CappedEffectCost(floor=0.0), 2000, np.random.default_rng(1))
+        assert threading.active_count() == before
+
+    def test_a_failing_cost_raises_from_the_call(self, monkeypatch):
+        class Broken(CostFunction):
+            def evaluate(self, y1, y0):
+                raise ArithmeticError("broken cost")
+
+        monkeypatch.setattr(mc_solver, "_imputation_threads", lambda: 2)
+        with pytest.raises(ArithmeticError, match="broken cost"):
+            self.sampler(5).draw_cost_batch(Broken(), 16, np.random.default_rng(1))
 
 
 class TestEstimator:
@@ -341,6 +494,18 @@ class TestRunCantelli:
         trace = run_stages(sched, feed, CantelliPolicy(self.PRIOR, VariancePolicy()), streams)
         assert trace.records[0].m == 0 and trace.records[0].branch == BRANCH_ZERO_TOL
         assert drawn == [2]
+
+    def test_capped_summary_golden(self):
+        # Freezes the shard layout of the non-linear imputation: K = 2003
+        # splits into uneven shards of 250 and 251 rows.
+        policy = CantelliPolicy(
+            self.PRIOR, VariancePolicy(), samples=2003, cost=CappedEffectCost(floor=-5.0)
+        )
+        summary = run_replications(
+            policy, builtin_scenarios()["norm"], RiskSchedule.uniform(-500.0, 0.05, 10), 3, 4
+        )
+        got = json.dumps(summary.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        assert got == (GOLDEN / "golden_cantelli_capped_summary.json").read_text()
 
     def test_more_conservative_than_analytic_on_stage_one(self):
         scn = builtin_scenarios()["pte"]
