@@ -61,11 +61,24 @@ _GRID_LIMIT = 10_000
 _SHARDS = 8
 # Doubles in one shard's reused draw buffer (4 MiB).
 _BUFFER_DOUBLES = 2**19
+# CPUs this process may keep busy with imputation threads.
+_cpu_share = os.cpu_count() or 1
+
+
+def set_cpu_share(cpus: int) -> None:
+    """Let this process's imputation use at most ``cpus`` threads.
+
+    A process pool that runs studies side by side gives each worker its
+    share of the CPUs here, so the pool and the threads together never
+    outnumber the CPUs. Results do not depend on the share.
+    """
+    global _cpu_share
+    _cpu_share = max(1, int(cpus))
 
 
 def _imputation_threads() -> int:
     """Threads that run the imputation shards of one call."""
-    return min(_SHARDS, os.cpu_count() or 1)
+    return min(_SHARDS, _cpu_share)
 
 
 class CostFunction:
@@ -103,6 +116,8 @@ class TreatmentEffectCost(CostFunction):
         return np.asarray(y1) - np.asarray(y0)
 
     def evaluate_into(self, y1, y0, out):
+        # Only subclasses that clear is_linear_effect impute per unit and
+        # reach this; the linear history cost is drawn as one total.
         return np.subtract(y1, y0, out=out)
 
 
@@ -181,8 +196,9 @@ class GaussianPosteriorSampler:
         fit its reused buffer of ``_BUFFER_DOUBLES`` doubles (one row if a
         stage treated more units) and reduces them in place through
         ``cost.evaluate_into``. The shards run on up to
-        ``_imputation_threads()`` threads, joined before the return; the
-        result does not depend on the thread count.
+        ``_imputation_threads()`` threads, bounded by ``set_cpu_share`` and
+        joined before the return; the result does not depend on the thread
+        count.
 
         ``rng`` itself draws, in order: the two arm means, the linear
         cost's imputed total (linear costs only) and the two fresh units.

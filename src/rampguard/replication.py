@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import BlockTraces, run_block
+from .mc_solver import set_cpu_share
 from .scenarios import Scenario, ScenarioFeed, has_sum_law
 from .schedules import RiskSchedule
 from .solver import AnalyticPolicy
@@ -119,15 +120,20 @@ def _map_chunks(fn, count: int, workers: int, *args) -> list:
 
     Items are dealt round-robin into at most ``4 * workers`` chunks; the
     pool never has more processes than CPUs or chunks, and a pool of one
-    runs in this process instead.
+    runs in this process instead. Each pool worker may use its even share
+    of the CPUs for imputation threads, so processes times threads never
+    exceed the CPU count.
     """
+    cpus = os.cpu_count() or 1
     chunk_count = min(count, workers * 4)
     chunks = [range(i, count, chunk_count) for i in range(chunk_count)]
-    pool_size = min(workers, os.cpu_count() or 1, chunk_count)
+    pool_size = min(workers, cpus, chunk_count)
     if pool_size <= 1:
         return fn(*args, range(count))
     results: list = [None] * count
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+    with ProcessPoolExecutor(
+        max_workers=pool_size, initializer=set_cpu_share, initargs=(cpus // pool_size,)
+    ) as pool:
         futures = [pool.submit(fn, *args, chunk) for chunk in chunks]
         for chunk, fut in zip(chunks, futures):
             for item, result in zip(chunk, fut.result()):

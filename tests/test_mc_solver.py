@@ -285,6 +285,15 @@ class TestShardedImputation:
         assert got is y0
         assert y0.tobytes() == np.asarray(want, dtype=float).tobytes()
 
+    def test_cpu_share_bounds_the_threads(self, monkeypatch):
+        monkeypatch.setattr(mc_solver, "_cpu_share", mc_solver._cpu_share)
+        mc_solver.set_cpu_share(3)
+        assert mc_solver._imputation_threads() == 3
+        mc_solver.set_cpu_share(64)
+        assert mc_solver._imputation_threads() == mc_solver._SHARDS
+        mc_solver.set_cpu_share(0)
+        assert mc_solver._imputation_threads() == 1
+
     def test_no_thread_outlives_the_call(self, monkeypatch):
         monkeypatch.setattr(mc_solver, "_imputation_threads", lambda: 8)
         before = threading.active_count()

@@ -5,7 +5,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, replication
+from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, mc_solver, replication
 from rampguard.posterior import GaussianPrior, VariancePolicy
 from rampguard.replication import (
     replication_stream,
@@ -40,12 +40,15 @@ class TestStreams:
 
 
 class InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+    """Stands in for ProcessPoolExecutor: records its size and its worker
+    initializer, runs inline without calling the initializer."""
 
     sizes: list = []
+    initializers: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        self.initializers.append((initializer, initargs))
 
     def __enter__(self):
         return self
@@ -59,6 +62,10 @@ class InlineExecutor:
         return future
 
 
+def _imputation_threads_of(items):
+    return [mc_solver._imputation_threads() for _ in items]
+
+
 class PerUnitThompson(ThompsonPolicy):
     """A subclass keeps the per-unit engine, which pools replications."""
 
@@ -68,6 +75,7 @@ class TestPoolBound:
     def executor(self, monkeypatch):
         monkeypatch.setattr(replication, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(InlineExecutor, "sizes", [])
+        monkeypatch.setattr(InlineExecutor, "initializers", [])
         return InlineExecutor
 
     @pytest.mark.parametrize(
@@ -84,9 +92,16 @@ class TestPoolBound:
         scn = builtin_scenarios()[name]
         pooled = run_replications(policy, scn, sched, reps, 1, workers=10_000)
         assert executor.sizes == [expected]
+        # Each worker's imputation threads get its even share of the CPUs.
+        assert executor.initializers == [(mc_solver.set_cpu_share, (cpus // expected,))]
         serial = run_replications(policy, scn, sched, reps, 1, workers=1)
         assert executor.sizes == [expected]  # one worker never builds a pool
         assert summary_fingerprint(pooled) == summary_fingerprint(serial)
+
+    def test_pool_workers_share_the_cpus(self):
+        cpus = os.cpu_count() or 1
+        threads = replication._map_chunks(_imputation_threads_of, 4, 2)
+        assert min(2, cpus) * max(threads) <= cpus
 
     def test_one_cpu_runs_in_process(self, executor, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
