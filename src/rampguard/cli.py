@@ -27,8 +27,10 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+# next-stage needs only these numpy-free modules; the studies import the
+# simulator where they run, so an operator call never loads numpy.
 from .posterior import (
     GaussianPrior,
     InsufficientDataError,
@@ -37,9 +39,6 @@ from .posterior import (
     compute_posterior,
     update_stats,
 )
-from .mc_solver import CantelliPolicy
-from .replication import ReplicationSummary, resolve_workers, run_replications
-from .scenarios import Scenario, builtin_scenarios, scenario_from_config
 from .schedules import (
     RiskSchedule,
     ScheduleError,
@@ -47,7 +46,10 @@ from .schedules import (
     validate_schedule,
 )
 from .solver import AnalyticPolicy, solve_ramp_size
-from .thompson import ThompsonPolicy
+
+if TYPE_CHECKING:
+    from .replication import ReplicationSummary
+    from .scenarios import Scenario
 
 __all__ = ["main", "cmd_run", "cmd_reproduce", "cmd_next_stage"]
 
@@ -86,6 +88,23 @@ def _pair(values) -> tuple[float, float]:
     return out
 
 
+def _variance_pair(flag: str, values) -> tuple[float, float]:
+    """``_pair`` of outcome or prior variances, each finite and > 0."""
+    out = _pair(values)
+    if not all(map(_is_variance, out)):
+        raise ConfigError(f"{flag} must be two finite numbers > 0, got {list(out)}")
+    return out
+
+
+def _workers(explicit: "int | None") -> int:
+    from .replication import resolve_workers
+
+    try:
+        return resolve_workers(explicit)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 # ----------------------------------------------------------------- run
 
 
@@ -108,6 +127,8 @@ class RunConfig:
 
 
 def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
+    from .scenarios import scenario_from_config
+
     cfg: dict[str, Any] = _load_json(args.config) if args.config else {}
 
     scenario_spec = args.scenario if args.scenario is not None else cfg.get("scenario")
@@ -142,22 +163,17 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
 
     prior_cfg = cfg.get("prior", {})
     mu0 = _pair(args.prior_mu0 if args.prior_mu0 else prior_cfg.get("mu0", (0.0, 0.0)))
-    sigma0 = _pair(
-        args.prior_sigma0_sq
-        if args.prior_sigma0_sq
-        else prior_cfg.get("sigma0_sq", (100.0, 100.0))
-    )
+    sigma0 = args.prior_sigma0_sq or prior_cfg.get("sigma0_sq", (100.0, 100.0))
+    sigma0 = _variance_pair("--prior-sigma0-sq", sigma0)
     prior = GaussianPrior(mu0=mu0, sigma0_sq=sigma0)
 
     mode = args.variance_mode or cfg.get("variance_mode", "known")
     if mode not in ("known", "estimated"):
         raise ConfigError(f"variance mode must be 'known' or 'estimated', got {mode!r}")
-    known = _pair(args.sigma_sq) if args.sigma_sq else (
-        _pair(cfg["sigma_sq"]) if cfg.get("sigma_sq") else None
-    )
-    pretrial = _pair(args.pretrial_sigma_sq) if args.pretrial_sigma_sq else (
-        _pair(cfg["pretrial_sigma_sq"]) if cfg.get("pretrial_sigma_sq") else None
-    )
+    known = args.sigma_sq or cfg.get("sigma_sq")
+    known = _variance_pair("--sigma-sq", known) if known else None
+    pretrial = args.pretrial_sigma_sq or cfg.get("pretrial_sigma_sq")
+    pretrial = _variance_pair("--pretrial-sigma-sq", pretrial) if pretrial else None
     variance = VariancePolicy(mode=mode, values=known, pretrial=pretrial)
     if mode == "estimated" and pretrial is None:
         raise ConfigError("estimated variance mode requires --pretrial-sigma-sq")
@@ -173,7 +189,7 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         replications=int(args.reps if args.reps is not None else cfg.get("replications", 500)),
         seed=int(args.seed if args.seed is not None else cfg.get("seed", 0)),
         out_dir=args.out or cfg.get("out", "."),
-        workers=resolve_workers(args.workers),
+        workers=_workers(args.workers),
         thompson_c=float(thompson_cfg.get("c", 1.0)),
         thompson_cap=bool(thompson_cfg.get("cap_at_half", False)),
         mc_samples=int(mc_cfg.get("samples", 10_000)),
@@ -184,9 +200,13 @@ def _policy_for(config: RunConfig):
     if config.algorithm == "rrc_analytic":
         return AnalyticPolicy(prior=config.prior, variance=config.variance)
     if config.algorithm == "rrc_cantelli":
+        from .mc_solver import CantelliPolicy
+
         return CantelliPolicy(
             prior=config.prior, variance=config.variance, samples=config.mc_samples
         )
+    from .thompson import ThompsonPolicy
+
     return ThompsonPolicy(
         c=config.thompson_c,
         prior=config.prior,
@@ -236,6 +256,8 @@ def _write_quantiles_csv(path: str, summary: ReplicationSummary, header_lines=()
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .replication import run_replications
+
     config = _resolve_run_config(args)
     report = validate_schedule(config.schedule)
     if not report.valid:
@@ -289,6 +311,9 @@ def _ramp_jobs(scenario_name: str, configs) -> list[dict[str, Any]]:
 
 
 def _thompson_jobs(scenario_name: str, budget: float, c_values) -> list[dict[str, Any]]:
+    from .scenarios import builtin_scenarios
+    from .thompson import ThompsonPolicy
+
     scenario = builtin_scenarios()[scenario_name]
     schedule = RiskSchedule.uniform(budget, 0.01, scenario.T)
     jobs = []
@@ -357,11 +382,14 @@ def _figure_jobs(figure: str) -> tuple[list[dict[str, Any]], int]:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    from .replication import run_replications
+    from .scenarios import builtin_scenarios
+
     figure = args.figure
     jobs, default_reps = _figure_jobs(figure)
     reps = int(args.reps) if args.reps is not None else default_reps
     seed = int(args.seed) if args.seed is not None else 0
-    workers = resolve_workers(args.workers)
+    workers = _workers(args.workers)
     out_dir = os.path.join(args.out or ".", figure)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -528,6 +556,10 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_variance(v) -> bool:
+    return _is_number(v) and math.isfinite(v) and v > 0.0
+
+
 def _list_of(check, length=None):
     return lambda v: (
         isinstance(v, list) and length in (None, len(v)) and all(map(check, v))
@@ -537,6 +569,7 @@ def _list_of(check, length=None):
 _NUMBER = (_is_number, "a number")
 _COUNT = (_is_count, "an integer")
 _PAIR = (_list_of(_is_number, 2), "a list of two numbers")
+_VARIANCES = (_list_of(_is_variance, 2), "a list of two finite numbers > 0")
 _NUMBERS = (_list_of(_is_number), "a list of numbers")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 
@@ -545,10 +578,10 @@ _OBJECT = (lambda v: isinstance(v, dict), "an object")
 _STATE_SCHEMA = {
     "budget": _NUMBER,
     "delta": _NUMBER,
-    "prior": {"mu0": _PAIR, "sigma0_sq": _PAIR},
+    "prior": {"mu0": _PAIR, "sigma0_sq": _VARIANCES},
     "variance_mode": (lambda v: v in ("known", "estimated"), "'known' or 'estimated'"),
-    "sigma_sq": _PAIR,
-    "pretrial_sigma_sq": _PAIR,
+    "sigma_sq": _VARIANCES,
+    "pretrial_sigma_sq": _VARIANCES,
     "stage": _COUNT,
     "consumed": {"stage_budgets": _NUMBERS, "stage_tolerances": _NUMBERS},
     "stats": {
@@ -594,7 +627,18 @@ def _check_state(path: str, state: Any) -> None:
         raise ConfigError(f"state file {path}: known variance mode needs sigma_sq")
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """Refuse flag values no stage can use, before the state is read."""
+    if args.n_next is not None and args.n_next < 1:
+        raise ConfigError(f"--n-next must be >= 1, got {args.n_next}")
+    for flag in ("--sigma-sq", "--pretrial-sigma-sq", "--prior-sigma0-sq"):
+        values = getattr(args, flag[2:].replace("-", "_"))
+        if values is not None:
+            _variance_pair(flag, values)
+
+
 def cmd_next_stage(args: argparse.Namespace) -> int:
+    _check_flags(args)
     if os.path.exists(args.state):
         with open(args.state, "r", encoding="utf-8") as fh:
             try:

@@ -223,6 +223,10 @@ class VariancePolicy:
     values: "Pair | None" = None
     pretrial: "Pair | None" = None
 
+    def __post_init__(self) -> None:
+        if self.mode not in ("known", "estimated"):
+            raise ValueError(f"variance mode must be 'known' or 'estimated', got {self.mode!r}")
+
     def resolve(
         self, stats: SufficientStats, feed_truth: "Pair | None"
     ) -> OutcomeVariance:

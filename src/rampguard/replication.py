@@ -196,7 +196,10 @@ def resolve_workers(explicit: "int | None" = None) -> int:
         return max(1, int(explicit))
     env = os.environ.get("RAMPGUARD_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"RAMPGUARD_THREADS must be an integer, got {env!r}") from None
     return min(os.cpu_count() or 1, 8)
 
 

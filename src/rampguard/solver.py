@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
-import numpy as np
-
 from .normal import normal_quantile
 from .posterior import (
     GaussianPrior,
@@ -31,10 +29,12 @@ from .posterior import (
     VariancePolicy,
     compute_posterior,
 )
-from .trace import Stage
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .batch import BlockStage
+    from .trace import Stage
 
 __all__ = [
     "BRANCH_CAP",
@@ -248,6 +248,8 @@ def _satisfied(moments: PredictiveMoments, S_T1_prev, b_t: float, m, limit: floa
     NaN (for num < 0, > 0, == 0), which compare against ``limit`` exactly
     as the scalar path's -inf and +inf do.
     """
+    import numpy as np
+
     num = b_t - S_T1_prev - moments.mu_tilde(m)
     return num / np.sqrt(moments.sigma_tilde_sq(m)) <= limit
 
@@ -269,6 +271,8 @@ def solve_ramp_sizes(
     equals the scalar decision bit for bit. Returns ``(m, branch)`` as
     arrays; ``branch`` holds indices into ``BRANCHES``.
     """
+    import numpy as np
+
     if N_t < 1:
         raise ValueError(f"N_t must be >= 1, got {N_t!r}")
     if not 0.0 <= Delta_t < 1.0:

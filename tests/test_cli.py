@@ -233,6 +233,20 @@ class TestReproduce:
     def test_unknown_figure_exits_one(self):
         assert main(["reproduce", "fig9z", "--out", "/tmp"]) == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["reproduce", "fig2a", "--reps", "5"],
+            ["run", "--scenario", "norm", "--budget", "-500", "--delta", "0.05", "--reps", "5"],
+        ],
+        ids=["reproduce", "run"],
+    )
+    def test_non_integer_thread_variable_exits_one(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("RAMPGUARD_THREADS", "abc")
+        assert main([*command, "--out", str(tmp_path / "out")]) == 1
+        assert "RAMPGUARD_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestNextStage:
     FRESH = [
@@ -345,12 +359,17 @@ class TestNextStage:
             (lambda state: state.update(sigma_sq=None), "needs sigma_sq"),
             (lambda state: state.update(pending=[1, 13, 500]), "pending must be an object"),
             (lambda state: state["pending"].update(m=13.5), "pending.m must be an integer"),
+            (
+                lambda state: state.update(sigma_sq=[0.0, 10.0]),
+                "sigma_sq must be a list of two finite numbers > 0",
+            ),
         ],
         ids=[
             "future-version", "no-version", "no-consumed", "no-stats-counts",
             "string-budget", "string-counts", "unknown-variance-mode", "known-without-sigma-sq",
             "pending-not-object",
             "fractional-pending-m",
+            "zero-sigma-sq",
         ],
     )
     def test_unreadable_state_exits_one(self, tmp_path, capsys, edit, message):
@@ -372,6 +391,33 @@ class TestNextStage:
         err = capsys.readouterr().err
         assert str(state) in err and message in err
         assert state.read_text() == before
+
+    @pytest.mark.parametrize(
+        "flag, values",
+        [
+            ("--n-next", ["0"]),
+            ("--n-next", ["-3"]),
+            ("--sigma-sq", ["0", "10"]),
+            ("--sigma-sq", ["nan", "10"]),
+            ("--pretrial-sigma-sq", ["10", "-1"]),
+            ("--prior-sigma0-sq", ["inf", "1"]),
+        ],
+    )
+    def test_bad_operator_inputs_exit_one(self, tmp_path, capsys, flag, values):
+        fresh = tmp_path / "fresh.json"
+        assert main([*self.FRESH, "--state", str(fresh), flag, *values]) == 1
+        assert flag in capsys.readouterr().err
+        assert not fresh.exists()
+
+        state = tmp_path / "state.json"
+        assert main([*self.FRESH, "--state", str(state)]) == 0
+        before = state.read_bytes()
+        capsys.readouterr()
+        observed = ["--treated-sum", "13.0", "--control-sum", "487.0"]
+        argv = ["next-stage", "--state", str(state), *observed, *self.NEXT, flag, *values]
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err
+        assert state.read_bytes() == before
 
     def test_fresh_state_requires_budget(self, tmp_path):
         code = main(["next-stage", "--state", str(tmp_path / "s.json"), "--n-next", "10",

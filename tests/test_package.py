@@ -1,0 +1,80 @@
+"""The package's lazy exports and the numpy-free operator path."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import rampguard
+
+SRC = str(Path(rampguard.__file__).resolve().parent.parent)
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)], capture_output=True, text=True, env=env
+    )
+
+
+def test_next_stage_imports_no_numpy(tmp_path):
+    state = tmp_path / "state.json"
+    result = run_fresh(
+        f"""
+        import sys
+        import rampguard.cli
+        assert "numpy" not in sys.modules, "import rampguard.cli loaded numpy"
+        code = rampguard.cli.main([
+            "next-stage", "--state", {str(state)!r}, "--budget", "-500", "--delta", "0.05",
+            "--variance-mode", "known", "--sigma-sq", "10", "10",
+            "--n-next", "500", "--delta-next", "0.005", "--b-next", "-500",
+        ])
+        assert code == 0, code
+        assert "numpy" not in sys.modules, "next-stage loaded numpy"
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert '"m_next": 13' in result.stdout
+    assert state.exists()
+
+
+def test_import_package_loads_no_submodule():
+    result = run_fresh(
+        """
+        import sys
+        import rampguard
+        loaded = sorted(m for m in sys.modules if m.startswith("rampguard."))
+        assert not loaded, loaded
+        """
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_every_export_resolves():
+    for name in rampguard.__all__:
+        assert getattr(rampguard, name) is not None, name
+    assert rampguard.solve_ramp_size is rampguard.solver.solve_ramp_size
+    assert rampguard.run_replications is rampguard.replication.run_replications
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from rampguard import *", namespace)
+    assert set(rampguard.__all__) <= set(namespace)
+    assert namespace["RiskSchedule"] is rampguard.schedules.RiskSchedule
+
+
+def test_dir_lists_the_exports():
+    listed = dir(rampguard)
+    assert set(rampguard.__all__) <= set(listed)
+    assert "__version__" in listed
+
+
+def test_unknown_attribute_raises():
+    assert not hasattr(rampguard, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rampguard.no_such_name

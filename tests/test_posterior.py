@@ -247,3 +247,8 @@ class TestVariancePolicy:
             policy.resolve(SufficientStats(), None)
         primed = VariancePolicy(mode="estimated", pretrial=(10.0, 10.0))
         assert primed.resolve(SufficientStats(), None).sigma_sq == (10.0, 10.0)
+
+    def test_unknown_mode_is_refused_at_construction(self):
+        # A misspelt mode would otherwise run as estimated and drop the values.
+        with pytest.raises(ValueError, match="'knwon'"):
+            VariancePolicy(mode="knwon", values=(10.0, 10.0), pretrial=(1.0, 1.0))
