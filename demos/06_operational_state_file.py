@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-state = Path(tempfile.mkdtemp()) / "rollout_state.json"
 rng = np.random.default_rng(11)
 TRUE_MEANS = (0.0, 1.0)  # control, treatment: a genuinely good feature
 SIGMA = 10.0**0.5
@@ -29,22 +28,24 @@ def cli(*args):
     return json.loads(proc.stdout) if proc.returncode == 0 else None
 
 
-# Stage 1: create the state file and get the first ramp size.
-out = cli(
-    "--budget", "-500", "--delta", "0.05",
-    "--variance-mode", "known", "--sigma-sq", "10", "10",
-    "--n-next", "500", "--delta-next", "0.005", "--b-next", "-500",
-)
-
-for stage in range(2, 6):
-    m, n = out["m_next"], 500
-    treated = rng.normal(TRUE_MEANS[1], SIGMA, m)
-    control = rng.normal(TRUE_MEANS[0], SIGMA, n - m)
+with tempfile.TemporaryDirectory() as tmp:
+    state = Path(tmp) / "rollout_state.json"
+    # Stage 1: create the state file and get the first ramp size.
     out = cli(
-        "--treated-sum", str(treated.sum()), "--control-sum", str(control.sum()),
-        "--treated-sumsq", str((treated**2).sum()),
-        "--control-sumsq", str((control**2).sum()),
+        "--budget", "-500", "--delta", "0.05",
+        "--variance-mode", "known", "--sigma-sq", "10", "10",
         "--n-next", "500", "--delta-next", "0.005", "--b-next", "-500",
     )
 
-print("\nstate file keys:", sorted(json.loads(state.read_text())))
+    for stage in range(2, 6):
+        m, n = out["m_next"], 500
+        treated = rng.normal(TRUE_MEANS[1], SIGMA, m)
+        control = rng.normal(TRUE_MEANS[0], SIGMA, n - m)
+        out = cli(
+            "--treated-sum", str(treated.sum()), "--control-sum", str(control.sum()),
+            "--treated-sumsq", str((treated**2).sum()),
+            "--control-sumsq", str((control**2).sum()),
+            "--n-next", "500", "--delta-next", "0.005", "--b-next", "-500",
+        )
+
+    print("\nstate file keys:", sorted(json.loads(state.read_text())))

@@ -38,7 +38,7 @@ __all__ = ["BlockStage", "BlockPolicy", "BlockTraces", "run_block"]
 
 @dataclass(frozen=True)
 class BlockTraces:
-    """Per-stage results of a block, shaped (replications, stages run).
+    """Per-stage results of replications, shaped (replications, stages run).
 
     ``branch`` holds indices into ``labels``, the policy's branch labels.
     """

@@ -96,6 +96,13 @@ def _variance_pair(flag: str, values) -> tuple[float, float]:
     return out
 
 
+def _count(name: str, value) -> int:
+    """A replication or sample count: a whole number >= 1, checked before anything runs."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 1 or value % 1:
+        raise ConfigError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
+
+
 def _workers(explicit: "int | None") -> int:
     from .replication import resolve_workers
 
@@ -180,19 +187,20 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
 
     thompson_cfg = cfg.get("thompson", {})
     mc_cfg = cfg.get("mc", {})
+    reps = args.reps if args.reps is not None else cfg.get("replications", 500)
     return RunConfig(
         scenario=scenario,
         algorithm=algorithm,
         schedule=schedule,
         prior=prior,
         variance=variance,
-        replications=int(args.reps if args.reps is not None else cfg.get("replications", 500)),
+        replications=_count("replications", reps),
         seed=int(args.seed if args.seed is not None else cfg.get("seed", 0)),
         out_dir=args.out or cfg.get("out", "."),
         workers=_workers(args.workers),
         thompson_c=float(thompson_cfg.get("c", 1.0)),
         thompson_cap=bool(thompson_cfg.get("cap_at_half", False)),
-        mc_samples=int(mc_cfg.get("samples", 10_000)),
+        mc_samples=_count("mc.samples", mc_cfg.get("samples", 10_000)),
     )
 
 
@@ -222,15 +230,17 @@ def _write_summary_json(path: str, summary: ReplicationSummary) -> None:
 
 
 def _write_schedule_csv(path: str, summary: ReplicationSummary) -> None:
+    import numpy as np
+
     assert summary.traces is not None
+    c = summary.traces.columns
+    rep, stage = np.divmod(np.arange(c.m.size), c.m.shape[1])
+    branch = np.array(c.labels, dtype=object)[c.branch]
+    columns = (rep, stage + 1, c.m, branch, c.stage_cost, c.cum_cost)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replication", "stage", "m", "branch", "stage_cost", "cum_cost"])
-        for rep, trace in enumerate(summary.traces):
-            for i in range(len(trace.m)):
-                writer.writerow(
-                    [rep, i + 1, trace.m[i], trace.branch[i], trace.stage_cost[i], trace.cum_cost[i]]
-                )
+        writer.writerows(zip(*(np.ravel(col).tolist() for col in columns)))
 
 
 def _write_table(path: str, header_lines, columns, rows) -> None:
@@ -387,7 +397,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
     figure = args.figure
     jobs, default_reps = _figure_jobs(figure)
-    reps = int(args.reps) if args.reps is not None else default_reps
+    reps = _count("--reps", args.reps) if args.reps is not None else default_reps
     seed = int(args.seed) if args.seed is not None else 0
     workers = _workers(args.workers)
     out_dir = os.path.join(args.out or ".", figure)
@@ -402,9 +412,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     for job in jobs:
         scenario = builtin_scenarios()[job["scenario"]]
         schedule: RiskSchedule = job["schedule"]
-        summary = run_replications(
-            job["policy"], scenario, schedule, reps, seed, workers=workers, keep_traces=True
-        )
+        summary = run_replications(job["policy"], scenario, schedule, reps, seed, workers=workers)
         header = [
             f"figure={figure} label={job['label']} scenario={job['scenario']} "
             f"algo={job['algorithm']} budget={schedule.budget} delta={schedule.delta} "

@@ -11,13 +11,14 @@ and draws every unit's outcomes.
 
 Either way a replication's result depends only on the seed and its index:
 blocks are always drawn whole, and workers take whole blocks or whole
-replications. The aggregation walks replications in index order, which
-keeps summaries byte-identical across worker counts.
+replications. Both engines give (replications, stages) arrays in index
+order, which keeps summaries byte-identical across worker counts.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ __all__ = [
     "STREAM_TAG",
     "CompactTrace",
     "ReplicationSummary",
+    "TraceView",
     "run_replications",
     "resolve_workers",
     "replication_stream",
@@ -47,6 +49,8 @@ QUANTILE_LEVELS = (25.0, 50.0, 75.0)
 BLOCK_SIZE = 256
 # Second key word of every batch-engine stream (see replication_stream).
 STREAM_TAG = 0xFFFF_FFFF
+# The per-stage result columns both engines produce, in BlockTraces order.
+_COLUMNS = ("m", "branch", "stage_cost", "cum_cost")
 
 
 def replication_stream(seed: int, *key: int) -> np.random.Generator:
@@ -77,23 +81,24 @@ class CompactTrace:
         return self.cum_cost[-1] if self.cum_cost else 0.0
 
 
-def _compact(trace) -> CompactTrace:
-    return CompactTrace(
-        m=tuple(r.m for r in trace.records),
-        branch=tuple(r.branch for r in trace.records),
-        stage_cost=tuple(r.stage_cost for r in trace.records),
-        cum_cost=tuple(r.cum_cost for r in trace.records),
-    )
-
-
 def _run_one(policy: Policy, scenario: Scenario, schedule: RiskSchedule, seed: int, rep: int):
     feed = ScenarioFeed(scenario, replication_stream(seed, rep, 0))
-    trace = run_stages(schedule, feed, policy, lambda t: replication_stream(seed, rep, t))
-    return _compact(trace)
+    records = run_stages(schedule, feed, policy, lambda t: replication_stream(seed, rep, t)).records
+    return tuple([getattr(r, f) for r in records] for f in _COLUMNS)
 
 
 def _run_chunk(policy, scenario, schedule, seed, reps):
+    """Per-unit results of ``reps``: one transient row of four stage lists each."""
     return [_run_one(policy, scenario, schedule, seed, rep) for rep in reps]
+
+
+def _stack(rows) -> BlockTraces:
+    """The per-unit rows of every replication as (replications, stages) arrays."""
+    m, branch, stage_cost, cum_cost = zip(*rows)
+    m = np.array(m, dtype=np.int64)
+    labels, codes = np.unique(np.array(branch, dtype=str), return_inverse=True)
+    cost_arrays = (np.array(stage_cost, dtype=float), np.array(cum_cost, dtype=float))
+    return BlockTraces(m, codes.reshape(m.shape), *cost_arrays, tuple(labels.tolist()))
 
 
 def _takes_batch_engine(policy: Policy, scenario: Scenario) -> bool:
@@ -141,15 +146,34 @@ def _map_chunks(fn, count: int, workers: int, *args) -> list:
     return results
 
 
-def _compact_traces(block: BlockTraces, count: int) -> list[CompactTrace]:
-    """Traces of the block's first ``count`` replications."""
-    rows = (
-        block.m[:count].tolist(),
-        np.array(block.labels, dtype=object)[block.branch[:count]].tolist(),
-        block.stage_cost[:count].tolist(),
-        block.cum_cost[:count].tolist(),
-    )
-    return [CompactTrace(*map(tuple, row)) for row in zip(*rows)]
+class TraceView(Sequence):
+    """Read-only sequence of ``CompactTrace``, each built when read from ``columns``."""
+
+    def __init__(self, columns: BlockTraces):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns.m)
+
+    def __getitem__(self, index):
+        c = self.columns
+        if isinstance(index, slice):
+            return TraceView(BlockTraces(*(getattr(c, f)[index] for f in _COLUMNS), c.labels))
+        i = range(len(self))[index]  # negative indexes; IndexError out of range
+        return self[i : i + 1]._traces()[0]
+
+    def __iter__(self):
+        for start in range(0, len(self), BLOCK_SIZE):
+            yield from self[start : start + BLOCK_SIZE]._traces()
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def _traces(self) -> list[CompactTrace]:
+        c = self.columns
+        branch = np.array(c.labels, dtype=object)[c.branch]
+        rows = (c.m.tolist(), branch.tolist(), c.stage_cost.tolist(), c.cum_cost.tolist())
+        return [CompactTrace(*map(tuple, row)) for row in zip(*rows)]
 
 
 @dataclass
@@ -166,7 +190,7 @@ class ReplicationSummary:
     m_quantiles: np.ndarray  # shape (3, stages): rows q25, q50, q75
     surplus_quantiles: np.ndarray  # shape (3, stages)
     final_costs: np.ndarray  # shape (replications,)
-    traces: "list[CompactTrace] | None" = None
+    traces: "TraceView | None" = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -228,37 +252,23 @@ def run_replications(
     if _takes_batch_engine(policy, scenario):
         n_blocks = -(-K_rep // BLOCK_SIZE)
         blocks = _map_chunks(_run_blocks, n_blocks, workers, policy, scenario, schedule, seed)
-        traces = None
-        if keep_traces:
-            traces = []
-            for i, block in enumerate(blocks):
-                traces += _compact_traces(block, K_rep - i * BLOCK_SIZE)
-        m_matrix = np.concatenate([b.m for b in blocks])[:K_rep]
-        cum_matrix = np.concatenate([b.cum_cost for b in blocks])[:K_rep]
-        return _summarize(m_matrix, cum_matrix, traces, schedule, seed)
-
-    traces = _map_chunks(_run_chunk, K_rep, workers, policy, scenario, schedule, seed)
-    return _summarize_traces(traces, schedule, seed, keep_traces)
+        columns = (np.concatenate([getattr(b, f) for b in blocks])[:K_rep] for f in _COLUMNS)
+        results = BlockTraces(*columns, blocks[0].labels)
+    else:
+        results = _stack(_map_chunks(_run_chunk, K_rep, workers, policy, scenario, schedule, seed))
+    return _summarize(results, schedule, seed, keep_traces)
 
 
-def _summarize_traces(traces, schedule, seed, keep_traces) -> ReplicationSummary:
-    stages = len(traces[0].m)
-    if any(len(t.m) != stages for t in traces):
-        raise RuntimeError("replications produced traces of different lengths")
-    m_matrix = np.array([t.m for t in traces], dtype=float)
-    cum_matrix = np.array([t.cum_cost for t in traces], dtype=float)
-    return _summarize(m_matrix, cum_matrix, traces if keep_traces else None, schedule, seed)
-
-
-def _summarize(m_matrix, cum_matrix, traces, schedule, seed) -> ReplicationSummary:
-    K_rep, stages = m_matrix.shape
+def _summarize(results: BlockTraces, schedule, seed, keep_traces) -> ReplicationSummary:
+    cum_matrix = results.cum_cost
+    K_rep, stages = cum_matrix.shape
     final_costs = cum_matrix[:, -1] if stages else np.zeros(K_rep)
     ruined = final_costs <= schedule.budget
     ruin_rate = float(ruined.mean())
     half_width = 1.96 * float(np.sqrt(ruin_rate * (1.0 - ruin_rate) / K_rep))
 
     if stages:
-        m_quant = np.percentile(m_matrix, QUANTILE_LEVELS, axis=0)
+        m_quant = np.percentile(results.m, QUANTILE_LEVELS, axis=0)
         surplus_quant = np.percentile(cum_matrix - schedule.budget, QUANTILE_LEVELS, axis=0)
     else:
         m_quant = np.zeros((3, 0))
@@ -275,5 +285,5 @@ def _summarize(m_matrix, cum_matrix, traces, schedule, seed) -> ReplicationSumma
         m_quantiles=m_quant,
         surplus_quantiles=surplus_quant,
         final_costs=final_costs,
-        traces=traces,
+        traces=TraceView(results) if keep_traces else None,
     )

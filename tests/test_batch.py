@@ -88,10 +88,10 @@ def test_batch_statistics_match_the_per_unit_engine(name):
     scn = builtin_scenarios()[name]
     k_batch, k_unit = 50_000, 5_000
     fast = run_replications(ANALYTIC, scn, SCHED_05, k_batch, 0, workers=WORKERS)
-    traces = replication._map_chunks(
+    rows = replication._map_chunks(
         replication._run_chunk, k_unit, WORKERS, ANALYTIC, scn, SCHED_05, 0
     )
-    ref = replication._summarize_traces(traces, SCHED_05, 0, keep_traces=False)
+    ref = replication._summarize(replication._stack(rows), SCHED_05, 0, keep_traces=False)
 
     pooled = (fast.ruin_rate * k_batch + ref.ruin_rate * k_unit) / (k_batch + k_unit)
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / k_batch + 1.0 / k_unit))
@@ -121,9 +121,11 @@ def test_batch_thompson_matches_the_per_unit_engine(name, c):
     blocks = replication._map_chunks(
         replication._run_blocks, -(-k_batch // BLOCK_SIZE), WORKERS, policy, scn, sched, 0
     )
-    traces = replication._map_chunks(replication._run_chunk, k_unit, WORKERS, policy, scn, sched, 0)
+    unit = replication._stack(
+        replication._map_chunks(replication._run_chunk, k_unit, WORKERS, policy, scn, sched, 0)
+    )
     fast = (np.concatenate([b.m for b in blocks]), np.concatenate([b.cum_cost[:, -1] for b in blocks]))
-    ref = (np.array([t.m for t in traces]), np.array([t.total_cost for t in traces]))
+    ref = (unit.m, unit.cum_cost[:, -1])
     assert {label for b in blocks for label in b.labels} == {"thompson"}
     for label, x, y in zip(("m", "final cost"), fast, ref):
         se = np.sqrt(x.var(axis=0) / len(x) + y.var(axis=0) / len(y))

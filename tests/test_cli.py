@@ -158,10 +158,12 @@ class TestRun:
         # (pinned by the next test), so the replications run here directly.
         config = cli._resolve_run_config(cli._build_parser().parse_args(self.GOLDEN_ARGS))
         policy = cli._policy_for(config)
-        traces = replication._run_chunk(
+        rows = replication._run_chunk(
             policy, config.scenario, config.schedule, config.seed, range(config.replications)
         )
-        summary = replication._summarize_traces(traces, config.schedule, config.seed, True)
+        summary = replication._summarize(
+            replication._stack(rows), config.schedule, config.seed, keep_traces=True
+        )
         cli._write_schedule_csv(str(tmp_path / "schedule.csv"), summary)
         cli._write_summary_json(str(tmp_path / "summary.json"), summary)
         cli._write_quantiles_csv(str(tmp_path / "quantiles.csv"), summary)
@@ -245,6 +247,30 @@ class TestReproduce:
         monkeypatch.setenv("RAMPGUARD_THREADS", "abc")
         assert main([*command, "--out", str(tmp_path / "out")]) == 1
         assert "RAMPGUARD_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,config,name",
+        [
+            (["reproduce", "fig2a", "--reps", "0"], None, "--reps"),
+            (["run", "--reps", "-1"], {}, "replications"),
+            (["run"], {"replications": 0}, "replications"),
+            (["run"], {"replications": 2.5}, "replications"),
+            (["run"], {"replications": "many"}, "replications"),
+            (["run", "--algo", "rrc_cantelli"], {"mc": {"samples": 0}}, "mc.samples"),
+        ],
+        ids=[
+            "reproduce-reps", "run-reps", "run-config-zero", "run-config-fraction",
+            "run-config-string", "run-config-samples",
+        ],
+    )
+    def test_count_below_one_exits_one(self, tmp_path, capsys, command, config, name):
+        if config is not None:
+            config = {"scenario": "norm", "budget": -500, "delta": 0.05, **config}
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            command = [*command, "--config", str(tmp_path / "config.json")]
+        assert main([*command, "--out", str(tmp_path / "out")]) == 1
+        assert f"{name} must be a whole number >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

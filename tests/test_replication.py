@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -7,13 +9,18 @@ import pytest
 
 from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, mc_solver, replication
 from rampguard.posterior import GaussianPrior, VariancePolicy
+from rampguard.batch import run_block
 from rampguard.replication import (
+    BLOCK_SIZE,
+    STREAM_TAG,
+    CompactTrace,
     replication_stream,
     resolve_workers,
     run_replications,
 )
-from rampguard.scenarios import builtin_scenarios
+from rampguard.scenarios import ScenarioFeed, builtin_scenarios
 from rampguard.schedules import RiskSchedule
+from rampguard.trace import run_stages
 
 PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
 ANALYTIC = AnalyticPolicy(prior=PRIOR, variance=VariancePolicy())
@@ -189,3 +196,113 @@ class TestRunReplications:
             run_replications(ANALYTIC, builtin_scenarios()["pte"], sched, 0, 0)
         with pytest.raises(TypeError):
             run_replications(object(), builtin_scenarios()["pte"], sched, 3, 0)
+
+
+# The one-object-per-replication traces the summary once stored, kept here
+# as the reference that the array-backed view must reproduce.
+def _compact(trace) -> CompactTrace:
+    return CompactTrace(
+        m=tuple(r.m for r in trace.records),
+        branch=tuple(r.branch for r in trace.records),
+        stage_cost=tuple(r.stage_cost for r in trace.records),
+        cum_cost=tuple(r.cum_cost for r in trace.records),
+    )
+
+
+def _compact_traces(block, count):
+    rows = (
+        block.m[:count].tolist(),
+        np.array(block.labels, dtype=object)[block.branch[:count]].tolist(),
+        block.stage_cost[:count].tolist(),
+        block.cum_cost[:count].tolist(),
+    )
+    return [CompactTrace(*map(tuple, row)) for row in zip(*rows)]
+
+
+def reference_traces(policy, scenario, schedule, count, seed):
+    if replication._takes_batch_engine(policy, scenario):
+        traces = []
+        for block in range(-(-count // BLOCK_SIZE)):
+            rng = replication_stream(seed, STREAM_TAG, block)
+            result = run_block(policy, schedule, scenario, rng, BLOCK_SIZE)
+            traces += _compact_traces(result, count - block * BLOCK_SIZE)
+        return traces
+    return [
+        _compact(
+            run_stages(
+                schedule,
+                ScenarioFeed(scenario, replication_stream(seed, rep, 0)),
+                policy,
+                lambda t: replication_stream(seed, rep, t),
+            )
+        )
+        for rep in range(count)
+    ]
+
+
+def float_bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+DIFFERENTIAL_CASES = {
+    "per-unit fat": (ANALYTIC, "fat", 10, 12, 1),
+    "per-unit cantelli": (
+        CantelliPolicy(prior=PRIOR, variance=VariancePolicy(), samples=500), "norm", 4, 5, 2
+    ),
+    "per-unit thompson": (PerUnitThompson(c=1.0, prior=PRIOR), "npte", 5, 9, 1),
+    "batch norm": (ANALYTIC, "norm", 10, 300, 2),
+    "batch bern": (ANALYTIC, "bern", 10, 257, 1),
+    "batch thompson": (ThompsonPolicy(c=0.25, prior=PRIOR), "npte", 10, 260, 1),
+}
+
+
+class TestTraceView:
+    @pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+    def test_traces_equal_the_per_replication_reference(self, case):
+        policy, name, stages, count, workers = DIFFERENTIAL_CASES[case]
+        scn = builtin_scenarios()[name]
+        sched = RiskSchedule.uniform(-500.0, 0.05, stages)
+        summary = run_replications(policy, scn, sched, count, 3, workers=workers, keep_traces=True)
+        ref = reference_traces(policy, scn, sched, count, 3)
+        assert summary.traces == ref
+        for got, want in zip(summary.traces, ref):
+            assert got.m == want.m and got.branch == want.branch
+            assert float_bits(got.stage_cost) == float_bits(want.stage_cost)
+            assert float_bits(got.cum_cost) == float_bits(want.cum_cost)
+
+    def test_view_reads_like_a_list_of_traces(self):
+        scn = builtin_scenarios()["norm"]
+        sched = RiskSchedule.uniform(-500.0, 0.05, 4)
+        view = run_replications(ANALYTIC, scn, sched, 300, 8, keep_traces=True).traces
+        ref = list(view)
+        assert len(view) == len(ref) == 300
+        assert all(isinstance(t, CompactTrace) for t in ref)
+        assert view[0] == ref[0] == view[-300]
+        assert view[-1] == ref[-1] == view[299]
+        assert view[BLOCK_SIZE] == ref[BLOCK_SIZE]
+        for bad in (300, -301):
+            with pytest.raises(IndexError):
+                view[bad]
+        assert len(view[250:270]) == 20 and view[250:270] == ref[250:270]
+        assert view[::-7] == ref[::-7]
+        assert len(view[5:5]) == 0 and view[5:5] == []
+        assert [t.m for t in view] == [t.m for t in ref]
+        assert view == ref and ref == view
+        assert view != ref[:-1] and view != ref[::-1]
+
+    def test_kept_traces_retain_at_most_400_bytes_per_replication(self):
+        reps = 5000
+        scn = builtin_scenarios()["norm"]
+        sched = RiskSchedule.uniform(-500.0, 0.05, 10)
+        run_replications(ANALYTIC, scn, sched, 10, 0, keep_traces=True)  # warm imports and caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            summary = run_replications(ANALYTIC, scn, sched, reps, 0, keep_traces=True)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert summary.stages == 10 and len(summary.traces) == reps
+        assert retained / reps <= 400, retained / reps
