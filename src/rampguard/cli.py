@@ -5,15 +5,17 @@ Three subcommands:
 - ``run``: execute a replication study from flags and/or a JSON config and
   write ``schedule.csv``, ``summary.json`` and ``quantiles.csv``.
 - ``reproduce``: run one of the bundled study presets (fig1a..fig1i,
-  fig2a..fig2e) and write its quantile or ruin tables with a provenance
-  header.
+  fig2a..fig2e), each a list of labelled ``run`` configs in ``_PRESETS``,
+  and write its quantile or ruin tables with a provenance header.
 - ``next-stage``: operational single-step mode; feeds observed sums into a
   JSON state file and prints the next treated-group size.
 
 Exit codes: 0 success (``--help`` too), 1 config error (a usage error such
 as an unknown flag included), 2 invalid schedule, 3 runtime failure, 4
 tolerance budget exhausted (next-stage only). The environment variable
-``RAMPGUARD_THREADS`` bounds the worker count.
+``RAMPGUARD_THREADS`` bounds the worker count. Config files, state files
+and the flags that stand for their entries are checked by one schema
+checker, ``_check_values``, before anything is written.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
@@ -71,36 +72,21 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _load_json(path: str) -> dict[str, Any]:
+def _load_json(kind: str, path: str) -> dict[str, Any]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            value = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ConfigError(f"{kind} {path} not found") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"{kind} {path} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{kind} {path} does not hold a JSON object")
+    return value
 
 
-def _pair(values) -> tuple[float, float]:
-    out = tuple(float(v) for v in values)
-    if len(out) != 2:
-        raise ConfigError(f"expected two values (control, treatment), got {values!r}")
-    return out
-
-
-def _variance_pair(flag: str, values) -> tuple[float, float]:
-    """``_pair`` of outcome or prior variances, each finite and > 0."""
-    out = _pair(values)
-    if not all(map(_is_variance, out)):
-        raise ConfigError(f"{flag} must be two finite numbers > 0, got {list(out)}")
-    return out
-
-
-def _count(name: str, value) -> int:
-    """A replication or sample count: a whole number >= 1, checked before anything runs."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 1 or value % 1:
-        raise ConfigError(f"{name} must be a whole number >= 1, got {value!r}")
-    return int(value)
+def _pair(values) -> "tuple[float, float] | None":
+    return None if values is None else (float(values[0]), float(values[1]))
 
 
 def _workers(explicit: "int | None") -> int:
@@ -112,115 +98,250 @@ def _workers(explicit: "int | None") -> int:
         raise ConfigError(str(exc)) from None
 
 
-# ----------------------------------------------------------------- run
+# ------------------------------------------------------- checked values
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved inputs of one replication study."""
-
-    scenario: Scenario
-    algorithm: str
-    schedule: RiskSchedule
-    prior: GaussianPrior
-    variance: VariancePolicy
-    replications: int
-    seed: int
-    out_dir: str
-    workers: int
-    thompson_c: float
-    thompson_cap: bool
-    mc_samples: int
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return _is_number(v) and math.isfinite(v)
+
+
+def _list_of(check, length=None):
+    return lambda v: (
+        isinstance(v, list) and length in (None, len(v)) and all(map(check, v))
+    )
+
+
+def _whole(least: int):
+    """The check of a whole number >= ``least`` and what it wants."""
+    return (lambda v: _is_number(v) and v >= least and v % 1 == 0, f"a whole number >= {least}")
+
+
+def _is_tolerances(v) -> bool:
+    """A list of stage tolerances or a generator of them."""
+    if not isinstance(v, dict):
+        return _list_of(_is_number)(v)
+    generators = (("uniform", "T", _whole(1)[0]), ("sinc", "horizon", _whole(1)[0]),
+                  ("explicit", "values", _list_of(_is_number)))
+    return any(v == {"type": kind, key: v.get(key)} and check(v[key])
+               for kind, key, check in generators)
+
+
+def _is_cost(v) -> bool:
+    """A cost that ``mc_solver.cost_from_config`` builds: a name or a mapping."""
+    v = v if isinstance(v, dict) else {"type": v}
+    floor = v.get("floor", 0.0)
+    capped = {"type": "capped_effect", "floor": floor}
+    return v in ({"type": "treatment_effect"}, capped) and _is_finite(floor)
+
+
+_NUMBER = (_is_number, "a number")
+_COUNT = (_is_count, "an integer")
+_PAIR = (_list_of(_is_number, 2), "a list of two numbers")
+_POSITIVE = (lambda v: _is_finite(v) and v > 0.0, "a finite number > 0")
+_VARIANCES = (_list_of(_POSITIVE[0], 2), "a list of two finite numbers > 0")
+_NUMBERS = (_list_of(_is_number), "a list of numbers")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+
+# Each key maps to the check of its value and what the check wants, or to
+# the schema of its own keys. The prior and variance keys are the same in
+# a run config and a state file.
+_BELIEF_SCHEMA = {
+    "prior": {"mu0": _PAIR, "sigma0_sq": _VARIANCES},
+    "variance_mode": (lambda v: v in ("known", "estimated"), "'known' or 'estimated'"),
+    "sigma_sq": _VARIANCES,
+    "pretrial_sigma_sq": _VARIANCES,
+}
+# What `run` reads from its config once the flags are written over it.
+_CONFIG_SCHEMA = {
+    "scenario": (lambda v: isinstance(v, (str, dict)), "a scenario name or an object"),
+    "algorithm": (lambda v: v in ALGORITHMS, "one of " + ", ".join(ALGORITHMS)),
+    "budget": _NUMBER,
+    "delta": _NUMBER,
+    "schedule": {
+        "stage_tolerances": (_is_tolerances, "a list of numbers or a tolerance generator"),
+        "stage_budgets": (lambda v: _is_number(v) or _NUMBERS[0](v), "a number or " + _NUMBERS[1]),
+    },
+    **_BELIEF_SCHEMA,
+    "replications": _whole(1),
+    "seed": _whole(0),
+    "out": (lambda v: isinstance(v, str), "a path"),
+    "thompson": {"c": _POSITIVE, "cap_at_half": (lambda v: isinstance(v, bool), "true or false")},
+    "mc": {
+        "samples": _whole(1),
+        "cost": (_is_cost, '"treatment_effect" or {"type": "capped_effect", "floor": <number>}'),
+    },
+}
+# What next-stage reads from a version-1 state file; every key is required.
+_STATE_SCHEMA = {
+    "version": (lambda v: v == 1, "1"),
+    "budget": _NUMBER,
+    "delta": _NUMBER,
+    **_BELIEF_SCHEMA,
+    "stage": _COUNT,
+    "tolerance_product": _NUMBER,
+    "consumed": {"stage_budgets": _NUMBERS, "stage_tolerances": _NUMBERS},
+    "stats": {
+        "treated_sums": _PAIR,
+        "control_sums": _PAIR,
+        "counts": (_list_of(_is_count, 2), "a list of two integers"),
+        "treated_sumsq": _NUMBER,
+        "control_sumsq": _NUMBER,
+    },
+    "pending": {"stage": _COUNT, "m": _COUNT, "n": _COUNT},
+    "last_call": {"inputs": _OBJECT, "outputs": _OBJECT},
+}
+# Flag values that no command can use, refused before anything is read.
+_FLAG_SCHEMA = {
+    "--n-next": (lambda v: v >= 1, ">= 1"),
+    "--sigma-sq": _VARIANCES,
+    "--pretrial-sigma-sq": _VARIANCES,
+    "--prior-sigma0-sq": _VARIANCES,
+    "--reps": _whole(1),
+    "--seed": _whole(0),
+}
+# Keys that may be null, meaning absent.
+_NULLABLE_KEYS = {"sigma_sq", "pretrial_sigma_sq", "pending", "last_call"}
+
+
+def _check_values(
+    source: str, values: dict, schema: dict, required: bool = False, prefix: str = ""
+) -> None:
+    """Refuse values the schema does not admit, naming ``source`` and the first bad key.
+
+    Keys the schema lacks are refused. With ``required``, every schema key
+    outside ``_NULLABLE_KEYS`` must be present.
+    """
+    for key in values:
+        if key not in schema:
+            raise ConfigError(f"{source}: unknown key {prefix + key!r}")
+    for key, spec in schema.items():
+        name = prefix + key
+        value = values.get(key)
+        if value is None and name in _NULLABLE_KEYS or key not in values and not required:
+            continue
+        if key not in values:
+            raise ConfigError(f"{source} lacks {name!r}")
+        if isinstance(spec, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{source}: {name} must be an object, got {value!r}")
+            _check_values(source, value, spec, required, name + ".")
+        elif not spec[0](value):
+            raise ConfigError(f"{source}: {name} must be {spec[1]}, got {value!r}")
+
+
+def _check_flags(command: str, args: argparse.Namespace) -> None:
+    given = ((flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in _FLAG_SCHEMA)
+    _check_values(command, {flag: v for flag, v in given if v is not None}, _FLAG_SCHEMA)
+
+
+# Flags that stand for a config or state entry: attribute -> key.
+_FLAG_KEYS = {
+    "scenario": "scenario", "algo": "algorithm", "budget": "budget", "delta": "delta",
+    "reps": "replications", "seed": "seed", "out": "out", "variance_mode": "variance_mode",
+    "sigma_sq": "sigma_sq", "pretrial_sigma_sq": "pretrial_sigma_sq",
+}
+
+
+def _with_flags(args: argparse.Namespace, entries: dict[str, Any]) -> dict[str, Any]:
+    """A copy of config or state entries with the given flags written over them."""
+    out = dict(entries)
+    for attr, key in _FLAG_KEYS.items():
+        if getattr(args, attr, None) is not None:
+            out[key] = getattr(args, attr)
+    prior = {"mu0": args.prior_mu0, "sigma0_sq": args.prior_sigma0_sq}
+    prior = {key: value for key, value in prior.items() if value is not None}
+    if prior:
+        given = out.get("prior")
+        out["prior"] = {**(given if isinstance(given, dict) else {}), **prior}
+    if getattr(args, "T", None) is not None:
+        # A stage count replaces the whole schedule, thresholds included.
+        out["schedule"] = {"stage_tolerances": {"type": "uniform", "T": args.T}}
+    return out
+
+
+def _prior_and_variance(source: str, entries: dict[str, Any]):
+    """The prior and the variance policy of checked config or state entries.
+
+    Absent keys take the non-informative prior and known variances.
+    """
+    prior = entries.get("prior", {})
+    mode = entries.get("variance_mode", "known")
+    pretrial = entries.get("pretrial_sigma_sq")
+    if mode == "estimated" and pretrial is None:
+        raise ConfigError(
+            f"{source}: estimated variance mode needs pretrial_sigma_sq (--pretrial-sigma-sq)"
+        )
+    return (
+        GaussianPrior(prior.get("mu0", (0.0, 0.0)), prior.get("sigma0_sq", (100.0, 100.0))),
+        VariancePolicy(mode, _pair(entries.get("sigma_sq")), _pair(pretrial)),
+    )
+
+
+def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSchedule, Any]:
+    """Scenario, algorithm, schedule and policy of a `run` config, checked first."""
     from .scenarios import scenario_from_config
 
-    cfg: dict[str, Any] = _load_json(args.config) if args.config else {}
-
-    scenario_spec = args.scenario if args.scenario is not None else cfg.get("scenario")
-    if scenario_spec is None:
+    _check_values(source, config, _CONFIG_SCHEMA)
+    if "scenario" not in config:
         raise ConfigError("a scenario is required (--scenario or config 'scenario')")
+    if "budget" not in config or "delta" not in config:
+        raise ConfigError("budget and delta are required (flags or config)")
     try:
-        scenario = scenario_from_config(scenario_spec)
+        scenario = scenario_from_config(config["scenario"])
     except KeyError as exc:
         raise ConfigError(str(exc.args[0])) from None
-
-    algorithm = args.algo if args.algo is not None else cfg.get("algorithm", "rrc_analytic")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-
-    budget = args.budget if args.budget is not None else cfg.get("budget")
-    delta = args.delta if args.delta is not None else cfg.get("delta")
-    if budget is None or delta is None:
-        raise ConfigError("budget and delta are required (flags or config)")
-
-    sched_cfg = dict(cfg.get("schedule", {}))
-    sched_cfg["budget"] = float(budget)
-    sched_cfg["delta"] = float(delta)
-    if args.T is not None:
-        sched_cfg["stage_tolerances"] = {"type": "uniform", "T": int(args.T)}
-        sched_cfg.pop("stage_budgets", None)
-    elif "stage_tolerances" not in sched_cfg:
-        sched_cfg["stage_tolerances"] = {"type": "uniform", "T": scenario.T}
     try:
-        schedule = schedule_from_config(sched_cfg)
+        schedule = schedule_from_config(
+            {
+                "stage_tolerances": {"type": "uniform", "T": scenario.T},
+                **config.get("schedule", {}),
+                "budget": config["budget"],
+                "delta": config["delta"],
+            }
+        )
     except ScheduleError as exc:
         raise ConfigError(f"bad schedule config: {exc}") from None
 
-    prior_cfg = cfg.get("prior", {})
-    mu0 = _pair(args.prior_mu0 if args.prior_mu0 else prior_cfg.get("mu0", (0.0, 0.0)))
-    sigma0 = args.prior_sigma0_sq or prior_cfg.get("sigma0_sq", (100.0, 100.0))
-    sigma0 = _variance_pair("--prior-sigma0-sq", sigma0)
-    prior = GaussianPrior(mu0=mu0, sigma0_sq=sigma0)
+    prior, variance = _prior_and_variance(source, config)
+    algorithm = config.get("algorithm", "rrc_analytic")
+    if algorithm == "rrc_analytic":
+        policy: Any = AnalyticPolicy(prior=prior, variance=variance)
+    elif algorithm == "rrc_cantelli":
+        from .mc_solver import CantelliPolicy, cost_from_config
 
-    mode = args.variance_mode or cfg.get("variance_mode", "known")
-    if mode not in ("known", "estimated"):
-        raise ConfigError(f"variance mode must be 'known' or 'estimated', got {mode!r}")
-    known = args.sigma_sq or cfg.get("sigma_sq")
-    known = _variance_pair("--sigma-sq", known) if known else None
-    pretrial = args.pretrial_sigma_sq or cfg.get("pretrial_sigma_sq")
-    pretrial = _variance_pair("--pretrial-sigma-sq", pretrial) if pretrial else None
-    variance = VariancePolicy(mode=mode, values=known, pretrial=pretrial)
-    if mode == "estimated" and pretrial is None:
-        raise ConfigError("estimated variance mode requires --pretrial-sigma-sq")
-
-    thompson_cfg = cfg.get("thompson", {})
-    mc_cfg = cfg.get("mc", {})
-    reps = args.reps if args.reps is not None else cfg.get("replications", 500)
-    return RunConfig(
-        scenario=scenario,
-        algorithm=algorithm,
-        schedule=schedule,
-        prior=prior,
-        variance=variance,
-        replications=_count("replications", reps),
-        seed=int(args.seed if args.seed is not None else cfg.get("seed", 0)),
-        out_dir=args.out or cfg.get("out", "."),
-        workers=_workers(args.workers),
-        thompson_c=float(thompson_cfg.get("c", 1.0)),
-        thompson_cap=bool(thompson_cfg.get("cap_at_half", False)),
-        mc_samples=_count("mc.samples", mc_cfg.get("samples", 10_000)),
-    )
-
-
-def _policy_for(config: RunConfig):
-    if config.algorithm == "rrc_analytic":
-        return AnalyticPolicy(prior=config.prior, variance=config.variance)
-    if config.algorithm == "rrc_cantelli":
-        from .mc_solver import CantelliPolicy
-
-        return CantelliPolicy(
-            prior=config.prior, variance=config.variance, samples=config.mc_samples
+        mc = config.get("mc", {})
+        policy = CantelliPolicy(
+            prior=prior,
+            variance=variance,
+            samples=int(mc.get("samples", 10_000)),
+            cost=cost_from_config(mc.get("cost", "treatment_effect")),
         )
-    from .thompson import ThompsonPolicy
+    elif variance.mode == "estimated":
+        raise ConfigError(
+            f"{source}: thompson takes no variance_mode 'estimated'; its model has known variances"
+        )
+    else:
+        from .thompson import ThompsonPolicy
 
-    return ThompsonPolicy(
-        c=config.thompson_c,
-        prior=config.prior,
-        sigma_sq=config.variance.values,
-        cap_at_half=config.thompson_cap,
-    )
+        thompson = config.get("thompson", {})
+        policy = ThompsonPolicy(
+            c=float(thompson.get("c", 1.0)),
+            prior=prior,
+            sigma_sq=variance.values,
+            cap_at_half=thompson.get("cap_at_half", False),
+        )
+    return scenario, algorithm, schedule, policy
+
+
+# ----------------------------------------------------------------- run
 
 
 def _write_summary_json(path: str, summary: ReplicationSummary) -> None:
@@ -268,26 +389,29 @@ def _write_quantiles_csv(path: str, summary: ReplicationSummary, header_lines=()
 def cmd_run(args: argparse.Namespace) -> int:
     from .replication import run_replications
 
-    config = _resolve_run_config(args)
-    report = validate_schedule(config.schedule)
+    config = _with_flags(args, _load_json("config file", args.config) if args.config else {})
+    scenario, _, schedule, policy = _resolve("run config", config)
+    workers = _workers(args.workers)
+    report = validate_schedule(schedule)
     if not report.valid:
         return _fail(EXIT_SCHEDULE, f"schedule failed validation: {report}")
 
     summary = run_replications(
-        _policy_for(config),
-        config.scenario,
-        config.schedule,
-        config.replications,
-        config.seed,
-        workers=config.workers,
+        policy,
+        scenario,
+        schedule,
+        int(config.get("replications", 500)),
+        int(config.get("seed", 0)),
+        workers=workers,
         keep_traces=True,
     )
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write_schedule_csv(os.path.join(config.out_dir, "schedule.csv"), summary)
-    _write_summary_json(os.path.join(config.out_dir, "summary.json"), summary)
-    _write_quantiles_csv(os.path.join(config.out_dir, "quantiles.csv"), summary)
+    out_dir = config.get("out", ".")
+    os.makedirs(out_dir, exist_ok=True)
+    _write_schedule_csv(os.path.join(out_dir, "schedule.csv"), summary)
+    _write_summary_json(os.path.join(out_dir, "summary.json"), summary)
+    _write_quantiles_csv(os.path.join(out_dir, "quantiles.csv"), summary)
     print(
-        f"wrote {config.out_dir}/schedule.csv, summary.json, quantiles.csv "
+        f"wrote {out_dir}/schedule.csv, summary.json, quantiles.csv "
         f"(ruin_rate={summary.ruin_rate:.4f}, reps={summary.replications})"
     )
     return EXIT_OK
@@ -296,109 +420,65 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------- reproduce
 
 
-def _noninformative_prior() -> GaussianPrior:
-    return GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=(100.0, 100.0))
-
-
-def _bandit_prior() -> GaussianPrior:
-    # Conservative bandit initialisation: treatment believed harmful.
-    return GaussianPrior(mu0=(0.0, -2.0), sigma0_sq=(0.05, 0.05))
-
-
-def _ramp_jobs(scenario_name: str, configs) -> list[dict[str, Any]]:
-    jobs = []
-    for label, schedule in configs:
-        jobs.append(
-            {
-                "label": label,
-                "scenario": scenario_name,
-                "algorithm": "rrc_analytic",
-                "schedule": schedule,
-                "policy": AnalyticPolicy(prior=_noninformative_prior(), variance=VariancePolicy()),
-            }
-        )
-    return jobs
-
-
-def _thompson_jobs(scenario_name: str, budget: float, c_values) -> list[dict[str, Any]]:
-    from .scenarios import builtin_scenarios
-    from .thompson import ThompsonPolicy
-
-    scenario = builtin_scenarios()[scenario_name]
-    schedule = RiskSchedule.uniform(budget, 0.01, scenario.T)
-    jobs = []
-    for c in c_values:
-        jobs.append(
-            {
-                "label": f"c{c:g}",
-                "scenario": scenario_name,
-                "algorithm": "thompson",
-                "schedule": schedule,
-                "policy": ThompsonPolicy(c=c, prior=_bandit_prior()),
-            }
-        )
-    return jobs
-
-
-def _ration_budget_schedule() -> RiskSchedule:
-    budgets = tuple(-400.0 if t <= 5 else -500.0 for t in range(1, 11))
-    return RiskSchedule.uniform(-500.0, 0.01, 10, stage_budgets=budgets)
-
-
-def _ration_tolerance_schedule() -> RiskSchedule:
-    tolerances = tuple(0.0001 if t <= 5 else 0.0019 for t in range(1, 11))
-    return RiskSchedule(-500.0, 0.01, (-500.0,) * 10, tolerances)
-
-
-def _linkedin_ration_schedule() -> RiskSchedule:
+# Labelled `run` configs that the figures below share, less their scenario.
+_STANDARD = {
+    "B-500_d0.05": {"budget": -500, "delta": 0.05},
+    "B-500_d0.01": {"budget": -500, "delta": 0.01},
+}
+_RATIONED = {
+    **_STANDARD,
+    "ration_budget": {"budget": -500, "delta": 0.01,
+                      "schedule": {"stage_budgets": [-400] * 5 + [-500] * 5}},
+    "ration_tolerance": {"budget": -500, "delta": 0.01, "schedule": {"stage_tolerances": {
+        "type": "explicit", "values": [0.0001] * 5 + [0.0019] * 5}}},
+}
+_LINKEDIN = {
+    "B-1500_d0.01": {"budget": -1500, "delta": 0.01},
     # Stage thresholds -400 through stage 4, then the full budget.
-    budgets = tuple(-400.0 if t <= 4 else -1500.0 for t in range(1, 7))
-    return RiskSchedule.uniform(-1500.0, 0.01, 6, stage_budgets=budgets)
+    "ration_budget_linkedin": {"budget": -1500, "delta": 0.01,
+                               "schedule": {"stage_budgets": [-400] * 4 + [-1500] * 2}},
+}
+# Conservative bandit initialisation: treatment believed harmful.
+_THOMPSON = {
+    f"c{c:g}": {"algorithm": "thompson", "delta": 0.01, "thompson": {"c": c},
+                "prior": {"mu0": [0, -2], "sigma0_sq": [0.05, 0.05]}}
+    for c in (0.25, 1.0, 4.0)
+}
 
 
-def _figure_jobs(figure: str) -> tuple[list[dict[str, Any]], int]:
-    """Job list and default replication count for one bundled figure."""
-    pairs_std = [
-        ("B-500_d0.05", RiskSchedule.uniform(-500.0, 0.05, 10)),
-        ("B-500_d0.01", RiskSchedule.uniform(-500.0, 0.01, 10)),
-    ]
-    if figure in ("fig1a",):
-        return _ramp_jobs("pte", pairs_std), 500
-    if figure in ("fig1b", "fig1g"):
-        return _ramp_jobs("nte", pairs_std), 500
-    if figure in ("fig1c", "fig1h"):
-        configs = pairs_std + [
-            ("ration_budget", _ration_budget_schedule()),
-            ("ration_tolerance", _ration_tolerance_schedule()),
-        ]
-        return _ramp_jobs("npte", configs), 500
-    if figure == "fig1d":
-        configs = [
-            ("B-1500_d0.01", RiskSchedule.uniform(-1500.0, 0.01, 6)),
-            ("ration_budget_linkedin", _linkedin_ration_schedule()),
-        ]
-        return _ramp_jobs("linkedin", configs), 500
-    if figure in ("fig1e", "fig1i"):
-        return _thompson_jobs("npte", -500.0, (0.25, 1.0, 4.0)), 500
-    if figure == "fig1f":
-        return _thompson_jobs("linkedin", -1500.0, (0.25, 1.0, 4.0)), 500
-    if figure in ("fig2a", "fig2b", "fig2c", "fig2d", "fig2e"):
-        scenario = {"fig2a": "norm", "fig2b": "corr", "fig2c": "bern", "fig2d": "fat", "fig2e": "dec"}[
-            figure
-        ]
-        jobs = _ramp_jobs(scenario, [("B-500_d0.05", RiskSchedule.uniform(-500.0, 0.05, 10))])
-        return jobs, 5000
-    raise ConfigError(f"unknown figure id {figure!r}; known: fig1a..fig1i, fig2a..fig2e")
+def _on(scenario: str, configs: dict[str, dict], **entries) -> dict[str, dict[str, Any]]:
+    return {label: {"scenario": scenario, **entries, **cfg} for label, cfg in configs.items()}
+
+
+# The bundled studies (arXiv 2305.09626, Figures 1 and 2) as `run` configs:
+# figure id -> (default replication count, {label: config}).
+_PRESETS = {
+    "fig1a": (500, _on("pte", _STANDARD)),
+    "fig1b": (500, _on("nte", _STANDARD)),
+    "fig1c": (500, _on("npte", _RATIONED)),
+    "fig1d": (500, _on("linkedin", _LINKEDIN)),
+    "fig1e": (500, _on("npte", _THOMPSON, budget=-500)),
+    "fig1f": (500, _on("linkedin", _THOMPSON, budget=-1500)),
+    "fig1g": (500, _on("nte", _STANDARD)),
+    "fig1h": (500, _on("npte", _RATIONED)),
+    "fig1i": (500, _on("npte", _THOMPSON, budget=-500)),
+} | {
+    figure: (5000, _on(scenario, {"B-500_d0.05": _STANDARD["B-500_d0.05"]}))
+    for figure, scenario in zip(("fig2a", "fig2b", "fig2c", "fig2d", "fig2e"),
+                                ("norm", "corr", "bern", "fat", "dec"))
+}
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     from .replication import run_replications
-    from .scenarios import builtin_scenarios
 
     figure = args.figure
-    jobs, default_reps = _figure_jobs(figure)
-    reps = _count("--reps", args.reps) if args.reps is not None else default_reps
-    seed = int(args.seed) if args.seed is not None else 0
+    if figure not in _PRESETS:
+        raise ConfigError(f"unknown figure id {figure!r}; known: fig1a..fig1i, fig2a..fig2e")
+    _check_flags("reproduce", args)
+    default_reps, configs = _PRESETS[figure]
+    reps = default_reps if args.reps is None else args.reps
+    seed = 0 if args.seed is None else args.seed
     workers = _workers(args.workers)
     out_dir = os.path.join(args.out or ".", figure)
     os.makedirs(out_dir, exist_ok=True)
@@ -409,25 +489,24 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             "the production ramp overlay is not bundled; supply it as a user file"
         )
 
-    for job in jobs:
-        scenario = builtin_scenarios()[job["scenario"]]
-        schedule: RiskSchedule = job["schedule"]
-        summary = run_replications(job["policy"], scenario, schedule, reps, seed, workers=workers)
+    for label, config in configs.items():
+        scenario, algorithm, schedule, policy = _resolve(f"preset {figure} {label}", config)
+        summary = run_replications(policy, scenario, schedule, reps, seed, workers=workers)
         header = [
-            f"figure={figure} label={job['label']} scenario={job['scenario']} "
-            f"algo={job['algorithm']} budget={schedule.budget} delta={schedule.delta} "
+            f"figure={figure} label={label} scenario={config['scenario']} "
+            f"algo={algorithm} budget={schedule.budget} delta={schedule.delta} "
             f"T={schedule.num_stages} reps={reps} seed={seed}"
         ]
-        _write_quantiles_csv(
-            os.path.join(out_dir, f"quantiles_{job['label']}.csv"), summary, header
+        _write_quantiles_csv(os.path.join(out_dir, f"quantiles_{label}.csv"), summary, header)
+        provenance["runs"].append(
+            {
+                "label": label,
+                "scenario": config["scenario"],
+                "algorithm": algorithm,
+                "schedule": schedule.to_config(),
+                "ruin_rate": summary.ruin_rate,
+            }
         )
-        run_info: dict[str, Any] = {
-            "label": job["label"],
-            "scenario": job["scenario"],
-            "algorithm": job["algorithm"],
-            "schedule": schedule.to_config(),
-            "ruin_rate": summary.ruin_rate,
-        }
         if figure.startswith("fig2"):
             _write_table(
                 os.path.join(out_dir, "spend.csv"),
@@ -442,22 +521,14 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 os.path.join(out_dir, "ruin.csv"),
                 header,
                 ["scenario", "ruin_rate", "half_width", "replications", "delta"],
-                [
-                    [
-                        job["scenario"],
-                        summary.ruin_rate,
-                        summary.ruin_half_width,
-                        reps,
-                        schedule.delta,
-                    ]
-                ],
+                [[config["scenario"], summary.ruin_rate, summary.ruin_half_width, reps,
+                  schedule.delta]],
             )
-        provenance["runs"].append(run_info)
 
     with open(os.path.join(out_dir, "provenance.json"), "w", encoding="utf-8") as fh:
         json.dump(provenance, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    print(f"wrote {out_dir}/ ({len(jobs)} run(s), reps={reps}, seed={seed})")
+    print(f"wrote {out_dir}/ ({len(configs)} run(s), reps={reps}, seed={seed})")
     return EXIT_OK
 
 
@@ -491,33 +562,15 @@ def _stats_from_json(d: dict[str, Any]) -> SufficientStats:
 
 def _fresh_state(args: argparse.Namespace) -> dict[str, Any]:
     if args.budget is None or args.delta is None:
-        raise ConfigError(
-            "a fresh state needs --budget and --delta (no state file found)"
-        )
-    mode = args.variance_mode or "known"
-    if mode == "known" and not args.sigma_sq:
-        raise ConfigError("known variance mode needs --sigma-sq v0 v1")
-    if mode == "estimated" and not args.pretrial_sigma_sq:
-        raise ConfigError("estimated variance mode needs --pretrial-sigma-sq v0 v1")
-    prior_mu = _pair(args.prior_mu0) if args.prior_mu0 else (0.0, 0.0)
-    prior_s2 = _pair(args.prior_sigma0_sq) if args.prior_sigma0_sq else (100.0, 100.0)
-    return {
-        "version": 1,
-        "budget": float(args.budget),
-        "delta": float(args.delta),
-        "prior": {"mu0": list(prior_mu), "sigma0_sq": list(prior_s2)},
-        "variance_mode": mode,
-        "sigma_sq": list(_pair(args.sigma_sq)) if args.sigma_sq else None,
-        "pretrial_sigma_sq": (
-            list(_pair(args.pretrial_sigma_sq)) if args.pretrial_sigma_sq else None
-        ),
-        "stage": 1,
-        "tolerance_product": 1.0,
+        raise ConfigError("a fresh state needs --budget and --delta (no state file found)")
+    fresh = {
+        "version": 1, "stage": 1, "tolerance_product": 1.0, "pending": None, "last_call": None,
+        "prior": {"mu0": [0.0, 0.0], "sigma0_sq": [100.0, 100.0]}, "variance_mode": "known",
+        "sigma_sq": None, "pretrial_sigma_sq": None,
         "consumed": {"stage_budgets": [], "stage_tolerances": []},
         "stats": _stats_to_json(SufficientStats()),
-        "pending": None,
-        "last_call": None,
     }
+    return _with_flags(args, fresh)
 
 
 def _observed_sums(args: argparse.Namespace, pending: dict[str, Any], mode: str):
@@ -556,106 +609,21 @@ def _observed_sums(args: argparse.Namespace, pending: dict[str, Any], mode: str)
     return args.treated_sum, args.control_sum, args.treated_sumsq or 0.0, args.control_sumsq or 0.0
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_variance(v) -> bool:
-    return _is_number(v) and math.isfinite(v) and v > 0.0
-
-
-def _list_of(check, length=None):
-    return lambda v: (
-        isinstance(v, list) and length in (None, len(v)) and all(map(check, v))
-    )
-
-
-_NUMBER = (_is_number, "a number")
-_COUNT = (_is_count, "an integer")
-_PAIR = (_list_of(_is_number, 2), "a list of two numbers")
-_VARIANCES = (_list_of(_is_variance, 2), "a list of two finite numbers > 0")
-_NUMBERS = (_list_of(_is_number), "a list of numbers")
-_OBJECT = (lambda v: isinstance(v, dict), "an object")
-
-# What next-stage reads from a version-1 state file: each key with the
-# check of its value and what the check wants, or with its own keys.
-_STATE_SCHEMA = {
-    "budget": _NUMBER,
-    "delta": _NUMBER,
-    "prior": {"mu0": _PAIR, "sigma0_sq": _VARIANCES},
-    "variance_mode": (lambda v: v in ("known", "estimated"), "'known' or 'estimated'"),
-    "sigma_sq": _VARIANCES,
-    "pretrial_sigma_sq": _VARIANCES,
-    "stage": _COUNT,
-    "consumed": {"stage_budgets": _NUMBERS, "stage_tolerances": _NUMBERS},
-    "stats": {
-        "treated_sums": _PAIR,
-        "control_sums": _PAIR,
-        "counts": (_list_of(_is_count, 2), "a list of two integers"),
-        "treated_sumsq": _NUMBER,
-        "control_sumsq": _NUMBER,
-    },
-    "pending": {"stage": _COUNT, "m": _COUNT, "n": _COUNT},
-    "last_call": {"inputs": _OBJECT, "outputs": _OBJECT},
-}
-# Keys that may be null or absent.
-_NULLABLE_STATE_KEYS = {"sigma_sq", "pretrial_sigma_sq", "pending", "last_call"}
-
-
-def _check_state_values(path: str, state: dict, schema: dict, prefix: str = "") -> None:
-    for key, spec in schema.items():
-        name = prefix + key
-        value = state.get(key)
-        if value is None and name in _NULLABLE_STATE_KEYS:
-            continue
-        if key not in state:
-            raise ConfigError(f"state file {path} lacks {name!r}")
-        if isinstance(spec, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"state file {path}: {name} must be an object, got {value!r}")
-            _check_state_values(path, value, spec, name + ".")
-        elif not spec[0](value):
-            raise ConfigError(f"state file {path}: {name} must be {spec[1]}, got {value!r}")
-
-
-def _check_state(path: str, state: Any) -> None:
-    """Refuse a state file this version cannot read, naming the first bad key."""
-    if not isinstance(state, dict):
-        raise ConfigError(f"state file {path} does not hold a JSON object")
-    if state.get("version") != 1:
-        raise ConfigError(
-            f"state file {path} has version {state.get('version')!r}; this release reads version 1"
-        )
-    _check_state_values(path, state, _STATE_SCHEMA)
-    if state["variance_mode"] == "known" and state.get("sigma_sq") is None:
-        raise ConfigError(f"state file {path}: known variance mode needs sigma_sq")
-
-
-def _check_flags(args: argparse.Namespace) -> None:
-    """Refuse flag values no stage can use, before the state is read."""
-    if args.n_next is not None and args.n_next < 1:
-        raise ConfigError(f"--n-next must be >= 1, got {args.n_next}")
-    for flag in ("--sigma-sq", "--pretrial-sigma-sq", "--prior-sigma0-sq"):
-        values = getattr(args, flag[2:].replace("-", "_"))
-        if values is not None:
-            _variance_pair(flag, values)
-
-
 def cmd_next_stage(args: argparse.Namespace) -> int:
-    _check_flags(args)
+    _check_flags("next-stage", args)
+    source = f"state file {args.state}"
     if os.path.exists(args.state):
-        with open(args.state, "r", encoding="utf-8") as fh:
-            try:
-                state = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"state file {args.state} is not valid JSON: {exc}") from None
-        _check_state(args.state, state)
+        state = _load_json("state file", args.state)
+        if state.get("version") != 1:
+            raise ConfigError(
+                f"{source} has version {state.get('version')!r}; this release reads version 1"
+            )
+        _check_values(source, state, _STATE_SCHEMA, required=True)
     else:
         state = _fresh_state(args)
+    prior, variance_policy = _prior_and_variance(source, state)
+    if state["variance_mode"] == "known" and state.get("sigma_sq") is None:
+        raise ConfigError(f"{source}: known variance mode needs sigma_sq (--sigma-sq v0 v1)")
     consumed = state["consumed"]
     schedule = RiskSchedule(
         state["budget"], state["delta"], consumed["stage_budgets"], consumed["stage_tolerances"]
@@ -711,15 +679,7 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
         return EXIT_EXHAUSTED
     n_next = int(args.n_next)
 
-    prior = GaussianPrior(
-        mu0=_pair(state["prior"]["mu0"]), sigma0_sq=_pair(state["prior"]["sigma0_sq"])
-    )
-    policy = VariancePolicy(
-        mode=state["variance_mode"],
-        values=_pair(state["sigma_sq"]) if state.get("sigma_sq") else None,
-        pretrial=_pair(state["pretrial_sigma_sq"]) if state.get("pretrial_sigma_sq") else None,
-    )
-    variance = policy.resolve(stats, None)
+    variance = variance_policy.resolve(stats, None)
     posterior = compute_posterior(prior, variance, stats)
     decision = solve_ramp_size(
         posterior,

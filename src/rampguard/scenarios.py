@@ -19,7 +19,7 @@ Families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -370,6 +370,9 @@ def scenario_from_config(spec: "str | dict[str, Any]") -> Scenario:
         return registry[spec]
 
     d = dict(spec)
+    unknown = sorted(d.keys() - {field.name for field in fields(Scenario)})
+    if unknown:
+        raise KeyError(f"unknown scenario keys {unknown}; an inline scenario takes Scenario fields")
     name = d.get("name", "custom")
     family = d["family"]
     T = int(d["T"])

@@ -9,9 +9,11 @@ import pytest
 
 from rampguard import AnalyticPolicy, cli, replication
 from rampguard.cli import main
+from rampguard.mc_solver import CantelliPolicy, CappedEffectCost, TreatmentEffectCost
 from rampguard.posterior import GaussianPrior, VariancePolicy
 from rampguard.scenarios import ScenarioFeed, builtin_scenarios
 from rampguard.schedules import RiskSchedule
+from rampguard.thompson import ThompsonPolicy
 from rampguard.trace import run_stages
 
 GOLDEN = Path(__file__).parent / "data"
@@ -156,13 +158,14 @@ class TestRun:
         # The per-unit reference engine at the CLI's config and seed, written
         # by the CLI's writers. The command itself takes the batch engine
         # (pinned by the next test), so the replications run here directly.
-        config = cli._resolve_run_config(cli._build_parser().parse_args(self.GOLDEN_ARGS))
-        policy = cli._policy_for(config)
+        config = cli._with_flags(cli._build_parser().parse_args(self.GOLDEN_ARGS), {})
+        scenario, _, schedule, policy = cli._resolve("run config", config)
+        seed = config["seed"]
         rows = replication._run_chunk(
-            policy, config.scenario, config.schedule, config.seed, range(config.replications)
+            policy, scenario, schedule, seed, range(config["replications"])
         )
         summary = replication._summarize(
-            replication._stack(rows), config.schedule, config.seed, keep_traces=True
+            replication._stack(rows), schedule, seed, keep_traces=True
         )
         cli._write_schedule_csv(str(tmp_path / "schedule.csv"), summary)
         cli._write_summary_json(str(tmp_path / "summary.json"), summary)
@@ -182,6 +185,159 @@ class TestRun:
         ]
         assert main([*args, "--out", str(tmp_path)]) == 0
         self.assert_golden(tmp_path, "golden_cantelli")
+
+    @pytest.mark.parametrize(
+        "entries, flags, message",
+        [
+            (
+                {"algorithm": "thompson", "thompson": {"cap_at_half": "false"}}, [],
+                "thompson.cap_at_half must be true or false, got 'false'",
+            ),
+            ({"algorithm": "thompson", "thompson": {"c": 0}}, [], "thompson.c must be a finite"),
+            ({"thompsn": {"c": 0.25}}, [], "unknown key 'thompsn'"),
+            ({"mc": {"sample": 500}}, [], "unknown key 'mc.sample'"),
+            ({"prior": {"mu0": [0, 0], "sigma": [1, 1]}}, [], "unknown key 'prior.sigma'"),
+            (
+                {"scenario": {"family": "gaussian_iid", "T": 2, "population": 10, "mean": 0}},
+                [], "unknown scenario keys ['mean']",
+            ),
+            (
+                {"schedule": {"stage_tolerances": {"type": "uniform", "T": 10, "t": 5}}}, [],
+                "schedule.stage_tolerances must be",
+            ),
+            ({"seed": 2.7}, [], "seed must be a whole number >= 0, got 2.7"),
+            ({}, ["--seed", "-1"], "seed must be a whole number >= 0, got -1"),
+            ({"algorithm": "rrc_cantelli", "mc": {"cost": "capped"}}, [], "mc.cost must be"),
+            (
+                {"algorithm": "rrc_cantelli", "mc": {"cost": {"type": "capped_effect"}}}, [],
+                "mc.cost must be",
+            ),
+            (
+                {},
+                ["--algo", "thompson", "--variance-mode", "estimated",
+                 "--pretrial-sigma-sq", "10", "10"],
+                "thompson takes no variance_mode 'estimated'",
+            ),
+        ],
+        ids=[
+            "string-cap-at-half", "zero-c", "misspelt-section", "misspelt-mc-key",
+            "misspelt-prior-key", "inline-scenario-key", "generator-extra-key", "fractional-seed",
+            "negative-seed-flag", "unknown-cost", "capped-cost-without-floor", "thompson-estimated-variances",
+        ],
+    )
+    def test_bad_config_values_exit_one_naming_the_key(
+        self, tmp_path, capsys, entries, flags, message
+    ):
+        config = {"scenario": "npte", "budget": -500, "delta": 0.01, "replications": 2, **entries}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), *flags, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mc_cost_is_honoured(self, tmp_path):
+        config = {
+            "scenario": "norm", "algorithm": "rrc_cantelli", "budget": -500, "delta": 0.05,
+            "replications": 2, "seed": 1, "mc": {"samples": 500},
+        }
+        summaries = {}
+        for name, cost in [
+            ("default", None),
+            ("linear", "treatment_effect"),
+            ("capped", {"type": "capped_effect", "floor": -0.5}),
+        ]:
+            mc = config["mc"] if cost is None else {**config["mc"], "cost": cost}
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**config, "mc": mc}))
+            out = tmp_path / name
+            assert main(["run", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
+            summaries[name] = json.loads((out / "summary.json").read_text())
+        assert summaries["linear"] == summaries["default"]
+        assert summaries["capped"] != summaries["linear"]
+        policy = CantelliPolicy(
+            GaussianPrior((0.0, 0.0), (100.0, 100.0)), VariancePolicy(), samples=500,
+            cost=CappedEffectCost(floor=-0.5),
+        )
+        expected = replication.run_replications(
+            policy, builtin_scenarios()["norm"], RiskSchedule.uniform(-500.0, 0.05, 10), 2, 1,
+            workers=1,
+        )
+        assert summaries["capped"] == expected.to_json_dict()
+
+    def test_readme_config_example_resolves(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Command-line interface")[1]
+        example = json.loads(section.split("```json\n")[1].split("```")[0])
+        scenario, algorithm, schedule, policy = cli._resolve("README", example)
+        assert (scenario.name, algorithm) == ("norm", "rrc_analytic")
+        budgets = (-400.0,) * 5 + (-500.0,) * 5
+        assert schedule == RiskSchedule.uniform(-500.0, 0.05, 10, stage_budgets=budgets)
+        prior = GaussianPrior((0.0, 0.0), (100.0, 100.0))
+        assert policy == AnalyticPolicy(prior, VariancePolicy())
+        # The thompson and mc sections are read by the algorithms they name.
+        _, _, _, policy = cli._resolve("README", {**example, "algorithm": "thompson"})
+        assert policy == ThompsonPolicy(c=1.0, prior=prior, cap_at_half=False)
+        _, _, _, policy = cli._resolve("README", {**example, "algorithm": "rrc_cantelli"})
+        assert policy == CantelliPolicy(prior, VariancePolicy(), 10_000, TreatmentEffectCost())
+
+
+def legacy_figure_jobs(figure):
+    """The preset builders that the config table replaced: (jobs, default replications)."""
+    noninformative = GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=(100.0, 100.0))
+    bandit = GaussianPrior(mu0=(0.0, -2.0), sigma0_sq=(0.05, 0.05))
+
+    def ramp_jobs(scenario, configs):
+        policy = AnalyticPolicy(prior=noninformative, variance=VariancePolicy())
+        return [
+            {"label": label, "scenario": scenario, "algorithm": "rrc_analytic",
+             "schedule": schedule, "policy": policy}
+            for label, schedule in configs
+        ]
+
+    def thompson_jobs(scenario, budget):
+        schedule = RiskSchedule.uniform(budget, 0.01, builtin_scenarios()[scenario].T)
+        return [
+            {"label": f"c{c:g}", "scenario": scenario, "algorithm": "thompson",
+             "schedule": schedule, "policy": ThompsonPolicy(c=c, prior=bandit)}
+            for c in (0.25, 1.0, 4.0)
+        ]
+
+    standard = [
+        ("B-500_d0.05", RiskSchedule.uniform(-500.0, 0.05, 10)),
+        ("B-500_d0.01", RiskSchedule.uniform(-500.0, 0.01, 10)),
+    ]
+    ration_budget = RiskSchedule.uniform(
+        -500.0, 0.01, 10, stage_budgets=tuple(-400.0 if t <= 5 else -500.0 for t in range(1, 11))
+    )
+    ration_tolerance = RiskSchedule(
+        -500.0, 0.01, (-500.0,) * 10, tuple(0.0001 if t <= 5 else 0.0019 for t in range(1, 11))
+    )
+    linkedin_ration = RiskSchedule.uniform(
+        -1500.0, 0.01, 6, stage_budgets=tuple(-400.0 if t <= 4 else -1500.0 for t in range(1, 7))
+    )
+    if figure == "fig1a":
+        return ramp_jobs("pte", standard), 500
+    if figure in ("fig1b", "fig1g"):
+        return ramp_jobs("nte", standard), 500
+    if figure in ("fig1c", "fig1h"):
+        rationed = [("ration_budget", ration_budget), ("ration_tolerance", ration_tolerance)]
+        return ramp_jobs("npte", standard + rationed), 500
+    if figure == "fig1d":
+        configs = [
+            ("B-1500_d0.01", RiskSchedule.uniform(-1500.0, 0.01, 6)),
+            ("ration_budget_linkedin", linkedin_ration),
+        ]
+        return ramp_jobs("linkedin", configs), 500
+    if figure in ("fig1e", "fig1i"):
+        return thompson_jobs("npte", -500.0), 500
+    if figure == "fig1f":
+        return thompson_jobs("linkedin", -1500.0), 500
+    scenario = {"fig2a": "norm", "fig2b": "corr", "fig2c": "bern", "fig2d": "fat", "fig2e": "dec"}
+    return ramp_jobs(scenario[figure], standard[:1]), 5000
+
+
+FIGURES = [f"fig1{c}" for c in "abcdefghi"] + [f"fig2{c}" for c in "abcde"]
 
 
 class TestReproduce:
@@ -231,6 +387,36 @@ class TestReproduce:
         prov = json.loads((tmp_path / "fig1e" / "provenance.json").read_text())
         assert {run["algorithm"] for run in prov["runs"]} == {"thompson"}
         assert {run["label"] for run in prov["runs"]} == {"c0.25", "c1", "c4"}
+
+    @pytest.mark.parametrize("figure", FIGURES)
+    def test_presets_resolve_like_the_builders(self, figure):
+        jobs, default_reps = legacy_figure_jobs(figure)
+        reps, configs = cli._PRESETS[figure]
+        assert reps == default_reps
+        assert list(configs) == [job["label"] for job in jobs]
+        for job, (label, config) in zip(jobs, configs.items()):
+            assert config["scenario"] == job["scenario"], label
+            resolved = cli._resolve(label, config)
+            legacy = (builtin_scenarios()[job["scenario"]], job["algorithm"], job["schedule"],
+                      job["policy"])
+            assert resolved == legacy, label
+
+    @pytest.mark.parametrize("figure", ["fig1c", "fig1e"])
+    def test_golden_outputs(self, tmp_path, figure):
+        # Written by the preset builders that the config table replaced.
+        argv = ["reproduce", figure, "--reps", "20", "--seed", "3", "--workers", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        golden = GOLDEN / "reproduce" / figure
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in (tmp_path / figure).iterdir()) == names
+        for name in names:
+            assert (tmp_path / figure / name).read_text() == (golden / name).read_text(), name
+
+    def test_negative_seed_exits_one_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["reproduce", "fig2a", "--seed", "-1", "--reps", "5", "--out", str(out)]) == 1
+        assert "--seed must be a whole number >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_figure_exits_one(self):
         assert main(["reproduce", "fig9z", "--out", "/tmp"]) == 1
@@ -389,6 +575,11 @@ class TestNextStage:
                 lambda state: state.update(sigma_sq=[0.0, 10.0]),
                 "sigma_sq must be a list of two finite numbers > 0",
             ),
+            (lambda state: state["stats"].update(count=[0, 0]), "unknown key 'stats.count'"),
+            (
+                lambda state: state.update(variance_mode="estimated"),
+                "estimated variance mode needs pretrial_sigma_sq",
+            ),
         ],
         ids=[
             "future-version", "no-version", "no-consumed", "no-stats-counts",
@@ -396,6 +587,8 @@ class TestNextStage:
             "pending-not-object",
             "fractional-pending-m",
             "zero-sigma-sq",
+            "unknown-key",
+            "estimated-without-pretrial",
         ],
     )
     def test_unreadable_state_exits_one(self, tmp_path, capsys, edit, message):

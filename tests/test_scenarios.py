@@ -151,6 +151,14 @@ class TestConfig:
         assert scn.true_mean(0, 1) == pytest.approx(1.0)
         assert scn.true_var(1, 1) == pytest.approx(4.0 * 0.25 * 0.75)
 
+    def test_inline_unknown_key_is_refused(self):
+        spec = {
+            "family": "student_t_shifted", "T": 2, "population": 50, "mean_control": 0.0,
+            "mean_treatment": 1.0, "var_control": 4.0, "var_treatment": 4.0, "tail_dof": 3,
+        }
+        with pytest.raises(KeyError, match="tail_dof"):
+            scenario_from_config(spec)
+
 
 class TestFeed:
     def test_true_cost_uses_both_potentials(self):
