@@ -39,8 +39,8 @@ _EXPORTS = {
         "scenario_from_config",
     ),
     "schedules": (
-        "RiskSchedule", "ScheduleError", "ScheduleReport", "schedule_from_config", "sinc_gamma",
-        "sinc_schedule", "uniform_tolerance", "validate_schedule",
+        "RiskSchedule", "ScheduleError", "schedule_from_config", "sinc_gamma", "sinc_schedule",
+        "uniform_tolerance",
     ),
     "solver": (
         "AnalyticPolicy", "PredictiveMoments", "QuadraticCoefficients", "StageDecision",

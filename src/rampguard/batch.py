@@ -17,9 +17,8 @@ sits beside the policy's scalar ``decide``:
 Per stage the block's generator is consumed by the decision first (the
 Thompson binomial draw; the analytic solver draws nothing), then by
 ``draw_stage_sums`` (treated, counterfactual, control). The loop applies
-the same schedule validation and treated-count range check as the
-per-unit loop, which stays the reference that the tests compare this
-engine against.
+the same treated-count range check as the per-unit loop, which stays the
+reference that the tests compare this engine against.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 
 from .posterior import GaussianPrior, Pair, posterior_moments
 from .scenarios import Scenario, draw_stage_sums
-from .schedules import RiskSchedule, ScheduleError, validate_schedule
+from .schedules import RiskSchedule
 
 __all__ = ["BlockStage", "BlockPolicy", "BlockTraces", "run_block"]
 
@@ -101,9 +100,6 @@ def run_block(
     policy's decision must read only the running sums and counts;
     ``replication.run_replications`` checks both before it gets here.
     """
-    report = validate_schedule(schedule)
-    if not report.valid:
-        raise ScheduleError(f"schedule failed validation: {report}")
     half_cap = getattr(policy, "cap_at_half", True)
 
     counts = (np.zeros(size), np.zeros(size))

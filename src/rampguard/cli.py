@@ -40,12 +40,7 @@ from .posterior import (
     compute_posterior,
     update_stats,
 )
-from .schedules import (
-    RiskSchedule,
-    ScheduleError,
-    schedule_from_config,
-    validate_schedule,
-)
+from .schedules import RiskSchedule, ScheduleError, schedule_from_config
 from .solver import AnalyticPolicy, solve_ramp_size
 
 if TYPE_CHECKING:
@@ -206,6 +201,7 @@ _FLAG_SCHEMA = {
     "--prior-sigma0-sq": _VARIANCES,
     "--reps": _whole(1),
     "--seed": _whole(0),
+    "--workers": _whole(1),
 }
 # Keys that may be null, meaning absent.
 _NULLABLE_KEYS = {"sigma_sq", "pretrial_sigma_sq", "pending", "last_call"}
@@ -298,17 +294,14 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
         scenario = scenario_from_config(config["scenario"])
     except KeyError as exc:
         raise ConfigError(str(exc.args[0])) from None
-    try:
-        schedule = schedule_from_config(
-            {
-                "stage_tolerances": {"type": "uniform", "T": scenario.T},
-                **config.get("schedule", {}),
-                "budget": config["budget"],
-                "delta": config["delta"],
-            }
-        )
-    except ScheduleError as exc:
-        raise ConfigError(f"bad schedule config: {exc}") from None
+    schedule = schedule_from_config(
+        {
+            "stage_tolerances": {"type": "uniform", "T": scenario.T},
+            **config.get("schedule", {}),
+            "budget": config["budget"],
+            "delta": config["delta"],
+        }
+    )
 
     prior, variance = _prior_and_variance(source, config)
     algorithm = config.get("algorithm", "rrc_analytic")
@@ -391,11 +384,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     config = _with_flags(args, _load_json("config file", args.config) if args.config else {})
     scenario, _, schedule, policy = _resolve("run config", config)
+    _check_flags("run", args)
     workers = _workers(args.workers)
-    report = validate_schedule(schedule)
-    if not report.valid:
-        return _fail(EXIT_SCHEDULE, f"schedule failed validation: {report}")
-
     summary = run_replications(
         policy,
         scenario,
@@ -480,6 +470,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     reps = default_reps if args.reps is None else args.reps
     seed = 0 if args.seed is None else args.seed
     workers = _workers(args.workers)
+    runs = [(label, config, *_resolve(f"preset {figure} {label}", config))
+            for label, config in configs.items()]
     out_dir = os.path.join(args.out or ".", figure)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -489,8 +481,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             "the production ramp overlay is not bundled; supply it as a user file"
         )
 
-    for label, config in configs.items():
-        scenario, algorithm, schedule, policy = _resolve(f"preset {figure} {label}", config)
+    for label, config, scenario, algorithm, schedule, policy in runs:
         summary = run_replications(policy, scenario, schedule, reps, seed, workers=workers)
         header = [
             f"figure={figure} label={label} scenario={config['scenario']} "
@@ -624,6 +615,7 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
     prior, variance_policy = _prior_and_variance(source, state)
     if state["variance_mode"] == "known" and state.get("sigma_sq") is None:
         raise ConfigError(f"{source}: known variance mode needs sigma_sq (--sigma-sq v0 v1)")
+    # Consumed stages that break the schedule rule are refused here (exit 2).
     consumed = state["consumed"]
     schedule = RiskSchedule(
         state["budget"], state["delta"], consumed["stage_budgets"], consumed["stage_tolerances"]
@@ -663,9 +655,10 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
     elif args.treated_sum is not None or args.control_sum is not None:
         raise ConfigError("no stage is awaiting observations; drop the observed sums")
 
-    # The stage is admitted by the rule that validates a whole schedule.
-    # Once delta is spent, every call that names no stage it still admits
-    # (a zero-tolerance stage it does) is answered as exhausted.
+    # The stage is admitted by the schedule rule, as one more stage of the
+    # consumed schedule. Once delta is spent, every call that names no
+    # stage it still admits (a zero-tolerance stage it does) is answered as
+    # exhausted.
     try:
         if args.n_next is None or args.delta_next is None or args.b_next is None:
             raise ConfigError("--n-next, --delta-next and --b-next are required")

@@ -82,7 +82,7 @@ class CompactTrace:
 
 
 def _run_one(policy: Policy, scenario: Scenario, schedule: RiskSchedule, seed: int, rep: int):
-    feed = ScenarioFeed(scenario, replication_stream(seed, rep, 0))
+    feed = ScenarioFeed(scenario, replication_stream(seed, rep, 0), getattr(policy, "cost", None))
     records = run_stages(schedule, feed, policy, lambda t: replication_stream(seed, rep, t)).records
     return tuple([getattr(r, f) for r in records] for f in _COLUMNS)
 
@@ -221,9 +221,12 @@ def resolve_workers(explicit: "int | None" = None) -> int:
     env = os.environ.get("RAMPGUARD_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
-            raise ValueError(f"RAMPGUARD_THREADS must be an integer, got {env!r}") from None
+            count = 0
+        if count < 1:
+            raise ValueError(f"RAMPGUARD_THREADS must be an integer >= 1, got {env!r}")
+        return count
     return min(os.cpu_count() or 1, 8)
 
 
@@ -239,7 +242,8 @@ def run_replications(
 ) -> ReplicationSummary:
     """Run K_rep independent experiments and summarize them.
 
-    Ruin is accounted on the true (counterfactual-aware) costs: a
+    Ruin is accounted on the true (counterfactual-aware) costs, in the
+    policy's ``cost`` when it has one, so the cost the policy bounds: a
     replication is ruined when its final cumulative cost is at or below the
     budget. Quantile curves cover the treated-group sizes and the running
     budget surplus per stage. The engine follows from the inputs alone

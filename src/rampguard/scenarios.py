@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .trace import StageFeed, StageOutcome
+
+if TYPE_CHECKING:
+    from .mc_solver import CostFunction
 
 __all__ = [
     "FAMILIES",
@@ -233,12 +236,17 @@ class ScenarioFeed:
 
     Units are exchangeable within a stage, so the first m generated units
     form the treated group; their individual observed outcomes are reported
-    too (the Monte-Carlo solver needs them).
+    too (the Monte-Carlo solver needs them). A stage's true cost sums
+    ``cost.evaluate(y1, y0)`` over the treated units, the treatment effect
+    ``y1 - y0`` when ``cost`` is None.
     """
 
-    def __init__(self, scenario: Scenario, rng: np.random.Generator) -> None:
+    def __init__(
+        self, scenario: Scenario, rng: np.random.Generator, cost: CostFunction | None = None
+    ) -> None:
         self.scenario = scenario
         self.rng = rng
+        self.cost = cost
 
     @property
     def num_stages(self) -> int:
@@ -257,12 +265,13 @@ class ScenarioFeed:
             raise ValueError(f"m={m} outside [0, N_t={n}] at stage {t}")
         treated = y1[:m]
         control = y0[m:]
+        cost = treated - y0[:m] if self.cost is None else self.cost.evaluate(treated, y0[:m])
         return StageOutcome(
             treated_sum=float(treated.sum()),
             treated_sumsq=float((treated * treated).sum()),
             control_sum=float(control.sum()),
             control_sumsq=float((control * control).sum()),
-            true_cost=float((y1[:m] - y0[:m]).sum()),
+            true_cost=float(cost.sum()),
             treated_outcomes=treated,
         )
 

@@ -2,12 +2,14 @@
 
 A release plan fixes a total budget ``B < 0`` on the cumulative cost and an
 overall ruin tolerance ``delta``. Each stage t carries a threshold ``b_t``
-(no smaller than B) and a stage tolerance ``Delta_t``; the plan is valid
-when every ``Delta_t`` lies in [0, 1) and the product of ``(1 - Delta_t)``
-stays at or above ``1 - delta``. Because every factor is at most one, the
-running product is nonincreasing, so a valid plan remains valid when
-truncated, and it can be extended stage by stage as long as the product
-constraint still holds.
+(no smaller than B) and a stage tolerance ``Delta_t`` in [0, 1), and the
+product of ``(1 - Delta_t)`` stays at or above ``1 - delta``: the rule from
+which the ruin guarantee follows. ``RiskSchedule`` is valid by
+construction: its constructor is the one place that checks the rule, so
+every schedule a caller holds admits all of its stages. Because every
+factor is at most one, the running product is nonincreasing, so a valid
+plan remains valid when truncated, and it can be extended stage by stage
+as long as the product constraint still holds.
 
 Two stock tolerance constructions are provided: a uniform split that spends
 the tolerance evenly over a fixed horizon, and an infinite-horizon sequence
@@ -25,11 +27,9 @@ __all__ = [
     "REL_SLACK",
     "ScheduleError",
     "RiskSchedule",
-    "ScheduleReport",
     "uniform_tolerance",
     "sinc_gamma",
     "sinc_schedule",
-    "validate_schedule",
     "schedule_from_config",
 ]
 
@@ -38,7 +38,7 @@ REL_SLACK = 1e-12
 
 
 class ScheduleError(ValueError):
-    """Raised for structurally invalid schedules or extensions."""
+    """Raised for a schedule or an extension that breaks the schedule rule."""
 
 
 def uniform_tolerance(delta: float, T: int) -> tuple[float, ...]:
@@ -99,9 +99,11 @@ def sinc_schedule(delta: float, T_horizon: int) -> tuple[float, ...]:
 class RiskSchedule:
     """Total budget, overall tolerance and the per-stage sequences.
 
-    Construction checks only the scalar domains and shape; use
-    :func:`validate_schedule` for the full per-stage report, since invalid
-    sequences must be representable in order to be reported on.
+    Valid by construction: the constructor refuses, with a
+    :class:`ScheduleError` naming the first stage that fails, any plan
+    whose stage budget is not finite or falls below ``budget``, whose
+    tolerance lies outside [0, 1), or whose running product of
+    ``(1 - Delta_t)`` dips below ``1 - delta`` (within ``REL_SLACK``).
     """
 
     budget: float
@@ -123,10 +125,21 @@ class RiskSchedule:
                 f"{len(self.stage_budgets)} stage budgets vs "
                 f"{len(self.stage_tolerances)} stage tolerances"
             )
-        if not all(math.isfinite(b) for b in self.stage_budgets):
-            raise ScheduleError("stage budgets must be finite")
-        if not all(math.isfinite(d) for d in self.stage_tolerances):
-            raise ScheduleError("stage tolerances must be finite")
+        threshold = (1.0 - self.delta) * (1.0 - REL_SLACK)
+        prod = 1.0
+        for t, (b, d) in enumerate(zip(self.stage_budgets, self.stage_tolerances), start=1):
+            if not (math.isfinite(b) and b >= self.budget):
+                raise ScheduleError(
+                    f"stage {t}: budget {b!r} must be finite and >= the total budget {self.budget}"
+                )
+            if not 0.0 <= d < 1.0:
+                raise ScheduleError(f"stage {t}: tolerance must be in [0, 1), got {d!r}")
+            prod *= 1.0 - d
+            if prod < threshold:
+                raise ScheduleError(
+                    f"stage {t}: tolerance product {prod:.12g} falls below "
+                    f"1 - delta = {1.0 - self.delta:.12g}"
+                )
 
     @property
     def num_stages(self) -> int:
@@ -146,28 +159,12 @@ class RiskSchedule:
         return self.tolerance_product() <= (1.0 - self.delta) * (1.0 + REL_SLACK)
 
     def extended(self, b_next: float, delta_next: float) -> "RiskSchedule":
-        """Append one stage, accepted only if the product constraint holds.
-
-        The new stage must satisfy ``b_next >= budget`` and keep
-        ``prod(1 - Delta_t) >= (1 - delta)`` within the relative slack.
-        """
-        if b_next < self.budget:
-            raise ScheduleError(
-                f"stage budget {b_next} is below the total budget {self.budget}"
-            )
-        if not 0.0 <= delta_next < 1.0:
-            raise ScheduleError(f"stage tolerance must be in [0, 1), got {delta_next!r}")
-        new_prod = self.tolerance_product() * (1.0 - delta_next)
-        if new_prod < (1.0 - self.delta) * (1.0 - REL_SLACK):
-            raise ScheduleError(
-                "extension rejected: tolerance product "
-                f"{new_prod:.12g} would fall below 1 - delta = {1.0 - self.delta:.12g}"
-            )
+        """This schedule with one more stage, if the schedule rule admits it."""
         return RiskSchedule(
             self.budget,
             self.delta,
-            self.stage_budgets + (float(b_next),),
-            self.stage_tolerances + (float(delta_next),),
+            self.stage_budgets + (b_next,),
+            self.stage_tolerances + (delta_next,),
         )
 
     @classmethod
@@ -199,61 +196,6 @@ class RiskSchedule:
             "stage_budgets": list(self.stage_budgets),
             "stage_tolerances": list(self.stage_tolerances),
         }
-
-
-@dataclass(frozen=True)
-class ScheduleReport:
-    """Per-condition validity report; never raises, only describes."""
-
-    valid: bool
-    budget_ok: bool
-    budget_violations: tuple[int, ...]  # 1-based stage indices with b_t < B
-    tolerance_range_ok: bool
-    tolerance_range_violations: tuple[int, ...]  # stages with Delta_t outside [0, 1)
-    product: float
-    product_ok: bool
-    first_prefix_violation: "int | None"  # first stage where the running product dips
-
-
-def validate_schedule(schedule: RiskSchedule) -> ScheduleReport:
-    """Check the per-stage budget floor and the tolerance product.
-
-    The product check is applied to every prefix as a running constraint
-    (equivalent to capping each ``Delta_t`` by the remaining headroom) and
-    the first violating stage is reported. Comparisons carry a 1e-12
-    relative slack to absorb rounding.
-    """
-    floor_limit = schedule.budget  # b_t >= B, with B < 0
-    budget_violations = tuple(
-        t for t, b in enumerate(schedule.stage_budgets, start=1) if b < floor_limit
-    )
-    range_violations = tuple(
-        t
-        for t, d in enumerate(schedule.stage_tolerances, start=1)
-        if not 0.0 <= d < 1.0
-    )
-
-    threshold = (1.0 - schedule.delta) * (1.0 - REL_SLACK)
-    prod = 1.0
-    first_bad: "int | None" = None
-    for t, d in enumerate(schedule.stage_tolerances, start=1):
-        prod *= 1.0 - d
-        if first_bad is None and prod < threshold:
-            first_bad = t
-
-    budget_ok = not budget_violations
-    range_ok = not range_violations
-    product_ok = first_bad is None
-    return ScheduleReport(
-        valid=budget_ok and range_ok and product_ok,
-        budget_ok=budget_ok,
-        budget_violations=budget_violations,
-        tolerance_range_ok=range_ok,
-        tolerance_range_violations=range_violations,
-        product=prod,
-        product_ok=product_ok,
-        first_prefix_violation=first_bad,
-    )
 
 
 def schedule_from_config(config: dict[str, Any]) -> RiskSchedule:

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 import numpy as np
 
 from .posterior import SufficientStats, update_stats
-from .schedules import RiskSchedule, ScheduleError, validate_schedule
+from .schedules import RiskSchedule
 
 if TYPE_CHECKING:
     from .solver import StageDecision
@@ -30,7 +30,7 @@ class StageOutcome:
 
     The sums and sums of squares are the observable side (treated outcomes
     under treatment, control outcomes under control). ``true_cost`` is the
-    simulator-side sum of per-treated-unit effects, which requires both
+    simulator-side sum of per-treated-unit costs, which requires both
     potential outcomes and is never observable in a real deployment.
     ``treated_outcomes`` carries the individual observed treated values, or
     None from a feed that does not report them (the Monte-Carlo solver
@@ -155,9 +155,6 @@ def run_stages(
     to its sampling stream; by default stage t samples from a generator
     seeded t.
     """
-    report = validate_schedule(schedule)
-    if not report.valid:
-        raise ScheduleError(f"schedule failed validation: {report}")
     if not callable(getattr(policy, "decide", None)):
         raise TypeError(f"{type(policy).__name__} is not a policy: it has no decide method")
     if streams is None:

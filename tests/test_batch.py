@@ -195,9 +195,8 @@ def test_engine_follows_the_inputs(monkeypatch):
 
 def test_block_keeps_the_per_unit_checks(monkeypatch):
     scn = builtin_scenarios()["norm"]
-    bad = RiskSchedule(-500.0, 0.01, (-500.0,) * 3, (0.02, 0.0, 0.0))
     with pytest.raises(ScheduleError):
-        run_replications(ANALYTIC, scn, bad, 5, 0)
+        RiskSchedule(-500.0, 0.01, (-500.0,) * 3, (0.02, 0.0, 0.0))
 
     # A schedule longer than the scenario stops when the feed runs out.
     long = RiskSchedule.uniform(-500.0, 0.05, 12)

@@ -70,6 +70,24 @@ class TestRun:
         code = main(["run", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--budget", "0", "budget must be finite and < 0, got 0.0"),
+            ("--delta", "1.5", "delta must be in [0, 1), got 1.5"),
+        ],
+        ids=["zero-budget", "delta-above-one"],
+    )
+    def test_scalar_schedule_faults_exit_two_writing_nothing(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        argv = ["run", "--scenario", "pte", "--budget", "-500", "--delta", "0.05", "--reps", "2"]
+        argv[argv.index(flag) + 1] = value
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_budget_exits_one(self):
         assert main(["run", "--scenario", "pte"]) == 1
 
@@ -412,6 +430,31 @@ class TestReproduce:
         for name in names:
             assert (tmp_path / figure / name).read_text() == (golden / name).read_text(), name
 
+    def test_invalid_preset_schedule_exits_two_writing_nothing(self, tmp_path, monkeypatch):
+        configs = {
+            "valid": {"scenario": "pte", "budget": -500, "delta": 0.05},
+            "invalid": {"scenario": "pte", "budget": -500, "delta": 0.05,
+                        "schedule": {"stage_budgets": -600}},
+        }
+        monkeypatch.setitem(cli._PRESETS, "fig1a", (2, configs))
+        assert main(["reproduce", "fig1a", "--out", str(tmp_path), "--workers", "1"]) == 2
+        assert not (tmp_path / "fig1a").exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--scenario", "norm", "--budget", "-500", "--delta", "0.05", "--reps", "5",
+             "--workers", "-4"],
+            ["reproduce", "fig2a", "--reps", "5", "--workers", "0"],
+        ],
+        ids=["run", "reproduce"],
+    )
+    def test_workers_below_one_exit_one(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([*command, "--out", str(out)]) == 1
+        assert "--workers must be a whole number >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exits_one_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["reproduce", "fig2a", "--seed", "-1", "--reps", "5", "--out", str(out)]) == 1
@@ -554,6 +597,33 @@ class TestNextStage:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "consumed,message",
+        [
+            ({"stage_budgets": [-900.0], "stage_tolerances": [0.005]}, "stage 1: budget -900.0"),
+            (
+                {"stage_budgets": [-500.0] * 2, "stage_tolerances": [0.04, 0.04]},
+                "stage 2: tolerance product",
+            ),
+        ],
+        ids=["stage-budget-below-floor", "tolerances-spend-more-than-delta"],
+    )
+    def test_consumed_stages_that_break_the_schedule_exit_two(
+        self, tmp_path, capsys, consumed, message
+    ):
+        state = tmp_path / "state.json"
+        assert main([*self.FRESH, "--state", str(state)]) == 0
+        saved = json.loads(state.read_text())
+        saved["consumed"] = consumed
+        state.write_text(json.dumps(saved))
+        before = state.read_bytes()
+        capsys.readouterr()
+        argv = ["next-stage", "--state", str(state), "--treated-sum", "13.0",
+                "--control-sum", "487.0", *self.NEXT]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert state.read_bytes() == before
 
     @pytest.mark.parametrize(
         "edit,message",

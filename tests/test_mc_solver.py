@@ -24,8 +24,8 @@ from rampguard.posterior import (
     PosteriorState,
     VariancePolicy,
 )
-from rampguard.replication import run_replications
-from rampguard.scenarios import ScenarioFeed, builtin_scenarios
+from rampguard.replication import replication_stream, run_replications
+from rampguard.scenarios import ScenarioFeed, builtin_scenarios, generate_stage_outcomes
 from rampguard.schedules import RiskSchedule
 from rampguard.solver import BRANCH_ZERO_TOL, solve_ramp_size
 from rampguard.trace import StageOutcome, run_stages
@@ -515,6 +515,27 @@ class TestRunCantelli:
         )
         got = json.dumps(summary.to_json_dict(), sort_keys=True, indent=2) + "\n"
         assert got == (GOLDEN / "golden_cantelli_capped_summary.json").read_text()
+
+    def test_stage_costs_are_the_cost_the_policy_bounds(self):
+        # Each stage's cost is the capped cost of its treated units, the
+        # first m units that the replication's feed stream drew.
+        scn, seed, floor = builtin_scenarios()["norm"], 1, -0.5
+        policy = CantelliPolicy(
+            self.PRIOR, VariancePolicy(), samples=500, cost=CappedEffectCost(floor=floor)
+        )
+        summary = run_replications(
+            policy, scn, RiskSchedule.uniform(-500.0, 0.05, 10), 2, seed, keep_traces=True
+        )
+        columns = summary.traces.columns
+        for rep in range(2):
+            rng = replication_stream(seed, rep, 0)
+            for t in range(1, scn.T + 1):
+                y0, y1 = generate_stage_outcomes(scn, t, rng)
+                m = columns.m[rep, t - 1]
+                capped = np.maximum(y1[:m] - y0[:m], floor).sum()
+                assert columns.stage_cost[rep, t - 1] == capped
+        assert columns.m.sum() > 0
+        assert (columns.stage_cost >= floor * columns.m).all()
 
     def test_more_conservative_than_analytic_on_stage_one(self):
         scn = builtin_scenarios()["pte"]

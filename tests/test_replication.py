@@ -45,6 +45,13 @@ class TestStreams:
         monkeypatch.delenv("RAMPGUARD_THREADS")
         assert resolve_workers() >= 1
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+    def test_resolve_workers_refuses_a_thread_variable_below_one(self, monkeypatch, value):
+        monkeypatch.setenv("RAMPGUARD_THREADS", value)
+        message = f"RAMPGUARD_THREADS must be an integer >= 1, got '{value}'"
+        with pytest.raises(ValueError, match=message):
+            resolve_workers()
+
 
 class InlineExecutor:
     """Stands in for ProcessPoolExecutor: records its size and its worker

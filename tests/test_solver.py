@@ -13,7 +13,7 @@ from rampguard.posterior import (
     VariancePolicy,
 )
 from rampguard.scenarios import ScenarioFeed, builtin_scenarios
-from rampguard.schedules import RiskSchedule
+from rampguard.schedules import RiskSchedule, ScheduleError
 from rampguard.solver import (
     BRANCH_CAP,
     BRANCH_EMPTY,
@@ -392,10 +392,8 @@ class TestRunExperiment:
         assert trace.records[0].m == known.records[0].m
 
     def test_invalid_schedule_rejected(self):
-        bad = RiskSchedule(-500.0, 0.01, (-500.0,) * 3, (0.02, 0.0, 0.0))
-        feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(4))
-        with pytest.raises(Exception):
-            run_stages(bad, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
+        with pytest.raises(ScheduleError):
+            RiskSchedule(-500.0, 0.01, (-500.0,) * 3, (0.02, 0.0, 0.0))
 
     def test_pte_median_reaches_max_power(self):
         # Median over a small replication batch; the full-size check lives
