@@ -14,15 +14,17 @@ sits beside the policy's scalar ``decide``:
 - ``ThompsonPolicy`` draws the block's treated counts with one binomial
   call at the vectorized assignment probabilities.
 
-Per stage the block's generator is consumed by the decision first (the
-Thompson binomial draw; the analytic solver draws nothing), then by
-``draw_stage_sums`` (treated, counterfactual, control). The loop applies
-the same treated-count range check as the per-unit loop, which stays the
-reference that the tests compare this engine against.
+``run_block`` may stack blocks into one pass whose numpy calls cover them
+all. Per stage each block draws from its own generator what it would alone:
+the decision first (the Thompson binomial draw; the analytic solver draws
+nothing), then ``draw_stage_sums`` (treated, counterfactual, control). The
+loop applies the same treated-count range check as the per-unit loop,
+which stays the reference that the tests compare this engine against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
@@ -54,7 +56,8 @@ class BlockStage(NamedTuple):
 
     ``counts`` (whole numbers held as floats), ``sum_control`` and
     ``sum_treated`` are the running statistics of every replication, one
-    array entry each. ``rng`` is the block's stream.
+    array entry each. ``rng`` is the block's generator, or for stacked
+    blocks a ``_Streams`` that draws each block's rows from its generator.
     """
 
     t: int
@@ -65,7 +68,7 @@ class BlockStage(NamedTuple):
     sum_control: np.ndarray
     sum_treated: np.ndarray
     scenario: Scenario
-    rng: np.random.Generator
+    rng: "np.random.Generator | _Streams"
 
     def true_variance(self, t: int) -> Pair:
         return (self.scenario.true_var(0, t), self.scenario.true_var(1, t))
@@ -85,15 +88,34 @@ class BlockPolicy(Protocol):
     def decide_block(self, stage: BlockStage) -> tuple[np.ndarray, np.ndarray]: ...
 
 
+class _Streams:
+    """Stacked blocks' generators. Block ``b`` draws rows ``b * size`` up to
+    ``(b + 1) * size`` from its own generator, as it would alone: the same
+    call shape, on its rows of the parameters. Draws are joined by row."""
+
+    def __init__(self, rngs: Sequence[np.random.Generator], size: int):
+        self.parts = [(g, slice(b * size, (b + 1) * size)) for b, g in enumerate(rngs)]
+
+    def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
+        block = (*shape[:-1], shape[-1] // len(self.parts))
+        return np.concatenate([g.standard_normal(block) for g, _ in self.parts], axis=-1)
+
+    def binomial(self, n, p) -> np.ndarray:
+        n, p = np.broadcast_arrays(n, p)
+        return np.concatenate([g.binomial(n[..., r], p[..., r]) for g, r in self.parts], axis=-1)
+
+
 def run_block(
     policy: BlockPolicy,
     schedule: RiskSchedule,
     scenario: Scenario,
-    rng: np.random.Generator,
+    rng: "np.random.Generator | Sequence[np.random.Generator]",
     size: int,
 ) -> BlockTraces:
-    """Run ``size`` independent replications of the stage loop under ``policy``.
+    """Run blocks of ``size`` independent replications of the stage loop.
 
+    ``rng`` is one block's generator, or a sequence of generators, one per
+    block, whose blocks run stacked as one pass with rows in block order.
     Stages run while the schedule has entries and the scenario has stages;
     these stop rules do not depend on the data, so every replication runs
     the same stages. The scenario's family must have a sum law and the
@@ -101,6 +123,10 @@ def run_block(
     ``replication.run_replications`` checks both before it gets here.
     """
     half_cap = getattr(policy, "cap_at_half", True)
+    if not isinstance(rng, np.random.Generator):
+        rngs = list(rng)
+        rng = rngs[0] if len(rngs) == 1 else _Streams(rngs, size)
+        size *= len(rngs)
 
     counts = (np.zeros(size), np.zeros(size))
     sum_control = np.zeros(size)

@@ -138,8 +138,9 @@ def _is_cost(v) -> bool:
 
 
 _NUMBER = (_is_number, "a number")
-_COUNT = (_is_count, "an integer")
-_PAIR = (_list_of(_is_number, 2), "a list of two numbers")
+_COUNT = (lambda v: _is_count(v) and v >= 0, "an integer >= 0")
+_STAGE = (lambda v: _is_count(v) and v >= 1, "an integer >= 1")
+_PAIR = (_list_of(_is_finite, 2), "a list of two finite numbers")
 _POSITIVE = (lambda v: _is_finite(v) and v > 0.0, "a finite number > 0")
 _VARIANCES = (_list_of(_POSITIVE[0], 2), "a list of two finite numbers > 0")
 _NUMBERS = (_list_of(_is_number), "a list of numbers")
@@ -180,7 +181,7 @@ _STATE_SCHEMA = {
     "budget": _NUMBER,
     "delta": _NUMBER,
     **_BELIEF_SCHEMA,
-    "stage": _COUNT,
+    "stage": _STAGE,
     "tolerance_product": _NUMBER,
     "consumed": {"stage_budgets": _NUMBERS, "stage_tolerances": _NUMBERS},
     "stats": {
@@ -190,12 +191,13 @@ _STATE_SCHEMA = {
         "treated_sumsq": _NUMBER,
         "control_sumsq": _NUMBER,
     },
-    "pending": {"stage": _COUNT, "m": _COUNT, "n": _COUNT},
+    "pending": {"stage": _STAGE, "m": _COUNT, "n": _STAGE},
     "last_call": {"inputs": _OBJECT, "outputs": _OBJECT},
 }
 # Flag values that no command can use, refused before anything is read.
 _FLAG_SCHEMA = {
     "--n-next": (lambda v: v >= 1, ">= 1"),
+    "--prior-mu0": _PAIR,
     "--sigma-sq": _VARIANCES,
     "--pretrial-sigma-sq": _VARIANCES,
     "--prior-sigma0-sq": _VARIANCES,
@@ -504,8 +506,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                 header,
                 ["replication", "final_cost", "ruined"],
                 (
-                    [rep, float(cost), int(cost <= schedule.budget)]
-                    for rep, cost in enumerate(summary.final_costs)
+                    [rep, cost, int(cost <= schedule.budget)]
+                    for rep, cost in enumerate(summary.final_costs.tolist())
                 ),
             )
             _write_table(
@@ -600,6 +602,23 @@ def _observed_sums(args: argparse.Namespace, pending: dict[str, Any], mode: str)
     return args.treated_sum, args.control_sum, args.treated_sumsq or 0.0, args.control_sumsq or 0.0
 
 
+def _check_progress(source: str, state: dict[str, Any], schedule: RiskSchedule) -> None:
+    """Refuse counters of a state file that disagree with its consumed stages."""
+    done, pending = schedule.num_stages, state["pending"]
+    checks = [
+        ("stage", state["stage"], done + 1, "one more than the consumed stages"),
+        ("tolerance_product", state["tolerance_product"], schedule.tolerance_product(),
+         "the product of (1 - Delta_t) over the consumed stages"),
+    ]
+    if pending is not None:
+        if pending["m"] > pending["n"]:
+            raise ConfigError(f"{source}: pending.m must be <= pending.n, got {pending['m']!r}")
+        checks.append(("pending.stage", pending["stage"], done, "the number of consumed stages"))
+    for key, value, want, why in checks:
+        if value != want:
+            raise ConfigError(f"{source}: {key} must be {want!r}, {why}, got {value!r}")
+
+
 def cmd_next_stage(args: argparse.Namespace) -> int:
     _check_flags("next-stage", args)
     source = f"state file {args.state}"
@@ -620,6 +639,7 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
     schedule = RiskSchedule(
         state["budget"], state["delta"], consumed["stage_budgets"], consumed["stage_tolerances"]
     )
+    _check_progress(source, state, schedule)
 
     inputs = {
         "n_next": args.n_next,

@@ -5,12 +5,13 @@ exact law (Gaussian and scaled-Bernoulli families), analytic runs with
 known variances and Thompson runs take the batch engine
 (``batch.run_block``): replications are grouped into blocks of
 ``BLOCK_SIZE``, and each block owns one random stream keyed by (seed,
-``STREAM_TAG``, block index). Every other run takes the per-unit engine,
-where each replication owns a stream keyed by (seed, replication index, 0)
-and draws every unit's outcomes.
+``STREAM_TAG``, block index). Its unit of work is a group of up to
+``GROUP_BLOCKS`` consecutive blocks, stacked in one ``run_block`` pass.
+Every other run takes the per-unit engine, where each replication owns a
+stream keyed by (seed, replication index, 0) and draws every unit's outcomes.
 
 Either way a replication's result depends only on the seed and its index:
-blocks are always drawn whole, and workers take whole blocks or whole
+blocks are always drawn whole, and workers take whole groups or whole
 replications. Both engines give (replications, stages) arrays in index
 order, which keeps summaries byte-identical across worker counts.
 """
@@ -19,13 +20,11 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .batch import BlockTraces, run_block
-from .mc_solver import set_cpu_share
 from .scenarios import Scenario, ScenarioFeed, has_sum_law
 from .schedules import RiskSchedule
 from .solver import AnalyticPolicy
@@ -34,6 +33,7 @@ from .trace import Policy, run_stages
 
 __all__ = [
     "BLOCK_SIZE",
+    "GROUP_BLOCKS",
     "STREAM_TAG",
     "CompactTrace",
     "ReplicationSummary",
@@ -47,6 +47,8 @@ QUANTILE_LEVELS = (25.0, 50.0, 75.0)
 
 # Replications per batch-engine block; every block is drawn whole.
 BLOCK_SIZE = 256
+# Blocks per batch-engine group, the unit of work: 8,192 replications or fewer run in process.
+GROUP_BLOCKS = 32
 # Second key word of every batch-engine stream (see replication_stream).
 STREAM_TAG = 0xFFFF_FFFF
 # The per-stage result columns both engines produce, in BlockTraces order.
@@ -111,13 +113,14 @@ def _takes_batch_engine(policy: Policy, scenario: Scenario) -> bool:
     return type(policy) is ThompsonPolicy
 
 
-def _run_blocks(policy, scenario, schedule, seed, blocks) -> list[BlockTraces]:
-    return [
-        run_block(
-            policy, schedule, scenario, replication_stream(seed, STREAM_TAG, block), BLOCK_SIZE
-        )
-        for block in blocks
-    ]
+def _run_groups(policy, scenario, schedule, seed, n_blocks, groups) -> list[BlockTraces]:
+    """Each group's traces: its blocks of ``range(n_blocks)`` stacked in one pass."""
+    traces = []
+    for g in groups:
+        blocks = range(g * GROUP_BLOCKS, min((g + 1) * GROUP_BLOCKS, n_blocks))
+        rngs = [replication_stream(seed, STREAM_TAG, b) for b in blocks]
+        traces.append(run_block(policy, schedule, scenario, rngs, BLOCK_SIZE))
+    return traces
 
 
 def _map_chunks(fn, count: int, workers: int, *args) -> list:
@@ -135,6 +138,10 @@ def _map_chunks(fn, count: int, workers: int, *args) -> list:
     pool_size = min(workers, cpus, chunk_count)
     if pool_size <= 1:
         return fn(*args, range(count))
+    from concurrent.futures import ProcessPoolExecutor
+
+    from .mc_solver import set_cpu_share
+
     results: list = [None] * count
     with ProcessPoolExecutor(
         max_workers=pool_size, initializer=set_cpu_share, initargs=(cpus // pool_size,)
@@ -255,9 +262,10 @@ def run_replications(
 
     if _takes_batch_engine(policy, scenario):
         n_blocks = -(-K_rep // BLOCK_SIZE)
-        blocks = _map_chunks(_run_blocks, n_blocks, workers, policy, scenario, schedule, seed)
-        columns = (np.concatenate([getattr(b, f) for b in blocks])[:K_rep] for f in _COLUMNS)
-        results = BlockTraces(*columns, blocks[0].labels)
+        args = (policy, scenario, schedule, seed, n_blocks)
+        groups = _map_chunks(_run_groups, -(-n_blocks // GROUP_BLOCKS), workers, *args)
+        columns = (np.concatenate([getattr(g, f) for g in groups])[:K_rep] for f in _COLUMNS)
+        results = BlockTraces(*columns, groups[0].labels)
     else:
         results = _stack(_map_chunks(_run_chunk, K_rep, workers, policy, scenario, schedule, seed))
     return _summarize(results, schedule, seed, keep_traces)

@@ -213,6 +213,9 @@ def solve_ramp_size(
         return decision(cap, BRANCH_CAP)
 
     coef = quadratic_coefficients(moments, S_T1_prev, b_t, q)
+    if math.isnan(coef.B) or math.isnan(coef.C):
+        # Overflow made a coefficient NaN: solve_ramp_sizes finds no root there.
+        return decision(0, BRANCH_EMPTY)
     scale = max(abs(coef.B), abs(coef.C), 1.0)
     roots: list[float] = []
     if abs(coef.A) < _DEGENERATE_A * scale:
@@ -231,7 +234,7 @@ def solve_ramp_size(
         roots.append((-coef.B - sq) / (2.0 * coef.A))
 
     candidates: set[int] = set()
-    for r in roots:
+    for r in filter(math.isfinite, roots):
         base = math.floor(r)
         candidates.add(base)
         candidates.add(base + 1)

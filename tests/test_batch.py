@@ -1,14 +1,17 @@
 """The batch engine against its exact laws and against the per-unit engine."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, replication, solver
+from rampguard.batch import BlockTraces, run_block
 from rampguard.posterior import GaussianPrior, VariancePolicy
 from rampguard.replication import (
     BLOCK_SIZE,
+    GROUP_BLOCKS,
     STREAM_TAG,
     replication_stream,
     resolve_workers,
@@ -118,19 +121,69 @@ def test_batch_thompson_matches_the_per_unit_engine(name, c):
     sched = RiskSchedule.uniform(-500.0, 0.01, 5)
     assert replication._takes_batch_engine(policy, scn)
     k_batch, k_unit = 50_000, 4_000
-    blocks = replication._map_chunks(
-        replication._run_blocks, -(-k_batch // BLOCK_SIZE), WORKERS, policy, scn, sched, 0
+    n_blocks = -(-k_batch // BLOCK_SIZE)
+    groups = replication._map_chunks(
+        replication._run_groups, -(-n_blocks // GROUP_BLOCKS), WORKERS, policy, scn, sched, 0,
+        n_blocks,
     )
     unit = replication._stack(
         replication._map_chunks(replication._run_chunk, k_unit, WORKERS, policy, scn, sched, 0)
     )
-    fast = (np.concatenate([b.m for b in blocks]), np.concatenate([b.cum_cost[:, -1] for b in blocks]))
+    fast = (np.concatenate([g.m for g in groups]), np.concatenate([g.cum_cost[:, -1] for g in groups]))
     ref = (unit.m, unit.cum_cost[:, -1])
-    assert {label for b in blocks for label in b.labels} == {"thompson"}
+    assert {label for g in groups for label in g.labels} == {"thompson"}
     for label, x, y in zip(("m", "final cost"), fast, ref):
         se = np.sqrt(x.var(axis=0) / len(x) + y.var(axis=0) / len(y))
         gap = np.abs(x.mean(axis=0) - y.mean(axis=0))
         assert np.all(gap <= 5.0 * se), (label, x.mean(axis=0), y.mean(axis=0), se)
+
+
+def blocks_run_alone(policy, scn, sched, reps, seed) -> BlockTraces:
+    """The reference of the stacked engine: every block through run_block alone."""
+    blocks = [
+        run_block(policy, sched, scn, replication_stream(seed, STREAM_TAG, b), BLOCK_SIZE)
+        for b in range(-(-reps // BLOCK_SIZE))
+    ]
+    fields = ("m", "branch", "stage_cost", "cum_cost")
+    columns = (np.concatenate([getattr(b, f) for b in blocks])[:reps] for f in fields)
+    return BlockTraces(*columns, blocks[0].labels)
+
+
+STACKED_CASES = [
+    *((ANALYTIC, name) for name in ("norm", "corr", "bern", "npte", "dec")),
+    (ThompsonPolicy(c=0.25, prior=PRIOR), "npte"),
+    (ThompsonPolicy(c=4.0, prior=PRIOR), "npte"),
+    (ThompsonPolicy(c=1.0, prior=PRIOR, cap_at_half=True), "npte"),
+]
+
+
+@pytest.mark.parametrize(
+    "policy,name",
+    STACKED_CASES,
+    ids=["norm", "corr", "bern", "npte", "dec", "thompson-c0.25", "thompson-c4", "thompson-capped"],
+)
+def test_stacked_blocks_equal_blocks_run_alone(policy, name):
+    """One group of five blocks, the last one partly kept, bit for bit."""
+    scn, reps = builtin_scenarios()[name], 4 * BLOCK_SIZE + 17
+    stacked = run_replications(policy, scn, SCHED_05, reps, 9, keep_traces=True).traces.columns
+    alone = blocks_run_alone(policy, scn, SCHED_05, reps, 9)
+    assert stacked.labels == alone.labels
+    for field in ("m", "branch", "stage_cost", "cum_cost"):
+        got, want = getattr(stacked, field), getattr(alone, field)
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        np.testing.assert_array_equal(got, want, err_msg=field)
+
+
+@pytest.mark.parametrize("reps", [1, 255, 256, 257, 8192, 8193, 20_000])
+def test_group_boundaries_keep_summaries_byte_identical(reps):
+    scn = builtin_scenarios()["norm"]
+    traces = blocks_run_alone(ANALYTIC, scn, SCHED_05, reps, 4)
+    alone = replication._summarize(traces, SCHED_05, 4, keep_traces=False)
+    want = json.dumps(alone.to_json_dict(), sort_keys=True, indent=2)
+    for workers in (1, 2):
+        summary = run_replications(ANALYTIC, scn, SCHED_05, reps, 4, workers=workers)
+        assert json.dumps(summary.to_json_dict(), sort_keys=True, indent=2) == want, workers
+        np.testing.assert_array_equal(summary.final_costs, alone.final_costs)
 
 
 def test_capped_thompson_batch_stays_within_half():

@@ -650,6 +650,38 @@ class TestNextStage:
                 lambda state: state.update(variance_mode="estimated"),
                 "estimated variance mode needs pretrial_sigma_sq",
             ),
+            # Counters that disagree with the consumed stages.
+            (lambda state: state["pending"].update(m=-5), "pending.m must be an integer >= 0"),
+            (lambda state: state["pending"].update(m=501), "pending.m must be <= pending.n, got 501"),
+            (lambda state: state["pending"].update(n=0), "pending.n must be an integer >= 1, got 0"),
+            (
+                lambda state: state.update(stage=7),
+                "stage must be 2, one more than the consumed stages, got 7",
+            ),
+            (
+                lambda state: state["pending"].update(stage=2),
+                "pending.stage must be 1, the number of consumed stages, got 2",
+            ),
+            (
+                lambda state: state.update(
+                    stage=1, tolerance_product=1.0,
+                    consumed={"stage_budgets": [], "stage_tolerances": []},
+                ),
+                "pending.stage must be 0, the number of consumed stages, got 1",
+            ),
+            (
+                lambda state: state["prior"].update(mu0=[float("nan"), 0.0]),
+                "prior.mu0 must be a list of two finite numbers",
+            ),
+            (
+                lambda state: state["stats"].update(treated_sums=[0.0, float("inf")]),
+                "stats.treated_sums must be a list of two finite numbers",
+            ),
+            (
+                lambda state: state.update(tolerance_product=0.5),
+                "tolerance_product must be 0.995, the product of (1 - Delta_t) over the "
+                "consumed stages, got 0.5",
+            ),
         ],
         ids=[
             "future-version", "no-version", "no-consumed", "no-stats-counts",
@@ -659,6 +691,15 @@ class TestNextStage:
             "zero-sigma-sq",
             "unknown-key",
             "estimated-without-pretrial",
+            "negative-pending-m",
+            "pending-m-above-n",
+            "zero-pending-n",
+            "stage-ahead-of-consumed",
+            "pending-stage-not-the-last",
+            "pending-with-nothing-consumed",
+            "nan-prior-mean",
+            "infinite-treated-sum",
+            "tolerance-product-edited",
         ],
     )
     def test_unreadable_state_exits_one(self, tmp_path, capsys, edit, message):
@@ -690,6 +731,8 @@ class TestNextStage:
             ("--sigma-sq", ["nan", "10"]),
             ("--pretrial-sigma-sq", ["10", "-1"]),
             ("--prior-sigma0-sq", ["inf", "1"]),
+            ("--prior-mu0", ["nan", "0"]),
+            ("--prior-mu0", ["0", "-inf"]),
         ],
     )
     def test_bad_operator_inputs_exit_one(self, tmp_path, capsys, flag, values):

@@ -42,6 +42,21 @@ def test_next_stage_imports_no_numpy(tmp_path):
     assert state.exists()
 
 
+def test_one_group_study_loads_no_process_pool(tmp_path):
+    result = run_fresh(
+        f"""
+        import sys
+        import rampguard.cli
+        argv = ["reproduce", "fig2a", "--reps", "300", "--workers", "2", "--out", {str(tmp_path)!r}]
+        assert rampguard.cli.main(argv) == 0
+        assert "concurrent.futures.process" not in sys.modules, "the pool module was loaded"
+        assert "rampguard.mc_solver" not in sys.modules, "the pool initializer was loaded"
+        """
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "fig2a" / "spend.csv").exists()
+
+
 def test_import_package_loads_no_submodule():
     result = run_fresh(
         """

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import os
@@ -12,6 +13,7 @@ from rampguard.posterior import GaussianPrior, VariancePolicy
 from rampguard.batch import run_block
 from rampguard.replication import (
     BLOCK_SIZE,
+    GROUP_BLOCKS,
     STREAM_TAG,
     CompactTrace,
     replication_stream,
@@ -87,7 +89,7 @@ class PerUnitThompson(ThompsonPolicy):
 class TestPoolBound:
     @pytest.fixture
     def executor(self, monkeypatch):
-        monkeypatch.setattr(replication, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(InlineExecutor, "sizes", [])
         monkeypatch.setattr(InlineExecutor, "initializers", [])
         return InlineExecutor
@@ -97,7 +99,8 @@ class TestPoolBound:
         [
             (PerUnitThompson(c=1.0, prior=PRIOR), "npte", 3, 64, 3),  # bounded by chunks
             (PerUnitThompson(c=1.0, prior=PRIOR), "npte", 40, 3, 3),  # bounded by CPUs
-            (ANALYTIC, "norm", 600, 64, 3),  # batch engine: 3 blocks of 256
+            # Batch engine: 3 groups, the last of one block.
+            (ANALYTIC, "norm", 2 * GROUP_BLOCKS * BLOCK_SIZE + 1, 64, 3),
         ],
     )
     def test_pool_size(self, executor, monkeypatch, policy, name, reps, cpus, expected):
@@ -116,6 +119,14 @@ class TestPoolBound:
         cpus = os.cpu_count() or 1
         threads = replication._map_chunks(_imputation_threads_of, 4, 2)
         assert min(2, cpus) * max(threads) <= cpus
+
+    @pytest.mark.parametrize("policy", [ANALYTIC, ThompsonPolicy(c=1.0, prior=PRIOR)])
+    def test_one_group_runs_in_process(self, executor, monkeypatch, policy):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        sched = RiskSchedule.uniform(-500.0, 0.05, 2)
+        reps = GROUP_BLOCKS * BLOCK_SIZE
+        run_replications(policy, builtin_scenarios()["npte"], sched, reps, 0, workers=8)
+        assert executor.sizes == []
 
     def test_one_cpu_runs_in_process(self, executor, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)

@@ -406,3 +406,28 @@ class TestRunExperiment:
             trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
             finals.append(max(r.m for r in trace.records))
         assert np.median(finals) == 250
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# mu_p = (1e160, 0): the quadratic's A overflows to -inf and its roots to NaN.
+OVERFLOWING_ROOTS = (PosteriorState((1e160, 0.0), (1.0, 1.0)), VAR10, 13, -3.0)
+# At q = 0 and a zero effect, B = 2 * inf * 0 is NaN and A is 0.
+NAN_B = (PosteriorState((0.0, 0.0), (1.0, 1.0)), OutcomeVariance((1.0, 1.0)), 0, -8.98846567431158e307)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.builds(PosteriorState, st.tuples(FINITE, FINITE), st.tuples(POSITIVE, POSITIVE)),
+    st.builds(OutcomeVariance, st.tuples(POSITIVE, POSITIVE)),
+    st.integers(0, 2**40),
+    FINITE,
+    FINITE,
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(1, 10**6),
+)
+@example(*OVERFLOWING_ROOTS, -500.0, 0.005, 500)
+@example(*NAN_B, 0.0, 0.5, 2)
+def test_solvers_are_total_and_agree_at_extreme_magnitudes(post, var, m1, s, b_t, delta_t, n_t):
+    """The scalar solver never raises on finite inputs and equals the vector solver."""
+    assert_vectorized_equals_scalar([(post, var, m1, s)], b_t, delta_t, n_t)
