@@ -732,7 +732,7 @@ class TestNextStage:
             ("--pretrial-sigma-sq", ["10", "-1"]),
             ("--prior-sigma0-sq", ["inf", "1"]),
             ("--prior-mu0", ["nan", "0"]),
-            ("--prior-mu0", ["0", "-inf"]),
+            ("--prior-mu0", ["0", "inf"]),
         ],
     )
     def test_bad_operator_inputs_exit_one(self, tmp_path, capsys, flag, values):

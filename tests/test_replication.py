@@ -121,12 +121,20 @@ class TestPoolBound:
         assert min(2, cpus) * max(threads) <= cpus
 
     @pytest.mark.parametrize("policy", [ANALYTIC, ThompsonPolicy(c=1.0, prior=PRIOR)])
-    def test_one_group_runs_in_process(self, executor, monkeypatch, policy):
+    def test_one_group_runs_in_process(self, monkeypatch, policy):
+        pids = []
+
+        def spy(*args):
+            pids.append(os.getpid())  # a pool worker appends to its own copy
+            return real(*args)
+
+        real = replication.run_block
+        monkeypatch.setattr(replication, "run_block", spy)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         sched = RiskSchedule.uniform(-500.0, 0.05, 2)
         reps = GROUP_BLOCKS * BLOCK_SIZE
         run_replications(policy, builtin_scenarios()["npte"], sched, reps, 0, workers=8)
-        assert executor.sizes == []
+        assert pids == [os.getpid()]
 
     def test_one_cpu_runs_in_process(self, executor, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
