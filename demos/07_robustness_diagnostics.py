@@ -4,7 +4,8 @@ The solver remains conservative when (a) the prior does not flatter the
 feature at the first stage, (b) the true effect never drops below the
 history-weighted effect of already-treated units, and (c) the plug-in
 variances do not understate the truth. The diagnostics evaluate these with
-the simulator's knowledge of the true moments.
+the simulator's knowledge of the true moments, from the treated counts of
+one rollout here; the same call takes a whole study's ``(K, T)`` counts.
 
 The fat-tailed scenario passes the history and variance checks at every
 stage; only its first stage flags, because a neutral prior is optimistic
@@ -34,11 +35,13 @@ for name in ("fat", "dec"):
     scenario = builtin_scenarios()[name]
     feed = ScenarioFeed(scenario, np.random.default_rng(3))
     trace = run_stages(schedule, feed, AnalyticPolicy(prior, VariancePolicy()))
-    checks = robustness_diagnostics(scenario, trace, prior, (10.0, 10.0))
-    print(f"\nscenario {name}: stages with treated units = {[c.stage for c in checks]}")
+    m = np.array([r.m for r in trace.records])
+    checks = robustness_diagnostics(scenario, m, prior, (10.0, 10.0))
+    treated = [int(i) for i in np.flatnonzero(m)]
+    print(f"\nscenario {name}: stages with treated units = {[i + 1 for i in treated]}")
     print(f"{'stage':>5} {'m':>5} {'effect>=hist':>13} {'var ok':>7} {'verdict':>8}")
-    for c in checks:
-        nondec = "-" if c.effect_nondecreasing is None else str(c.effect_nondecreasing)
-        var_ok = c.effect_variance_ok and c.control_variance_ok is not False
-        print(f"{c.stage:>5} {c.m:>5} {nondec:>13} {str(var_ok):>7} "
-              f"{'pass' if c.passed else 'FLAG':>8}")
+    for i in treated:
+        nondec = str(checks.effect_nondecreasing[i]) if checks.has_history[i] else "-"
+        var_ok = checks.effect_variance_ok[i] & checks.control_variance_ok[i]
+        print(f"{i + 1:>5} {m[i]:>5} {nondec:>13} {str(var_ok):>7} "
+              f"{'pass' if checks.passed[i] else 'FLAG':>8}")

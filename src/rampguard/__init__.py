@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 # Each submodule with the names the package exports from it.
 _EXPORTS = {
-    "diagnostics": ("StageDiagnostic", "robustness_diagnostics"),
+    "diagnostics": ("RobustnessChecks", "robustness_diagnostics"),
     "mc_solver": (
         "CantelliPolicy", "CappedEffectCost", "CostFunction", "GaussianPosteriorSampler",
         "PosteriorQuantities", "TreatmentEffectCost", "cost_from_config",

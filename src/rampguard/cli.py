@@ -142,6 +142,7 @@ _COUNT = (lambda v: _is_count(v) and v >= 0, "an integer >= 0")
 _STAGE = (lambda v: _is_count(v) and v >= 1, "an integer >= 1")
 _PAIR = (_list_of(_is_finite, 2), "a list of two finite numbers")
 _POSITIVE = (lambda v: _is_finite(v) and v > 0.0, "a finite number > 0")
+_SUMSQ = (lambda v: _is_finite(v) and v >= 0.0, "a finite number >= 0")
 _VARIANCES = (_list_of(_POSITIVE[0], 2), "a list of two finite numbers > 0")
 _NUMBERS = (_list_of(_is_number), "a list of numbers")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
@@ -188,8 +189,8 @@ _STATE_SCHEMA = {
         "treated_sums": _PAIR,
         "control_sums": _PAIR,
         "counts": (_list_of(_is_count, 2), "a list of two integers"),
-        "treated_sumsq": _NUMBER,
-        "control_sumsq": _NUMBER,
+        "treated_sumsq": _SUMSQ,
+        "control_sumsq": _SUMSQ,
     },
     "pending": {"stage": _STAGE, "m": _COUNT, "n": _STAGE},
     "last_call": {"inputs": _OBJECT, "outputs": _OBJECT},

@@ -1,4 +1,4 @@
-"""Simulator-side robustness checks for a completed trace.
+"""Simulator-side robustness checks over the treated counts of a study.
 
 The analytic solver stays conservative beyond the Gaussian model when, at
 every stage it treats anyone, (a) the prior does not overestimate the
@@ -7,110 +7,94 @@ treatment effect or underestimate its variability at the first stage,
 of previously treated units, and (c) the plug-in outcome variances are at
 or above the relevant true variances. These checks need the scenario's true
 moments, so they are only available in simulation.
+
+Every condition depends only on the treated counts ``m``, the prior, the
+plug-in variances and the true moments, so one array computation checks a
+single rollout (``[r.m for r in trace.records]``) or a whole study of
+either engine (``summary.traces.columns.m``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .posterior import GaussianPrior
 from .scenarios import Scenario
-from .trace import ExperimentTrace
 
-__all__ = ["StageDiagnostic", "robustness_diagnostics"]
+__all__ = ["RobustnessChecks", "robustness_diagnostics"]
 
 # Relative slack so exact-equality structures count as passing.
 _TOL = 1e-9
 
 
-def _at_least(lhs: float, rhs: float) -> bool:
-    return lhs >= rhs - _TOL * max(1.0, abs(rhs))
+def _at_least(lhs, rhs) -> np.ndarray:
+    return lhs >= rhs - _TOL * np.maximum(1.0, np.abs(rhs))
 
 
 @dataclass(frozen=True)
-class StageDiagnostic:
-    """Outcome of the plug-in checks at one stage with a nonzero ramp.
+class RobustnessChecks:
+    """Boolean arrays shaped like the treated counts, one entry per stage.
 
-    Fields are None when a check does not apply at that stage (the prior
-    checks only bind at the first stage; the history comparisons need at
-    least one previously treated unit).
+    An entry is True where its condition holds or does not bind: every check
+    binds only where ``m > 0``, the prior checks only at stage 1 and the
+    history checks only where ``has_history``, that is where an earlier
+    stage treated someone.
     """
 
-    stage: int
-    m: int
-    prior_mean_ok: "bool | None"
-    prior_variance_ok: "bool | None"
-    effect_nondecreasing: "bool | None"
-    control_variance_ok: "bool | None"
-    effect_variance_ok: bool
+    prior_mean_ok: np.ndarray
+    prior_variance_ok: np.ndarray
+    effect_nondecreasing: np.ndarray
+    control_variance_ok: np.ndarray
+    effect_variance_ok: np.ndarray
+    has_history: np.ndarray
 
     @property
-    def passed(self) -> bool:
-        checks = (
-            self.prior_mean_ok,
-            self.prior_variance_ok,
-            self.effect_nondecreasing,
-            self.control_variance_ok,
-            self.effect_variance_ok,
-        )
-        return all(c is not False for c in checks)
+    def passed(self) -> np.ndarray:
+        return (self.prior_mean_ok & self.prior_variance_ok & self.effect_nondecreasing
+                & self.control_variance_ok & self.effect_variance_ok)
 
 
 def robustness_diagnostics(
     scenario: Scenario,
-    trace: ExperimentTrace,
+    m,
     prior: GaussianPrior,
     sigma_sq: tuple[float, float],
-) -> list[StageDiagnostic]:
-    """Evaluate the conservatism conditions stage by stage.
+) -> RobustnessChecks:
+    """Evaluate the conservatism conditions at every entry of ``m``.
 
-    ``sigma_sq`` is the plug-in variance pair the solver used. Stages with
-    m = 0 are skipped; they carry no risk and impose no condition.
+    ``m`` holds treated counts shaped ``(T,)`` for one rollout or ``(K, T)``
+    for K replications; column t is stage t + 1. ``sigma_sq`` is the
+    plug-in variance pair the solver used. The history of a stage sums the
+    earlier stages in stage order from 0.0, exactly as a running total
+    would.
     """
+    m = np.asarray(m)
+    stages = range(1, m.shape[-1] + 1)
+    effect = np.array([scenario.true_effect(t) for t in stages])
+    diff_var = np.array([scenario.effect_variance(t) for t in stages])
+    var0 = np.array([scenario.true_var(0, t) for t in stages])
     v0, v1 = float(sigma_sq[0]), float(sigma_sq[1])
-    out: list[StageDiagnostic] = []
-    hist_m = 0  # cumulative treated count before the current stage
-    hist_effect = 0.0  # treated-weighted sum of true effects
-    hist_var0 = 0.0  # treated-weighted sum of true control variances
 
-    for record in trace.records:
-        t, m = record.stage, record.m
-        if m == 0:
-            continue
-        effect_t = scenario.true_effect(t)
-        diff_var_t = scenario.effect_variance(t)
+    def earlier(x):
+        # Exclusive running sum; cumsum minus the current term rounds differently.
+        shifted = np.concatenate([np.zeros_like(x[..., :1]), x[..., :-1]], axis=-1)
+        return np.cumsum(shifted, axis=-1)
 
-        if t == 1:
-            prior_mean_ok = _at_least(effect_t, prior.mu0[1] - prior.mu0[0])
-            prior_variance_ok = _at_least(
-                v0 + v1 + m * (prior.sigma0_sq[0] + prior.sigma0_sq[1]), diff_var_t
-            )
-        else:
-            prior_mean_ok = None
-            prior_variance_ok = None
-
-        if hist_m > 0:
-            effect_nondecreasing = _at_least(effect_t, hist_effect / hist_m)
-            control_variance_ok = _at_least(v0, hist_var0 / hist_m)
-        else:
-            effect_nondecreasing = None
-            control_variance_ok = None
-
-        effect_variance_ok = _at_least(v0 + v1, diff_var_t)
-
-        out.append(
-            StageDiagnostic(
-                stage=t,
-                m=m,
-                prior_mean_ok=prior_mean_ok,
-                prior_variance_ok=prior_variance_ok,
-                effect_nondecreasing=effect_nondecreasing,
-                control_variance_ok=control_variance_ok,
-                effect_variance_ok=effect_variance_ok,
-            )
-        )
-        hist_m += m
-        hist_effect += m * effect_t
-        hist_var0 += m * scenario.true_var(0, t)
-
-    return out
+    hist_m = earlier(m)
+    has_history = hist_m > 0
+    per_unit = np.maximum(hist_m, 1)  # the sums below are 0.0 where nothing came before
+    hist_effect = earlier(m * effect) / per_unit
+    hist_var0 = earlier(m * var0) / per_unit
+    idle = m <= 0
+    first = np.arange(m.shape[-1]) == 0
+    prior_var = v0 + v1 + m * (prior.sigma0_sq[0] + prior.sigma0_sq[1])
+    return RobustnessChecks(
+        prior_mean_ok=idle | ~first | _at_least(effect, prior.mu0[1] - prior.mu0[0]),
+        prior_variance_ok=idle | ~first | _at_least(prior_var, diff_var),
+        effect_nondecreasing=idle | ~has_history | _at_least(effect, hist_effect),
+        control_variance_ok=idle | ~has_history | _at_least(v0, hist_var0),
+        effect_variance_ok=idle | _at_least(v0 + v1, diff_var),
+        has_history=has_history,
+    )

@@ -51,11 +51,6 @@ __all__ = [
     "CantelliPolicy",
 ]
 
-# Populations at or below this size are solved by direct grid scan, which
-# is exact for feasible sets that are not intervals; larger populations use
-# the boundary-candidate scan.
-_GRID_LIMIT = 10_000
-
 # Per-unit history imputation runs in this many fixed row shards, each on
 # its own child stream, so its draws do not depend on the thread count.
 _SHARDS = 8
@@ -327,9 +322,10 @@ def solve_ramp_size_cantelli(
     Feasibility of m requires the expected post-stage cost to stay at or
     above the stage threshold, ``m * phi1 + phi2 >= b_t``, and the variance
     bound quadratic ``A m**2 + B m + C >= 0`` with ``q = 1/Delta_t - 1``.
-    The feasible set need not be one interval, so small populations are
-    scanned outright and large ones via boundary candidates with a direct
-    re-check.
+    The feasible set need not be one interval, so every boundary of either
+    constraint, its floor and the next integer, 0 and the cap are
+    candidates, each re-checked directly; the roots are taken in the
+    stable form, and roots that overflow are skipped.
 
     Two guards keep the variance plug-in honest against sampling noise,
     without which the bound can turn vacuously permissive at large m:
@@ -359,38 +355,32 @@ def solve_ramp_size_cantelli(
     qt = 1.0 / Delta_t - 1.0
     pair_cov = max(q.phi4, 0.0)
     hist_cov = q.phi6_natural if math.isfinite(q.phi6_natural) else q.phi6
+    gap = q.phi2 - b_t
     A = q.phi1 * q.phi1 - qt * pair_cov
-    B = 2.0 * q.phi1 * (q.phi2 - b_t) - qt * q.phi3 + qt * pair_cov - qt * hist_cov
-    C = (q.phi2 - b_t) ** 2 - qt * q.phi5
+    B = 2.0 * q.phi1 * gap - qt * q.phi3 + qt * pair_cov - qt * hist_cov
+    C = gap * gap - qt * q.phi5
 
     def feasible(m) -> bool:
         m = float(m)
         return (m * q.phi1 + q.phi2 >= b_t) and (A * m * m + B * m + C >= 0.0)
 
-    best = -1
-    if cap <= _GRID_LIMIT:
-        grid = np.arange(cap + 1, dtype=float)
-        ok = (grid * q.phi1 + q.phi2 >= b_t) & (A * grid * grid + B * grid + C >= 0.0)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            best = int(hits[-1])
-    else:
-        candidates = {0, cap}
-        if abs(q.phi1) > 0.0:
-            candidates.add(math.floor((b_t - q.phi2) / q.phi1))
-        if A != 0.0:
-            disc = B * B - 4.0 * A * C
-            if disc >= 0.0:
-                sq = math.sqrt(disc)
-                candidates.add(math.floor((-B + sq) / (2.0 * A)))
-                candidates.add(math.floor((-B - sq) / (2.0 * A)))
-        elif B != 0.0:
-            candidates.add(math.floor(-C / B))
-        for c in list(candidates):
-            candidates.add(c + 1)
-        valid = [m for m in candidates if 0 <= m <= cap and feasible(m)]
-        if valid:
-            best = max(valid)
+    # Either constraint changes sign only at one of these boundaries.
+    roots = []
+    if q.phi1 != 0.0:
+        roots.append(-gap / q.phi1)
+    if A != 0.0:
+        disc = B * B - 4.0 * A * C
+        if disc >= 0.0:
+            # The stable pair of roots: neither cancels to 0 when A is tiny.
+            h = -(B + math.copysign(math.sqrt(disc), B)) / 2.0
+            if h != 0.0:  # else B and 4AC are 0: a double root at 0, a candidate already
+                roots += [h / A, C / h]
+    elif B != 0.0:
+        roots.append(-C / B)
+    candidates = {0, cap}
+    for r in filter(math.isfinite, roots):
+        candidates.update((math.floor(r), math.floor(r) + 1))
+    best = max((m for m in candidates if 0 <= m <= cap and feasible(m)), default=-1)
 
     if best < 0:
         no_roots = A < 0.0 and (B * B - 4.0 * A * C) < 0.0

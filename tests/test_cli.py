@@ -678,6 +678,14 @@ class TestNextStage:
                 "stats.treated_sums must be a list of two finite numbers",
             ),
             (
+                lambda state: state["stats"].update(treated_sumsq=float("nan")),
+                "stats.treated_sumsq must be a finite number >= 0, got nan",
+            ),
+            (
+                lambda state: state["stats"].update(control_sumsq=-1.0),
+                "stats.control_sumsq must be a finite number >= 0, got -1.0",
+            ),
+            (
                 lambda state: state.update(tolerance_product=0.5),
                 "tolerance_product must be 0.995, the product of (1 - Delta_t) over the "
                 "consumed stages, got 0.5",
@@ -699,6 +707,8 @@ class TestNextStage:
             "pending-with-nothing-consumed",
             "nan-prior-mean",
             "infinite-treated-sum",
+            "nan-treated-sumsq",
+            "negative-control-sumsq",
             "tolerance-product-edited",
         ],
     )
@@ -821,6 +831,23 @@ class TestNextStage:
         observed = ["--control-sum", "487.0", "--treated-sum"]
         assert main(["next-stage", "--state", str(state), *observed, "1.0", *self.NEXT]) == 1
         assert main(["next-stage", "--state", str(state), *observed, "0.0", *self.NEXT]) == 0
+
+    @pytest.mark.parametrize("key", ["treated_sumsq", "control_sumsq"])
+    def test_state_sumsq_that_is_not_finite_exits_one(self, tmp_path, capsys, key):
+        state = tmp_path / "state.json"
+        assert main([*self.ESTIMATED, "--state", str(state)]) == 0
+        saved = json.loads(state.read_text())
+        saved["stats"][key] = float("nan")
+        state.write_text(json.dumps(saved))
+        before = state.read_bytes()
+        capsys.readouterr()
+        observed = [
+            "--treated-sum", "13.0", "--control-sum", "487.0",
+            "--treated-sumsq", "143.0", "--control-sumsq", "5000.0",
+        ]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
+        assert f"stats.{key} must be a finite number >= 0, got nan" in capsys.readouterr().err
+        assert state.read_bytes() == before
 
     def test_sumsq_at_the_cauchy_schwarz_bound_is_accepted(self, tmp_path):
         state = tmp_path / "state.json"

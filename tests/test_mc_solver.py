@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rampguard import mc_solver
 from rampguard.mc_solver import (
@@ -420,13 +422,51 @@ class TestCantelliSolver:
             )
 
     def test_large_population_candidate_path(self):
-        # N above the grid limit exercises the boundary-candidate scan.
+        # Large populations take the same boundary-candidate path as small ones.
         q = quantities(phi1=0.0, phi2=0.0, phi3=1.0)
         d = solve_ramp_size_cantelli(q, -10.0, 0.5, 40_000)
         assert d.m == oracle_cantelli_max(q, -10.0, 0.5, 40_000) == 100
         q2 = quantities(phi1=1.0, phi2=0.0, phi3=4.0, phi5=2.0)
         d2 = solve_ramp_size_cantelli(q2, -50.0, 0.2, 50_000)
         assert d2.m == oracle_cantelli_max(q2, -50.0, 0.2, 50_000)
+
+    def test_tiny_effect_root_does_not_cancel_at_large_population(self):
+        # A = phi1**2 = 1e-20: the textbook root formula cancels the small
+        # root to 0 and gave m = 1 at 30,000 units against m = 5 at 500.
+        q = quantities(phi1=1e-10, phi3=1.0 + 2e-9, phi5=95.0)
+        for n_t in (500, 30_000):
+            assert solve_ramp_size_cantelli(q, -10.0, 0.5, n_t).m == 5
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        phis=st.lists(
+            st.one_of(
+                st.floats(-1e-300, 1e-300),
+                st.sampled_from([0.0, 5e-324, -5e-324, 1e-320, 2.2250738585072014e-308]),
+                st.floats(-1e3, 1e3),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=6,
+            max_size=6,
+        ),
+        tiny=st.tuples(
+            st.floats(-1e-8, 1e-8), st.floats(-1e-8, 1e-8), st.booleans(), st.booleans()
+        ),
+        b_t=st.floats(-1e4, 0.0),
+        delta_t=st.floats(1e-4, 0.999),
+        n_t=st.integers(1, 100_000),
+    )
+    def test_total_and_exact_at_any_population(self, phis, tiny, b_t, delta_t, n_t):
+        phi1, phi2, phi3, phi4, phi5, phi6 = phis
+        phi1 = tiny[0] if tiny[2] else phi1
+        phi4 = tiny[1] if tiny[3] else phi4
+        values = dict(phi1=phi1, phi2=phi2, phi3=abs(phi3), phi4=phi4, phi5=abs(phi5))
+        q = quantities(**values, phi6_natural=phi6)
+        m = solve_ramp_size_cantelli(q, b_t, delta_t, n_t).m
+        assert 0 <= m <= n_t // 2
+        # Within this range no coefficient of the quadratic overflows.
+        if max(abs(v) for v in (*values.values(), phi6)) <= 1e60:
+            assert m == oracle_cantelli_max(q, b_t, delta_t, n_t)
 
     def test_conservatism_versus_analytic(self):
         # Stage-1 comparison on the Gaussian model with the plain effect

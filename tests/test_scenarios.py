@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rampguard.diagnostics import robustness_diagnostics
 from rampguard.posterior import GaussianPrior, VariancePolicy
+from rampguard.replication import run_replications
 from rampguard.scenarios import (
     Scenario,
     ScenarioFeed,
@@ -181,44 +184,179 @@ class TestFeed:
         assert feed.num_stages == 10
 
 
+def per_trace_diagnostics(scenario, trace, prior, sigma_sq):
+    """The per-stage loop the array form replaced, kept as its reference.
+
+    Returns one tuple per stage with a nonzero ramp: (stage, m, prior mean
+    ok, prior variance ok, effect non-decreasing, control variance ok,
+    effect variance ok, has history), with None where a check does not apply.
+    """
+    tol = 1e-9
+
+    def at_least(lhs, rhs):
+        return lhs >= rhs - tol * max(1.0, abs(rhs))
+
+    v0, v1 = float(sigma_sq[0]), float(sigma_sq[1])
+    out = []
+    hist_m = 0
+    hist_effect = 0.0
+    hist_var0 = 0.0
+    for record in trace.records:
+        t, m = record.stage, record.m
+        if m == 0:
+            continue
+        effect_t = scenario.true_effect(t)
+        diff_var_t = scenario.effect_variance(t)
+        if t == 1:
+            prior_mean_ok = at_least(effect_t, prior.mu0[1] - prior.mu0[0])
+            prior_variance_ok = at_least(
+                v0 + v1 + m * (prior.sigma0_sq[0] + prior.sigma0_sq[1]), diff_var_t
+            )
+        else:
+            prior_mean_ok = None
+            prior_variance_ok = None
+        if hist_m > 0:
+            effect_nondecreasing = at_least(effect_t, hist_effect / hist_m)
+            control_variance_ok = at_least(v0, hist_var0 / hist_m)
+        else:
+            effect_nondecreasing = None
+            control_variance_ok = None
+        effect_variance_ok = at_least(v0 + v1, diff_var_t)
+        out.append((t, m, prior_mean_ok, prior_variance_ok, effect_nondecreasing,
+                    control_variance_ok, effect_variance_ok, hist_m > 0))
+        hist_m += m
+        hist_effect += m * effect_t
+        hist_var0 += m * scenario.true_var(0, t)
+    return out
+
+
+def fields(checks):
+    """The record's arrays, in the order of ``per_trace_diagnostics``' tuples."""
+    return (checks.prior_mean_ok, checks.prior_variance_ok, checks.effect_nondecreasing,
+            checks.control_variance_ok, checks.effect_variance_ok, checks.has_history)
+
+
 class TestDiagnostics:
     def _trace(self, name, seed=0, delta=0.05):
         scn = builtin_scenarios()[name]
         sched = RiskSchedule.uniform(-500.0, delta, scn.T)
         feed = ScenarioFeed(scn, np.random.default_rng(seed))
-        return scn, run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
+        trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
+        m = np.array([r.m for r in trace.records])
+        return scn, m, robustness_diagnostics(scn, m, PRIOR, (10.0, 10.0))
 
     def test_stationary_scenario_passes(self):
-        scn, trace = self._trace("pte")
-        checks = robustness_diagnostics(scn, trace, PRIOR, (10.0, 10.0))
-        assert checks, "expected at least one treated stage"
-        for c in checks:
-            assert c.effect_nondecreasing is not False
-            assert c.control_variance_ok is not False
-            assert c.effect_variance_ok
-            assert c.passed
+        scn, m, checks = self._trace("pte")
+        assert m.any(), "expected at least one treated stage"
+        assert checks.effect_nondecreasing.all()
+        assert checks.control_variance_ok.all()
+        assert checks.effect_variance_ok.all()
+        assert checks.passed.all()
 
     def test_decreasing_effect_fails_from_stage_two(self):
-        scn, trace = self._trace("dec")
-        checks = robustness_diagnostics(scn, trace, PRIOR, (10.0, 10.0))
-        by_stage = {c.stage: c for c in checks}
-        late = [c for c in checks if c.stage >= 2]
-        assert late, "solver never treated after stage 1"
-        assert all(c.effect_nondecreasing is False for c in late)
-        assert by_stage[min(by_stage)].passed  # stage 1 is still conservative
+        scn, m, checks = self._trace("dec")
+        treated = np.flatnonzero(m)
+        late = treated[treated >= 1]
+        assert late.size, "solver never treated after stage 1"
+        assert checks.has_history[late].all()
+        assert not checks.effect_nondecreasing[late].any()
+        assert checks.passed[treated[0]]  # stage 1 is still conservative
 
     def test_fat_tails_pass_variance_checks_at_equality(self):
-        scn, trace = self._trace("fat")
-        checks = robustness_diagnostics(scn, trace, PRIOR, (10.0, 10.0))
-        assert checks
+        scn, m, checks = self._trace("fat")
+        assert m.any()
         # True difference variance is exactly 10 + 10.
-        for c in checks:
-            assert c.effect_variance_ok
-            assert c.control_variance_ok is not False
+        assert checks.effect_variance_ok.all()
+        assert checks.control_variance_ok.all()
 
     def test_zero_ramp_stages_carry_no_checks(self):
         scn = builtin_scenarios()["pte"]
         sched = RiskSchedule(-500.0, 0.0, (-500.0,) * 3, (0.0,) * 3)
         feed = ScenarioFeed(scn, np.random.default_rng(0))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
-        assert robustness_diagnostics(scn, trace, PRIOR, (10.0, 10.0)) == []
+        m = np.array([r.m for r in trace.records])
+        checks = robustness_diagnostics(scn, m, PRIOR, (10.0, 10.0))
+        assert m.shape == (3,) and not m.any()
+        assert checks.passed.all() and not checks.has_history.any()
+
+    @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+    def test_array_form_equals_the_per_stage_loop(self, name):
+        scn = builtin_scenarios()[name]
+        rng = np.random.default_rng(sorted(builtin_scenarios()).index(name))
+        for _ in range(20):
+            T = int(rng.integers(1, scn.T + 1))
+            m = rng.integers(0, 300, size=(12, T)) * (rng.random((12, T)) < 0.7)
+            m[0] = 0  # a row that treats no one
+            m[1, 0] = 0  # a zero first stage
+            prior = GaussianPrior(
+                tuple(rng.normal(0.0, 1.0, 2)), tuple(rng.uniform(0.01, 100.0, 2))
+            )
+            truth = (scn.true_var(0, 1), scn.true_var(1, 1))
+            pairs = (
+                (10.0, 10.0),
+                tuple(float(v) for v in rng.uniform(0.5, 40.0, 2)),
+                # Just outside and just inside the relative slack of 1e-9.
+                (truth[0] * (1.0 - 1e-8), truth[1]),
+                (truth[0] * (1.0 - 1e-10), truth[1]),
+            )
+            for sigma_sq in pairs:
+                checks = robustness_diagnostics(scn, m, prior, sigma_sq)
+                assert checks.passed.shape == checks.has_history.shape == m.shape
+                for row, *row_fields in zip(m, *fields(checks)):
+                    trace = SimpleNamespace(records=[
+                        SimpleNamespace(stage=t, m=int(v)) for t, v in enumerate(row, 1)
+                    ])
+                    expected = [
+                        tuple(True if v is None else v for v in entry)
+                        for entry in per_trace_diagnostics(scn, trace, prior, sigma_sq)
+                    ]
+                    one = robustness_diagnostics(scn, row, prior, sigma_sq)
+                    for f, g in zip(row_fields, fields(one)):
+                        assert np.array_equal(f, g)
+                    treated = np.flatnonzero(row)
+                    got = [(i + 1, int(row[i]), *(bool(f[i]) for f in fields(one)))
+                           for i in treated]
+                    assert got == expected
+                    idle = np.flatnonzero(row == 0)
+                    assert one.passed[idle].all()
+
+    def test_history_sums_round_like_the_running_total(self):
+        # Stage 2's effect sits exactly at the slack below stage 1's. A
+        # history taken as cumsum minus the current term rounds up to
+        # 0.04100000000000001 here and would fail condition (b).
+        scn = Scenario(
+            name="edge", family="gaussian_iid", T=2, population=(500, 1000),
+            mean_control=(0.0, 0.0), mean_treatment=(0.041, 0.040999999),
+            var_control=(10.0, 10.0), var_treatment=(10.0, 10.0),
+        )
+        m = np.array([139, 408])
+        trace = SimpleNamespace(records=[SimpleNamespace(stage=1, m=139),
+                                         SimpleNamespace(stage=2, m=408)])
+        assert per_trace_diagnostics(scn, trace, PRIOR, (10.0, 10.0))[1][4] is True
+        checks = robustness_diagnostics(scn, m, PRIOR, (10.0, 10.0))
+        assert checks.effect_nondecreasing.tolist() == [True, True]
+
+    def test_a_per_unit_study_checks_like_its_rollouts(self):
+        scn = builtin_scenarios()["fat"]  # Student-t outcomes take the per-unit engine
+        sched = RiskSchedule.uniform(-500.0, 0.05, scn.T)
+        policy = AnalyticPolicy(PRIOR, VariancePolicy())
+        summary = run_replications(policy, scn, sched, 30, seed=5, keep_traces=True)
+        checks = robustness_diagnostics(scn, summary.traces.columns.m, PRIOR, (10.0, 10.0))
+        for k, trace in enumerate(summary.traces):
+            one = robustness_diagnostics(scn, list(trace.m), PRIOR, (10.0, 10.0))
+            for f, g in zip(fields(checks), fields(one)):
+                assert np.array_equal(f[k], g)
+
+    def test_study_pin_on_the_batch_engine(self):
+        sched = RiskSchedule.uniform(-500.0, 0.05, 10)
+        policy = AnalyticPolicy(PRIOR, VariancePolicy("known", (10.0, 10.0)))
+        fails = {}
+        for name in ("dec", "norm", "nte", "npte"):
+            scn = builtin_scenarios()[name]
+            summary = run_replications(policy, scn, sched, 5_000, seed=0, keep_traces=True)
+            m = summary.traces.columns.m
+            checks = robustness_diagnostics(scn, m, PRIOR, (10.0, 10.0))
+            fails[name] = float((~checks.effect_nondecreasing).any(axis=1).mean())
+            if name == "dec":
+                assert summary.ruin_rate == pytest.approx(0.1932)
+        assert fails == {"dec": 1.0, "norm": 0.0, "nte": 0.0, "npte": 0.0}
