@@ -15,8 +15,9 @@ the model, so no MCMC is involved.
 from __future__ import annotations
 
 import math
-import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -29,6 +30,7 @@ from .posterior import (
     VariancePolicy,
     compute_posterior,
 )
+from .replication import usable_cpus
 from .solver import (
     BRANCH_CAP,
     BRANCH_EMPTY,
@@ -56,14 +58,16 @@ __all__ = [
 _SHARDS = 8
 # Doubles in one shard's reused draw buffer (4 MiB).
 _BUFFER_DOUBLES = 2**19
-# CPUs this process may keep busy with imputation threads.
-_cpu_share = os.cpu_count() or 1
+# CPUs this process may keep busy imputing, the calling thread included.
+_cpu_share = usable_cpus()
 
 
 def set_cpu_share(cpus: int) -> None:
-    """Let this process's imputation use at most ``cpus`` threads.
+    """Let this process's imputation keep at most ``cpus`` threads busy.
 
-    A process pool that runs studies side by side gives each worker its
+    The share counts the thread that calls ``draw_cost_batch``, so a call
+    starts at most ``cpus - 1`` helpers, and none at a share of 1. A
+    process pool that runs studies side by side gives each worker its
     share of the CPUs here, so the pool and the threads together never
     outnumber the CPUs. Results do not depend on the share.
     """
@@ -72,8 +76,52 @@ def set_cpu_share(cpus: int) -> None:
 
 
 def _imputation_threads() -> int:
-    """Threads that run the imputation shards of one call."""
+    """Threads that impute the shards of one call, the calling thread included."""
     return min(_SHARDS, _cpu_share)
+
+
+@contextmanager
+def _imputing(impute, shards: list):
+    """Run ``impute(*shard)`` for every shard beside the ``with`` body.
+
+    Up to ``_imputation_threads() - 1`` helper threads take shards from
+    one locked hand-out while the calling thread runs the body; the caller
+    then takes the remaining shards itself and joins every helper before
+    the ``with`` statement ends. The first failure, in a shard or in the
+    body, empties the hand-out, so no further shard starts, and is raised
+    once every helper has stopped.
+    """
+    lock = threading.Lock()
+    pending = shards[::-1]
+
+    def drain():
+        while True:
+            with lock:
+                if not pending:
+                    return
+                shard = pending.pop()
+            try:
+                impute(*shard)
+            except BaseException:
+                with lock:
+                    pending.clear()
+                raise
+
+    helpers = min(_imputation_threads(), len(shards)) - 1
+    if helpers < 1:
+        yield
+        drain()
+        return
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        try:
+            yield
+            drain()
+        finally:
+            with lock:
+                pending.clear()
+    for future in futures:
+        future.result()  # re-raises a helper's failure
 
 
 class CostFunction:
@@ -190,10 +238,12 @@ class GaussianPosteriorSampler:
         draws each history array's counterfactuals row-major in chunks that
         fit its reused buffer of ``_BUFFER_DOUBLES`` doubles (one row if a
         stage treated more units) and reduces them in place through
-        ``cost.evaluate_into``. The shards run on up to
-        ``_imputation_threads()`` threads, bounded by ``set_cpu_share`` and
-        joined before the return; the result does not depend on the thread
-        count.
+        ``cost.evaluate_into``. The calling thread draws the fresh units
+        while up to ``_imputation_threads() - 1`` helper threads, bounded
+        by ``set_cpu_share``, impute shards; it then imputes the shards
+        still pending and joins every helper before the return. A share
+        of 1 starts no helper, and neither does a call with no shard to
+        impute. The result does not depend on the thread count.
 
         ``rng`` itself draws, in order: the two arm means, the linear
         cost's imputed total (linear costs only) and the two fresh units.
@@ -203,6 +253,7 @@ class GaussianPosteriorSampler:
         sd0, sd1 = math.sqrt(v0), math.sqrt(v1)
 
         r_prev = np.zeros(k)
+        shards = []
         if self.m1_prev and cost.is_linear_effect:
             m = float(self.m1_prev)
             imputed_total = m * mu0 + math.sqrt(m * v0) * rng.standard_normal(k)
@@ -213,15 +264,13 @@ class GaussianPosteriorSampler:
                 (cost, mu0[r], sd0, child, r_prev[r])
                 for r, child in zip(rows, rng.spawn(_SHARDS))
             ]
-            with ThreadPoolExecutor(_imputation_threads()) as pool:
-                # Reading every result re-raises a shard's exception here.
-                list(pool.map(lambda shard: self._impute_shard(*shard), shards))
 
         h = []
-        for _ in range(2):
-            fresh0 = mu0 + sd0 * rng.standard_normal(k)
-            fresh1 = mu1 + sd1 * rng.standard_normal(k)
-            h.append(np.asarray(cost.evaluate(fresh1, fresh0), dtype=float))
+        with _imputing(self._impute_shard, shards):
+            for _ in range(2):
+                fresh0 = mu0 + sd0 * rng.standard_normal(k)
+                fresh1 = mu1 + sd1 * rng.standard_normal(k)
+                h.append(np.asarray(cost.evaluate(fresh1, fresh0), dtype=float))
         return r_prev, h[0], h[1]
 
     def _impute_shard(

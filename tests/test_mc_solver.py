@@ -1,6 +1,9 @@
 import json
 import math
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -214,23 +217,30 @@ class TestShardedImputation:
         history = [1.0 + rng.standard_normal(n) for n in sizes]
         return GaussianPosteriorSampler(self.POSTERIOR, self.VARIANCE, history)
 
-    @pytest.mark.parametrize("k", [1, 7, 1003])
+    @pytest.mark.parametrize("k", [1, 7, 8, 1003])
     def test_output_ignores_threads_and_buffer_size(self, monkeypatch, k):
         # An empty history array, and at a 64-double buffer one array of
         # 10 units (6 rows per chunk) and one of 100 (one row per chunk).
         sampler = self.sampler(10, 0, 100)
         cost = CappedEffectCost(floor=0.0)
 
-        def draw(threads, buffer):
-            monkeypatch.setattr(mc_solver, "_imputation_threads", lambda: threads)
+        def draw(share, buffer):
+            monkeypatch.setattr(mc_solver, "_cpu_share", share)
             monkeypatch.setattr(mc_solver, "_BUFFER_DOUBLES", buffer)
             return sampler.draw_cost_batch(cost, k, np.random.default_rng(9))
 
         want = draw(8, 2**19)
-        for threads, buffer in ((1, 2**19), (1, 64), (8, 64), (3, 64)):
-            got = draw(threads, buffer)
-            for a, b in zip(want, got):
-                assert a.tobytes() == b.tobytes(), (threads, buffer)
+        # The means and the fresh units keep their place on the stage stream.
+        pinned = reference_cost_batch(
+            sampler, cost, k, np.random.default_rng(9), np.random.default_rng(0)
+        )
+        for a, b in zip(want[1:], pinned[1:]):
+            assert a.tobytes() == b.tobytes()
+        for share in (1, 2, 3, 8, 64):
+            for buffer in (2**19, 64):
+                got = draw(share, buffer)
+                for a, b in zip(want, got):
+                    assert a.tobytes() == b.tobytes(), (share, buffer)
 
     @pytest.mark.parametrize(
         "cost", [CappedEffectCost(floor=0.0), HingeCost()], ids=["capped", "user-cost"]
@@ -295,6 +305,78 @@ class TestShardedImputation:
         assert mc_solver._imputation_threads() == mc_solver._SHARDS
         mc_solver.set_cpu_share(0)
         assert mc_solver._imputation_threads() == 1
+
+    @pytest.fixture
+    def executors(self, monkeypatch):
+        """The worker count of every thread pool a call builds."""
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(mc_solver, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("share,helpers", [(1, []), (2, [1]), (3, [2]), (8, [7]), (64, [7])])
+    def test_the_share_counts_the_calling_thread(self, executors, monkeypatch, share, helpers):
+        monkeypatch.setattr(mc_solver, "_cpu_share", share)
+        self.sampler(20).draw_cost_batch(CappedEffectCost(floor=0.0), 50, np.random.default_rng(1))
+        assert executors == helpers
+
+    @pytest.mark.parametrize(
+        "cost,sizes",
+        [(TreatmentEffectCost(), (20,)), (CappedEffectCost(floor=0.0), ())],
+        ids=["linear", "first-stage"],
+    )
+    def test_nothing_to_impute_starts_no_helper(self, executors, monkeypatch, cost, sizes):
+        monkeypatch.setattr(mc_solver, "_cpu_share", 8)
+        self.sampler(*sizes).draw_cost_batch(cost, 50, np.random.default_rng(1))
+        assert executors == []
+
+    @pytest.mark.parametrize("share", [1, 2, 3])
+    def test_a_failing_shard_stops_the_hand_out(self, monkeypatch, share):
+        # The first shard to start fails at once; every other shard takes
+        # 50 ms, so each thread can have taken at most one shard before the
+        # failure empties the hand-out.
+        monkeypatch.setattr(mc_solver, "_cpu_share", share)
+        sampler = self.sampler(5)
+        impute, lock, started = sampler._impute_shard, threading.Lock(), []
+
+        def failing(*shard):
+            with lock:
+                started.append(shard)
+                first = len(started) == 1
+            if first:
+                raise ArithmeticError("broken shard")
+            time.sleep(0.05)
+            impute(*shard)
+
+        monkeypatch.setattr(sampler, "_impute_shard", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="broken shard"):
+            sampler.draw_cost_batch(CappedEffectCost(floor=0.0), 16, np.random.default_rng(1))
+        assert 1 <= len(started) <= share
+        assert threading.active_count() == before
+
+    def test_the_hand_out_survives_rapid_thread_switches(self, monkeypatch):
+        # Seven helpers on a small buffer, switching threads every
+        # microsecond: a shard lost or taken twice changes its rows.
+        sampler = self.sampler(10, 100)
+        cost = CappedEffectCost(floor=0.0)
+        monkeypatch.setattr(mc_solver, "_BUFFER_DOUBLES", 16)
+        monkeypatch.setattr(mc_solver, "_cpu_share", 1)
+        want = sampler.draw_cost_batch(cost, 64, np.random.default_rng(4))[0]
+        monkeypatch.setattr(mc_solver, "_cpu_share", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                got = sampler.draw_cost_batch(cost, 64, np.random.default_rng(4))[0]
+                assert got.tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
         monkeypatch.setattr(mc_solver, "_imputation_threads", lambda: 8)

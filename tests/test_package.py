@@ -57,6 +57,35 @@ def test_one_group_study_loads_no_process_pool(tmp_path):
     assert (tmp_path / "fig2a" / "spend.csv").exists()
 
 
+def test_a_batch_study_loads_no_numpy_ma():
+    result = run_fresh(
+        """
+        import sys
+        from rampguard import AnalyticPolicy, GaussianPrior, RiskSchedule, VariancePolicy
+        from rampguard import builtin_scenarios, run_replications
+        policy = AnalyticPolicy(GaussianPrior((0.0, 0.0), (100.0, 100.0)), VariancePolicy())
+        schedule = RiskSchedule.uniform(-500.0, 0.05, 10)
+        summary = run_replications(policy, builtin_scenarios()["norm"], schedule, 600, 3)
+        assert summary.to_json_dict()["m_quantiles"]["q50"][0] > 0
+        assert "numpy.ma" not in sys.modules, "summarizing the study loaded numpy.ma"
+        """
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_imputation_shares_only_the_usable_cpus():
+    result = run_fresh(
+        """
+        import os
+        os.cpu_count = lambda: 64
+        os.sched_getaffinity = lambda pid: {2, 9, 11}
+        from rampguard import mc_solver
+        assert mc_solver._cpu_share == 3, mc_solver._cpu_share
+        """
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_import_package_loads_no_submodule():
     result = run_fresh(
         """

@@ -104,7 +104,7 @@ class TestPoolBound:
         ],
     )
     def test_pool_size(self, executor, monkeypatch, policy, name, reps, cpus, expected):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(replication, "usable_cpus", lambda: cpus)
         sched = RiskSchedule.uniform(-500.0, 0.05, 2)
         scn = builtin_scenarios()[name]
         pooled = run_replications(policy, scn, sched, reps, 1, workers=10_000)
@@ -116,7 +116,7 @@ class TestPoolBound:
         assert summary_fingerprint(pooled) == summary_fingerprint(serial)
 
     def test_pool_workers_share_the_cpus(self):
-        cpus = os.cpu_count() or 1
+        cpus = replication.usable_cpus()
         threads = replication._map_chunks(_imputation_threads_of, 4, 2)
         assert min(2, cpus) * max(threads) <= cpus
 
@@ -130,14 +130,33 @@ class TestPoolBound:
 
         real = replication.run_block
         monkeypatch.setattr(replication, "run_block", spy)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(replication, "usable_cpus", lambda: 64)
         sched = RiskSchedule.uniform(-500.0, 0.05, 2)
         reps = GROUP_BLOCKS * BLOCK_SIZE
         run_replications(policy, builtin_scenarios()["npte"], sched, reps, 0, workers=8)
         assert pids == [os.getpid()]
 
+    def test_an_affinity_mask_bounds_workers_and_pool(self, executor, monkeypatch):
+        # Pinned to 2 of 64 CPUs: 2 workers, each with a share of 1.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 17}, raising=False)
+        monkeypatch.delenv("RAMPGUARD_THREADS", raising=False)
+        assert replication.usable_cpus() == resolve_workers() == 2
+        sched = RiskSchedule.uniform(-500.0, 0.05, 2)
+        policy = PerUnitThompson(c=1.0, prior=PRIOR)
+        run_replications(policy, builtin_scenarios()["npte"], sched, 40, 1, workers=8)
+        assert executor.sizes == [2]
+        assert executor.initializers == [(mc_solver.set_cpu_share, (1,))]
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert replication.usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert replication.usable_cpus() == 1
+
     def test_one_cpu_runs_in_process(self, executor, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(replication, "usable_cpus", lambda: 1)
         sched = RiskSchedule.uniform(-500.0, 0.05, 2)
         run_replications(ANALYTIC, builtin_scenarios()["fat"], sched, 5, 0, workers=8)
         assert executor.sizes == []
@@ -165,6 +184,22 @@ class TestRunReplications:
         assert np.all(summary.m_quantiles[0] <= summary.m_quantiles[1])
         assert np.all(summary.m_quantiles[1] <= summary.m_quantiles[2])
         assert np.all(summary.surplus_quantiles[0] <= summary.surplus_quantiles[2])
+
+    @pytest.mark.parametrize(
+        "k", [*range(1, 70), 100, 255, 256, 257, 500, 1_000, 4_999, 5_000, 8_193]
+    )
+    def test_quantiles_equal_numpy_percentile(self, k):
+        rng = np.random.default_rng(k)
+        counts = rng.integers(0, 250, (k, 4))
+        costs = rng.standard_normal((k, 4)) * 100.0
+        costs[:, 1] = np.round(costs[:, 1])  # ties
+        costs[rng.integers(k), 3] = np.nan  # a NaN column gives NaN
+        for matrix in (counts, costs):
+            want = np.percentile(matrix, replication.QUANTILE_LEVELS, axis=0)
+            got = replication._quantiles(matrix)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert np.isnan(got[:, 3]).all()
 
     def test_worker_count_does_not_change_results(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 10)
