@@ -295,8 +295,8 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
         raise ConfigError("budget and delta are required (flags or config)")
     try:
         scenario = scenario_from_config(config["scenario"])
-    except KeyError as exc:
-        raise ConfigError(str(exc.args[0])) from None
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{source}: scenario: {exc.args[0]}") from None
     schedule = schedule_from_config(
         {
             "stage_tolerances": {"type": "uniform", "T": scenario.T},
@@ -475,6 +475,8 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     workers = _workers(args.workers)
     runs = [(label, config, *_resolve(f"preset {figure} {label}", config))
             for label, config in configs.items()]
+    summaries = [run_replications(policy, scenario, schedule, reps, seed, workers=workers)
+                 for _, _, scenario, _, schedule, policy in runs]
     out_dir = os.path.join(args.out or ".", figure)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -484,8 +486,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             "the production ramp overlay is not bundled; supply it as a user file"
         )
 
-    for label, config, scenario, algorithm, schedule, policy in runs:
-        summary = run_replications(policy, scenario, schedule, reps, seed, workers=workers)
+    for (label, config, _, algorithm, schedule, _), summary in zip(runs, summaries):
         header = [
             f"figure={figure} label={label} scenario={config['scenario']} "
             f"algo={algorithm} budget={schedule.budget} delta={schedule.delta} "

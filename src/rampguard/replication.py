@@ -262,7 +262,8 @@ def run_replications(
     replication is ruined when its final cumulative cost is at or below the
     budget. Quantile curves cover the treated-group sizes and the running
     budget surplus per stage. The engine follows from the inputs alone
-    (see the module docstring).
+    (see the module docstring). A cost that overflows a float is neither
+    ruined nor safe: ``ValueError`` names the first stage it reaches.
     """
     if K_rep < 1:
         raise ValueError(f"K_rep must be >= 1, got {K_rep!r}")
@@ -276,6 +277,10 @@ def run_replications(
         results = BlockTraces(*columns, groups[0].labels)
     else:
         results = _stack(_map_chunks(_run_chunk, K_rep, workers, policy, scenario, schedule, seed))
+    overflow = ~np.isfinite(results.cum_cost).all(axis=0)
+    if overflow.any():
+        stage = overflow.argmax() + 1
+        raise ValueError(f"cum_cost is not finite at stage {stage}: the costs overflow a float")
     return _summarize(results, schedule, seed, keep_traces)
 
 

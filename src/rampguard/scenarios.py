@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -30,74 +31,120 @@ if TYPE_CHECKING:
     from .mc_solver import CostFunction
 
 __all__ = [
-    "FAMILIES",
-    "Scenario",
-    "ScenarioFeed",
-    "generate_stage_outcomes",
-    "draw_stage_sums",
-    "has_sum_law",
-    "builtin_scenarios",
-    "scenario_from_config",
+    "Scenario", "ScenarioFeed", "generate_stage_outcomes", "draw_stage_sums", "has_sum_law",
+    "builtin_scenarios", "scenario_from_config",
 ]
 
-FAMILIES = (
-    "gaussian_iid",
-    "gaussian_correlated",
-    "bernoulli_scaled",
-    "student_t_shifted",
-    "gaussian_time_varying",
-)
+_MOMENTS = ("mean_control", "mean_treatment", "var_control", "var_treatment")
+# Each family's own parameters, which every other family leaves None.
+_FAMILY_PARAMETERS = {"correlation": "gaussian_correlated", "bernoulli_scale": "bernoulli_scaled",
+                      "bernoulli_p": "bernoulli_scaled", "tail_df": "student_t_shifted"}
+# Each checked field: the test its values must pass and what the test wants.
+# Past 2**53 a float no longer holds every whole number.
+_RULES = {
+    "T": (lambda v: 1 <= v <= 10_000 and v % 1 == 0, "a whole number in [1, 10000]"),
+    "population": (lambda v: 1 <= v <= 2**53 and v % 1 == 0, "a whole number in [1, 2**53]"),
+    "mean_control": (math.isfinite, "a finite number"),
+    "mean_treatment": (math.isfinite, "a finite number"),
+    "var_control": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "var_treatment": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "correlation": (lambda v: -1.0 <= v <= 1.0, "a number in [-1, 1]"),
+    "bernoulli_scale": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "bernoulli_p": (lambda v: 0.0 < v < 1.0, "two numbers in (0, 1)"),
+    "tail_df": (lambda v: 2.0 < v < math.inf, "a finite number > 2"),
+}
 
 
-def _per_stage(value, T: int, name: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),) * T
-    out = tuple(float(v) for v in value)
-    if len(out) != T:
-        raise ValueError(f"{name} must have length T={T}, got {len(out)}")
-    return out
+def _checked(name: str, value, label: str = "") -> float:
+    """``value`` as a float once it passes the rule of ``name``; ValueError otherwise."""
+    test, wants = _RULES[name]
+    try:
+        ok = isinstance(value, Real) and not isinstance(value, bool) and test(float(value))
+    except OverflowError:  # an integer beyond every float
+        ok = False
+    if not ok:
+        raise ValueError(f"{label or name} must be {wants}, got {value!r}")
+    return float(value)
+
+
+def _per_stage(name: str, value, T: int, label: str = "") -> tuple[float, ...]:
+    """``value``, a number or one per stage, checked and broadcast over ``T`` stages."""
+    if not isinstance(value, (list, tuple)):
+        return (_checked(name, value, label),) * T
+    if len(value) != T:
+        raise ValueError(f"{label or name} must have one value per stage (T={T}), has {len(value)}")
+    return tuple(_checked(name, v, label) for v in value)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named outcome-generating process over T stages.
+    """A named outcome-generating process over T stages, checked when built.
 
-    ``mean_*`` and ``var_*`` are per-stage tuples (scalars are broadcast at
-    construction). ``correlation`` applies only to the correlated Gaussian
-    family; ``bernoulli_scale``/``bernoulli_p`` and ``tail_df`` configure
-    the scaled-Bernoulli and Student-t families, whose moment tuples are
-    derived from those parameters.
+    ``population`` and the moment fields take a number, broadcast over the
+    stages, or one value per stage; they hold per-stage tuples once built.
+    ``correlation``, ``bernoulli_scale`` with ``bernoulli_p`` (control,
+    treatment) and ``tail_df`` belong to the correlated Gaussian,
+    scaled-Bernoulli and Student-t families: each family needs its own and
+    takes no other. The scaled-Bernoulli moments are derived, ``scale * p``
+    and ``scale**2 * p * (1 - p)`` per arm; given ones must equal them.
+    Every fault, a wrong type included, raises ``ValueError`` naming the
+    field and what ``_RULES`` wants of it.
     """
 
     name: str
     family: str
     T: int
     population: tuple[int, ...]
-    mean_control: tuple[float, ...]
-    mean_treatment: tuple[float, ...]
-    var_control: tuple[float, ...]
-    var_treatment: tuple[float, ...]
+    # None only until derived, in the scaled-Bernoulli family.
+    mean_control: tuple[float, ...] = None  # type: ignore[assignment]
+    mean_treatment: tuple[float, ...] = None  # type: ignore[assignment]
+    var_control: tuple[float, ...] = None  # type: ignore[assignment]
+    var_treatment: tuple[float, ...] = None  # type: ignore[assignment]
     correlation: "float | None" = None
     bernoulli_scale: "float | None" = None
     bernoulli_p: "tuple[float, float] | None" = None  # (control, treatment)
     tail_df: "float | None" = None
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown scenario family {self.family!r}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T!r}")
-        if len(self.population) != self.T:
-            raise ValueError("population must have one entry per stage")
-        if self.family == "gaussian_correlated":
-            if self.correlation is None or not -1.0 <= self.correlation <= 1.0:
-                raise ValueError("gaussian_correlated needs correlation in [-1, 1]")
+        store = object.__setattr__  # the fields are frozen
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
+        if not isinstance(self.family, str) or self.family not in _GENERATORS:
+            raise ValueError(f"family must be one of {sorted(_GENERATORS)}, got {self.family!r}")
+        T = int(_checked("T", self.T))
+        store(self, "T", T)
+        population = _per_stage("population", self.population, T)
+        store(self, "population", tuple(int(n) for n in population))
+        for key, family in _FAMILY_PARAMETERS.items():
+            value = getattr(self, key)
+            if (value is None) == (self.family == family):
+                wants = "needs" if value is None else "takes no"
+                raise ValueError(f"a {self.family} scenario {wants} {key}")
+            if key == "bernoulli_p" and value is not None:
+                if not isinstance(value, (list, tuple)) or len(value) != 2:
+                    raise ValueError(f"bernoulli_p must be two numbers in (0, 1), got {value!r}")
+                store(self, key, tuple(_checked(key, p) for p in value))
+            elif value is not None:
+                store(self, key, _checked(key, value))
+
+        derived = {}
         if self.family == "bernoulli_scaled":
-            if self.bernoulli_scale is None or self.bernoulli_p is None:
-                raise ValueError("bernoulli_scaled needs bernoulli_scale and bernoulli_p")
-        if self.family == "student_t_shifted":
-            if self.tail_df is None or self.tail_df <= 2.0:
-                raise ValueError("student_t_shifted needs tail_df > 2 for finite variance")
+            s, (p0, p1) = self.bernoulli_scale, self.bernoulli_p
+            laws = (s * p0, s * p1, s * s * p0 * (1.0 - p0), s * s * p1 * (1.0 - p1))
+            derived = dict(zip(_MOMENTS, laws))
+        for key in _MOMENTS:
+            given = getattr(self, key)
+            if key in derived:
+                label = f"{key} from bernoulli_scale and bernoulli_p"
+                value = _per_stage(key, derived[key], T, label)
+                if given is not None and _per_stage(key, given, T) != value:
+                    raise ValueError(f"{key} of a bernoulli_scaled scenario must be left out or "
+                                     f"equal {derived[key]!r}, got {given!r}")
+            elif given is None:
+                raise ValueError(f"a {self.family} scenario needs {key}")
+            else:
+                value = _per_stage(key, given, T)
+            store(self, key, value)
 
     # True per-stage moments (simulator-side knowledge).
 
@@ -266,32 +313,16 @@ class ScenarioFeed:
         treated = y1[:m]
         control = y0[m:]
         cost = treated - y0[:m] if self.cost is None else self.cost.evaluate(treated, y0[:m])
+        with np.errstate(over="ignore"):  # past the float range a sum of squares reads inf
+            sumsq = float((treated * treated).sum()), float((control * control).sum())
         return StageOutcome(
             treated_sum=float(treated.sum()),
-            treated_sumsq=float((treated * treated).sum()),
+            treated_sumsq=sumsq[0],
             control_sum=float(control.sum()),
-            control_sumsq=float((control * control).sum()),
+            control_sumsq=sumsq[1],
             true_cost=float(cost.sum()),
             treated_outcomes=treated,
         )
-
-
-def _bernoulli_scenario(
-    name: str, T: int, population, scale: float, p0: float, p1: float
-) -> Scenario:
-    pop = _per_stage(population, T, "population")
-    return Scenario(
-        name=name,
-        family="bernoulli_scaled",
-        T=T,
-        population=tuple(int(n) for n in pop),
-        mean_control=(scale * p0,) * T,
-        mean_treatment=(scale * p1,) * T,
-        var_control=(scale * scale * p0 * (1.0 - p0),) * T,
-        var_treatment=(scale * scale * p1 * (1.0 - p1),) * T,
-        bernoulli_scale=scale,
-        bernoulli_p=(p0, p1),
-    )
 
 
 def builtin_scenarios() -> dict[str, Scenario]:
@@ -310,45 +341,24 @@ def builtin_scenarios() -> dict[str, Scenario]:
     simulation.
     """
     T, N = 10, 500
-    ten = (N,) * T
 
     def gaussian(name, mu0, mu1, family="gaussian_iid", corr=None):
-        return Scenario(
-            name=name,
-            family=family,
-            T=T,
-            population=ten,
-            mean_control=_per_stage(mu0, T, "mean_control"),
-            mean_treatment=_per_stage(mu1, T, "mean_treatment"),
-            var_control=(10.0,) * T,
-            var_treatment=(10.0,) * T,
-            correlation=corr,
-        )
+        return Scenario(name, family, T, N, mu0, mu1, 10.0, 10.0, correlation=corr)
 
     npte_means = tuple(min(-2.0 + 0.5 * (t - 1), 2.0) for t in range(1, T + 1))
     dec_means = tuple(-float(t - 1) for t in range(1, T + 1))
 
     linkedin = Scenario(
-        name="linkedin",
-        family="gaussian_time_varying",
-        T=6,
-        population=(10756, 10460, 10598, 7580, 10550, 10688),
+        "linkedin", "gaussian_time_varying", 6, (10756, 10460, 10598, 7580, 10550, 10688),
         mean_control=(0.3648, 0.3780, 0.3752, 0.2317, 0.4009, 0.3930),
         mean_treatment=(0.3659, 0.3788, 0.3754, 0.2317, 0.4010, 0.3941),
         var_control=(2.0993, 2.2769, 2.0909, 1.1165, 2.2705, 2.3982),
         var_treatment=(2.0923, 2.2248, 2.0135, 1.0526, 2.2476, 2.4430),
     )
 
-    fat = Scenario(
-        name="fat",
-        family="student_t_shifted",
-        T=T,
-        population=ten,
-        mean_control=(1.0,) * T,
-        mean_treatment=(0.0,) * T,
-        var_control=(10.0,) * T,
-        var_treatment=(10.0,) * T,
-        tail_df=4.0,
+    fat = Scenario("fat", "student_t_shifted", T, N, 1.0, 0.0, 10.0, 10.0, tail_df=4.0)
+    bern = Scenario(
+        "bern", "bernoulli_scaled", T, N, bernoulli_scale=6.4, bernoulli_p=(0.5786, 0.4224)
     )
 
     return {
@@ -357,7 +367,7 @@ def builtin_scenarios() -> dict[str, Scenario]:
         "npte": gaussian("npte", 0.0, npte_means, family="gaussian_time_varying"),
         "norm": gaussian("norm", 0.0, -1.0),
         "corr": gaussian("corr", 0.0, -1.0, family="gaussian_correlated", corr=0.8),
-        "bern": _bernoulli_scenario("bern", T, N, 6.4, 0.5786, 0.4224),
+        "bern": bern,
         "fat": fat,
         "dec": gaussian("dec", 0.0, dec_means, family="gaussian_time_varying"),
         "linkedin": linkedin,
@@ -367,10 +377,10 @@ def builtin_scenarios() -> dict[str, Scenario]:
 def scenario_from_config(spec: "str | dict[str, Any]") -> Scenario:
     """Resolve a scenario by registry name or build one from a mapping.
 
-    Inline definitions use the Scenario field names; ``population`` and the
-    moment fields accept scalars, which broadcast over ``T``. The
-    Bernoulli family takes ``bernoulli_scale``/``bernoulli_p`` instead of
-    moments; the Student-t family derives its scale from ``var_*``.
+    An inline scenario maps ``Scenario`` fields to values: ``family``, ``T``
+    and ``population`` are required and ``name`` defaults to ``"custom"``.
+    An unknown name or key, or a missing required key, raises ``KeyError``;
+    ``Scenario`` itself broadcasts, derives and checks the values.
     """
     if isinstance(spec, str):
         registry = builtin_scenarios()
@@ -378,28 +388,10 @@ def scenario_from_config(spec: "str | dict[str, Any]") -> Scenario:
             raise KeyError(f"unknown scenario {spec!r}; known: {sorted(registry)}")
         return registry[spec]
 
-    d = dict(spec)
-    unknown = sorted(d.keys() - {field.name for field in fields(Scenario)})
+    unknown = sorted(spec.keys() - {field.name for field in fields(Scenario)})
     if unknown:
         raise KeyError(f"unknown scenario keys {unknown}; an inline scenario takes Scenario fields")
-    name = d.get("name", "custom")
-    family = d["family"]
-    T = int(d["T"])
-    pop = _per_stage(d["population"], T, "population")
-    population = tuple(int(n) for n in pop)
-    if family == "bernoulli_scaled":
-        scale = float(d["bernoulli_scale"])
-        p0, p1 = (float(p) for p in d["bernoulli_p"])
-        return _bernoulli_scenario(name, T, population, scale, p0, p1)
-    return Scenario(
-        name=name,
-        family=family,
-        T=T,
-        population=population,
-        mean_control=_per_stage(d["mean_control"], T, "mean_control"),
-        mean_treatment=_per_stage(d["mean_treatment"], T, "mean_treatment"),
-        var_control=_per_stage(d["var_control"], T, "var_control"),
-        var_treatment=_per_stage(d["var_treatment"], T, "var_treatment"),
-        correlation=d.get("correlation"),
-        tail_df=d.get("tail_df"),
-    )
+    missing = [key for key in ("family", "T", "population") if key not in spec]
+    if missing:
+        raise KeyError(f"an inline scenario needs {', '.join(missing)}")
+    return Scenario(**{"name": "custom", **spec})

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -300,6 +301,130 @@ class TestRun:
         assert policy == CantelliPolicy(prior, VariancePolicy(), 10_000, TreatmentEffectCost())
 
 
+# One valid inline scenario of each checked family, small enough to run fast.
+INLINE = {
+    "gaussian_iid": {
+        "family": "gaussian_iid", "T": 3, "population": [20, 30, 25], "mean_control": 0.0,
+        "mean_treatment": -1.0, "var_control": 10.0, "var_treatment": 10.0,
+    },
+    "gaussian_correlated": {
+        "family": "gaussian_correlated", "T": 3, "population": 20, "mean_control": 0.0,
+        "mean_treatment": -1.0, "var_control": 10.0, "var_treatment": 10.0, "correlation": 0.8,
+    },
+    "bernoulli_scaled": {
+        "family": "bernoulli_scaled", "T": 3, "population": 20, "bernoulli_scale": 6.4,
+        "bernoulli_p": [0.5786, 0.4224],
+    },
+    "student_t_shifted": {
+        "family": "student_t_shifted", "T": 3, "population": 20, "mean_control": 1.0,
+        "mean_treatment": 0.0, "var_control": 10.0, "var_treatment": 10.0, "tail_df": 4.0,
+    },
+}
+_REMOVED = object()
+# Each single-leaf mutation: the key removed, then the values put in its place.
+_MUTATIONS = (_REMOVED, None, "x", True, [1, 1], 0, -1, 2.5, math.nan, math.inf, -math.inf,
+              1e300, -1e300)
+
+
+def _mutants(spec):
+    """(leaf, mutated spec) for every key and list entry of ``spec`` and every mutation."""
+    for key, value in spec.items():
+        entries = range(len(value)) if isinstance(value, list) else ()
+        leaves = [(key,)] + [(key, i) for i in entries]
+        for leaf in leaves:
+            for mutation in _MUTATIONS[len(leaf) - 1:]:  # a list entry is not removed
+                mutant = json.loads(json.dumps(spec))
+                holder = mutant if len(leaf) == 1 else mutant[key]
+                if mutation is _REMOVED:
+                    del holder[leaf[-1]]
+                else:
+                    holder[leaf[-1]] = mutation
+                yield leaf, mutant
+
+
+class TestInlineScenarios:
+    def run(self, tmp_path, spec, name="cfg", **entries):
+        out = tmp_path / f"{name}-out"
+        config = {"scenario": spec, "budget": -500, "delta": 0.05, "out": str(out), **entries}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        return main(["run", "--config", str(path), "--reps", "2", "--workers", "1"]), out
+
+    @pytest.mark.parametrize(
+        "family, changes, entries, message",
+        [
+            ("gaussian_iid", {"var_control": -1}, {"sigma_sq": [1, 1]},
+             "var_control must be a finite number > 0, got -1"),
+            ("gaussian_iid", {"mean_control": math.nan}, {},
+             "mean_control must be a finite number, got nan"),
+            ("student_t_shifted", {"tail_df": "four"}, {}, "tail_df must be"),
+            ("gaussian_correlated", {"correlation": "high"}, {}, "correlation must be"),
+            ("gaussian_iid", {"population": None}, {}, "population must be"),
+            ("bernoulli_scaled", {"bernoulli_p": 0.5}, {}, "bernoulli_p must be two numbers"),
+            ("gaussian_iid", {"family": "gaussian"}, {}, "family must be one of"),
+            ("gaussian_iid", {"family": None}, {}, "family must be one of"),
+            ("gaussian_iid", {"T": 0}, {}, "T must be a whole number"),
+            ("gaussian_iid", {"T": -1}, {}, "T must be a whole number"),
+            ("gaussian_iid", {"population": 0}, {}, "population must be a whole number"),
+            ("gaussian_iid", {"population": -5}, {}, "population must be a whole number"),
+            ("gaussian_iid", {"population": [20, 20]}, {}, "population must have one value per"),
+            ("gaussian_iid", {"mean_treatment": [-1, -1]}, {}, "mean_treatment must have one"),
+            ("gaussian_iid", {"var_control": 0}, {}, "var_control must be a finite number > 0"),
+            ("gaussian_iid", {"var_treatment": -2}, {}, "var_treatment must be a finite number"),
+            ("student_t_shifted", {"tail_df": _REMOVED}, {},
+             "a student_t_shifted scenario needs tail_df"),
+            ("student_t_shifted", {"tail_df": 2}, {}, "tail_df must be a finite number > 2"),
+            ("gaussian_correlated", {"correlation": 1.5}, {}, "correlation must be a number"),
+            ("gaussian_correlated", {"correlation": _REMOVED}, {},
+             "a gaussian_correlated scenario needs correlation"),
+            ("bernoulli_scaled", {"bernoulli_p": [1.5, 0.5]}, {}, "bernoulli_p must be two"),
+            ("bernoulli_scaled", {"bernoulli_p": [0.5]}, {}, "bernoulli_p must be two numbers"),
+            ("bernoulli_scaled", {"bernoulli_scale": "x"}, {}, "bernoulli_scale must be"),
+            ("gaussian_iid", {"population": 5.7}, {}, "population must be a whole number"),
+            ("gaussian_iid", {"family": _REMOVED}, {}, "an inline scenario needs family"),
+        ],
+    )
+    def test_each_probe_exits_one_naming_the_field(
+        self, tmp_path, capsys, family, changes, entries, message
+    ):
+        spec = {**INLINE[family], **changes}
+        spec = {key: value for key, value in spec.items() if value is not _REMOVED}
+        code, out = self.run(tmp_path, spec, **entries)
+        assert code == 1
+        assert f"run config: scenario: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", sorted(INLINE))
+    def test_single_leaf_mutations_exit_zero_or_one(self, tmp_path, capsys, family):
+        assert self.run(tmp_path, INLINE[family])[0] == 0
+        codes = []
+        for n, (leaf, spec) in enumerate(_mutants(INLINE[family])):
+            code, out = self.run(tmp_path, spec, name=f"m{n}")
+            err = capsys.readouterr().err
+            assert code in (0, 1), (leaf, spec, err)
+            if code == 1:
+                assert "run config: scenario: " in err and leaf[0] in err, (leaf, spec, err)
+                assert not out.exists(), (leaf, spec)
+            codes.append(code)
+        assert 0 in codes and 1 in codes
+
+    def test_overflowing_costs_exit_three_writing_nothing(self, tmp_path, capsys):
+        spec = {**INLINE["gaussian_iid"], "mean_control": 1e308, "mean_treatment": -1e308}
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out = self.run(tmp_path, spec)
+        assert code == 3
+        assert "cum_cost is not finite at stage 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_inline_copy_of_a_builtin_runs_like_it(self, tmp_path):
+        spec = {**INLINE["gaussian_iid"], "T": 10, "population": 500, "mean_treatment": -1}
+        inline, inline_out = self.run(tmp_path, spec, name="inline", seed=4)
+        named, named_out = self.run(tmp_path, "norm", name="named", seed=4)
+        assert inline == named == 0
+        for name in ("schedule.csv", "summary.json", "quantiles.csv"):
+            assert (inline_out / name).read_bytes() == (named_out / name).read_bytes(), name
+
+
 def legacy_figure_jobs(figure):
     """The preset builders that the config table replaced: (jobs, default replications)."""
     noninformative = GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=(100.0, 100.0))
@@ -359,6 +484,22 @@ FIGURES = [f"fig1{c}" for c in "abcdefghi"] + [f"fig2{c}" for c in "abcde"]
 
 
 class TestReproduce:
+    def test_a_failing_run_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        real, calls = replication.run_replications, []
+
+        def second_run_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ValueError("cum_cost is not finite at stage 1")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(replication, "run_replications", second_run_fails)
+        code = main(["reproduce", "fig1a", "--out", str(tmp_path / "out"), "--reps", "4",
+                     "--workers", "1"])
+        assert (code, len(calls)) == (3, 2)
+        assert "cum_cost is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_fig2c_small(self, tmp_path):
         code = main(
             ["reproduce", "fig2c", "--out", str(tmp_path), "--reps", "40", "--workers", "1"]

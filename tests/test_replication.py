@@ -20,7 +20,7 @@ from rampguard.replication import (
     resolve_workers,
     run_replications,
 )
-from rampguard.scenarios import ScenarioFeed, builtin_scenarios
+from rampguard.scenarios import Scenario, ScenarioFeed, builtin_scenarios
 from rampguard.schedules import RiskSchedule
 from rampguard.trace import run_stages
 
@@ -257,6 +257,18 @@ class TestRunReplications:
             run_replications(ANALYTIC, builtin_scenarios()["pte"], sched, 0, 0)
         with pytest.raises(TypeError):
             run_replications(object(), builtin_scenarios()["pte"], sched, 3, 0)
+
+    @pytest.mark.parametrize("family, extra", [
+        ("gaussian_iid", {}),  # the batch engine
+        ("student_t_shifted", {"tail_df": 4.0}),  # the per-unit engine
+    ])
+    def test_non_finite_costs_are_refused(self, family, extra):
+        # Each moment is finite, but a treated unit's effect of -2e308 is not.
+        scn = Scenario("overflow", family, 3, 20, 1e308, -1e308, 10.0, 10.0, **extra)
+        sched = RiskSchedule.uniform(-500.0, 0.05, 3)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="cum_cost is not finite at stage 1:"):
+                run_replications(ANALYTIC, scn, sched, 5, 0)
 
 
 # The one-object-per-replication traces the summary once stored, kept here

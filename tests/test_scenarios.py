@@ -1,3 +1,6 @@
+import dataclasses
+import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,20 +24,7 @@ PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
 
 
 def big_sample(scenario, t=1, n=100_000, seed=0):
-    sized = Scenario(
-        name=scenario.name,
-        family=scenario.family,
-        T=scenario.T,
-        population=(n,) + scenario.population[1:],
-        mean_control=scenario.mean_control,
-        mean_treatment=scenario.mean_treatment,
-        var_control=scenario.var_control,
-        var_treatment=scenario.var_treatment,
-        correlation=scenario.correlation,
-        bernoulli_scale=scenario.bernoulli_scale,
-        bernoulli_p=scenario.bernoulli_p,
-        tail_df=scenario.tail_df,
-    )
+    sized = dataclasses.replace(scenario, population=(n,) + scenario.population[1:])
     return generate_stage_outcomes(sized, t, np.random.default_rng(seed))
 
 
@@ -161,6 +151,111 @@ class TestConfig:
         }
         with pytest.raises(KeyError, match="tail_dof"):
             scenario_from_config(spec)
+
+
+GAUSSIAN = {
+    "name": "g", "family": "gaussian_iid", "T": 3, "population": 100, "mean_control": 0.0,
+    "mean_treatment": -1.0, "var_control": 4.0, "var_treatment": 4.0,
+}
+
+
+class TestConstruction:
+    def test_numbers_broadcast_over_the_stages(self):
+        scn = Scenario(**{**GAUSSIAN, "mean_treatment": [1, 2, 3.5]})
+        assert scn.population == (100, 100, 100)
+        assert scn.mean_control == (0.0, 0.0, 0.0)
+        assert scn.mean_treatment == (1.0, 2.0, 3.5)
+        assert scn.var_treatment == (4.0,) * 3
+
+    def test_numpy_scalars_construct_as_python_numbers(self):
+        scn = Scenario(
+            "g", "gaussian_iid", np.int64(3), np.int64(100), np.float64(0.0),
+            [np.float64(-1.0)] * 3, np.float32(4.0), np.int32(4),
+        )
+        assert scn == Scenario(**GAUSSIAN)
+        assert type(scn.T) is int and type(scn.population[0]) is int
+        assert type(scn.mean_treatment[0]) is float and type(scn.var_treatment[0]) is float
+
+    def test_whole_floats_count_as_whole_numbers(self):
+        scn = Scenario(**{**GAUSSIAN, "T": 3.0, "population": [100.0, 200, 300.0]})
+        assert scn.T == 3 and scn.population == (100, 200, 300)
+
+    def test_bernoulli_moments_are_derived(self):
+        scn = Scenario("b", "bernoulli_scaled", 2, 50, bernoulli_scale=2.0, bernoulli_p=[0.5, 0.25])
+        assert scn.mean_control == (1.0, 1.0) and scn.mean_treatment == (0.5, 0.5)
+        assert scn.var_control == (1.0, 1.0) and scn.var_treatment == (0.75, 0.75)
+        assert scn.bernoulli_p == (0.5, 0.25)
+        # Given moments are accepted when they equal the derived ones.
+        assert dataclasses.replace(scn, mean_control=1.0) == scn
+        with pytest.raises(ValueError, match="mean_control of a bernoulli_scaled scenario"):
+            dataclasses.replace(scn, mean_control=1.5)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"name": 7}, "name must be a string"),
+            ({"family": "gaussian"}, "family must be one of"),
+            ({"family": ["gaussian_iid"]}, "family must be one of"),
+            ({"T": 0}, "T must be a whole number in [1, 10000], got 0"),
+            ({"T": 2.5}, "T must be a whole number"),
+            ({"T": True}, "T must be a whole number"),
+            ({"T": "3"}, "T must be a whole number"),
+            ({"T": 10_001}, "T must be a whole number"),
+            ({"population": 2**53 + 2}, "population must be a whole number"),
+            ({"population": 10**400}, "population must be a whole number"),
+            ({"population": [100, 100]}, "population must have one value per stage (T=3), has 2"),
+            ({"population": [100, 0, 100]}, "population must be a whole number in [1, 2**53]"),
+            ({"mean_control": math.nan}, "mean_control must be a finite number, got nan"),
+            ({"mean_treatment": [0.0, -math.inf, 0.0]}, "mean_treatment must be a finite number"),
+            ({"mean_control": -(10**400)}, "mean_control must be a finite number"),
+            ({"mean_control": None}, "a gaussian_iid scenario needs mean_control"),
+            ({"var_treatment": math.inf}, "var_treatment must be a finite number > 0"),
+            ({"var_treatment": "4"}, "var_treatment must be a finite number > 0, got '4'"),
+            ({"correlation": 0.5}, "a gaussian_iid scenario takes no correlation"),
+            ({"tail_df": 4}, "a gaussian_iid scenario takes no tail_df"),
+            ({"bernoulli_p": (0.5, 0.5)}, "a gaussian_iid scenario takes no bernoulli_p"),
+            ({"family": "gaussian_correlated"}, "a gaussian_correlated scenario needs correlation"),
+            ({"family": "bernoulli_scaled"}, "a bernoulli_scaled scenario needs bernoulli_scale"),
+        ],
+    )
+    def test_each_fault_names_its_field(self, changes, message):
+        with pytest.raises(ValueError) as info:
+            Scenario(**{**GAUSSIAN, **changes})
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"bernoulli_p": [0.5, 0.0]}, "bernoulli_p must be two numbers in (0, 1), got 0.0"),
+            ({"bernoulli_scale": -1}, "bernoulli_scale must be a finite number > 0"),
+            (
+                {"bernoulli_scale": 1e200},
+                "var_control from bernoulli_scale and bernoulli_p must be a finite number > 0",
+            ),
+        ],
+    )
+    def test_bernoulli_faults_name_their_field(self, changes, message):
+        spec = {"family": "bernoulli_scaled", "T": 2, "population": 50,
+                "bernoulli_scale": 2.0, "bernoulli_p": [0.5, 0.25], **changes}
+        with pytest.raises(ValueError) as info:
+            scenario_from_config(spec)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+    def test_registry_round_trips_through_the_config(self, name):
+        scn = builtin_scenarios()[name]
+        spec = {field.name: getattr(scn, field.name) for field in dataclasses.fields(scn)}
+        assert scenario_from_config(json.loads(json.dumps(spec))) == scn
+        assert scenario_from_config(spec) == scn
+
+    def test_bern_rebuilds_from_scale_and_probabilities(self):
+        spec = {"name": "bern", "family": "bernoulli_scaled", "T": 10, "population": 500,
+                "bernoulli_scale": 6.4, "bernoulli_p": [0.5786, 0.4224]}
+        assert scenario_from_config(spec) == builtin_scenarios()["bern"]
+
+    def test_inline_scenario_needs_family_t_and_population(self):
+        with pytest.raises(KeyError, match="an inline scenario needs family, population"):
+            scenario_from_config({"T": 3, "mean_control": 0.0})
 
 
 class TestFeed:
