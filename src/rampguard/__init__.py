@@ -21,8 +21,8 @@ _EXPORTS = {
     "diagnostics": ("RobustnessChecks", "robustness_diagnostics"),
     "mc_solver": (
         "CantelliPolicy", "CappedEffectCost", "CostFunction", "GaussianPosteriorSampler",
-        "PosteriorQuantities", "TreatmentEffectCost", "cost_from_config",
-        "estimate_posterior_quantities", "solve_ramp_size_cantelli",
+        "PosteriorQuantities", "TreatmentEffectCost", "estimate_posterior_quantities",
+        "solve_ramp_size_cantelli",
     ),
     "normal": ("normal_cdf", "normal_pdf", "normal_quantile"),
     "posterior": (
@@ -39,8 +39,7 @@ _EXPORTS = {
         "scenario_from_config",
     ),
     "schedules": (
-        "RiskSchedule", "ScheduleError", "schedule_from_config", "sinc_gamma", "sinc_schedule",
-        "uniform_tolerance",
+        "RiskSchedule", "ScheduleError", "sinc_gamma", "sinc_schedule", "uniform_tolerance",
     ),
     "solver": (
         "AnalyticPolicy", "PredictiveMoments", "QuadraticCoefficients", "StageDecision",

@@ -109,13 +109,13 @@ def run_block(
     policy: BlockPolicy,
     schedule: RiskSchedule,
     scenario: Scenario,
-    rng: "np.random.Generator | Sequence[np.random.Generator]",
+    rngs: Sequence[np.random.Generator],
     size: int,
 ) -> BlockTraces:
     """Run blocks of ``size`` independent replications of the stage loop.
 
-    ``rng`` is one block's generator, or a sequence of generators, one per
-    block, whose blocks run stacked as one pass with rows in block order.
+    ``rngs`` holds one generator per block; the blocks run stacked as one
+    pass with rows in block order.
     Stages run while the schedule has entries and the scenario has stages;
     these stop rules do not depend on the data, so every replication runs
     the same stages. The scenario's family must have a sum law and the
@@ -123,10 +123,8 @@ def run_block(
     ``replication.run_replications`` checks both before it gets here.
     """
     half_cap = getattr(policy, "cap_at_half", True)
-    if not isinstance(rng, np.random.Generator):
-        rngs = list(rng)
-        rng = rngs[0] if len(rngs) == 1 else _Streams(rngs, size)
-        size *= len(rngs)
+    rng = rngs[0] if len(rngs) == 1 else _Streams(rngs, size)
+    size *= len(rngs)
 
     counts = (np.zeros(size), np.zeros(size))
     sum_control = np.zeros(size)

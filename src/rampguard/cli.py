@@ -40,7 +40,7 @@ from .posterior import (
     compute_posterior,
     update_stats,
 )
-from .schedules import RiskSchedule, ScheduleError, schedule_from_config
+from .schedules import RiskSchedule, ScheduleError, sinc_schedule, uniform_tolerance
 from .solver import AnalyticPolicy, solve_ramp_size
 
 if TYPE_CHECKING:
@@ -119,18 +119,23 @@ def _whole(least: int):
     return (lambda v: _is_number(v) and v >= least and v % 1 == 0, f"a whole number >= {least}")
 
 
+def _is_stage_count(v) -> bool:
+    """A generator's stage count: the bound ``Scenario`` puts on T, as no scenario runs past it."""
+    return _whole(1)[0](v) and v <= 10_000
+
+
 def _is_tolerances(v) -> bool:
     """A list of stage tolerances or a generator of them."""
     if not isinstance(v, dict):
         return _list_of(_is_number)(v)
-    generators = (("uniform", "T", _whole(1)[0]), ("sinc", "horizon", _whole(1)[0]),
+    generators = (("uniform", "T", _is_stage_count), ("sinc", "horizon", _is_stage_count),
                   ("explicit", "values", _list_of(_is_number)))
     return any(v == {"type": kind, key: v.get(key)} and check(v[key])
                for kind, key, check in generators)
 
 
 def _is_cost(v) -> bool:
-    """A cost that ``mc_solver.cost_from_config`` builds: a name or a mapping."""
+    """A cost that ``_resolve`` builds: a name or a mapping."""
     v = v if isinstance(v, dict) else {"type": v}
     floor = v.get("floor", 0.0)
     capped = {"type": "capped_effect", "floor": floor}
@@ -297,28 +302,39 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
         scenario = scenario_from_config(config["scenario"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{source}: scenario: {exc.args[0]}") from None
-    schedule = schedule_from_config(
-        {
-            "stage_tolerances": {"type": "uniform", "T": scenario.T},
-            **config.get("schedule", {}),
-            "budget": config["budget"],
-            "delta": config["delta"],
-        }
-    )
+    # The schedule, by default a uniform split over the scenario's stages;
+    # a number given as stage_budgets holds for every stage.
+    budget, delta = float(config["budget"]), float(config["delta"])
+    spec = config.get("schedule", {})
+    tolerances = spec.get("stage_tolerances", {"type": "uniform", "T": scenario.T})
+    if isinstance(tolerances, dict):
+        kind = tolerances["type"]
+        if kind == "uniform":  # int(): JSON may give a stage count as 4.0
+            tolerances = uniform_tolerance(delta, int(tolerances["T"]))
+        elif kind == "sinc":
+            tolerances = sinc_schedule(delta, int(tolerances["horizon"]))
+        else:
+            tolerances = tolerances["values"]
+    budgets = spec.get("stage_budgets", budget)
+    budgets = budgets if isinstance(budgets, list) else [budgets] * len(tolerances)
+    schedule = RiskSchedule(budget, delta, budgets, tolerances)
 
     prior, variance = _prior_and_variance(source, config)
     algorithm = config.get("algorithm", "rrc_analytic")
     if algorithm == "rrc_analytic":
         policy: Any = AnalyticPolicy(prior=prior, variance=variance)
     elif algorithm == "rrc_cantelli":
-        from .mc_solver import CantelliPolicy, cost_from_config
+        from .mc_solver import CantelliPolicy, CappedEffectCost, TreatmentEffectCost
 
         mc = config.get("mc", {})
+        cost = mc.get("cost", "treatment_effect")
+        # The schema admits a capped cost only with its floor.
+        capped = isinstance(cost, dict) and cost["type"] == "capped_effect"
         policy = CantelliPolicy(
             prior=prior,
             variance=variance,
             samples=int(mc.get("samples", 10_000)),
-            cost=cost_from_config(mc.get("cost", "treatment_effect")),
+            cost=CappedEffectCost(float(cost["floor"])) if capped else TreatmentEffectCost(),
         )
     elif variance.mode == "estimated":
         raise ConfigError(

@@ -19,7 +19,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "CostFunction",
     "TreatmentEffectCost",
     "CappedEffectCost",
-    "cost_from_config",
     "GaussianPosteriorSampler",
     "PosteriorQuantities",
     "estimate_posterior_quantities",
@@ -176,20 +174,6 @@ class CappedEffectCost(CostFunction):
     def evaluate_into(self, y1, y0, out):
         np.subtract(y1, y0, out=out)
         return np.maximum(out, self.floor, out=out)
-
-
-def cost_from_config(spec: "str | dict[str, Any]") -> CostFunction:
-    """Resolve a cost function from its config name or mapping."""
-    if isinstance(spec, str):
-        name, params = spec, {}
-    else:
-        d = dict(spec)
-        name, params = d.pop("type"), d
-    if name == "treatment_effect":
-        return TreatmentEffectCost()
-    if name == "capped_effect":
-        return CappedEffectCost(floor=float(params["floor"]))
-    raise KeyError(f"unknown cost function {name!r}")
 
 
 class GaussianPosteriorSampler:

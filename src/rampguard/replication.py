@@ -35,6 +35,7 @@ __all__ = [
     "BLOCK_SIZE",
     "GROUP_BLOCKS",
     "STREAM_TAG",
+    "UNIT_POPULATION_CAP",
     "CompactTrace",
     "ReplicationSummary",
     "TraceView",
@@ -50,6 +51,8 @@ QUANTILE_LEVELS = (25.0, 50.0, 75.0)
 BLOCK_SIZE = 256
 # Blocks per batch-engine group, the unit of work: 8,192 replications or fewer run in process.
 GROUP_BLOCKS = 32
+# Units the per-unit engine draws in one stage at most: 80 MB per drawn array.
+UNIT_POPULATION_CAP = 10**7
 # Second key word of every batch-engine stream (see replication_stream).
 STREAM_TAG = 0xFFFF_FFFF
 # The per-stage result columns both engines produce, in BlockTraces order.
@@ -263,7 +266,9 @@ def run_replications(
     budget. Quantile curves cover the treated-group sizes and the running
     budget surplus per stage. The engine follows from the inputs alone
     (see the module docstring). A cost that overflows a float is neither
-    ruined nor safe: ``ValueError`` names the first stage it reaches.
+    ruined nor safe: ``ValueError`` names the first stage it reaches. A
+    per-unit stage of more than ``UNIT_POPULATION_CAP`` units raises
+    ``ValueError`` before any draw.
     """
     if K_rep < 1:
         raise ValueError(f"K_rep must be >= 1, got {K_rep!r}")
@@ -276,6 +281,12 @@ def run_replications(
         columns = (np.concatenate([getattr(g, f) for g in groups])[:K_rep] for f in _COLUMNS)
         results = BlockTraces(*columns, groups[0].labels)
     else:
+        for t, n in enumerate(scenario.population[: schedule.num_stages], start=1):
+            if n > UNIT_POPULATION_CAP:
+                raise ValueError(
+                    f"stage {t}: population {n} is more than the {UNIT_POPULATION_CAP} units "
+                    "the per-unit engine draws in a stage"
+                )
         results = _stack(_map_chunks(_run_chunk, K_rep, workers, policy, scenario, schedule, seed))
     overflow = ~np.isfinite(results.cum_cost).all(axis=0)
     if overflow.any():

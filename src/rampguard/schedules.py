@@ -30,7 +30,6 @@ __all__ = [
     "uniform_tolerance",
     "sinc_gamma",
     "sinc_schedule",
-    "schedule_from_config",
 ]
 
 # Relative slack absorbing float rounding in product comparisons.
@@ -196,49 +195,3 @@ class RiskSchedule:
             "stage_budgets": list(self.stage_budgets),
             "stage_tolerances": list(self.stage_tolerances),
         }
-
-
-def schedule_from_config(config: dict[str, Any]) -> RiskSchedule:
-    """Build a schedule from a JSON-style mapping.
-
-    Expected keys: ``budget``, ``delta``, plus ``stage_tolerances`` given
-    either as an explicit list or as a generator spec, one of
-
-    - ``{"type": "uniform", "T": 10}``
-    - ``{"type": "sinc", "horizon": 10}``
-    - ``{"type": "explicit", "values": [...]}``.
-
-    ``stage_budgets`` may be a list, a single number to repeat, or omitted
-    entirely (every stage then uses the total budget).
-    """
-    try:
-        budget = float(config["budget"])
-        delta = float(config["delta"])
-    except KeyError as exc:
-        raise ScheduleError(f"schedule config is missing key {exc.args[0]!r}") from None
-
-    tol_spec = config.get("stage_tolerances")
-    if tol_spec is None:
-        raise ScheduleError("schedule config needs 'stage_tolerances'")
-    if isinstance(tol_spec, dict):
-        kind = tol_spec.get("type")
-        if kind == "uniform":
-            tolerances = uniform_tolerance(delta, int(tol_spec["T"]))
-        elif kind == "sinc":
-            tolerances = sinc_schedule(delta, int(tol_spec["horizon"]))
-        elif kind == "explicit":
-            tolerances = tuple(float(v) for v in tol_spec["values"])
-        else:
-            raise ScheduleError(f"unknown tolerance generator type {kind!r}")
-    else:
-        tolerances = tuple(float(v) for v in tol_spec)
-
-    bud_spec = config.get("stage_budgets")
-    if bud_spec is None:
-        budgets: tuple[float, ...] = (budget,) * len(tolerances)
-    elif isinstance(bud_spec, (int, float)):
-        budgets = (float(bud_spec),) * len(tolerances)
-    else:
-        budgets = tuple(float(v) for v in bud_spec)
-
-    return RiskSchedule(budget, delta, budgets, tolerances)

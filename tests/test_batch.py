@@ -141,7 +141,7 @@ def test_batch_thompson_matches_the_per_unit_engine(name, c):
 def blocks_run_alone(policy, scn, sched, reps, seed) -> BlockTraces:
     """The reference of the stacked engine: every block through run_block alone."""
     blocks = [
-        run_block(policy, sched, scn, replication_stream(seed, STREAM_TAG, b), BLOCK_SIZE)
+        run_block(policy, sched, scn, [replication_stream(seed, STREAM_TAG, b)], BLOCK_SIZE)
         for b in range(-(-reps // BLOCK_SIZE))
     ]
     fields = ("m", "branch", "stage_cost", "cum_cost")

@@ -13,7 +13,7 @@ from rampguard.cli import main
 from rampguard.mc_solver import CantelliPolicy, CappedEffectCost, TreatmentEffectCost
 from rampguard.posterior import GaussianPrior, VariancePolicy
 from rampguard.scenarios import ScenarioFeed, builtin_scenarios
-from rampguard.schedules import RiskSchedule
+from rampguard.schedules import RiskSchedule, sinc_schedule, uniform_tolerance
 from rampguard.thompson import ThompsonPolicy
 from rampguard.trace import run_stages
 
@@ -224,6 +224,10 @@ class TestRun:
                 {"schedule": {"stage_tolerances": {"type": "uniform", "T": 10, "t": 5}}}, [],
                 "schedule.stage_tolerances must be",
             ),
+            (
+                {"schedule": {"stage_tolerances": {"type": "nope", "T": 10}}}, [],
+                "schedule.stage_tolerances must be",
+            ),
             ({"seed": 2.7}, [], "seed must be a whole number >= 0, got 2.7"),
             ({}, ["--seed", "-1"], "seed must be a whole number >= 0, got -1"),
             ({"algorithm": "rrc_cantelli", "mc": {"cost": "capped"}}, [], "mc.cost must be"),
@@ -240,7 +244,8 @@ class TestRun:
         ],
         ids=[
             "string-cap-at-half", "zero-c", "misspelt-section", "misspelt-mc-key",
-            "misspelt-prior-key", "inline-scenario-key", "generator-extra-key", "fractional-seed",
+            "misspelt-prior-key", "inline-scenario-key", "generator-extra-key", "unknown-generator",
+            "fractional-seed",
             "negative-seed-flag", "unknown-cost", "capped-cost-without-floor", "thompson-estimated-variances",
         ],
     )
@@ -274,15 +279,15 @@ class TestRun:
             summaries[name] = json.loads((out / "summary.json").read_text())
         assert summaries["linear"] == summaries["default"]
         assert summaries["capped"] != summaries["linear"]
-        policy = CantelliPolicy(
-            GaussianPrior((0.0, 0.0), (100.0, 100.0)), VariancePolicy(), samples=500,
-            cost=CappedEffectCost(floor=-0.5),
-        )
-        expected = replication.run_replications(
-            policy, builtin_scenarios()["norm"], RiskSchedule.uniform(-500.0, 0.05, 10), 2, 1,
-            workers=1,
-        )
-        assert summaries["capped"] == expected.to_json_dict()
+        for name, cost in [("linear", TreatmentEffectCost()), ("capped", CappedEffectCost(-0.5))]:
+            policy = CantelliPolicy(
+                GaussianPrior((0.0, 0.0), (100.0, 100.0)), VariancePolicy(), samples=500, cost=cost
+            )
+            expected = replication.run_replications(
+                policy, builtin_scenarios()["norm"], RiskSchedule.uniform(-500.0, 0.05, 10), 2, 1,
+                workers=1,
+            )
+            assert summaries[name] == expected.to_json_dict(), name
 
     def test_readme_config_example_resolves(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -299,6 +304,95 @@ class TestRun:
         assert policy == ThompsonPolicy(c=1.0, prior=prior, cap_at_half=False)
         _, _, _, policy = cli._resolve("README", {**example, "algorithm": "rrc_cantelli"})
         assert policy == CantelliPolicy(prior, VariancePolicy(), 10_000, TreatmentEffectCost())
+
+
+class TestScheduleConfig:
+    """The schedule `run` builds from its config's budget, delta and schedule entries."""
+
+    real_run = staticmethod(replication.run_replications)
+
+    def run(self, tmp_path, monkeypatch, schedule=None, flags=(), name="cfg", **entries):
+        """Exit code, output directory and the schedule the study ran on (None if none ran)."""
+        studied = []
+
+        def spy(policy, scenario, schedule, *args, **kwargs):
+            studied.append(schedule)
+            return self.real_run(policy, scenario, schedule, *args, **kwargs)
+
+        monkeypatch.setattr(replication, "run_replications", spy)
+        out = tmp_path / name
+        config = {"scenario": "norm", "budget": -500, "delta": 0.01, "replications": 2,
+                  "seed": 4, "out": str(out), **entries}
+        if schedule is not None:
+            config["schedule"] = schedule
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        code = main(["run", "--config", str(path), "--workers", "1", *flags])
+        return code, out, studied[0] if studied else None
+
+    @pytest.mark.parametrize(
+        "schedule, delta, budgets, tolerances",
+        [
+            (None, 0.01, (-500.0,) * 10, uniform_tolerance(0.01, 10)),
+            ({"stage_tolerances": {"type": "uniform", "T": 10}}, 0.01, (-500.0,) * 10,
+             uniform_tolerance(0.01, 10)),
+            ({"stage_tolerances": {"type": "uniform", "T": 4.0}}, 0.01, (-500.0,) * 4,
+             uniform_tolerance(0.01, 4)),
+            ({"stage_tolerances": {"type": "sinc", "horizon": 7}}, 0.05, (-500.0,) * 7,
+             sinc_schedule(0.05, 7)),
+            ({"stage_tolerances": {"type": "explicit", "values": [0.001, 0.002]},
+              "stage_budgets": -400}, 0.01, (-400.0, -400.0), (0.001, 0.002)),
+            ({"stage_tolerances": [0.001, 0.002], "stage_budgets": [-400, -450]}, 0.01,
+             (-400.0, -450.0), (0.001, 0.002)),
+        ],
+        ids=["default", "uniform", "uniform-float-T", "sinc", "explicit", "lists"],
+    )
+    def test_generators_give_their_schedule(
+        self, tmp_path, monkeypatch, schedule, delta, budgets, tolerances
+    ):
+        code, out, studied = self.run(tmp_path, monkeypatch, schedule, delta=delta)
+        assert code == 0
+        assert studied == RiskSchedule(-500.0, delta, budgets, tolerances)
+        assert json.loads((out / "summary.json").read_text())["stages"] == len(tolerances)
+
+    def test_a_written_schedule_reproduces_its_study(self, tmp_path, monkeypatch):
+        sched = RiskSchedule.uniform(-500.0, 0.05, 4, stage_budgets=[-400, -400, -500, -500])
+        generated = {"stage_tolerances": {"type": "uniform", "T": 4},
+                     "stage_budgets": [-400, -400, -500, -500]}
+        _, out, studied = self.run(tmp_path, monkeypatch, generated, name="generated", delta=0.05)
+        written = sched.to_config()
+        budget, delta = written.pop("budget"), written.pop("delta")
+        _, again, restudied = self.run(
+            tmp_path, monkeypatch, written, name="written", budget=budget, delta=delta
+        )
+        assert studied == restudied == sched
+        for name in ("schedule.csv", "summary.json", "quantiles.csv"):
+            assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
+    @pytest.mark.parametrize("value", [0, 1.5, 10_001, 1e300, True, "10"])
+    @pytest.mark.parametrize("kind, key", [("uniform", "T"), ("sinc", "horizon")])
+    def test_stage_counts_outside_the_scenario_bound_exit_one(
+        self, tmp_path, monkeypatch, capsys, kind, key, value
+    ):
+        schedule = {"stage_tolerances": {"type": kind, key: value}}
+        code, out, studied = self.run(tmp_path, monkeypatch, schedule)
+        assert (code, studied) == (1, None)
+        assert "run config: schedule.stage_tolerances must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, key", [("uniform", "T"), ("sinc", "horizon")])
+    def test_the_largest_stage_count_runs(self, tmp_path, monkeypatch, kind, key):
+        schedule = {"stage_tolerances": {"type": kind, key: 10_000}}
+        code, out, studied = self.run(tmp_path, monkeypatch, schedule)
+        assert (code, studied.num_stages) == (0, 10_000)
+        # The study stops with the scenario's ten stages.
+        assert json.loads((out / "summary.json").read_text())["stages"] == 10
+
+    def test_a_stage_count_flag_outside_the_bound_exits_one(self, tmp_path, monkeypatch, capsys):
+        code, out, studied = self.run(tmp_path, monkeypatch, flags=["--T", "10001"])
+        assert (code, studied) == (1, None)
+        assert "schedule.stage_tolerances must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # One valid inline scenario of each checked family, small enough to run fast.
@@ -415,6 +509,21 @@ class TestInlineScenarios:
         assert code == 3
         assert "cum_cost is not finite at stage 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_per_unit_studies_bound_the_stage_population(self, tmp_path, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("the per-unit engine drew units")
+
+        monkeypatch.setattr(replication, "_run_chunk", no_draws)
+        population = [20, replication.UNIT_POPULATION_CAP + 1, 20]
+        code, out = self.run(tmp_path, {**INLINE["student_t_shifted"], "population": population})
+        assert code == 3
+        message = f"stage 2: population {population[1]} is more than"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        # The batch engine draws stage sums, not units, and keeps the full range.
+        spec = {**INLINE["gaussian_iid"], "population": population}
+        assert self.run(tmp_path, spec, name="batch")[0] == 0
 
     def test_an_inline_copy_of_a_builtin_runs_like_it(self, tmp_path):
         spec = {**INLINE["gaussian_iid"], "T": 10, "population": 500, "mean_treatment": -1}

@@ -19,7 +19,6 @@ from rampguard.mc_solver import (
     GaussianPosteriorSampler,
     PosteriorQuantities,
     TreatmentEffectCost,
-    cost_from_config,
     estimate_posterior_quantities,
     solve_ramp_size_cantelli,
 )
@@ -135,13 +134,6 @@ class TestCostFunctions:
         np.testing.assert_allclose(
             cost(np.array([0.0, 5.0]), np.array([4.0, 1.0])), [-1.0, 4.0]
         )
-
-    def test_registry(self):
-        assert isinstance(cost_from_config("treatment_effect"), TreatmentEffectCost)
-        capped = cost_from_config({"type": "capped_effect", "floor": -2.5})
-        assert capped == CappedEffectCost(floor=-2.5)
-        with pytest.raises(KeyError):
-            cost_from_config("nope")
 
 
 class TestSampler:

@@ -297,7 +297,7 @@ def reference_traces(policy, scenario, schedule, count, seed):
         traces = []
         for block in range(-(-count // BLOCK_SIZE)):
             rng = replication_stream(seed, STREAM_TAG, block)
-            result = run_block(policy, schedule, scenario, rng, BLOCK_SIZE)
+            result = run_block(policy, schedule, scenario, [rng], BLOCK_SIZE)
             traces += _compact_traces(result, count - block * BLOCK_SIZE)
         return traces
     return [

@@ -9,7 +9,6 @@ from rampguard.schedules import (
     REL_SLACK,
     RiskSchedule,
     ScheduleError,
-    schedule_from_config,
     sinc_gamma,
     sinc_schedule,
     uniform_tolerance,
@@ -304,39 +303,3 @@ class TestConstructionAndExtension:
         sched = RiskSchedule.uniform(-500.0, 0.05, 2)
         with pytest.raises(ScheduleError):
             sched.extended(-600.0, 0.001)
-
-
-class TestConfigRoundTrip:
-    def test_generator_specs(self):
-        uniform = schedule_from_config(
-            {"budget": -500, "delta": 0.01, "stage_tolerances": {"type": "uniform", "T": 10}}
-        )
-        assert uniform.stage_tolerances == uniform_tolerance(0.01, 10)
-        assert uniform.stage_budgets == (-500.0,) * 10
-
-        sinc = schedule_from_config(
-            {"budget": -500, "delta": 0.05, "stage_tolerances": {"type": "sinc", "horizon": 7}}
-        )
-        assert sinc.stage_tolerances == sinc_schedule(0.05, 7)
-
-        explicit = schedule_from_config(
-            {
-                "budget": -500,
-                "delta": 0.01,
-                "stage_tolerances": {"type": "explicit", "values": [0.001, 0.002]},
-                "stage_budgets": -400,
-            }
-        )
-        assert explicit.stage_tolerances == (0.001, 0.002)
-        assert explicit.stage_budgets == (-400.0, -400.0)
-
-    def test_round_trip(self):
-        sched = RiskSchedule.uniform(-500.0, 0.05, 4, stage_budgets=[-400, -400, -500, -500])
-        again = schedule_from_config(sched.to_config())
-        assert again == sched
-
-    def test_unknown_generator(self):
-        with pytest.raises(ScheduleError):
-            schedule_from_config(
-                {"budget": -1, "delta": 0.1, "stage_tolerances": {"type": "nope"}}
-            )
