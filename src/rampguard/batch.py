@@ -10,7 +10,7 @@ replication for the running statistics and asks the policy for every
 replication's stage decision at once through its ``decide_block``, which
 sits beside the policy's scalar ``decide``:
 
-- ``AnalyticPolicy`` solves the whole block with ``solve_ramp_sizes``;
+- ``AnalyticPolicy`` solves the block with ``solve_ramp_sizes`` (stage 1: one scalar solve);
 - ``ThompsonPolicy`` draws the block's treated counts with one binomial
   call at the vectorized assignment probabilities.
 

@@ -134,6 +134,14 @@ def _is_tolerances(v) -> bool:
                for kind, key, check in generators)
 
 
+def _tolerances_wanted(v) -> str:
+    """What stage tolerances must be; the bound when a generator's one fault is its count."""
+    for kind, key in (("uniform", "T"), ("sinc", "horizon")):
+        if isinstance(v, dict) and v == {"type": kind, key: v.get(key)}:
+            return f"a {kind} tolerance generator with {key} a whole number in [1, 10000]"
+    return "a list of numbers or a tolerance generator"
+
+
 def _is_cost(v) -> bool:
     """A cost that ``_resolve`` builds: a name or a mapping."""
     v = v if isinstance(v, dict) else {"type": v}
@@ -152,9 +160,9 @@ _VARIANCES = (_list_of(_POSITIVE[0], 2), "a list of two finite numbers > 0")
 _NUMBERS = (_list_of(_is_number), "a list of numbers")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 
-# Each key maps to the check of its value and what the check wants, or to
-# the schema of its own keys. The prior and variance keys are the same in
-# a run config and a state file.
+# Each key maps to the check of its value and what the check wants (a text,
+# or a function of the value that gives one), or to the schema of its own
+# keys. The prior and variance keys are the same in a run config and a state file.
 _BELIEF_SCHEMA = {
     "prior": {"mu0": _PAIR, "sigma0_sq": _VARIANCES},
     "variance_mode": (lambda v: v in ("known", "estimated"), "'known' or 'estimated'"),
@@ -168,7 +176,7 @@ _CONFIG_SCHEMA = {
     "budget": _NUMBER,
     "delta": _NUMBER,
     "schedule": {
-        "stage_tolerances": (_is_tolerances, "a list of numbers or a tolerance generator"),
+        "stage_tolerances": (_is_tolerances, _tolerances_wanted),
         "stage_budgets": (lambda v: _is_number(v) or _NUMBERS[0](v), "a number or " + _NUMBERS[1]),
     },
     **_BELIEF_SCHEMA,
@@ -238,7 +246,8 @@ def _check_values(
                 raise ConfigError(f"{source}: {name} must be an object, got {value!r}")
             _check_values(source, value, spec, required, name + ".")
         elif not spec[0](value):
-            raise ConfigError(f"{source}: {name} must be {spec[1]}, got {value!r}")
+            wants = spec[1](value) if callable(spec[1]) else spec[1]
+            raise ConfigError(f"{source}: {name} must be {wants}, got {value!r}")
 
 
 def _check_flags(command: str, args: argparse.Namespace) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -110,6 +109,7 @@ def _imputing(impute, shards: list):
         yield
         drain()
         return
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(helpers) as pool:
         futures = [pool.submit(drain) for _ in range(helpers)]
         try:

@@ -75,6 +75,8 @@ _DEGENERATE_A = 1e-12
 # discriminant; it is kept as a root, whose candidates are re-checked.
 _DISC_SLACK = 1e-12
 
+_NO_STATS = SufficientStats()  # built once: every replication's statistics at stage 1
+
 
 @dataclass(frozen=True)
 class PredictiveMoments:
@@ -294,7 +296,6 @@ def solve_ramp_sizes(
     # Rows of other branches compute NaN or overflowing roots; the masks
     # below discard them, as the scalar path never computes them.
     with np.errstate(all="ignore"):
-        at_cap = _satisfied(moments, S, b_t, cap, limit)
         coef = quadratic_coefficients(moments, S, b_t, q)
         A, B, C = coef.A, coef.B, coef.C
         tiny = _DEGENERATE_A * np.maximum(np.maximum(np.abs(B), np.abs(C)), 1.0)
@@ -307,13 +308,12 @@ def solve_ramp_sizes(
         two_a = 2.0 * A
         high = np.where(linear, -C / B, (-B + sq) / two_a)
         low = np.where(linear, high, (-B - sq) / two_a)
-        base = np.floor(np.stack((high, low)))
-        candidates = np.concatenate((base, base + 1.0))
-        valid = (
-            (candidates >= 0.0)
-            & (candidates <= cap)
-            & _satisfied(moments, S, b_t, candidates, limit)
-        )
+        # One tail check: row 0 is the cap, rows 1-4 the floored roots and their upper neighbours.
+        stack = np.floor((np.full_like(high, cap), high, low, high, low))
+        stack[3:] += 1.0
+        ok = _satisfied(moments, S, b_t, stack, limit)
+        at_cap, candidates = ok[0], stack[1:]
+        valid = (candidates >= 0.0) & (candidates <= cap) & ok[1:]
     best = np.where(valid, candidates, -1.0).max(axis=0)
     found = best >= 0.0
 
@@ -335,9 +335,9 @@ class AnalyticPolicy:
     """The closed-form ramp solver as a stage-loop policy.
 
     Each stage resolves the outcome variances per ``variance``, refreshes
-    the posterior and solves for the largest admissible m.
-    ``decide_block`` does the same for a block of replications under known
-    variances.
+    the posterior and solves for the largest admissible m. ``decide_block``
+    does the same for a block of replications under known variances; at
+    stage 1, where every replication has the empty statistics, it solves once.
     """
 
     prior: GaussianPrior
@@ -358,13 +358,19 @@ class AnalyticPolicy:
         )
 
     def decide_block(self, stage: BlockStage) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         if self.variance.mode != "known":
             raise ValueError("the batch engine needs known outcome variances")
-        truth = stage.true_variance(stage.t)
-        sigma_sq = self.variance.resolve(SufficientStats(), truth).sigma_sq
-        mu_p, sigma_p_sq = stage.posterior(self.prior, sigma_sq)
+        variance = self.variance.resolve(_NO_STATS, stage.true_variance(stage.t))
+        if stage.t == 1:
+            d = solve_ramp_size(compute_posterior(self.prior, variance, _NO_STATS), variance,
+                                0, 0.0, stage.b_t, stage.delta_t, stage.n_units)
+            size = stage.sum_treated.shape
+            return np.full(size, d.m, np.int64), np.full(size, _CODE[d.branch], np.int8)
+        mu_p, sigma_p_sq = stage.posterior(self.prior, variance.sigma_sq)
         return solve_ramp_sizes(
-            PredictiveMoments(mu_p, sigma_p_sq, sigma_sq, stage.counts[1]),
+            PredictiveMoments(mu_p, sigma_p_sq, variance.sigma_sq, stage.counts[1]),
             stage.sum_treated,
             stage.b_t,
             stage.delta_t,

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, replication, solver
-from rampguard.batch import BlockTraces, run_block
-from rampguard.posterior import GaussianPrior, VariancePolicy
+from rampguard.batch import BlockStage, BlockTraces, run_block
+from rampguard.posterior import (
+    GaussianPrior,
+    OutcomeVariance,
+    SufficientStats,
+    VariancePolicy,
+    compute_posterior,
+    init_posterior,
+)
 from rampguard.replication import (
     BLOCK_SIZE,
     GROUP_BLOCKS,
@@ -23,6 +30,7 @@ from rampguard.schedules import RiskSchedule, ScheduleError
 PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
 ANALYTIC = AnalyticPolicy(prior=PRIOR, variance=VariancePolicy())
 SCHED_05 = RiskSchedule.uniform(-500.0, 0.05, 10)
+NORM = builtin_scenarios()["norm"]
 WORKERS = resolve_workers()
 
 
@@ -262,6 +270,68 @@ def test_block_keeps_the_per_unit_checks(monkeypatch):
     monkeypatch.setattr(solver, "solve_ramp_sizes", over_cap)
     with pytest.raises(ValueError, match="outside"):
         run_replications(ANALYTIC, scn, SCHED_05, 5, 0)
+
+
+def test_stage_one_goes_through_the_scalar_solver(monkeypatch):
+    # Every replication starts from the empty statistics, so one scalar
+    # solve decides stage 1 of a block: a wrong scalar decision shows in
+    # every replication.
+    original = solver.solve_ramp_size
+
+    def shrunk(*args, **kwargs):
+        d = original(*args, **kwargs)
+        return type(d)(max(d.m - 1, 0), d.branch, d.assignment_probability)
+
+    def stage_one_m():
+        summary = run_replications(ANALYTIC, NORM, SCHED_05, 5, 0, keep_traces=True)
+        return summary.traces.columns.m[:, 0]
+
+    want = stage_one_m()
+    monkeypatch.setattr(solver, "solve_ramp_size", shrunk)
+    got = stage_one_m()
+    assert len(want) == 5 and want.min() > 0
+    assert (got != want).all()
+
+
+# (prior, N_1, b_1, Delta_1, branch). At b_1 = -22.25... the prior's mean,
+# which does not survive (mu0 * p) / p, decides m: its copy (init_posterior)
+# gives m = 5, the posterior of the empty statistics m = 6.
+ODD_PRIOR = GaussianPrior((-0.7, 0.7), (0.3, 0.3))
+STAGE_ONE_CASES = [
+    (PRIOR, 500, -500.0, 0.0, "zero_tolerance"),
+    (PRIOR, 1, -500.0, 0.01, "cap_at_half"),
+    (PRIOR, 26, -500.0, 0.005, "cap_at_half"),
+    (PRIOR, 500, -500.0, 0.005, "root_selected"),
+    (ODD_PRIOR, 500, -22.25128641189264, 0.005, "root_selected"),
+]
+
+
+@pytest.mark.parametrize("prior, n_1, b_1, delta_1, branch", STAGE_ONE_CASES)
+def test_stage_one_decision_equals_the_block_solver_on_the_zero_state(
+    prior, n_1, b_1, delta_1, branch
+):
+    zeros = np.zeros(7)
+    stage = BlockStage(
+        1, n_1, b_1, delta_1, (zeros, zeros), zeros, zeros, NORM, np.random.default_rng(0)
+    )
+    m, code = AnalyticPolicy(prior, VariancePolicy()).decide_block(stage)
+
+    sigma_sq = stage.true_variance(1)
+    mu_p, sigma_p_sq = stage.posterior(prior, sigma_sq)
+    moments = solver.PredictiveMoments(mu_p, sigma_p_sq, sigma_sq, zeros)
+    want_m, want_code = solver.solve_ramp_sizes(moments, zeros, b_1, delta_1, n_1)
+    assert (m.dtype, code.dtype) == (want_m.dtype, want_code.dtype)
+    assert (m.tobytes(), code.tobytes()) == (want_m.tobytes(), want_code.tobytes())
+    assert solver.BRANCHES[code[0]] == branch
+
+
+def test_the_odd_prior_tells_the_empty_posterior_from_a_copy_of_the_prior():
+    variance = OutcomeVariance((NORM.true_var(0, 1), NORM.true_var(1, 1)))
+    empty = compute_posterior(ODD_PRIOR, variance, SufficientStats())
+    assert empty.mu_p != init_posterior(ODD_PRIOR).mu_p
+    stage = (variance, 0, 0.0, -22.25128641189264, 0.005, 500)
+    copied = solver.solve_ramp_size(init_posterior(ODD_PRIOR), *stage)
+    assert (copied.m, solver.solve_ramp_size(empty, *stage).m) == (5, 6)
 
 
 @pytest.mark.parametrize("cap,excess", [(False, 501), (True, 251)])

@@ -377,7 +377,10 @@ class TestScheduleConfig:
         schedule = {"stage_tolerances": {"type": kind, key: value}}
         code, out, studied = self.run(tmp_path, monkeypatch, schedule)
         assert (code, studied) == (1, None)
-        assert "run config: schedule.stage_tolerances must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "run config: schedule.stage_tolerances must be" in err
+        # The count is the generator's only fault, so the refusal names its bound.
+        assert f"a {kind} tolerance generator with {key} a whole number in [1, 10000], got" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, key", [("uniform", "T"), ("sinc", "horizon")])
@@ -391,7 +394,34 @@ class TestScheduleConfig:
     def test_a_stage_count_flag_outside_the_bound_exits_one(self, tmp_path, monkeypatch, capsys):
         code, out, studied = self.run(tmp_path, monkeypatch, flags=["--T", "10001"])
         assert (code, studied) == (1, None)
-        assert "schedule.stage_tolerances must be" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "rampguard: run config: schedule.stage_tolerances must be a uniform tolerance "
+            "generator with T a whole number in [1, 10000], got {'type': 'uniform', 'T': 10001}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            {"type": "uniform", "T": 10, "t": 5},
+            {"type": "uniform", "T": 10001, "t": 5},
+            {"type": "nope", "T": 10},
+            {"type": ["uniform"], "T": 10},
+            {"type": "explicit", "values": 3},
+            {"T": 10001},
+            [0.01, "a"],
+            "uniform",
+        ],
+    )
+    def test_every_other_tolerance_refusal_keeps_its_wording(
+        self, tmp_path, monkeypatch, capsys, tolerances
+    ):
+        code, out, studied = self.run(tmp_path, monkeypatch, {"stage_tolerances": tolerances})
+        assert (code, studied) == (1, None)
+        assert capsys.readouterr().err == (
+            "rampguard: run config: schedule.stage_tolerances must be a list of numbers or a "
+            f"tolerance generator, got {tolerances!r}\n"
+        )
         assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import sys
@@ -308,7 +309,7 @@ class TestShardedImputation:
                 sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(mc_solver, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         return sizes
 
     @pytest.mark.parametrize("share,helpers", [(1, []), (2, [1]), (3, [2]), (8, [7]), (64, [7])])

@@ -86,6 +86,19 @@ def test_imputation_shares_only_the_usable_cpus():
     assert result.returncode == 0, result.stderr
 
 
+def test_importing_the_cantelli_solver_loads_no_thread_pool():
+    # concurrent.futures costs a few ms of start-up; only imputation with
+    # helper threads needs it.
+    result = run_fresh(
+        """
+        import sys
+        from rampguard import mc_solver
+        assert "concurrent.futures" not in sys.modules, "importing mc_solver loaded the pool"
+        """
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_import_package_loads_no_submodule():
     result = run_fresh(
         """

@@ -327,6 +327,17 @@ class TestSolveRampSizes:
             solve_vectorized(states, -500.0, 0.01, 0)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# mu_p = (1e160, 0): the quadratic's A overflows to -inf and its roots to NaN.
+OVERFLOWING_ROOTS = (PosteriorState((1e160, 0.0), (1.0, 1.0)), VAR10, 13, -3.0)
+# At q = 0 and a zero effect, B = 2 * inf * 0 is NaN and A is 0.
+NAN_B = (PosteriorState((0.0, 0.0), (1.0, 1.0)), OutcomeVariance((1.0, 1.0)), 0, -8.98846567431158e307)
+
+
+# solve_ramp_sizes tests the cap (row 0) and the four floored-root candidates
+# (rows 1-4) in one stacked tail check; each example puts rows of different
+# branches into one call.
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(stage_configs(), min_size=1, max_size=6),
@@ -334,6 +345,17 @@ class TestSolveRampSizes:
     st.one_of(st.just(0.0), st.floats(1e-6, 0.95)),
     st.integers(1, 600),
 )
+# The cap 13 is admissible and the larger root floors to 13, so row 0 and a
+# candidate row hold the same m; the second row takes the root branch.
+@example([(FLAT_POST, VAR10, 0, 0.0), (FLAT_POST, VAR10, 0, -250.0)], -500.0, 0.005, 27)
+# The larger root rounds to 2.9999999999999996; the admissible m = 3 is the
+# upper neighbour of its floor.
+@example([(FLAT_POST, VAR10, 0, 0.0), (FLAT_POST, VAR10, 0, 50.0)], -111.0896380311839, 0.005, 1000)
+# A == 0 exactly: the degenerate quadratic's linear root -C/B gives m = 17.
+@example([(_degenerate_state(-1.0)[0], VAR10, 0, 0.0), (FLAT_POST, VAR10, 0, 0.0)], -100.0, 0.01, 500)
+# Coefficients that overflow: B is NaN, or A and B are -inf and the roots NaN.
+@example([NAN_B, (FLAT_POST, VAR10, 0, 0.0)], 0.0, 0.5, 2)
+@example([OVERFLOWING_ROOTS, (FLAT_POST, VAR10, 0, 0.0)], -500.0, 0.005, 500)
 def test_vectorized_solver_equals_scalar_property(cfgs, b_t, delta_t, n_t):
     assert_vectorized_equals_scalar([cfg[:4] for cfg in cfgs], b_t, delta_t, n_t)
 
@@ -406,14 +428,6 @@ class TestRunExperiment:
             trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
             finals.append(max(r.m for r in trace.records))
         assert np.median(finals) == 250
-
-
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-# mu_p = (1e160, 0): the quadratic's A overflows to -inf and its roots to NaN.
-OVERFLOWING_ROOTS = (PosteriorState((1e160, 0.0), (1.0, 1.0)), VAR10, 13, -3.0)
-# At q = 0 and a zero effect, B = 2 * inf * 0 is NaN and A is 0.
-NAN_B = (PosteriorState((0.0, 0.0), (1.0, 1.0)), OutcomeVariance((1.0, 1.0)), 0, -8.98846567431158e307)
 
 
 @settings(max_examples=400, deadline=None)
