@@ -34,7 +34,20 @@ from .posterior import GaussianPrior, Pair, posterior_moments
 from .scenarios import Scenario, draw_stage_sums
 from .schedules import RiskSchedule
 
-__all__ = ["BlockStage", "BlockPolicy", "BlockTraces", "run_block"]
+__all__ = ["BLOCK_SIZE", "BlockStage", "BlockPolicy", "BlockTraces", "CompactTrace", "run_block"]
+
+# Replications per batch-engine block; every block is drawn whole.
+BLOCK_SIZE = 256
+
+
+@dataclass(frozen=True)
+class CompactTrace:
+    """Per-stage essentials of one replication, in stage order."""
+
+    m: tuple[int, ...]
+    branch: tuple[str, ...]
+    stage_cost: tuple[float, ...]
+    cum_cost: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -42,6 +55,8 @@ class BlockTraces:
     """Per-stage results of replications, shaped (replications, stages run).
 
     ``branch`` holds indices into ``labels``, the policy's branch labels.
+    Iterating yields each replication's ``CompactTrace``, built
+    ``BLOCK_SIZE`` rows at a time.
     """
 
     m: np.ndarray
@@ -49,6 +64,18 @@ class BlockTraces:
     stage_cost: np.ndarray
     cum_cost: np.ndarray
     labels: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    def __iter__(self):
+        labels = np.array(self.labels, dtype=object)
+        for start in range(0, len(self), BLOCK_SIZE):
+            rows = slice(start, start + BLOCK_SIZE)
+            m, branch = self.m[rows].tolist(), labels[self.branch[rows]].tolist()
+            costs = self.stage_cost[rows].tolist(), self.cum_cost[rows].tolist()
+            for row in zip(m, branch, *costs):
+                yield CompactTrace(*map(tuple, row))
 
 
 class BlockStage(NamedTuple):
@@ -126,27 +153,19 @@ def run_block(
     rng = rngs[0] if len(rngs) == 1 else _Streams(rngs, size)
     size *= len(rngs)
 
+    stages = min(schedule.num_stages, scenario.T)
+    dtypes = (np.int64, np.int8, np.float64, np.float64)
+    out = BlockTraces(*(np.empty((size, stages), d) for d in dtypes), tuple(policy.branch_labels))
     counts = (np.zeros(size), np.zeros(size))
     sum_control = np.zeros(size)
     sum_treated = np.zeros(size)
     cum_cost = np.zeros(size)
-    columns: list[tuple[np.ndarray, ...]] = []
 
-    for t in range(1, min(schedule.num_stages, scenario.T) + 1):
+    for t in range(1, stages + 1):
         n_t = scenario.population[t - 1]
-        m, branch = policy.decide_block(
-            BlockStage(
-                t,
-                n_t,
-                schedule.stage_budgets[t - 1],
-                schedule.stage_tolerances[t - 1],
-                counts,
-                sum_control,
-                sum_treated,
-                scenario,
-                rng,
-            )
-        )
+        b_t, delta_t = schedule.stage_budgets[t - 1], schedule.stage_tolerances[t - 1]
+        stage = BlockStage(t, n_t, b_t, delta_t, counts, sum_control, sum_treated, scenario, rng)
+        m, branch = policy.decide_block(stage)
         top = n_t // 2 if half_cap else n_t
         if m.min(initial=0) < 0 or m.max(initial=0) > top:
             raise ValueError(f"stage {t}: m outside [0, {top}]")
@@ -154,13 +173,10 @@ def run_block(
         treated, counterfactual, control = draw_stage_sums(scenario, t, m, rng)
         stage_cost = np.where(m > 0, treated - counterfactual, 0.0)
         cum_cost = cum_cost + stage_cost
-        columns.append((m, branch, stage_cost, cum_cost))
+        out.m[:, t - 1], out.branch[:, t - 1] = m, branch
+        out.stage_cost[:, t - 1], out.cum_cost[:, t - 1] = stage_cost, cum_cost
         sum_treated = sum_treated + treated
         sum_control = sum_control + control
         counts = (counts[0] + (n_t - m), counts[1] + m)
 
-    labels = tuple(policy.branch_labels)
-    if not columns:
-        empty = np.zeros((size, 0))
-        return BlockTraces(empty.astype(np.int64), empty.astype(np.int8), empty, empty, labels)
-    return BlockTraces(*(np.stack(col, axis=1) for col in zip(*columns)), labels)
+    return out

@@ -375,7 +375,7 @@ def _write_schedule_csv(path: str, summary: ReplicationSummary) -> None:
     import numpy as np
 
     assert summary.traces is not None
-    c = summary.traces.columns
+    c = summary.traces
     rep, stage = np.divmod(np.arange(c.m.size), c.m.shape[1])
     branch = np.array(c.labels, dtype=object)[c.branch]
     columns = (rep, stage + 1, c.m, branch, c.stage_cost, c.cum_cost)
@@ -640,10 +640,25 @@ def _check_progress(source: str, state: dict[str, Any], schedule: RiskSchedule) 
     if pending is not None:
         if pending["m"] > pending["n"]:
             raise ConfigError(f"{source}: pending.m must be <= pending.n, got {pending['m']!r}")
+        if pending["m"] > pending["n"] // 2:
+            raise ConfigError(f"{source}: pending.m must be <= pending.n // 2, the cap of a "
+                              f"stage, got {pending['m']!r} of {pending['n']!r}")
         checks.append(("pending.stage", pending["stage"], done, "the number of consumed stages"))
     for key, value, want, why in checks:
         if value != want:
             raise ConfigError(f"{source}: {key} must be {want!r}, {why}, got {value!r}")
+
+
+def _check_unchanged(source: str, args: argparse.Namespace, state: dict[str, Any]) -> None:
+    """Refuse a fresh-state flag whose value differs from the state file's entry."""
+    given = _with_flags(args, state)
+    pairs = [(attr, given[key], state[key]) for attr, key in _FLAG_KEYS.items() if key in state]
+    pairs += [("prior_" + key, v, state["prior"][key]) for key, v in given["prior"].items()]
+    for attr, value, stored in pairs:
+        if value != stored:
+            flag = "--" + attr.replace("_", "-")
+            raise ConfigError(f"{source}: {flag} {value!r} differs from the file's {stored!r}; "
+                              "it applies to a fresh state only")
 
 
 def cmd_next_stage(args: argparse.Namespace) -> int:
@@ -656,6 +671,7 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
                 f"{source} has version {state.get('version')!r}; this release reads version 1"
             )
         _check_values(source, state, _STATE_SCHEMA, required=True)
+        _check_unchanged(source, args, state)
     else:
         state = _fresh_state(args)
     prior, variance_policy = _prior_and_variance(source, state)

@@ -11,7 +11,7 @@ moments, so they are only available in simulation.
 Every condition depends only on the treated counts ``m``, the prior, the
 plug-in variances and the true moments, so one array computation checks a
 single rollout (``[r.m for r in trace.records]``) or a whole study of
-either engine (``summary.traces.columns.m``).
+either engine (``summary.traces.m``).
 """
 
 from __future__ import annotations

@@ -19,12 +19,11 @@ order, which keeps summaries byte-identical across worker counts.
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BlockTraces, run_block
+from .batch import BLOCK_SIZE, BlockTraces, CompactTrace, run_block
 from .scenarios import Scenario, ScenarioFeed, has_sum_law
 from .schedules import RiskSchedule
 from .solver import AnalyticPolicy
@@ -38,7 +37,6 @@ __all__ = [
     "UNIT_POPULATION_CAP",
     "CompactTrace",
     "ReplicationSummary",
-    "TraceView",
     "run_replications",
     "resolve_workers",
     "replication_stream",
@@ -47,8 +45,6 @@ __all__ = [
 
 QUANTILE_LEVELS = (25.0, 50.0, 75.0)
 
-# Replications per batch-engine block; every block is drawn whole.
-BLOCK_SIZE = 256
 # Blocks per batch-engine group, the unit of work: 8,192 replications or fewer run in process.
 GROUP_BLOCKS = 32
 # Units the per-unit engine draws in one stage at most: 80 MB per drawn array.
@@ -78,20 +74,6 @@ def replication_stream(seed: int, *key: int) -> np.random.Generator:
     or more, which no run can hold in memory.
     """
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(key)))
-
-
-@dataclass(frozen=True)
-class CompactTrace:
-    """Per-stage essentials of one replication, in stage order."""
-
-    m: tuple[int, ...]
-    branch: tuple[str, ...]
-    stage_cost: tuple[float, ...]
-    cum_cost: tuple[float, ...]
-
-    @property
-    def total_cost(self) -> float:
-        return self.cum_cost[-1] if self.cum_cost else 0.0
 
 
 def _run_one(policy: Policy, scenario: Scenario, schedule: RiskSchedule, seed: int, rep: int):
@@ -137,61 +119,27 @@ def _run_groups(policy, scenario, schedule, seed, n_blocks, groups) -> list[Bloc
 def _map_chunks(fn, count: int, workers: int, *args) -> list:
     """``fn(*args, items)`` over items 0..count-1, results in item order.
 
-    Items are dealt round-robin into at most ``4 * workers`` chunks; the
-    pool never has more processes than usable CPUs or chunks, and a pool
-    of one runs in this process instead. Each pool worker may use its even
-    share of the CPUs for imputation threads, so processes times threads
-    never exceed the usable CPU count.
+    Items are split into at most ``4 * workers`` contiguous chunks whose
+    results join in item order. The pool never has more processes than
+    usable CPUs or chunks, and a pool of one runs in this process instead.
+    Each pool worker may use its even share of the CPUs for imputation
+    threads, so processes times threads never exceed the usable CPU count.
     """
     cpus = usable_cpus()
-    chunk_count = min(count, workers * 4)
-    chunks = [range(i, count, chunk_count) for i in range(chunk_count)]
-    pool_size = min(workers, cpus, chunk_count)
+    n = min(count, workers * 4)
+    chunks = [range(count * i // n, count * (i + 1) // n) for i in range(n)]
+    pool_size = min(workers, cpus, n)
     if pool_size <= 1:
         return fn(*args, range(count))
     from concurrent.futures import ProcessPoolExecutor
 
     from .mc_solver import set_cpu_share
 
-    results: list = [None] * count
     with ProcessPoolExecutor(
         max_workers=pool_size, initializer=set_cpu_share, initargs=(cpus // pool_size,)
     ) as pool:
         futures = [pool.submit(fn, *args, chunk) for chunk in chunks]
-        for chunk, fut in zip(chunks, futures):
-            for item, result in zip(chunk, fut.result()):
-                results[item] = result
-    return results
-
-
-class TraceView(Sequence):
-    """Read-only sequence of ``CompactTrace``, each built when read from ``columns``."""
-
-    def __init__(self, columns: BlockTraces):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns.m)
-
-    def __getitem__(self, index):
-        c = self.columns
-        if isinstance(index, slice):
-            return TraceView(BlockTraces(*(getattr(c, f)[index] for f in _COLUMNS), c.labels))
-        i = range(len(self))[index]  # negative indexes; IndexError out of range
-        return self[i : i + 1]._traces()[0]
-
-    def __iter__(self):
-        for start in range(0, len(self), BLOCK_SIZE):
-            yield from self[start : start + BLOCK_SIZE]._traces()
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
-
-    def _traces(self) -> list[CompactTrace]:
-        c = self.columns
-        branch = np.array(c.labels, dtype=object)[c.branch]
-        rows = (c.m.tolist(), branch.tolist(), c.stage_cost.tolist(), c.cum_cost.tolist())
-        return [CompactTrace(*map(tuple, row)) for row in zip(*rows)]
+        return [result for fut in futures for result in fut.result()]
 
 
 @dataclass
@@ -208,9 +156,10 @@ class ReplicationSummary:
     m_quantiles: np.ndarray  # shape (3, stages): rows q25, q50, q75
     surplus_quantiles: np.ndarray  # shape (3, stages)
     final_costs: np.ndarray  # shape (replications,)
-    traces: "TraceView | None" = None
+    traces: "BlockTraces | None" = None
 
     def to_json_dict(self) -> dict:
+        levels = [f"q{q:.0f}" for q in QUANTILE_LEVELS]
         return {
             "ruin_rate": self.ruin_rate,
             "ruin_half_width": self.ruin_half_width,
@@ -219,16 +168,8 @@ class ReplicationSummary:
             "stages": self.stages,
             "budget": self.budget,
             "delta": self.delta,
-            "m_quantiles": {
-                "q25": [float(v) for v in self.m_quantiles[0]],
-                "q50": [float(v) for v in self.m_quantiles[1]],
-                "q75": [float(v) for v in self.m_quantiles[2]],
-            },
-            "surplus_quantiles": {
-                "q25": [float(v) for v in self.surplus_quantiles[0]],
-                "q50": [float(v) for v in self.surplus_quantiles[1]],
-                "q75": [float(v) for v in self.surplus_quantiles[2]],
-            },
+            "m_quantiles": dict(zip(levels, self.m_quantiles.tolist())),
+            "surplus_quantiles": dict(zip(levels, self.surplus_quantiles.tolist())),
         }
 
 
@@ -326,13 +267,6 @@ def _summarize(results: BlockTraces, schedule, seed, keep_traces) -> Replication
     ruin_rate = float(ruined.mean())
     half_width = 1.96 * float(np.sqrt(ruin_rate * (1.0 - ruin_rate) / K_rep))
 
-    if stages:
-        m_quant = _quantiles(results.m)
-        surplus_quant = _quantiles(cum_matrix - schedule.budget)
-    else:
-        m_quant = np.zeros((3, 0))
-        surplus_quant = np.zeros((3, 0))
-
     return ReplicationSummary(
         ruin_rate=ruin_rate,
         ruin_half_width=half_width,
@@ -341,8 +275,8 @@ def _summarize(results: BlockTraces, schedule, seed, keep_traces) -> Replication
         stages=stages,
         budget=schedule.budget,
         delta=schedule.delta,
-        m_quantiles=m_quant,
-        surplus_quantiles=surplus_quant,
+        m_quantiles=_quantiles(results.m),
+        surplus_quantiles=_quantiles(cum_matrix - schedule.budget),
         final_costs=final_costs,
-        traces=TraceView(results) if keep_traces else None,
+        traces=results if keep_traces else None,
     )

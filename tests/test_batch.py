@@ -173,7 +173,7 @@ STACKED_CASES = [
 def test_stacked_blocks_equal_blocks_run_alone(policy, name):
     """One group of five blocks, the last one partly kept, bit for bit."""
     scn, reps = builtin_scenarios()[name], 4 * BLOCK_SIZE + 17
-    stacked = run_replications(policy, scn, SCHED_05, reps, 9, keep_traces=True).traces.columns
+    stacked = run_replications(policy, scn, SCHED_05, reps, 9, keep_traces=True).traces
     alone = blocks_run_alone(policy, scn, SCHED_05, reps, 9)
     assert stacked.labels == alone.labels
     for field in ("m", "branch", "stage_cost", "cum_cost"):
@@ -208,7 +208,7 @@ def test_prefix_property():
     scn = builtin_scenarios()["norm"]
     short = run_replications(ANALYTIC, scn, SCHED_05, 100, 3, keep_traces=True)
     long = run_replications(ANALYTIC, scn, SCHED_05, 300, 3, workers=2, keep_traces=True)
-    assert long.traces[:100] == short.traces
+    assert list(long.traces)[:100] == list(short.traces)
     np.testing.assert_array_equal(long.final_costs[:100], short.final_costs)
 
 
@@ -284,7 +284,7 @@ def test_stage_one_goes_through_the_scalar_solver(monkeypatch):
 
     def stage_one_m():
         summary = run_replications(ANALYTIC, NORM, SCHED_05, 5, 0, keep_traces=True)
-        return summary.traces.columns.m[:, 0]
+        return summary.traces.m[:, 0]
 
     want = stage_one_m()
     monkeypatch.setattr(solver, "solve_ramp_size", shrunk)

@@ -933,6 +933,10 @@ class TestNextStage:
             # Counters that disagree with the consumed stages.
             (lambda state: state["pending"].update(m=-5), "pending.m must be an integer >= 0"),
             (lambda state: state["pending"].update(m=501), "pending.m must be <= pending.n, got 501"),
+            (
+                lambda state: state["pending"].update(m=300),
+                "pending.m must be <= pending.n // 2, the cap of a stage, got 300 of 500",
+            ),
             (lambda state: state["pending"].update(n=0), "pending.n must be an integer >= 1, got 0"),
             (
                 lambda state: state.update(stage=7),
@@ -981,6 +985,7 @@ class TestNextStage:
             "estimated-without-pretrial",
             "negative-pending-m",
             "pending-m-above-n",
+            "pending-m-above-half",
             "zero-pending-n",
             "stage-ahead-of-consumed",
             "pending-stage-not-the-last",
@@ -1040,6 +1045,39 @@ class TestNextStage:
         assert main(argv) == 1
         assert flag in capsys.readouterr().err
         assert state.read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "flag, values",
+        [
+            ("--budget", ["-900"]),
+            ("--delta", ["0.1"]),
+            ("--prior-mu0", ["0", "1"]),
+            ("--prior-sigma0-sq", ["1", "1"]),
+            ("--variance-mode", ["estimated"]),
+            ("--sigma-sq", ["1", "1"]),
+            ("--pretrial-sigma-sq", ["1", "1"]),
+        ],
+    )
+    def test_a_flag_that_differs_from_the_state_exits_one(self, tmp_path, capsys, flag, values):
+        state = tmp_path / "state.json"
+        assert main([*self.FRESH, "--state", str(state)]) == 0
+        before = state.read_bytes()
+        capsys.readouterr()
+        observed = ["--treated-sum", "13.0", "--control-sum", "487.0"]
+        argv = ["next-stage", "--state", str(state), *observed, *self.NEXT, flag, *values]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} " in err and "fresh state only" in err
+        assert state.read_bytes() == before
+
+    def test_flags_equal_to_the_state_are_accepted(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        assert main([*self.FRESH, "--state", str(state)]) == 0
+        capsys.readouterr()
+        observed = ["--treated-sum", "13.0", "--control-sum", "487.0"]
+        same = ["--prior-mu0", "0", "0", "--prior-sigma0-sq", "100", "100"]
+        assert main([*self.FRESH, "--state", str(state), *observed, *same]) == 0
+        assert json.loads(capsys.readouterr().out)["stage"] == 2
 
     def test_fresh_state_requires_budget(self, tmp_path):
         code = main(["next-stage", "--state", str(tmp_path / "s.json"), "--n-next", "10",

@@ -641,7 +641,7 @@ class TestRunCantelli:
         summary = run_replications(
             policy, scn, RiskSchedule.uniform(-500.0, 0.05, 10), 2, seed, keep_traces=True
         )
-        columns = summary.traces.columns
+        columns = summary.traces
         for rep in range(2):
             rng = replication_stream(seed, rep, 0)
             for t in range(1, scn.T + 1):

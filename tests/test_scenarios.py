@@ -436,7 +436,7 @@ class TestDiagnostics:
         sched = RiskSchedule.uniform(-500.0, 0.05, scn.T)
         policy = AnalyticPolicy(PRIOR, VariancePolicy())
         summary = run_replications(policy, scn, sched, 30, seed=5, keep_traces=True)
-        checks = robustness_diagnostics(scn, summary.traces.columns.m, PRIOR, (10.0, 10.0))
+        checks = robustness_diagnostics(scn, summary.traces.m, PRIOR, (10.0, 10.0))
         for k, trace in enumerate(summary.traces):
             one = robustness_diagnostics(scn, list(trace.m), PRIOR, (10.0, 10.0))
             for f, g in zip(fields(checks), fields(one)):
@@ -449,7 +449,7 @@ class TestDiagnostics:
         for name in ("dec", "norm", "nte", "npte"):
             scn = builtin_scenarios()[name]
             summary = run_replications(policy, scn, sched, 5_000, seed=0, keep_traces=True)
-            m = summary.traces.columns.m
+            m = summary.traces.m
             checks = robustness_diagnostics(scn, m, PRIOR, (10.0, 10.0))
             fails[name] = float((~checks.effect_nondecreasing).any(axis=1).mean())
             if name == "dec":
