@@ -17,9 +17,12 @@ sits beside the policy's scalar ``decide``:
 ``run_block`` may stack blocks into one pass whose numpy calls cover them
 all. Per stage each block draws from its own generator what it would alone:
 the decision first (the Thompson binomial draw; the analytic solver draws
-nothing), then ``draw_stage_sums`` (treated, counterfactual, control). The
-loop applies the same treated-count range check as the per-unit loop,
-which stays the reference that the tests compare this engine against.
+nothing), then ``draw_stage_sums`` (treated, counterfactual, control).
+Every block draws whole, but a pass may compute only its leading rows
+where the draws do not depend on the dropped ones: the analytic solver on
+a Gaussian sum law, whose normals have a fixed shape. The loop applies the
+same treated-count range check as the per-unit loop, which stays the
+reference that the tests compare this engine against.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .schedules import RiskSchedule
 
 __all__ = ["BLOCK_SIZE", "BlockStage", "BlockPolicy", "BlockTraces", "CompactTrace", "run_block"]
 
-# Replications per batch-engine block; every block is drawn whole.
+# Replications per batch-engine block; every block draws from its stream whole.
 BLOCK_SIZE = 256
 
 
@@ -118,16 +121,23 @@ class BlockPolicy(Protocol):
 class _Streams:
     """Stacked blocks' generators. Block ``b`` draws rows ``b * size`` up to
     ``(b + 1) * size`` from its own generator, as it would alone: the same
-    call shape, on its rows of the parameters. Draws are joined by row."""
+    call shape, on its rows of the parameters. Draws are joined by row, and
+    only the leading ``rows`` are kept. A trimmed pass refuses ``binomial``:
+    how far a binomial draw moves a stream depends on its parameters, so
+    the dropped rows would change every later draw of the kept ones."""
 
-    def __init__(self, rngs: Sequence[np.random.Generator], size: int):
+    def __init__(self, rngs: Sequence[np.random.Generator], size: int, rows: int):
         self.parts = [(g, slice(b * size, (b + 1) * size)) for b, g in enumerate(rngs)]
+        self.size, self.rows = size, rows
 
     def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        block = (*shape[:-1], shape[-1] // len(self.parts))
-        return np.concatenate([g.standard_normal(block) for g, _ in self.parts], axis=-1)
+        block = (*shape[:-1], self.size)
+        draws = [g.standard_normal(block) for g, _ in self.parts]
+        return np.concatenate(draws, axis=-1)[..., : self.rows]
 
     def binomial(self, n, p) -> np.ndarray:
+        if self.rows < self.size * len(self.parts):
+            raise ValueError("a trimmed block pass cannot draw binomials: it needs every row")
         n, p = np.broadcast_arrays(n, p)
         return np.concatenate([g.binomial(n[..., r], p[..., r]) for g, r in self.parts], axis=-1)
 
@@ -138,11 +148,16 @@ def run_block(
     scenario: Scenario,
     rngs: Sequence[np.random.Generator],
     size: int,
+    rows: "int | None" = None,
 ) -> BlockTraces:
-    """Run blocks of ``size`` independent replications of the stage loop.
+    """Run the leading ``rows`` of blocks of ``size`` independent replications.
 
     ``rngs`` holds one generator per block; the blocks run stacked as one
-    pass with rows in block order.
+    pass with rows in block order. Each block draws whole, but only the
+    leading ``rows`` (all ``size * len(rngs)`` by default) are computed.
+    Fewer rows keep every kept value bit for bit only where each stage
+    draws normals of a fixed shape: a policy that draws nothing on a
+    scenario with a Gaussian sum law.
     Stages run while the schedule has entries and the scenario has stages;
     these stop rules do not depend on the data, so every replication runs
     the same stages. The scenario's family must have a sum law and the
@@ -150,16 +165,17 @@ def run_block(
     ``replication.run_replications`` checks both before it gets here.
     """
     half_cap = getattr(policy, "cap_at_half", True)
-    rng = rngs[0] if len(rngs) == 1 else _Streams(rngs, size)
-    size *= len(rngs)
+    whole = size * len(rngs)
+    rows = whole if rows is None else rows
+    rng = rngs[0] if rows == whole == size else _Streams(rngs, size, rows)
 
     stages = min(schedule.num_stages, scenario.T)
     dtypes = (np.int64, np.int8, np.float64, np.float64)
-    out = BlockTraces(*(np.empty((size, stages), d) for d in dtypes), tuple(policy.branch_labels))
-    counts = (np.zeros(size), np.zeros(size))
-    sum_control = np.zeros(size)
-    sum_treated = np.zeros(size)
-    cum_cost = np.zeros(size)
+    out = BlockTraces(*(np.empty((rows, stages), d) for d in dtypes), tuple(policy.branch_labels))
+    counts = (np.zeros(rows), np.zeros(rows))
+    sum_control = np.zeros(rows)
+    sum_treated = np.zeros(rows)
+    cum_cost = np.zeros(rows)
 
     for t in range(1, stages + 1):
         n_t = scenario.population[t - 1]

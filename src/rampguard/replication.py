@@ -11,9 +11,12 @@ Every other run takes the per-unit engine, where each replication owns a
 stream keyed by (seed, replication index, 0) and draws every unit's outcomes.
 
 Either way a replication's result depends only on the seed and its index:
-blocks are always drawn whole, and workers take whole groups or whole
-replications. Both engines give (replications, stages) arrays in index
-order, which keeps summaries byte-identical across worker counts.
+every block draws from its stream whole, and workers take whole groups or
+whole replications. Only the kept rows are computed on the analytic
+Gaussian path, where the solver draws nothing and the sums are normals of
+a fixed shape, so the rows past ``K_rep`` change no draw of a kept one.
+Both engines give (replications, stages) arrays in index order, which
+keeps summaries byte-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import BLOCK_SIZE, BlockTraces, CompactTrace, run_block
-from .scenarios import Scenario, ScenarioFeed, has_sum_law
+from .scenarios import Scenario, ScenarioFeed, has_gaussian_sum_law, has_sum_law
 from .schedules import RiskSchedule
 from .solver import AnalyticPolicy
 from .thompson import ThompsonPolicy
@@ -106,13 +109,20 @@ def _takes_batch_engine(policy: Policy, scenario: Scenario) -> bool:
     return type(policy) is ThompsonPolicy
 
 
-def _run_groups(policy, scenario, schedule, seed, n_blocks, groups) -> list[BlockTraces]:
-    """Each group's traces: its blocks of ``range(n_blocks)`` stacked in one pass."""
+def _run_groups(policy, scenario, schedule, seed, K_rep, groups) -> list[BlockTraces]:
+    """Each group's traces: its blocks of the ``K_rep`` replications stacked in one pass.
+
+    Where no dropped row can change a kept one (see the module docstring),
+    the last group computes only the rows up to ``K_rep``.
+    """
+    n_blocks = -(-K_rep // BLOCK_SIZE)
+    trim = type(policy) is AnalyticPolicy and has_gaussian_sum_law(scenario)
     traces = []
     for g in groups:
         blocks = range(g * GROUP_BLOCKS, min((g + 1) * GROUP_BLOCKS, n_blocks))
         rngs = [replication_stream(seed, STREAM_TAG, b) for b in blocks]
-        traces.append(run_block(policy, schedule, scenario, rngs, BLOCK_SIZE))
+        rows = min(K_rep, blocks.stop * BLOCK_SIZE) - blocks.start * BLOCK_SIZE if trim else None
+        traces.append(run_block(policy, schedule, scenario, rngs, BLOCK_SIZE, rows))
     return traces
 
 
@@ -216,9 +226,9 @@ def run_replications(
     workers = max(1, int(workers))
 
     if _takes_batch_engine(policy, scenario):
-        n_blocks = -(-K_rep // BLOCK_SIZE)
-        args = (policy, scenario, schedule, seed, n_blocks)
-        groups = _map_chunks(_run_groups, -(-n_blocks // GROUP_BLOCKS), workers, *args)
+        n_groups = -(-K_rep // (BLOCK_SIZE * GROUP_BLOCKS))
+        args = (policy, scenario, schedule, seed, K_rep)
+        groups = _map_chunks(_run_groups, n_groups, workers, *args)
         columns = (np.concatenate([getattr(g, f) for g in groups])[:K_rep] for f in _COLUMNS)
         results = BlockTraces(*columns, groups[0].labels)
     else:
@@ -262,7 +272,8 @@ def _quantiles(matrix: np.ndarray) -> np.ndarray:
 def _summarize(results: BlockTraces, schedule, seed, keep_traces) -> ReplicationSummary:
     cum_matrix = results.cum_cost
     K_rep, stages = cum_matrix.shape
-    final_costs = cum_matrix[:, -1] if stages else np.zeros(K_rep)
+    # A copy: a view would keep the whole cost matrix alive in the summary.
+    final_costs = cum_matrix[:, -1].copy() if stages else np.zeros(K_rep)
     ruined = final_costs <= schedule.budget
     ruin_rate = float(ruined.mean())
     half_width = 1.96 * float(np.sqrt(ruin_rate * (1.0 - ruin_rate) / K_rep))

@@ -32,7 +32,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Scenario", "ScenarioFeed", "generate_stage_outcomes", "draw_stage_sums", "has_sum_law",
-    "builtin_scenarios", "scenario_from_config",
+    "has_gaussian_sum_law", "builtin_scenarios", "scenario_from_config",
 ]
 
 _MOMENTS = ("mean_control", "mean_treatment", "var_control", "var_treatment")
@@ -246,6 +246,12 @@ _SUM_LAWS = {
 def has_sum_law(scenario: Scenario) -> bool:
     """Whether :func:`draw_stage_sums` supports the scenario's family."""
     return scenario.family in _SUM_LAWS
+
+
+def has_gaussian_sum_law(scenario: Scenario) -> bool:
+    """Whether :func:`draw_stage_sums` draws the family's sums as standard
+    normals, whose use of the stream depends on the call shape alone."""
+    return _SUM_LAWS.get(scenario.family) is _gaussian_sums
 
 
 def draw_stage_sums(

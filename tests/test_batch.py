@@ -132,7 +132,7 @@ def test_batch_thompson_matches_the_per_unit_engine(name, c):
     n_blocks = -(-k_batch // BLOCK_SIZE)
     groups = replication._map_chunks(
         replication._run_groups, -(-n_blocks // GROUP_BLOCKS), WORKERS, policy, scn, sched, 0,
-        n_blocks,
+        k_batch,
     )
     unit = replication._stack(
         replication._map_chunks(replication._run_chunk, k_unit, WORKERS, policy, scn, sched, 0)
@@ -212,6 +212,53 @@ def test_prefix_property():
     np.testing.assert_array_equal(long.final_costs[:100], short.final_costs)
 
 
+PREFIX_CASES = {
+    **{name: (ANALYTIC, name, True) for name in ("norm", "corr", "npte", "dec")},
+    "bern": (ANALYTIC, "bern", False),
+    "thompson-norm": (ThompsonPolicy(c=1.0, prior=PRIOR), "norm", False),
+}
+
+
+@pytest.mark.parametrize("reps", [1, 100, 255, 257, 8193])
+@pytest.mark.parametrize("case", PREFIX_CASES)
+def test_a_study_is_the_head_of_the_study_of_whole_blocks(monkeypatch, case, reps):
+    """K replications equal the first K of the next multiple of BLOCK_SIZE.
+
+    The analytic solver on a Gaussian sum law computes only the kept rows
+    of its last group; every other run computes whole blocks.
+    """
+    policy, name, trimmed = PREFIX_CASES[case]
+    padded = -(-reps // BLOCK_SIZE) * BLOCK_SIZE
+    computed, group = reps if trimmed else padded, GROUP_BLOCKS * BLOCK_SIZE
+    group_rows = {min(computed - start, group) for start in range(0, computed, group)}
+
+    def spy(*args):  # asserts in a pool worker too: the error comes back with the result
+        traces = real(*args)
+        assert len(traces) in group_rows, (len(traces), group_rows)
+        return traces
+
+    scn, workers = builtin_scenarios()[name], 2 if reps > group else 1
+    whole = run_replications(policy, scn, SCHED_05, padded, 5, keep_traces=True)
+    real = replication.run_block
+    monkeypatch.setattr(replication, "run_block", spy)
+    short = run_replications(policy, scn, SCHED_05, reps, 5, workers=workers, keep_traces=True)
+    assert short.traces.labels == whole.traces.labels
+    for field in ("m", "branch", "stage_cost", "cum_cost"):
+        got, want = getattr(short.traces, field), getattr(whole.traces, field)[:reps]
+        assert got.dtype == want.dtype, field
+        np.testing.assert_array_equal(got, want, err_msg=field)
+
+
+@pytest.mark.parametrize(
+    "policy,name", [(ThompsonPolicy(c=1.0, prior=PRIOR), "norm"), (ANALYTIC, "bern")]
+)
+def test_a_trimmed_pass_refuses_binomial_draws(policy, name):
+    """A dropped row would move a binomial stream, so trimming such a run fails loudly."""
+    rng = replication_stream(0, STREAM_TAG, 0)
+    with pytest.raises(ValueError, match="binomial"):
+        run_block(policy, SCHED_05, builtin_scenarios()[name], [rng], BLOCK_SIZE, 100)
+
+
 class SubclassedThompson(ThompsonPolicy):
     """May override decide alone, so it keeps the per-unit engine."""
 
@@ -219,9 +266,9 @@ class SubclassedThompson(ThompsonPolicy):
 def test_engine_follows_the_inputs(monkeypatch):
     calls = []
 
-    def spy(policy, schedule, scenario, rng, size):
+    def spy(policy, schedule, scenario, rng, size, rows):
         calls.append(scenario.name)
-        return real(policy, schedule, scenario, rng, size)
+        return real(policy, schedule, scenario, rng, size, rows)
 
     real = replication.run_block
     monkeypatch.setattr(replication, "run_block", spy)

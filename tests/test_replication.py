@@ -356,6 +356,13 @@ class TestKeptTraces:
             assert float_bits(got.stage_cost) == float_bits(want.stage_cost)
             assert float_bits(got.cum_cost) == float_bits(want.cum_cost)
 
+    @pytest.mark.parametrize("policy", [ANALYTIC, ThompsonPolicy(c=1.0, prior=PRIOR)])
+    def test_a_summary_without_traces_holds_no_cost_matrix(self, policy):
+        sched = RiskSchedule.uniform(-500.0, 0.05, 10)
+        summary = run_replications(policy, builtin_scenarios()["norm"], sched, 300, 0)
+        assert summary.traces is None and summary.final_costs.shape == (300,)
+        assert summary.final_costs.base is None
+
     def test_kept_traces_retain_at_most_400_bytes_per_replication(self):
         reps = 5000
         scn = builtin_scenarios()["norm"]
