@@ -18,11 +18,10 @@ sits beside the policy's scalar ``decide``:
 all. Per stage each block draws from its own generator what it would alone:
 the decision first (the Thompson binomial draw; the analytic solver draws
 nothing), then ``draw_stage_sums`` (treated, counterfactual, control).
-Every block draws whole, but a pass may compute only its leading rows
-where the draws do not depend on the dropped ones: the analytic solver on
-a Gaussian sum law, whose normals have a fixed shape. The loop applies the
-same treated-count range check as the per-unit loop, which stays the
-reference that the tests compare this engine against.
+Every block draws whole; a pass returns exactly the rows its caller keeps
+(see ``run_block``). The loop applies the same treated-count range check
+as the per-unit loop, which stays the reference that the tests compare
+this engine against.
 """
 
 from __future__ import annotations
@@ -34,8 +33,9 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from .posterior import GaussianPrior, Pair, posterior_moments
-from .scenarios import Scenario, draw_stage_sums
+from .scenarios import Scenario, draw_stage_sums, has_gaussian_sum_law
 from .schedules import RiskSchedule
+from .solver import AnalyticPolicy
 
 __all__ = ["BLOCK_SIZE", "BlockStage", "BlockPolicy", "BlockTraces", "CompactTrace", "run_block"]
 
@@ -119,24 +119,24 @@ class BlockPolicy(Protocol):
 
 
 class _Streams:
-    """Stacked blocks' generators. Block ``b`` draws rows ``b * size`` up to
-    ``(b + 1) * size`` from its own generator, as it would alone: the same
-    call shape, on its rows of the parameters. Draws are joined by row, and
-    only the leading ``rows`` are kept. A trimmed pass refuses ``binomial``:
-    how far a binomial draw moves a stream depends on its parameters, so
-    the dropped rows would change every later draw of the kept ones."""
+    """Stacked blocks' generators. Block ``b`` draws its rows from its own
+    generator as it would alone: the same call shape, on its rows of the
+    parameters. Draws are joined by row, and only the leading ``rows`` are
+    kept. A trimmed pass refuses ``binomial``: how far a binomial draw moves
+    a stream depends on its parameters, so the dropped rows would change
+    every later draw of the kept ones."""
 
-    def __init__(self, rngs: Sequence[np.random.Generator], size: int, rows: int):
-        self.parts = [(g, slice(b * size, (b + 1) * size)) for b, g in enumerate(rngs)]
-        self.size, self.rows = size, rows
+    def __init__(self, rngs: Sequence[np.random.Generator], rows: int):
+        self.parts = [(g, slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)) for b, g in enumerate(rngs)]
+        self.rows = rows
 
     def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
-        block = (*shape[:-1], self.size)
+        block = (*shape[:-1], BLOCK_SIZE)
         draws = [g.standard_normal(block) for g, _ in self.parts]
         return np.concatenate(draws, axis=-1)[..., : self.rows]
 
     def binomial(self, n, p) -> np.ndarray:
-        if self.rows < self.size * len(self.parts):
+        if self.rows < BLOCK_SIZE * len(self.parts):
             raise ValueError("a trimmed block pass cannot draw binomials: it needs every row")
         n, p = np.broadcast_arrays(n, p)
         return np.concatenate([g.binomial(n[..., r], p[..., r]) for g, r in self.parts], axis=-1)
@@ -147,17 +147,15 @@ def run_block(
     schedule: RiskSchedule,
     scenario: Scenario,
     rngs: Sequence[np.random.Generator],
-    size: int,
-    rows: "int | None" = None,
+    rows: int,
 ) -> BlockTraces:
-    """Run the leading ``rows`` of blocks of ``size`` independent replications.
+    """The leading ``rows`` replications of the blocks of ``rngs``, one generator each.
 
-    ``rngs`` holds one generator per block; the blocks run stacked as one
-    pass with rows in block order. Each block draws whole, but only the
-    leading ``rows`` (all ``size * len(rngs)`` by default) are computed.
-    Fewer rows keep every kept value bit for bit only where each stage
-    draws normals of a fixed shape: a policy that draws nothing on a
-    scenario with a Gaussian sum law.
+    The blocks run stacked as one pass with rows in block order; each draws
+    whole. The pass computes only the kept rows where no dropped row changes
+    a kept one: the analytic solver draws nothing, and a Gaussian sum law
+    draws normals of a fixed shape. Every other pass computes whole blocks
+    and writes only the kept rows into its result.
     Stages run while the schedule has entries and the scenario has stages;
     these stop rules do not depend on the data, so every replication runs
     the same stages. The scenario's family must have a sum law and the
@@ -165,17 +163,17 @@ def run_block(
     ``replication.run_replications`` checks both before it gets here.
     """
     half_cap = getattr(policy, "cap_at_half", True)
-    whole = size * len(rngs)
-    rows = whole if rows is None else rows
-    rng = rngs[0] if rows == whole == size else _Streams(rngs, size, rows)
+    whole = BLOCK_SIZE * len(rngs)
+    width = rows if type(policy) is AnalyticPolicy and has_gaussian_sum_law(scenario) else whole
+    rng = rngs[0] if width == whole == BLOCK_SIZE else _Streams(rngs, width)
 
     stages = min(schedule.num_stages, scenario.T)
     dtypes = (np.int64, np.int8, np.float64, np.float64)
     out = BlockTraces(*(np.empty((rows, stages), d) for d in dtypes), tuple(policy.branch_labels))
-    counts = (np.zeros(rows), np.zeros(rows))
-    sum_control = np.zeros(rows)
-    sum_treated = np.zeros(rows)
-    cum_cost = np.zeros(rows)
+    counts = (np.zeros(width), np.zeros(width))
+    sum_control = np.zeros(width)
+    sum_treated = np.zeros(width)
+    cum_cost = np.zeros(width)
 
     for t in range(1, stages + 1):
         n_t = scenario.population[t - 1]
@@ -189,8 +187,8 @@ def run_block(
         treated, counterfactual, control = draw_stage_sums(scenario, t, m, rng)
         stage_cost = np.where(m > 0, treated - counterfactual, 0.0)
         cum_cost = cum_cost + stage_cost
-        out.m[:, t - 1], out.branch[:, t - 1] = m, branch
-        out.stage_cost[:, t - 1], out.cum_cost[:, t - 1] = stage_cost, cum_cost
+        out.m[:, t - 1], out.branch[:, t - 1] = m[:rows], branch[:rows]
+        out.stage_cost[:, t - 1], out.cum_cost[:, t - 1] = stage_cost[:rows], cum_cost[:rows]
         sum_treated = sum_treated + treated
         sum_control = sum_control + control
         counts = (counts[0] + (n_t - m), counts[1] + m)

@@ -40,7 +40,7 @@ from .posterior import (
     compute_posterior,
     update_stats,
 )
-from .schedules import RiskSchedule, ScheduleError, sinc_schedule, uniform_tolerance
+from .schedules import RiskSchedule, ScheduleError, as_float, sinc_schedule, uniform_tolerance
 from .solver import AnalyticPolicy, solve_ramp_size
 
 if TYPE_CHECKING:
@@ -97,11 +97,11 @@ def _workers(explicit: "int | None") -> int:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return as_float(v) is not None
 
 
 def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    return isinstance(v, int) and _is_number(v)
 
 
 def _is_finite(v) -> bool:
@@ -201,7 +201,7 @@ _STATE_SCHEMA = {
     "stats": {
         "treated_sums": _PAIR,
         "control_sums": _PAIR,
-        "counts": (_list_of(_is_count, 2), "a list of two integers"),
+        "counts": (_list_of(_COUNT[0], 2), "a list of two integers >= 0"),
         "treated_sumsq": _SUMSQ,
         "control_sumsq": _SUMSQ,
     },
@@ -210,7 +210,7 @@ _STATE_SCHEMA = {
 }
 # Flag values that no command can use, refused before anything is read.
 _FLAG_SCHEMA = {
-    "--n-next": (lambda v: v >= 1, ">= 1"),
+    "--n-next": _STAGE,
     "--prior-mu0": _PAIR,
     "--sigma-sq": _VARIANCES,
     "--pretrial-sigma-sq": _VARIANCES,

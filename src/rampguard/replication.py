@@ -12,11 +12,10 @@ stream keyed by (seed, replication index, 0) and draws every unit's outcomes.
 
 Either way a replication's result depends only on the seed and its index:
 every block draws from its stream whole, and workers take whole groups or
-whole replications. Only the kept rows are computed on the analytic
-Gaussian path, where the solver draws nothing and the sums are normals of
-a fixed shape, so the rows past ``K_rep`` change no draw of a kept one.
-Both engines give (replications, stages) arrays in index order, which
-keeps summaries byte-identical across worker counts.
+whole replications. Each pass returns exactly the replications up to
+``K_rep`` of its group, and decides itself how many rows to compute (see
+``batch.run_block``). Both engines give (replications, stages) arrays in
+index order, which keeps summaries byte-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import BLOCK_SIZE, BlockTraces, CompactTrace, run_block
-from .scenarios import Scenario, ScenarioFeed, has_gaussian_sum_law, has_sum_law
+from .scenarios import Scenario, ScenarioFeed, has_sum_law
 from .schedules import RiskSchedule
 from .solver import AnalyticPolicy
 from .thompson import ThompsonPolicy
@@ -110,19 +109,14 @@ def _takes_batch_engine(policy: Policy, scenario: Scenario) -> bool:
 
 
 def _run_groups(policy, scenario, schedule, seed, K_rep, groups) -> list[BlockTraces]:
-    """Each group's traces: its blocks of the ``K_rep`` replications stacked in one pass.
-
-    Where no dropped row can change a kept one (see the module docstring),
-    the last group computes only the rows up to ``K_rep``.
-    """
+    """Each group's traces: its blocks' share of the ``K_rep`` replications, stacked in one pass."""
     n_blocks = -(-K_rep // BLOCK_SIZE)
-    trim = type(policy) is AnalyticPolicy and has_gaussian_sum_law(scenario)
     traces = []
     for g in groups:
         blocks = range(g * GROUP_BLOCKS, min((g + 1) * GROUP_BLOCKS, n_blocks))
         rngs = [replication_stream(seed, STREAM_TAG, b) for b in blocks]
-        rows = min(K_rep, blocks.stop * BLOCK_SIZE) - blocks.start * BLOCK_SIZE if trim else None
-        traces.append(run_block(policy, schedule, scenario, rngs, BLOCK_SIZE, rows))
+        rows = min(K_rep, blocks.stop * BLOCK_SIZE) - blocks.start * BLOCK_SIZE
+        traces.append(run_block(policy, schedule, scenario, rngs, rows))
     return traces
 
 
@@ -229,7 +223,7 @@ def run_replications(
         n_groups = -(-K_rep // (BLOCK_SIZE * GROUP_BLOCKS))
         args = (policy, scenario, schedule, seed, K_rep)
         groups = _map_chunks(_run_groups, n_groups, workers, *args)
-        columns = (np.concatenate([getattr(g, f) for g in groups])[:K_rep] for f in _COLUMNS)
+        columns = (np.concatenate([getattr(g, f) for g in groups]) for f in _COLUMNS)
         results = BlockTraces(*columns, groups[0].labels)
     else:
         for t, n in enumerate(scenario.population[: schedule.num_stages], start=1):

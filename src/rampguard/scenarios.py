@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Real
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from .schedules import as_float
 from .trace import StageFeed, StageOutcome
 
 if TYPE_CHECKING:
@@ -58,13 +58,10 @@ _RULES = {
 def _checked(name: str, value, label: str = "") -> float:
     """``value`` as a float once it passes the rule of ``name``; ValueError otherwise."""
     test, wants = _RULES[name]
-    try:
-        ok = isinstance(value, Real) and not isinstance(value, bool) and test(float(value))
-    except OverflowError:  # an integer beyond every float
-        ok = False
-    if not ok:
+    number = as_float(value)
+    if number is None or not test(number):
         raise ValueError(f"{label or name} must be {wants}, got {value!r}")
-    return float(value)
+    return number
 
 
 def _per_stage(name: str, value, T: int, label: str = "") -> tuple[float, ...]:

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Any
 
 __all__ = [
     "REL_SLACK",
     "ScheduleError",
+    "as_float",
     "RiskSchedule",
     "uniform_tolerance",
     "sinc_gamma",
@@ -38,6 +40,14 @@ REL_SLACK = 1e-12
 
 class ScheduleError(ValueError):
     """Raised for a schedule or an extension that breaks the schedule rule."""
+
+
+def as_float(value) -> "float | None":
+    """``value`` as a float if it is a number (not a bool) that ``float()`` converts, else None."""
+    try:
+        return float(value) if isinstance(value, Real) and not isinstance(value, bool) else None
+    except OverflowError:  # an integer beyond every float
+        return None
 
 
 def uniform_tolerance(delta: float, T: int) -> tuple[float, ...]:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, replication, solver
+from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, batch, replication, solver
 from rampguard.batch import BlockStage, BlockTraces, run_block
 from rampguard.posterior import (
     GaussianPrior,
@@ -225,22 +225,22 @@ def test_a_study_is_the_head_of_the_study_of_whole_blocks(monkeypatch, case, rep
     """K replications equal the first K of the next multiple of BLOCK_SIZE.
 
     The analytic solver on a Gaussian sum law computes only the kept rows
-    of its last group; every other run computes whole blocks.
+    of its last group; every other run computes whole blocks. The stage
+    sums are drawn at the width a pass computes.
     """
     policy, name, trimmed = PREFIX_CASES[case]
     padded = -(-reps // BLOCK_SIZE) * BLOCK_SIZE
     computed, group = reps if trimmed else padded, GROUP_BLOCKS * BLOCK_SIZE
     group_rows = {min(computed - start, group) for start in range(0, computed, group)}
 
-    def spy(*args):  # asserts in a pool worker too: the error comes back with the result
-        traces = real(*args)
-        assert len(traces) in group_rows, (len(traces), group_rows)
-        return traces
+    def spy(scenario, t, m, rng):  # asserts in a pool worker too: the error comes back
+        assert len(m) in group_rows, (len(m), group_rows)
+        return real(scenario, t, m, rng)
 
     scn, workers = builtin_scenarios()[name], 2 if reps > group else 1
     whole = run_replications(policy, scn, SCHED_05, padded, 5, keep_traces=True)
-    real = replication.run_block
-    monkeypatch.setattr(replication, "run_block", spy)
+    real = batch.draw_stage_sums
+    monkeypatch.setattr(batch, "draw_stage_sums", spy)
     short = run_replications(policy, scn, SCHED_05, reps, 5, workers=workers, keep_traces=True)
     assert short.traces.labels == whole.traces.labels
     for field in ("m", "branch", "stage_cost", "cum_cost"):
@@ -254,9 +254,24 @@ def test_a_study_is_the_head_of_the_study_of_whole_blocks(monkeypatch, case, rep
 )
 def test_a_trimmed_pass_refuses_binomial_draws(policy, name):
     """A dropped row would move a binomial stream, so trimming such a run fails loudly."""
-    rng = replication_stream(0, STREAM_TAG, 0)
+    streams = batch._Streams([replication_stream(0, STREAM_TAG, 0)], 100)
+    stage = BlockStage(1, 500, -500.0, 0.005, (np.zeros(100),) * 2, np.zeros(100),
+                       np.zeros(100), builtin_scenarios()[name], streams)
     with pytest.raises(ValueError, match="binomial"):
-        run_block(policy, SCHED_05, builtin_scenarios()[name], [rng], BLOCK_SIZE, 100)
+        m, _ = policy.decide_block(stage)
+        draw_stage_sums(stage.scenario, 1, m, streams)
+
+
+@pytest.mark.parametrize(
+    "policy,name", [(ThompsonPolicy(c=1.0, prior=PRIOR), "norm"), (ANALYTIC, "bern")]
+)
+def test_kept_traces_hold_no_padded_rows(policy, name):
+    """A study of whole blocks keeps only its own rows, not a view of the padded ones."""
+    traces = run_replications(policy, builtin_scenarios()[name], SCHED_05, 300, 0,
+                              keep_traces=True).traces
+    for field in ("m", "branch", "stage_cost", "cum_cost"):
+        array = getattr(traces, field)
+        assert len(array) == 300 and (array.base is None or len(array.base) == 300), field
 
 
 class SubclassedThompson(ThompsonPolicy):
@@ -266,9 +281,9 @@ class SubclassedThompson(ThompsonPolicy):
 def test_engine_follows_the_inputs(monkeypatch):
     calls = []
 
-    def spy(policy, schedule, scenario, rng, size, rows):
+    def spy(policy, schedule, scenario, rngs, rows):
         calls.append(scenario.name)
-        return real(policy, schedule, scenario, rng, size, rows)
+        return real(policy, schedule, scenario, rngs, rows)
 
     real = replication.run_block
     monkeypatch.setattr(replication, "run_block", spy)

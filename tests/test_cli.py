@@ -241,12 +241,18 @@ class TestRun:
                  "--pretrial-sigma-sq", "10", "10"],
                 "thompson takes no variance_mode 'estimated'",
             ),
+            # Integers past the float range: refused before they reach a float.
+            ({"budget": 10**400}, [], "budget must be a number, got 1000"),
+            ({"delta": -(10**400)}, [], "delta must be a number, got -1000"),
+            ({"replications": 10**400}, [], "replications must be a whole number >= 1"),
+            ({"seed": 10**400}, [], "seed must be a whole number >= 0"),
         ],
         ids=[
             "string-cap-at-half", "zero-c", "misspelt-section", "misspelt-mc-key",
             "misspelt-prior-key", "inline-scenario-key", "generator-extra-key", "unknown-generator",
             "fractional-seed",
             "negative-seed-flag", "unknown-cost", "capped-cost-without-floor", "thompson-estimated-variances",
+            "huge-budget", "huge-delta", "huge-replications", "huge-seed",
         ],
     )
     def test_bad_config_values_exit_one_naming_the_key(
@@ -464,6 +470,31 @@ def _mutants(spec):
                 else:
                     holder[leaf[-1]] = mutation
                 yield leaf, mutant
+
+
+def _put(*path, value):
+    """An edit that sets the leaf at ``path`` of a JSON object to ``value``."""
+
+    def edit(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+
+    return edit
+
+
+def _dotted(path) -> str:
+    """The name a schema error gives the leaf at ``path``: its keys, not its list indices."""
+    return ".".join(key for key in path if isinstance(key, str))
+
+
+# One leaf of each kind of number a one-stage state file holds.
+_HUGE_LEAVES = [
+    ("budget",), ("consumed", "stage_budgets", 0), ("consumed", "stage_tolerances", 0),
+    ("pending", "n"), ("prior", "mu0", 0), ("prior", "sigma0_sq", 1), ("sigma_sq", 0),
+    ("stats", "treated_sums", 1), ("stats", "control_sums", 0), ("stats", "counts", 0),
+    ("stats", "treated_sumsq"), ("stats", "control_sumsq"),
+]
 
 
 class TestInlineScenarios:
@@ -974,6 +1005,14 @@ class TestNextStage:
                 "tolerance_product must be 0.995, the product of (1 - Delta_t) over the "
                 "consumed stages, got 0.5",
             ),
+            # Integers past the float range: refused before they reach a float.
+            *((_put(*path, value=10**400), f"{_dotted(path)} must be") for path in _HUGE_LEAVES),
+            (_put("pretrial_sigma_sq", value=[10**400, 10.0]), "pretrial_sigma_sq must be"),
+            *(
+                (_put("stats", "counts", value=counts),
+                 "stats.counts must be a list of two integers >= 0")
+                for counts in ([-1000, 13], [487, -139])
+            ),
         ],
         ids=[
             "future-version", "no-version", "no-consumed", "no-stats-counts",
@@ -995,6 +1034,10 @@ class TestNextStage:
             "nan-treated-sumsq",
             "negative-control-sumsq",
             "tolerance-product-edited",
+            *(f"huge-{_dotted(path)}" for path in _HUGE_LEAVES),
+            "huge-pretrial-sigma-sq",
+            "negative-control-count",
+            "negative-treated-count",
         ],
     )
     def test_unreadable_state_exits_one(self, tmp_path, capsys, edit, message):
@@ -1022,6 +1065,7 @@ class TestNextStage:
         [
             ("--n-next", ["0"]),
             ("--n-next", ["-3"]),
+            ("--n-next", ["1" + "0" * 400]),
             ("--sigma-sq", ["0", "10"]),
             ("--sigma-sq", ["nan", "10"]),
             ("--pretrial-sigma-sq", ["10", "-1"]),
@@ -1196,6 +1240,51 @@ class TestNextStage:
         assert code == 3
         assert state.read_bytes() == before
         assert os.listdir(tmp_path) == ["state.json"]
+
+    @pytest.mark.parametrize("opening", ["FRESH", "ESTIMATED"])
+    def test_single_leaf_state_mutations_never_fail_at_run_time(self, tmp_path, capsys, opening):
+        """Every leaf of a two-stage state set to each odd value in turn.
+
+        The call exits 0, 1, 2 or 4, never 3 and never with an exception,
+        and a non-zero exit leaves the file's bytes as they were.
+        """
+        state = tmp_path / "state.json"
+        assert main([*getattr(self, opening), "--state", str(state)]) == 0
+        observed = ["--treated-sum", "13.0", "--control-sum", "487.0",
+                    "--treated-sumsq", "143.0", "--control-sumsq", "5357.0"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
+        original = state.read_bytes()
+        m = json.loads(original)["pending"]["m"]
+        observed = ["--treated-sum", "0.0", "--control-sum", "0.0",
+                    "--treated-sumsq", f"{10.0 * m}", "--control-sumsq", f"{10.0 * (500 - m)}"]
+        argv = ["next-stage", "--state", str(state), *observed, *self.NEXT]
+        leaves = []
+
+        def collect(node, path):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                if isinstance(value, (dict, list)) and value:
+                    collect(value, (*path, key))
+                else:
+                    leaves.append((*path, key))
+
+        collect(json.loads(original), ())
+        values = ["x", 0, -1, -1000, 1e300, -1e300, math.nan, math.inf, None, True, [], {},
+                  10**400, -(10**400)]
+        codes = set()
+        for path in leaves:
+            for value in values:
+                saved = json.loads(original)
+                _put(*path, value=value)(saved)
+                state.write_text(json.dumps(saved))
+                before = state.read_bytes()
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 4), (path, value, err)
+                if code != 0:
+                    assert state.read_bytes() == before, (path, value, code)
+                codes.add(code)
+        assert len(leaves) > 30 and {0, 1, 2} <= codes
 
 
 class RecordingFeed(ScenarioFeed):
