@@ -42,8 +42,8 @@ _EXPORTS = {
         "RiskSchedule", "ScheduleError", "sinc_gamma", "sinc_schedule", "uniform_tolerance",
     ),
     "solver": (
-        "AnalyticPolicy", "PredictiveMoments", "QuadraticCoefficients", "StageDecision",
-        "predictive_moments", "quadratic_coefficients", "solve_ramp_size",
+        "AnalyticPolicy", "PredictiveMoments", "StageDecision", "quadratic_coefficients",
+        "solve_ramp_size",
     ),
     "thompson": ("ThompsonPolicy", "thompson_assignment_probability"),
     "trace": (

@@ -100,9 +100,6 @@ class BlockStage(NamedTuple):
     scenario: Scenario
     rng: "np.random.Generator | _Streams"
 
-    def true_variance(self, t: int) -> Pair:
-        return (self.scenario.true_var(0, t), self.scenario.true_var(1, t))
-
     def posterior(self, prior: GaussianPrior, sigma_sq: Pair):
         """Array posterior moments ``(mu_p, sigma_p_sq)`` of every replication."""
         return posterior_moments(prior, sigma_sq, self.counts, (self.sum_control, self.sum_treated))

@@ -114,14 +114,17 @@ def _list_of(check, length=None):
     )
 
 
-def _whole(least: int):
-    """The check of a whole number >= ``least`` and what it wants."""
-    return (lambda v: _is_number(v) and v >= least and v % 1 == 0, f"a whole number >= {least}")
+def _whole(least: int, most: float = math.inf):
+    """The check of a whole number from ``least`` to ``most`` and what it wants."""
+    wants = f"a whole number >= {least}" + (f" and <= {most}" if most < math.inf else "")
+    return (lambda v: _is_number(v) and least <= v <= most and v % 1 == 0, wants)
 
 
-def _is_stage_count(v) -> bool:
-    """A generator's stage count: the bound ``Scenario`` puts on T, as no scenario runs past it."""
-    return _whole(1)[0](v) and v <= 10_000
+# A generator's stage count: the bound ``Scenario`` puts on T, as no scenario runs past it.
+_is_stage_count = _whole(1, 10_000)[0]
+# Replications and Monte-Carlo samples: the bound is replication.REPLICATION_CAP and
+# mc_solver.SAMPLE_CAP, written out because importing either module loads numpy.
+_CAPPED_COUNT = _whole(1, 10**6)
 
 
 def _is_tolerances(v) -> bool:
@@ -160,6 +163,14 @@ _VARIANCES = (_list_of(_POSITIVE[0], 2), "a list of two finite numbers > 0")
 _NUMBERS = (_list_of(_is_number), "a list of numbers")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 
+
+def _observed_pair(unobserved: int):
+    """A version-1 pair of per-arm sums, whose entry of the unobserved arm is 0."""
+    which = ("first", "second")[unobserved]
+    return (lambda v: _PAIR[0](v) and v[unobserved] == 0,
+            f"{_PAIR[1]} with the {which} 0, the sum that no rollout observes")
+
+
 # Each key maps to the check of its value and what the check wants (a text,
 # or a function of the value that gives one), or to the schema of its own
 # keys. The prior and variance keys are the same in a run config and a state file.
@@ -180,12 +191,12 @@ _CONFIG_SCHEMA = {
         "stage_budgets": (lambda v: _is_number(v) or _NUMBERS[0](v), "a number or " + _NUMBERS[1]),
     },
     **_BELIEF_SCHEMA,
-    "replications": _whole(1),
+    "replications": _CAPPED_COUNT,
     "seed": _whole(0),
     "out": (lambda v: isinstance(v, str), "a path"),
     "thompson": {"c": _POSITIVE, "cap_at_half": (lambda v: isinstance(v, bool), "true or false")},
     "mc": {
-        "samples": _whole(1),
+        "samples": _CAPPED_COUNT,
         "cost": (_is_cost, '"treatment_effect" or {"type": "capped_effect", "floor": <number>}'),
     },
 }
@@ -199,8 +210,8 @@ _STATE_SCHEMA = {
     "tolerance_product": _NUMBER,
     "consumed": {"stage_budgets": _NUMBERS, "stage_tolerances": _NUMBERS},
     "stats": {
-        "treated_sums": _PAIR,
-        "control_sums": _PAIR,
+        "treated_sums": _observed_pair(0),
+        "control_sums": _observed_pair(1),
         "counts": (_list_of(_COUNT[0], 2), "a list of two integers >= 0"),
         "treated_sumsq": _SUMSQ,
         "control_sumsq": _SUMSQ,
@@ -215,7 +226,7 @@ _FLAG_SCHEMA = {
     "--sigma-sq": _VARIANCES,
     "--pretrial-sigma-sq": _VARIANCES,
     "--prior-sigma0-sq": _VARIANCES,
-    "--reps": _whole(1),
+    "--reps": _CAPPED_COUNT,
     "--seed": _whole(0),
     "--workers": _whole(1),
 }

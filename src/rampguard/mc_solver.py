@@ -18,6 +18,7 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -48,8 +49,11 @@ __all__ = [
     "estimate_posterior_quantities",
     "solve_ramp_size_cantelli",
     "CantelliPolicy",
+    "SAMPLE_CAP",
 ]
 
+# Posterior draws per Cantelli stage at most: a stage keeps ~10 float64 arrays of this length.
+SAMPLE_CAP = 10**6
 # Per-unit history imputation runs in this many fixed row shards, each on
 # its own child stream, so its draws do not depend on the thread count.
 _SHARDS = 8
@@ -430,13 +434,18 @@ class CantelliPolicy:
     Each stage imputes the counterfactuals of every earlier treated unit
     from ``samples`` posterior draws on the stage's own sampling stream (a
     non-linear cost's per-unit imputation on child streams spawned from
-    it); a zero-tolerance stage draws no samples.
+    it); a zero-tolerance stage draws no samples. ``samples`` must be a
+    whole number in ``[1, SAMPLE_CAP]``.
     """
 
     prior: GaussianPrior
     variance: VariancePolicy
     samples: int = 10_000
     cost: CostFunction = TreatmentEffectCost()
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.samples, Integral) and 1 <= self.samples <= SAMPLE_CAP):
+            raise ValueError(f"samples must be a whole number in [1, {SAMPLE_CAP}], got {self.samples!r}")
 
     def decide(self, stage: Stage) -> StageDecision:
         if any(outcomes is None for outcomes in stage.history):

@@ -64,7 +64,6 @@ class OutcomeVariance:
     """Per-arm outcome variances, either supplied or estimated from data."""
 
     sigma_sq: Pair
-    mode: Literal["known", "estimated"] = "known"
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -206,7 +205,7 @@ def estimate_variance(
         # Degenerate (constant) data gives a zero estimate; keep strictly
         # positive variances so downstream precisions stay finite.
         out = [max(v, 1e-12) for v in out]
-    return OutcomeVariance(sigma_sq=(out[0], out[1]), mode="estimated")
+    return OutcomeVariance(sigma_sq=(out[0], out[1]))
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,7 @@ class VariancePolicy:
                     "known-variance mode needs explicit values or a feed that "
                     "reports true variances"
                 )
-            return OutcomeVariance(sigma_sq=values, mode="known")
+            return OutcomeVariance(sigma_sq=values)
         if self.pretrial is None and min(stats.counts) < 2:
             raise InsufficientDataError(
                 "estimated-variance mode requires 'pretrial' values until "

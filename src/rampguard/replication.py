@@ -35,6 +35,7 @@ from .trace import Policy, run_stages
 __all__ = [
     "BLOCK_SIZE",
     "GROUP_BLOCKS",
+    "REPLICATION_CAP",
     "STREAM_TAG",
     "UNIT_POPULATION_CAP",
     "CompactTrace",
@@ -51,6 +52,8 @@ QUANTILE_LEVELS = (25.0, 50.0, 75.0)
 GROUP_BLOCKS = 32
 # Units the per-unit engine draws in one stage at most: 80 MB per drawn array.
 UNIT_POPULATION_CAP = 10**7
+# Replications of one study at most: its results hold 25 bytes per replication and stage.
+REPLICATION_CAP = 10**6
 # Second key word of every batch-engine stream (see replication_stream).
 STREAM_TAG = 0xFFFF_FFFF
 # The per-stage result columns both engines produce, in BlockTraces order.
@@ -211,12 +214,12 @@ def run_replications(
     budget. Quantile curves cover the treated-group sizes and the running
     budget surplus per stage. The engine follows from the inputs alone
     (see the module docstring). A cost that overflows a float is neither
-    ruined nor safe: ``ValueError`` names the first stage it reaches. A
-    per-unit stage of more than ``UNIT_POPULATION_CAP`` units raises
-    ``ValueError`` before any draw.
+    ruined nor safe: ``ValueError`` names the first stage it reaches. More
+    than ``REPLICATION_CAP`` replications, or a per-unit stage of more than
+    ``UNIT_POPULATION_CAP`` units, raises ``ValueError`` before any draw.
     """
-    if K_rep < 1:
-        raise ValueError(f"K_rep must be >= 1, got {K_rep!r}")
+    if not 1 <= K_rep <= REPLICATION_CAP:
+        raise ValueError(f"K_rep must be in [1, {REPLICATION_CAP}], got {K_rep!r}")
     workers = max(1, int(workers))
 
     if _takes_batch_engine(policy, scenario):

@@ -14,13 +14,18 @@ Families:
 - ``bernoulli_scaled``: each arm is ``scale * Bernoulli(p_arm)``.
 - ``student_t_shifted``: each arm is a shifted, scaled Student-t; the scale
   is derived from the requested variance and the degrees of freedom.
+
+A new family is one ``_FAMILIES`` row: its per-unit pair draw, the exact
+law of its stage sums (None when it has none, as for ``student_t_shifted``)
+and the parameters that only it takes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
@@ -36,9 +41,6 @@ __all__ = [
 ]
 
 _MOMENTS = ("mean_control", "mean_treatment", "var_control", "var_treatment")
-# Each family's own parameters, which every other family leaves None.
-_FAMILY_PARAMETERS = {"correlation": "gaussian_correlated", "bernoulli_scale": "bernoulli_scaled",
-                      "bernoulli_p": "bernoulli_scaled", "tail_df": "student_t_shifted"}
 # Each checked field: the test its values must pass and what the test wants.
 # Past 2**53 a float no longer holds every whole number.
 _RULES = {
@@ -106,15 +108,16 @@ class Scenario:
         store = object.__setattr__  # the fields are frozen
         if not isinstance(self.name, str):
             raise ValueError(f"name must be a string, got {self.name!r}")
-        if not isinstance(self.family, str) or self.family not in _GENERATORS:
-            raise ValueError(f"family must be one of {sorted(_GENERATORS)}, got {self.family!r}")
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
+            raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {self.family!r}")
         T = int(_checked("T", self.T))
         store(self, "T", T)
         population = _per_stage("population", self.population, T)
         store(self, "population", tuple(int(n) for n in population))
-        for key, family in _FAMILY_PARAMETERS.items():
+        own = _FAMILIES[self.family].parameters
+        for key in (name for family in _FAMILIES.values() for name in family.parameters):
             value = getattr(self, key)
-            if (value is None) == (self.family == family):
+            if (value is None) == (key in own):
                 wants = "needs" if value is None else "takes no"
                 raise ValueError(f"a {self.family} scenario {wants} {key}")
             if key == "bernoulli_p" and value is not None:
@@ -153,16 +156,19 @@ class Scenario:
         var = self.var_treatment if w == 1 else self.var_control
         return var[t - 1]
 
+    def true_variance(self, t: int) -> tuple[float, float]:
+        """The ``(control, treatment)`` outcome variances at stage t."""
+        return (self.var_control[t - 1], self.var_treatment[t - 1])
+
     def true_effect(self, t: int) -> float:
         return self.true_mean(1, t) - self.true_mean(0, t)
 
     def effect_variance(self, t: int) -> float:
         """Variance of the per-unit treatment effect Y(1) - Y(0) at stage t."""
-        v0, v1 = self.true_var(0, t), self.true_var(1, t)
-        if self.family == "gaussian_correlated":
-            rho = self.correlation or 0.0
-            return v0 + v1 - 2.0 * rho * math.sqrt(v0 * v1)
-        return v0 + v1  # independent arms in every other family
+        v0, v1 = self.true_variance(t)
+        if not self.correlation:  # independent arms: no cross term, whose v0 * v1 may overflow
+            return v0 + v1
+        return v0 + v1 - 2.0 * self.correlation * math.sqrt(v0 * v1)
 
 
 def _gaussian_pair(scn: Scenario, t: int, n: int, rng: np.random.Generator):
@@ -172,7 +178,7 @@ def _gaussian_pair(scn: Scenario, t: int, n: int, rng: np.random.Generator):
 
 
 def _correlated_pair(scn: Scenario, t: int, n: int, rng: np.random.Generator):
-    v0, v1 = scn.true_var(0, t), scn.true_var(1, t)
+    v0, v1 = scn.true_variance(t)
     rho = scn.correlation or 0.0
     cov = np.array([[v0, rho * math.sqrt(v0 * v1)], [rho * math.sqrt(v0 * v1), v1]])
     chol = np.linalg.cholesky(cov)
@@ -200,17 +206,8 @@ def _student_pair(scn: Scenario, t: int, n: int, rng: np.random.Generator):
     return out[0], out[1]
 
 
-_GENERATORS = {
-    "gaussian_iid": _gaussian_pair,
-    "gaussian_time_varying": _gaussian_pair,
-    "gaussian_correlated": _correlated_pair,
-    "bernoulli_scaled": _bernoulli_pair,
-    "student_t_shifted": _student_pair,
-}
-
-
 def _gaussian_sums(scn: Scenario, t: int, m: np.ndarray, rng: np.random.Generator):
-    v0, v1 = scn.true_var(0, t), scn.true_var(1, t)
+    v0, v1 = scn.true_variance(t)
     rho = scn.correlation or 0.0
     rest = scn.population[t - 1] - m
     z = rng.standard_normal((3, m.shape[0]))
@@ -231,24 +228,32 @@ def _bernoulli_sums(scn: Scenario, t: int, m: np.ndarray, rng: np.random.Generat
     return treated, counterfactual, control
 
 
-# Families whose stage sums have an exact law that can be drawn directly.
-_SUM_LAWS = {
-    "gaussian_iid": _gaussian_sums,
-    "gaussian_time_varying": _gaussian_sums,
-    "gaussian_correlated": _gaussian_sums,
-    "bernoulli_scaled": _bernoulli_sums,
+class _Family(NamedTuple):
+    draw: Callable  # (scenario, t, n, rng) -> every unit's pair (y0, y1)
+    sum_law: "Callable | None"  # (scenario, t, m, rng) -> stage sums, see draw_stage_sums
+    parameters: tuple[str, ...]  # the fields only this family takes
+
+
+_FAMILIES = {
+    "gaussian_iid": _Family(_gaussian_pair, _gaussian_sums, ()),
+    "gaussian_time_varying": _Family(_gaussian_pair, _gaussian_sums, ()),
+    "gaussian_correlated": _Family(_correlated_pair, _gaussian_sums, ("correlation",)),
+    "bernoulli_scaled": _Family(
+        _bernoulli_pair, _bernoulli_sums, ("bernoulli_scale", "bernoulli_p")
+    ),
+    "student_t_shifted": _Family(_student_pair, None, ("tail_df",)),
 }
 
 
 def has_sum_law(scenario: Scenario) -> bool:
     """Whether :func:`draw_stage_sums` supports the scenario's family."""
-    return scenario.family in _SUM_LAWS
+    return _FAMILIES[scenario.family].sum_law is not None
 
 
 def has_gaussian_sum_law(scenario: Scenario) -> bool:
     """Whether :func:`draw_stage_sums` draws the family's sums as standard
     normals, whose use of the stream depends on the call shape alone."""
-    return _SUM_LAWS.get(scenario.family) is _gaussian_sums
+    return _FAMILIES[scenario.family].sum_law is _gaussian_sums
 
 
 def draw_stage_sums(
@@ -265,10 +270,11 @@ def draw_stage_sums(
     bivariate normal under correlated arms) and scaled-Bernoulli arms give
     scaled binomial counts. The generator is consumed in a fixed order:
     treated, counterfactual, then control, each for every replication.
+    The family must have a sum law (see :func:`has_sum_law`).
     """
     if not 1 <= t <= scenario.T:
         raise ValueError(f"stage {t} outside 1..{scenario.T}")
-    return _SUM_LAWS[scenario.family](scenario, t, m, rng)
+    return _FAMILIES[scenario.family].sum_law(scenario, t, m, rng)
 
 
 def generate_stage_outcomes(
@@ -278,7 +284,7 @@ def generate_stage_outcomes(
     if not 1 <= t <= scenario.T:
         raise ValueError(f"stage {t} outside 1..{scenario.T}")
     n = scenario.population[t - 1]
-    return _GENERATORS[scenario.family](scenario, t, n, rng)
+    return _FAMILIES[scenario.family].draw(scenario, t, n, rng)
 
 
 class ScenarioFeed:
@@ -306,7 +312,7 @@ class ScenarioFeed:
         return self.scenario.population[t - 1]
 
     def true_variance(self, t: int) -> tuple[float, float]:
-        return (self.scenario.true_var(0, t), self.scenario.true_var(1, t))
+        return self.scenario.true_variance(t)
 
     def run_stage(self, t: int, m: int) -> StageOutcome:
         y0, y1 = generate_stage_outcomes(self.scenario, t, self.rng)

@@ -46,9 +46,7 @@ __all__ = [
     "Z_SLACK",
     "AnalyticPolicy",
     "PredictiveMoments",
-    "QuadraticCoefficients",
     "StageDecision",
-    "predictive_moments",
     "quadratic_coefficients",
     "solve_ramp_size",
     "solve_ramp_sizes",
@@ -106,38 +104,11 @@ class PredictiveMoments:
         )
 
 
-def predictive_moments(
-    posterior: PosteriorState, variance: OutcomeVariance, M1_prev: int
-) -> PredictiveMoments:
-    """Bundle the posterior into the moment functions of the cost statistic."""
-    if M1_prev < 0:
-        raise ValueError(f"M1_prev must be >= 0, got {M1_prev!r}")
-    return PredictiveMoments(
-        mu_p=posterior.mu_p,
-        sigma_p_sq=posterior.sigma_p_sq,
-        sigma_sq=variance.sigma_sq,
-        m1_prev=int(M1_prev),
-    )
-
-
-@dataclass(frozen=True)
-class QuadraticCoefficients:
-    """Coefficients of A m**2 + B m + C = 0, the squared tail condition.
-
-    ``q`` is the standard normal quantile of the stage tolerance. Real roots
-    of the quadratic are exactly the points where the tail condition holds
-    with equality.
-    """
-
-    A: float
-    B: float
-    C: float
-    q: float
-
-
 def quadratic_coefficients(
     moments: PredictiveMoments, S_T1_prev: float, b_t: float, q: float
-) -> QuadraticCoefficients:
+) -> tuple[float, float, float]:
+    """``(A, B, C)`` of A m**2 + B m + C = 0, the tail condition squared at the quantile
+    ``q`` of the stage tolerance: its real roots are where the condition holds with equality."""
     mu0, mu1 = moments.mu_p
     sp0, sp1 = moments.sigma_p_sq
     v0, v1 = moments.sigma_sq
@@ -148,7 +119,7 @@ def quadratic_coefficients(
     A = q2 * (sp1 + sp0) - effect * effect
     B = q2 * (v1 + v0 + 2.0 * sp0 * M) + 2.0 * slack * effect
     C = q2 * sp0 * M * M + q2 * v0 * M - slack * slack
-    return QuadraticCoefficients(A=A, B=B, C=C, q=q)
+    return A, B, C
 
 
 def _z_statistic(moments: PredictiveMoments, S_T1_prev: float, b_t: float, m: int) -> float:
@@ -205,7 +176,11 @@ def solve_ramp_size(
     if cap == 0:
         return decision(0, BRANCH_CAP)
 
-    moments = predictive_moments(posterior, variance, M1_prev)
+    if M1_prev < 0:
+        raise ValueError(f"M1_prev must be >= 0, got {M1_prev!r}")
+    moments = PredictiveMoments(
+        posterior.mu_p, posterior.sigma_p_sq, variance.sigma_sq, int(M1_prev)
+    )
     q = normal_quantile(Delta_t)
 
     def satisfies(m: int) -> bool:
@@ -214,26 +189,26 @@ def solve_ramp_size(
     if satisfies(cap):
         return decision(cap, BRANCH_CAP)
 
-    coef = quadratic_coefficients(moments, S_T1_prev, b_t, q)
-    if math.isnan(coef.B) or math.isnan(coef.C):
+    A, B, C = quadratic_coefficients(moments, S_T1_prev, b_t, q)
+    if math.isnan(B) or math.isnan(C):
         # Overflow made a coefficient NaN: solve_ramp_sizes finds no root there.
         return decision(0, BRANCH_EMPTY)
-    scale = max(abs(coef.B), abs(coef.C), 1.0)
+    scale = max(abs(B), abs(C), 1.0)
     roots: list[float] = []
-    if abs(coef.A) < _DEGENERATE_A * scale:
+    if abs(A) < _DEGENERATE_A * scale:
         # Degenerate quadratic: solve B m + C = 0 when B is meaningful.
-        if abs(coef.B) >= _DEGENERATE_A * scale:
-            roots.append(-coef.C / coef.B)
+        if abs(B) >= _DEGENERATE_A * scale:
+            roots.append(-C / B)
         else:
             return decision(0, BRANCH_NO_REAL_ROOT)
     else:
-        b2, ac4 = coef.B * coef.B, 4.0 * coef.A * coef.C
+        b2, ac4 = B * B, 4.0 * A * C
         disc = b2 - ac4
         if disc < -_DISC_SLACK * (b2 + abs(ac4)):
             return decision(0, BRANCH_NO_REAL_ROOT)
         sq = math.sqrt(max(disc, 0.0))
-        roots.append((-coef.B + sq) / (2.0 * coef.A))
-        roots.append((-coef.B - sq) / (2.0 * coef.A))
+        roots.append((-B + sq) / (2.0 * A))
+        roots.append((-B - sq) / (2.0 * A))
 
     candidates: set[int] = set()
     for r in filter(math.isfinite, roots):
@@ -296,8 +271,7 @@ def solve_ramp_sizes(
     # Rows of other branches compute NaN or overflowing roots; the masks
     # below discard them, as the scalar path never computes them.
     with np.errstate(all="ignore"):
-        coef = quadratic_coefficients(moments, S, b_t, q)
-        A, B, C = coef.A, coef.B, coef.C
+        A, B, C = quadratic_coefficients(moments, S, b_t, q)
         tiny = _DEGENERATE_A * np.maximum(np.maximum(np.abs(B), np.abs(C)), 1.0)
         degenerate = np.abs(A) < tiny
         linear = degenerate & (np.abs(B) >= tiny)
@@ -362,7 +336,7 @@ class AnalyticPolicy:
 
         if self.variance.mode != "known":
             raise ValueError("the batch engine needs known outcome variances")
-        variance = self.variance.resolve(_NO_STATS, stage.true_variance(stage.t))
+        variance = self.variance.resolve(_NO_STATS, stage.scenario.true_variance(stage.t))
         if stage.t == 1:
             d = solve_ramp_size(compute_posterior(self.prior, variance, _NO_STATS), variance,
                                 0, 0.0, stage.b_t, stage.delta_t, stage.n_units)

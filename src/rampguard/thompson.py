@@ -129,7 +129,7 @@ class ThompsonPolicy:
             posterior = init_posterior(self.prior)
             mu_p, sigma_p_sq = posterior.mu_p, posterior.sigma_p_sq
         else:
-            variance = OutcomeVariance(self.sigma_sq or stage.true_variance(1))
+            variance = OutcomeVariance(self.sigma_sq or stage.scenario.true_variance(1))
             mu_p, sigma_p_sq = stage.posterior(self.prior, variance.sigma_sq)
         p_t = thompson_assignment_probabilities(mu_p, sigma_p_sq, self.c)
         size = stage.sum_treated.shape

@@ -378,7 +378,7 @@ def test_stage_one_decision_equals_the_block_solver_on_the_zero_state(
     )
     m, code = AnalyticPolicy(prior, VariancePolicy()).decide_block(stage)
 
-    sigma_sq = stage.true_variance(1)
+    sigma_sq = stage.scenario.true_variance(1)
     mu_p, sigma_p_sq = stage.posterior(prior, sigma_sq)
     moments = solver.PredictiveMoments(mu_p, sigma_p_sq, sigma_sq, zeros)
     want_m, want_code = solver.solve_ramp_sizes(moments, zeros, b_1, delta_1, n_1)

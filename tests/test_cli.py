@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -483,6 +484,21 @@ def _put(*path, value):
     return edit
 
 
+def _leaf_paths(node, path=()):
+    """The path of every leaf of a JSON value: a scalar, an empty list or an empty object."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaf_paths(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+# The odd values that the single-leaf fuzz tests put in each leaf in turn.
+_ODD_VALUES = ("x", 0, -1, -1000, 1e300, -1e300, math.nan, math.inf, None, True, [], {},
+               10**400, -(10**400))
+
+
 def _dotted(path) -> str:
     """The name a schema error gives the leaf at ``path``: its keys, not its list indices."""
     return ".".join(key for key in path if isinstance(key, str))
@@ -593,6 +609,123 @@ class TestInlineScenarios:
         assert inline == named == 0
         for name in ("schedule.csv", "summary.json", "quantiles.csv"):
             assert (inline_out / name).read_bytes() == (named_out / name).read_bytes(), name
+
+
+# One small valid run config per policy: three stages or fewer, three replications or fewer.
+RUN_CONFIGS = {
+    "analytic": {
+        "scenario": "norm", "algorithm": "rrc_analytic", "budget": -500, "delta": 0.05,
+        "schedule": {"stage_tolerances": {"type": "uniform", "T": 3},
+                     "stage_budgets": [-400, -450, -500]},
+        "prior": {"mu0": [0, 0], "sigma0_sq": [100, 100]}, "variance_mode": "known",
+        "sigma_sq": [10, 10], "replications": 3, "seed": 2,
+    },
+    "cantelli": {
+        "scenario": "norm", "algorithm": "rrc_cantelli", "budget": -500, "delta": 0.05,
+        "schedule": {"stage_tolerances": [0.01, 0.02]}, "replications": 2, "seed": 1,
+        "mc": {"samples": 200, "cost": {"type": "capped_effect", "floor": -5.0}},
+    },
+    "thompson": {
+        "scenario": "npte", "algorithm": "thompson", "budget": -500, "delta": 0.01,
+        "schedule": {"stage_tolerances": {"type": "uniform", "T": 3}},
+        "prior": {"mu0": [0, -2], "sigma0_sq": [0.05, 0.05]},
+        "thompson": {"c": 1.0, "cap_at_half": False}, "replications": 3, "seed": 2,
+    },
+}
+
+
+class TestRunConfigBounds:
+    def run(self, tmp_path, config, *flags, name="cfg"):
+        out = tmp_path / f"{name}-out"
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        argv = ["run", "--config", str(path), "--out", str(out), "--workers", "1", *flags]
+        return main(argv), out
+
+    @pytest.fixture
+    def no_study(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a study started")
+
+        monkeypatch.setattr(replication, "_map_chunks", no_work)
+
+    @pytest.mark.parametrize(
+        "entries, key",
+        [
+            ({"replications": 1e300}, "replications"),
+            ({"replications": 10**6 + 1}, "replications"),
+            ({"algorithm": "rrc_cantelli", "mc": {"samples": 1e12}}, "mc.samples"),
+            ({"algorithm": "rrc_cantelli", "mc": {"samples": 1e300}}, "mc.samples"),
+            ({"algorithm": "rrc_cantelli", "mc": {"samples": 10**6 + 1}}, "mc.samples"),
+        ],
+    )
+    def test_a_count_past_its_bound_exits_one_before_any_work(
+        self, tmp_path, capsys, no_study, entries, key
+    ):
+        config = {"scenario": "norm", "budget": -500, "delta": 0.05, "replications": 1, **entries}
+        code, out = self.run(tmp_path, config)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"run config: {key} must be a whole number >= 1 and <= 1000000" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["run", "--scenario", "norm", "--budget", "-500", "--delta", "0.05"], "replications"),
+            (["reproduce", "fig2a"], "--reps"),
+        ],
+    )
+    def test_a_reps_flag_past_the_bound_exits_one_before_any_work(
+        self, tmp_path, capsys, no_study, argv, name
+    ):
+        out = tmp_path / "out"
+        assert main([*argv, "--reps", "100000000000", "--out", str(out), "--workers", "1"]) == 1
+        assert f"{name} must be a whole number >= 1 and <= 1000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy", sorted(RUN_CONFIGS))
+    def test_single_leaf_and_flag_mutations_never_fail_at_run_time(
+        self, tmp_path, capsys, monkeypatch, policy
+    ):
+        """Every leaf of a small config, and each count flag, set to each odd value in turn.
+
+        The call exits 0, 1, 2 or 4, never 3 and never with an exception,
+        and a non-zero exit writes nothing.
+        """
+        real = replication.run_replications
+
+        def small(policy, scenario, schedule, K_rep, *args, **kwargs):
+            # A larger study comes only from a mutated count, and may not end.
+            assert K_rep <= 3, f"a study of {K_rep} replications got past the checks"
+            return real(policy, scenario, schedule, K_rep, *args, **kwargs)
+
+        monkeypatch.setattr(replication, "run_replications", small)
+        config = RUN_CONFIGS[policy]
+        assert self.run(tmp_path, config)[0] == 0
+        mutants = []
+        for path in _leaf_paths(config):
+            for value in _ODD_VALUES:
+                mutant = json.loads(json.dumps(config))
+                _put(*path, value=value)(mutant)
+                mutants.append((path, value, mutant, ()))
+        for flag in ("--reps", "--seed", "--workers", "--T"):
+            mutants += [(flag, value, config, (f"{flag}={json.dumps(value)}",))
+                        for value in _ODD_VALUES]
+        codes = set()
+        for n, (where, value, mutant, flags) in enumerate(mutants):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                code, out = self.run(tmp_path, mutant, *flags, name=f"m{n}")
+            # A capped cost's floor past 1e154 overflows the squares of the Cantelli
+            # moment estimates; the study still ends, and no other leaf warns.
+            assert not caught or where == ("mc", "cost", "floor"), (where, value, caught[0])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 4), (where, value, err)
+            if code != 0:
+                assert not out.exists(), (where, value, code)
+            codes.add(code)
+        assert len(mutants) > 200 and {0, 1, 2} <= codes
 
 
 def legacy_figure_jobs(figure):
@@ -1211,6 +1344,27 @@ class TestNextStage:
         assert f"stats.{key} must be a finite number >= 0, got nan" in capsys.readouterr().err
         assert state.read_bytes() == before
 
+    @pytest.mark.parametrize("key, index, value", [("treated_sums", 0, 123.0),
+                                                   ("control_sums", 1, -7.5)])
+    def test_a_nonzero_unobserved_sum_exits_one(self, tmp_path, capsys, key, index, value):
+        """The version-1 layout keeps a 0 for the sum of each arm that no rollout observes."""
+        state = tmp_path / "state.json"
+        assert main([*self.FRESH, "--state", str(state)]) == 0
+        observed = ["--treated-sum", "13.0", "--control-sum", "487.0"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
+        saved = json.loads(state.read_text())
+        saved["stats"][key][index] = value
+        saved["last_call"] = None
+        state.write_text(json.dumps(saved))
+        before = state.read_bytes()
+        capsys.readouterr()
+        observed = ["--treated-sum", "0.0", "--control-sum", "0.0"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
+        which = ("first", "second")[index]
+        message = f"stats.{key} must be a list of two finite numbers with the {which} 0"
+        assert message in capsys.readouterr().err
+        assert state.read_bytes() == before
+
     def test_sumsq_at_the_cauchy_schwarz_bound_is_accepted(self, tmp_path):
         state = tmp_path / "state.json"
         assert main([*self.ESTIMATED, "--state", str(state)]) == 0
@@ -1258,22 +1412,10 @@ class TestNextStage:
         observed = ["--treated-sum", "0.0", "--control-sum", "0.0",
                     "--treated-sumsq", f"{10.0 * m}", "--control-sumsq", f"{10.0 * (500 - m)}"]
         argv = ["next-stage", "--state", str(state), *observed, *self.NEXT]
-        leaves = []
-
-        def collect(node, path):
-            items = node.items() if isinstance(node, dict) else enumerate(node)
-            for key, value in items:
-                if isinstance(value, (dict, list)) and value:
-                    collect(value, (*path, key))
-                else:
-                    leaves.append((*path, key))
-
-        collect(json.loads(original), ())
-        values = ["x", 0, -1, -1000, 1e300, -1e300, math.nan, math.inf, None, True, [], {},
-                  10**400, -(10**400)]
+        leaves = list(_leaf_paths(json.loads(original)))
         codes = set()
         for path in leaves:
-            for value in values:
+            for value in _ODD_VALUES:
                 saved = json.loads(original)
                 _put(*path, value=value)(saved)
                 state.write_text(json.dumps(saved))

@@ -586,6 +586,16 @@ class NoTreatedOutcomesFeed:
 class TestRunCantelli:
     PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
 
+    @pytest.mark.parametrize("samples", [0, -1, 10**6 + 1, 10**12, 2.5, 1e300, math.nan, "10"])
+    def test_a_sample_count_outside_the_bound_is_refused_when_built(self, samples):
+        with pytest.raises(ValueError, match=r"samples must be a whole number in \[1, 1000000\]"):
+            CantelliPolicy(self.PRIOR, VariancePolicy(), samples=samples)
+
+    @pytest.mark.parametrize("samples", [1, 10**6, np.int64(500)])
+    def test_a_sample_count_within_the_bound_is_kept(self, samples):
+        assert CantelliPolicy(self.PRIOR, VariancePolicy(), samples=samples).samples == samples
+        assert mc_solver.SAMPLE_CAP == 10**6
+
     def test_short_run_shape_and_cap(self):
         scn = builtin_scenarios()["norm"]
         sched = RiskSchedule.uniform(-500.0, 0.05, 10)

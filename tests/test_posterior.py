@@ -200,7 +200,6 @@ class TestEstimateVariance:
         stats = self._stats_from_data([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
         est = estimate_variance(stats)
         assert est.sigma_sq[0] == pytest.approx(0.0, abs=1e-10)
-        assert est.mode == "estimated"
 
     def test_two_point_sample(self):
         stats = self._stats_from_data([0.0, 2.0], [5.0, 9.0])

@@ -271,6 +271,18 @@ class TestRunReplications:
         with pytest.raises(TypeError):
             run_replications(object(), builtin_scenarios()["pte"], sched, 3, 0)
 
+    @pytest.mark.parametrize("name", ["norm", "fat"])  # the batch and the per-unit engine
+    def test_more_replications_than_the_cap_are_refused_before_any_work(self, monkeypatch, name):
+        def no_work(*args):
+            raise AssertionError("a study past the replication cap started")
+
+        monkeypatch.setattr(replication, "_map_chunks", no_work)
+        sched = RiskSchedule.uniform(-500.0, 0.05, 3)
+        for reps in (10**6 + 1, 10**300):
+            with pytest.raises(ValueError, match=r"K_rep must be in \[1, 1000000\]"):
+                run_replications(ANALYTIC, builtin_scenarios()[name], sched, reps, 0)
+        assert replication.REPLICATION_CAP == 10**6
+
     @pytest.mark.parametrize("family, extra", [
         ("gaussian_iid", {}),  # the batch engine
         ("student_t_shifted", {"tail_df": 4.0}),  # the per-unit engine

@@ -24,7 +24,6 @@ from rampguard.solver import (
     Z_SLACK,
     AnalyticPolicy,
     PredictiveMoments,
-    predictive_moments,
     quadratic_coefficients,
     solve_ramp_size,
     solve_ramp_sizes,
@@ -87,26 +86,22 @@ def random_stage_config(rng, n_max=1000):
 
 class TestPredictiveMoments:
     def test_symmetric_prior_no_history(self):
-        mom = predictive_moments(FLAT_POST, VAR10, 0)
+        mom = PredictiveMoments(FLAT_POST.mu_p, FLAT_POST.sigma_p_sq, VAR10.sigma_sq, 0)
         for m in (0, 1, 13, 250):
             assert mom.mu_tilde(m) == 0.0
 
     def test_direct_substitution(self):
-        mom = predictive_moments(FLAT_POST, VAR10, 0)
+        mom = PredictiveMoments(FLAT_POST.mu_p, FLAT_POST.sigma_p_sq, VAR10.sigma_sq, 0)
         for m in (0, 1, 7, 100):
             assert mom.sigma_tilde_sq(m) == pytest.approx(200 * m * m + 20 * m)
 
     def test_variance_strictly_increasing(self):
-        mom = predictive_moments(
-            PosteriorState((0.3, -0.2), (2.0, 5.0)), OutcomeVariance((3.0, 7.0)), 40
-        )
+        mom = PredictiveMoments((0.3, -0.2), (2.0, 5.0), (3.0, 7.0), 40)
         values = [mom.sigma_tilde_sq(m) for m in range(0, 200)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_history_enters_the_mean(self):
-        mom = predictive_moments(
-            PosteriorState((1.5, 0.5), (1.0, 1.0)), VAR10, 20
-        )
+        mom = PredictiveMoments((1.5, 0.5), (1.0, 1.0), VAR10.sigma_sq, 20)
         # mu(1) * m - mu(0) * (m + history)
         assert mom.mu_tilde(10) == pytest.approx(0.5 * 10 - 1.5 * 30)
 
@@ -118,7 +113,7 @@ class TestSolveRampSize:
         assert d.branch == BRANCH_ROOT
         assert d.assignment_probability == pytest.approx(13 / 500)
         # Boundary witnesses for the chosen m.
-        mom = predictive_moments(FLAT_POST, VAR10, 0)
+        mom = PredictiveMoments(FLAT_POST.mu_p, FLAT_POST.sigma_p_sq, VAR10.sigma_sq, 0)
         q = normal_quantile(0.005)
         z13 = -500.0 / math.sqrt(mom.sigma_tilde_sq(13))
         z14 = -500.0 / math.sqrt(mom.sigma_tilde_sq(14))
@@ -173,7 +168,9 @@ class TestSolveRampSize:
                 continue
             checked += 1
             q = q_cache.setdefault(delta, normal_quantile(delta))
-            mom = predictive_moments(posterior, variance, m1_prev)
+            mom = PredictiveMoments(
+                posterior.mu_p, posterior.sigma_p_sq, variance.sigma_sq, m1_prev
+            )
             z = (b - s - mom.mu_tilde(d.m)) / math.sqrt(mom.sigma_tilde_sq(d.m))
             assert z <= q + Z_SLACK
             nxt = d.m + 1
@@ -190,16 +187,18 @@ class TestSolveRampSize:
             if delta == 0.0:
                 continue
             q = normal_quantile(delta)
-            mom = predictive_moments(posterior, variance, m1_prev)
-            coef = quadratic_coefficients(mom, s, b, q)
-            if coef.A == 0.0:
+            mom = PredictiveMoments(
+                posterior.mu_p, posterior.sigma_p_sq, variance.sigma_sq, m1_prev
+            )
+            A, B, C = quadratic_coefficients(mom, s, b, q)
+            if A == 0.0:
                 continue
-            disc = coef.B * coef.B - 4 * coef.A * coef.C
+            disc = B * B - 4 * A * C
             if disc < 0:
                 continue
             for root in (
-                (-coef.B + math.sqrt(disc)) / (2 * coef.A),
-                (-coef.B - math.sqrt(disc)) / (2 * coef.A),
+                (-B + math.sqrt(disc)) / (2 * A),
+                (-B - math.sqrt(disc)) / (2 * A),
             ):
                 var = mom.sigma_tilde_sq(root)
                 if var <= 1e-12 or abs(root) > 1e8:
