@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
-from .normal import normal_cdf
+from .normal import _SQRT2
 from .posterior import (
     GaussianPrior,
     OutcomeVariance,
@@ -53,37 +54,36 @@ def thompson_assignment_probability(posterior: PosteriorState, c: float) -> floa
     z = (posterior.mu_p[1] - posterior.mu_p[0]) / math.sqrt(
         posterior.sigma_p_sq[0] + posterior.sigma_p_sq[1]
     )
-    return _sharpened_cdf(z, c)
+    return _sharpened(-z / _SQRT2, c)
 
 
 def thompson_assignment_probabilities(mu_p, sigma_p_sq, c: float) -> np.ndarray:
     """``thompson_assignment_probability`` for many posteriors at once.
 
     ``mu_p`` and ``sigma_p_sq`` are ``(control, treatment)`` pairs of
-    equal-shape arrays (or scalars). The z-scores are computed on the
-    arrays, in the scalar function's order; the rest runs the scalar
-    function's ``math`` code per entry, because numpy's ``log`` and ``exp``
-    may differ from ``math``'s by an ulp, which ``c * logit(p)`` can widen
-    to a hundred. Each entry therefore equals the scalar probability bit
-    for bit.
+    equal-shape arrays (or scalars). ``z`` and ``w = -z / sqrt(2)`` are
+    computed on the arrays in the scalar function's order; its kernel maps
+    over ``w`` with ``math``'s ``erfc``, ``log``, ``log1p`` and ``exp``, as
+    numpy's ``log`` and ``exp`` may differ by an ulp, which ``c * logit(p)``
+    can widen to a hundred. Each entry equals the scalar probability bit for bit.
     """
     z = (mu_p[1] - mu_p[0]) / np.sqrt(sigma_p_sq[0] + sigma_p_sq[1])
-    flat = np.ravel(z).tolist()
-    p = np.fromiter(map(_sharpened_cdf, flat, [c] * len(flat)), float, len(flat))
+    flat = np.ravel(-z / _SQRT2).tolist()
+    p = np.fromiter(map(_sharpened, flat, repeat(c)), float, len(flat))
     return p.reshape(np.shape(z))
 
 
-def _sharpened_cdf(z: float, c: float) -> float:
-    """expit(c * logit(Phi(z))), written to avoid overflow on either side."""
-    p = normal_cdf(z)
+def _sharpened(w, c, erfc=math.erfc, log=math.log, log1p=math.log1p, exp=math.exp):
+    """expit(c * logit(p)) at p = Phi(z) = erfc(w) / 2, w = -z / sqrt(2), without overflow."""
+    p = 0.5 * erfc(w)
     if p <= 0.0:
         return 0.0
     if p >= 1.0:
         return 1.0
-    x = c * (math.log(p) - math.log1p(-p))
+    x = c * (log(p) - log1p(-p))
     if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
+        return 1.0 / (1.0 + exp(-x))
+    e = exp(x)
     return e / (1.0 + e)
 
 
@@ -93,8 +93,8 @@ class ThompsonPolicy:
 
     The treated count is binomial in the incoming population at the current
     assignment probability (each user assigned independently), drawn from
-    the feed's generator. ``sigma_sq`` fixes the model variances; None
-    falls back to the feed's stage-1 ground truth. ``cap_at_half``
+    the feed's generator. ``sigma_sq`` fixes the model variances, checked
+    when built; None falls back to the feed's stage-1 ground truth. ``cap_at_half``
     optionally clamps the treated count at half the incoming population;
     the assignment rule itself has no such cap, so it defaults off. The
     baseline is not budget-aware: it ignores the stage thresholds and
@@ -111,6 +111,8 @@ class ThompsonPolicy:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"c must be finite and > 0, got {self.c!r}")
+        if self.sigma_sq is not None:
+            object.__setattr__(self, "sigma_sq", OutcomeVariance(self.sigma_sq).sigma_sq)
 
     def decide(self, stage: Stage) -> StageDecision:
         if stage.t == 1:
@@ -126,14 +128,15 @@ class ThompsonPolicy:
 
     def decide_block(self, stage: BlockStage) -> tuple[np.ndarray, np.ndarray]:
         if stage.t == 1:
-            posterior = init_posterior(self.prior)
-            mu_p, sigma_p_sq = posterior.mu_p, posterior.sigma_p_sq
+            mu_p, sigma_p_sq = self.prior.mu0, self.prior.sigma0_sq
         else:
-            variance = OutcomeVariance(self.sigma_sq or stage.scenario.true_variance(1))
-            mu_p, sigma_p_sq = stage.posterior(self.prior, variance.sigma_sq)
+            sigma_sq = self.sigma_sq or stage.scenario.true_variance(1)
+            mu_p, sigma_p_sq = stage.posterior(self.prior, sigma_sq)
         p_t = thompson_assignment_probabilities(mu_p, sigma_p_sq, self.c)
         size = stage.sum_treated.shape
-        m_t = stage.rng.binomial(stage.n_units, np.broadcast_to(p_t, size))
+        if p_t.shape != size:
+            p_t = np.broadcast_to(p_t, size)
+        m_t = stage.rng.binomial(stage.n_units, p_t)
         if self.cap_at_half:
             m_t = np.minimum(m_t, stage.n_units // 2)
         return m_t, np.zeros(size, dtype=np.int8)

@@ -946,6 +946,26 @@ class TestReproduce:
         assert f"{name} must be a whole number >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_odd_count_flags_exit_zero_or_one(self, tmp_path, capsys):
+        """``reproduce fig2a`` with each count flag set to each odd text in turn.
+
+        Every call exits 0 or 1, never 3, and an exit 1 writes no ``fig2a/``.
+        The other flags stay small: 300 replications are one group of
+        blocks, which runs in process whatever the worker count.
+        """
+        valid = {"--reps": "300", "--seed": "1", "--workers": "2"}
+        odd = ("0", "-1", "2.5", "1e300", "nan", "", str(10**400))
+        codes = set()
+        for n, (flag, text) in enumerate((flag, text) for flag in valid for text in odd):
+            out = tmp_path / f"m{n}"
+            flags = [f"{f}={v}" for f, v in {**valid, flag: text}.items()]
+            code = main(["reproduce", "fig2a", *flags, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 1), (flag, text, err)
+            assert (out / "fig2a").exists() == (code == 0), (flag, text, code)
+            codes.add(code)
+        assert codes == {0, 1}
+
 
 class TestNextStage:
     FRESH = [

@@ -95,6 +95,11 @@ POSTERIORS = st.lists(
 @given(rows=POSTERIORS, c=st.floats(0.01, 20.0))
 # p rounds to 1, p rounds to 0 (|z| ~ 7e5), the fig1e prior, and p = 1/2.
 @example(rows=[(0.0, 10.0, 0.5, 0.5)], c=1.0)
+# erfc's last subnormal (z = -38.4, p = 7e-323) and its underflow to 0 (z = -38.6);
+# p rounds to 1 from z = 8.3 on.
+@example(rows=[(0.0, -38.4, 0.5, 0.5), (0.0, -38.6, 0.5, 0.5)], c=0.25)
+@example(rows=[(0.0, -38.4, 0.5, 0.5), (0.0, -38.6, 0.5, 0.5)], c=4.0)
+@example(rows=[(0.0, 8.2, 0.5, 0.5), (0.0, 8.3, 0.5, 0.5)], c=0.25)
 @example(rows=[(0.0, -1e3, 1e-6, 1e-6)], c=0.25)
 @example(rows=[(0.0, -2.0, 0.05, 0.05)], c=0.25)
 @example(rows=[(1.5, 1.5, 2.0, 3.0)], c=4.0)
@@ -153,6 +158,19 @@ class TestRunThompson:
         for c in (0.0, -1.0, float("inf")):
             with pytest.raises(ValueError):
                 ThompsonPolicy(c=c, prior=BANDIT_PRIOR)
+
+    @pytest.mark.parametrize(
+        "sigma_sq", [(0.0, 1.0), (1.0, -2.0), (float("inf"), 1.0), (1.0, float("nan"))]
+    )
+    def test_rejects_a_bad_variance_pair_when_built(self, sigma_sq):
+        with pytest.raises(ValueError, match="sigma_sq"):
+            ThompsonPolicy(c=1.0, prior=BANDIT_PRIOR, sigma_sq=sigma_sq)
+
+    def test_stores_the_variance_pair_as_floats(self):
+        policy = ThompsonPolicy(c=1.0, prior=BANDIT_PRIOR, sigma_sq=[3, np.float32(5.0)])
+        assert policy.sigma_sq == (3.0, 5.0)
+        assert [type(v) for v in policy.sigma_sq] == [float, float]
+        assert ThompsonPolicy(c=1.0, prior=BANDIT_PRIOR).sigma_sq is None
 
     def test_symmetric_prior_treats_about_half(self):
         scn = builtin_scenarios()["pte"]
