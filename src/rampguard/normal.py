@@ -12,7 +12,7 @@ import math
 
 __all__ = ["normal_cdf", "normal_pdf", "normal_quantile"]
 
-_SQRT2 = math.sqrt(2.0)
+SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # PPND16 coefficients, central region |p - 0.5| <= 0.425.
@@ -91,8 +91,8 @@ def _ratpoly(num: tuple[float, ...], den: tuple[float, ...], r: float) -> float:
 
 
 def normal_cdf(x: float) -> float:
-    """P(Z <= x) for Z ~ N(0, 1)."""
-    return 0.5 * math.erfc(-x / _SQRT2)
+    """P(Z <= x) for Z ~ N(0, 1), as ``0.5 * erfc(w)`` at ``w = -x / SQRT2``."""
+    return 0.5 * math.erfc(-x / SQRT2)
 
 
 def normal_pdf(x: float) -> float:

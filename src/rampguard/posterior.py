@@ -37,11 +37,17 @@ class InsufficientDataError(ValueError):
     """An arm has fewer than two observations, so its variance is undefined."""
 
 
-def _check_pair_positive(name: str, pair: Pair) -> None:
+def _float_pair(name: str, pair) -> Pair:
     if len(pair) != 2:
         raise ValueError(f"{name} must have exactly two components, got {pair!r}")
+    return (float(pair[0]), float(pair[1]))
+
+
+def _positive_pair(name: str, pair) -> Pair:
+    pair = _float_pair(name, pair)
     if not all(math.isfinite(v) and v > 0.0 for v in pair):
         raise ValueError(f"{name} components must be finite and > 0, got {pair!r}")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -52,11 +58,8 @@ class GaussianPrior:
     sigma0_sq: Pair
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu0", (float(self.mu0[0]), float(self.mu0[1])))
-        object.__setattr__(
-            self, "sigma0_sq", (float(self.sigma0_sq[0]), float(self.sigma0_sq[1]))
-        )
-        _check_pair_positive("sigma0_sq", self.sigma0_sq)
+        object.__setattr__(self, "mu0", _float_pair("mu0", self.mu0))
+        object.__setattr__(self, "sigma0_sq", _positive_pair("sigma0_sq", self.sigma0_sq))
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,7 @@ class OutcomeVariance:
     sigma_sq: Pair
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "sigma_sq", (float(self.sigma_sq[0]), float(self.sigma_sq[1]))
-        )
-        _check_pair_positive("sigma_sq", self.sigma_sq)
+        object.__setattr__(self, "sigma_sq", _positive_pair("sigma_sq", self.sigma_sq))
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class PosteriorState:
     sigma_p_sq: Pair
 
     def __post_init__(self) -> None:
-        _check_pair_positive("sigma_p_sq", self.sigma_p_sq)
+        _positive_pair("sigma_p_sq", self.sigma_p_sq)
 
 
 def init_posterior(prior: GaussianPrior) -> PosteriorState:

@@ -226,10 +226,8 @@ def run_replications(
         n_groups = -(-K_rep // (BLOCK_SIZE * GROUP_BLOCKS))
         args = (policy, scenario, schedule, seed, K_rep)
         groups = _map_chunks(_run_groups, n_groups, workers, *args)
-        results = groups[0]
-        if len(groups) > 1:
-            columns = (np.concatenate([getattr(g, f) for g in groups]) for f in _COLUMNS)
-            results = BlockTraces(*columns, results.labels)
+        columns = (np.concatenate([getattr(g, f) for g in groups]) for f in _COLUMNS)
+        results = BlockTraces(*columns, groups[0].labels)
     else:
         for t, n in enumerate(scenario.population[: schedule.num_stages], start=1):
             if n > UNIT_POPULATION_CAP:

@@ -83,8 +83,7 @@ class PredictiveMoments:
     The statistic is the stage's treated-outcome sum minus the cumulative
     counterfactual control sum of all units ever treated; its conditional
     moments depend on the posterior, the outcome variances and the number
-    of previously treated units. A caller that needs both moments may pass
-    ``mm = m + m1_prev``, formed once, to each.
+    of previously treated units.
     """
 
     mu_p: tuple[float, float]
@@ -92,11 +91,11 @@ class PredictiveMoments:
     sigma_sq: tuple[float, float]
     m1_prev: int
 
-    def mu_tilde(self, m, mm=None):
-        return self.mu_p[1] * m - self.mu_p[0] * (m + self.m1_prev if mm is None else mm)
+    def mu_tilde(self, m):
+        return self.mu_p[1] * m - self.mu_p[0] * (m + self.m1_prev)
 
-    def sigma_tilde_sq(self, m, mm=None):
-        mm = m + self.m1_prev if mm is None else mm
+    def sigma_tilde_sq(self, m):
+        mm = m + self.m1_prev
         return (
             m * m * self.sigma_p_sq[1]
             + m * self.sigma_sq[1]
@@ -124,9 +123,8 @@ def quadratic_coefficients(
 
 
 def _z_statistic(moments: PredictiveMoments, S_T1_prev: float, b_t: float, m: int) -> float:
-    mm = m + moments.m1_prev
-    num = b_t - S_T1_prev - moments.mu_tilde(m, mm)
-    var = moments.sigma_tilde_sq(m, mm)
+    num = b_t - S_T1_prev - moments.mu_tilde(m)
+    var = moments.sigma_tilde_sq(m)
     if var <= 0.0:
         # Only reachable at m = 0 with no treatment history: the statistic
         # is exactly zero, so the condition holds iff the threshold is
@@ -232,9 +230,8 @@ def _satisfied(moments: PredictiveMoments, S_T1_prev, b_t: float, m, limit: floa
     """
     import numpy as np
 
-    mm = m + moments.m1_prev
-    num = b_t - S_T1_prev - moments.mu_tilde(m, mm)
-    return num / np.sqrt(moments.sigma_tilde_sq(m, mm)) <= limit
+    num = b_t - S_T1_prev - moments.mu_tilde(m)
+    return num / np.sqrt(moments.sigma_tilde_sq(m)) <= limit
 
 
 def solve_ramp_sizes(

@@ -15,11 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from math import erfc, exp, log, log1p
 from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
-from .normal import _SQRT2
+from .normal import SQRT2
 from .posterior import (
     GaussianPrior,
     OutcomeVariance,
@@ -54,7 +55,7 @@ def thompson_assignment_probability(posterior: PosteriorState, c: float) -> floa
     z = (posterior.mu_p[1] - posterior.mu_p[0]) / math.sqrt(
         posterior.sigma_p_sq[0] + posterior.sigma_p_sq[1]
     )
-    return _sharpened(-z / _SQRT2, c)
+    return _sharpened(-z / SQRT2, c)
 
 
 def thompson_assignment_probabilities(mu_p, sigma_p_sq, c: float) -> np.ndarray:
@@ -68,13 +69,13 @@ def thompson_assignment_probabilities(mu_p, sigma_p_sq, c: float) -> np.ndarray:
     can widen to a hundred. Each entry equals the scalar probability bit for bit.
     """
     z = (mu_p[1] - mu_p[0]) / np.sqrt(sigma_p_sq[0] + sigma_p_sq[1])
-    flat = np.ravel(-z / _SQRT2).tolist()
+    flat = np.ravel(-z / SQRT2).tolist()
     p = np.fromiter(map(_sharpened, flat, repeat(c)), float, len(flat))
     return p.reshape(np.shape(z))
 
 
-def _sharpened(w, c, erfc=math.erfc, log=math.log, log1p=math.log1p, exp=math.exp):
-    """expit(c * logit(p)) at p = Phi(z) = erfc(w) / 2, w = -z / sqrt(2), without overflow."""
+def _sharpened(w: float, c: float) -> float:
+    """expit(c * logit(p)) at p = normal_cdf(z), given w = -z / SQRT2, without overflow."""
     p = 0.5 * erfc(w)
     if p <= 0.0:
         return 0.0

@@ -61,6 +61,15 @@ class TestInit:
         with pytest.raises(ValueError):
             GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=(0.0, 1.0))
 
+    @pytest.mark.parametrize("pair", [(), (1.0,), (1.0, 2.0, 3.0)])
+    def test_pairs_of_another_length_are_refused(self, pair):
+        with pytest.raises(ValueError, match="mu0 must have exactly two"):
+            GaussianPrior(mu0=pair, sigma0_sq=(1.0, 1.0))
+        with pytest.raises(ValueError, match="sigma0_sq must have exactly two"):
+            GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=pair)
+        with pytest.raises(ValueError, match="sigma_sq must have exactly two"):
+            OutcomeVariance(pair)
+
 
 class TestUpdateStats:
     def test_empty_treatment_group(self):

@@ -160,7 +160,8 @@ class TestRunThompson:
                 ThompsonPolicy(c=c, prior=BANDIT_PRIOR)
 
     @pytest.mark.parametrize(
-        "sigma_sq", [(0.0, 1.0), (1.0, -2.0), (float("inf"), 1.0), (1.0, float("nan"))]
+        "sigma_sq",
+        [(0.0, 1.0), (1.0, -2.0), (float("inf"), 1.0), (1.0, float("nan")), (1.0,), (1.0, 2.0, 3.0)],
     )
     def test_rejects_a_bad_variance_pair_when_built(self, sigma_sq):
         with pytest.raises(ValueError, match="sigma_sq"):
