@@ -29,8 +29,12 @@ feed = ScenarioFeed(scenario, np.random.default_rng(7))
 trace = run_stages(schedule, feed, AnalyticPolicy(prior, VariancePolicy()))
 # Posterior after every observation, under the last stage's known variances.
 final = compute_posterior(
-    prior, OutcomeVariance(feed.true_variance(trace.num_stages)), trace.final_stats
+    prior, OutcomeVariance(feed.true_variance(len(trace.records))), trace.final_stats
 )
+# The loop ran min(schedule, feed) stages; the budget and the ruin rule are the schedule's.
+final_cost = trace.records[-1].cum_cost
+surplus = final_cost - schedule.budget
+ruined = final_cost <= schedule.budget
 
 print(f"budget {schedule.budget:+.0f}, tolerance {schedule.delta:.0%}, "
       f"per-stage tolerance {schedule.stage_tolerances[0]:.4%}")
@@ -39,8 +43,9 @@ print(f"{'stage':>5} {'treated':>8} {'branch':>15} {'stage cost':>11} {'cum cost
 for r in trace.records:
     print(f"{r.stage:>5} {r.m:>8} {r.branch:>15} {r.stage_cost:>11.1f} {r.cum_cost:>9.1f}")
 print()
-print(f"stopped because: {trace.stop_reason}")
-print(f"final cumulative cost {trace.total_cost:+.1f} -> budget surplus "
-      f"{trace.budget_surplus:+.1f} ({'ruined' if trace.ruined else 'budget respected'})")
+print(f"ran {len(trace.records)} stages = min(schedule {schedule.num_stages}, "
+      f"feed {feed.num_stages})")
+print(f"final cumulative cost {final_cost:+.1f} -> budget surplus "
+      f"{surplus:+.1f} ({'ruined' if ruined else 'budget respected'})")
 print(f"posterior effect estimate: "
       f"{final.mu_p[1] - final.mu_p[0]:+.3f}")

@@ -40,7 +40,8 @@ from .posterior import (
     compute_posterior,
     update_stats,
 )
-from .schedules import RiskSchedule, ScheduleError, as_float, sinc_schedule, uniform_tolerance
+from .schedules import (REPLICATION_CAP, SAMPLE_CAP, STAGE_CAP, RiskSchedule, ScheduleError,
+                        as_float, sinc_schedule, uniform_tolerance)
 from .solver import AnalyticPolicy, solve_ramp_size
 
 if TYPE_CHECKING:
@@ -80,10 +81,6 @@ def _load_json(kind: str, path: str) -> dict[str, Any]:
     return value
 
 
-def _pair(values) -> "tuple[float, float] | None":
-    return None if values is None else (float(values[0]), float(values[1]))
-
-
 def _workers(explicit: "int | None") -> int:
     from .replication import resolve_workers
 
@@ -121,10 +118,7 @@ def _whole(least: int, most: float = math.inf):
 
 
 # A generator's stage count: the bound ``Scenario`` puts on T, as no scenario runs past it.
-_is_stage_count = _whole(1, 10_000)[0]
-# Replications and Monte-Carlo samples: the bound is replication.REPLICATION_CAP and
-# mc_solver.SAMPLE_CAP, written out because importing either module loads numpy.
-_CAPPED_COUNT = _whole(1, 10**6)
+_is_stage_count = _whole(1, STAGE_CAP)[0]
 
 
 def _is_tolerances(v) -> bool:
@@ -141,7 +135,7 @@ def _tolerances_wanted(v) -> str:
     """What stage tolerances must be; the bound when a generator's one fault is its count."""
     for kind, key in (("uniform", "T"), ("sinc", "horizon")):
         if isinstance(v, dict) and v == {"type": kind, key: v.get(key)}:
-            return f"a {kind} tolerance generator with {key} a whole number in [1, 10000]"
+            return f"a {kind} tolerance generator with {key} a whole number in [1, {STAGE_CAP}]"
     return "a list of numbers or a tolerance generator"
 
 
@@ -191,12 +185,12 @@ _CONFIG_SCHEMA = {
         "stage_budgets": (lambda v: _is_number(v) or _NUMBERS[0](v), "a number or " + _NUMBERS[1]),
     },
     **_BELIEF_SCHEMA,
-    "replications": _CAPPED_COUNT,
+    "replications": _whole(1, REPLICATION_CAP),
     "seed": _whole(0),
     "out": (lambda v: isinstance(v, str), "a path"),
     "thompson": {"c": _POSITIVE, "cap_at_half": (lambda v: isinstance(v, bool), "true or false")},
     "mc": {
-        "samples": _CAPPED_COUNT,
+        "samples": _whole(1, SAMPLE_CAP),
         "cost": (_is_cost, '"treatment_effect" or {"type": "capped_effect", "floor": <number>}'),
     },
 }
@@ -226,7 +220,7 @@ _FLAG_SCHEMA = {
     "--sigma-sq": _VARIANCES,
     "--pretrial-sigma-sq": _VARIANCES,
     "--prior-sigma0-sq": _VARIANCES,
-    "--reps": _CAPPED_COUNT,
+    "--reps": _whole(1, REPLICATION_CAP),
     "--seed": _whole(0),
     "--workers": _whole(1),
 }
@@ -305,7 +299,7 @@ def _prior_and_variance(source: str, entries: dict[str, Any]):
         )
     return (
         GaussianPrior(prior.get("mu0", (0.0, 0.0)), prior.get("sigma0_sq", (100.0, 100.0))),
-        VariancePolicy(mode, _pair(entries.get("sigma_sq")), _pair(pretrial)),
+        VariancePolicy(mode, entries.get("sigma_sq"), pretrial),
     )
 
 
@@ -353,7 +347,7 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
         policy = CantelliPolicy(
             prior=prior,
             variance=variance,
-            samples=int(mc.get("samples", 10_000)),
+            samples=int(mc.get("samples", CantelliPolicy.samples)),
             cost=CappedEffectCost(float(cost["floor"])) if capped else TreatmentEffectCost(),
         )
     elif variance.mode == "estimated":
@@ -376,10 +370,14 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
 # ----------------------------------------------------------------- run
 
 
-def _write_summary_json(path: str, summary: ReplicationSummary) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary.to_json_dict(), fh, sort_keys=True, indent=2)
+def _write_json(file, value, durable: bool = False) -> None:
+    """Sorted, indented JSON and a newline into a path or descriptor; ``durable`` fsyncs it."""
+    with open(file, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, sort_keys=True, indent=2)
         fh.write("\n")
+        if durable:
+            fh.flush()
+            os.fsync(fh.fileno())
 
 
 def _write_schedule_csv(path: str, summary: ReplicationSummary) -> None:
@@ -437,7 +435,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     out_dir = config.get("out", ".")
     os.makedirs(out_dir, exist_ok=True)
     _write_schedule_csv(os.path.join(out_dir, "schedule.csv"), summary)
-    _write_summary_json(os.path.join(out_dir, "summary.json"), summary)
+    _write_json(os.path.join(out_dir, "summary.json"), summary.to_json_dict())
     _write_quantiles_csv(os.path.join(out_dir, "quantiles.csv"), summary)
     print(
         f"wrote {out_dir}/schedule.csv, summary.json, quantiles.csv "
@@ -556,9 +554,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
                   schedule.delta]],
             )
 
-    with open(os.path.join(out_dir, "provenance.json"), "w", encoding="utf-8") as fh:
-        json.dump(provenance, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "provenance.json"), provenance)
     print(f"wrote {out_dir}/ ({len(configs)} run(s), reps={reps}, seed={seed})")
     return EXIT_OK
 
@@ -784,11 +780,7 @@ def _write_state(path: str, state: dict[str, Any]) -> None:
         dir=os.path.dirname(os.path.abspath(path)), prefix=".rampguard-state-"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        _write_json(fd, state, durable=True)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -30,6 +30,7 @@ from .posterior import (
     compute_posterior,
 )
 from .replication import usable_cpus
+from .schedules import SAMPLE_CAP
 from .solver import (
     BRANCH_CAP,
     BRANCH_EMPTY,
@@ -37,6 +38,9 @@ from .solver import (
     BRANCH_ROOT,
     BRANCH_ZERO_TOL,
     StageDecision,
+    _decided,
+    _largest_passing,
+    _stage_cap,
 )
 from .trace import Stage
 
@@ -52,8 +56,6 @@ __all__ = [
     "SAMPLE_CAP",
 ]
 
-# Posterior draws per Cantelli stage at most: a stage keeps ~10 float64 arrays of this length.
-SAMPLE_CAP = 10**6
 # Per-unit history imputation runs in this many fixed row shards, each on
 # its own child stream, so its draws do not depend on the thread count.
 _SHARDS = 8
@@ -372,22 +374,13 @@ def solve_ramp_size_cantelli(
     direct estimate ``phi6_natural`` (the as-printed ``phi6`` mixes in the
     history mean and is reported for comparison only).
     """
-    if N_t < 1:
-        raise ValueError(f"N_t must be >= 1, got {N_t!r}")
-    if not 0.0 <= Delta_t < 1.0:
-        raise ValueError(f"Delta_t must be in [0, 1), got {Delta_t!r}")
-
-    cap = N_t // 2
-
-    def decision(m: int, branch: str) -> StageDecision:
-        return StageDecision(m=m, branch=branch, assignment_probability=m / N_t)
-
+    cap = _stage_cap(Delta_t, N_t)
     if Delta_t == 0.0:
-        return decision(0, BRANCH_ZERO_TOL)
+        return _decided(0, BRANCH_ZERO_TOL, N_t)
     if q.phi0 == 0.0:
-        return decision(0, BRANCH_EMPTY)
+        return _decided(0, BRANCH_EMPTY, N_t)
     if cap == 0:
-        return decision(0, BRANCH_CAP)
+        return _decided(0, BRANCH_CAP, N_t)
 
     qt = 1.0 / Delta_t - 1.0
     pair_cov = max(q.phi4, 0.0)
@@ -414,17 +407,13 @@ def solve_ramp_size_cantelli(
                 roots += [h / A, C / h]
     elif B != 0.0:
         roots.append(-C / B)
-    candidates = {0, cap}
-    for r in filter(math.isfinite, roots):
-        candidates.update((math.floor(r), math.floor(r) + 1))
-    best = max((m for m in candidates if 0 <= m <= cap and feasible(m)), default=-1)
-
+    best = _largest_passing(roots, cap, feasible, start=(0, cap))
     if best < 0:
         no_roots = A < 0.0 and (B * B - 4.0 * A * C) < 0.0
-        return decision(0, BRANCH_NO_REAL_ROOT if no_roots else BRANCH_EMPTY)
+        return _decided(0, BRANCH_NO_REAL_ROOT if no_roots else BRANCH_EMPTY, N_t)
     if best == cap:
-        return decision(cap, BRANCH_CAP)
-    return decision(best, BRANCH_ROOT if best >= 1 else BRANCH_EMPTY)
+        return _decided(cap, BRANCH_CAP, N_t)
+    return _decided(best, BRANCH_ROOT if best >= 1 else BRANCH_EMPTY, N_t)
 
 
 @dataclass(frozen=True)

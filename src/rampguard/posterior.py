@@ -215,7 +215,8 @@ class VariancePolicy:
     ``known`` mode uses ``values`` when given, otherwise whatever the stage
     feed reports as ground truth. ``estimated`` mode applies the sample
     estimator with ``pretrial`` as the per-arm fallback while an arm has
-    fewer than two observations (mandatory at the first stage).
+    fewer than two observations (mandatory at the first stage). Both pairs
+    are checked when the policy is built and kept as floats.
     """
 
     mode: Literal["known", "estimated"] = "known"
@@ -225,6 +226,9 @@ class VariancePolicy:
     def __post_init__(self) -> None:
         if self.mode not in ("known", "estimated"):
             raise ValueError(f"variance mode must be 'known' or 'estimated', got {self.mode!r}")
+        for name in ("values", "pretrial"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _positive_pair(name, getattr(self, name)))
 
     def resolve(
         self, stats: SufficientStats, feed_truth: "Pair | None"

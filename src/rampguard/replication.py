@@ -27,7 +27,7 @@ import numpy as np
 
 from .batch import BLOCK_SIZE, BlockTraces, CompactTrace, run_block
 from .scenarios import Scenario, ScenarioFeed, has_sum_law
-from .schedules import RiskSchedule
+from .schedules import REPLICATION_CAP, RiskSchedule
 from .solver import AnalyticPolicy
 from .thompson import ThompsonPolicy
 from .trace import Policy, run_stages
@@ -52,8 +52,6 @@ QUANTILE_LEVELS = (25.0, 50.0, 75.0)
 GROUP_BLOCKS = 32
 # Units the per-unit engine draws in one stage at most: 80 MB per drawn array.
 UNIT_POPULATION_CAP = 10**7
-# Replications of one study at most: its results hold 25 bytes per replication and stage.
-REPLICATION_CAP = 10**6
 # Second key word of every batch-engine stream (see replication_stream).
 STREAM_TAG = 0xFFFF_FFFF
 # The per-stage result columns both engines produce, in BlockTraces order.

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
-from .schedules import as_float
+from .schedules import STAGE_CAP, as_float
 from .trace import StageFeed, StageOutcome
 
 if TYPE_CHECKING:
@@ -44,7 +44,7 @@ _MOMENTS = ("mean_control", "mean_treatment", "var_control", "var_treatment")
 # Each checked field: the test its values must pass and what the test wants.
 # Past 2**53 a float no longer holds every whole number.
 _RULES = {
-    "T": (lambda v: 1 <= v <= 10_000 and v % 1 == 0, "a whole number in [1, 10000]"),
+    "T": (lambda v: 1 <= v <= STAGE_CAP and v % 1 == 0, f"a whole number in [1, {STAGE_CAP}]"),
     "population": (lambda v: 1 <= v <= 2**53 and v % 1 == 0, "a whole number in [1, 2**53]"),
     "mean_control": (math.isfinite, "a finite number"),
     "mean_treatment": (math.isfinite, "a finite number"),

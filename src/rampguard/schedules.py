@@ -26,6 +26,9 @@ from typing import Any
 
 __all__ = [
     "REL_SLACK",
+    "REPLICATION_CAP",
+    "SAMPLE_CAP",
+    "STAGE_CAP",
     "ScheduleError",
     "as_float",
     "RiskSchedule",
@@ -36,6 +39,13 @@ __all__ = [
 
 # Relative slack absorbing float rounding in product comparisons.
 REL_SLACK = 1e-12
+# Count bounds, kept here so that numpy-free callers read them too.
+# Stages of a scenario or a tolerance generator at most.
+STAGE_CAP = 10_000
+# Replications of one study at most: its results hold 25 bytes per replication and stage.
+REPLICATION_CAP = 10**6
+# Posterior draws per Cantelli stage at most: a stage keeps ~10 float64 arrays of this length.
+SAMPLE_CAP = 10**6
 
 
 class ScheduleError(ValueError):

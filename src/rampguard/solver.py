@@ -142,6 +142,32 @@ class StageDecision:
     assignment_probability: float
 
 
+def _stage_cap(Delta_t: float, N_t: int) -> int:
+    """The stage's cap ``N_t // 2``, once ``N_t`` and ``Delta_t`` pass every solver's rules."""
+    if N_t < 1:
+        raise ValueError(f"N_t must be >= 1, got {N_t!r}")
+    if not 0.0 <= Delta_t < 1.0:
+        raise ValueError(f"Delta_t must be in [0, 1), got {Delta_t!r}")
+    return N_t // 2
+
+
+def _decided(m: int, branch: str, N_t: int) -> StageDecision:
+    """The decision to treat ``m`` of the ``N_t`` units of a stage."""
+    return StageDecision(m=m, branch=branch, assignment_probability=m / N_t)
+
+
+def _largest_passing(roots, cap: int, passes, start=()) -> int:
+    """The largest ``m`` in ``[0, cap]`` that ``passes``, or -1 if none does.
+
+    The candidates are ``start`` and, for each finite root, its floor and
+    the next integer up, which guards the floor against float rounding.
+    """
+    candidates = set(start)
+    for r in filter(math.isfinite, roots):
+        candidates.update((math.floor(r), math.floor(r) + 1))
+    return max((m for m in candidates if 0 <= m <= cap and passes(m)), default=-1)
+
+
 def solve_ramp_size(
     posterior: PosteriorState,
     variance: OutcomeVariance,
@@ -159,22 +185,13 @@ def solve_ramp_size(
     re-checked directly; the largest survivor in [0, N_t/2] is returned.
     Total function: every failure mode maps to m = 0 with its branch label.
     """
-    if N_t < 1:
-        raise ValueError(f"N_t must be >= 1, got {N_t!r}")
-    if not 0.0 <= Delta_t < 1.0:
-        raise ValueError(f"Delta_t must be in [0, 1), got {Delta_t!r}")
-
-    cap = N_t // 2
-
-    def decision(m: int, branch: str) -> StageDecision:
-        return StageDecision(m=m, branch=branch, assignment_probability=m / N_t)
-
+    cap = _stage_cap(Delta_t, N_t)
     if Delta_t == 0.0:
         # Zero tolerance admits no treated units under positive predictive
         # variance; the quantile would be -inf.
-        return decision(0, BRANCH_ZERO_TOL)
+        return _decided(0, BRANCH_ZERO_TOL, N_t)
     if cap == 0:
-        return decision(0, BRANCH_CAP)
+        return _decided(0, BRANCH_CAP, N_t)
 
     if M1_prev < 0:
         raise ValueError(f"M1_prev must be >= 0, got {M1_prev!r}")
@@ -187,12 +204,12 @@ def solve_ramp_size(
         return _z_statistic(moments, S_T1_prev, b_t, m) <= q + Z_SLACK
 
     if satisfies(cap):
-        return decision(cap, BRANCH_CAP)
+        return _decided(cap, BRANCH_CAP, N_t)
 
     A, B, C = quadratic_coefficients(moments, S_T1_prev, b_t, q)
     if math.isnan(B) or math.isnan(C):
         # Overflow made a coefficient NaN: solve_ramp_sizes finds no root there.
-        return decision(0, BRANCH_EMPTY)
+        return _decided(0, BRANCH_EMPTY, N_t)
     scale = max(abs(B), abs(C), 1.0)
     roots: list[float] = []
     if abs(A) < _DEGENERATE_A * scale:
@@ -200,25 +217,18 @@ def solve_ramp_size(
         if abs(B) >= _DEGENERATE_A * scale:
             roots.append(-C / B)
         else:
-            return decision(0, BRANCH_NO_REAL_ROOT)
+            return _decided(0, BRANCH_NO_REAL_ROOT, N_t)
     else:
         b2, ac4 = B * B, 4.0 * A * C
         disc = b2 - ac4
         if disc < -_DISC_SLACK * (b2 + abs(ac4)):
-            return decision(0, BRANCH_NO_REAL_ROOT)
+            return _decided(0, BRANCH_NO_REAL_ROOT, N_t)
         sq = math.sqrt(max(disc, 0.0))
         roots.append((-B + sq) / (2.0 * A))
         roots.append((-B - sq) / (2.0 * A))
 
-    candidates: set[int] = set()
-    for r in filter(math.isfinite, roots):
-        base = math.floor(r)
-        candidates.add(base)
-        candidates.add(base + 1)
-    valid = [m for m in candidates if 0 <= m <= cap and satisfies(m)]
-    if valid:
-        return decision(max(valid), BRANCH_ROOT)
-    return decision(0, BRANCH_EMPTY)
+    best = _largest_passing(roots, cap, satisfies)
+    return _decided(best, BRANCH_ROOT, N_t) if best >= 0 else _decided(0, BRANCH_EMPTY, N_t)
 
 
 def _satisfied(moments: PredictiveMoments, S_T1_prev, b_t: float, m, limit: float) -> np.ndarray:
@@ -253,13 +263,8 @@ def solve_ramp_sizes(
     """
     import numpy as np
 
-    if N_t < 1:
-        raise ValueError(f"N_t must be >= 1, got {N_t!r}")
-    if not 0.0 <= Delta_t < 1.0:
-        raise ValueError(f"Delta_t must be in [0, 1), got {Delta_t!r}")
-
+    cap = _stage_cap(Delta_t, N_t)
     S = np.asarray(S_T1_prev, dtype=float)
-    cap = N_t // 2
     zeros = np.zeros(S.shape, dtype=np.int64)
     if Delta_t == 0.0:
         return zeros, np.full(S.shape, _CODE[BRANCH_ZERO_TOL], dtype=np.int8)

@@ -28,7 +28,7 @@ from .posterior import (
     compute_posterior,
     init_posterior,
 )
-from .solver import StageDecision
+from .solver import StageDecision, _decided
 from .trace import Stage
 
 if TYPE_CHECKING:
@@ -43,6 +43,13 @@ __all__ = [
 BRANCH_THOMPSON = "thompson"
 
 
+def _checked_c(c: float) -> float:
+    """``c`` once it is finite and > 0: the one rule for every sharpening exponent."""
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be finite and > 0, got {c!r}")
+    return c
+
+
 def thompson_assignment_probability(posterior: PosteriorState, c: float) -> float:
     """Per-user treatment probability p**c / (p**c + (1-p)**c).
 
@@ -50,8 +57,7 @@ def thompson_assignment_probability(posterior: PosteriorState, c: float) -> floa
     posterior probability of a positive effect. Evaluated on the logit
     scale so values of p within an ulp of 0 or 1 stay stable.
     """
-    if c <= 0.0:
-        raise ValueError(f"c must be > 0, got {c!r}")
+    _checked_c(c)
     z = (posterior.mu_p[1] - posterior.mu_p[0]) / math.sqrt(
         posterior.sigma_p_sq[0] + posterior.sigma_p_sq[1]
     )
@@ -70,7 +76,7 @@ def thompson_assignment_probabilities(mu_p, sigma_p_sq, c: float) -> np.ndarray:
     """
     z = (mu_p[1] - mu_p[0]) / np.sqrt(sigma_p_sq[0] + sigma_p_sq[1])
     flat = np.ravel(-z / SQRT2).tolist()
-    p = np.fromiter(map(_sharpened, flat, repeat(c)), float, len(flat))
+    p = np.fromiter(map(_sharpened, flat, repeat(_checked_c(c))), float, len(flat))
     return p.reshape(np.shape(z))
 
 
@@ -110,8 +116,7 @@ class ThompsonPolicy:
     branch_labels: ClassVar[tuple[str, ...]] = (BRANCH_THOMPSON,)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"c must be finite and > 0, got {self.c!r}")
+        _checked_c(self.c)
         if self.sigma_sq is not None:
             object.__setattr__(self, "sigma_sq", OutcomeVariance(self.sigma_sq).sigma_sq)
 
@@ -125,7 +130,7 @@ class ThompsonPolicy:
         m_t = int(stage.feed.rng.binomial(stage.n_units, p_t))
         if self.cap_at_half:
             m_t = min(m_t, stage.n_units // 2)
-        return StageDecision(m_t, BRANCH_THOMPSON, m_t / stage.n_units)
+        return _decided(m_t, BRANCH_THOMPSON, stage.n_units)
 
     def decide_block(self, stage: BlockStage) -> tuple[np.ndarray, np.ndarray]:
         if stage.t == 1:

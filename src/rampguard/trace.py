@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Protocol
 
 import numpy as np
@@ -84,32 +84,16 @@ class StageRecord:
     cum_cost: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentTrace:
-    """Full record of one experiment run against a budget."""
+    """The stages one experiment ran, and the statistics after its last stage.
 
-    budget: float
-    records: list[StageRecord] = field(default_factory=list)
-    stop_reason: str = ""
-    final_stats: "SufficientStats | None" = None
+    The final cost is the last record's ``cum_cost``; the budget, and with
+    it the surplus and ruin (see ``run_replications``), is the schedule's.
+    """
 
-    @property
-    def num_stages(self) -> int:
-        return len(self.records)
-
-    @property
-    def total_cost(self) -> float:
-        """Cumulative true cost over all executed stages (0 if none ran)."""
-        return self.records[-1].cum_cost if self.records else 0.0
-
-    @property
-    def budget_surplus(self) -> float:
-        """Final cumulative cost minus the budget; >= 0 means respected."""
-        return self.total_cost - self.budget
-
-    @property
-    def ruined(self) -> bool:
-        return self.total_cost <= self.budget
+    records: list[StageRecord]
+    final_stats: SufficientStats
 
 
 class Stage(NamedTuple):
@@ -161,7 +145,7 @@ def run_stages(
         streams = np.random.default_rng
     enforce_half_cap = getattr(policy, "cap_at_half", True)
 
-    trace = ExperimentTrace(budget=schedule.budget)
+    records: list[StageRecord] = []
     stats = SufficientStats()
     history: list[np.ndarray | None] = []
     cum_cost = 0.0
@@ -175,7 +159,7 @@ def run_stages(
         )
         outcome = feed.run_stage(t, decision.m)
         cum_cost += outcome.true_cost
-        trace.records.append(
+        records.append(
             StageRecord(
                 stage=t,
                 n_units=n_t,
@@ -199,9 +183,4 @@ def run_stages(
             outcome.control_sumsq,
             enforce_half_cap=enforce_half_cap,
         )
-
-    trace.stop_reason = (
-        "schedule_exhausted" if schedule.num_stages <= feed.num_stages else "feed_exhausted"
-    )
-    trace.final_stats = stats
-    return trace
+    return ExperimentTrace(records, stats)

@@ -188,7 +188,7 @@ class TestRun:
             replication._stack(rows), schedule, seed, keep_traces=True
         )
         cli._write_schedule_csv(str(tmp_path / "schedule.csv"), summary)
-        cli._write_summary_json(str(tmp_path / "summary.json"), summary)
+        cli._write_json(str(tmp_path / "summary.json"), summary.to_json_dict())
         cli._write_quantiles_csv(str(tmp_path / "quantiles.csv"), summary)
         self.assert_golden(tmp_path, "golden")
 

@@ -607,7 +607,7 @@ class TestRunCantelli:
             CantelliPolicy(self.PRIOR, VariancePolicy(), samples=2000),
             lambda t: sample_rng,
         )
-        assert trace.num_stages == 10
+        assert len(trace.records) == 10
         assert all(r.m <= r.n_units // 2 for r in trace.records)
 
     def test_requires_treated_outcome_retention(self):

@@ -260,3 +260,19 @@ class TestVariancePolicy:
         # A misspelt mode would otherwise run as estimated and drop the values.
         with pytest.raises(ValueError, match="'knwon'"):
             VariancePolicy(mode="knwon", values=(10.0, 10.0), pretrial=(1.0, 1.0))
+
+    @pytest.mark.parametrize("name", ["values", "pretrial"])
+    @pytest.mark.parametrize(
+        "pair", [(-1.0, 5.0), (0.0, 5.0), (1.0, math.nan), (1.0, math.inf), (1.0,), (1.0, 2.0, 3.0)]
+    )
+    def test_a_bad_pair_is_refused_at_construction(self, name, pair):
+        # A negative pretrial variance used to resolve to (1e-12, 5.0), and bad
+        # known values failed only at the first resolve, in the middle of a study.
+        with pytest.raises(ValueError, match=name):
+            VariancePolicy(mode="estimated", **{name: pair})
+
+    def test_pairs_are_kept_as_floats(self):
+        policy = VariancePolicy(values=[3, np.float32(5.0)], pretrial=(2, 4))
+        assert (policy.values, policy.pretrial) == ((3.0, 5.0), (2.0, 4.0))
+        assert {type(v) for v in policy.values + policy.pretrial} == {float}
+        assert VariancePolicy().values is None and VariancePolicy().pretrial is None

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rampguard.mc_solver import PosteriorQuantities, solve_ramp_size_cantelli
 from rampguard.normal import normal_quantile
 from rampguard.posterior import (
     GaussianPrior,
@@ -326,6 +327,46 @@ class TestSolveRampSizes:
             solve_vectorized(states, -500.0, 0.01, 0)
 
 
+# Quantities with every draw surviving and a unit fresh-cost variance.
+SURVIVING = PosteriorQuantities(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 100, 100)
+
+
+def _scalar(delta_t, n_t):
+    d = solve_ramp_size(FLAT_POST, VAR10, 0, 0.0, -500.0, delta_t, n_t)
+    return d.m, d.branch
+
+
+def _vectorized(delta_t, n_t):
+    return solve_vectorized([(FLAT_POST, VAR10, 0, 0.0)] * 2, -500.0, delta_t, n_t)[0]
+
+
+def _cantelli(delta_t, n_t, quantities=SURVIVING):
+    d = solve_ramp_size_cantelli(quantities, -500.0, delta_t, n_t)
+    return d.m, d.branch
+
+
+@pytest.mark.parametrize("solve", [_scalar, _vectorized, _cantelli],
+                         ids=["scalar", "vectorized", "cantelli"])
+def test_every_solver_shares_one_stage_entry(solve):
+    for n_t in (0, -1):
+        with pytest.raises(ValueError) as refused:
+            solve(0.01, n_t)
+        assert str(refused.value) == f"N_t must be >= 1, got {n_t}"
+    for delta_t in (1.0, -0.1, math.nan):
+        with pytest.raises(ValueError) as refused:
+            solve(delta_t, 500)
+        assert str(refused.value) == f"Delta_t must be in [0, 1), got {delta_t!r}"
+    assert solve(0.0, 500) == (0, BRANCH_ZERO_TOL)
+    assert solve(0.01, 1) == (0, BRANCH_CAP)
+
+
+def test_cantelli_without_survivors_is_empty_before_the_cap():
+    # Cantelli's phi0 == 0 exit sits between the zero-tolerance and the empty-cap exits.
+    none_survive = PosteriorQuantities(0.0, *(math.nan,) * 7, 100, 0)
+    assert _cantelli(0.01, 1, none_survive) == (0, BRANCH_EMPTY)
+    assert _cantelli(0.0, 1, none_survive) == (0, BRANCH_ZERO_TOL)
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 # mu_p = (1e160, 0): the quadratic's A overflows to -inf and its roots to NaN.
@@ -365,7 +406,7 @@ class TestRunExperiment:
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(0))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
         assert [r.m for r in trace.records] == [0] * 5
-        assert trace.total_cost == 0.0
+        assert trace.records[-1].cum_cost == 0.0
         assert all(r.stage_cost == 0.0 for r in trace.records)
 
     def test_cap_respected_everywhere(self):
@@ -373,15 +414,15 @@ class TestRunExperiment:
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(1))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
         assert all(r.m <= r.n_units // 2 for r in trace.records)
-        assert trace.num_stages == 10
-        assert trace.stop_reason == "schedule_exhausted"
+        # The loop runs min(schedule, feed) stages: here the schedule's 10.
+        assert len(trace.records) == sched.num_stages == 10
 
     def test_feed_shorter_than_schedule_stops_the_run(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 12)
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(1))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
-        assert trace.num_stages == 10
-        assert trace.stop_reason == "feed_exhausted"
+        # The feed's 10 stages end the run before the schedule's 12.
+        assert len(trace.records) == feed.num_stages == 10
 
     def test_spent_tolerance_then_zero_stages_still_run(self):
         sched = RiskSchedule(-500.0, 0.05, (-500.0,) * 4, (0.03, 1 - 0.95 / 0.97, 0.0, 0.0))
@@ -398,14 +439,14 @@ class TestRunExperiment:
         for r in trace.records:
             running += r.stage_cost
             assert r.cum_cost == pytest.approx(running, rel=1e-12)
-        assert trace.budget_surplus == pytest.approx(trace.total_cost + 500.0)
+        assert trace.records[-1].cum_cost - sched.budget == pytest.approx(running + 500.0)
 
     def test_estimated_variance_mode_matches_known_at_stage_one(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 3)
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(3))
         policy = VariancePolicy(mode="estimated", pretrial=(10.0, 10.0))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, policy))
-        assert trace.num_stages == 3
+        assert len(trace.records) == 3
         known_feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(3))
         known_policy = AnalyticPolicy(PRIOR, VariancePolicy(values=(10.0, 10.0)))
         known = run_stages(sched, known_feed, known_policy)
