@@ -19,9 +19,9 @@ all. Per stage each block draws from its own generator what it would alone:
 the decision first (the Thompson binomial draw; the analytic solver draws
 nothing), then ``draw_stage_sums`` (treated, counterfactual, control).
 Every block draws whole; a pass returns exactly the rows its caller keeps
-(see ``run_block``). The loop applies the same treated-count range check
-as the per-unit loop, which stays the reference that the tests compare
-this engine against.
+(see ``run_block``). The loop applies the per-unit loop's treated-count
+rule, ``trace.check_decision``; the per-unit loop stays the reference that
+the tests compare this engine against.
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from typing import NamedTuple, Protocol
 
 import numpy as np
 
-from .posterior import GaussianPrior, Pair, posterior_moments
 from .scenarios import Scenario, draw_stage_sums, has_gaussian_sum_law
 from .schedules import RiskSchedule
 from .solver import AnalyticPolicy
+from .trace import check_decision
 
 __all__ = ["BLOCK_SIZE", "BlockStage", "BlockPolicy", "BlockTraces", "CompactTrace", "run_block"]
 
@@ -100,10 +100,6 @@ class BlockStage(NamedTuple):
     scenario: Scenario
     rng: "np.random.Generator | _Streams"
 
-    def posterior(self, prior: GaussianPrior, sigma_sq: Pair):
-        """Array posterior moments ``(mu_p, sigma_p_sq)`` of every replication."""
-        return posterior_moments(prior, sigma_sq, self.counts, (self.sum_control, self.sum_treated))
-
 
 class BlockPolicy(Protocol):
     """A policy the block loop can run. ``decide_block`` returns ``(m,
@@ -159,7 +155,6 @@ def run_block(
     policy's decision must read only the running sums and counts;
     ``replication.run_replications`` checks both before it gets here.
     """
-    half_cap = getattr(policy, "cap_at_half", True)
     whole = BLOCK_SIZE * len(rngs)
     width = rows if type(policy) is AnalyticPolicy and has_gaussian_sum_law(scenario) else whole
     rng = rngs[0] if width == whole == BLOCK_SIZE else _Streams(rngs, width)
@@ -177,9 +172,7 @@ def run_block(
         b_t, delta_t = schedule.stage_budgets[t - 1], schedule.stage_tolerances[t - 1]
         stage = BlockStage(t, n_t, b_t, delta_t, counts, sum_control, sum_treated, scenario, rng)
         m, branch = policy.decide_block(stage)
-        top = n_t // 2 if half_cap else n_t
-        if m.min(initial=0) < 0 or m.max(initial=0) > top:
-            raise ValueError(f"stage {t}: m outside [0, {top}]")
+        check_decision(policy, t, n_t, m.min(initial=0), m.max(initial=0))
 
         treated, counterfactual, control = draw_stage_sums(scenario, t, m, rng)
         stage_cost = np.where(m > 0, treated - counterfactual, 0.0)

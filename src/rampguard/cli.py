@@ -704,12 +704,7 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
     if last is not None and last["inputs"] == inputs:
         # Idempotent re-run: same inputs reproduce the same outputs with no
         # state advance.
-        outputs = last["outputs"]
-        if outputs.get("terminal"):
-            print("tolerance budget exhausted; no further stages can run")
-            return EXIT_EXHAUSTED
-        print(json.dumps(outputs, sort_keys=True))
-        return EXIT_OK
+        return _answer(last["outputs"])
 
     stats = _stats_from_json(state["stats"])
     pending = state.get("pending")
@@ -738,8 +733,7 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
             raise
         state["last_call"] = {"inputs": inputs, "outputs": {"terminal": True}}
         _write_state(args.state, state)
-        print("tolerance budget exhausted; no further stages can run")
-        return EXIT_EXHAUSTED
+        return _answer(state["last_call"]["outputs"])
     n_next = int(args.n_next)
 
     variance = variance_policy.resolve(stats, None)
@@ -770,6 +764,14 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
     state["stage"] = stage + 1
     state["last_call"] = {"inputs": inputs, "outputs": outputs}
     _write_state(args.state, state)
+    return _answer(outputs)
+
+
+def _answer(outputs: dict[str, Any]) -> int:
+    """Print a call's outputs and return its exit code; a re-run answers alike."""
+    if outputs.get("terminal"):
+        print("tolerance budget exhausted; no further stages can run")
+        return EXIT_EXHAUSTED
     print(json.dumps(outputs, sort_keys=True))
     return EXIT_OK
 

@@ -445,7 +445,7 @@ class CantelliPolicy:
         variance = self.variance.resolve(stage.stats, stage.feed.true_variance(stage.t))
         posterior = compute_posterior(self.prior, variance, stage.stats)
         if stage.delta_t == 0.0:
-            return StageDecision(0, BRANCH_ZERO_TOL, 0.0)
+            return _decided(0, BRANCH_ZERO_TOL, stage.n_units)
         sampler = GaussianPosteriorSampler(posterior, variance, stage.history)
         quantities = estimate_posterior_quantities(
             sampler, self.cost, stage.budget, self.samples, stage.streams(stage.t)

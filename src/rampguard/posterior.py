@@ -37,16 +37,14 @@ class InsufficientDataError(ValueError):
     """An arm has fewer than two observations, so its variance is undefined."""
 
 
-def _float_pair(name: str, pair) -> Pair:
+def _float_pair(name: str, pair, positive: bool = False) -> Pair:
+    """``pair`` as two floats, refused unless both are finite (and > 0 if ``positive``)."""
     if len(pair) != 2:
         raise ValueError(f"{name} must have exactly two components, got {pair!r}")
-    return (float(pair[0]), float(pair[1]))
-
-
-def _positive_pair(name: str, pair) -> Pair:
-    pair = _float_pair(name, pair)
-    if not all(math.isfinite(v) and v > 0.0 for v in pair):
-        raise ValueError(f"{name} components must be finite and > 0, got {pair!r}")
+    pair = (float(pair[0]), float(pair[1]))
+    if not all(math.isfinite(v) and (v > 0.0 or not positive) for v in pair):
+        rule = "finite and > 0" if positive else "finite"
+        raise ValueError(f"{name} components must be {rule}, got {pair!r}")
     return pair
 
 
@@ -59,7 +57,8 @@ class GaussianPrior:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu0", _float_pair("mu0", self.mu0))
-        object.__setattr__(self, "sigma0_sq", _positive_pair("sigma0_sq", self.sigma0_sq))
+        sigma0_sq = _float_pair("sigma0_sq", self.sigma0_sq, positive=True)
+        object.__setattr__(self, "sigma0_sq", sigma0_sq)
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class OutcomeVariance:
     sigma_sq: Pair
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_sq", _positive_pair("sigma_sq", self.sigma_sq))
+        object.__setattr__(self, "sigma_sq", _float_pair("sigma_sq", self.sigma_sq, positive=True))
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class PosteriorState:
     sigma_p_sq: Pair
 
     def __post_init__(self) -> None:
-        _positive_pair("sigma_p_sq", self.sigma_p_sq)
+        _float_pair("sigma_p_sq", self.sigma_p_sq, positive=True)
 
 
 def init_posterior(prior: GaussianPrior) -> PosteriorState:
@@ -114,24 +113,18 @@ def update_stats(
     control_sum: float,
     treated_sumsq: float = 0.0,
     control_sumsq: float = 0.0,
-    *,
-    enforce_half_cap: bool = True,
 ) -> SufficientStats:
     """Fold one stage of observations into the running statistics.
 
     ``m_t`` treated units out of ``N_t`` contributed ``treated_sum`` (and
     ``treated_sumsq``), the remaining control units ``control_sum`` (and
-    ``control_sumsq``). The default cap ``m_t <= floor(N_t / 2)`` matches
-    the ramp solver's admissible range; pass ``enforce_half_cap=False``
-    for assignment rules that may treat more than half (the Thompson
-    baseline does).
+    ``control_sumsq``). Any ``m_t`` in ``[0, N_t]`` folds; the half cap is
+    a policy's rule, which the stage loops check (``trace.check_decision``).
     """
     if N_t < 0:
         raise ValueError(f"N_t must be >= 0, got {N_t!r}")
     if not 0 <= m_t <= N_t:
         raise ValueError(f"m_t must be in [0, N_t={N_t}], got {m_t!r}")
-    if enforce_half_cap and m_t > N_t // 2:
-        raise ValueError(f"m_t={m_t} exceeds the cap floor(N_t/2)={N_t // 2}")
     return SufficientStats(
         sum_treated=stats.sum_treated + float(treated_sum),
         sum_control=stats.sum_control + float(control_sum),
@@ -228,7 +221,8 @@ class VariancePolicy:
             raise ValueError(f"variance mode must be 'known' or 'estimated', got {self.mode!r}")
         for name in ("values", "pretrial"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _positive_pair(name, getattr(self, name)))
+                pair = _float_pair(name, getattr(self, name), positive=True)
+                object.__setattr__(self, name, pair)
 
     def resolve(
         self, stats: SufficientStats, feed_truth: "Pair | None"

@@ -28,6 +28,7 @@ from .posterior import (
     SufficientStats,
     VariancePolicy,
     compute_posterior,
+    posterior_moments,
 )
 
 if TYPE_CHECKING:
@@ -324,34 +325,34 @@ class AnalyticPolicy:
     branch_labels: ClassVar[tuple[str, ...]] = BRANCHES
 
     def decide(self, stage: Stage) -> StageDecision:
-        stats = stage.stats
-        variance = self.variance.resolve(stats, stage.feed.true_variance(stage.t))
-        return solve_ramp_size(
-            compute_posterior(self.prior, variance, stats),
-            variance,
-            M1_prev=stats.counts[1],
-            S_T1_prev=stats.sum_treated,
-            b_t=stage.b_t,
-            Delta_t=stage.delta_t,
-            N_t=stage.n_units,
-        )
+        return self._solve(stage, stage.stats, stage.feed.true_variance(stage.t))
 
     def decide_block(self, stage: BlockStage) -> tuple[np.ndarray, np.ndarray]:
         import numpy as np
 
         if self.variance.mode != "known":
             raise ValueError("the batch engine needs known outcome variances")
-        variance = self.variance.resolve(_NO_STATS, stage.scenario.true_variance(stage.t))
+        truth = stage.scenario.true_variance(stage.t)
         if stage.t == 1:
-            d = solve_ramp_size(compute_posterior(self.prior, variance, _NO_STATS), variance,
-                                0, 0.0, stage.b_t, stage.delta_t, stage.n_units)
+            d = self._solve(stage, _NO_STATS, truth)
             size = stage.sum_treated.shape
             return np.full(size, d.m, np.int64), np.full(size, _CODE[d.branch], np.int8)
-        mu_p, sigma_p_sq = stage.posterior(self.prior, variance.sigma_sq)
+        sigma_sq = self.variance.resolve(_NO_STATS, truth).sigma_sq
+        mu_p, sigma_p_sq = posterior_moments(
+            self.prior, sigma_sq, stage.counts, (stage.sum_control, stage.sum_treated)
+        )
         return solve_ramp_sizes(
-            PredictiveMoments(mu_p, sigma_p_sq, variance.sigma_sq, stage.counts[1]),
+            PredictiveMoments(mu_p, sigma_p_sq, sigma_sq, stage.counts[1]),
             stage.sum_treated,
             stage.b_t,
             stage.delta_t,
             stage.n_units,
         )
+
+    def _solve(self, stage: Stage | BlockStage, stats: SufficientStats, truth) -> StageDecision:
+        """The decision of ``stage`` on ``stats``: resolve the variances (``truth`` is
+        the feed's), refresh the posterior and solve with this module's ``solve_ramp_size``."""
+        variance = self.variance.resolve(stats, truth)
+        posterior = compute_posterior(self.prior, variance, stats)
+        return solve_ramp_size(posterior, variance, stats.counts[1], stats.sum_treated,
+                               stage.b_t, stage.delta_t, stage.n_units)

@@ -21,13 +21,7 @@ from typing import TYPE_CHECKING, ClassVar
 import numpy as np
 
 from .normal import SQRT2
-from .posterior import (
-    GaussianPrior,
-    OutcomeVariance,
-    PosteriorState,
-    compute_posterior,
-    init_posterior,
-)
+from .posterior import GaussianPrior, OutcomeVariance, Pair, PosteriorState, posterior_moments
 from .solver import StageDecision, _decided
 from .trace import Stage
 
@@ -121,23 +115,18 @@ class ThompsonPolicy:
             object.__setattr__(self, "sigma_sq", OutcomeVariance(self.sigma_sq).sigma_sq)
 
     def decide(self, stage: Stage) -> StageDecision:
-        if stage.t == 1:
-            posterior = init_posterior(self.prior)
-        else:
-            variance = OutcomeVariance(self.sigma_sq or stage.feed.true_variance(1))
-            posterior = compute_posterior(self.prior, variance, stage.stats)
-        p_t = thompson_assignment_probability(posterior, self.c)
+        stats = stage.stats
+        sums = (stats.sum_control, stats.sum_treated)
+        mu_p, sigma_p_sq = self._belief(stage.t, stats.counts, sums, stage.feed.true_variance)
+        p_t = thompson_assignment_probability(PosteriorState(mu_p, sigma_p_sq), self.c)
         m_t = int(stage.feed.rng.binomial(stage.n_units, p_t))
         if self.cap_at_half:
             m_t = min(m_t, stage.n_units // 2)
         return _decided(m_t, BRANCH_THOMPSON, stage.n_units)
 
     def decide_block(self, stage: BlockStage) -> tuple[np.ndarray, np.ndarray]:
-        if stage.t == 1:
-            mu_p, sigma_p_sq = self.prior.mu0, self.prior.sigma0_sq
-        else:
-            sigma_sq = self.sigma_sq or stage.scenario.true_variance(1)
-            mu_p, sigma_p_sq = stage.posterior(self.prior, sigma_sq)
+        sums = (stage.sum_control, stage.sum_treated)
+        mu_p, sigma_p_sq = self._belief(stage.t, stage.counts, sums, stage.scenario.true_variance)
         p_t = thompson_assignment_probabilities(mu_p, sigma_p_sq, self.c)
         size = stage.sum_treated.shape
         if p_t.shape != size:
@@ -146,3 +135,11 @@ class ThompsonPolicy:
         if self.cap_at_half:
             m_t = np.minimum(m_t, stage.n_units // 2)
         return m_t, np.zeros(size, dtype=np.int8)
+
+    def _belief(self, t: int, counts, sums, true_variance) -> tuple[Pair, Pair]:
+        """Posterior ``(mu_p, sigma_p_sq)`` before stage ``t``: the prior's pairs at
+        stage 1, else ``counts`` and ``sums`` (scalars or arrays) folded in under
+        ``sigma_sq`` or, without it, the stage-1 truth ``true_variance(1)``."""
+        if t == 1:
+            return self.prior.mu0, self.prior.sigma0_sq
+        return posterior_moments(self.prior, self.sigma_sq or true_variance(1), counts, sums)

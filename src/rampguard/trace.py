@@ -20,6 +20,7 @@ __all__ = [
     "StageFeed",
     "Stage",
     "Policy",
+    "check_decision",
     "run_stages",
 ]
 
@@ -124,6 +125,14 @@ class Policy(Protocol):
     def decide(self, stage: Stage) -> "StageDecision": ...
 
 
+def check_decision(policy, t: int, n_t: int, least, most) -> None:
+    """Refuse a stage-``t`` decision whose treated counts, ``least`` to ``most``,
+    leave ``[0, n_t // 2]``, or ``[0, n_t]`` for a policy with ``cap_at_half = False``."""
+    top = n_t // 2 if getattr(policy, "cap_at_half", True) else n_t
+    if least < 0 or most > top:
+        raise ValueError(f"stage {t}: m outside [0, {top}]")
+
+
 def run_stages(
     schedule: RiskSchedule,
     feed: StageFeed,
@@ -132,18 +141,18 @@ def run_stages(
 ) -> ExperimentTrace:
     """Run one experiment: stages 1..min(schedule, feed) under ``policy``.
 
-    Each stage asks the policy for its treated-group size, commits the
-    stage through the feed and folds the observed sums into the running
-    statistics. A valid schedule admits every one of its stages, so the
-    schedule and the feed are the only stop rules. ``streams`` maps a stage
-    to its sampling stream; by default stage t samples from a generator
-    seeded t.
+    Each stage asks the policy for its treated-group size, checks it
+    (``check_decision``), commits the stage through the feed and folds the
+    observed sums into the running statistics; a stage without units is
+    refused before the policy is asked. A valid schedule admits every one
+    of its stages, so the schedule and the feed are the only stop rules.
+    ``streams`` maps a stage to its sampling stream; by default stage t
+    samples from a generator seeded t.
     """
     if not callable(getattr(policy, "decide", None)):
         raise TypeError(f"{type(policy).__name__} is not a policy: it has no decide method")
     if streams is None:
         streams = np.random.default_rng
-    enforce_half_cap = getattr(policy, "cap_at_half", True)
 
     records: list[StageRecord] = []
     stats = SufficientStats()
@@ -152,11 +161,14 @@ def run_stages(
     stages = min(schedule.num_stages, feed.num_stages)
     for t in range(1, stages + 1):
         n_t = feed.population(t)
+        if n_t < 1:
+            raise ValueError(f"stage {t}: the feed has {n_t!r} units; a stage needs at least 1")
         b_t = schedule.stage_budgets[t - 1]
         delta_t = schedule.stage_tolerances[t - 1]
         decision = policy.decide(
             Stage(t, n_t, b_t, delta_t, schedule.budget, stats, feed, history, streams)
         )
+        check_decision(policy, t, n_t, decision.m, decision.m)
         outcome = feed.run_stage(t, decision.m)
         cum_cost += outcome.true_cost
         records.append(
@@ -181,6 +193,5 @@ def run_stages(
             outcome.control_sum,
             outcome.treated_sumsq,
             outcome.control_sumsq,
-            enforce_half_cap=enforce_half_cap,
         )
     return ExperimentTrace(records, stats)

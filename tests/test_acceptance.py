@@ -296,8 +296,7 @@ def test_criterion_5_posterior_correctness():
         prior = GaussianPrior((0.2, -0.1), (6.0, 3.0))
         var = OutcomeVariance((2.25, 6.25))
         stats = update_stats(
-            SufficientStats(), n_t, n_t + n_c, float(y_t.sum()), float(y_c.sum()),
-            enforce_half_cap=False,
+            SufficientStats(), n_t, n_t + n_c, float(y_t.sum()), float(y_c.sum())
         )
         post = compute_posterior(prior, var, stats)
         for w, (mu0, s0, s, obs) in enumerate(

@@ -15,6 +15,7 @@ from rampguard.posterior import (
     VariancePolicy,
     compute_posterior,
     init_posterior,
+    posterior_moments,
 )
 from rampguard.replication import (
     BLOCK_SIZE,
@@ -334,6 +335,14 @@ def test_block_keeps_the_per_unit_checks(monkeypatch):
         run_replications(ANALYTIC, scn, SCHED_05, 5, 0)
 
 
+def test_block_decisions_refuse_estimated_variances():
+    policy = AnalyticPolicy(PRIOR, VariancePolicy(mode="estimated", pretrial=(10.0, 10.0)))
+    zeros = np.zeros(3)
+    stage = BlockStage(1, 500, -500.0, 0.005, (zeros, zeros), zeros, zeros, NORM, None)
+    with pytest.raises(ValueError, match="the batch engine needs known outcome variances"):
+        policy.decide_block(stage)
+
+
 def test_stage_one_goes_through_the_scalar_solver(monkeypatch):
     # Every replication starts from the empty statistics, so one scalar
     # solve decides stage 1 of a block: a wrong scalar decision shows in
@@ -379,7 +388,7 @@ def test_stage_one_decision_equals_the_block_solver_on_the_zero_state(
     m, code = AnalyticPolicy(prior, VariancePolicy()).decide_block(stage)
 
     sigma_sq = stage.scenario.true_variance(1)
-    mu_p, sigma_p_sq = stage.posterior(prior, sigma_sq)
+    mu_p, sigma_p_sq = posterior_moments(prior, sigma_sq, (zeros, zeros), (zeros, zeros))
     moments = solver.PredictiveMoments(mu_p, sigma_p_sq, sigma_sq, zeros)
     want_m, want_code = solver.solve_ramp_sizes(moments, zeros, b_1, delta_1, n_1)
     assert (m.dtype, code.dtype) == (want_m.dtype, want_code.dtype)

@@ -93,6 +93,22 @@ class TestRun:
     def test_missing_budget_exits_one(self):
         assert main(["run", "--scenario", "pte"]) == 1
 
+    def test_missing_scenario_exits_one(self, capsys):
+        assert main(["run", "--budget", "-500", "--delta", "0.05"]) == 1
+        assert "a scenario is required (--scenario or config 'scenario')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, fault",
+        [(None, "not found"), ("{1,", "is not valid JSON"), ("[1, 2]", "does not hold a JSON object")],
+        ids=["missing", "invalid", "not-an-object"],
+    )
+    def test_unreadable_config_file_exits_one(self, tmp_path, capsys, content, fault):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"config file {path} {fault}" in capsys.readouterr().err
+
     def test_unknown_flag_exits_one_not_two(self, capsys):
         # Exit 2 is kept for an invalid schedule; argparse would use it here.
         assert main(["run", "--bogus"]) == 1
@@ -1048,6 +1064,52 @@ class TestNextStage:
         )
         assert code == 4
         assert "exhausted" in capsys.readouterr().out
+
+    def test_an_exhausted_call_rerun_exits_four_again(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        opening = [*self.FRESH, "--state", str(state)]
+        opening[opening.index("--delta-next") + 1] = "0.05"
+        assert main(opening) == 0
+        exhausted = [
+            "next-stage", "--state", str(state),
+            "--treated-sum", "10.0", "--control-sum", "480.0",
+            "--n-next", "500", "--delta-next", "0.001", "--b-next", "-500",
+        ]
+        capsys.readouterr()
+        assert main(exhausted) == 4
+        first = capsys.readouterr().out
+        before = state.read_bytes()
+        assert main(exhausted) == 4
+        assert capsys.readouterr().out == first == (
+            "tolerance budget exhausted; no further stages can run\n"
+        )
+        assert state.read_bytes() == before
+
+    def test_observed_sums_without_a_pending_stage_exit_one(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        args = [*self.FRESH, "--state", str(state), "--treated-sum", "1.0", "--control-sum", "2.0"]
+        assert main(args) == 1
+        assert "no stage is awaiting observations" in capsys.readouterr().err
+        assert not state.exists()
+
+    @pytest.mark.parametrize(
+        "content, fault",
+        [("{1,", "is not valid JSON"), ("[1, 2]", "does not hold a JSON object")],
+        ids=["invalid", "not-an-object"],
+    )
+    def test_a_state_file_that_holds_no_object_exits_one(self, tmp_path, capsys, content, fault):
+        state = tmp_path / "state.json"
+        state.write_text(content)
+        assert main([*self.FRESH, "--state", str(state)]) == 1
+        assert f"state file {state} {fault}" in capsys.readouterr().err
+        assert state.read_text() == content
+
+    def test_a_missing_file_is_refused_by_the_reader(self, tmp_path):
+        # next-stage opens a fresh state where its file is missing; the
+        # reader itself refuses a missing file of either kind.
+        for kind in ("config file", "state file"):
+            with pytest.raises(cli.ConfigError, match=f"{kind} .* not found"):
+                cli._load_json(kind, str(tmp_path / "missing.json"))
 
     def test_overdrawn_stage_tolerance_exits_two(self, tmp_path, capsys):
         state = tmp_path / "state.json"

@@ -388,6 +388,16 @@ class TestShardedImputation:
 
 
 class TestEstimator:
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_a_sample_count_below_one_is_refused(self, K):
+        sampler = GaussianPosteriorSampler(
+            PosteriorState((0.0, 0.0), (1.0, 1.0)), OutcomeVariance((1.0, 1.0))
+        )
+        with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+            estimate_posterior_quantities(
+                sampler, ZeroCost(), -500.0, K, np.random.default_rng(0)
+            )
+
     def test_zero_cost_never_ruins(self):
         sampler = GaussianPosteriorSampler(
             PosteriorState((0.0, 0.0), (1.0, 1.0)), OutcomeVariance((1.0, 1.0)),

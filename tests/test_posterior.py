@@ -61,6 +61,11 @@ class TestInit:
         with pytest.raises(ValueError):
             GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=(0.0, 1.0))
 
+    @pytest.mark.parametrize("mu0", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+    def test_prior_rejects_a_mean_that_is_not_finite(self, mu0):
+        with pytest.raises(ValueError, match="mu0 components must be finite, got"):
+            GaussianPrior(mu0=mu0, sigma0_sq=(1.0, 1.0))
+
     @pytest.mark.parametrize("pair", [(), (1.0,), (1.0, 2.0, 3.0)])
     def test_pairs_of_another_length_are_refused(self, pair):
         with pytest.raises(ValueError, match="mu0 must have exactly two"):
@@ -90,13 +95,16 @@ class TestUpdateStats:
         assert a == merged
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            update_stats(SufficientStats(), 251, 500, 0.0, 0.0)
-        # Uncapped mode admits anything up to the full population.
-        stats = update_stats(SufficientStats(), 400, 500, 1.0, 1.0, enforce_half_cap=False)
+        # The half cap is a policy's rule (trace.check_decision); the fold
+        # admits any treated count up to the whole stage, and no more.
+        stats = update_stats(SufficientStats(), 400, 500, 1.0, 1.0)
         assert stats.counts == (100, 400)
-        with pytest.raises(ValueError):
-            update_stats(SufficientStats(), 501, 500, 0.0, 0.0, enforce_half_cap=False)
+        with pytest.raises(ValueError, match=r"m_t must be in \[0, N_t=500\], got 501"):
+            update_stats(SufficientStats(), 501, 500, 0.0, 0.0)
+
+    def test_a_negative_stage_size_is_refused(self):
+        with pytest.raises(ValueError, match="N_t must be >= 0, got -1"):
+            update_stats(SufficientStats(), 0, -1, 0.0, 0.0)
 
 
 class TestComputePosterior:
@@ -143,7 +151,6 @@ class TestComputePosterior:
                 n_t + n_c,
                 float(y_t.sum()),
                 float(y_c.sum()),
-                enforce_half_cap=False,
             )
             post = compute_posterior(prior, var, stats)
             mean_t, var_t = grid_bayes_oracle(-0.3, 9.0, 9.0, y_t)

@@ -13,6 +13,7 @@ from rampguard.scenarios import (
     Scenario,
     ScenarioFeed,
     builtin_scenarios,
+    draw_stage_sums,
     generate_stage_outcomes,
     scenario_from_config,
 )
@@ -277,6 +278,18 @@ class TestFeed:
         assert out.true_cost == 0.0
         assert feed.population(2) == 500
         assert feed.num_stages == 10
+
+    @pytest.mark.parametrize("m", [-1, 501])
+    def test_a_treated_count_outside_the_stage_is_refused(self, m):
+        feed = ScenarioFeed(builtin_scenarios()["norm"], np.random.default_rng(0))
+        with pytest.raises(ValueError, match=rf"m={m} outside \[0, N_t=500\] at stage 2"):
+            feed.run_stage(2, m)
+
+    @pytest.mark.parametrize("t", [0, 11])
+    def test_stage_sums_outside_the_scenario_are_refused(self, t):
+        m = np.zeros(4, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"stage {t} outside 1..10"):
+            draw_stage_sums(builtin_scenarios()["norm"], t, m, np.random.default_rng(0))
 
 
 def per_trace_diagnostics(scenario, trace, prior, sigma_sq):

@@ -79,6 +79,17 @@ class TestSincSchedule:
                 prod *= 1 - d
                 assert prod >= (1 - delta) * (1 - 1e-12)
 
+    @pytest.mark.parametrize("delta", [-0.01, 1.0, math.nan])
+    def test_delta_outside_the_unit_interval_is_refused(self, delta):
+        for build in (sinc_gamma, lambda d: sinc_schedule(d, 3)):
+            with pytest.raises(ScheduleError, match=r"delta must be in \[0, 1\)"):
+                build(delta)
+
+    @pytest.mark.parametrize("horizon", [0, -2])
+    def test_a_horizon_below_one_is_refused(self, horizon):
+        with pytest.raises(ScheduleError, match=f"horizon must be >= 1, got {horizon}"):
+            sinc_schedule(0.05, horizon)
+
     def test_infinite_product_limit(self):
         # Tail check: the first 1e6 factors already land within 1e-4.
         delta = 0.05

@@ -127,6 +127,10 @@ class TestSolveRampSize:
         assert d.m == 250
         assert d.branch == BRANCH_CAP
 
+    def test_a_negative_treated_history_is_refused(self):
+        with pytest.raises(ValueError, match="M1_prev must be >= 0, got -1"):
+            solve_ramp_size(FLAT_POST, VAR10, -1, 0.0, -500.0, 0.005, 500)
+
     def test_zero_tolerance(self):
         d = solve_ramp_size(FLAT_POST, VAR10, 0, 0.0, -500.0, 0.0, 500)
         assert d.m == 0
