@@ -380,39 +380,44 @@ def _write_json(file, value, durable: bool = False) -> None:
             os.fsync(fh.fileno())
 
 
-def _write_schedule_csv(path: str, summary: ReplicationSummary) -> None:
+# Rows a table writer formats at a time: writing a file holds one chunk of Python values.
+_TABLE_ROWS = 4096
+
+
+def _write_table(path: str, names, columns, header_lines=()) -> None:
+    """CSV of equal-size columns, each flattened, under ``# `` provenance lines and
+    a row of ``names``, formatted ``_TABLE_ROWS`` rows at a time."""
     import numpy as np
 
-    assert summary.traces is not None
-    c = summary.traces
-    rep, stage = np.divmod(np.arange(c.m.size), c.m.shape[1])
-    branch = np.array(c.labels, dtype=object)[c.branch]
-    columns = (rep, stage + 1, c.m, branch, c.stage_cost, c.cum_cost)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replication", "stage", "m", "branch", "stage_cost", "cum_cost"])
-        writer.writerows(zip(*(np.ravel(col).tolist() for col in columns)))
-
-
-def _write_table(path: str, header_lines, columns, rows) -> None:
-    """CSV file with ``# `` provenance lines, a column row and the data rows."""
+    columns = [np.ravel(column) for column in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerow(names)
+        for start in range(0, columns[0].size, _TABLE_ROWS):
+            writer.writerows(zip(*(c[start:start + _TABLE_ROWS].tolist() for c in columns)))
+
+
+def _write_schedule_csv(path: str, summary: ReplicationSummary) -> None:
+    import numpy as np
+
+    c = summary.traces
+    reps, stages = c.m.shape
+    # int32 holds every index: at most REPLICATION_CAP replications of STAGE_CAP stages.
+    rep = np.arange(reps, dtype=np.int32).repeat(stages)
+    stage = np.tile(np.arange(1, stages + 1, dtype=np.int32), reps)
+    branch = np.array(c.labels, dtype=object)[c.branch]
+    names = ["replication", "stage", "m", "branch", "stage_cost", "cum_cost"]
+    _write_table(path, names, (rep, stage, c.m, branch, c.stage_cost, c.cum_cost))
 
 
 def _write_quantiles_csv(path: str, summary: ReplicationSummary, header_lines=()) -> None:
     _write_table(
         path,
-        header_lines,
         ["stage", "m_q25", "m_q50", "m_q75", "surplus_q25", "surplus_q50", "surplus_q75"],
-        (
-            [t + 1, *summary.m_quantiles[:, t], *summary.surplus_quantiles[:, t]]
-            for t in range(summary.stages)
-        ),
+        (range(1, summary.stages + 1), *summary.m_quantiles, *summary.surplus_quantiles),
+        header_lines,
     )
 
 
@@ -422,16 +427,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _with_flags(args, _load_json("config file", args.config) if args.config else {})
     scenario, _, schedule, policy = _resolve("run config", config)
     _check_flags("run", args)
-    workers = _workers(args.workers)
-    summary = run_replications(
-        policy,
-        scenario,
-        schedule,
-        int(config.get("replications", 500)),
-        int(config.get("seed", 0)),
-        workers=workers,
-        keep_traces=True,
-    )
+    reps, seed = int(config.get("replications", 500)), int(config.get("seed", 0))
+    summary = run_replications(policy, scenario, schedule, reps, seed,
+                               workers=_workers(args.workers), keep_traces=True)
     out_dir = config.get("out", ".")
     os.makedirs(out_dir, exist_ok=True)
     _write_schedule_csv(os.path.join(out_dir, "schedule.csv"), summary)
@@ -527,31 +525,24 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             f"T={schedule.num_stages} reps={reps} seed={seed}"
         ]
         _write_quantiles_csv(os.path.join(out_dir, f"quantiles_{label}.csv"), summary, header)
-        provenance["runs"].append(
-            {
-                "label": label,
-                "scenario": config["scenario"],
-                "algorithm": algorithm,
-                "schedule": schedule.to_config(),
-                "ruin_rate": summary.ruin_rate,
-            }
-        )
+        provenance["runs"].append({
+            "label": label, "scenario": config["scenario"], "algorithm": algorithm,
+            "schedule": schedule.to_config(), "ruin_rate": summary.ruin_rate,
+        })
         if figure.startswith("fig2"):
+            costs = summary.final_costs
             _write_table(
                 os.path.join(out_dir, "spend.csv"),
-                header,
                 ["replication", "final_cost", "ruined"],
-                (
-                    [rep, cost, int(cost <= schedule.budget)]
-                    for rep, cost in enumerate(summary.final_costs.tolist())
-                ),
+                (range(reps), costs, (costs <= schedule.budget).astype(int)),
+                header,
             )
             _write_table(
                 os.path.join(out_dir, "ruin.csv"),
-                header,
                 ["scenario", "ruin_rate", "half_width", "replications", "delta"],
-                [[config["scenario"], summary.ruin_rate, summary.ruin_half_width, reps,
-                  schedule.delta]],
+                ([value] for value in (config["scenario"], summary.ruin_rate,
+                                       summary.ruin_half_width, reps, schedule.delta)),
+                header,
             )
 
     _write_json(os.path.join(out_dir, "provenance.json"), provenance)
@@ -800,23 +791,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Budget-constrained ramp scheduling and replication studies",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--budget", type=float, help="total budget B (negative)")
+    shared.add_argument("--delta", type=float, help="overall ruin tolerance in [0, 1)")
+    shared.add_argument("--variance-mode", choices=("known", "estimated"))
+    shared.add_argument("--sigma-sq", nargs=2, type=float, metavar=("V0", "V1"))
+    shared.add_argument("--pretrial-sigma-sq", nargs=2, type=float, metavar=("V0", "V1"))
+    shared.add_argument("--prior-mu0", nargs=2, type=float, metavar=("M0", "M1"))
+    shared.add_argument("--prior-sigma0-sq", nargs=2, type=float, metavar=("S0", "S1"))
 
-    run = sub.add_parser("run", help="run a replication study and write result tables")
+    run = sub.add_parser(
+        "run", parents=[shared], help="run a replication study and write result tables"
+    )
     run.add_argument("--config", help="JSON config file; flags override its entries")
     run.add_argument("--scenario", help="scenario name from the built-in registry")
     run.add_argument("--algo", choices=ALGORITHMS, help="ramp algorithm")
-    run.add_argument("--budget", type=float, help="total budget B (negative)")
-    run.add_argument("--delta", type=float, help="overall ruin tolerance in [0, 1)")
     run.add_argument("--T", type=int, help="stage count for a uniform tolerance split")
     run.add_argument("--reps", type=int, help="number of replications")
     run.add_argument("--seed", type=int, help="top-level seed (default 0)")
     run.add_argument("--out", help="output directory (default .)")
     run.add_argument("--workers", type=int, help="worker processes (default RAMPGUARD_THREADS)")
-    run.add_argument("--variance-mode", choices=("known", "estimated"))
-    run.add_argument("--sigma-sq", nargs=2, type=float, metavar=("V0", "V1"))
-    run.add_argument("--pretrial-sigma-sq", nargs=2, type=float, metavar=("V0", "V1"))
-    run.add_argument("--prior-mu0", nargs=2, type=float, metavar=("M0", "M1"))
-    run.add_argument("--prior-sigma0-sq", nargs=2, type=float, metavar=("S0", "S1"))
     run.set_defaults(func=cmd_run)
 
     rep = sub.add_parser("reproduce", help="run a bundled study preset")
@@ -828,16 +822,11 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(func=cmd_reproduce)
 
     nxt = sub.add_parser(
-        "next-stage", help="operational single-step mode against a JSON state file"
+        "next-stage", parents=[shared],
+        help="operational single-step mode against a JSON state file",
+        description="The budget, tolerance, prior and variance flags apply to a fresh state only.",
     )
     nxt.add_argument("--state", required=True, help="state file path (created if absent)")
-    nxt.add_argument("--budget", type=float, help="total budget (fresh state only)")
-    nxt.add_argument("--delta", type=float, help="overall tolerance (fresh state only)")
-    nxt.add_argument("--prior-mu0", nargs=2, type=float, metavar=("M0", "M1"))
-    nxt.add_argument("--prior-sigma0-sq", nargs=2, type=float, metavar=("S0", "S1"))
-    nxt.add_argument("--variance-mode", choices=("known", "estimated"))
-    nxt.add_argument("--sigma-sq", nargs=2, type=float, metavar=("V0", "V1"))
-    nxt.add_argument("--pretrial-sigma-sq", nargs=2, type=float, metavar=("V0", "V1"))
     nxt.add_argument("--n-next", type=int, help="incoming population of the next stage")
     nxt.add_argument("--delta-next", type=float, help="tolerance of the next stage")
     nxt.add_argument("--b-next", type=float, help="stage budget of the next stage")

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 Pair = tuple[float, float]  # indexed by arm: (control, treatment)
+_NO_VARIANCE = "known-variance mode needs explicit values or a feed that reports true variances"
 
 
 class InsufficientDataError(ValueError):
@@ -230,10 +231,7 @@ class VariancePolicy:
         if self.mode == "known":
             values = self.values if self.values is not None else feed_truth
             if values is None:
-                raise ValueError(
-                    "known-variance mode needs explicit values or a feed that "
-                    "reports true variances"
-                )
+                raise ValueError(_NO_VARIANCE)
             return OutcomeVariance(sigma_sq=values)
         if self.pretrial is None and min(stats.counts) < 2:
             raise InsufficientDataError(

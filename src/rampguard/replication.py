@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -79,24 +80,24 @@ def replication_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(key)))
 
 
-def _run_one(policy: Policy, scenario: Scenario, schedule: RiskSchedule, seed: int, rep: int):
-    feed = ScenarioFeed(scenario, replication_stream(seed, rep, 0), getattr(policy, "cost", None))
-    records = run_stages(schedule, feed, policy, lambda t: replication_stream(seed, rep, t)).records
-    return tuple([getattr(r, f) for r in records] for f in _COLUMNS)
+def _run_chunk(policy, scenario, schedule, seed, reps) -> tuple[np.ndarray, ...]:
+    """Per-unit results of ``reps``: a (replications, stages) array per column of ``_COLUMNS``."""
+    shape = (len(reps), min(schedule.num_stages, scenario.T))
+    columns = tuple(np.empty(shape, dtype) for dtype in (np.int64, object, float, float))
+    cost = getattr(policy, "cost", None)
+    for i, rep in enumerate(reps):
+        feed = ScenarioFeed(scenario, replication_stream(seed, rep, 0), cost)
+        records = run_stages(schedule, feed, policy, partial(replication_stream, seed, rep)).records
+        for column, field in zip(columns, _COLUMNS):
+            column[i] = [getattr(r, field) for r in records]
+    return columns
 
 
-def _run_chunk(policy, scenario, schedule, seed, reps):
-    """Per-unit results of ``reps``: one transient row of four stage lists each."""
-    return [_run_one(policy, scenario, schedule, seed, rep) for rep in reps]
-
-
-def _stack(rows) -> BlockTraces:
-    """The per-unit rows of every replication as (replications, stages) arrays."""
-    m, branch, stage_cost, cum_cost = zip(*rows)
-    m = np.array(m, dtype=np.int64)
-    labels, codes = np.unique(np.array(branch, dtype=str), return_inverse=True)
-    cost_arrays = (np.array(stage_cost, dtype=float), np.array(cum_cost, dtype=float))
-    return BlockTraces(m, codes.reshape(m.shape), *cost_arrays, tuple(labels.tolist()))
+def _stack(chunks) -> BlockTraces:
+    """The per-unit chunks joined in replication order, branch labels coded by sorted value."""
+    m, branch, stage_cost, cum_cost = (np.concatenate(column) for column in zip(*chunks))
+    labels, codes = np.unique(branch, return_inverse=True)
+    return BlockTraces(m, codes.reshape(m.shape), stage_cost, cum_cost, tuple(labels.tolist()))
 
 
 def _takes_batch_engine(policy: Policy, scenario: Scenario) -> bool:
@@ -122,11 +123,11 @@ def _run_groups(policy, scenario, schedule, seed, K_rep, groups) -> list[BlockTr
 
 
 def _map_chunks(fn, count: int, workers: int, *args) -> list:
-    """``fn(*args, items)`` over items 0..count-1, results in item order.
+    """``fn(*args, items)`` over items 0..count-1: one result per chunk, in item order.
 
-    Items are split into at most ``4 * workers`` contiguous chunks whose
-    results join in item order. The pool never has more processes than
-    usable CPUs or chunks, and a pool of one runs in this process instead.
+    Items are split into at most ``4 * workers`` contiguous chunks. The pool
+    never has more processes than usable CPUs or chunks, and a pool of one
+    runs in this process instead.
     Each pool worker may use its even share of the CPUs for imputation
     threads, so processes times threads never exceed the usable CPU count.
     """
@@ -135,7 +136,7 @@ def _map_chunks(fn, count: int, workers: int, *args) -> list:
     chunks = [range(count * i // n, count * (i + 1) // n) for i in range(n)]
     pool_size = min(workers, cpus, n)
     if pool_size <= 1:
-        return fn(*args, range(count))
+        return [fn(*args, range(count))]
     from concurrent.futures import ProcessPoolExecutor
 
     from .mc_solver import set_cpu_share
@@ -144,7 +145,7 @@ def _map_chunks(fn, count: int, workers: int, *args) -> list:
         max_workers=pool_size, initializer=set_cpu_share, initargs=(cpus // pool_size,)
     ) as pool:
         futures = [pool.submit(fn, *args, chunk) for chunk in chunks]
-        return [result for fut in futures for result in fut.result()]
+        return [fut.result() for fut in futures]
 
 
 @dataclass
@@ -223,7 +224,8 @@ def run_replications(
     if _takes_batch_engine(policy, scenario):
         n_groups = -(-K_rep // (BLOCK_SIZE * GROUP_BLOCKS))
         args = (policy, scenario, schedule, seed, K_rep)
-        groups = _map_chunks(_run_groups, n_groups, workers, *args)
+        chunks = _map_chunks(_run_groups, n_groups, workers, *args)
+        groups = [g for chunk in chunks for g in chunk]
         columns = (np.concatenate([getattr(g, f) for g in groups]) for f in _COLUMNS)
         results = BlockTraces(*columns, groups[0].labels)
     else:

@@ -42,7 +42,8 @@ REL_SLACK = 1e-12
 # Count bounds, kept here so that numpy-free callers read them too.
 # Stages of a scenario or a tolerance generator at most.
 STAGE_CAP = 10_000
-# Replications of one study at most: its results hold 25 bytes per replication and stage.
+# Replications of one study at most: its trace arrays hold 25 bytes per replication and
+# stage (32 from the per-unit engine), and writing schedule.csv adds 16 and one chunk of rows.
 REPLICATION_CAP = 10**6
 # Posterior draws per Cantelli stage at most: a stage keeps ~10 float64 arrays of this length.
 SAMPLE_CAP = 10**6

@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, ClassVar
 import numpy as np
 
 from .normal import SQRT2
-from .posterior import GaussianPrior, OutcomeVariance, Pair, PosteriorState, posterior_moments
+from .posterior import (_NO_VARIANCE, GaussianPrior, OutcomeVariance, Pair, PosteriorState,
+                        posterior_moments)
 from .solver import StageDecision, _decided
 from .trace import Stage
 
@@ -139,7 +140,11 @@ class ThompsonPolicy:
     def _belief(self, t: int, counts, sums, true_variance) -> tuple[Pair, Pair]:
         """Posterior ``(mu_p, sigma_p_sq)`` before stage ``t``: the prior's pairs at
         stage 1, else ``counts`` and ``sums`` (scalars or arrays) folded in under
-        ``sigma_sq`` or, without it, the stage-1 truth ``true_variance(1)``."""
+        ``sigma_sq`` or, without it, the stage-1 truth ``true_variance(1)``; a
+        feed that reports none raises ``ValueError``."""
         if t == 1:
             return self.prior.mu0, self.prior.sigma0_sq
-        return posterior_moments(self.prior, self.sigma_sq or true_variance(1), counts, sums)
+        sigma_sq = self.sigma_sq or true_variance(1)
+        if sigma_sq is None:
+            raise ValueError(_NO_VARIANCE)
+        return posterior_moments(self.prior, sigma_sq, counts, sums)

@@ -100,10 +100,10 @@ def test_batch_statistics_match_the_per_unit_engine(name):
     scn = builtin_scenarios()[name]
     k_batch, k_unit = 50_000, 5_000
     fast = run_replications(ANALYTIC, scn, SCHED_05, k_batch, 0, workers=WORKERS)
-    rows = replication._map_chunks(
+    chunks = replication._map_chunks(
         replication._run_chunk, k_unit, WORKERS, ANALYTIC, scn, SCHED_05, 0
     )
-    ref = replication._summarize(replication._stack(rows), SCHED_05, 0, keep_traces=False)
+    ref = replication._summarize(replication._stack(chunks), SCHED_05, 0, keep_traces=False)
 
     pooled = (fast.ruin_rate * k_batch + ref.ruin_rate * k_unit) / (k_batch + k_unit)
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / k_batch + 1.0 / k_unit))
@@ -131,10 +131,11 @@ def test_batch_thompson_matches_the_per_unit_engine(name, c):
     assert replication._takes_batch_engine(policy, scn)
     k_batch, k_unit = 50_000, 4_000
     n_blocks = -(-k_batch // BLOCK_SIZE)
-    groups = replication._map_chunks(
+    chunks = replication._map_chunks(
         replication._run_groups, -(-n_blocks // GROUP_BLOCKS), WORKERS, policy, scn, sched, 0,
         k_batch,
     )
+    groups = [g for chunk in chunks for g in chunk]
     unit = replication._stack(
         replication._map_chunks(replication._run_chunk, k_unit, WORKERS, policy, scn, sched, 0)
     )

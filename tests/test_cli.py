@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -197,16 +198,43 @@ class TestRun:
         config = cli._with_flags(cli._build_parser().parse_args(self.GOLDEN_ARGS), {})
         scenario, _, schedule, policy = cli._resolve("run config", config)
         seed = config["seed"]
-        rows = replication._run_chunk(
+        chunk = replication._run_chunk(
             policy, scenario, schedule, seed, range(config["replications"])
         )
         summary = replication._summarize(
-            replication._stack(rows), schedule, seed, keep_traces=True
+            replication._stack([chunk]), schedule, seed, keep_traces=True
         )
         cli._write_schedule_csv(str(tmp_path / "schedule.csv"), summary)
         cli._write_json(str(tmp_path / "summary.json"), summary.to_json_dict())
         cli._write_quantiles_csv(str(tmp_path / "quantiles.csv"), summary)
         self.assert_golden(tmp_path, "golden")
+
+    def test_writing_the_schedule_holds_the_traces_and_one_chunk(self, tmp_path, monkeypatch):
+        # Allocations while schedule.csv is written stay within the trace arrays'
+        # bytes again plus one chunk of Python values (a list slot and an object
+        # of up to 40 bytes per value), not one Python object per value of the study.
+        # One stage keeps the traced write short.
+        seen = []
+
+        def traced(path, summary):
+            tracemalloc.start()
+            try:
+                real(path, summary)
+                seen.append((tracemalloc.get_traced_memory()[1], summary.traces))
+            finally:
+                tracemalloc.stop()
+
+        real = cli._write_schedule_csv
+        monkeypatch.setattr(cli, "_write_schedule_csv", traced)
+        args = ["run", "--scenario", "norm", "--budget", "-500", "--delta", "0.05", "--T", "1",
+                "--reps", "20000", "--seed", "1", "--workers", "1", "--out", str(tmp_path)]
+        assert main(args) == 0
+        [(peak, traces)] = seen
+        trace_bytes = sum(a.nbytes for a in (traces.m, traces.branch, traces.stage_cost,
+                                              traces.cum_cost))
+        chunk_bytes = cli._TABLE_ROWS * 6 * (8 + 40)
+        assert traces.m.shape == (20_000, 1)
+        assert peak <= trace_bytes + chunk_bytes, (peak, trace_bytes, chunk_bytes)
 
     def test_golden_outputs_batch_engine(self, tmp_path):
         assert main([*self.GOLDEN_ARGS, "--out", str(tmp_path)]) == 0

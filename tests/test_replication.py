@@ -8,7 +8,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, mc_solver, replication
+from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, cli, mc_solver, replication
 from rampguard.posterior import GaussianPrior, VariancePolicy
 from rampguard.batch import run_block
 from rampguard.replication import (
@@ -79,7 +79,7 @@ class InlineExecutor:
 
 
 def _imputation_threads_of(items):
-    return [mc_solver._imputation_threads() for _ in items]
+    return mc_solver._imputation_threads()
 
 
 class PerUnitThompson(ThompsonPolicy):
@@ -391,3 +391,43 @@ class TestKeptTraces:
             tracemalloc.stop()
         assert summary.stages == 10 and len(summary.traces) == reps
         assert retained / reps <= 400, retained / reps
+
+    def test_per_unit_traced_peak_grows_at_most_1500_bytes_per_replication(self):
+        # Each replication's stages land in the chunk's arrays as it ends; no
+        # per-replication rows wait for the join.
+        scn = builtin_scenarios()["fat"]
+        sched = RiskSchedule.uniform(-500.0, 0.05, scn.T)
+        assert not replication._takes_batch_engine(ANALYTIC, scn)
+        run_replications(ANALYTIC, scn, sched, 2, 0)  # warm imports and caches
+        peaks = []
+        for reps in (40, 240):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_replications(ANALYTIC, scn, sched, reps, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth = (peaks[1] - peaks[0]) / 200
+        assert growth <= 1500, growth
+
+    def test_per_unit_chunks_join_like_one_chunk(self, tmp_path):
+        # Two workers take 8 replications in 8 chunks of one, which see different
+        # branch subsets: codes taken per chunk would disagree with the joined labels.
+        scn = builtin_scenarios()["fat"]
+        sched = RiskSchedule.uniform(-500.0, 0.05, scn.T)
+        serial, pooled = (
+            run_replications(ANALYTIC, scn, sched, 8, 1, workers=w, keep_traces=True).traces
+            for w in (1, 2)
+        )
+        assert len({frozenset(row) for row in serial.branch.tolist()}) > 1
+        assert pooled.labels == serial.labels
+        for field in ("m", "branch", "stage_cost", "cum_cost"):
+            assert np.array_equal(getattr(pooled, field), getattr(serial, field)), field
+        args = ["run", "--scenario", "fat", "--budget", "-500", "--delta", "0.05", "--reps", "8",
+                "--seed", "1"]
+        for workers in ("1", "2"):
+            assert cli.main([*args, "--workers", workers, "--out", str(tmp_path / workers)]) == 0
+        assert (tmp_path / "1" / "schedule.csv").read_bytes() == (
+            tmp_path / "2" / "schedule.csv"
+        ).read_bytes()

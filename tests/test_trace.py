@@ -38,6 +38,13 @@ class TwoStageFeed:
         return StageOutcome(0.0, 0.0, 0.0, 0.0, 0.0, np.zeros(max(m, 0)))
 
 
+class BlindFeed(TwoStageFeed):
+    """A two-stage feed that does not know its outcome variances."""
+
+    def true_variance(self, t):
+        return None
+
+
 class Overreach:
     """A policy that decides one unit past its range, or -1."""
 
@@ -92,3 +99,17 @@ def test_uncapped_thompson_may_treat_the_whole_stage():
     capped = ThompsonPolicy(c=4.0, prior=sure, sigma_sq=(10.0, 10.0), cap_at_half=True)
     with pytest.raises(ValueError, match=r"^stage 1: m outside \[0, 250\]$"):
         check_decision(capped, 1, 500, 0, 251)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [AnalyticPolicy(PRIOR, VariancePolicy()), ThompsonPolicy(c=1.0, prior=PRIOR)],
+    ids=["analytic", "thompson"],
+)
+def test_a_known_variance_policy_without_variances_names_them(policy):
+    # Thompson decides stage 1 from its prior and needs variances from stage 2 on.
+    message = (
+        "^known-variance mode needs explicit values or a feed that reports true variances$"
+    )
+    with pytest.raises(ValueError, match=message):
+        run_stages(RiskSchedule.uniform(-500.0, 0.05, 2), BlindFeed((500, 500)), policy)
