@@ -35,7 +35,7 @@ import numpy as np
 from .scenarios import Scenario, draw_stage_sums, has_gaussian_sum_law
 from .schedules import RiskSchedule
 from .solver import AnalyticPolicy
-from .trace import check_decision
+from .trace import Policy, check_decision
 
 __all__ = ["BLOCK_SIZE", "BlockStage", "BlockPolicy", "BlockTraces", "CompactTrace", "run_block"]
 
@@ -80,6 +80,12 @@ class BlockTraces:
             for row in zip(m, branch, *costs):
                 yield CompactTrace(*map(tuple, row))
 
+    @classmethod
+    def empty(cls, rows: int, stages: int, labels) -> "BlockTraces":
+        """Unfilled traces: int64 ``m``, int8 codes into ``labels``, float64 costs."""
+        dtypes = (np.int64, np.int8, np.float64, np.float64)
+        return cls(*(np.empty((rows, stages), d) for d in dtypes), tuple(labels))
+
 
 class BlockStage(NamedTuple):
     """What a policy may read when it decides stage ``t`` for a block.
@@ -101,12 +107,9 @@ class BlockStage(NamedTuple):
     rng: "np.random.Generator | _Streams"
 
 
-class BlockPolicy(Protocol):
-    """A policy the block loop can run. ``decide_block`` returns ``(m,
-    branch)`` arrays, ``branch`` indexing ``branch_labels``; a policy that
-    may treat more than half of a stage sets ``cap_at_half = False``."""
-
-    branch_labels: tuple[str, ...]
+class BlockPolicy(Policy, Protocol):
+    """A policy the block loop can run: ``decide_block`` returns ``(m,
+    branch)`` arrays, ``branch`` indexing ``branch_labels``."""
 
     def decide_block(self, stage: BlockStage) -> tuple[np.ndarray, np.ndarray]: ...
 
@@ -160,8 +163,7 @@ def run_block(
     rng = rngs[0] if width == whole == BLOCK_SIZE else _Streams(rngs, width)
 
     stages = min(schedule.num_stages, scenario.T)
-    dtypes = (np.int64, np.int8, np.float64, np.float64)
-    out = BlockTraces(*(np.empty((rows, stages), d) for d in dtypes), tuple(policy.branch_labels))
+    out = BlockTraces.empty(rows, stages, policy.branch_labels)
     counts = (np.zeros(width), np.zeros(width))
     sum_control = np.zeros(width)
     sum_treated = np.zeros(width)

@@ -40,7 +40,7 @@ from .posterior import (
     compute_posterior,
     update_stats,
 )
-from .schedules import (REPLICATION_CAP, SAMPLE_CAP, STAGE_CAP, RiskSchedule, ScheduleError,
+from .schedules import (FLOOR_CAP, REPLICATION_CAP, SAMPLE_CAP, STAGE_CAP, RiskSchedule, ScheduleError,
                         as_float, sinc_schedule, uniform_tolerance)
 from .solver import AnalyticPolicy, solve_ramp_size
 
@@ -144,7 +144,7 @@ def _is_cost(v) -> bool:
     v = v if isinstance(v, dict) else {"type": v}
     floor = v.get("floor", 0.0)
     capped = {"type": "capped_effect", "floor": floor}
-    return v in ({"type": "treatment_effect"}, capped) and _is_finite(floor)
+    return v in ({"type": "treatment_effect"}, capped) and _is_finite(floor) and abs(floor) <= FLOOR_CAP
 
 
 _NUMBER = (_is_number, "a number")
@@ -191,7 +191,8 @@ _CONFIG_SCHEMA = {
     "thompson": {"c": _POSITIVE, "cap_at_half": (lambda v: isinstance(v, bool), "true or false")},
     "mc": {
         "samples": _whole(1, SAMPLE_CAP),
-        "cost": (_is_cost, '"treatment_effect" or {"type": "capped_effect", "floor": <number>}'),
+        "cost": (_is_cost, '"treatment_effect" or {"type": "capped_effect", "floor": <number>}'
+                           f" with |mc.cost.floor| <= {FLOOR_CAP:g}"),
     },
 }
 # What next-stage reads from a version-1 state file; every key is required.

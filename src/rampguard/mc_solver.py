@@ -19,6 +19,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from numbers import Integral
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,8 +31,9 @@ from .posterior import (
     compute_posterior,
 )
 from .replication import usable_cpus
-from .schedules import SAMPLE_CAP
+from .schedules import FLOOR_CAP, SAMPLE_CAP
 from .solver import (
+    BRANCHES,
     BRANCH_CAP,
     BRANCH_EMPTY,
     BRANCH_NO_REAL_ROOT,
@@ -170,9 +172,13 @@ class TreatmentEffectCost(CostFunction):
 
 @dataclass(frozen=True)
 class CappedEffectCost(CostFunction):
-    """Treatment effect with a floor: max(y(1) - y(0), floor)."""
+    """Treatment effect with a floor: max(y(1) - y(0), floor), ``|floor| <= FLOOR_CAP``."""
 
     floor: float
+
+    def __post_init__(self) -> None:
+        if not abs(self.floor) <= FLOOR_CAP:
+            raise ValueError(f"floor must be a number in [-{FLOOR_CAP:g}, {FLOOR_CAP:g}], got {self.floor!r}")
 
     def evaluate(self, y1, y0):
         return np.maximum(np.asarray(y1) - np.asarray(y0), self.floor)
@@ -431,6 +437,7 @@ class CantelliPolicy:
     variance: VariancePolicy
     samples: int = 10_000
     cost: CostFunction = TreatmentEffectCost()
+    branch_labels: ClassVar[tuple[str, ...]] = BRANCHES
 
     def __post_init__(self) -> None:
         if not (isinstance(self.samples, Integral) and 1 <= self.samples <= SAMPLE_CAP):

@@ -14,8 +14,8 @@ Either way a replication's result depends only on the seed and its index:
 every block draws from its stream whole, and workers take whole groups or
 whole replications. Each pass returns exactly the replications up to
 ``K_rep`` of its group, and decides itself how many rows to compute (see
-``batch.run_block``). Both engines give (replications, stages) arrays in
-index order, which keeps summaries byte-identical across worker counts.
+``batch.run_block``). Both engines give ``BlockTraces`` coded by the policy's
+``branch_labels``, joined in index order: summaries match at any worker count.
 """
 
 from __future__ import annotations
@@ -80,34 +80,36 @@ def replication_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(key)))
 
 
-def _run_chunk(policy, scenario, schedule, seed, reps) -> tuple[np.ndarray, ...]:
-    """Per-unit results of ``reps``: a (replications, stages) array per column of ``_COLUMNS``."""
-    shape = (len(reps), min(schedule.num_stages, scenario.T))
-    columns = tuple(np.empty(shape, dtype) for dtype in (np.int64, object, float, float))
+def _run_chunk(policy, scenario, schedule, seed, reps) -> list[BlockTraces]:
+    """Per-unit results of ``reps``: one ``BlockTraces``, each row filled as its replication ends."""
+    out = BlockTraces.empty(len(reps), min(schedule.num_stages, scenario.T), policy.branch_labels)
+    codes = {label: code for code, label in enumerate(out.labels)}
     cost = getattr(policy, "cost", None)
     for i, rep in enumerate(reps):
         feed = ScenarioFeed(scenario, replication_stream(seed, rep, 0), cost)
         records = run_stages(schedule, feed, policy, partial(replication_stream, seed, rep)).records
-        for column, field in zip(columns, _COLUMNS):
-            column[i] = [getattr(r, field) for r in records]
-    return columns
+        for j, r in enumerate(records):
+            if r.branch not in codes:
+                raise ValueError(f"stage {r.stage}: branch {r.branch!r} is not in the policy's branch_labels")
+            out.m[i, j], out.branch[i, j] = r.m, codes[r.branch]
+            out.stage_cost[i, j], out.cum_cost[i, j] = r.stage_cost, r.cum_cost
+    return [out]
 
 
-def _stack(chunks) -> BlockTraces:
-    """The per-unit chunks joined in replication order, branch labels coded by sorted value."""
-    m, branch, stage_cost, cum_cost = (np.concatenate(column) for column in zip(*chunks))
-    labels, codes = np.unique(branch, return_inverse=True)
-    return BlockTraces(m, codes.reshape(m.shape), stage_cost, cum_cost, tuple(labels.tolist()))
+def _join(chunks: list[list[BlockTraces]]) -> BlockTraces:
+    """Every chunk's traces in replication order: one concatenation per column, none for one part."""
+    parts = [traces for chunk in chunks for traces in chunk]
+    if len(parts) == 1:
+        return parts[0]
+    columns = (np.concatenate([getattr(p, f) for p in parts]) for f in _COLUMNS)
+    return BlockTraces(*columns, parts[0].labels)
 
 
 def _takes_batch_engine(policy: Policy, scenario: Scenario) -> bool:
     # A policy's decide_block reproduces its own decide, so a subclass,
     # which may override decide alone, keeps the per-unit engine.
-    if not has_sum_law(scenario):
-        return False
-    if type(policy) is AnalyticPolicy:
-        return policy.variance.mode == "known"
-    return type(policy) is ThompsonPolicy
+    known = type(policy) is AnalyticPolicy and policy.variance.mode == "known"
+    return has_sum_law(scenario) and (known or type(policy) is ThompsonPolicy)
 
 
 def _run_groups(policy, scenario, schedule, seed, K_rep, groups) -> list[BlockTraces]:
@@ -213,21 +215,21 @@ def run_replications(
     budget. Quantile curves cover the treated-group sizes and the running
     budget surplus per stage. The engine follows from the inputs alone
     (see the module docstring). A cost that overflows a float is neither
-    ruined nor safe: ``ValueError`` names the first stage it reaches. More
-    than ``REPLICATION_CAP`` replications, or a per-unit stage of more than
-    ``UNIT_POPULATION_CAP`` units, raises ``ValueError`` before any draw.
+    ruined nor safe: ``ValueError`` names the first stage it reaches, as it
+    does a decision whose branch is not in the policy's ``branch_labels``.
+    Before any draw, a policy without ``decide`` or ``branch_labels`` raises
+    ``TypeError``, and more than ``REPLICATION_CAP`` replications, or a
+    per-unit stage of more than ``UNIT_POPULATION_CAP`` units, ``ValueError``.
     """
+    if not (callable(getattr(policy, "decide", None)) and hasattr(policy, "branch_labels")):
+        raise TypeError(f"{type(policy).__name__} is not a policy: it needs decide and branch_labels")
     if not 1 <= K_rep <= REPLICATION_CAP:
         raise ValueError(f"K_rep must be in [1, {REPLICATION_CAP}], got {K_rep!r}")
     workers = max(1, int(workers))
 
     if _takes_batch_engine(policy, scenario):
         n_groups = -(-K_rep // (BLOCK_SIZE * GROUP_BLOCKS))
-        args = (policy, scenario, schedule, seed, K_rep)
-        chunks = _map_chunks(_run_groups, n_groups, workers, *args)
-        groups = [g for chunk in chunks for g in chunk]
-        columns = (np.concatenate([getattr(g, f) for g in groups]) for f in _COLUMNS)
-        results = BlockTraces(*columns, groups[0].labels)
+        chunks = _map_chunks(_run_groups, n_groups, workers, policy, scenario, schedule, seed, K_rep)
     else:
         for t, n in enumerate(scenario.population[: schedule.num_stages], start=1):
             if n > UNIT_POPULATION_CAP:
@@ -235,7 +237,8 @@ def run_replications(
                     f"stage {t}: population {n} is more than the {UNIT_POPULATION_CAP} units "
                     "the per-unit engine draws in a stage"
                 )
-        results = _stack(_map_chunks(_run_chunk, K_rep, workers, policy, scenario, schedule, seed))
+        chunks = _map_chunks(_run_chunk, K_rep, workers, policy, scenario, schedule, seed)
+    results = _join(chunks)
     overflow = ~np.isfinite(results.cum_cost).all(axis=0)
     if overflow.any():
         stage = overflow.argmax() + 1

@@ -25,6 +25,7 @@ from numbers import Real
 from typing import Any
 
 __all__ = [
+    "FLOOR_CAP",
     "REL_SLACK",
     "REPLICATION_CAP",
     "SAMPLE_CAP",
@@ -43,10 +44,12 @@ REL_SLACK = 1e-12
 # Stages of a scenario or a tolerance generator at most.
 STAGE_CAP = 10_000
 # Replications of one study at most: its trace arrays hold 25 bytes per replication and
-# stage (32 from the per-unit engine), and writing schedule.csv adds 16 and one chunk of rows.
+# stage, and writing schedule.csv adds 16 and one chunk of rows.
 REPLICATION_CAP = 10**6
 # Posterior draws per Cantelli stage at most: a stage keeps ~10 float64 arrays of this length.
 SAMPLE_CAP = 10**6
+# A capped cost's floor in magnitude at most: Cantelli's sums of squared costs overflow near 1e150.
+FLOOR_CAP = 1e100
 
 
 class ScheduleError(ValueError):

@@ -119,8 +119,11 @@ class Stage(NamedTuple):
 
 
 class Policy(Protocol):
-    """A ramp-size rule. A policy that may treat more than half of a stage
-    sets ``cap_at_half = False``; the loop enforces the cap otherwise."""
+    """A ramp-size rule. Its decisions take branches among ``branch_labels``, whose
+    indices code them in study traces. A policy that may treat more than half of
+    a stage sets ``cap_at_half = False``; the loop enforces the cap otherwise."""
+
+    branch_labels: tuple[str, ...]
 
     def decide(self, stage: Stage) -> "StageDecision": ...
 
@@ -149,8 +152,6 @@ def run_stages(
     ``streams`` maps a stage to its sampling stream; by default stage t
     samples from a generator seeded t.
     """
-    if not callable(getattr(policy, "decide", None)):
-        raise TypeError(f"{type(policy).__name__} is not a policy: it has no decide method")
     if streams is None:
         streams = np.random.default_rng
 
@@ -171,27 +172,10 @@ def run_stages(
         check_decision(policy, t, n_t, decision.m, decision.m)
         outcome = feed.run_stage(t, decision.m)
         cum_cost += outcome.true_cost
-        records.append(
-            StageRecord(
-                stage=t,
-                n_units=n_t,
-                m=decision.m,
-                branch=decision.branch,
-                treated_sum=outcome.treated_sum,
-                control_sum=outcome.control_sum,
-                stage_cost=outcome.true_cost,
-                cum_cost=cum_cost,
-            )
-        )
+        records.append(StageRecord(t, n_t, decision.m, decision.branch, outcome.treated_sum,
+                                   outcome.control_sum, outcome.true_cost, cum_cost))
         if decision.m > 0:
             history.append(outcome.treated_outcomes)
-        stats = update_stats(
-            stats,
-            decision.m,
-            n_t,
-            outcome.treated_sum,
-            outcome.control_sum,
-            outcome.treated_sumsq,
-            outcome.control_sumsq,
-        )
+        stats = update_stats(stats, decision.m, n_t, outcome.treated_sum, outcome.control_sum,
+                             outcome.treated_sumsq, outcome.control_sumsq)
     return ExperimentTrace(records, stats)

@@ -103,7 +103,7 @@ def test_batch_statistics_match_the_per_unit_engine(name):
     chunks = replication._map_chunks(
         replication._run_chunk, k_unit, WORKERS, ANALYTIC, scn, SCHED_05, 0
     )
-    ref = replication._summarize(replication._stack(chunks), SCHED_05, 0, keep_traces=False)
+    ref = replication._summarize(replication._join(chunks), SCHED_05, 0, keep_traces=False)
 
     pooled = (fast.ruin_rate * k_batch + ref.ruin_rate * k_unit) / (k_batch + k_unit)
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / k_batch + 1.0 / k_unit))
@@ -136,7 +136,7 @@ def test_batch_thompson_matches_the_per_unit_engine(name, c):
         k_batch,
     )
     groups = [g for chunk in chunks for g in chunk]
-    unit = replication._stack(
+    unit = replication._join(
         replication._map_chunks(replication._run_chunk, k_unit, WORKERS, policy, scn, sched, 0)
     )
     fast = (np.concatenate([g.m for g in groups]), np.concatenate([g.cum_cost[:, -1] for g in groups]))

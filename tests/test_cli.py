@@ -202,7 +202,7 @@ class TestRun:
             policy, scenario, schedule, seed, range(config["replications"])
         )
         summary = replication._summarize(
-            replication._stack([chunk]), schedule, seed, keep_traces=True
+            replication._join([chunk]), schedule, seed, keep_traces=True
         )
         cli._write_schedule_csv(str(tmp_path / "schedule.csv"), summary)
         cli._write_json(str(tmp_path / "summary.json"), summary.to_json_dict())
@@ -713,6 +713,25 @@ class TestRunConfigBounds:
         assert f"run config: {key} must be a whole number >= 1 and <= 1000000" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("floor", [1e101, -1e101, 1e300, -1e300])
+    def test_a_floor_past_its_bound_exits_one_naming_it_before_any_work(
+        self, tmp_path, capsys, no_study, floor
+    ):
+        cost = {"type": "capped_effect", "floor": floor}
+        code, out = self.run(tmp_path, {**RUN_CONFIGS["cantelli"], "mc": {"cost": cost}})
+        assert code == 1
+        assert "run config: mc.cost must be" in (err := capsys.readouterr().err)
+        assert "|mc.cost.floor| <= 1e+100" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("floor", [1e100, -1e100])
+    def test_a_floor_at_its_bound_runs_without_overflow(self, tmp_path, floor):
+        cost = {"type": "capped_effect", "floor": floor}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            code, out = self.run(tmp_path, {**RUN_CONFIGS["cantelli"], "mc": {"cost": cost}})
+        assert code == 0 and not caught, caught[:1]
+
     @pytest.mark.parametrize(
         "argv, name",
         [
@@ -761,9 +780,7 @@ class TestRunConfigBounds:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
                 code, out = self.run(tmp_path, mutant, *flags, name=f"m{n}")
-            # A capped cost's floor past 1e154 overflows the squares of the Cantelli
-            # moment estimates; the study still ends, and no other leaf warns.
-            assert not caught or where == ("mc", "cost", "floor"), (where, value, caught[0])
+            assert not caught, (where, value, caught[0])
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 4), (where, value, err)
             if code != 0:

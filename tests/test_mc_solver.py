@@ -31,7 +31,7 @@ from rampguard.posterior import (
 )
 from rampguard.replication import replication_stream, run_replications
 from rampguard.scenarios import ScenarioFeed, builtin_scenarios, generate_stage_outcomes
-from rampguard.schedules import RiskSchedule
+from rampguard.schedules import FLOOR_CAP, RiskSchedule
 from rampguard.solver import BRANCH_ZERO_TOL, solve_ramp_size
 from rampguard.trace import StageOutcome, run_stages
 
@@ -595,6 +595,12 @@ class NoTreatedOutcomesFeed:
 
 class TestRunCantelli:
     PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
+
+    @pytest.mark.parametrize("floor", [1e101, -1e101, 1e300, math.inf, -math.inf, math.nan])
+    def test_a_capped_floor_past_the_bound_is_refused_when_built(self, floor):
+        with pytest.raises(ValueError, match=r"floor must be a number in \[-1e\+100, 1e\+100\]"):
+            CappedEffectCost(floor)
+        assert CappedEffectCost(-1e100).floor == -1e100 == -FLOOR_CAP
 
     @pytest.mark.parametrize("samples", [0, -1, 10**6 + 1, 10**12, 2.5, 1e300, math.nan, "10"])
     def test_a_sample_count_outside_the_bound_is_refused_when_built(self, samples):

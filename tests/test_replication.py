@@ -22,6 +22,7 @@ from rampguard.replication import (
 )
 from rampguard.scenarios import Scenario, ScenarioFeed, builtin_scenarios
 from rampguard.schedules import RiskSchedule
+from rampguard.solver import StageDecision
 from rampguard.trace import run_stages
 
 PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
@@ -392,28 +393,29 @@ class TestKeptTraces:
         assert summary.stages == 10 and len(summary.traces) == reps
         assert retained / reps <= 400, retained / reps
 
-    def test_per_unit_traced_peak_grows_at_most_1500_bytes_per_replication(self):
-        # Each replication's stages land in the chunk's arrays as it ends; no
-        # per-replication rows wait for the join.
+    def test_per_unit_traced_peak_grows_at_most_400_bytes_per_replication(self):
+        # Each replication's stages land in its chunk's BlockTraces as it ends, 25 bytes
+        # a stage, and one chunk joins without a copy: no object branch column, no
+        # recoding of the joined labels.
         scn = builtin_scenarios()["fat"]
         sched = RiskSchedule.uniform(-500.0, 0.05, scn.T)
-        assert not replication._takes_batch_engine(ANALYTIC, scn)
+        assert not replication._takes_batch_engine(ANALYTIC, scn) and scn.T == 10
         run_replications(ANALYTIC, scn, sched, 2, 0)  # warm imports and caches
         peaks = []
         for reps in (40, 240):
             gc.collect()
             tracemalloc.start()
             try:
-                run_replications(ANALYTIC, scn, sched, reps, 0)
+                run_replications(ANALYTIC, scn, sched, reps, 0, keep_traces=True)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         growth = (peaks[1] - peaks[0]) / 200
-        assert growth <= 1500, growth
+        assert growth <= 400, growth
 
     def test_per_unit_chunks_join_like_one_chunk(self, tmp_path):
         # Two workers take 8 replications in 8 chunks of one, which see different
-        # branch subsets: codes taken per chunk would disagree with the joined labels.
+        # branch subsets; every chunk codes them by the policy's branch_labels.
         scn = builtin_scenarios()["fat"]
         sched = RiskSchedule.uniform(-500.0, 0.05, scn.T)
         serial, pooled = (
@@ -431,3 +433,69 @@ class TestKeptTraces:
         assert (tmp_path / "1" / "schedule.csv").read_bytes() == (
             tmp_path / "2" / "schedule.csv"
         ).read_bytes()
+
+
+THOMPSON_PRIOR = GaussianPrior((0.0, -2.0), (0.05, 0.05))
+# Studies of every policy on both engines: (policy, scenario, takes the batch engine).
+LABEL_CASES = {
+    "analytic batch": (ANALYTIC, "norm", True),
+    "analytic per-unit estimated": (
+        AnalyticPolicy(PRIOR, VariancePolicy("estimated", pretrial=(10.0, 10.0))), "norm", False
+    ),
+    "thompson batch": (ThompsonPolicy(c=1.0, prior=THOMPSON_PRIOR), "npte", True),
+    "thompson per-unit": (ThompsonPolicy(c=1.0, prior=THOMPSON_PRIOR), "fat", False),
+    "cantelli": (CantelliPolicy(PRIOR, VariancePolicy(), samples=200), "norm", False),
+}
+
+
+class Mislabelled(AnalyticPolicy):
+    """Decides like the analytic policy, under a branch it does not declare from stage 2."""
+
+    def decide(self, stage):
+        d = super().decide(stage)
+        return d if stage.t < 2 else StageDecision(d.m, "improvised", d.assignment_probability)
+
+
+class DecideOnly:
+    """Has ``decide`` but no ``branch_labels``."""
+
+    def decide(self, stage):
+        return ANALYTIC.decide(stage)
+
+
+class TestBranchLabels:
+    @pytest.mark.parametrize("case", LABEL_CASES)
+    def test_both_engines_code_branches_by_the_policy_labels(self, case):
+        policy, name, batch = LABEL_CASES[case]
+        scn = builtin_scenarios()[name]
+        assert replication._takes_batch_engine(policy, scn) is batch
+        sched = RiskSchedule.uniform(-500.0, 0.05, 4)
+        for workers in (1, 2):
+            traces = run_replications(policy, scn, sched, 6, 0, workers=workers,
+                                      keep_traces=True).traces
+            assert traces.labels == policy.branch_labels
+            assert traces.branch.dtype == np.int8 and traces.branch.shape == (6, 4)
+            assert 0 <= traces.branch.min() and traces.branch.max() < len(traces.labels)
+
+    def test_a_branch_outside_the_labels_names_its_stage_and_label(self):
+        scn = builtin_scenarios()["norm"]
+        sched = RiskSchedule.uniform(-500.0, 0.05, 3)
+        policy = Mislabelled(PRIOR, VariancePolicy())
+        message = "^stage 2: branch 'improvised' is not in the policy's branch_labels$"
+        with pytest.raises(ValueError, match=message):
+            run_replications(policy, scn, sched, 2, 0)
+
+    @pytest.mark.parametrize("policy", [object(), DecideOnly()], ids=["object", "decide-only"])
+    def test_a_policy_without_decide_or_labels_is_refused_before_any_draw(
+        self, monkeypatch, policy
+    ):
+        def no_draw(*args):
+            raise AssertionError("a study of a non-policy drew")
+
+        monkeypatch.setattr(replication, "replication_stream", no_draw)
+        monkeypatch.setattr(replication, "_map_chunks", no_draw)
+        sched = RiskSchedule.uniform(-500.0, 0.05, 3)
+        message = f"^{type(policy).__name__} is not a policy: it needs decide and branch_labels$"
+        for name in ("norm", "fat"):
+            with pytest.raises(TypeError, match=message):
+                run_replications(policy, builtin_scenarios()[name], sched, 3, 0)
