@@ -8,9 +8,11 @@ deployment pipeline would run.
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
+from importlib.util import find_spec
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +20,14 @@ import numpy as np
 rng = np.random.default_rng(11)
 TRUE_MEANS = (0.0, 1.0)  # control, treatment: a genuinely good feature
 SIGMA = 10.0**0.5
+# The CLI runs in the state file's directory, so no command names a temp path,
+# and imports the package from where this script found it.
+ENV = {**os.environ, "PYTHONPATH": str(Path(find_spec("rampguard").origin).resolve().parents[1])}
 
 
 def cli(*args):
-    cmd = [sys.executable, "-m", "rampguard.cli", "next-stage", "--state", str(state), *args]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    cmd = [sys.executable, "-m", "rampguard.cli", "next-stage", "--state", state.name, *args]
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=state.parent, env=ENV)
     print("$", " ".join(cmd[3:]))
     print(" ", (proc.stdout or proc.stderr).strip())
     return json.loads(proc.stdout) if proc.returncode == 0 else None

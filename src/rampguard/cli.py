@@ -121,19 +121,21 @@ def _whole(least: int, most: float = math.inf):
 _is_stage_count = _whole(1, STAGE_CAP)[0]
 
 
+# The tolerance generators: type -> the key of their stage count.
+_GENERATORS = (("uniform", "T"), ("sinc", "horizon"))
+
+
 def _is_tolerances(v) -> bool:
     """A list of stage tolerances or a generator of them."""
     if not isinstance(v, dict):
         return _list_of(_is_number)(v)
-    generators = (("uniform", "T", _is_stage_count), ("sinc", "horizon", _is_stage_count),
-                  ("explicit", "values", _list_of(_is_number)))
-    return any(v == {"type": kind, key: v.get(key)} and check(v[key])
-               for kind, key, check in generators)
+    return any(v == {"type": kind, key: v.get(key)} and _is_stage_count(v[key])
+               for kind, key in _GENERATORS)
 
 
 def _tolerances_wanted(v) -> str:
     """What stage tolerances must be; the bound when a generator's one fault is its count."""
-    for kind, key in (("uniform", "T"), ("sinc", "horizon")):
+    for kind, key in _GENERATORS:
         if isinstance(v, dict) and v == {"type": kind, key: v.get(key)}:
             return f"a {kind} tolerance generator with {key} a whole number in [1, {STAGE_CAP}]"
     return "a list of numbers or a tolerance generator"
@@ -188,7 +190,7 @@ _CONFIG_SCHEMA = {
     "replications": _whole(1, REPLICATION_CAP),
     "seed": _whole(0),
     "out": (lambda v: isinstance(v, str), "a path"),
-    "thompson": {"c": _POSITIVE, "cap_at_half": (lambda v: isinstance(v, bool), "true or false")},
+    "thompson": {"c": _POSITIVE},
     "mc": {
         "samples": _whole(1, SAMPLE_CAP),
         "cost": (_is_cost, '"treatment_effect" or {"type": "capped_effect", "floor": <number>}'
@@ -286,12 +288,16 @@ def _with_flags(args: argparse.Namespace, entries: dict[str, Any]) -> dict[str, 
     return out
 
 
+# The non-informative prior of a config or state that names none.
+_DEFAULT_PRIOR = {"mu0": (0.0, 0.0), "sigma0_sq": (100.0, 100.0)}
+
+
 def _prior_and_variance(source: str, entries: dict[str, Any]):
     """The prior and the variance policy of checked config or state entries.
 
-    Absent keys take the non-informative prior and known variances.
+    Absent keys take ``_DEFAULT_PRIOR`` and known variances.
     """
-    prior = entries.get("prior", {})
+    prior = {**_DEFAULT_PRIOR, **entries.get("prior", {})}
     mode = entries.get("variance_mode", "known")
     pretrial = entries.get("pretrial_sigma_sq")
     if mode == "estimated" and pretrial is None:
@@ -299,7 +305,7 @@ def _prior_and_variance(source: str, entries: dict[str, Any]):
             f"{source}: estimated variance mode needs pretrial_sigma_sq (--pretrial-sigma-sq)"
         )
     return (
-        GaussianPrior(prior.get("mu0", (0.0, 0.0)), prior.get("sigma0_sq", (100.0, 100.0))),
+        GaussianPrior(prior["mu0"], prior["sigma0_sq"]),
         VariancePolicy(mode, entries.get("sigma_sq"), pretrial),
     )
 
@@ -326,10 +332,8 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
         kind = tolerances["type"]
         if kind == "uniform":  # int(): JSON may give a stage count as 4.0
             tolerances = uniform_tolerance(delta, int(tolerances["T"]))
-        elif kind == "sinc":
-            tolerances = sinc_schedule(delta, int(tolerances["horizon"]))
         else:
-            tolerances = tolerances["values"]
+            tolerances = sinc_schedule(delta, int(tolerances["horizon"]))
     budgets = spec.get("stage_budgets", budget)
     budgets = budgets if isinstance(budgets, list) else [budgets] * len(tolerances)
     schedule = RiskSchedule(budget, delta, budgets, tolerances)
@@ -358,13 +362,8 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
     else:
         from .thompson import ThompsonPolicy
 
-        thompson = config.get("thompson", {})
-        policy = ThompsonPolicy(
-            c=float(thompson.get("c", 1.0)),
-            prior=prior,
-            sigma_sq=variance.values,
-            cap_at_half=thompson.get("cap_at_half", False),
-        )
+        c = float(config.get("thompson", {}).get("c", 1.0))
+        policy = ThompsonPolicy(c=c, prior=prior, sigma_sq=variance.values)
     return scenario, algorithm, schedule, policy
 
 
@@ -455,8 +454,8 @@ _RATIONED = {
     **_STANDARD,
     "ration_budget": {"budget": -500, "delta": 0.01,
                       "schedule": {"stage_budgets": [-400] * 5 + [-500] * 5}},
-    "ration_tolerance": {"budget": -500, "delta": 0.01, "schedule": {"stage_tolerances": {
-        "type": "explicit", "values": [0.0001] * 5 + [0.0019] * 5}}},
+    "ration_tolerance": {"budget": -500, "delta": 0.01,
+                         "schedule": {"stage_tolerances": [0.0001] * 5 + [0.0019] * 5}},
 }
 _LINKEDIN = {
     "B-1500_d0.01": {"budget": -1500, "delta": 0.01},
@@ -584,7 +583,7 @@ def _fresh_state(args: argparse.Namespace) -> dict[str, Any]:
         raise ConfigError("a fresh state needs --budget and --delta (no state file found)")
     fresh = {
         "version": 1, "stage": 1, "tolerance_product": 1.0, "pending": None, "last_call": None,
-        "prior": {"mu0": [0.0, 0.0], "sigma0_sq": [100.0, 100.0]}, "variance_mode": "known",
+        "prior": dict(_DEFAULT_PRIOR), "variance_mode": "known",
         "sigma_sq": None, "pretrial_sigma_sq": None,
         "consumed": {"stage_budgets": [], "stage_tolerances": []},
         "stats": _stats_to_json(SufficientStats()),
@@ -637,8 +636,6 @@ def _check_progress(source: str, state: dict[str, Any], schedule: RiskSchedule) 
          "the product of (1 - Delta_t) over the consumed stages"),
     ]
     if pending is not None:
-        if pending["m"] > pending["n"]:
-            raise ConfigError(f"{source}: pending.m must be <= pending.n, got {pending['m']!r}")
         if pending["m"] > pending["n"] // 2:
             raise ConfigError(f"{source}: pending.m must be <= pending.n // 2, the cap of a "
                               f"stage, got {pending['m']!r} of {pending['n']!r}")

@@ -151,9 +151,6 @@ class CostFunction:
         out[...] = self.evaluate(y1, y0)
         return out
 
-    def __call__(self, y1, y0):
-        return self.evaluate(y1, y0)
-
 
 @dataclass(frozen=True)
 class TreatmentEffectCost(CostFunction):

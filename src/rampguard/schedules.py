@@ -201,17 +201,6 @@ class RiskSchedule:
         budgets = (budget,) * T if stage_budgets is None else stage_budgets
         return cls(budget, delta, budgets, uniform_tolerance(delta, T))
 
-    @classmethod
-    def sinc(
-        cls,
-        budget: float,
-        delta: float,
-        horizon: int,
-        stage_budgets: "tuple[float, ...] | list[float] | None" = None,
-    ) -> "RiskSchedule":
-        budgets = (budget,) * horizon if stage_budgets is None else stage_budgets
-        return cls(budget, delta, budgets, sinc_schedule(delta, horizon))
-
     def to_config(self) -> dict[str, Any]:
         return {
             "budget": self.budget,

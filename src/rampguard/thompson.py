@@ -96,9 +96,9 @@ class ThompsonPolicy:
     The treated count is binomial in the incoming population at the current
     assignment probability (each user assigned independently), drawn from
     the feed's generator. ``sigma_sq`` fixes the model variances, checked
-    when built; None falls back to the feed's stage-1 ground truth. ``cap_at_half``
-    optionally clamps the treated count at half the incoming population;
-    the assignment rule itself has no such cap, so it defaults off. The
+    when built; None falls back to the feed's stage-1 ground truth. The
+    assignment rule has no cap at half the stage, so the class sets
+    ``cap_at_half = False`` and the loops let it treat the whole stage. The
     baseline is not budget-aware: it ignores the stage thresholds and
     tolerances. ``decide_block`` makes the same decision for a block of
     replications, with one binomial draw from the block's stream.
@@ -107,7 +107,7 @@ class ThompsonPolicy:
     c: float
     prior: GaussianPrior
     sigma_sq: "tuple[float, float] | None" = None
-    cap_at_half: bool = False
+    cap_at_half: ClassVar[bool] = False
     branch_labels: ClassVar[tuple[str, ...]] = (BRANCH_THOMPSON,)
 
     def __post_init__(self) -> None:
@@ -121,8 +121,6 @@ class ThompsonPolicy:
         mu_p, sigma_p_sq = self._belief(stage.t, stats.counts, sums, stage.feed.true_variance)
         p_t = thompson_assignment_probability(PosteriorState(mu_p, sigma_p_sq), self.c)
         m_t = int(stage.feed.rng.binomial(stage.n_units, p_t))
-        if self.cap_at_half:
-            m_t = min(m_t, stage.n_units // 2)
         return _decided(m_t, BRANCH_THOMPSON, stage.n_units)
 
     def decide_block(self, stage: BlockStage) -> tuple[np.ndarray, np.ndarray]:
@@ -132,10 +130,7 @@ class ThompsonPolicy:
         size = stage.sum_treated.shape
         if p_t.shape != size:
             p_t = np.broadcast_to(p_t, size)
-        m_t = stage.rng.binomial(stage.n_units, p_t)
-        if self.cap_at_half:
-            m_t = np.minimum(m_t, stage.n_units // 2)
-        return m_t, np.zeros(size, dtype=np.int8)
+        return stage.rng.binomial(stage.n_units, p_t), np.zeros(size, dtype=np.int8)
 
     def _belief(self, t: int, counts, sums, true_variance) -> tuple[Pair, Pair]:
         """Posterior ``(mu_p, sigma_p_sq)`` before stage ``t``: the prior's pairs at

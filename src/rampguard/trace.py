@@ -120,8 +120,9 @@ class Stage(NamedTuple):
 
 class Policy(Protocol):
     """A ramp-size rule. Its decisions take branches among ``branch_labels``, whose
-    indices code them in study traces. A policy that may treat more than half of
-    a stage sets ``cap_at_half = False``; the loop enforces the cap otherwise."""
+    indices code them in study traces. The loops hold a decision to ``[0, n_t // 2]``;
+    a policy that may treat the whole stage (the Thompson baseline) sets the class
+    attribute ``cap_at_half = False``."""
 
     branch_labels: tuple[str, ...]
 

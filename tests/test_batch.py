@@ -163,14 +163,14 @@ STACKED_CASES = [
     *((ANALYTIC, name) for name in ("norm", "corr", "bern", "npte", "dec")),
     (ThompsonPolicy(c=0.25, prior=PRIOR), "npte"),
     (ThompsonPolicy(c=4.0, prior=PRIOR), "npte"),
-    (ThompsonPolicy(c=1.0, prior=PRIOR, cap_at_half=True), "npte"),
+    (ThompsonPolicy(c=1.0, prior=PRIOR), "npte"),
 ]
 
 
 @pytest.mark.parametrize(
     "policy,name",
     STACKED_CASES,
-    ids=["norm", "corr", "bern", "npte", "dec", "thompson-c0.25", "thompson-c4", "thompson-capped"],
+    ids=["norm", "corr", "bern", "npte", "dec", "thompson-c0.25", "thompson-c4", "thompson-c1"],
 )
 def test_stacked_blocks_equal_blocks_run_alone(policy, name):
     """One group of five blocks, the last one partly kept, bit for bit."""
@@ -194,16 +194,6 @@ def test_group_boundaries_keep_summaries_byte_identical(reps):
         summary = run_replications(ANALYTIC, scn, SCHED_05, reps, 4, workers=workers)
         assert json.dumps(summary.to_json_dict(), sort_keys=True, indent=2) == want, workers
         np.testing.assert_array_equal(summary.final_costs, alone.final_costs)
-
-
-def test_capped_thompson_batch_stays_within_half():
-    scn = builtin_scenarios()["pte"]
-    policy = ThompsonPolicy(c=0.25, prior=PRIOR, cap_at_half=True)
-    assert replication._takes_batch_engine(policy, scn)
-    summary = run_replications(policy, scn, SCHED_05, 1000, 0, keep_traces=True)
-    m = np.array([t.m for t in summary.traces])
-    assert m.max() == scn.population[0] // 2  # the cap binds
-    assert np.all(m <= np.array(scn.population) // 2)
 
 
 def test_prefix_property():
@@ -406,15 +396,17 @@ def test_the_odd_prior_tells_the_empty_posterior_from_a_copy_of_the_prior():
     assert (copied.m, solver.solve_ramp_size(empty, *stage).m) == (5, 6)
 
 
-@pytest.mark.parametrize("cap,excess", [(False, 501), (True, 251)])
-def test_block_checks_the_thompson_range(monkeypatch, cap, excess):
-    # Uncapped Thompson may treat the whole stage, and no more.
+@pytest.mark.parametrize(
+    "policy,excess", [(ThompsonPolicy(c=1.0, prior=PRIOR), 501), (ANALYTIC, 251)],
+    ids=["thompson", "analytic"],
+)
+def test_block_checks_the_policy_range(monkeypatch, policy, excess):
+    # Thompson may treat the whole stage, and no more; the analytic policy half of it.
     def too_many(self, stage):
         m = np.full(stage.sum_treated.shape, excess, dtype=np.int64)
         return m, np.zeros(m.shape, dtype=np.int8)
 
-    monkeypatch.setattr(ThompsonPolicy, "decide_block", too_many)
-    policy = ThompsonPolicy(c=1.0, prior=PRIOR, cap_at_half=cap)
+    monkeypatch.setattr(type(policy), "decide_block", too_many)
     with pytest.raises(ValueError, match=f"outside \\[0, {excess - 1}\\]"):
         run_replications(policy, builtin_scenarios()["norm"], SCHED_05, 5, 0)
 

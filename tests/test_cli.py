@@ -65,7 +65,7 @@ class TestRun:
             "scenario": "pte",
             "budget": -500,
             "delta": 0.01,
-            "schedule": {"stage_tolerances": {"type": "explicit", "values": [0.5, 0.5]}},
+            "schedule": {"stage_tolerances": [0.5, 0.5]},
             "replications": 2,
         }
         path = tmp_path / "cfg.json"
@@ -254,8 +254,8 @@ class TestRun:
         "entries, flags, message",
         [
             (
-                {"algorithm": "thompson", "thompson": {"cap_at_half": "false"}}, [],
-                "thompson.cap_at_half must be true or false, got 'false'",
+                {"algorithm": "thompson", "thompson": {"cap_at_half": True}}, [],
+                "unknown key 'thompson.cap_at_half'",
             ),
             ({"algorithm": "thompson", "thompson": {"c": 0}}, [], "thompson.c must be a finite"),
             ({"thompsn": {"c": 0.25}}, [], "unknown key 'thompsn'"),
@@ -352,7 +352,7 @@ class TestRun:
         assert policy == AnalyticPolicy(prior, VariancePolicy())
         # The thompson and mc sections are read by the algorithms they name.
         _, _, _, policy = cli._resolve("README", {**example, "algorithm": "thompson"})
-        assert policy == ThompsonPolicy(c=1.0, prior=prior, cap_at_half=False)
+        assert policy == ThompsonPolicy(c=1.0, prior=prior)
         _, _, _, policy = cli._resolve("README", {**example, "algorithm": "rrc_cantelli"})
         assert policy == CantelliPolicy(prior, VariancePolicy(), 10_000, TreatmentEffectCost())
 
@@ -391,12 +391,12 @@ class TestScheduleConfig:
              uniform_tolerance(0.01, 4)),
             ({"stage_tolerances": {"type": "sinc", "horizon": 7}}, 0.05, (-500.0,) * 7,
              sinc_schedule(0.05, 7)),
-            ({"stage_tolerances": {"type": "explicit", "values": [0.001, 0.002]},
-              "stage_budgets": -400}, 0.01, (-400.0, -400.0), (0.001, 0.002)),
+            ({"stage_tolerances": [0.001, 0.002], "stage_budgets": -400}, 0.01,
+             (-400.0, -400.0), (0.001, 0.002)),
             ({"stage_tolerances": [0.001, 0.002], "stage_budgets": [-400, -450]}, 0.01,
              (-400.0, -450.0), (0.001, 0.002)),
         ],
-        ids=["default", "uniform", "uniform-float-T", "sinc", "explicit", "lists"],
+        ids=["default", "uniform", "uniform-float-T", "sinc", "list-one-budget", "lists"],
     )
     def test_generators_give_their_schedule(
         self, tmp_path, monkeypatch, schedule, delta, budgets, tolerances
@@ -459,6 +459,7 @@ class TestScheduleConfig:
             {"type": "nope", "T": 10},
             {"type": ["uniform"], "T": 10},
             {"type": "explicit", "values": 3},
+            {"type": "explicit", "values": [0.001, 0.002]},
             {"T": 10001},
             [0.01, "a"],
             "uniform",
@@ -673,7 +674,7 @@ RUN_CONFIGS = {
         "scenario": "npte", "algorithm": "thompson", "budget": -500, "delta": 0.01,
         "schedule": {"stage_tolerances": {"type": "uniform", "T": 3}},
         "prior": {"mu0": [0, -2], "sigma0_sq": [0.05, 0.05]},
-        "thompson": {"c": 1.0, "cap_at_half": False}, "replications": 3, "seed": 2,
+        "thompson": {"c": 1.0}, "replications": 3, "seed": 2,
     },
 }
 
@@ -1223,7 +1224,10 @@ class TestNextStage:
             ),
             # Counters that disagree with the consumed stages.
             (lambda state: state["pending"].update(m=-5), "pending.m must be an integer >= 0"),
-            (lambda state: state["pending"].update(m=501), "pending.m must be <= pending.n, got 501"),
+            (
+                lambda state: state["pending"].update(m=501),
+                "pending.m must be <= pending.n // 2, the cap of a stage, got 501 of 500",
+            ),
             (
                 lambda state: state["pending"].update(m=300),
                 "pending.m must be <= pending.n // 2, the cap of a stage, got 300 of 500",

@@ -125,15 +125,15 @@ def oracle_cantelli_max(q, b_t, delta_t, n_t):
 class TestCostFunctions:
     def test_treatment_effect(self):
         cost = TreatmentEffectCost()
-        assert cost(3.0, 1.0) == 2.0
+        assert cost.evaluate(3.0, 1.0) == 2.0
         np.testing.assert_allclose(
-            cost(np.array([1.0, 2.0]), np.array([0.5, 3.0])), [0.5, -1.0]
+            cost.evaluate(np.array([1.0, 2.0]), np.array([0.5, 3.0])), [0.5, -1.0]
         )
 
     def test_capped_effect(self):
         cost = CappedEffectCost(floor=-1.0)
         np.testing.assert_allclose(
-            cost(np.array([0.0, 5.0]), np.array([4.0, 1.0])), [-1.0, 4.0]
+            cost.evaluate(np.array([0.0, 5.0]), np.array([4.0, 1.0])), [-1.0, 4.0]
         )
 
 

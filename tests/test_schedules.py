@@ -107,7 +107,8 @@ class TestValidation:
         assert sched.tolerance_product() == pytest.approx(0.99, rel=1e-12)
 
     def test_sinc_construction_is_valid(self):
-        assert RiskSchedule.sinc(-500.0, 0.05, 25).num_stages == 25
+        sched = RiskSchedule(-500.0, 0.05, (-500.0,) * 25, sinc_schedule(0.05, 25))
+        assert sched.num_stages == 25
 
     def test_budget_floor_violation_reports_index(self):
         budgets = [-500.0] * 10
@@ -132,7 +133,7 @@ class TestValidation:
             RiskSchedule(-500.0, 0.5, (-500.0,) * 2, (0.2, 1.5))
 
     def test_prefix_monotonicity(self):
-        sched = RiskSchedule.sinc(-100.0, 0.3, 12)
+        sched = RiskSchedule(-100.0, 0.3, (-100.0,) * 12, sinc_schedule(0.3, 12))
         truncated = RiskSchedule(
             sched.budget, sched.delta, sched.stage_budgets[:-1], sched.stage_tolerances[:-1]
         )
@@ -144,7 +145,7 @@ class TestValidation:
     )
     def test_generators_always_validate(self, delta, T):
         assert RiskSchedule.uniform(-10.0, delta, T).num_stages == T
-        assert RiskSchedule.sinc(-10.0, delta, T).num_stages == T
+        assert RiskSchedule(-10.0, delta, (-10.0,) * T, sinc_schedule(delta, T)).num_stages == T
 
 
 def old_rule_accepts(budget, delta, budgets, tolerances) -> bool:

@@ -164,11 +164,11 @@ def test_block_decision_draws_at_the_scalar_probabilities(t, sigma_sq):
 
 
 class TestRunThompson:
-    def _run(self, c, seed=0, cap=False, scenario="npte", stages=None):
+    def _run(self, c, seed=0, scenario="npte", stages=None):
         scn = builtin_scenarios()[scenario]
         sched = RiskSchedule.uniform(-500.0, 0.01, stages or scn.T)
         feed = ScenarioFeed(scn, np.random.default_rng(seed))
-        policy = ThompsonPolicy(c=c, prior=BANDIT_PRIOR, sigma_sq=(10.0, 10.0), cap_at_half=cap)
+        policy = ThompsonPolicy(c=c, prior=BANDIT_PRIOR, sigma_sq=(10.0, 10.0))
         return run_stages(sched, feed, policy)
 
     def test_rejects_nonpositive_c(self):
@@ -177,12 +177,19 @@ class TestRunThompson:
                 ThompsonPolicy(c=c, prior=BANDIT_PRIOR)
 
     @pytest.mark.parametrize(
-        "sigma_sq",
-        [(0.0, 1.0), (1.0, -2.0), (float("inf"), 1.0), (1.0, float("nan")), (1.0,), (1.0, 2.0, 3.0)],
+        "kwargs, error, match",
+        [
+            *(({"sigma_sq": v}, ValueError, "sigma_sq") for v in [
+                (0.0, 1.0), (1.0, -2.0), (float("inf"), 1.0), (1.0, float("nan")), (1.0,),
+                (1.0, 2.0, 3.0),
+            ]),
+            # The cap at half the stage is no argument: the assignment rule has none.
+            ({"cap_at_half": True}, TypeError, "cap_at_half"),
+        ],
     )
-    def test_rejects_a_bad_variance_pair_when_built(self, sigma_sq):
-        with pytest.raises(ValueError, match="sigma_sq"):
-            ThompsonPolicy(c=1.0, prior=BANDIT_PRIOR, sigma_sq=sigma_sq)
+    def test_rejects_a_bad_argument_when_built(self, kwargs, error, match):
+        with pytest.raises(error, match=match):
+            ThompsonPolicy(c=1.0, prior=BANDIT_PRIOR, **kwargs)
 
     def test_stores_the_variance_pair_as_floats(self):
         policy = ThompsonPolicy(c=1.0, prior=BANDIT_PRIOR, sigma_sq=[3, np.float32(5.0)])
@@ -223,10 +230,6 @@ class TestRunThompson:
         assert len(trace.records) == 10
         for r in trace.records:
             assert 0 <= r.m <= r.n_units
-
-    def test_optional_cap(self):
-        capped = self._run(0.25, seed=5, cap=True, scenario="pte")
-        assert all(r.m <= r.n_units // 2 for r in capped.records)
 
     def test_budget_accounting_present_despite_no_awareness(self):
         trace = self._run(1.0, seed=7)
