@@ -117,10 +117,10 @@ class BlockPolicy(Policy, Protocol):
 class _Streams:
     """Stacked blocks' generators. Block ``b`` draws its rows from its own
     generator as it would alone: the same call shape, on its rows of the
-    parameters. Draws are joined by row, and only the leading ``rows`` are
-    kept. A trimmed pass refuses ``binomial``: how far a binomial draw moves
-    a stream depends on its parameters, so the dropped rows would change
-    every later draw of the kept ones."""
+    parameters. Draws are joined by row, one block's without a copy, and
+    only the leading ``rows`` are kept. A trimmed pass refuses ``binomial``:
+    how far a binomial draw moves a stream depends on its parameters, so the
+    dropped rows would change every later draw of the kept ones."""
 
     def __init__(self, rngs: Sequence[np.random.Generator], rows: int):
         self.parts = [(g, slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)) for b, g in enumerate(rngs)]
@@ -129,7 +129,7 @@ class _Streams:
     def standard_normal(self, shape: tuple[int, ...]) -> np.ndarray:
         block = (*shape[:-1], BLOCK_SIZE)
         draws = [g.standard_normal(block) for g, _ in self.parts]
-        return np.concatenate(draws, axis=-1)[..., : self.rows]
+        return (draws[0] if len(draws) == 1 else np.concatenate(draws, axis=-1))[..., : self.rows]
 
     def binomial(self, n, p) -> np.ndarray:
         if self.rows < BLOCK_SIZE * len(self.parts):

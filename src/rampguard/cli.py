@@ -126,9 +126,9 @@ _GENERATORS = (("uniform", "T"), ("sinc", "horizon"))
 
 
 def _is_tolerances(v) -> bool:
-    """A list of stage tolerances or a generator of them."""
+    """A non-empty list of stage tolerances or a generator of them."""
     if not isinstance(v, dict):
-        return _list_of(_is_number)(v)
+        return v != [] and _list_of(_is_number)(v)
     return any(v == {"type": kind, key: v.get(key)} and _is_stage_count(v[key])
                for kind, key in _GENERATORS)
 
@@ -138,7 +138,7 @@ def _tolerances_wanted(v) -> str:
     for kind, key in _GENERATORS:
         if isinstance(v, dict) and v == {"type": kind, key: v.get(key)}:
             return f"a {kind} tolerance generator with {key} a whole number in [1, {STAGE_CAP}]"
-    return "a list of numbers or a tolerance generator"
+    return "a non-empty list of numbers or a tolerance generator"
 
 
 def _is_cost(v) -> bool:

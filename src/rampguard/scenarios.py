@@ -212,9 +212,11 @@ def _gaussian_sums(scn: Scenario, t: int, m: np.ndarray, rng: np.random.Generato
     rest = scn.population[t - 1] - m
     z = rng.standard_normal((3, m.shape[0]))
     treated = scn.true_mean(1, t) * m + np.sqrt(v1 * m) * z[0]
-    counterfactual = scn.true_mean(0, t) * m + np.sqrt(v0 * m) * (
-        rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1]
-    )
+    # Independent arms take z[1] itself. 0.0 * z[0] + 1.0 * z[1] differs from it only in the sign
+    # of a zero, which adding mean * m erases unless that is -0.0: a mean of -0.0, or m = 0, whose
+    # cost run_block masks.
+    noise = rho * z[0] + math.sqrt(1.0 - rho * rho) * z[1] if rho else z[1]
+    counterfactual = scn.true_mean(0, t) * m + np.sqrt(v0 * m) * noise
     control = scn.true_mean(0, t) * rest + np.sqrt(v0 * rest) * z[2]
     return treated, counterfactual, control
 

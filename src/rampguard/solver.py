@@ -61,6 +61,10 @@ BRANCH_ZERO_TOL = "zero_tolerance"
 # Branch labels by the codes that solve_ramp_sizes returns.
 BRANCHES = (BRANCH_CAP, BRANCH_NO_REAL_ROOT, BRANCH_ROOT, BRANCH_EMPTY, BRANCH_ZERO_TOL)
 _CODE = {label: code for code, label in enumerate(BRANCHES)}
+# The code of a solve_ramp_sizes row below the cap, by found + 2 * no_root.
+_BY_FOUND_AND_NO_ROOT = tuple(
+    _CODE[b] for b in (BRANCH_EMPTY, BRANCH_ROOT, BRANCH_NO_REAL_ROOT, BRANCH_NO_REAL_ROOT)
+)
 
 # Absolute slack on the tail-condition comparison; the brute-force oracles
 # in the test suite apply the same slack so boundary cases cannot flip.
@@ -259,18 +263,18 @@ def solve_ramp_sizes(
     ``b_t``, ``Delta_t`` and ``N_t`` are the stage's scalars. The cap test,
     the quadratic, the floored-root candidates and their re-check are those
     of the scalar solver, evaluated for every state at once, so each entry
-    equals the scalar decision bit for bit. Returns ``(m, branch)`` as
-    arrays; ``branch`` holds indices into ``BRANCHES``.
+    equals the scalar decision bit for bit. The cap and the candidates fill
+    one ``(5, N)`` stack; the linear roots are formed only when some row is
+    degenerate. Returns ``(m, branch)`` as arrays; ``branch`` holds indices
+    into ``BRANCHES``.
     """
     import numpy as np
 
     cap = _stage_cap(Delta_t, N_t)
     S = np.asarray(S_T1_prev, dtype=float)
-    zeros = np.zeros(S.shape, dtype=np.int64)
-    if Delta_t == 0.0:
-        return zeros, np.full(S.shape, _CODE[BRANCH_ZERO_TOL], dtype=np.int8)
-    if cap == 0:
-        return zeros, np.full(S.shape, _CODE[BRANCH_CAP], dtype=np.int8)
+    if Delta_t == 0.0 or cap == 0:
+        code = _CODE[BRANCH_ZERO_TOL if Delta_t == 0.0 else BRANCH_CAP]
+        return np.zeros(S.shape, np.int64), np.full(S.shape, code, np.int8)
 
     q = normal_quantile(Delta_t)
     limit = q + Z_SLACK
@@ -278,36 +282,36 @@ def solve_ramp_sizes(
     # below discard them, as the scalar path never computes them.
     with np.errstate(all="ignore"):
         A, B, C = quadratic_coefficients(moments, S, b_t, q)
-        tiny = _DEGENERATE_A * np.maximum(np.maximum(np.abs(B), np.abs(C)), 1.0)
+        abs_b = np.abs(B)
+        tiny = _DEGENERATE_A * np.maximum(np.maximum(abs_b, np.abs(C)), 1.0)
         degenerate = np.abs(A) < tiny
-        linear = degenerate & (np.abs(B) >= tiny)
         b2, ac4 = B * B, 4.0 * A * C
         disc = b2 - ac4
-        no_root = np.where(degenerate, ~linear, disc < -_DISC_SLACK * (b2 + np.abs(ac4)))
+        no_root = disc < -_DISC_SLACK * (b2 + np.abs(ac4))
         sq = np.sqrt(np.maximum(disc, 0.0))
         two_a = 2.0 * A
-        high = np.where(linear, -C / B, (-B + sq) / two_a)
-        low = np.where(linear, high, (-B - sq) / two_a)
+        high = (-B + sq) / two_a
         # One tail check: row 0 is the cap, rows 1-4 the floored roots and their upper neighbours.
-        stack = np.floor((np.full_like(high, cap), high, low, high, low))
-        stack[3:] += 1.0
+        stack = np.empty((5, *high.shape))
+        stack[0] = cap
+        np.floor(high, out=stack[1])
+        np.floor((-B - sq) / two_a, out=stack[2])
+        if degenerate.any():  # a degenerate row has the one root of B m + C = 0, if any
+            linear = degenerate & (abs_b >= tiny)
+            no_root = np.where(degenerate, ~linear, no_root)
+            np.copyto(stack[1:3], np.floor(-C / B), where=linear)
+        np.add(stack[1:3], 1.0, out=stack[3:])
         ok = _satisfied(moments, S, b_t, stack, limit)
         at_cap, candidates = ok[0], stack[1:]
         valid = (candidates >= 0.0) & (candidates <= cap) & ok[1:]
     best = np.where(valid, candidates, -1.0).max(axis=0)
     found = best >= 0.0
 
-    m = np.where(at_cap, cap, np.where(found & ~no_root, best, 0.0))
-    branch = np.where(
-        at_cap,
-        _CODE[BRANCH_CAP],
-        np.where(
-            no_root,
-            _CODE[BRANCH_NO_REAL_ROOT],
-            np.where(found, _CODE[BRANCH_ROOT], _CODE[BRANCH_EMPTY]),
-        ),
-    )
-    return m.astype(np.int64), branch.astype(np.int8)
+    branch = np.array(_BY_FOUND_AND_NO_ROOT, np.int8)[found + 2 * no_root]
+    branch[at_cap] = _CODE[BRANCH_CAP]
+    m = np.where(branch == _CODE[BRANCH_ROOT], best, 0.0).astype(np.int64)
+    m[at_cap] = cap
+    return m, branch
 
 
 @dataclass(frozen=True)

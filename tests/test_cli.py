@@ -462,6 +462,7 @@ class TestScheduleConfig:
             {"type": "explicit", "values": [0.001, 0.002]},
             {"T": 10001},
             [0.01, "a"],
+            [],
             "uniform",
         ],
     )
@@ -471,8 +472,8 @@ class TestScheduleConfig:
         code, out, studied = self.run(tmp_path, monkeypatch, {"stage_tolerances": tolerances})
         assert (code, studied) == (1, None)
         assert capsys.readouterr().err == (
-            "rampguard: run config: schedule.stage_tolerances must be a list of numbers or a "
-            f"tolerance generator, got {tolerances!r}\n"
+            "rampguard: run config: schedule.stage_tolerances must be a non-empty list of numbers "
+            f"or a tolerance generator, got {tolerances!r}\n"
         )
         assert not out.exists()
 

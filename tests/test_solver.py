@@ -378,6 +378,11 @@ OVERFLOWING_ROOTS = (PosteriorState((1e160, 0.0), (1.0, 1.0)), VAR10, 13, -3.0)
 # At q = 0 and a zero effect, B = 2 * inf * 0 is NaN and A is 0.
 NAN_B = (PosteriorState((0.0, 0.0), (1.0, 1.0)), OutcomeVariance((1.0, 1.0)), 0, -8.98846567431158e307)
 
+# A degenerate state where B == 0, so no m solves B m + C = 0; the same state
+# at a slack of -100, where the linear root gives m = 17.
+(NO_ROOT_STATE, NO_ROOT_B_T, _, _) = _degenerate_no_root()
+LINEAR_ROOT_STATE = (*NO_ROOT_STATE[:3], NO_ROOT_B_T + 100.0)
+
 
 # solve_ramp_sizes tests the cap (row 0) and the four floored-root candidates
 # (rows 1-4) in one stacked tail check; each example puts rows of different
@@ -397,6 +402,11 @@ NAN_B = (PosteriorState((0.0, 0.0), (1.0, 1.0)), OutcomeVariance((1.0, 1.0)), 0,
 @example([(FLAT_POST, VAR10, 0, 0.0), (FLAT_POST, VAR10, 0, 50.0)], -111.0896380311839, 0.005, 1000)
 # A == 0 exactly: the degenerate quadratic's linear root -C/B gives m = 17.
 @example([(_degenerate_state(-1.0)[0], VAR10, 0, 0.0), (FLAT_POST, VAR10, 0, 0.0)], -100.0, 0.01, 500)
+# Every row degenerate: one with no root, one with a linear root.
+@example([NO_ROOT_STATE, LINEAR_ROOT_STATE], NO_ROOT_B_T, 0.01, 500)
+# A degenerate row after rows that solve the quadratic.
+@example([(FLAT_POST, VAR10, 0, 0.0), (FLAT_POST, VAR10, 0, -250.0),
+          (_degenerate_state(-1.0)[0], VAR10, 0, 0.0)], -100.0, 0.01, 500)
 # Coefficients that overflow: B is NaN, or A and B are -inf and the roots NaN.
 @example([NAN_B, (FLAT_POST, VAR10, 0, 0.0)], 0.0, 0.5, 2)
 @example([OVERFLOWING_ROOTS, (FLAT_POST, VAR10, 0, 0.0)], -500.0, 0.005, 500)
