@@ -40,8 +40,8 @@ from .posterior import (
     compute_posterior,
     update_stats,
 )
-from .schedules import (FLOOR_CAP, REPLICATION_CAP, SAMPLE_CAP, STAGE_CAP, RiskSchedule, ScheduleError,
-                        as_float, sinc_schedule, uniform_tolerance)
+from .schedules import (FLOOR_CAP, REPLICATION_CAP, SAMPLE_CAP, STAGE_CAP, VARIANCE_FLOOR, RiskSchedule,
+                        ScheduleError, as_float, sinc_schedule, uniform_tolerance)
 from .solver import AnalyticPolicy, solve_ramp_size
 
 if TYPE_CHECKING:
@@ -121,8 +121,8 @@ def _whole(least: int, most: float = math.inf):
 _is_stage_count = _whole(1, STAGE_CAP)[0]
 
 
-# The tolerance generators: type -> the key of their stage count.
-_GENERATORS = (("uniform", "T"), ("sinc", "horizon"))
+# The tolerance generators: type -> the key of their stage count and their builder.
+_GENERATORS = {"uniform": ("T", uniform_tolerance), "sinc": ("horizon", sinc_schedule)}
 
 
 def _is_tolerances(v) -> bool:
@@ -130,12 +130,12 @@ def _is_tolerances(v) -> bool:
     if not isinstance(v, dict):
         return v != [] and _list_of(_is_number)(v)
     return any(v == {"type": kind, key: v.get(key)} and _is_stage_count(v[key])
-               for kind, key in _GENERATORS)
+               for kind, (key, _) in _GENERATORS.items())
 
 
 def _tolerances_wanted(v) -> str:
     """What stage tolerances must be; the bound when a generator's one fault is its count."""
-    for kind, key in _GENERATORS:
+    for kind, (key, _) in _GENERATORS.items():
         if isinstance(v, dict) and v == {"type": kind, key: v.get(key)}:
             return f"a {kind} tolerance generator with {key} a whole number in [1, {STAGE_CAP}]"
     return "a non-empty list of numbers or a tolerance generator"
@@ -155,7 +155,8 @@ _STAGE = (lambda v: _is_count(v) and v >= 1, "an integer >= 1")
 _PAIR = (_list_of(_is_finite, 2), "a list of two finite numbers")
 _POSITIVE = (lambda v: _is_finite(v) and v > 0.0, "a finite number > 0")
 _SUMSQ = (lambda v: _is_finite(v) and v >= 0.0, "a finite number >= 0")
-_VARIANCES = (_list_of(_POSITIVE[0], 2), "a list of two finite numbers > 0")
+_VARIANCES = (_list_of(lambda v: _is_finite(v) and v >= VARIANCE_FLOOR, 2),
+              f"a list of two finite numbers >= {VARIANCE_FLOOR:g}")
 _NUMBERS = (_list_of(_is_number), "a list of numbers")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 
@@ -329,11 +330,8 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
     spec = config.get("schedule", {})
     tolerances = spec.get("stage_tolerances", {"type": "uniform", "T": scenario.T})
     if isinstance(tolerances, dict):
-        kind = tolerances["type"]
-        if kind == "uniform":  # int(): JSON may give a stage count as 4.0
-            tolerances = uniform_tolerance(delta, int(tolerances["T"]))
-        else:
-            tolerances = sinc_schedule(delta, int(tolerances["horizon"]))
+        key, build = _GENERATORS[tolerances["type"]]
+        tolerances = build(delta, int(tolerances[key]))  # int(): JSON may give a count as 4.0
     budgets = spec.get("stage_budgets", budget)
     budgets = budgets if isinstance(budgets, list) else [budgets] * len(tolerances)
     schedule = RiskSchedule(budget, delta, budgets, tolerances)

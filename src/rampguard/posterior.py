@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+from .schedules import VARIANCE_FLOOR
+
 __all__ = [
     "InsufficientDataError",
     "GaussianPrior",
@@ -38,27 +40,35 @@ class InsufficientDataError(ValueError):
     """An arm has fewer than two observations, so its variance is undefined."""
 
 
-def _float_pair(name: str, pair, positive: bool = False) -> Pair:
-    """``pair`` as two floats, refused unless both are finite (and > 0 if ``positive``)."""
+# Rules of a pair's components: the test of each and what it wants.
+_FINITE = (math.isfinite, "finite")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+# A supplied variance: its precision stays finite at any count (see VARIANCE_FLOOR).
+_VARIANCE = (lambda v: VARIANCE_FLOOR <= v < math.inf, f"finite and >= {VARIANCE_FLOOR:g}")
+
+
+def _float_pair(name: str, pair, rule=_FINITE) -> Pair:
+    """``pair`` as two floats, refused unless both pass ``rule``."""
     if len(pair) != 2:
         raise ValueError(f"{name} must have exactly two components, got {pair!r}")
     pair = (float(pair[0]), float(pair[1]))
-    if not all(math.isfinite(v) and (v > 0.0 or not positive) for v in pair):
-        rule = "finite and > 0" if positive else "finite"
-        raise ValueError(f"{name} components must be {rule}, got {pair!r}")
+    test, wants = rule
+    if not all(map(test, pair)):
+        raise ValueError(f"{name} components must be {wants}, got {pair!r}")
     return pair
 
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Prior mean and variance of the unknown arm means, per arm."""
+    """Prior mean and variance of the unknown arm means, per arm; each variance
+    finite and at least ``VARIANCE_FLOOR``."""
 
     mu0: Pair
     sigma0_sq: Pair
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu0", _float_pair("mu0", self.mu0))
-        sigma0_sq = _float_pair("sigma0_sq", self.sigma0_sq, positive=True)
+        sigma0_sq = _float_pair("sigma0_sq", self.sigma0_sq, _VARIANCE)
         object.__setattr__(self, "sigma0_sq", sigma0_sq)
 
 
@@ -69,7 +79,7 @@ class OutcomeVariance:
     sigma_sq: Pair
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_sq", _float_pair("sigma_sq", self.sigma_sq, positive=True))
+        object.__setattr__(self, "sigma_sq", _float_pair("sigma_sq", self.sigma_sq, _POSITIVE))
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ class PosteriorState:
     sigma_p_sq: Pair
 
     def __post_init__(self) -> None:
-        _float_pair("sigma_p_sq", self.sigma_p_sq, positive=True)
+        _float_pair("sigma_p_sq", self.sigma_p_sq, _POSITIVE)
 
 
 def init_posterior(prior: GaussianPrior) -> PosteriorState:
@@ -175,9 +185,9 @@ def estimate_variance(
 
     Arm 1 uses the treated accumulators, arm 0 the control accumulators,
     each with denominator ``M(w) - 1``. An arm with fewer than two
-    observations has no sample variance: the ``fallback`` value is used for
-    that arm when given, otherwise InsufficientDataError is raised (a
-    pretrial estimate must then be supplied by the caller).
+    observations has no sample variance: it takes its ``fallback`` value,
+    the pretrial estimate, and without one InsufficientDataError names the
+    pretrial value the caller must pass.
     """
     out = [0.0, 0.0]
     accum = (
@@ -193,7 +203,7 @@ def estimate_variance(
             out[w] = float(fallback[w])
         else:
             raise InsufficientDataError(
-                f"arm {w} has {count} observation(s); need >= 2 or a fallback value"
+                f"arm {w} has {count} observation(s); need >= 2 or a pretrial value (fallback)"
             )
     if min(out) <= 0.0:
         # Degenerate (constant) data gives a zero estimate; keep strictly
@@ -209,8 +219,9 @@ class VariancePolicy:
     ``known`` mode uses ``values`` when given, otherwise whatever the stage
     feed reports as ground truth. ``estimated`` mode applies the sample
     estimator with ``pretrial`` as the per-arm fallback while an arm has
-    fewer than two observations (mandatory at the first stage). Both pairs
-    are checked when the policy is built and kept as floats.
+    fewer than two observations, which ``estimate_variance`` refuses without
+    one. Both pairs are checked when the policy is built, each variance
+    finite and at least ``VARIANCE_FLOOR``, and kept as floats.
     """
 
     mode: Literal["known", "estimated"] = "known"
@@ -222,7 +233,7 @@ class VariancePolicy:
             raise ValueError(f"variance mode must be 'known' or 'estimated', got {self.mode!r}")
         for name in ("values", "pretrial"):
             if getattr(self, name) is not None:
-                pair = _float_pair(name, getattr(self, name), positive=True)
+                pair = _float_pair(name, getattr(self, name), _VARIANCE)
                 object.__setattr__(self, name, pair)
 
     def resolve(
@@ -233,9 +244,4 @@ class VariancePolicy:
             if values is None:
                 raise ValueError(_NO_VARIANCE)
             return OutcomeVariance(sigma_sq=values)
-        if self.pretrial is None and min(stats.counts) < 2:
-            raise InsufficientDataError(
-                "estimated-variance mode requires 'pretrial' values until "
-                "both arms have at least two observations"
-            )
         return estimate_variance(stats, fallback=self.pretrial)

@@ -127,22 +127,22 @@ def _run_groups(policy, scenario, schedule, seed, K_rep, groups) -> list[BlockTr
 def _map_chunks(fn, count: int, workers: int, *args) -> list:
     """``fn(*args, items)`` over items 0..count-1: one result per chunk, in item order.
 
-    Items are split into at most ``4 * workers`` contiguous chunks. The pool
-    never has more processes than usable CPUs or chunks, and a pool of one
-    runs in this process instead.
+    The pool has ``min(workers, usable CPUs, count)`` processes and gets at
+    most four contiguous chunks per process, whatever the worker count; a
+    pool of one or none runs all items in this process instead.
     Each pool worker may use its even share of the CPUs for imputation
     threads, so processes times threads never exceed the usable CPU count.
     """
     cpus = usable_cpus()
-    n = min(count, workers * 4)
-    chunks = [range(count * i // n, count * (i + 1) // n) for i in range(n)]
-    pool_size = min(workers, cpus, n)
+    pool_size = min(workers, cpus, count)
     if pool_size <= 1:
         return [fn(*args, range(count))]
     from concurrent.futures import ProcessPoolExecutor
 
     from .mc_solver import set_cpu_share
 
+    n = min(count, 4 * pool_size)
+    chunks = [range(count * i // n, count * (i + 1) // n) for i in range(n)]
     with ProcessPoolExecutor(
         max_workers=pool_size, initializer=set_cpu_share, initargs=(cpus // pool_size,)
     ) as pool:
@@ -225,7 +225,7 @@ def run_replications(
         raise TypeError(f"{type(policy).__name__} is not a policy: it needs decide and branch_labels")
     if not 1 <= K_rep <= REPLICATION_CAP:
         raise ValueError(f"K_rep must be in [1, {REPLICATION_CAP}], got {K_rep!r}")
-    workers = max(1, int(workers))
+    workers = int(workers)
 
     if _takes_batch_engine(policy, scenario):
         n_groups = -(-K_rep // (BLOCK_SIZE * GROUP_BLOCKS))

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
-from .schedules import STAGE_CAP, as_float
+from .schedules import STAGE_CAP, VARIANCE_FLOOR, as_float
 from .trace import StageFeed, StageOutcome
 
 if TYPE_CHECKING:
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _MOMENTS = ("mean_control", "mean_treatment", "var_control", "var_treatment")
+_VARIANCE = (lambda v: VARIANCE_FLOOR <= v < math.inf, f"a finite number >= {VARIANCE_FLOOR:g}")
 # Each checked field: the test its values must pass and what the test wants.
 # Past 2**53 a float no longer holds every whole number.
 _RULES = {
@@ -48,8 +49,8 @@ _RULES = {
     "population": (lambda v: 1 <= v <= 2**53 and v % 1 == 0, "a whole number in [1, 2**53]"),
     "mean_control": (math.isfinite, "a finite number"),
     "mean_treatment": (math.isfinite, "a finite number"),
-    "var_control": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
-    "var_treatment": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "var_control": _VARIANCE,
+    "var_treatment": _VARIANCE,
     "correlation": (lambda v: -1.0 <= v <= 1.0, "a number in [-1, 1]"),
     "bernoulli_scale": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
     "bernoulli_p": (lambda v: 0.0 < v < 1.0, "two numbers in (0, 1)"),

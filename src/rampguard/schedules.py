@@ -30,6 +30,7 @@ __all__ = [
     "REPLICATION_CAP",
     "SAMPLE_CAP",
     "STAGE_CAP",
+    "VARIANCE_FLOOR",
     "ScheduleError",
     "as_float",
     "RiskSchedule",
@@ -50,6 +51,10 @@ REPLICATION_CAP = 10**6
 SAMPLE_CAP = 10**6
 # A capped cost's floor in magnitude at most: Cantelli's sums of squared costs overflow near 1e150.
 FLOOR_CAP = 1e100
+# A supplied outcome or prior variance at least. The engines fold up to STAGE_CAP stages of
+# 2**53 units, about 9.0e19, and that count over a variance is a precision: any floor
+# >= 5.0e-289 keeps it below the float maximum, 1.8e308. At 1e-280 it is at most 9.0e299.
+VARIANCE_FLOOR = 1e-280
 
 
 class ScheduleError(ValueError):

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, ClassVar
 import numpy as np
 
 from .normal import SQRT2
-from .posterior import (_NO_VARIANCE, GaussianPrior, OutcomeVariance, Pair, PosteriorState,
+from .posterior import (_NO_VARIANCE, _VARIANCE, GaussianPrior, Pair, PosteriorState, _float_pair,
                         posterior_moments)
 from .solver import StageDecision, _decided
 from .trace import Stage
@@ -96,8 +96,8 @@ class ThompsonPolicy:
     The treated count is binomial in the incoming population at the current
     assignment probability (each user assigned independently), drawn from
     the feed's generator. ``sigma_sq`` fixes the model variances, checked
-    when built; None falls back to the feed's stage-1 ground truth. The
-    assignment rule has no cap at half the stage, so the class sets
+    against ``VARIANCE_FLOOR`` when built; None falls back to the feed's
+    stage-1 ground truth. The assignment rule has no cap at half the stage, so the class sets
     ``cap_at_half = False`` and the loops let it treat the whole stage. The
     baseline is not budget-aware: it ignores the stage thresholds and
     tolerances. ``decide_block`` makes the same decision for a block of
@@ -113,7 +113,7 @@ class ThompsonPolicy:
     def __post_init__(self) -> None:
         _checked_c(self.c)
         if self.sigma_sq is not None:
-            object.__setattr__(self, "sigma_sq", OutcomeVariance(self.sigma_sq).sigma_sq)
+            object.__setattr__(self, "sigma_sq", _float_pair("sigma_sq", self.sigma_sq, _VARIANCE))
 
     def decide(self, stage: Stage) -> StageDecision:
         stats = stage.stats

@@ -541,7 +541,7 @@ def _leaf_paths(node, path=()):
 
 
 # The odd values that the single-leaf fuzz tests put in each leaf in turn.
-_ODD_VALUES = ("x", 0, -1, -1000, 1e300, -1e300, math.nan, math.inf, None, True, [], {},
+_ODD_VALUES = ("x", 0, -1, -1000, 1e300, -1e300, 5e-324, math.nan, math.inf, None, True, [], {},
                10**400, -(10**400))
 
 
@@ -571,7 +571,7 @@ class TestInlineScenarios:
         "family, changes, entries, message",
         [
             ("gaussian_iid", {"var_control": -1}, {"sigma_sq": [1, 1]},
-             "var_control must be a finite number > 0, got -1"),
+             "var_control must be a finite number >= 1e-280, got -1"),
             ("gaussian_iid", {"mean_control": math.nan}, {},
              "mean_control must be a finite number, got nan"),
             ("student_t_shifted", {"tail_df": "four"}, {}, "tail_df must be"),
@@ -586,7 +586,7 @@ class TestInlineScenarios:
             ("gaussian_iid", {"population": -5}, {}, "population must be a whole number"),
             ("gaussian_iid", {"population": [20, 20]}, {}, "population must have one value per"),
             ("gaussian_iid", {"mean_treatment": [-1, -1]}, {}, "mean_treatment must have one"),
-            ("gaussian_iid", {"var_control": 0}, {}, "var_control must be a finite number > 0"),
+            ("gaussian_iid", {"var_control": 0}, {}, "var_control must be a finite number >= 1e-280"),
             ("gaussian_iid", {"var_treatment": -2}, {}, "var_treatment must be a finite number"),
             ("student_t_shifted", {"tail_df": _REMOVED}, {},
              "a student_t_shifted scenario needs tail_df"),
@@ -599,6 +599,8 @@ class TestInlineScenarios:
             ("bernoulli_scaled", {"bernoulli_scale": "x"}, {}, "bernoulli_scale must be"),
             ("gaussian_iid", {"population": 5.7}, {}, "population must be a whole number"),
             ("gaussian_iid", {"family": _REMOVED}, {}, "an inline scenario needs family"),
+            ("gaussian_iid", {"var_control": 1e-320}, {"sigma_sq": [1, 1]},
+             "var_control must be a finite number >= 1e-280, got 1e-320"),
         ],
     )
     def test_each_probe_exits_one_naming_the_field(
@@ -732,6 +734,39 @@ class TestRunConfigBounds:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
             code, out = self.run(tmp_path, {**RUN_CONFIGS["cantelli"], "mc": {"cost": cost}})
+        assert code == 0 and not caught, caught[:1]
+
+    @pytest.mark.parametrize("scenario", ["norm", "fat"])  # the batch and the per-unit engine
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--sigma-sq", "1e-320", "1e-320"], "sigma_sq"),
+            (["--prior-sigma0-sq", "1e-300", "1"], "prior.sigma0_sq"),
+            (["--algo", "thompson", "--prior-sigma0-sq", "1", "5e-324"], "prior.sigma0_sq"),
+            (["--variance-mode", "estimated", "--pretrial-sigma-sq", "1e-281", "1"],
+             "pretrial_sigma_sq"),
+        ],
+    )
+    def test_a_variance_below_the_floor_exits_one_before_any_work(
+        self, tmp_path, capsys, no_study, scenario, flags, key
+    ):
+        config = {"scenario": scenario, "budget": -500, "delta": 0.05, "replications": 20}
+        code, out = self.run(tmp_path, config, *flags)
+        assert code == 1
+        assert f"run config: {key} must be a list of two finite numbers >= 1e-280" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["norm", "fat"])
+    @pytest.mark.parametrize("algo", ["rrc_analytic", "thompson"])
+    def test_variances_at_the_floor_run_without_a_warning(self, tmp_path, scenario, algo):
+        config = {"scenario": scenario, "algorithm": algo, "budget": -500, "delta": 0.05,
+                  "replications": 20, "sigma_sq": [1e-280, 1e-280],
+                  "prior": {"mu0": [0, 0], "sigma0_sq": [1e-280, 1e-280]}}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            code, _ = self.run(tmp_path, config)
         assert code == 0 and not caught, caught[:1]
 
     @pytest.mark.parametrize(
@@ -1216,7 +1251,7 @@ class TestNextStage:
             (lambda state: state["pending"].update(m=13.5), "pending.m must be an integer"),
             (
                 lambda state: state.update(sigma_sq=[0.0, 10.0]),
-                "sigma_sq must be a list of two finite numbers > 0",
+                "sigma_sq must be a list of two finite numbers >= 1e-280",
             ),
             (lambda state: state["stats"].update(count=[0, 0]), "unknown key 'stats.count'"),
             (
@@ -1392,6 +1427,15 @@ class TestNextStage:
         code = main(["next-stage", "--state", str(tmp_path / "s.json"), "--n-next", "10",
                      "--delta-next", "0.01", "--b-next", "-5"])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--sigma-sq", "--prior-sigma0-sq", "--pretrial-sigma-sq"])
+    def test_a_fresh_variance_below_the_floor_exits_one_and_writes_no_state(
+        self, tmp_path, capsys, flag
+    ):
+        state = tmp_path / "state.json"
+        assert main([*self.FRESH, "--state", str(state), flag, "1e-320", "1e-320"]) == 1
+        assert f"{flag} must be a list of two finite numbers >= 1e-280" in capsys.readouterr().err
+        assert not state.exists()
 
     def test_fresh_state_with_nonnegative_budget_exits_two(self, tmp_path):
         state = tmp_path / "state.json"

@@ -9,6 +9,7 @@ from rampguard.posterior import (
     GaussianPrior,
     InsufficientDataError,
     OutcomeVariance,
+    PosteriorState,
     SufficientStats,
     VariancePolicy,
     compute_posterior,
@@ -65,6 +66,15 @@ class TestInit:
     def test_prior_rejects_a_mean_that_is_not_finite(self, mu0):
         with pytest.raises(ValueError, match="mu0 components must be finite, got"):
             GaussianPrior(mu0=mu0, sigma0_sq=(1.0, 1.0))
+
+    def test_a_variance_below_the_floor_is_refused_but_a_posterior_one_is_kept(self):
+        # A supplied variance's precision stays finite at any count; a posterior
+        # variance, the reciprocal of a large total precision, may lie below the floor.
+        with pytest.raises(ValueError, match="sigma0_sq components must be finite and >= 1e-280"):
+            GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=(1.0, 1e-300))
+        assert GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=(1e-280, 1.0)).sigma0_sq == (1e-280, 1.0)
+        assert OutcomeVariance((5e-324, 1.0)).sigma_sq == (5e-324, 1.0)
+        assert PosteriorState((0.0, 0.0), (5e-324, 1.0)).sigma_p_sq == (5e-324, 1.0)
 
     @pytest.mark.parametrize("pair", [(), (1.0,), (1.0, 2.0, 3.0)])
     def test_pairs_of_another_length_are_refused(self, pair):
@@ -258,8 +268,11 @@ class TestVariancePolicy:
 
     def test_estimated_requires_pretrial_at_start(self):
         policy = VariancePolicy(mode="estimated")
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError, match="arm 0 has 0 observation.*pretrial"):
             policy.resolve(SufficientStats(), None)
+        one_treated = SufficientStats(counts=(5, 1), control_sumsq=5.0)
+        with pytest.raises(InsufficientDataError, match="arm 1 has 1 observation.*pretrial"):
+            policy.resolve(one_treated, None)
         primed = VariancePolicy(mode="estimated", pretrial=(10.0, 10.0))
         assert primed.resolve(SufficientStats(), None).sigma_sq == (10.0, 10.0)
 
@@ -270,7 +283,9 @@ class TestVariancePolicy:
 
     @pytest.mark.parametrize("name", ["values", "pretrial"])
     @pytest.mark.parametrize(
-        "pair", [(-1.0, 5.0), (0.0, 5.0), (1.0, math.nan), (1.0, math.inf), (1.0,), (1.0, 2.0, 3.0)]
+        "pair",
+        [(-1.0, 5.0), (0.0, 5.0), (1.0, math.nan), (1.0, math.inf), (1.0,), (1.0, 2.0, 3.0),
+         (5e-324, 5.0), (1.0, 9.9e-281)],
     )
     def test_a_bad_pair_is_refused_at_construction(self, name, pair):
         # A negative pretrial variance used to resolve to (1e-12, 5.0), and bad

@@ -57,11 +57,13 @@ class TestStreams:
 
 
 class InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records its size and its worker
-    initializer, runs inline without calling the initializer."""
+    """Stands in for ProcessPoolExecutor: records its size, its worker
+    initializer and each submitted chunk, runs inline without calling the
+    initializer."""
 
     sizes: list = []
     initializers: list = []
+    chunks: list = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
@@ -74,6 +76,7 @@ class InlineExecutor:
         return False
 
     def submit(self, fn, *args):
+        self.chunks.append(args[-1])
         future = Future()
         future.set_result(fn(*args))
         return future
@@ -93,6 +96,7 @@ class TestPoolBound:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(InlineExecutor, "sizes", [])
         monkeypatch.setattr(InlineExecutor, "initializers", [])
+        monkeypatch.setattr(InlineExecutor, "chunks", [])
         return InlineExecutor
 
     @pytest.mark.parametrize(
@@ -115,6 +119,22 @@ class TestPoolBound:
         serial = run_replications(policy, scn, sched, reps, 1, workers=1)
         assert executor.sizes == [expected]  # one worker never builds a pool
         assert summary_fingerprint(pooled) == summary_fingerprint(serial)
+
+    def test_the_pool_not_the_worker_count_sizes_the_chunks(self, executor, monkeypatch):
+        # 10,000 workers on 3 CPUs: a pool of 3 and at most four chunks per process.
+        monkeypatch.setattr(replication, "usable_cpus", lambda: 3)
+        sched = RiskSchedule.uniform(-500.0, 0.05, 2)
+        scn = builtin_scenarios()["npte"]
+        policy = PerUnitThompson(c=1.0, prior=PRIOR)
+        pooled = run_replications(policy, scn, sched, 40, 1, workers=10_000)
+        assert executor.sizes == [3]
+        assert len(executor.chunks) <= 12
+        assert [rep for chunk in executor.chunks for rep in chunk] == list(range(40))
+        serial = run_replications(policy, scn, sched, 40, 1, workers=1)
+        assert summary_fingerprint(pooled) == summary_fingerprint(serial)
+        # A worker count below one runs in process too.
+        run_replications(policy, scn, sched, 40, 1, workers=0)
+        assert executor.sizes == [3]
 
     def test_pool_workers_share_the_cpus(self):
         cpus = replication.usable_cpus()

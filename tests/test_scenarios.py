@@ -210,13 +210,14 @@ class TestConstruction:
             ({"mean_treatment": [0.0, -math.inf, 0.0]}, "mean_treatment must be a finite number"),
             ({"mean_control": -(10**400)}, "mean_control must be a finite number"),
             ({"mean_control": None}, "a gaussian_iid scenario needs mean_control"),
-            ({"var_treatment": math.inf}, "var_treatment must be a finite number > 0"),
-            ({"var_treatment": "4"}, "var_treatment must be a finite number > 0, got '4'"),
+            ({"var_treatment": math.inf}, "var_treatment must be a finite number >= 1e-280"),
+            ({"var_treatment": "4"}, "var_treatment must be a finite number >= 1e-280, got '4'"),
             ({"correlation": 0.5}, "a gaussian_iid scenario takes no correlation"),
             ({"tail_df": 4}, "a gaussian_iid scenario takes no tail_df"),
             ({"bernoulli_p": (0.5, 0.5)}, "a gaussian_iid scenario takes no bernoulli_p"),
             ({"family": "gaussian_correlated"}, "a gaussian_correlated scenario needs correlation"),
             ({"family": "bernoulli_scaled"}, "a bernoulli_scaled scenario needs bernoulli_scale"),
+            ({"var_control": 1e-300}, "var_control must be a finite number >= 1e-280, got 1e-300"),
         ],
     )
     def test_each_fault_names_its_field(self, changes, message):
@@ -231,7 +232,11 @@ class TestConstruction:
             ({"bernoulli_scale": -1}, "bernoulli_scale must be a finite number > 0"),
             (
                 {"bernoulli_scale": 1e200},
-                "var_control from bernoulli_scale and bernoulli_p must be a finite number > 0",
+                "var_control from bernoulli_scale and bernoulli_p must be a finite number >= 1e-280",
+            ),
+            (
+                {"bernoulli_scale": 1e-145},
+                "var_control from bernoulli_scale and bernoulli_p must be a finite number >= 1e-280",
             ),
         ],
     )

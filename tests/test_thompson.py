@@ -185,6 +185,9 @@ class TestRunThompson:
             ]),
             # The cap at half the stage is no argument: the assignment rule has none.
             ({"cap_at_half": True}, TypeError, "cap_at_half"),
+            # Variances below VARIANCE_FLOOR, whose precision can overflow.
+            ({"sigma_sq": (1e-320, 1.0)}, ValueError, "sigma_sq components must be finite and >="),
+            ({"sigma_sq": (1.0, 1e-281)}, ValueError, "sigma_sq components must be finite and >="),
         ],
     )
     def test_rejects_a_bad_argument_when_built(self, kwargs, error, match):
