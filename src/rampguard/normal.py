@@ -9,6 +9,7 @@ the whole open interval (0, 1).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 __all__ = ["normal_cdf", "normal_pdf", "normal_quantile"]
 
@@ -100,11 +101,13 @@ def normal_pdf(x: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
 
 
+@lru_cache(maxsize=1024, typed=True)
 def normal_quantile(p: float) -> float:
     """Inverse of the standard normal CDF on the open interval (0, 1).
 
     Raises ValueError for p outside (0, 1); endpoints map to infinities
     mathematically and are the caller's responsibility to short-circuit.
+    A study asks for a few stage tolerances over and over: 1,024 values are kept.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile requires 0 < p < 1, got {p!r}")

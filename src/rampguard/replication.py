@@ -20,6 +20,7 @@ whole replications. Each pass returns exactly the replications up to
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -239,9 +240,9 @@ def run_replications(
                 )
         chunks = _map_chunks(_run_chunk, K_rep, workers, policy, scenario, schedule, seed)
     results = _join(chunks)
-    overflow = ~np.isfinite(results.cum_cost).all(axis=0)
-    if overflow.any():
-        stage = overflow.argmax() + 1
+    # A running cost that turns inf or NaN stays so: a finite last stage clears every stage.
+    if results.cum_cost.shape[1] and not np.isfinite(results.cum_cost[:, -1]).all():
+        stage = np.isfinite(results.cum_cost).all(axis=0).argmin() + 1
         raise ValueError(f"cum_cost is not finite at stage {stage}: the costs overflow a float")
     return _summarize(results, schedule, seed, keep_traces)
 
@@ -253,7 +254,7 @@ def _quantiles(matrix: np.ndarray) -> np.ndarray:
     ``numpy.ma`` (about 13 ms) on its first call. Level ``q`` sits at
     virtual index ``(n - 1) * q`` of each sorted column; at or past the
     last index numpy reads the last value on both sides. A column holding
-    a NaN gives NaN.
+    a NaN gives NaN, and one holding -0.0 and 0.0 may give the other zero.
     """
     ordered = np.sort(matrix, axis=0)
     n = ordered.shape[0]
@@ -276,7 +277,9 @@ def _summarize(results: BlockTraces, schedule, seed, keep_traces) -> Replication
     final_costs = cum_matrix[:, -1].copy() if stages else np.zeros(K_rep)
     ruined = final_costs <= schedule.budget
     ruin_rate = float(ruined.mean())
-    half_width = 1.96 * float(np.sqrt(ruin_rate * (1.0 - ruin_rate) / K_rep))
+    half_width = 1.96 * math.sqrt(ruin_rate * (1.0 - ruin_rate) / K_rep)
+    # One sort for both curves: m, exact as floats, beside the surplus.
+    quantiles = _quantiles(np.hstack([results.m, cum_matrix - schedule.budget]))
 
     return ReplicationSummary(
         ruin_rate=ruin_rate,
@@ -286,8 +289,8 @@ def _summarize(results: BlockTraces, schedule, seed, keep_traces) -> Replication
         stages=stages,
         budget=schedule.budget,
         delta=schedule.delta,
-        m_quantiles=_quantiles(results.m),
-        surplus_quantiles=_quantiles(cum_matrix - schedule.budget),
+        m_quantiles=quantiles[:, :stages],
+        surplus_quantiles=quantiles[:, stages:],
         final_costs=final_costs,
         traces=results if keep_traces else None,
     )

@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 _MOMENTS = ("mean_control", "mean_treatment", "var_control", "var_treatment")
+# An arm's running sum folds every unit of every stage, each adding |mean| * n and noise of sd
+# sqrt(var * n) (numpy's normal draws stay within 14 sd; 40 has probability below 1e-349), and
+# the posterior divides it by a variance. A reach, sum_t |mean| * n + _NOISE_SDS * sqrt(var * n),
+# and that over the smallest variance, both within the float maximum, 1.8e308, keep the sum
+# and its quotient finite.
+_NOISE_SDS = 40.0
 _VARIANCE = (lambda v: VARIANCE_FLOOR <= v < math.inf, f"a finite number >= {VARIANCE_FLOOR:g}")
 # Each checked field: the test its values must pass and what the test wants.
 # Past 2**53 a float no longer holds every whole number.
@@ -87,8 +93,8 @@ class Scenario:
     scaled-Bernoulli and Student-t families: each family needs its own and
     takes no other. The scaled-Bernoulli moments are derived, ``scale * p``
     and ``scale**2 * p * (1 - p)`` per arm; given ones must equal them.
-    Every fault, a wrong type included, raises ``ValueError`` naming the
-    field and what ``_RULES`` wants of it.
+    Every fault, a wrong type included, raises ``ValueError`` naming the field
+    and what ``_RULES`` wants of it, or an arm's two moments if its sums can overflow.
     """
 
     name: str
@@ -146,6 +152,14 @@ class Scenario:
             else:
                 value = _per_stage(key, given, T)
             store(self, key, value)
+        for arm in ("control", "treatment"):  # see _NOISE_SDS
+            means, variances = getattr(self, f"mean_{arm}"), getattr(self, f"var_{arm}")
+            reach = sum(abs(mu) * n + _NOISE_SDS * math.sqrt(v * n)
+                        for mu, v, n in zip(means, variances, self.population))
+            if not math.isfinite(max(reach, reach / min(variances))):
+                raise ValueError(f"mean_{arm} and var_{arm} can overflow a float: the arm's "
+                                 f"outcome sum can reach {reach:.3g}, and it and its ratio to the "
+                                 f"variance {min(variances):.3g} must be at most 1.8e+308")
 
     # True per-stage moments (simulator-side knowledge).
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, ClassVar
 
 from .normal import normal_quantile
@@ -66,6 +67,14 @@ _BY_FOUND_AND_NO_ROOT = tuple(
     _CODE[b] for b in (BRANCH_EMPTY, BRANCH_ROOT, BRANCH_NO_REAL_ROOT, BRANCH_NO_REAL_ROOT)
 )
 
+
+@cache
+def _codes_below_cap() -> np.ndarray:
+    import numpy as np  # built on the first batch solve: importing this module loads no numpy
+
+    return np.array(_BY_FOUND_AND_NO_ROOT, np.int8)
+
+
 # Absolute slack on the tail-condition comparison; the brute-force oracles
 # in the test suite apply the same slack so boundary cases cannot flip.
 Z_SLACK = 1e-12
@@ -97,16 +106,17 @@ class PredictiveMoments:
     m1_prev: int
 
     def mu_tilde(self, m):
-        return self.mu_p[1] * m - self.mu_p[0] * (m + self.m1_prev)
+        return self._at(m)[0]
 
     def sigma_tilde_sq(self, m):
+        return self._at(m)[1]
+
+    def _at(self, m):
+        """``(mu_tilde(m), sigma_tilde_sq(m))``, forming ``m + m1_prev`` once."""
         mm = m + self.m1_prev
-        return (
-            m * m * self.sigma_p_sq[1]
-            + m * self.sigma_sq[1]
-            + mm * mm * self.sigma_p_sq[0]
-            + mm * self.sigma_sq[0]
-        )
+        var = (m * m * self.sigma_p_sq[1] + m * self.sigma_sq[1]
+               + mm * mm * self.sigma_p_sq[0] + mm * self.sigma_sq[0])
+        return self.mu_p[1] * m - self.mu_p[0] * mm, var
 
 
 def quadratic_coefficients(
@@ -128,8 +138,8 @@ def quadratic_coefficients(
 
 
 def _z_statistic(moments: PredictiveMoments, S_T1_prev: float, b_t: float, m: int) -> float:
-    num = b_t - S_T1_prev - moments.mu_tilde(m)
-    var = moments.sigma_tilde_sq(m)
+    mu, var = moments._at(m)
+    num = b_t - S_T1_prev - mu
     if var <= 0.0:
         # Only reachable at m = 0 with no treatment history: the statistic
         # is exactly zero, so the condition holds iff the threshold is
@@ -245,8 +255,8 @@ def _satisfied(moments: PredictiveMoments, S_T1_prev, b_t: float, m, limit: floa
     """
     import numpy as np
 
-    num = b_t - S_T1_prev - moments.mu_tilde(m)
-    return num / np.sqrt(moments.sigma_tilde_sq(m)) <= limit
+    mu, var = moments._at(m)
+    return (b_t - S_T1_prev - mu) / np.sqrt(var) <= limit
 
 
 def solve_ramp_sizes(
@@ -289,13 +299,12 @@ def solve_ramp_sizes(
         disc = b2 - ac4
         no_root = disc < -_DISC_SLACK * (b2 + np.abs(ac4))
         sq = np.sqrt(np.maximum(disc, 0.0))
-        two_a = 2.0 * A
-        high = (-B + sq) / two_a
+        two_a, neg_b = 2.0 * A, -B
         # One tail check: row 0 is the cap, rows 1-4 the floored roots and their upper neighbours.
-        stack = np.empty((5, *high.shape))
+        stack = np.empty((5, *neg_b.shape))
         stack[0] = cap
-        np.floor(high, out=stack[1])
-        np.floor((-B - sq) / two_a, out=stack[2])
+        np.floor((neg_b + sq) / two_a, out=stack[1])
+        np.floor((neg_b - sq) / two_a, out=stack[2])
         if degenerate.any():  # a degenerate row has the one root of B m + C = 0, if any
             linear = degenerate & (abs_b >= tiny)
             no_root = np.where(degenerate, ~linear, no_root)
@@ -303,11 +312,11 @@ def solve_ramp_sizes(
         np.add(stack[1:3], 1.0, out=stack[3:])
         ok = _satisfied(moments, S, b_t, stack, limit)
         at_cap, candidates = ok[0], stack[1:]
-        valid = (candidates >= 0.0) & (candidates <= cap) & ok[1:]
-    best = np.where(valid, candidates, -1.0).max(axis=0)
+        # A passing candidate below 0 leaves best below 0 too, which finds no root.
+        best = np.where(ok[1:] & (candidates <= cap), candidates, -1.0).max(axis=0)
     found = best >= 0.0
 
-    branch = np.array(_BY_FOUND_AND_NO_ROOT, np.int8)[found + 2 * no_root]
+    branch = _codes_below_cap()[found + 2 * no_root]
     branch[at_cap] = _CODE[BRANCH_CAP]
     m = np.where(branch == _CODE[BRANCH_ROOT], best, 0.0).astype(np.int64)
     m[at_cap] = cap

@@ -628,11 +628,27 @@ class TestInlineScenarios:
         assert 0 in codes and 1 in codes
 
     def test_overflowing_costs_exit_three_writing_nothing(self, tmp_path, capsys):
-        spec = {**INLINE["gaussian_iid"], "mean_control": 1e308, "mean_treatment": -1e308}
+        # Each arm's sums stay finite, but Thompson, sure of a positive effect, treats every
+        # unit, and the running cost reads 1e308, then 2e308.
+        spec = {**INLINE["gaussian_iid"], "population": 1, "mean_control": -5e307,
+                "mean_treatment": 5e307, "var_control": 1e10, "var_treatment": 1e10}
+        thompson = {"algorithm": "thompson", "thompson": {"c": 1.0},
+                    "prior": {"mu0": [0, 100], "sigma0_sq": [1, 1]}}
         with pytest.warns(RuntimeWarning, match="overflow"):
-            code, out = self.run(tmp_path, spec)
+            code, out = self.run(tmp_path, spec, **thompson)
         assert code == 3
-        assert "cum_cost is not finite at stage 1" in capsys.readouterr().err
+        assert "cum_cost is not finite at stage 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_moments_whose_posterior_overflows_exit_one_writing_nothing(self, tmp_path, capsys):
+        # A mean of -1e30 over 75 units sums to -7.5e31, which over a variance of 1e-280
+        # passes the float maximum in the posterior mean.
+        spec = {**INLINE["gaussian_iid"], "mean_treatment": -1e30, "var_control": 1e-280,
+                "var_treatment": 1e-280}
+        code, out = self.run(tmp_path, spec)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "run config: scenario: mean_treatment and var_treatment can overflow" in err
         assert not out.exists()
 
     def test_per_unit_studies_bound_the_stage_population(self, tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import tracemalloc
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -222,6 +223,20 @@ class TestRunReplications:
             assert got.tobytes() == want.tobytes()
         assert np.isnan(got[:, 3]).all()
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 100])
+    def test_quantiles_of_the_merged_layout_equal_numpy_percentile(self, k):
+        # _summarize sorts m, as floats, beside the surplus in one (K, 2T) matrix.
+        rng = np.random.default_rng(k)
+        m = rng.integers(0, 4, (k, 5))  # ties
+        surplus = rng.choice([-0.0, 1.5, -2.25, 1.5, 7.0], (k, 5))  # -0.0 and repeats
+        surplus[:, 0] = -0.0
+        merged = np.hstack([m.astype(float), surplus])
+        got = replication._quantiles(merged)
+        levels = replication.QUANTILE_LEVELS
+        assert got.tobytes() == np.percentile(merged, levels, axis=0).tobytes()
+        assert got[:, :5].tobytes() == np.percentile(m, levels, axis=0).tobytes()
+        assert got[:, 5:].tobytes() == np.percentile(surplus, levels, axis=0).tobytes()
+
     def test_worker_count_does_not_change_results(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 10)
         scn = builtin_scenarios()["norm"]
@@ -308,13 +323,21 @@ class TestRunReplications:
         ("gaussian_iid", {}),  # the batch engine
         ("student_t_shifted", {"tail_df": 4.0}),  # the per-unit engine
     ])
-    def test_non_finite_costs_are_refused(self, family, extra):
-        # Each moment is finite, but a treated unit's effect of -2e308 is not.
-        scn = Scenario("overflow", family, 3, 20, 1e308, -1e308, 10.0, 10.0, **extra)
+    @pytest.mark.parametrize("population, mean, stage", [
+        ((4, 1, 1), 2.5e307, 1),  # stage 1 treats 4 units, each an effect of 5e307
+        ((1, 1, 1), 5e307, 2),  # the running cost reads 1e308, then 2e308
+        ((1, 1, 1), 3.5e307, 3),  # 7e307, 1.4e308, then 2.1e308
+    ])
+    def test_non_finite_costs_are_refused(self, family, extra, population, mean, stage):
+        # Each arm's outcome sums stay finite, as Scenario demands, but the effects add up past
+        # the float maximum: Thompson, sure of a positive effect, treats every unit.
+        scn = Scenario("overflow", family, 3, population, -mean, mean, 1e10, 1e10, **extra)
+        policy = ThompsonPolicy(1.0, GaussianPrior((0.0, 100.0), (1.0, 1.0)))
         sched = RiskSchedule.uniform(-500.0, 0.05, 3)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValueError, match="cum_cost is not finite at stage 1:"):
-                run_replications(ANALYTIC, scn, sched, 5, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warnings, if any
+            with pytest.raises(ValueError, match=f"cum_cost is not finite at stage {stage}:"):
+                run_replications(policy, scn, sched, 5, 0)
 
 
 # The one-object-per-replication traces the summary once stored, kept here

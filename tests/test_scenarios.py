@@ -226,6 +226,32 @@ class TestConstruction:
         assert message in str(info.value)
 
     @pytest.mark.parametrize(
+        "changes, arm",
+        [
+            # 300 units at |mean| 7e25 sum to 2.1e28, which over 1e-280 is 2.1e308.
+            ({"mean_treatment": -7e25, "var_treatment": 1e-280}, "treatment"),
+            ({"mean_control": 1e306}, "control"),  # the sum itself reaches 3e308
+            ({"var_control": 1e307}, "control"),  # var * n, the sum law's, passes the maximum
+            # Noise of a variance of 1e300 over one of 1e-280 at another stage.
+            ({"family": "gaussian_time_varying", "var_treatment": [1e300, 1e-280, 4.0]},
+             "treatment"),
+        ],
+    )
+    def test_moments_whose_sums_can_overflow_are_refused(self, changes, arm):
+        with pytest.raises(ValueError, match=f"mean_{arm} and var_{arm} can overflow a float"):
+            Scenario(**{**GAUSSIAN, **changes})
+
+    def test_moments_within_the_reach_run_without_overflow(self):
+        # 300 units at mean 5e25 sum to 1.5e28, which over 1e-280 is 1.5e308 <= 1.8e308. The
+        # effect is so harmful that the solver treats no unit past stage 1, so the control
+        # arm's sum comes near that reach.
+        scn = Scenario(**{**GAUSSIAN, "mean_control": 5e25, "var_control": 1e-280})
+        policy = AnalyticPolicy(PRIOR, VariancePolicy())
+        summary = run_replications(policy, scn, RiskSchedule.uniform(-500.0, 0.05, 3), 20, 0,
+                                   keep_traces=True)
+        assert (summary.traces.m[:, 1:] == 0).all()
+
+    @pytest.mark.parametrize(
         "changes, message",
         [
             ({"bernoulli_p": [0.5, 0.0]}, "bernoulli_p must be two numbers in (0, 1), got 0.0"),
