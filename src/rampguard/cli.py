@@ -13,9 +13,11 @@ Three subcommands:
 Exit codes: 0 success (``--help`` too), 1 config error (a usage error such
 as an unknown flag included), 2 invalid schedule, 3 runtime failure, 4
 tolerance budget exhausted (next-stage only). The environment variable
-``RAMPGUARD_THREADS`` bounds the worker count. Config files, state files
-and the flags that stand for their entries are checked by one schema
-checker, ``_check_values``, before anything is written.
+``RAMPGUARD_THREADS`` bounds the worker count. A flag that stands for a
+config or state entry is written over that entry and checked only as that
+entry, by ``_check_values``, the schema checker of config and state files,
+before anything is written; ``--n-next`` and ``--workers``, which stand for
+no entry, are checked first, before any file is read.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from typing import TYPE_CHECKING, Any
 # simulator where they run, so an operator call never loads numpy.
 from .posterior import (
     GaussianPrior,
-    InsufficientDataError,
     SufficientStats,
     VariancePolicy,
     compute_posterior,
@@ -217,17 +218,8 @@ _STATE_SCHEMA = {
     "pending": {"stage": _STAGE, "m": _COUNT, "n": _STAGE},
     "last_call": {"inputs": _OBJECT, "outputs": _OBJECT},
 }
-# Flag values that no command can use, refused before anything is read.
-_FLAG_SCHEMA = {
-    "--n-next": _STAGE,
-    "--prior-mu0": _PAIR,
-    "--sigma-sq": _VARIANCES,
-    "--pretrial-sigma-sq": _VARIANCES,
-    "--prior-sigma0-sq": _VARIANCES,
-    "--reps": _whole(1, REPLICATION_CAP),
-    "--seed": _whole(0),
-    "--workers": _whole(1),
-}
+# Flags that stand for no config or state entry; every other flag is checked as its entry.
+_FLAG_SCHEMA = {"--n-next": _STAGE, "--workers": _whole(1)}
 # Keys that may be null, meaning absent.
 _NULLABLE_KEYS = {"sigma_sq", "pretrial_sigma_sq", "pending", "last_call"}
 
@@ -278,7 +270,7 @@ def _with_flags(args: argparse.Namespace, entries: dict[str, Any]) -> dict[str, 
     for attr, key in _FLAG_KEYS.items():
         if getattr(args, attr, None) is not None:
             out[key] = getattr(args, attr)
-    prior = {"mu0": args.prior_mu0, "sigma0_sq": args.prior_sigma0_sq}
+    prior = {key: getattr(args, "prior_" + key, None) for key in ("mu0", "sigma0_sq")}
     prior = {key: value for key, value in prior.items() if value is not None}
     if prior:
         given = out.get("prior")
@@ -290,7 +282,7 @@ def _with_flags(args: argparse.Namespace, entries: dict[str, Any]) -> dict[str, 
 
 
 # The non-informative prior of a config or state that names none.
-_DEFAULT_PRIOR = {"mu0": (0.0, 0.0), "sigma0_sq": (100.0, 100.0)}
+_DEFAULT_PRIOR = {"mu0": [0.0, 0.0], "sigma0_sq": [100.0, 100.0]}
 
 
 def _prior_and_variance(source: str, entries: dict[str, Any]):
@@ -298,21 +290,24 @@ def _prior_and_variance(source: str, entries: dict[str, Any]):
 
     Absent keys take ``_DEFAULT_PRIOR`` and known variances.
     """
-    prior = {**_DEFAULT_PRIOR, **entries.get("prior", {})}
+    entry = {**_DEFAULT_PRIOR, **entries.get("prior", {})}
     mode = entries.get("variance_mode", "known")
     pretrial = entries.get("pretrial_sigma_sq")
     if mode == "estimated" and pretrial is None:
         raise ConfigError(
             f"{source}: estimated variance mode needs pretrial_sigma_sq (--pretrial-sigma-sq)"
         )
-    return (
-        GaussianPrior(prior["mu0"], prior["sigma0_sq"]),
-        VariancePolicy(mode, entries.get("sigma_sq"), pretrial),
-    )
+    try:
+        prior = GaussianPrior(entry["mu0"], entry["sigma0_sq"])
+    except ValueError as exc:  # a prior whose precision-weighted mean overflows
+        raise ConfigError(f"{source}: prior: {exc}") from None
+    return prior, VariancePolicy(mode, entries.get("sigma_sq"), pretrial)
 
 
-def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSchedule, Any]:
-    """Scenario, algorithm, schedule and policy of a `run` config, checked first."""
+def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSchedule, Any, int, int]:
+    """Scenario, algorithm, schedule, policy, replication count and seed of a `run` config,
+    checked first; the count is 500 and the seed 0 unless the config names them."""
+    from .replication import check_supplied_variances
     from .scenarios import scenario_from_config
 
     _check_values(source, config, _CONFIG_SCHEMA)
@@ -362,7 +357,12 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
 
         c = float(config.get("thompson", {}).get("c", 1.0))
         policy = ThompsonPolicy(c=c, prior=prior, sigma_sq=variance.values)
-    return scenario, algorithm, schedule, policy
+    try:
+        check_supplied_variances(policy, scenario)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    reps, seed = int(config.get("replications", 500)), int(config.get("seed", 0))
+    return scenario, algorithm, schedule, policy, reps, seed
 
 
 # ----------------------------------------------------------------- run
@@ -422,10 +422,9 @@ def _write_quantiles_csv(path: str, summary: ReplicationSummary, header_lines=()
 def cmd_run(args: argparse.Namespace) -> int:
     from .replication import run_replications
 
-    config = _with_flags(args, _load_json("config file", args.config) if args.config else {})
-    scenario, _, schedule, policy = _resolve("run config", config)
     _check_flags("run", args)
-    reps, seed = int(config.get("replications", 500)), int(config.get("seed", 0))
+    config = _with_flags(args, _load_json("config file", args.config) if args.config else {})
+    scenario, _, schedule, policy, reps, seed = _resolve("run config", config)
     summary = run_replications(policy, scenario, schedule, reps, seed,
                                workers=_workers(args.workers), keep_traces=True)
     out_dir = config.get("out", ".")
@@ -474,19 +473,19 @@ def _on(scenario: str, configs: dict[str, dict], **entries) -> dict[str, dict[st
 
 
 # The bundled studies (arXiv 2305.09626, Figures 1 and 2) as `run` configs:
-# figure id -> (default replication count, {label: config}).
+# figure id -> {label: config}. Figure 1 runs `run`'s default count of 500.
 _PRESETS = {
-    "fig1a": (500, _on("pte", _STANDARD)),
-    "fig1b": (500, _on("nte", _STANDARD)),
-    "fig1c": (500, _on("npte", _RATIONED)),
-    "fig1d": (500, _on("linkedin", _LINKEDIN)),
-    "fig1e": (500, _on("npte", _THOMPSON, budget=-500)),
-    "fig1f": (500, _on("linkedin", _THOMPSON, budget=-1500)),
-    "fig1g": (500, _on("nte", _STANDARD)),
-    "fig1h": (500, _on("npte", _RATIONED)),
-    "fig1i": (500, _on("npte", _THOMPSON, budget=-500)),
+    "fig1a": _on("pte", _STANDARD),
+    "fig1b": _on("nte", _STANDARD),
+    "fig1c": _on("npte", _RATIONED),
+    "fig1d": _on("linkedin", _LINKEDIN),
+    "fig1e": _on("npte", _THOMPSON, budget=-500),
+    "fig1f": _on("linkedin", _THOMPSON, budget=-1500),
+    "fig1g": _on("nte", _STANDARD),
+    "fig1h": _on("npte", _RATIONED),
+    "fig1i": _on("npte", _THOMPSON, budget=-500),
 } | {
-    figure: (5000, _on(scenario, {"B-500_d0.05": _STANDARD["B-500_d0.05"]}))
+    figure: _on(scenario, {"B-500_d0.05": _STANDARD["B-500_d0.05"]}, replications=5000)
     for figure, scenario in zip(("fig2a", "fig2b", "fig2c", "fig2d", "fig2e"),
                                 ("norm", "corr", "bern", "fat", "dec"))
 }
@@ -495,18 +494,16 @@ _PRESETS = {
 def cmd_reproduce(args: argparse.Namespace) -> int:
     from .replication import run_replications
 
+    _check_flags("reproduce", args)
     figure = args.figure
     if figure not in _PRESETS:
         raise ConfigError(f"unknown figure id {figure!r}; known: fig1a..fig1i, fig2a..fig2e")
-    _check_flags("reproduce", args)
-    default_reps, configs = _PRESETS[figure]
-    reps = default_reps if args.reps is None else args.reps
-    seed = 0 if args.seed is None else args.seed
     workers = _workers(args.workers)
-    runs = [(label, config, *_resolve(f"preset {figure} {label}", config))
-            for label, config in configs.items()]
+    runs = [(label, config, *_resolve(f"preset {figure} {label}", _with_flags(args, config)))
+            for label, config in _PRESETS[figure].items()]
+    reps, seed = runs[0][-2:]  # a figure's configs share one count and seed
     summaries = [run_replications(policy, scenario, schedule, reps, seed, workers=workers)
-                 for _, _, scenario, _, schedule, policy in runs]
+                 for _, _, scenario, _, schedule, policy, _, _ in runs]
     out_dir = os.path.join(args.out or ".", figure)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -516,7 +513,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             "the production ramp overlay is not bundled; supply it as a user file"
         )
 
-    for (label, config, _, algorithm, schedule, _), summary in zip(runs, summaries):
+    for (label, config, _, algorithm, schedule, *_), summary in zip(runs, summaries):
         header = [
             f"figure={figure} label={label} scenario={config['scenario']} "
             f"algo={algorithm} budget={schedule.budget} delta={schedule.delta} "
@@ -544,7 +541,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
             )
 
     _write_json(os.path.join(out_dir, "provenance.json"), provenance)
-    print(f"wrote {out_dir}/ ({len(configs)} run(s), reps={reps}, seed={seed})")
+    print(f"wrote {out_dir}/ ({len(runs)} run(s), reps={reps}, seed={seed})")
     return EXIT_OK
 
 
@@ -664,10 +661,11 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"{source} has version {state.get('version')!r}; this release reads version 1"
             )
-        _check_values(source, state, _STATE_SCHEMA, required=True)
-        _check_unchanged(source, args, state)
     else:
         state = _fresh_state(args)
+    _check_values(source, state, _STATE_SCHEMA, required=True)
+    # A fresh state holds its flags already, so only a stored one can differ.
+    _check_unchanged(source, args, state)
     prior, variance_policy = _prior_and_variance(source, state)
     if state["variance_mode"] == "known" and state.get("sigma_sq") is None:
         raise ConfigError(f"{source}: known variance mode needs sigma_sq (--sigma-sq v0 v1)")
@@ -848,8 +846,6 @@ def main(argv: "list[str] | None" = None) -> int:
         return _fail(EXIT_CONFIG, str(exc))
     except ScheduleError as exc:
         return _fail(EXIT_SCHEDULE, str(exc))
-    except InsufficientDataError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
     except (OSError, RuntimeError, ValueError) as exc:
         return _fail(EXIT_RUNTIME, f"{type(exc).__name__}: {exc}")
 

@@ -80,16 +80,11 @@ def set_cpu_share(cpus: int) -> None:
     _cpu_share = max(1, int(cpus))
 
 
-def _imputation_threads() -> int:
-    """Threads that impute the shards of one call, the calling thread included."""
-    return min(_SHARDS, _cpu_share)
-
-
 @contextmanager
 def _imputing(impute, shards: list):
     """Run ``impute(*shard)`` for every shard beside the ``with`` body.
 
-    Up to ``_imputation_threads() - 1`` helper threads take shards from
+    Up to ``min(_cpu_share, len(shards)) - 1`` helper threads take shards from
     one locked hand-out while the calling thread runs the body; the caller
     then takes the remaining shards itself and joins every helper before
     the ``with`` statement ends. The first failure, in a shard or in the
@@ -112,7 +107,7 @@ def _imputing(impute, shards: list):
                     pending.clear()
                 raise
 
-    helpers = min(_imputation_threads(), len(shards)) - 1
+    helpers = min(_cpu_share, len(shards)) - 1
     if helpers < 1:
         yield
         drain()
@@ -232,7 +227,7 @@ class GaussianPosteriorSampler:
         fit its reused buffer of ``_BUFFER_DOUBLES`` doubles (one row if a
         stage treated more units) and reduces them in place through
         ``cost.evaluate_into``. The calling thread draws the fresh units
-        while up to ``_imputation_threads() - 1`` helper threads, bounded
+        while up to ``min(_cpu_share, _SHARDS) - 1`` helper threads, bounded
         by ``set_cpu_share``, impute shards; it then imputes the shards
         still pending and joins every helper before the return. A share
         of 1 starts no helper, and neither does a call with no shard to

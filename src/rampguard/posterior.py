@@ -61,14 +61,20 @@ def _float_pair(name: str, pair, rule=_FINITE) -> Pair:
 @dataclass(frozen=True)
 class GaussianPrior:
     """Prior mean and variance of the unknown arm means, per arm; each variance
-    finite and at least ``VARIANCE_FLOOR``."""
+    finite and at least ``VARIANCE_FLOOR``, and each mean over its variance,
+    the prior's term of the posterior mean, finite."""
 
     mu0: Pair
     sigma0_sq: Pair
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu0", _float_pair("mu0", self.mu0))
+        mu0 = _float_pair("mu0", self.mu0)
         sigma0_sq = _float_pair("sigma0_sq", self.sigma0_sq, _VARIANCE)
+        for w in (0, 1):
+            if not math.isfinite(mu0[w] * (1.0 / sigma0_sq[w])):  # as posterior_moments has it
+                raise ValueError(f"mu0 {mu0!r} over sigma0_sq {sigma0_sq!r} overflows a float "
+                                 f"in arm {w}: mu0 / sigma0_sq must be at most 1.8e+308")
+        object.__setattr__(self, "mu0", mu0)
         object.__setattr__(self, "sigma0_sq", sigma0_sq)
 
 

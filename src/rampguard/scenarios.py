@@ -152,14 +152,19 @@ class Scenario:
             else:
                 value = _per_stage(key, given, T)
             store(self, key, value)
-        for arm in ("control", "treatment"):  # see _NOISE_SDS
-            means, variances = getattr(self, f"mean_{arm}"), getattr(self, f"var_{arm}")
-            reach = sum(abs(mu) * n + _NOISE_SDS * math.sqrt(v * n)
-                        for mu, v, n in zip(means, variances, self.population))
+        for w, arm in enumerate(("control", "treatment")):
+            reach, variances = self.reach(w), getattr(self, f"var_{arm}")
             if not math.isfinite(max(reach, reach / min(variances))):
                 raise ValueError(f"mean_{arm} and var_{arm} can overflow a float: the arm's "
                                  f"outcome sum can reach {reach:.3g}, and it and its ratio to the "
                                  f"variance {min(variances):.3g} must be at most 1.8e+308")
+
+    def reach(self, w: int) -> float:
+        """How far arm ``w``'s running outcome sum can reach over every stage (see _NOISE_SDS)."""
+        means = self.mean_treatment if w == 1 else self.mean_control
+        variances = self.var_treatment if w == 1 else self.var_control
+        return sum(abs(mu) * n + _NOISE_SDS * math.sqrt(v * n)
+                   for mu, v, n in zip(means, variances, self.population))
 
     # True per-stage moments (simulator-side knowledge).
 

@@ -196,11 +196,8 @@ class TestRun:
         # by the CLI's writers. The command itself takes the batch engine
         # (pinned by the next test), so the replications run here directly.
         config = cli._with_flags(cli._build_parser().parse_args(self.GOLDEN_ARGS), {})
-        scenario, _, schedule, policy = cli._resolve("run config", config)
-        seed = config["seed"]
-        chunk = replication._run_chunk(
-            policy, scenario, schedule, seed, range(config["replications"])
-        )
+        scenario, _, schedule, policy, reps, seed = cli._resolve("run config", config)
+        chunk = replication._run_chunk(policy, scenario, schedule, seed, range(reps))
         summary = replication._summarize(
             replication._join([chunk]), schedule, seed, keep_traces=True
         )
@@ -344,16 +341,17 @@ class TestRun:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme.split("## Command-line interface")[1]
         example = json.loads(section.split("```json\n")[1].split("```")[0])
-        scenario, algorithm, schedule, policy = cli._resolve("README", example)
+        scenario, algorithm, schedule, policy, reps, seed = cli._resolve("README", example)
+        assert (reps, seed) == (5000, 0)
         assert (scenario.name, algorithm) == ("norm", "rrc_analytic")
         budgets = (-400.0,) * 5 + (-500.0,) * 5
         assert schedule == RiskSchedule.uniform(-500.0, 0.05, 10, stage_budgets=budgets)
         prior = GaussianPrior((0.0, 0.0), (100.0, 100.0))
         assert policy == AnalyticPolicy(prior, VariancePolicy())
         # The thompson and mc sections are read by the algorithms they name.
-        _, _, _, policy = cli._resolve("README", {**example, "algorithm": "thompson"})
+        _, _, _, policy, _, _ = cli._resolve("README", {**example, "algorithm": "thompson"})
         assert policy == ThompsonPolicy(c=1.0, prior=prior)
-        _, _, _, policy = cli._resolve("README", {**example, "algorithm": "rrc_cantelli"})
+        _, _, _, policy, _, _ = cli._resolve("README", {**example, "algorithm": "rrc_cantelli"})
         assert policy == CantelliPolicy(prior, VariancePolicy(), 10_000, TreatmentEffectCost())
 
 
@@ -789,7 +787,7 @@ class TestRunConfigBounds:
         "argv, name",
         [
             (["run", "--scenario", "norm", "--budget", "-500", "--delta", "0.05"], "replications"),
-            (["reproduce", "fig2a"], "--reps"),
+            (["reproduce", "fig2a"], "replications"),
         ],
     )
     def test_a_reps_flag_past_the_bound_exits_one_before_any_work(
@@ -798,6 +796,49 @@ class TestRunConfigBounds:
         out = tmp_path / "out"
         assert main([*argv, "--reps", "100000000000", "--out", str(out), "--workers", "1"]) == 1
         assert f"{name} must be a whole number >= 1 and <= 1000000" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "next-stage"])
+    def test_a_prior_whose_mean_term_overflows_exits_one_before_any_work(
+        self, tmp_path, capsys, no_study, command
+    ):
+        # mu0 * (1 / sigma0_sq) = 1e30 * 1e280 would make the posterior mean inf.
+        out = tmp_path / "out"
+        prior = ["--prior-mu0", "1e30", "0", "--prior-sigma0-sq", "1e-280", "1"]
+        if command == "run":
+            argv = ["run", "--scenario", "norm", "--budget", "-500", "--delta", "0.05",
+                    "--reps", "20", "--out", str(out), *prior]
+            source, written = "run config", out / "summary.json"
+        else:
+            written = tmp_path / "state.json"
+            argv = [*TestNextStage.FRESH, "--state", str(written), *prior]
+            source = f"state file {written}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            assert main(argv) == 1
+        assert not caught, caught[:1]
+        err = capsys.readouterr().err
+        assert f"{source}: prior: mu0 (1e+30, 0.0) over sigma0_sq (1e-280, 1.0) overflows" in err
+        assert not written.exists()
+
+    @pytest.mark.parametrize("algo", ["rrc_analytic", "rrc_cantelli", "thompson"])
+    def test_supplied_variances_whose_quotient_overflows_exit_one_before_any_work(
+        self, tmp_path, capsys, no_study, algo
+    ):
+        # The treated sum reaches about 5e33, which over a supplied variance of 1e-280 would
+        # pass the float maximum in the posterior mean.
+        config = {"scenario": {"family": "gaussian_iid", "T": 10, "population": 500,
+                               "mean_control": 0, "mean_treatment": -1e30,
+                               "var_control": 10, "var_treatment": 10},
+                  "algorithm": algo, "sigma_sq": [1e-280, 1e-280], "budget": -500,
+                  "delta": 0.05, "replications": 20}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            code, out = self.run(tmp_path, config)
+        assert code == 1 and not caught, caught[:1]
+        assert "run config: sigma_sq[1] = 1e-280 is too small for the scenario" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("policy", sorted(RUN_CONFIGS))
@@ -967,15 +1008,30 @@ class TestReproduce:
     @pytest.mark.parametrize("figure", FIGURES)
     def test_presets_resolve_like_the_builders(self, figure):
         jobs, default_reps = legacy_figure_jobs(figure)
-        reps, configs = cli._PRESETS[figure]
-        assert reps == default_reps
+        configs = cli._PRESETS[figure]
         assert list(configs) == [job["label"] for job in jobs]
         for job, (label, config) in zip(jobs, configs.items()):
             assert config["scenario"] == job["scenario"], label
             resolved = cli._resolve(label, config)
             legacy = (builtin_scenarios()[job["scenario"]], job["algorithm"], job["schedule"],
-                      job["policy"])
+                      job["policy"], default_reps, 0)
             assert resolved == legacy, label
+
+    def test_a_preset_runs_as_run_runs_its_config(self, tmp_path):
+        # reproduce writes --reps and --seed over each preset config as run writes its
+        # flags over a config file: the two tables match below the provenance line.
+        argv = ["reproduce", "fig1c", "--reps", "40", "--seed", "3", "--workers", "1"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        config = {**cli._PRESETS["fig1c"]["ration_budget"], "replications": 40, "seed": 3}
+        path = tmp_path / "ration_budget.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--workers", "1", "--out", str(out)]) == 0
+        header, body = (tmp_path / "fig1c" / "quantiles_ration_budget.csv").read_bytes().split(
+            b"\n", 1
+        )
+        assert header.startswith(b"# figure=fig1c label=ration_budget ")
+        assert body == (out / "quantiles.csv").read_bytes()
 
     @pytest.mark.parametrize("figure", ["fig1c", "fig1e"])
     def test_golden_outputs(self, tmp_path, figure):
@@ -990,11 +1046,11 @@ class TestReproduce:
 
     def test_invalid_preset_schedule_exits_two_writing_nothing(self, tmp_path, monkeypatch):
         configs = {
-            "valid": {"scenario": "pte", "budget": -500, "delta": 0.05},
-            "invalid": {"scenario": "pte", "budget": -500, "delta": 0.05,
+            "valid": {"scenario": "pte", "budget": -500, "delta": 0.05, "replications": 2},
+            "invalid": {"scenario": "pte", "budget": -500, "delta": 0.05, "replications": 2,
                         "schedule": {"stage_budgets": -600}},
         }
-        monkeypatch.setitem(cli._PRESETS, "fig1a", (2, configs))
+        monkeypatch.setitem(cli._PRESETS, "fig1a", configs)
         assert main(["reproduce", "fig1a", "--out", str(tmp_path), "--workers", "1"]) == 2
         assert not (tmp_path / "fig1a").exists()
 
@@ -1016,7 +1072,9 @@ class TestReproduce:
     def test_negative_seed_exits_one_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["reproduce", "fig2a", "--seed", "-1", "--reps", "5", "--out", str(out)]) == 1
-        assert "--seed must be a whole number >= 0, got -1" in capsys.readouterr().err
+        assert "preset fig2a B-500_d0.05: seed must be a whole number >= 0, got -1" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     def test_unknown_figure_exits_one(self):
@@ -1039,7 +1097,7 @@ class TestReproduce:
     @pytest.mark.parametrize(
         "command,config,name",
         [
-            (["reproduce", "fig2a", "--reps", "0"], None, "--reps"),
+            (["reproduce", "fig2a", "--reps", "0"], None, "preset fig2a B-500_d0.05: replications"),
             (["run", "--reps", "-1"], {}, "replications"),
             (["run"], {"replications": 0}, "replications"),
             (["run"], {"replications": 2.5}, "replications"),
@@ -1391,9 +1449,14 @@ class TestNextStage:
         ],
     )
     def test_bad_operator_inputs_exit_one(self, tmp_path, capsys, flag, values):
+        # --n-next stands for no state entry and is named as a flag; a fresh state's
+        # belief flags are checked, and named, as the entries they are written over.
+        entries = {"--sigma-sq": "sigma_sq", "--pretrial-sigma-sq": "pretrial_sigma_sq",
+                   "--prior-sigma0-sq": "prior.sigma0_sq", "--prior-mu0": "prior.mu0"}
         fresh = tmp_path / "fresh.json"
         assert main([*self.FRESH, "--state", str(fresh), flag, *values]) == 1
-        assert flag in capsys.readouterr().err
+        name = f"state file {fresh}: {entries[flag]}" if flag in entries else f"next-stage: {flag}"
+        assert f"{name} must be" in capsys.readouterr().err
         assert not fresh.exists()
 
         state = tmp_path / "state.json"
@@ -1444,13 +1507,20 @@ class TestNextStage:
                      "--delta-next", "0.01", "--b-next", "-5"])
         assert code == 1
 
-    @pytest.mark.parametrize("flag", ["--sigma-sq", "--prior-sigma0-sq", "--pretrial-sigma-sq"])
+    @pytest.mark.parametrize(
+        "flag, key",
+        [("--sigma-sq", "sigma_sq"), ("--prior-sigma0-sq", "prior.sigma0_sq"),
+         ("--pretrial-sigma-sq", "pretrial_sigma_sq")],
+        ids=["--sigma-sq", "--prior-sigma0-sq", "--pretrial-sigma-sq"],
+    )
     def test_a_fresh_variance_below_the_floor_exits_one_and_writes_no_state(
-        self, tmp_path, capsys, flag
+        self, tmp_path, capsys, flag, key
     ):
         state = tmp_path / "state.json"
         assert main([*self.FRESH, "--state", str(state), flag, "1e-320", "1e-320"]) == 1
-        assert f"{flag} must be a list of two finite numbers >= 1e-280" in capsys.readouterr().err
+        assert f"state file {state}: {key} must be a list of two finite numbers >= 1e-280" in (
+            capsys.readouterr().err
+        )
         assert not state.exists()
 
     def test_fresh_state_with_nonnegative_budget_exits_two(self, tmp_path):

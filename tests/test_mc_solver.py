@@ -290,14 +290,15 @@ class TestShardedImputation:
         assert got is y0
         assert y0.tobytes() == np.asarray(want, dtype=float).tobytes()
 
-    def test_cpu_share_bounds_the_threads(self, monkeypatch):
+    def test_cpu_share_bounds_the_threads(self, executors, monkeypatch):
+        # The helper pools beside the calling thread: the share, at most one
+        # thread per shard, and at least the calling thread alone.
         monkeypatch.setattr(mc_solver, "_cpu_share", mc_solver._cpu_share)
-        mc_solver.set_cpu_share(3)
-        assert mc_solver._imputation_threads() == 3
-        mc_solver.set_cpu_share(64)
-        assert mc_solver._imputation_threads() == mc_solver._SHARDS
-        mc_solver.set_cpu_share(0)
-        assert mc_solver._imputation_threads() == 1
+        for share, helpers in ((3, [2]), (64, [mc_solver._SHARDS - 1]), (0, [])):
+            mc_solver.set_cpu_share(share)
+            executors.clear()
+            self.sampler(20).draw_cost_batch(CappedEffectCost(floor=0.0), 50, np.random.default_rng(1))
+            assert executors == helpers, share
 
     @pytest.fixture
     def executors(self, monkeypatch):
@@ -372,7 +373,7 @@ class TestShardedImputation:
             sys.setswitchinterval(interval)
 
     def test_no_thread_outlives_the_call(self, monkeypatch):
-        monkeypatch.setattr(mc_solver, "_imputation_threads", lambda: 8)
+        monkeypatch.setattr(mc_solver, "_cpu_share", 8)
         before = threading.active_count()
         self.sampler(50).draw_cost_batch(CappedEffectCost(floor=0.0), 2000, np.random.default_rng(1))
         assert threading.active_count() == before
@@ -382,7 +383,7 @@ class TestShardedImputation:
             def evaluate(self, y1, y0):
                 raise ArithmeticError("broken cost")
 
-        monkeypatch.setattr(mc_solver, "_imputation_threads", lambda: 2)
+        monkeypatch.setattr(mc_solver, "_cpu_share", 2)
         with pytest.raises(ArithmeticError, match="broken cost"):
             self.sampler(5).draw_cost_batch(Broken(), 16, np.random.default_rng(1))
 

@@ -67,6 +67,15 @@ class TestInit:
         with pytest.raises(ValueError, match="mu0 components must be finite, got"):
             GaussianPrior(mu0=mu0, sigma0_sq=(1.0, 1.0))
 
+    def test_a_mean_whose_prior_term_overflows_is_refused(self):
+        # posterior_moments weighs mu0 by 1 / sigma0_sq: 1e30 * 1e280 passes the float maximum.
+        with pytest.raises(ValueError, match=r"mu0 .* over sigma0_sq .* overflows a float in arm 0"):
+            GaussianPrior(mu0=(1e30, 0.0), sigma0_sq=(1e-280, 1.0))
+        with pytest.raises(ValueError, match="in arm 1"):
+            GaussianPrior(mu0=(0.0, -1e30), sigma0_sq=(1.0, 1e-280))
+        # 1e28 * 1e280 = 1e308 stays within it.
+        assert GaussianPrior(mu0=(1e28, 0.0), sigma0_sq=(1e-280, 1.0)).mu0 == (1e28, 0.0)
+
     def test_a_variance_below_the_floor_is_refused_but_a_posterior_one_is_kept(self):
         # A supplied variance's precision stays finite at any count; a posterior
         # variance, the reciprocal of a large total precision, may lie below the floor.

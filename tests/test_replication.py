@@ -83,8 +83,8 @@ class InlineExecutor:
         return future
 
 
-def _imputation_threads_of(items):
-    return mc_solver._imputation_threads()
+def _cpu_share_of(items):
+    return mc_solver._cpu_share
 
 
 class PerUnitThompson(ThompsonPolicy):
@@ -139,7 +139,7 @@ class TestPoolBound:
 
     def test_pool_workers_share_the_cpus(self):
         cpus = replication.usable_cpus()
-        threads = replication._map_chunks(_imputation_threads_of, 4, 2)
+        threads = replication._map_chunks(_cpu_share_of, 4, 2)
         assert min(2, cpus) * max(threads) <= cpus
 
     @pytest.mark.parametrize("policy", [ANALYTIC, ThompsonPolicy(c=1.0, prior=PRIOR)])
@@ -318,6 +318,34 @@ class TestRunReplications:
             with pytest.raises(ValueError, match=r"K_rep must be in \[1, 1000000\]"):
                 run_replications(ANALYTIC, builtin_scenarios()[name], sched, reps, 0)
         assert replication.REPLICATION_CAP == 10**6
+
+    def test_supplied_variances_whose_quotient_overflows_are_refused_before_any_draw(
+        self, monkeypatch
+    ):
+        def no_work(*args):
+            raise AssertionError("a study with overflowing supplied variances started")
+
+        monkeypatch.setattr(replication, "_map_chunks", no_work)
+        # The treated sum reaches about 5e33, and 5e33 / 1e-280 passes the float maximum.
+        scn = Scenario("far", "gaussian_iid", 10, 500, 0.0, -1e30, 10.0, 10.0)
+        sched = RiskSchedule.uniform(-500.0, 0.05, 10)
+        tiny = (1e-280, 1e-280)
+        for policy in (
+            AnalyticPolicy(PRIOR, VariancePolicy("known", tiny)),
+            CantelliPolicy(PRIOR, VariancePolicy("known", tiny), samples=10),
+            ThompsonPolicy(1.0, PRIOR, sigma_sq=tiny),
+        ):
+            with pytest.raises(ValueError, match=r"sigma_sq\[1\] = 1e-280 is too small"):
+                run_replications(policy, scn, sched, 5, 0)
+        # The control sum, about 2.8e4, keeps a finite quotient; estimated mode
+        # and the feed's own variances supply nothing to refuse.
+        for policy in (
+            AnalyticPolicy(PRIOR, VariancePolicy("known", (1e-280, 10.0))),
+            AnalyticPolicy(PRIOR, VariancePolicy("estimated", tiny, pretrial=(10.0, 10.0))),
+            AnalyticPolicy(PRIOR, VariancePolicy()),
+            ThompsonPolicy(1.0, PRIOR),
+        ):
+            replication.check_supplied_variances(policy, scn)
 
     @pytest.mark.parametrize("family, extra", [
         ("gaussian_iid", {}),  # the batch engine
