@@ -26,9 +26,9 @@ _EXPORTS = {
     ),
     "normal": ("normal_cdf", "normal_pdf", "normal_quantile"),
     "posterior": (
-        "GaussianPrior", "InsufficientDataError", "OutcomeVariance", "PosteriorState",
-        "SufficientStats", "VariancePolicy", "compute_posterior", "estimate_variance",
-        "init_posterior", "update_stats",
+        "GaussianPrior", "InsufficientDataError", "NonFinitePosteriorError", "OutcomeVariance",
+        "PosteriorState", "SufficientStats", "VariancePolicy", "compute_posterior",
+        "estimate_variance", "init_posterior", "update_stats",
     ),
     "replication": (
         "CompactTrace", "ReplicationSummary", "replication_stream", "resolve_workers",

@@ -11,7 +11,8 @@ Three subcommands:
   JSON state file and prints the next treated-group size.
 
 Exit codes: 0 success (``--help`` too), 1 config error (a usage error such
-as an unknown flag included), 2 invalid schedule, 3 runtime failure, 4
+as an unknown flag included, and inputs under which a posterior mean
+overflows a float), 2 invalid schedule, 3 runtime failure, 4
 tolerance budget exhausted (next-stage only). The environment variable
 ``RAMPGUARD_THREADS`` bounds the worker count. A flag that stands for a
 config or state entry is written over that entry and checked only as that
@@ -36,6 +37,7 @@ from typing import TYPE_CHECKING, Any
 # simulator where they run, so an operator call never loads numpy.
 from .posterior import (
     GaussianPrior,
+    NonFinitePosteriorError,
     SufficientStats,
     VariancePolicy,
     compute_posterior,
@@ -297,17 +299,13 @@ def _prior_and_variance(source: str, entries: dict[str, Any]):
         raise ConfigError(
             f"{source}: estimated variance mode needs pretrial_sigma_sq (--pretrial-sigma-sq)"
         )
-    try:
-        prior = GaussianPrior(entry["mu0"], entry["sigma0_sq"])
-    except ValueError as exc:  # a prior whose precision-weighted mean overflows
-        raise ConfigError(f"{source}: prior: {exc}") from None
+    prior = GaussianPrior(entry["mu0"], entry["sigma0_sq"])
     return prior, VariancePolicy(mode, entries.get("sigma_sq"), pretrial)
 
 
 def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSchedule, Any, int, int]:
     """Scenario, algorithm, schedule, policy, replication count and seed of a `run` config,
     checked first; the count is 500 and the seed 0 unless the config names them."""
-    from .replication import check_supplied_variances
     from .scenarios import scenario_from_config
 
     _check_values(source, config, _CONFIG_SCHEMA)
@@ -357,10 +355,6 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
 
         c = float(config.get("thompson", {}).get("c", 1.0))
         policy = ThompsonPolicy(c=c, prior=prior, sigma_sq=variance.values)
-    try:
-        check_supplied_variances(policy, scenario)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
     reps, seed = int(config.get("replications", 500)), int(config.get("seed", 0))
     return scenario, algorithm, schedule, policy, reps, seed
 
@@ -842,7 +836,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, NonFinitePosteriorError) as exc:  # either way the inputs are at fault
         return _fail(EXIT_CONFIG, str(exc))
     except ScheduleError as exc:
         return _fail(EXIT_SCHEDULE, str(exc))

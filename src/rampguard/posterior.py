@@ -20,6 +20,7 @@ from .schedules import VARIANCE_FLOOR
 
 __all__ = [
     "InsufficientDataError",
+    "NonFinitePosteriorError",
     "GaussianPrior",
     "OutcomeVariance",
     "SufficientStats",
@@ -38,6 +39,10 @@ _NO_VARIANCE = "known-variance mode needs explicit values or a feed that reports
 
 class InsufficientDataError(ValueError):
     """An arm has fewer than two observations, so its variance is undefined."""
+
+
+class NonFinitePosteriorError(ValueError):
+    """An arm's posterior mean is not a finite float, so no ramp size can rest on it."""
 
 
 # Rules of a pair's components: the test of each and what it wants.
@@ -60,22 +65,17 @@ def _float_pair(name: str, pair, rule=_FINITE) -> Pair:
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Prior mean and variance of the unknown arm means, per arm; each variance
-    finite and at least ``VARIANCE_FLOOR``, and each mean over its variance,
-    the prior's term of the posterior mean, finite."""
+    """Prior mean and variance of the unknown arm means, per arm; each mean
+    finite and each variance finite and at least ``VARIANCE_FLOOR``. A mean
+    too large for its variance is refused where the posterior is formed
+    (``posterior_moments``)."""
 
     mu0: Pair
     sigma0_sq: Pair
 
     def __post_init__(self) -> None:
-        mu0 = _float_pair("mu0", self.mu0)
-        sigma0_sq = _float_pair("sigma0_sq", self.sigma0_sq, _VARIANCE)
-        for w in (0, 1):
-            if not math.isfinite(mu0[w] * (1.0 / sigma0_sq[w])):  # as posterior_moments has it
-                raise ValueError(f"mu0 {mu0!r} over sigma0_sq {sigma0_sq!r} overflows a float "
-                                 f"in arm {w}: mu0 / sigma0_sq must be at most 1.8e+308")
-        object.__setattr__(self, "mu0", mu0)
-        object.__setattr__(self, "sigma0_sq", sigma0_sq)
+        object.__setattr__(self, "mu0", _float_pair("mu0", self.mu0))
+        object.__setattr__(self, "sigma0_sq", _float_pair("sigma0_sq", self.sigma0_sq, _VARIANCE))
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,35 @@ def compute_posterior(
 def posterior_moments(prior: GaussianPrior, sigma_sq: Pair, counts, sums) -> tuple[Pair, Pair]:
     """Posterior means and variances from per-arm counts and observed sums.
 
-    The arithmetic of :func:`compute_posterior`, without its validation;
-    ``counts`` and ``sums`` are ``(control, treatment)`` pairs of scalars or
-    of equal-shape numpy arrays, so one call updates many replications.
+    The arithmetic of :func:`compute_posterior`; ``counts`` and ``sums`` are
+    ``(control, treatment)`` pairs of scalars or of equal-shape numpy
+    arrays, so one call updates many replications. Every variance is at
+    least ``VARIANCE_FLOOR``, so each precision is finite, but a mean term,
+    ``mu0 / sigma0_sq`` or ``sum / sigma_sq``, may overflow a float: an arm
+    whose posterior mean is not finite, in any replication, raises
+    ``NonFinitePosteriorError`` naming it. This is the one finiteness check
+    on the posterior, and numpy's overflow warnings stay silent on the way.
     """
+    if not hasattr(sums[1], "dtype"):  # scalars: float arithmetic overflows silently
+        mu, var = _moments(prior, sigma_sq, counts, sums)
+        finite = [math.isfinite(m) for m in mu]
+    else:
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu, var = _moments(prior, sigma_sq, counts, sums)
+            finite = [np.isfinite(m).all() for m in mu]
+    for w in (0, 1):
+        if not finite[w]:
+            raise NonFinitePosteriorError(
+                f"arm {w}'s posterior mean is not finite: the prior's mu0 {prior.mu0[w]!r} "
+                f"over sigma0_sq {prior.sigma0_sq[w]!r} plus the arm's outcome sum over "
+                f"sigma_sq {sigma_sq[w]!r} overflows a float"
+            )
+    return mu, var
+
+
+def _moments(prior: GaussianPrior, sigma_sq: Pair, counts, sums) -> tuple[Pair, Pair]:
     mu, var = [0.0, 0.0], [0.0, 0.0]
     for w in (0, 1):
         prior_prec = 1.0 / prior.sigma0_sq[w]

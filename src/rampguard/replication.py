@@ -43,7 +43,6 @@ __all__ = [
     "CompactTrace",
     "ReplicationSummary",
     "run_replications",
-    "check_supplied_variances",
     "resolve_workers",
     "replication_stream",
     "usable_cpus",
@@ -199,30 +198,6 @@ def resolve_workers(explicit: "int | None" = None) -> int:
     return min(usable_cpus(), 8)
 
 
-def check_supplied_variances(policy, scenario: Scenario) -> None:
-    """Refuse supplied known variances under which an arm's sum over its variance overflows.
-
-    The posterior divides each arm's running sum by the arm's variance.
-    ``Scenario`` bounds that sum by ``Scenario.reach`` and keeps it finite
-    over the scenario's own variances; the variances a policy supplies,
-    ``VariancePolicy.values`` in known mode or ``ThompsonPolicy.sigma_sq``,
-    may be smaller. ``ValueError`` names the arm and its variance.
-    """
-    variance = getattr(policy, "variance", None)
-    if variance is None:
-        supplied = getattr(policy, "sigma_sq", None)
-    else:
-        supplied = variance.values if variance.mode == "known" else None
-    if supplied is None:
-        return
-    for w in (0, 1):
-        reach = scenario.reach(w)
-        if not math.isfinite(reach / supplied[w]):
-            raise ValueError(f"sigma_sq[{w}] = {supplied[w]:.3g} is too small for the scenario: "
-                             f"arm {w}'s outcome sum can reach {reach:.3g}, and its ratio to the "
-                             "variance must be at most 1.8e+308")
-
-
 def run_replications(
     policy,
     scenario: Scenario,
@@ -243,16 +218,16 @@ def run_replications(
     (see the module docstring). A cost that overflows a float is neither
     ruined nor safe: ``ValueError`` names the first stage it reaches, as it
     does a decision whose branch is not in the policy's ``branch_labels``.
-    Before any draw, a policy without ``decide`` or ``branch_labels`` raises
-    ``TypeError``, and more than ``REPLICATION_CAP`` replications, a
-    per-unit stage of more than ``UNIT_POPULATION_CAP`` units, or supplied
-    variances that ``check_supplied_variances`` refuses, ``ValueError``.
+    A posterior mean that overflows raises ``NonFinitePosteriorError`` from
+    the stage that forms it. Before any draw, a policy without ``decide`` or
+    ``branch_labels`` raises ``TypeError``, and more than ``REPLICATION_CAP``
+    replications or a per-unit stage of more than ``UNIT_POPULATION_CAP``
+    units, ``ValueError``.
     """
     if not (callable(getattr(policy, "decide", None)) and hasattr(policy, "branch_labels")):
         raise TypeError(f"{type(policy).__name__} is not a policy: it needs decide and branch_labels")
     if not 1 <= K_rep <= REPLICATION_CAP:
         raise ValueError(f"K_rep must be in [1, {REPLICATION_CAP}], got {K_rep!r}")
-    check_supplied_variances(policy, scenario)
     workers = int(workers)
 
     if _takes_batch_engine(policy, scenario):

@@ -41,12 +41,6 @@ __all__ = [
 ]
 
 _MOMENTS = ("mean_control", "mean_treatment", "var_control", "var_treatment")
-# An arm's running sum folds every unit of every stage, each adding |mean| * n and noise of sd
-# sqrt(var * n) (numpy's normal draws stay within 14 sd; 40 has probability below 1e-349), and
-# the posterior divides it by a variance. A reach, sum_t |mean| * n + _NOISE_SDS * sqrt(var * n),
-# and that over the smallest variance, both within the float maximum, 1.8e308, keep the sum
-# and its quotient finite.
-_NOISE_SDS = 40.0
 _VARIANCE = (lambda v: VARIANCE_FLOOR <= v < math.inf, f"a finite number >= {VARIANCE_FLOOR:g}")
 # Each checked field: the test its values must pass and what the test wants.
 # Past 2**53 a float no longer holds every whole number.
@@ -94,7 +88,8 @@ class Scenario:
     takes no other. The scaled-Bernoulli moments are derived, ``scale * p``
     and ``scale**2 * p * (1 - p)`` per arm; given ones must equal them.
     Every fault, a wrong type included, raises ``ValueError`` naming the field
-    and what ``_RULES`` wants of it, or an arm's two moments if its sums can overflow.
+    and what ``_RULES`` wants of it. Moments whose outcome sums overflow the
+    posterior are refused where it is formed (``posterior.posterior_moments``).
     """
 
     name: str
@@ -152,19 +147,6 @@ class Scenario:
             else:
                 value = _per_stage(key, given, T)
             store(self, key, value)
-        for w, arm in enumerate(("control", "treatment")):
-            reach, variances = self.reach(w), getattr(self, f"var_{arm}")
-            if not math.isfinite(max(reach, reach / min(variances))):
-                raise ValueError(f"mean_{arm} and var_{arm} can overflow a float: the arm's "
-                                 f"outcome sum can reach {reach:.3g}, and it and its ratio to the "
-                                 f"variance {min(variances):.3g} must be at most 1.8e+308")
-
-    def reach(self, w: int) -> float:
-        """How far arm ``w``'s running outcome sum can reach over every stage (see _NOISE_SDS)."""
-        means = self.mean_treatment if w == 1 else self.mean_control
-        variances = self.var_treatment if w == 1 else self.var_control
-        return sum(abs(mu) * n + _NOISE_SDS * math.sqrt(v * n)
-                   for mu, v, n in zip(means, variances, self.population))
 
     # True per-stage moments (simulator-side knowledge).
 

@@ -639,14 +639,13 @@ class TestInlineScenarios:
         assert not out.exists()
 
     def test_moments_whose_posterior_overflows_exit_one_writing_nothing(self, tmp_path, capsys):
-        # A mean of -1e30 over 75 units sums to -7.5e31, which over a variance of 1e-280
-        # passes the float maximum in the posterior mean.
+        # A mean of -1e30 over the units stage 1 treats, over a variance of 1e-280, passes
+        # the float maximum in the posterior mean that stage 2 forms.
         spec = {**INLINE["gaussian_iid"], "mean_treatment": -1e30, "var_control": 1e-280,
                 "var_treatment": 1e-280}
         code, out = self.run(tmp_path, spec)
         assert code == 1
-        err = capsys.readouterr().err
-        assert "run config: scenario: mean_treatment and var_treatment can overflow" in err
+        assert "arm 1's posterior mean is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_per_unit_studies_bound_the_stage_population(self, tmp_path, capsys, monkeypatch):
@@ -799,10 +798,10 @@ class TestRunConfigBounds:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "next-stage"])
-    def test_a_prior_whose_mean_term_overflows_exits_one_before_any_work(
-        self, tmp_path, capsys, no_study, command
+    def test_a_prior_whose_mean_term_overflows_exits_one_writing_nothing(
+        self, tmp_path, capsys, command
     ):
-        # mu0 * (1 / sigma0_sq) = 1e30 * 1e280 would make the posterior mean inf.
+        # mu0 * (1 / sigma0_sq) = 1e30 * 1e280 makes the first posterior mean inf.
         out = tmp_path / "out"
         prior = ["--prior-mu0", "1e30", "0", "--prior-sigma0-sq", "1e-280", "1"]
         if command == "run":
@@ -818,15 +817,19 @@ class TestRunConfigBounds:
             assert main(argv) == 1
         assert not caught, caught[:1]
         err = capsys.readouterr().err
-        assert f"{source}: prior: mu0 (1e+30, 0.0) over sigma0_sq (1e-280, 1.0) overflows" in err
+        assert "arm 0's posterior mean is not finite: the prior's mu0 1e+30 over sigma0_sq" in err
         assert not written.exists()
 
-    @pytest.mark.parametrize("algo", ["rrc_analytic", "rrc_cantelli", "thompson"])
-    def test_supplied_variances_whose_quotient_overflows_exit_one_before_any_work(
-        self, tmp_path, capsys, no_study, algo
+    # The per-unit engine of rrc_cantelli shares 20 replications among a pool of two workers.
+    @pytest.mark.parametrize(
+        "algo, workers",
+        [("rrc_analytic", "1"), ("rrc_cantelli", "1"), ("thompson", "1"), ("rrc_cantelli", "2")],
+    )
+    def test_supplied_variances_whose_quotient_overflows_exit_one_writing_nothing(
+        self, tmp_path, capsys, algo, workers
     ):
-        # The treated sum reaches about 5e33, which over a supplied variance of 1e-280 would
-        # pass the float maximum in the posterior mean.
+        # Each treated unit adds -1e30 to the treated sum, which over a supplied variance of
+        # 1e-280 passes the float maximum in the posterior mean that stage 2 forms.
         config = {"scenario": {"family": "gaussian_iid", "T": 10, "population": 500,
                                "mean_control": 0, "mean_treatment": -1e30,
                                "var_control": 10, "var_treatment": 10},
@@ -834,11 +837,9 @@ class TestRunConfigBounds:
                   "delta": 0.05, "replications": 20}
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", RuntimeWarning)
-            code, out = self.run(tmp_path, config)
+            code, out = self.run(tmp_path, config, "--workers", workers)
         assert code == 1 and not caught, caught[:1]
-        assert "run config: sigma_sq[1] = 1e-280 is too small for the scenario" in (
-            capsys.readouterr().err
-        )
+        assert "arm 1's posterior mean is not finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("policy", sorted(RUN_CONFIGS))
@@ -1625,6 +1626,40 @@ class TestNextStage:
         which = ("first", "second")[index]
         message = f"stats.{key} must be a list of two finite numbers with the {which} 0"
         assert message in capsys.readouterr().err
+        assert state.read_bytes() == before
+
+    def test_a_stored_sum_whose_posterior_overflows_exits_one(self, tmp_path, capsys):
+        # A control sum of 1e300 over the control variance estimated from it, clamped to
+        # 1e-12, makes the posterior mean inf; read as is, it would decide m_next = 0.
+        state = tmp_path / "state.json"
+        assert main([*self.ESTIMATED, "--state", str(state)]) == 0
+        observed = ["--treated-sum", "13.0", "--control-sum", "487.0",
+                    "--treated-sumsq", "143.0", "--control-sumsq", "5357.0"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
+        saved = json.loads(state.read_text())
+        saved["stats"]["control_sums"][0] = 1e300
+        state.write_text(json.dumps(saved))
+        before = state.read_bytes()
+        capsys.readouterr()
+        m = saved["pending"]["m"]
+        observed = ["--treated-sum", "0.0", "--control-sum", "0.0",
+                    "--treated-sumsq", f"{10.0 * m}", "--control-sumsq", f"{10.0 * (500 - m)}"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
+        assert "arm 0's posterior mean is not finite" in capsys.readouterr().err
+        assert state.read_bytes() == before
+
+    def test_observed_sums_whose_posterior_overflows_exit_one(self, tmp_path, capsys):
+        # Sums of 1e30 over a known variance of 1e-280 pass the float maximum.
+        state = tmp_path / "state.json"
+        opening = ["next-stage", "--state", str(state), "--budget", "-500", "--delta", "0.05",
+                   "--sigma-sq", "1e-280", "1e-280",
+                   "--n-next", "100", "--delta-next", "0.005", "--b-next", "-500"]
+        assert main(opening) == 0
+        before = state.read_bytes()
+        capsys.readouterr()
+        observed = ["--treated-sum", "1e30", "--control-sum", "1e30"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
+        assert "arm 0's posterior mean is not finite" in capsys.readouterr().err
         assert state.read_bytes() == before
 
     def test_sumsq_at_the_cauchy_schwarz_bound_is_accepted(self, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rampguard.posterior import (
     GaussianPrior,
     InsufficientDataError,
+    NonFinitePosteriorError,
     OutcomeVariance,
     PosteriorState,
     SufficientStats,
@@ -15,6 +16,7 @@ from rampguard.posterior import (
     compute_posterior,
     estimate_variance,
     init_posterior,
+    posterior_moments,
     update_stats,
 )
 
@@ -67,14 +69,6 @@ class TestInit:
         with pytest.raises(ValueError, match="mu0 components must be finite, got"):
             GaussianPrior(mu0=mu0, sigma0_sq=(1.0, 1.0))
 
-    def test_a_mean_whose_prior_term_overflows_is_refused(self):
-        # posterior_moments weighs mu0 by 1 / sigma0_sq: 1e30 * 1e280 passes the float maximum.
-        with pytest.raises(ValueError, match=r"mu0 .* over sigma0_sq .* overflows a float in arm 0"):
-            GaussianPrior(mu0=(1e30, 0.0), sigma0_sq=(1e-280, 1.0))
-        with pytest.raises(ValueError, match="in arm 1"):
-            GaussianPrior(mu0=(0.0, -1e30), sigma0_sq=(1.0, 1e-280))
-        # 1e28 * 1e280 = 1e308 stays within it.
-        assert GaussianPrior(mu0=(1e28, 0.0), sigma0_sq=(1e-280, 1.0)).mu0 == (1e28, 0.0)
 
     def test_a_variance_below_the_floor_is_refused_but_a_posterior_one_is_kept(self):
         # A supplied variance's precision stays finite at any count; a posterior
@@ -205,6 +199,32 @@ class TestComputePosterior:
         for w in (0, 1):
             assert p_seq.mu_p[w] == pytest.approx(p_merge.mu_p[w], rel=1e-10)
             assert p_seq.sigma_p_sq[w] == pytest.approx(p_merge.sigma_p_sq[w], rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "mu0, sigma0_sq, arm", [((1e30, 0.0), (1e-280, 1.0), 0), ((0.0, -1e30), (1.0, 1e-280), 1)]
+    )
+    def test_a_mean_whose_prior_term_overflows_is_refused(self, mu0, sigma0_sq, arm):
+        # The prior is kept, but the posterior weighs mu0 by 1 / sigma0_sq: 1e30 * 1e280
+        # passes the float maximum.
+        prior = GaussianPrior(mu0, sigma0_sq)
+        with pytest.raises(NonFinitePosteriorError, match=f"arm {arm}'s posterior mean is not finite"):
+            compute_posterior(prior, VAR10, SufficientStats())
+        # 1e28 * 1e280 = 1e308 stays within it.
+        post = compute_posterior(GaussianPrior((1e28, 0.0), (1e-280, 1.0)), VAR10, SufficientStats())
+        assert post.mu_p[0] == pytest.approx(1e28, rel=1e-12)
+
+    @pytest.mark.parametrize("form", [float, lambda v: np.array([v])])
+    def test_terms_that_overflow_only_in_their_sum_are_refused(self, form):
+        # Each arm's prior term, 1e300 * 1e8, and data term, 1e28 / 1e-280, is about 1e308,
+        # and their sum is inf. A 1-element array takes numpy's path, whose overflow
+        # warning the suite's filterwarnings would turn into an error.
+        prior = GaussianPrior((1e300, 1e300), (1e-8, 1e-8))
+        counts, sums = (form(100), form(100)), (form(1e28), form(1e28))
+        with pytest.raises(NonFinitePosteriorError, match="arm 0's posterior mean is not finite"):
+            posterior_moments(prior, (1e-280, 1e-280), counts, sums)
+        # A tenth of the sum keeps the sum of the terms within the float maximum.
+        mu, _ = posterior_moments(prior, (1e-280, 1e-280), counts, (form(1e27), form(1e27)))
+        assert np.isfinite(mu).all()
 
     @given(st.integers(min_value=0, max_value=2000), st.integers(min_value=1, max_value=2000))
     def test_posterior_variance_decreasing_in_count(self, m1, extra):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, cli, mc_solver, replication
-from rampguard.posterior import GaussianPrior, VariancePolicy
+from rampguard.posterior import GaussianPrior, NonFinitePosteriorError, VariancePolicy
 from rampguard.batch import run_block
 from rampguard.replication import (
     BLOCK_SIZE,
@@ -319,14 +319,9 @@ class TestRunReplications:
                 run_replications(ANALYTIC, builtin_scenarios()[name], sched, reps, 0)
         assert replication.REPLICATION_CAP == 10**6
 
-    def test_supplied_variances_whose_quotient_overflows_are_refused_before_any_draw(
-        self, monkeypatch
-    ):
-        def no_work(*args):
-            raise AssertionError("a study with overflowing supplied variances started")
-
-        monkeypatch.setattr(replication, "_map_chunks", no_work)
-        # The treated sum reaches about 5e33, and 5e33 / 1e-280 passes the float maximum.
+    def test_supplied_variances_whose_quotient_overflows_are_refused_at_the_posterior(self):
+        # Each treated unit adds -1e30 to the treated sum, and over 1e-280 that passes the
+        # float maximum in the posterior mean that stage 2 forms.
         scn = Scenario("far", "gaussian_iid", 10, 500, 0.0, -1e30, 10.0, 10.0)
         sched = RiskSchedule.uniform(-500.0, 0.05, 10)
         tiny = (1e-280, 1e-280)
@@ -335,17 +330,17 @@ class TestRunReplications:
             CantelliPolicy(PRIOR, VariancePolicy("known", tiny), samples=10),
             ThompsonPolicy(1.0, PRIOR, sigma_sq=tiny),
         ):
-            with pytest.raises(ValueError, match=r"sigma_sq\[1\] = 1e-280 is too small"):
+            with pytest.raises(NonFinitePosteriorError, match="arm 1's posterior mean"):
                 run_replications(policy, scn, sched, 5, 0)
-        # The control sum, about 2.8e4, keeps a finite quotient; estimated mode
-        # and the feed's own variances supply nothing to refuse.
+        # The control sum, of mean 0, keeps a finite quotient even over 1e-280; estimated
+        # mode and the feed's own variances divide by variances of about 10.
         for policy in (
             AnalyticPolicy(PRIOR, VariancePolicy("known", (1e-280, 10.0))),
             AnalyticPolicy(PRIOR, VariancePolicy("estimated", tiny, pretrial=(10.0, 10.0))),
             AnalyticPolicy(PRIOR, VariancePolicy()),
             ThompsonPolicy(1.0, PRIOR),
         ):
-            replication.check_supplied_variances(policy, scn)
+            run_replications(policy, scn, sched, 5, 0)
 
     @pytest.mark.parametrize("family, extra", [
         ("gaussian_iid", {}),  # the batch engine
@@ -357,8 +352,8 @@ class TestRunReplications:
         ((1, 1, 1), 3.5e307, 3),  # 7e307, 1.4e308, then 2.1e308
     ])
     def test_non_finite_costs_are_refused(self, family, extra, population, mean, stage):
-        # Each arm's outcome sums stay finite, as Scenario demands, but the effects add up past
-        # the float maximum: Thompson, sure of a positive effect, treats every unit.
+        # Each arm's posterior mean stays finite, but the effects add up past the float
+        # maximum: Thompson, sure of a positive effect, treats every unit.
         scn = Scenario("overflow", family, 3, population, -mean, mean, 1e10, 1e10, **extra)
         policy = ThompsonPolicy(1.0, GaussianPrior((0.0, 100.0), (1.0, 1.0)))
         sched = RiskSchedule.uniform(-500.0, 0.05, 3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rampguard.diagnostics import robustness_diagnostics
-from rampguard.posterior import GaussianPrior, VariancePolicy
+from rampguard.posterior import GaussianPrior, NonFinitePosteriorError, VariancePolicy
 from rampguard.replication import run_replications
 from rampguard.scenarios import (
     Scenario,
@@ -226,30 +226,39 @@ class TestConstruction:
         assert message in str(info.value)
 
     @pytest.mark.parametrize(
-        "changes, arm",
+        "changes",
         [
-            # 300 units at |mean| 7e25 sum to 2.1e28, which over 1e-280 is 2.1e308.
-            ({"mean_treatment": -7e25, "var_treatment": 1e-280}, "treatment"),
-            ({"mean_control": 1e306}, "control"),  # the sum itself reaches 3e308
-            ({"var_control": 1e307}, "control"),  # var * n, the sum law's, passes the maximum
-            # Noise of a variance of 1e300 over one of 1e-280 at another stage.
-            ({"family": "gaussian_time_varying", "var_treatment": [1e300, 1e-280, 4.0]},
-             "treatment"),
+            {"mean_control": 1e306},  # the control sum reaches 3e308
+            {"var_control": 1e307},  # var * n, the sum law's, passes the maximum
         ],
     )
-    def test_moments_whose_sums_can_overflow_are_refused(self, changes, arm):
-        with pytest.raises(ValueError, match=f"mean_{arm} and var_{arm} can overflow a float"):
-            Scenario(**{**GAUSSIAN, **changes})
+    def test_moments_whose_sums_overflow_are_refused_at_the_posterior(self, changes):
+        scn = Scenario(**{**GAUSSIAN, **changes})
+        policy = AnalyticPolicy(PRIOR, VariancePolicy())
+        # The simulator's own draws overflow and warn; the posterior they feed is refused.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NonFinitePosteriorError, match="arm 0's posterior mean"):
+                run_replications(policy, scn, RiskSchedule.uniform(-500.0, 0.05, 3), 20, 0)
 
-    def test_moments_within_the_reach_run_without_overflow(self):
-        # 300 units at mean 5e25 sum to 1.5e28, which over 1e-280 is 1.5e308 <= 1.8e308. The
-        # effect is so harmful that the solver treats no unit past stage 1, so the control
-        # arm's sum comes near that reach.
-        scn = Scenario(**{**GAUSSIAN, "mean_control": 5e25, "var_control": 1e-280})
+    @pytest.mark.parametrize(
+        "changes, harmful",
+        [
+            # 300 units at mean 5e25 sum to 1.5e28, which over 1e-280 is 1.5e308 <= 1.8e308.
+            ({"mean_control": 5e25, "var_control": 1e-280}, True),
+            # Treating all 300 units would sum to 2.1e28, past the maximum over 1e-280, but
+            # stage 1 treats a few units and the solver treats none after.
+            ({"mean_treatment": -7e25, "var_treatment": 1e-280}, True),
+            # Noise of a variance of 1e300 over one of 1e-280 at another stage.
+            ({"family": "gaussian_time_varying", "var_treatment": [1e300, 1e-280, 4.0]}, False),
+        ],
+    )
+    def test_moments_whose_posterior_stays_finite_run_without_overflow(self, changes, harmful):
+        scn = Scenario(**{**GAUSSIAN, **changes})
         policy = AnalyticPolicy(PRIOR, VariancePolicy())
         summary = run_replications(policy, scn, RiskSchedule.uniform(-500.0, 0.05, 3), 20, 0,
                                    keep_traces=True)
-        assert (summary.traces.m[:, 1:] == 0).all()
+        # A harmful enough effect leaves every stage after the first untreated.
+        assert (summary.traces.m[:, 1:] == 0).all() == harmful
 
     @pytest.mark.parametrize(
         "changes, message",
