@@ -43,8 +43,8 @@ from .posterior import (
     compute_posterior,
     update_stats,
 )
-from .schedules import (FLOOR_CAP, REPLICATION_CAP, SAMPLE_CAP, STAGE_CAP, VARIANCE_FLOOR, RiskSchedule,
-                        ScheduleError, as_float, sinc_schedule, uniform_tolerance)
+from .schedules import (RULES, RiskSchedule, ScheduleError, as_float, sinc_schedule,
+                        uniform_tolerance, whole)
 from .solver import AnalyticPolicy, solve_ramp_size
 
 if TYPE_CHECKING:
@@ -100,66 +100,52 @@ def _is_number(v) -> bool:
     return as_float(v) is not None
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, int) and _is_number(v)
-
-
-def _is_finite(v) -> bool:
-    return _is_number(v) and math.isfinite(v)
-
-
 def _list_of(check, length=None):
     return lambda v: (
         isinstance(v, list) and length in (None, len(v)) and all(map(check, v))
     )
 
 
-def _whole(least: int, most: float = math.inf):
-    """The check of a whole number from ``least`` to ``most`` and what it wants."""
-    wants = f"a whole number >= {least}" + (f" and <= {most}" if most < math.inf else "")
-    return (lambda v: _is_number(v) and least <= v <= most and v % 1 == 0, wants)
+def _number(rule):
+    """A value rule of ``schedules`` as a schema check: a number (not a bool) that it admits."""
+    test, wants = rule
+    return (lambda v: _is_number(v) and test(float(v)), wants)
 
 
-# A generator's stage count: the bound ``Scenario`` puts on T, as no scenario runs past it.
-_is_stage_count = _whole(1, STAGE_CAP)[0]
+def _pair(rule):
+    """The schema check of a list of two numbers that ``rule`` admits, worded as ``_float_pair``."""
+    test, wants = _number(rule)
+    return (_list_of(test, 2), f"a pair, each {wants}")
+
+
+def _typed(forms: dict, other):
+    """The spec of an object ``{"type": kind, key: value}`` whose ``forms[kind]`` is
+    ``(key, spec)``, checked as those keys, or else of a value that ``other`` checks."""
+    def spec(v):
+        for kind, (key, rule) in forms.items():
+            if isinstance(v, dict) and v == {"type": kind, key: v.get(key)}:
+                return {"type": (lambda t: t == kind, repr(kind)), key: rule}
+        return other
+    return spec
 
 
 # The tolerance generators: type -> the key of their stage count and their builder.
 _GENERATORS = {"uniform": ("T", uniform_tolerance), "sinc": ("horizon", sinc_schedule)}
-
-
-def _is_tolerances(v) -> bool:
-    """A non-empty list of stage tolerances or a generator of them."""
-    if not isinstance(v, dict):
-        return v != [] and _list_of(_is_number)(v)
-    return any(v == {"type": kind, key: v.get(key)} and _is_stage_count(v[key])
-               for kind, (key, _) in _GENERATORS.items())
-
-
-def _tolerances_wanted(v) -> str:
-    """What stage tolerances must be; the bound when a generator's one fault is its count."""
-    for kind, (key, _) in _GENERATORS.items():
-        if isinstance(v, dict) and v == {"type": kind, key: v.get(key)}:
-            return f"a {kind} tolerance generator with {key} a whole number in [1, {STAGE_CAP}]"
-    return "a non-empty list of numbers or a tolerance generator"
-
-
-def _is_cost(v) -> bool:
-    """A cost that ``_resolve`` builds: a name or a mapping."""
-    v = v if isinstance(v, dict) else {"type": v}
-    floor = v.get("floor", 0.0)
-    capped = {"type": "capped_effect", "floor": floor}
-    return v in ({"type": "treatment_effect"}, capped) and _is_finite(floor) and abs(floor) <= FLOOR_CAP
-
-
+# A generator's stage count has the bound ``Scenario`` puts on T, as no scenario runs past it.
+_TOLERANCES = _typed({kind: (key, _number(RULES["stages"]))
+                      for kind, (key, _) in _GENERATORS.items()},
+                     (lambda v: v != [] and _list_of(_is_number)(v),
+                      "a non-empty list of numbers or a tolerance generator"))
+# A cost that ``_resolve`` builds; the linear one is named alone or as an object.
+_COST = _typed({"capped_effect": ("floor", _number(RULES["floor"]))},
+               (lambda v: v in ("treatment_effect", {"type": "treatment_effect"}),
+                '"treatment_effect" or {"type": "capped_effect", "floor": <number>}'))
 _NUMBER = (_is_number, "a number")
-_COUNT = (lambda v: _is_count(v) and v >= 0, "an integer >= 0")
-_STAGE = (lambda v: _is_count(v) and v >= 1, "an integer >= 1")
-_PAIR = (_list_of(_is_finite, 2), "a list of two finite numbers")
-_POSITIVE = (lambda v: _is_finite(v) and v > 0.0, "a finite number > 0")
-_SUMSQ = (lambda v: _is_finite(v) and v >= 0.0, "a finite number >= 0")
-_VARIANCES = (_list_of(lambda v: _is_finite(v) and v >= VARIANCE_FLOOR, 2),
-              f"a list of two finite numbers >= {VARIANCE_FLOOR:g}")
+_COUNT = (lambda v: isinstance(v, int) and _is_number(v) and v >= 0, "an integer >= 0")
+_STAGE = (lambda v: _COUNT[0](v) and v >= 1, "an integer >= 1")
+_PAIR = _pair(RULES["finite"])
+_SUMSQ = (lambda v: _is_number(v) and 0.0 <= v < math.inf, "a finite number >= 0")
+_VARIANCES = _pair(RULES["variance"])
 _NUMBERS = (_list_of(_is_number), "a list of numbers")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 
@@ -168,12 +154,12 @@ def _observed_pair(unobserved: int):
     """A version-1 pair of per-arm sums, whose entry of the unobserved arm is 0."""
     which = ("first", "second")[unobserved]
     return (lambda v: _PAIR[0](v) and v[unobserved] == 0,
-            f"{_PAIR[1]} with the {which} 0, the sum that no rollout observes")
+            f"{_PAIR[1]}, with the {which} 0, the sum that no rollout observes")
 
 
-# Each key maps to the check of its value and what the check wants (a text,
-# or a function of the value that gives one), or to the schema of its own
-# keys. The prior and variance keys are the same in a run config and a state file.
+# Each key maps to the check of its value and what the check wants, to the
+# schema of its own keys, or to a function of the value that gives one of the
+# two. The prior and variance keys are the same in a run config and a state file.
 _BELIEF_SCHEMA = {
     "prior": {"mu0": _PAIR, "sigma0_sq": _VARIANCES},
     "variance_mode": (lambda v: v in ("known", "estimated"), "'known' or 'estimated'"),
@@ -187,19 +173,15 @@ _CONFIG_SCHEMA = {
     "budget": _NUMBER,
     "delta": _NUMBER,
     "schedule": {
-        "stage_tolerances": (_is_tolerances, _tolerances_wanted),
+        "stage_tolerances": _TOLERANCES,
         "stage_budgets": (lambda v: _is_number(v) or _NUMBERS[0](v), "a number or " + _NUMBERS[1]),
     },
     **_BELIEF_SCHEMA,
-    "replications": _whole(1, REPLICATION_CAP),
-    "seed": _whole(0),
+    "replications": _number(RULES["replications"]),
+    "seed": _number(whole(0)),
     "out": (lambda v: isinstance(v, str), "a path"),
-    "thompson": {"c": _POSITIVE},
-    "mc": {
-        "samples": _whole(1, SAMPLE_CAP),
-        "cost": (_is_cost, '"treatment_effect" or {"type": "capped_effect", "floor": <number>}'
-                           f" with |mc.cost.floor| <= {FLOOR_CAP:g}"),
-    },
+    "thompson": {"c": _number(RULES["positive"])},
+    "mc": {"samples": _number(RULES["samples"]), "cost": _COST},
 }
 # What next-stage reads from a version-1 state file; every key is required.
 _STATE_SCHEMA = {
@@ -221,7 +203,7 @@ _STATE_SCHEMA = {
     "last_call": {"inputs": _OBJECT, "outputs": _OBJECT},
 }
 # Flags that stand for no config or state entry; every other flag is checked as its entry.
-_FLAG_SCHEMA = {"--n-next": _STAGE, "--workers": _whole(1)}
+_FLAG_SCHEMA = {"--n-next": _STAGE, "--workers": _number(whole(1))}
 # Keys that may be null, meaning absent.
 _NULLABLE_KEYS = {"sigma_sq", "pretrial_sigma_sq", "pending", "last_call"}
 
@@ -244,13 +226,14 @@ def _check_values(
             continue
         if key not in values:
             raise ConfigError(f"{source} lacks {name!r}")
+        if callable(spec):
+            spec = spec(value)
         if isinstance(spec, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{source}: {name} must be an object, got {value!r}")
             _check_values(source, value, spec, required, name + ".")
         elif not spec[0](value):
-            wants = spec[1](value) if callable(spec[1]) else spec[1]
-            raise ConfigError(f"{source}: {name} must be {wants}, got {value!r}")
+            raise ConfigError(f"{source}: {name} must be {spec[1]}, got {value!r}")
 
 
 def _check_flags(command: str, args: argparse.Namespace) -> None:
@@ -343,8 +326,8 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
         policy = CantelliPolicy(
             prior=prior,
             variance=variance,
-            samples=int(mc.get("samples", CantelliPolicy.samples)),
-            cost=CappedEffectCost(float(cost["floor"])) if capped else TreatmentEffectCost(),
+            samples=mc.get("samples", CantelliPolicy.samples),
+            cost=CappedEffectCost(cost["floor"]) if capped else TreatmentEffectCost(),
         )
     elif variance.mode == "estimated":
         raise ConfigError(
@@ -353,7 +336,7 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
     else:
         from .thompson import ThompsonPolicy
 
-        c = float(config.get("thompson", {}).get("c", 1.0))
+        c = config.get("thompson", {}).get("c", 1.0)
         policy = ThompsonPolicy(c=c, prior=prior, sigma_sq=variance.values)
     reps, seed = int(config.get("replications", 500)), int(config.get("seed", 0))
     return scenario, algorithm, schedule, policy, reps, seed
@@ -580,13 +563,30 @@ def _fresh_state(args: argparse.Namespace) -> dict[str, Any]:
     return _with_flags(args, fresh)
 
 
-def _observed_sums(args: argparse.Namespace, pending: dict[str, Any], mode: str):
-    """The pending stage's observations, refused where they void the guarantee.
+def _check_sums(what: str, counts, sums, sumsqs, whole_sumsq: bool) -> None:
+    """Refuse ``(treated, control)`` pairs of counts, sums and sums of squares (None where
+    not given) that no outcomes give, naming each arm ``f"{what} {arm}"``.
 
-    Non-finite values, nonzero sums for an arm without units and sums of
-    squares below ``sum**2 / count`` cannot come from real outcomes; in
-    estimated mode, missing sums of squares would read as zero variance.
+    Given sums must be finite, and 0 for an arm without units. With ``whole_sumsq`` (a
+    stage's, or estimated mode's stored ones: known mode takes stages without them), a
+    given sum of squares must be at least ``sum**2 / count`` (Cauchy-Schwarz).
     """
+    for arm, count, total, sumsq in zip(("treated", "control"), counts, sums, sumsqs):
+        given = [v for v in (total, sumsq) if v is not None]
+        if not all(math.isfinite(v) for v in given):
+            raise ConfigError(f"{what} {arm} sums must be finite, got {given}")
+        if count == 0 and any(v != 0.0 for v in given):
+            raise ConfigError(f"{what} {arm} group was empty, so its sums must be 0, got {given}")
+        floor = total * total / count if count else 0.0
+        if whole_sumsq and sumsq is not None and sumsq < floor * (1.0 - _SUMSQ_SLACK):
+            raise ConfigError(f"{what} {arm} sum of squares {sumsq!r} is below "
+                              f"its sum**2 / {count} = {floor!r}")
+
+
+def _observed_sums(args: argparse.Namespace, pending: dict[str, Any], mode: str):
+    """The pending stage's treated count, unit count and observations, as ``update_stats``
+    takes them, refused by ``_check_sums`` where they void the guarantee; in estimated
+    mode, missing sums of squares would read as zero variance."""
     if args.treated_sum is None or args.control_sum is None:
         raise ConfigError(
             f"stage {pending['stage']} ran with m={pending['m']}; provide "
@@ -598,22 +598,10 @@ def _observed_sums(args: argparse.Namespace, pending: dict[str, Any], mode: str)
             "with the observed sums"
         )
     m, n = int(pending["m"]), int(pending["n"])
-    for arm, count, total, sumsq in (
-        ("treated", m, args.treated_sum, args.treated_sumsq),
-        ("control", n - m, args.control_sum, args.control_sumsq),
-    ):
-        given = [v for v in (total, sumsq) if v is not None]
-        if not all(math.isfinite(v) for v in given):
-            raise ConfigError(f"the {arm} sums must be finite, got {given}")
-        if count == 0 and any(v != 0.0 for v in given):
-            raise ConfigError(f"the {arm} group was empty, so its sums must be 0, got {given}")
-        if sumsq is not None and count > 0:
-            floor = total * total / count
-            if sumsq < floor * (1.0 - _SUMSQ_SLACK):
-                raise ConfigError(
-                    f"--{arm}-sumsq {sumsq!r} is below {arm}-sum**2 / {count} = {floor!r}"
-                )
-    return args.treated_sum, args.control_sum, args.treated_sumsq or 0.0, args.control_sumsq or 0.0
+    _check_sums("the", (m, n - m), (args.treated_sum, args.control_sum),
+                (args.treated_sumsq, args.control_sumsq), whole_sumsq=True)
+    return (m, n, args.treated_sum, args.control_sum,
+            args.treated_sumsq or 0.0, args.control_sumsq or 0.0)
 
 
 def _check_progress(source: str, state: dict[str, Any], schedule: RiskSchedule) -> None:
@@ -669,6 +657,9 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
         state["budget"], state["delta"], consumed["stage_budgets"], consumed["stage_tolerances"]
     )
     _check_progress(source, state, schedule)
+    stats = _stats_from_json(state["stats"])
+    _check_sums(f"{source}: the stored", stats.counts[::-1], (stats.sum_treated, stats.sum_control),
+                (stats.treated_sumsq, stats.control_sumsq), state["variance_mode"] == "estimated")
 
     inputs = {
         "n_next": args.n_next,
@@ -685,15 +676,9 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
         # state advance.
         return _answer(last["outputs"])
 
-    stats = _stats_from_json(state["stats"])
     pending = state.get("pending")
     if pending is not None:
-        stats = update_stats(
-            stats,
-            int(pending["m"]),
-            int(pending["n"]),
-            *_observed_sums(args, pending, state["variance_mode"]),
-        )
+        stats = update_stats(stats, *_observed_sums(args, pending, state["variance_mode"]))
         state["stats"] = _stats_to_json(stats)
         state["pending"] = None
     elif args.treated_sum is not None or args.control_sum is not None:

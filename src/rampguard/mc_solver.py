@@ -18,7 +18,6 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -31,7 +30,7 @@ from .posterior import (
     compute_posterior,
 )
 from .replication import usable_cpus
-from .schedules import FLOOR_CAP, SAMPLE_CAP
+from .schedules import RULES, SAMPLE_CAP, checked
 from .solver import (
     BRANCHES,
     BRANCH_CAP,
@@ -164,13 +163,14 @@ class TreatmentEffectCost(CostFunction):
 
 @dataclass(frozen=True)
 class CappedEffectCost(CostFunction):
-    """Treatment effect with a floor: max(y(1) - y(0), floor), ``|floor| <= FLOOR_CAP``."""
+    """Treatment effect with a floor: max(y(1) - y(0), floor). ``floor`` must pass
+    ``RULES["floor"]``, a number with ``|floor| <= FLOOR_CAP``: ``ValueError``
+    otherwise. It is kept as a float."""
 
     floor: float
 
     def __post_init__(self) -> None:
-        if not abs(self.floor) <= FLOOR_CAP:
-            raise ValueError(f"floor must be a number in [-{FLOOR_CAP:g}, {FLOOR_CAP:g}], got {self.floor!r}")
+        object.__setattr__(self, "floor", checked(RULES["floor"], self.floor, "floor"))
 
     def evaluate(self, y1, y0):
         return np.maximum(np.asarray(y1) - np.asarray(y0), self.floor)
@@ -421,8 +421,9 @@ class CantelliPolicy:
     Each stage imputes the counterfactuals of every earlier treated unit
     from ``samples`` posterior draws on the stage's own sampling stream (a
     non-linear cost's per-unit imputation on child streams spawned from
-    it); a zero-tolerance stage draws no samples. ``samples`` must be a
-    whole number in ``[1, SAMPLE_CAP]``.
+    it); a zero-tolerance stage draws no samples. ``samples`` must pass
+    ``RULES["samples"]``, a whole number in ``[1, SAMPLE_CAP]`` (``500.0``
+    is 500): ``ValueError`` otherwise. It is kept as an int.
     """
 
     prior: GaussianPrior
@@ -432,8 +433,7 @@ class CantelliPolicy:
     branch_labels: ClassVar[tuple[str, ...]] = BRANCHES
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.samples, Integral) and 1 <= self.samples <= SAMPLE_CAP):
-            raise ValueError(f"samples must be a whole number in [1, {SAMPLE_CAP}], got {self.samples!r}")
+        object.__setattr__(self, "samples", int(checked(RULES["samples"], self.samples, "samples")))
 
     def decide(self, stage: Stage) -> StageDecision:
         if any(outcomes is None for outcomes in stage.history):

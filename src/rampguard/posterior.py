@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .schedules import VARIANCE_FLOOR
+from .schedules import RULES
 
 __all__ = [
     "InsufficientDataError",
@@ -45,28 +45,21 @@ class NonFinitePosteriorError(ValueError):
     """An arm's posterior mean is not a finite float, so no ramp size can rest on it."""
 
 
-# Rules of a pair's components: the test of each and what it wants.
-_FINITE = (math.isfinite, "finite")
-_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
-# A supplied variance: its precision stays finite at any count (see VARIANCE_FLOOR).
-_VARIANCE = (lambda v: VARIANCE_FLOOR <= v < math.inf, f"finite and >= {VARIANCE_FLOOR:g}")
-
-
-def _float_pair(name: str, pair, rule=_FINITE) -> Pair:
-    """``pair`` as two floats, refused unless both pass ``rule``."""
-    if len(pair) != 2:
-        raise ValueError(f"{name} must have exactly two components, got {pair!r}")
-    pair = (float(pair[0]), float(pair[1]))
-    test, wants = rule
-    if not all(map(test, pair)):
-        raise ValueError(f"{name} components must be {wants}, got {pair!r}")
-    return pair
+def _float_pair(name: str, pair, rule: str = "finite") -> Pair:
+    """``pair`` as two floats, refused unless it has two that both pass ``RULES[rule]``."""
+    test, wants = RULES[rule]
+    if len(pair) == 2:
+        pair = (float(pair[0]), float(pair[1]))
+        if test(pair[0]) and test(pair[1]):
+            return pair
+    raise ValueError(f"{name} must be a pair, each {wants}, got {pair!r}")
 
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Prior mean and variance of the unknown arm means, per arm; each mean
-    finite and each variance finite and at least ``VARIANCE_FLOOR``. A mean
+    """Prior mean and variance of the unknown arm means, per arm. Each mean
+    must pass ``RULES["finite"]`` and each variance ``RULES["variance"]`` (no
+    less than ``VARIANCE_FLOOR``), or ``ValueError`` names the pair. A mean
     too large for its variance is refused where the posterior is formed
     (``posterior_moments``)."""
 
@@ -75,7 +68,7 @@ class GaussianPrior:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu0", _float_pair("mu0", self.mu0))
-        object.__setattr__(self, "sigma0_sq", _float_pair("sigma0_sq", self.sigma0_sq, _VARIANCE))
+        object.__setattr__(self, "sigma0_sq", _float_pair("sigma0_sq", self.sigma0_sq, "variance"))
 
 
 @dataclass(frozen=True)
@@ -85,7 +78,7 @@ class OutcomeVariance:
     sigma_sq: Pair
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_sq", _float_pair("sigma_sq", self.sigma_sq, _POSITIVE))
+        object.__setattr__(self, "sigma_sq", _float_pair("sigma_sq", self.sigma_sq, "positive"))
 
 
 @dataclass(frozen=True)
@@ -114,7 +107,7 @@ class PosteriorState:
     sigma_p_sq: Pair
 
     def __post_init__(self) -> None:
-        _float_pair("sigma_p_sq", self.sigma_p_sq, _POSITIVE)
+        _float_pair("sigma_p_sq", self.sigma_p_sq, "positive")
 
 
 def init_posterior(prior: GaussianPrior) -> PosteriorState:
@@ -251,8 +244,9 @@ class VariancePolicy:
     feed reports as ground truth. ``estimated`` mode applies the sample
     estimator with ``pretrial`` as the per-arm fallback while an arm has
     fewer than two observations, which ``estimate_variance`` refuses without
-    one. Both pairs are checked when the policy is built, each variance
-    finite and at least ``VARIANCE_FLOOR``, and kept as floats.
+    one. Both pairs are checked when the policy is built, each variance by
+    ``RULES["variance"]`` (a finite number at least ``VARIANCE_FLOOR``), and
+    kept as floats; a fault raises ``ValueError`` naming the pair.
     """
 
     mode: Literal["known", "estimated"] = "known"
@@ -264,7 +258,7 @@ class VariancePolicy:
             raise ValueError(f"variance mode must be 'known' or 'estimated', got {self.mode!r}")
         for name in ("values", "pretrial"):
             if getattr(self, name) is not None:
-                pair = _float_pair(name, getattr(self, name), _VARIANCE)
+                pair = _float_pair(name, getattr(self, name), "variance")
                 object.__setattr__(self, name, pair)
 
     def resolve(

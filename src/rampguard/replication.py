@@ -29,7 +29,7 @@ import numpy as np
 
 from .batch import BLOCK_SIZE, BlockTraces, CompactTrace, run_block
 from .scenarios import Scenario, ScenarioFeed, has_sum_law
-from .schedules import REPLICATION_CAP, RiskSchedule
+from .schedules import REPLICATION_CAP, RULES, RiskSchedule, checked
 from .solver import AnalyticPolicy
 from .thompson import ThompsonPolicy
 from .trace import Policy, run_stages
@@ -220,14 +220,14 @@ def run_replications(
     does a decision whose branch is not in the policy's ``branch_labels``.
     A posterior mean that overflows raises ``NonFinitePosteriorError`` from
     the stage that forms it. Before any draw, a policy without ``decide`` or
-    ``branch_labels`` raises ``TypeError``, and more than ``REPLICATION_CAP``
-    replications or a per-unit stage of more than ``UNIT_POPULATION_CAP``
-    units, ``ValueError``.
+    ``branch_labels`` raises ``TypeError``, and a ``K_rep`` that fails
+    ``RULES["replications"]`` (a whole number in ``[1, REPLICATION_CAP]``;
+    ``2.5`` and ``True`` fail it) or a per-unit stage of more than
+    ``UNIT_POPULATION_CAP`` units, ``ValueError``.
     """
     if not (callable(getattr(policy, "decide", None)) and hasattr(policy, "branch_labels")):
         raise TypeError(f"{type(policy).__name__} is not a policy: it needs decide and branch_labels")
-    if not 1 <= K_rep <= REPLICATION_CAP:
-        raise ValueError(f"K_rep must be in [1, {REPLICATION_CAP}], got {K_rep!r}")
+    K_rep = int(checked(RULES["replications"], K_rep, "K_rep"))
     workers = int(workers)
 
     if _takes_batch_engine(policy, scenario):

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
-from .schedules import STAGE_CAP, VARIANCE_FLOOR, as_float
+from .schedules import RULES, checked
 from .trace import StageFeed, StageOutcome
 
 if TYPE_CHECKING:
@@ -41,39 +41,30 @@ __all__ = [
 ]
 
 _MOMENTS = ("mean_control", "mean_treatment", "var_control", "var_treatment")
-_VARIANCE = (lambda v: VARIANCE_FLOOR <= v < math.inf, f"a finite number >= {VARIANCE_FLOOR:g}")
 # Each checked field: the test its values must pass and what the test wants.
 # Past 2**53 a float no longer holds every whole number.
 _RULES = {
-    "T": (lambda v: 1 <= v <= STAGE_CAP and v % 1 == 0, f"a whole number in [1, {STAGE_CAP}]"),
+    "T": RULES["stages"],
     "population": (lambda v: 1 <= v <= 2**53 and v % 1 == 0, "a whole number in [1, 2**53]"),
-    "mean_control": (math.isfinite, "a finite number"),
-    "mean_treatment": (math.isfinite, "a finite number"),
-    "var_control": _VARIANCE,
-    "var_treatment": _VARIANCE,
+    "mean_control": RULES["finite"],
+    "mean_treatment": RULES["finite"],
+    "var_control": RULES["variance"],
+    "var_treatment": RULES["variance"],
     "correlation": (lambda v: -1.0 <= v <= 1.0, "a number in [-1, 1]"),
-    "bernoulli_scale": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "bernoulli_scale": RULES["positive"],
     "bernoulli_p": (lambda v: 0.0 < v < 1.0, "two numbers in (0, 1)"),
     "tail_df": (lambda v: 2.0 < v < math.inf, "a finite number > 2"),
 }
 
 
-def _checked(name: str, value, label: str = "") -> float:
-    """``value`` as a float once it passes the rule of ``name``; ValueError otherwise."""
-    test, wants = _RULES[name]
-    number = as_float(value)
-    if number is None or not test(number):
-        raise ValueError(f"{label or name} must be {wants}, got {value!r}")
-    return number
-
-
 def _per_stage(name: str, value, T: int, label: str = "") -> tuple[float, ...]:
     """``value``, a number or one per stage, checked and broadcast over ``T`` stages."""
+    label = label or name
     if not isinstance(value, (list, tuple)):
-        return (_checked(name, value, label),) * T
+        return (checked(_RULES[name], value, label),) * T
     if len(value) != T:
-        raise ValueError(f"{label or name} must have one value per stage (T={T}), has {len(value)}")
-    return tuple(_checked(name, v, label) for v in value)
+        raise ValueError(f"{label} must have one value per stage (T={T}), has {len(value)}")
+    return tuple(checked(_RULES[name], v, label) for v in value)
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,7 @@ class Scenario:
             raise ValueError(f"name must be a string, got {self.name!r}")
         if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {sorted(_FAMILIES)}, got {self.family!r}")
-        T = int(_checked("T", self.T))
+        T = int(checked(_RULES["T"], self.T, "T"))
         store(self, "T", T)
         population = _per_stage("population", self.population, T)
         store(self, "population", tuple(int(n) for n in population))
@@ -125,9 +116,9 @@ class Scenario:
             if key == "bernoulli_p" and value is not None:
                 if not isinstance(value, (list, tuple)) or len(value) != 2:
                     raise ValueError(f"bernoulli_p must be two numbers in (0, 1), got {value!r}")
-                store(self, key, tuple(_checked(key, p) for p in value))
+                store(self, key, tuple(checked(_RULES[key], p, key) for p in value))
             elif value is not None:
-                store(self, key, _checked(key, value))
+                store(self, key, checked(_RULES[key], value, key))
 
         derived = {}
         if self.family == "bernoulli_scaled":

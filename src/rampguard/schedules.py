@@ -28,11 +28,14 @@ __all__ = [
     "FLOOR_CAP",
     "REL_SLACK",
     "REPLICATION_CAP",
+    "RULES",
     "SAMPLE_CAP",
     "STAGE_CAP",
     "VARIANCE_FLOOR",
     "ScheduleError",
     "as_float",
+    "checked",
+    "whole",
     "RiskSchedule",
     "uniform_tolerance",
     "sinc_gamma",
@@ -67,6 +70,34 @@ def as_float(value) -> "float | None":
         return float(value) if isinstance(value, Real) and not isinstance(value, bool) else None
     except OverflowError:  # an integer beyond every float
         return None
+
+
+def whole(least: int, most: float = math.inf):
+    """The rule of a whole number from ``least`` to ``most``."""
+    wants = "a whole number " + (f"in [{least}, {most}]" if most < math.inf else f">= {least}")
+    return (lambda v: least <= v <= most and v % 1 == 0, wants)
+
+
+# The value rules that the CLI's schemas and the constructors share: each a test of a
+# float and the wording of what it wants. ``checked`` applies one.
+RULES = {
+    "finite": (math.isfinite, "a finite number"),
+    "positive": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
+    "variance": (lambda v: VARIANCE_FLOOR <= v < math.inf,
+                 f"a finite number >= {VARIANCE_FLOOR:g}"),
+    "stages": whole(1, STAGE_CAP),
+    "replications": whole(1, REPLICATION_CAP),
+    "samples": whole(1, SAMPLE_CAP),
+    "floor": (lambda v: abs(v) <= FLOOR_CAP, f"a number in [-{FLOOR_CAP:g}, {FLOOR_CAP:g}]"),
+}
+
+
+def checked(rule, value, name: str) -> float:
+    """``value`` as a float once it is a number that ``rule`` admits; ValueError naming ``name``."""
+    number = as_float(value)
+    if number is None or not rule[0](number):
+        raise ValueError(f"{name} must be {rule[1]}, got {value!r}")
+    return number
 
 
 def uniform_tolerance(delta: float, T: int) -> tuple[float, ...]:

@@ -21,8 +21,9 @@ from typing import TYPE_CHECKING, ClassVar
 import numpy as np
 
 from .normal import SQRT2
-from .posterior import (_NO_VARIANCE, _VARIANCE, GaussianPrior, Pair, PosteriorState, _float_pair,
+from .posterior import (_NO_VARIANCE, GaussianPrior, Pair, PosteriorState, _float_pair,
                         posterior_moments)
+from .schedules import RULES, checked
 from .solver import StageDecision, _decided
 from .trace import Stage
 
@@ -38,13 +39,6 @@ __all__ = [
 BRANCH_THOMPSON = "thompson"
 
 
-def _checked_c(c: float) -> float:
-    """``c`` once it is finite and > 0: the one rule for every sharpening exponent."""
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be finite and > 0, got {c!r}")
-    return c
-
-
 def thompson_assignment_probability(posterior: PosteriorState, c: float) -> float:
     """Per-user treatment probability p**c / (p**c + (1-p)**c).
 
@@ -52,7 +46,7 @@ def thompson_assignment_probability(posterior: PosteriorState, c: float) -> floa
     posterior probability of a positive effect. Evaluated on the logit
     scale so values of p within an ulp of 0 or 1 stay stable.
     """
-    _checked_c(c)
+    c = checked(RULES["positive"], c, "c")
     z = (posterior.mu_p[1] - posterior.mu_p[0]) / math.sqrt(
         posterior.sigma_p_sq[0] + posterior.sigma_p_sq[1]
     )
@@ -69,9 +63,10 @@ def thompson_assignment_probabilities(mu_p, sigma_p_sq, c: float) -> np.ndarray:
     numpy's ``log`` and ``exp`` may differ by an ulp, which ``c * logit(p)``
     can widen to a hundred. Each entry equals the scalar probability bit for bit.
     """
+    c = checked(RULES["positive"], c, "c")
     z = (mu_p[1] - mu_p[0]) / np.sqrt(sigma_p_sq[0] + sigma_p_sq[1])
     flat = np.ravel(-z / SQRT2).tolist()
-    p = np.fromiter(map(_sharpened, flat, repeat(_checked_c(c))), float, len(flat))
+    p = np.fromiter(map(_sharpened, flat, repeat(c)), float, len(flat))
     return p.reshape(np.shape(z))
 
 
@@ -95,9 +90,11 @@ class ThompsonPolicy:
 
     The treated count is binomial in the incoming population at the current
     assignment probability (each user assigned independently), drawn from
-    the feed's generator. ``sigma_sq`` fixes the model variances, checked
-    against ``VARIANCE_FLOOR`` when built; None falls back to the feed's
-    stage-1 ground truth. The assignment rule has no cap at half the stage, so the class sets
+    the feed's generator. When built, ``c`` must pass ``RULES["positive"]``
+    and ``sigma_sq``, which fixes the model variances, ``RULES["variance"]``
+    (no less than ``VARIANCE_FLOOR``), or ``ValueError`` names the field; a
+    ``sigma_sq`` of None falls back to the feed's stage-1 ground truth. The
+    assignment rule has no cap at half the stage, so the class sets
     ``cap_at_half = False`` and the loops let it treat the whole stage. The
     baseline is not budget-aware: it ignores the stage thresholds and
     tolerances. ``decide_block`` makes the same decision for a block of
@@ -111,9 +108,9 @@ class ThompsonPolicy:
     branch_labels: ClassVar[tuple[str, ...]] = (BRANCH_THOMPSON,)
 
     def __post_init__(self) -> None:
-        _checked_c(self.c)
+        object.__setattr__(self, "c", checked(RULES["positive"], self.c, "c"))
         if self.sigma_sq is not None:
-            object.__setattr__(self, "sigma_sq", _float_pair("sigma_sq", self.sigma_sq, _VARIANCE))
+            object.__setattr__(self, "sigma_sq", _float_pair("sigma_sq", self.sigma_sq, "variance"))
 
     def decide(self, stage: Stage) -> StageDecision:
         stats = stage.stats

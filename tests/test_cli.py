@@ -14,7 +14,7 @@ from rampguard import AnalyticPolicy, cli, replication
 from rampguard.cli import main
 from rampguard.mc_solver import CantelliPolicy, CappedEffectCost, TreatmentEffectCost
 from rampguard.posterior import GaussianPrior, VariancePolicy
-from rampguard.scenarios import ScenarioFeed, builtin_scenarios
+from rampguard.scenarios import Scenario, ScenarioFeed, builtin_scenarios
 from rampguard.schedules import RiskSchedule, sinc_schedule, uniform_tolerance
 from rampguard.thompson import ThompsonPolicy
 from rampguard.trace import run_stages
@@ -286,7 +286,7 @@ class TestRun:
             # Integers past the float range: refused before they reach a float.
             ({"budget": 10**400}, [], "budget must be a number, got 1000"),
             ({"delta": -(10**400)}, [], "delta must be a number, got -1000"),
-            ({"replications": 10**400}, [], "replications must be a whole number >= 1"),
+            ({"replications": 10**400}, [], "replications must be a whole number in [1, 1000000]"),
             ({"seed": 10**400}, [], "seed must be a whole number >= 0"),
         ],
         ids=[
@@ -317,6 +317,7 @@ class TestRun:
         for name, cost in [
             ("default", None),
             ("linear", "treatment_effect"),
+            ("linear_object", {"type": "treatment_effect"}),
             ("capped", {"type": "capped_effect", "floor": -0.5}),
         ]:
             mc = config["mc"] if cost is None else {**config["mc"], "cost": cost}
@@ -325,7 +326,7 @@ class TestRun:
             out = tmp_path / name
             assert main(["run", "--config", str(path), "--out", str(out), "--workers", "1"]) == 0
             summaries[name] = json.loads((out / "summary.json").read_text())
-        assert summaries["linear"] == summaries["default"]
+        assert summaries["linear"] == summaries["linear_object"] == summaries["default"]
         assert summaries["capped"] != summaries["linear"]
         for name, cost in [("linear", TreatmentEffectCost()), ("capped", CappedEffectCost(-0.5))]:
             policy = CantelliPolicy(
@@ -427,9 +428,8 @@ class TestScheduleConfig:
         code, out, studied = self.run(tmp_path, monkeypatch, schedule)
         assert (code, studied) == (1, None)
         err = capsys.readouterr().err
-        assert "run config: schedule.stage_tolerances must be" in err
-        # The count is the generator's only fault, so the refusal names its bound.
-        assert f"a {kind} tolerance generator with {key} a whole number in [1, 10000], got" in err
+        # The count is the generator's only fault, so the refusal names the count and its bound.
+        assert f"run config: schedule.stage_tolerances.{key} must be a whole number in [1, 10000], got" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, key", [("uniform", "T"), ("sinc", "horizon")])
@@ -444,8 +444,8 @@ class TestScheduleConfig:
         code, out, studied = self.run(tmp_path, monkeypatch, flags=["--T", "10001"])
         assert (code, studied) == (1, None)
         assert capsys.readouterr().err == (
-            "rampguard: run config: schedule.stage_tolerances must be a uniform tolerance "
-            "generator with T a whole number in [1, 10000], got {'type': 'uniform', 'T': 10001}\n"
+            "rampguard: run config: schedule.stage_tolerances.T must be a whole number in "
+            "[1, 10000], got 10001\n"
         )
         assert not out.exists()
 
@@ -695,6 +695,17 @@ RUN_CONFIGS = {
 }
 
 
+_PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
+
+
+def _study(reps):
+    """``run_replications`` of the analytic policy on ``norm`` with ``reps`` replications."""
+    policy = AnalyticPolicy(_PRIOR, VariancePolicy())
+    return replication.run_replications(
+        policy, builtin_scenarios()["norm"], RiskSchedule.uniform(-500.0, 0.05, 10), reps
+    )
+
+
 class TestRunConfigBounds:
     def run(self, tmp_path, config, *flags, name="cfg"):
         out = tmp_path / f"{name}-out"
@@ -727,7 +738,7 @@ class TestRunConfigBounds:
         code, out = self.run(tmp_path, config)
         assert code == 1
         err = capsys.readouterr().err
-        assert f"run config: {key} must be a whole number >= 1 and <= 1000000" in err
+        assert f"run config: {key} must be a whole number in [1, 1000000]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("floor", [1e101, -1e101, 1e300, -1e300])
@@ -737,8 +748,8 @@ class TestRunConfigBounds:
         cost = {"type": "capped_effect", "floor": floor}
         code, out = self.run(tmp_path, {**RUN_CONFIGS["cantelli"], "mc": {"cost": cost}})
         assert code == 1
-        assert "run config: mc.cost must be" in (err := capsys.readouterr().err)
-        assert "|mc.cost.floor| <= 1e+100" in err
+        assert (f"run config: mc.cost.floor must be a number in [-1e+100, 1e+100], got {floor!r}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     @pytest.mark.parametrize("floor", [1e100, -1e100])
@@ -766,7 +777,7 @@ class TestRunConfigBounds:
         config = {"scenario": scenario, "budget": -500, "delta": 0.05, "replications": 20}
         code, out = self.run(tmp_path, config, *flags)
         assert code == 1
-        assert f"run config: {key} must be a list of two finite numbers >= 1e-280" in (
+        assert f"run config: {key} must be a pair, each a finite number >= 1e-280" in (
             capsys.readouterr().err
         )
         assert not out.exists()
@@ -794,7 +805,43 @@ class TestRunConfigBounds:
     ):
         out = tmp_path / "out"
         assert main([*argv, "--reps", "100000000000", "--out", str(out), "--workers", "1"]) == 1
-        assert f"{name} must be a whole number >= 1 and <= 1000000" in capsys.readouterr().err
+        assert f"{name} must be a whole number in [1, 1000000]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, entries, name, build",
+        [
+            *(("replications", {"replications": k}, "K_rep", lambda k=k: _study(k)) for k in (2.5, True)),
+            ("mc.samples", {"algorithm": "rrc_cantelli", "mc": {"samples": 1e12}}, "samples",
+             lambda: CantelliPolicy(_PRIOR, VariancePolicy(), samples=1e12)),
+            *(("mc.cost.floor",
+               {"algorithm": "rrc_cantelli", "mc": {"cost": {"type": "capped_effect", "floor": f}}},
+               "floor", lambda f=f: CappedEffectCost(f)) for f in (1e101, "5", True)),
+            *(("thompson.c", {"algorithm": "thompson", "thompson": {"c": c}}, "c",
+               lambda c=c: ThompsonPolicy(c=c, prior=_PRIOR)) for c in (0, True)),
+            ("sigma_sq", {"sigma_sq": [0, 10]}, "values",
+             lambda: VariancePolicy("known", [0, 10])),
+            ("scenario: T",
+             {"scenario": {"family": "gaussian_iid", "T": 0, "population": 100, "mean_control": 0,
+                           "mean_treatment": 0, "var_control": 1, "var_treatment": 1}},
+             "T", lambda: Scenario("custom", "gaussian_iid", 0, 100, 0, 0, 1, 1)),
+        ],
+        ids=["K_rep-fraction", "K_rep-bool", "samples", "floor-past-cap", "floor-string",
+             "floor-bool", "c-zero", "c-bool", "sigma_sq", "scenario-T"],
+    )
+    def test_a_shared_rule_refuses_alike_in_the_cli_and_the_constructor(
+        self, tmp_path, capsys, no_study, key, entries, name, build
+    ):
+        """The CLI's schema and the constructor read one rule of ``schedules.RULES``."""
+        with pytest.raises(ValueError) as refused:
+            build()
+        message = str(refused.value)
+        assert message.startswith(f"{name} must be ")
+        wants = message[len(f"{name} must be "):].rsplit(", got ", 1)[0]
+        config = {"scenario": "norm", "budget": -500, "delta": 0.05, "replications": 1, **entries}
+        code, out = self.run(tmp_path, config)
+        assert code == 1
+        assert f"run config: {key} must be {wants}, got " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "next-stage"])
@@ -1116,7 +1163,7 @@ class TestReproduce:
             (tmp_path / "config.json").write_text(json.dumps(config))
             command = [*command, "--config", str(tmp_path / "config.json")]
         assert main([*command, "--out", str(tmp_path / "out")]) == 1
-        assert f"{name} must be a whole number >= 1" in capsys.readouterr().err
+        assert f"{name} must be a whole number in [1, 1000000]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_odd_count_flags_exit_zero_or_one(self, tmp_path, capsys):
@@ -1326,7 +1373,7 @@ class TestNextStage:
             (lambda state: state["pending"].update(m=13.5), "pending.m must be an integer"),
             (
                 lambda state: state.update(sigma_sq=[0.0, 10.0]),
-                "sigma_sq must be a list of two finite numbers >= 1e-280",
+                "sigma_sq must be a pair, each a finite number >= 1e-280",
             ),
             (lambda state: state["stats"].update(count=[0, 0]), "unknown key 'stats.count'"),
             (
@@ -1361,11 +1408,11 @@ class TestNextStage:
             ),
             (
                 lambda state: state["prior"].update(mu0=[float("nan"), 0.0]),
-                "prior.mu0 must be a list of two finite numbers",
+                "prior.mu0 must be a pair, each a finite number",
             ),
             (
                 lambda state: state["stats"].update(treated_sums=[0.0, float("inf")]),
-                "stats.treated_sums must be a list of two finite numbers",
+                "stats.treated_sums must be a pair, each a finite number",
             ),
             (
                 lambda state: state["stats"].update(treated_sumsq=float("nan")),
@@ -1519,7 +1566,7 @@ class TestNextStage:
     ):
         state = tmp_path / "state.json"
         assert main([*self.FRESH, "--state", str(state), flag, "1e-320", "1e-320"]) == 1
-        assert f"state file {state}: {key} must be a list of two finite numbers >= 1e-280" in (
+        assert f"state file {state}: {key} must be a pair, each a finite number >= 1e-280" in (
             capsys.readouterr().err
         )
         assert not state.exists()
@@ -1624,7 +1671,7 @@ class TestNextStage:
         observed = ["--treated-sum", "0.0", "--control-sum", "0.0"]
         assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
         which = ("first", "second")[index]
-        message = f"stats.{key} must be a list of two finite numbers with the {which} 0"
+        message = f"stats.{key} must be a pair, each a finite number, with the {which} 0"
         assert message in capsys.readouterr().err
         assert state.read_bytes() == before
 
@@ -1645,8 +1692,80 @@ class TestNextStage:
         observed = ["--treated-sum", "0.0", "--control-sum", "0.0",
                     "--treated-sumsq", f"{10.0 * m}", "--control-sumsq", f"{10.0 * (500 - m)}"]
         assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
-        assert "arm 0's posterior mean is not finite" in capsys.readouterr().err
+        # Its square passes the float range, so the stored sum of squares falls below it.
+        assert (f"state file {state}: the stored control sum of squares 5357.0 is below its "
+                "sum**2 / 487 = inf") in capsys.readouterr().err
         assert state.read_bytes() == before
+
+    def _two_stage_state(self, tmp_path, opening):
+        """A state file after an opening call and one observed stage, and that stage's ``m``."""
+        state = tmp_path / "state.json"
+        assert main([*getattr(self, opening), "--state", str(state)]) == 0
+        observed = ["--treated-sum", "13.0", "--control-sum", "487.0",
+                    "--treated-sumsq", "143.0", "--control-sumsq", "5357.0"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
+        return state, json.loads(state.read_text())["pending"]["m"]
+
+    def test_a_stored_sum_past_its_sum_of_squares_exits_one(self, tmp_path, capsys):
+        # At 1e160 the sum's square overflows but its posterior mean would not: read as is,
+        # the variance estimate clamps to 1e-12 and the call decides m_next = 0.
+        state, m = self._two_stage_state(tmp_path, "ESTIMATED")
+        saved = json.loads(state.read_text())
+        saved["stats"]["control_sums"][0] = 1e160
+        saved["last_call"] = None
+        state.write_text(json.dumps(saved))
+        before = state.read_bytes()
+        capsys.readouterr()
+        observed = ["--treated-sum", "0.0", "--control-sum", "0.0",
+                    "--treated-sumsq", f"{10.0 * m}", "--control-sumsq", f"{10.0 * (500 - m)}"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
+        assert "the stored control sum of squares 5357.0 is below its sum**2 / 487" in (
+            capsys.readouterr().err
+        )
+        assert state.read_bytes() == before
+
+    @pytest.mark.parametrize("opening", ["FRESH", "ESTIMATED"])
+    @pytest.mark.parametrize("key, value", [("treated_sums", [0.0, 13.0]), ("treated_sumsq", 143.0)])
+    def test_stored_sums_of_an_empty_arm_must_be_zero(self, tmp_path, capsys, opening, key, value):
+        state = tmp_path / "state.json"
+        assert main([*getattr(self, opening), "--state", str(state)]) == 0
+        saved = json.loads(state.read_text())
+        saved["stats"][key] = value
+        saved["last_call"] = None
+        state.write_text(json.dumps(saved))
+        before = state.read_bytes()
+        capsys.readouterr()
+        observed = ["--treated-sum", "0.0", "--control-sum", "0.0",
+                    "--treated-sumsq", "0.0", "--control-sumsq", "0.0"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
+        assert "the stored treated group was empty, so its sums must be 0" in capsys.readouterr().err
+        assert state.read_bytes() == before
+
+    def test_a_multi_stage_estimated_rollout_at_the_cauchy_schwarz_bound_is_accepted(self, tmp_path):
+        # Every outcome is 1.0, so each arm's stored sum of squares equals sum**2 / count.
+        state = tmp_path / "state.json"
+        assert main([*self.ESTIMATED, "--state", str(state)]) == 0
+        for _ in range(4):
+            m = json.loads(state.read_text())["pending"]["m"]
+            observed = [f"{m}.0", f"{500 - m}.0"]
+            argv = ["next-stage", "--state", str(state), "--treated-sum", observed[0],
+                    "--control-sum", observed[1], "--treated-sumsq", observed[0],
+                    "--control-sumsq", observed[1], *self.NEXT]
+            assert main(argv) == 0
+        stats = json.loads(state.read_text())["stats"]
+        assert stats["treated_sums"][1] == stats["treated_sumsq"] == stats["counts"][1] > 0
+        assert stats["control_sums"][0] == stats["control_sumsq"] == stats["counts"][0] > 0
+
+    def test_known_mode_stores_partial_sums_of_squares(self, tmp_path):
+        # Known mode takes a stage without its sums of squares, so the stored ones may be
+        # below sum**2 / count; the call that follows still decides.
+        state, m = self._two_stage_state(tmp_path, "FRESH")
+        observed = ["--treated-sum", f"{10.0 * m}", "--control-sum", "0.0"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
+        stats = json.loads(state.read_text())["stats"]
+        assert stats["treated_sumsq"] < stats["treated_sums"][1] ** 2 / stats["counts"][1]
+        observed = ["--treated-sum", "0.0", "--control-sum", "0.0"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
 
     def test_observed_sums_whose_posterior_overflows_exit_one(self, tmp_path, capsys):
         # Sums of 1e30 over a known variance of 1e-280 pass the float maximum.

@@ -608,9 +608,10 @@ class TestRunCantelli:
         with pytest.raises(ValueError, match=r"samples must be a whole number in \[1, 1000000\]"):
             CantelliPolicy(self.PRIOR, VariancePolicy(), samples=samples)
 
-    @pytest.mark.parametrize("samples", [1, 10**6, np.int64(500)])
+    @pytest.mark.parametrize("samples", [1, 10**6, np.int64(500), 500.0])
     def test_a_sample_count_within_the_bound_is_kept(self, samples):
-        assert CantelliPolicy(self.PRIOR, VariancePolicy(), samples=samples).samples == samples
+        kept = CantelliPolicy(self.PRIOR, VariancePolicy(), samples=samples).samples
+        assert kept == samples and type(kept) is int
         assert mc_solver.SAMPLE_CAP == 10**6
 
     def test_short_run_shape_and_cap(self):

@@ -66,14 +66,14 @@ class TestInit:
 
     @pytest.mark.parametrize("mu0", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
     def test_prior_rejects_a_mean_that_is_not_finite(self, mu0):
-        with pytest.raises(ValueError, match="mu0 components must be finite, got"):
+        with pytest.raises(ValueError, match="mu0 must be a pair, each a finite number, got"):
             GaussianPrior(mu0=mu0, sigma0_sq=(1.0, 1.0))
 
 
     def test_a_variance_below_the_floor_is_refused_but_a_posterior_one_is_kept(self):
         # A supplied variance's precision stays finite at any count; a posterior
         # variance, the reciprocal of a large total precision, may lie below the floor.
-        with pytest.raises(ValueError, match="sigma0_sq components must be finite and >= 1e-280"):
+        with pytest.raises(ValueError, match="sigma0_sq must be a pair, each a finite number >= 1e-280"):
             GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=(1.0, 1e-300))
         assert GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=(1e-280, 1.0)).sigma0_sq == (1e-280, 1.0)
         assert OutcomeVariance((5e-324, 1.0)).sigma_sq == (5e-324, 1.0)
@@ -81,11 +81,11 @@ class TestInit:
 
     @pytest.mark.parametrize("pair", [(), (1.0,), (1.0, 2.0, 3.0)])
     def test_pairs_of_another_length_are_refused(self, pair):
-        with pytest.raises(ValueError, match="mu0 must have exactly two"):
+        with pytest.raises(ValueError, match="mu0 must be a pair, each a finite number, got"):
             GaussianPrior(mu0=pair, sigma0_sq=(1.0, 1.0))
-        with pytest.raises(ValueError, match="sigma0_sq must have exactly two"):
+        with pytest.raises(ValueError, match=r"sigma0_sq must be a pair, each a finite number >= 1e-280, got"):
             GaussianPrior(mu0=(0.0, 0.0), sigma0_sq=pair)
-        with pytest.raises(ValueError, match="sigma_sq must have exactly two"):
+        with pytest.raises(ValueError, match=r"sigma_sq must be a pair, each a finite number > 0, got"):
             OutcomeVariance(pair)
 
 

@@ -315,7 +315,7 @@ class TestRunReplications:
         monkeypatch.setattr(replication, "_map_chunks", no_work)
         sched = RiskSchedule.uniform(-500.0, 0.05, 3)
         for reps in (10**6 + 1, 10**300):
-            with pytest.raises(ValueError, match=r"K_rep must be in \[1, 1000000\]"):
+            with pytest.raises(ValueError, match=r"K_rep must be a whole number in \[1, 1000000\]"):
                 run_replications(ANALYTIC, builtin_scenarios()[name], sched, reps, 0)
         assert replication.REPLICATION_CAP == 10**6
 

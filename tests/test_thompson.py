@@ -70,7 +70,7 @@ class TestAssignmentProbability:
     )
     def test_every_entry_refuses_a_c_that_is_not_finite_and_positive(self, sharpen, c):
         # The scalar gave nan at c = nan and 1.0 at c = inf; the batch gave 0.47 at c = -1.
-        with pytest.raises(ValueError, match=r"c must be finite and > 0"):
+        with pytest.raises(ValueError, match=r"c must be a finite number > 0"):
             sharpen(c)
 
     @given(
@@ -186,8 +186,8 @@ class TestRunThompson:
             # The cap at half the stage is no argument: the assignment rule has none.
             ({"cap_at_half": True}, TypeError, "cap_at_half"),
             # Variances below VARIANCE_FLOOR, whose precision can overflow.
-            ({"sigma_sq": (1e-320, 1.0)}, ValueError, "sigma_sq components must be finite and >="),
-            ({"sigma_sq": (1.0, 1e-281)}, ValueError, "sigma_sq components must be finite and >="),
+            ({"sigma_sq": (1e-320, 1.0)}, ValueError, "sigma_sq must be a pair, each a finite number >="),
+            ({"sigma_sq": (1.0, 1e-281)}, ValueError, "sigma_sq must be a pair, each a finite number >="),
         ],
     )
     def test_rejects_a_bad_argument_when_built(self, kwargs, error, match):
