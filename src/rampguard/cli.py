@@ -96,10 +96,6 @@ def _workers(explicit: "int | None") -> int:
 # ------------------------------------------------------- checked values
 
 
-def _is_number(v) -> bool:
-    return as_float(v) is not None
-
-
 def _list_of(check, length=None):
     return lambda v: (
         isinstance(v, list) and length in (None, len(v)) and all(map(check, v))
@@ -107,15 +103,18 @@ def _list_of(check, length=None):
 
 
 def _number(rule):
-    """A value rule of ``schedules`` as a schema check: a number (not a bool) that it admits."""
+    """A value rule of ``schedules`` as a schema check: a number (``as_float``) that it admits."""
     test, wants = rule
-    return (lambda v: _is_number(v) and test(float(v)), wants)
+    return (lambda v: (number := as_float(v)) is not None and test(number), wants)
 
 
 def _pair(rule):
     """The schema check of a list of two numbers that ``rule`` admits, worded as ``_float_pair``."""
     test, wants = _number(rule)
     return (_list_of(test, 2), f"a pair, each {wants}")
+
+
+_NUMBER = _number(RULES["number"])
 
 
 def _typed(forms: dict, other):
@@ -134,19 +133,18 @@ _GENERATORS = {"uniform": ("T", uniform_tolerance), "sinc": ("horizon", sinc_sch
 # A generator's stage count has the bound ``Scenario`` puts on T, as no scenario runs past it.
 _TOLERANCES = _typed({kind: (key, _number(RULES["stages"]))
                       for kind, (key, _) in _GENERATORS.items()},
-                     (lambda v: v != [] and _list_of(_is_number)(v),
+                     (lambda v: v != [] and _list_of(_NUMBER[0])(v),
                       "a non-empty list of numbers or a tolerance generator"))
 # A cost that ``_resolve`` builds; the linear one is named alone or as an object.
 _COST = _typed({"capped_effect": ("floor", _number(RULES["floor"]))},
                (lambda v: v in ("treatment_effect", {"type": "treatment_effect"}),
                 '"treatment_effect" or {"type": "capped_effect", "floor": <number>}'))
-_NUMBER = (_is_number, "a number")
-_COUNT = (lambda v: isinstance(v, int) and _is_number(v) and v >= 0, "an integer >= 0")
+_COUNT = (lambda v: isinstance(v, int) and _NUMBER[0](v) and v >= 0, "an integer >= 0")
 _STAGE = (lambda v: _COUNT[0](v) and v >= 1, "an integer >= 1")
 _PAIR = _pair(RULES["finite"])
-_SUMSQ = (lambda v: _is_number(v) and 0.0 <= v < math.inf, "a finite number >= 0")
+_SUMSQ = (lambda v: _NUMBER[0](v) and 0.0 <= v < math.inf, "a finite number >= 0")
 _VARIANCES = _pair(RULES["variance"])
-_NUMBERS = (_list_of(_is_number), "a list of numbers")
+_NUMBERS = (_list_of(_NUMBER[0]), "a list of numbers")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 
 
@@ -174,7 +172,7 @@ _CONFIG_SCHEMA = {
     "delta": _NUMBER,
     "schedule": {
         "stage_tolerances": _TOLERANCES,
-        "stage_budgets": (lambda v: _is_number(v) or _NUMBERS[0](v), "a number or " + _NUMBERS[1]),
+        "stage_budgets": (lambda v: _NUMBER[0](v) or _NUMBERS[0](v), "a number or " + _NUMBERS[1]),
     },
     **_BELIEF_SCHEMA,
     "replications": _number(RULES["replications"]),
@@ -348,8 +346,7 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
 def _write_json(file, value, durable: bool = False) -> None:
     """Sorted, indented JSON and a newline into a path or descriptor; ``durable`` fsyncs it."""
     with open(file, "w", encoding="utf-8") as fh:
-        json.dump(value, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(value, sort_keys=True, indent=2) + "\n")  # one write, not hundreds
         if durable:
             fh.flush()
             os.fsync(fh.fileno())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .posterior import GaussianPrior
+from .posterior import GaussianPrior, _float_pair
 from .scenarios import Scenario
 
 __all__ = ["RobustnessChecks", "robustness_diagnostics"]
@@ -66,16 +66,16 @@ def robustness_diagnostics(
 
     ``m`` holds treated counts shaped ``(T,)`` for one rollout or ``(K, T)``
     for K replications; column t is stage t + 1. ``sigma_sq`` is the
-    plug-in variance pair the solver used. The history of a stage sums the
-    earlier stages in stage order from 0.0, exactly as a running total
-    would.
+    plug-in variance pair the solver used, two numbers to ``as_float``. The
+    history of a stage sums the earlier stages in stage order from 0.0,
+    exactly as a running total would.
     """
     m = np.asarray(m)
     stages = range(1, m.shape[-1] + 1)
     effect = np.array([scenario.true_effect(t) for t in stages])
     diff_var = np.array([scenario.effect_variance(t) for t in stages])
     var0 = np.array([scenario.true_var(0, t) for t in stages])
-    v0, v1 = float(sigma_sq[0]), float(sigma_sq[1])
+    v0, v1 = _float_pair("sigma_sq", sigma_sq, "number")
 
     def earlier(x):
         # Exclusive running sum; cumsum minus the current term rounds differently.

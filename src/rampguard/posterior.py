@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .schedules import RULES
+from .schedules import RULES, as_float, checked
 
 __all__ = [
     "InsufficientDataError",
@@ -46,12 +46,16 @@ class NonFinitePosteriorError(ValueError):
 
 
 def _float_pair(name: str, pair, rule: str = "finite") -> Pair:
-    """``pair`` as two floats, refused unless it has two that both pass ``RULES[rule]``."""
+    """``pair`` as two floats, refused unless it is a sequence of two numbers to ``as_float``
+    (no bool or string) that both pass ``RULES[rule]``."""
     test, wants = RULES[rule]
-    if len(pair) == 2:
-        pair = (float(pair[0]), float(pair[1]))
-        if test(pair[0]) and test(pair[1]):
-            return pair
+    try:
+        a, b = (pair[0], pair[1]) if len(pair) == 2 else (None, None)
+    except (TypeError, LookupError):  # no sequence: no length, or no entries 0 and 1
+        a = b = None
+    a, b = as_float(a), as_float(b)
+    if a is not None and b is not None and test(a) and test(b):
+        return (a, b)
     raise ValueError(f"{name} must be a pair, each {wants}, got {pair!r}")
 
 
@@ -130,17 +134,19 @@ def update_stats(
     ``treated_sumsq``), the remaining control units ``control_sum`` (and
     ``control_sumsq``). Any ``m_t`` in ``[0, N_t]`` folds; the half cap is
     a policy's rule, which the stage loops check (``trace.check_decision``).
+    Each sum must be a number to ``as_float``, ``inf`` included, or ``ValueError`` names it.
     """
     if N_t < 0:
         raise ValueError(f"N_t must be >= 0, got {N_t!r}")
     if not 0 <= m_t <= N_t:
         raise ValueError(f"m_t must be in [0, N_t={N_t}], got {m_t!r}")
+    number = RULES["number"]
     return SufficientStats(
-        sum_treated=stats.sum_treated + float(treated_sum),
-        sum_control=stats.sum_control + float(control_sum),
+        sum_treated=stats.sum_treated + checked(number, treated_sum, "treated_sum"),
+        sum_control=stats.sum_control + checked(number, control_sum, "control_sum"),
         counts=(stats.counts[0] + (N_t - m_t), stats.counts[1] + m_t),
-        treated_sumsq=stats.treated_sumsq + float(treated_sumsq),
-        control_sumsq=stats.control_sumsq + float(control_sumsq),
+        treated_sumsq=stats.treated_sumsq + checked(number, treated_sumsq, "treated_sumsq"),
+        control_sumsq=stats.control_sumsq + checked(number, control_sumsq, "control_sumsq"),
     )
 
 
@@ -210,8 +216,8 @@ def estimate_variance(
     Arm 1 uses the treated accumulators, arm 0 the control accumulators,
     each with denominator ``M(w) - 1``. An arm with fewer than two
     observations has no sample variance: it takes its ``fallback`` value,
-    the pretrial estimate, and without one InsufficientDataError names the
-    pretrial value the caller must pass.
+    the pretrial estimate (a number to ``as_float``, or ValueError), and
+    without one InsufficientDataError names the value the caller must pass.
     """
     out = [0.0, 0.0]
     accum = (
@@ -224,7 +230,7 @@ def estimate_variance(
             # Clamp tiny negative rounding residue from the sumsq formula.
             out[w] = max(sumsq - total * total / count, 0.0) / (count - 1)
         elif fallback is not None:
-            out[w] = float(fallback[w])
+            out[w] = checked(RULES["number"], fallback[w], "fallback")
         else:
             raise InsufficientDataError(
                 f"arm {w} has {count} observation(s); need >= 2 or a pretrial value (fallback)"

@@ -65,7 +65,10 @@ class ScheduleError(ValueError):
 
 
 def as_float(value) -> "float | None":
-    """``value`` as a float if it is a number (not a bool) that ``float()`` converts, else None."""
+    """``value`` as a float if it is a number (no bool, string or integer past every float)
+    that ``float()`` converts, else None: the one test of a number. A float comes back as is."""
+    if type(value) is float:
+        return value
     try:
         return float(value) if isinstance(value, Real) and not isinstance(value, bool) else None
     except OverflowError:  # an integer beyond every float
@@ -81,6 +84,7 @@ def whole(least: int, most: float = math.inf):
 # The value rules that the CLI's schemas and the constructors share: each a test of a
 # float and the wording of what it wants. ``checked`` applies one.
 RULES = {
+    "number": (lambda v: True, "a number"),
     "finite": (math.isfinite, "a finite number"),
     "positive": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
     "variance": (lambda v: VARIANCE_FLOOR <= v < math.inf,
@@ -163,6 +167,8 @@ class RiskSchedule:
     whose stage budget is not finite or falls below ``budget``, whose
     tolerance lies outside [0, 1), or whose running product of
     ``(1 - Delta_t)`` dips below ``1 - delta`` (within ``REL_SLACK``).
+    Every value must be a number to ``as_float``; the stage entries are
+    stored as its floats, ``budget`` and ``delta`` as given.
     """
 
     budget: float
@@ -171,34 +177,31 @@ class RiskSchedule:
     stage_tolerances: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.budget) and self.budget < 0.0):
+        budget, delta = as_float(self.budget), as_float(self.delta)
+        if budget is None or not (math.isfinite(budget) and budget < 0.0):
             raise ScheduleError(f"budget must be finite and < 0, got {self.budget!r}")
-        if not 0.0 <= self.delta < 1.0:
+        if delta is None or not 0.0 <= delta < 1.0:
             raise ScheduleError(f"delta must be in [0, 1), got {self.delta!r}")
-        object.__setattr__(self, "stage_budgets", tuple(float(b) for b in self.stage_budgets))
-        object.__setattr__(
-            self, "stage_tolerances", tuple(float(d) for d in self.stage_tolerances)
-        )
-        if len(self.stage_budgets) != len(self.stage_tolerances):
-            raise ScheduleError(
-                f"{len(self.stage_budgets)} stage budgets vs "
-                f"{len(self.stage_tolerances)} stage tolerances"
-            )
-        threshold = (1.0 - self.delta) * (1.0 - REL_SLACK)
+        raw = tuple(self.stage_budgets), tuple(self.stage_tolerances)
+        if len(raw[0]) != len(raw[1]):
+            raise ScheduleError(f"{len(raw[0])} stage budgets vs {len(raw[1])} stage tolerances")
+        budgets, tolerances = (tuple(map(as_float, entries)) for entries in raw)
+        threshold = (1.0 - delta) * (1.0 - REL_SLACK)
         prod = 1.0
-        for t, (b, d) in enumerate(zip(self.stage_budgets, self.stage_tolerances), start=1):
-            if not (math.isfinite(b) and b >= self.budget):
-                raise ScheduleError(
-                    f"stage {t}: budget {b!r} must be finite and >= the total budget {self.budget}"
-                )
-            if not 0.0 <= d < 1.0:
-                raise ScheduleError(f"stage {t}: tolerance must be in [0, 1), got {d!r}")
+        for t, (b, d, given_b, given_d) in enumerate(zip(budgets, tolerances, *raw), start=1):
+            if b is None or not (math.isfinite(b) and b >= budget):
+                raise ScheduleError(f"stage {t}: budget {given_b!r} must be finite "
+                                    f"and >= the total budget {self.budget}")
+            if d is None or not 0.0 <= d < 1.0:
+                raise ScheduleError(f"stage {t}: tolerance must be in [0, 1), got {given_d!r}")
             prod *= 1.0 - d
             if prod < threshold:
                 raise ScheduleError(
                     f"stage {t}: tolerance product {prod:.12g} falls below "
-                    f"1 - delta = {1.0 - self.delta:.12g}"
+                    f"1 - delta = {1.0 - delta:.12g}"
                 )
+        object.__setattr__(self, "stage_budgets", budgets)
+        object.__setattr__(self, "stage_tolerances", tolerances)
 
     @property
     def num_stages(self) -> int:

@@ -1796,11 +1796,11 @@ class TestNextStage:
         assert main([*self.FRESH, "--state", str(state)]) == 0
         before = state.read_bytes()
 
-        def dump_then_fail(obj, fh, **kwargs):
-            fh.write('{"version": ')
+        def fsync_fails(fd):
+            # The new state's bytes are in the temporary file; making them durable fails.
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli.json, "dump", dump_then_fail)
+        monkeypatch.setattr(cli.os, "fsync", fsync_fails)
         code = main(
             [
                 "next-stage", "--state", str(state),

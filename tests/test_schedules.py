@@ -1,18 +1,33 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rampguard.diagnostics import robustness_diagnostics
+from rampguard.posterior import (
+    GaussianPrior,
+    OutcomeVariance,
+    PosteriorState,
+    SufficientStats,
+    VariancePolicy,
+    estimate_variance,
+    update_stats,
+)
+from rampguard.scenarios import builtin_scenarios
 from rampguard.schedules import (
     REL_SLACK,
     RiskSchedule,
     ScheduleError,
+    as_float,
     sinc_gamma,
     sinc_schedule,
     uniform_tolerance,
 )
+from rampguard.thompson import ThompsonPolicy
 
 
 def bisect_sinc_root(delta, tol=1e-10):
@@ -315,3 +330,99 @@ class TestConstructionAndExtension:
         sched = RiskSchedule.uniform(-500.0, 0.05, 2)
         with pytest.raises(ScheduleError):
             sched.extended(-600.0, 0.001)
+
+
+class TestOneTestOfANumber:
+    """``as_float`` decides what a number is for every value that enters the library."""
+
+    def test_a_float_comes_back_as_is(self):
+        value = 1234.5678
+        assert as_float(value) is value
+        assert math.copysign(1.0, as_float(-0.0)) == -1.0
+        assert math.isnan(as_float(math.nan))
+        assert as_float(math.inf) == math.inf
+
+    @pytest.mark.parametrize(
+        "value", [np.float64(0.1), np.float32(0.1), 7, np.int64(-3), Fraction(1, 3)]
+    )
+    def test_other_numbers_convert_as_float_does(self, value):
+        number = as_float(value)
+        assert type(number) is float and number == float(value)
+
+    @pytest.mark.parametrize(
+        "value", [10**400, True, np.bool_(True), "10", None, Decimal("1.5")],
+        ids=["huge-int", "bool", "np-bool", "str", "None", "Decimal"],
+    )
+    def test_what_is_not_a_number(self, value):
+        assert as_float(value) is None
+
+    PRIOR = GaussianPrior((0.0, 0.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "build,error,message",
+        [
+            (lambda: GaussianPrior((True, "2"), ("10", 10)), ValueError, "mu0 must be a pair"),
+            (lambda: GaussianPrior(5.0, (1, 1)), ValueError, "mu0 must be a pair"),
+            (lambda: GaussianPrior({2.0, 1.0}, (1.0, 1.0)), ValueError, "mu0 must be a pair"),
+            (lambda: GaussianPrior((v for v in (1.0, 2.0)), (1.0, 1.0)), ValueError,
+             "mu0 must be a pair"),
+            (lambda: GaussianPrior((np.bool_(True), 0.0), (1.0, 1.0)), ValueError, "mu0 must"),
+            (lambda: GaussianPrior((0.0, 0.0), ("10", 10.0)), ValueError, "sigma0_sq must"),
+            (lambda: VariancePolicy("known", ("10", True)), ValueError, "values must be a pair"),
+            (lambda: VariancePolicy("estimated", pretrial=(np.bool_(True), 1.0)), ValueError,
+             "pretrial must be a pair"),
+            (lambda: OutcomeVariance((True, "3")), ValueError, "sigma_sq must be a pair"),
+            (lambda: PosteriorState((0.0, 0.0), ("1", 1.0)), ValueError, "sigma_p_sq must"),
+            (lambda: ThompsonPolicy(c=1.0, prior=TestOneTestOfANumber.PRIOR,
+                                    sigma_sq=("1", True)), ValueError, "sigma_sq must be a pair"),
+            (lambda: RiskSchedule(-500.0, 0.05, ("-100",), (0.01,)), ScheduleError,
+             "^stage 1: budget '-100' must be"),
+            (lambda: RiskSchedule(-500.0, 0.05, (True,), ("0.01",)), ScheduleError,
+             "^stage 1: budget True must be"),
+            (lambda: RiskSchedule(-500.0, 0.05, (-500.0,), ("0.01",)), ScheduleError,
+             r"^stage 1: tolerance must be in \[0, 1\), got '0.01'"),
+            (lambda: RiskSchedule(-500.0, 0.05, (-500.0,), (np.bool_(False),)), ScheduleError,
+             "^stage 1: tolerance must be"),
+            (lambda: RiskSchedule("-500", 0.05, (), ()), ScheduleError, "^budget must be"),
+            (lambda: RiskSchedule(-500.0, False, (), ()), ScheduleError, "^delta must be"),
+            (lambda: RiskSchedule(-500.0, 0.05, (10**400,), (0.01,)), ScheduleError,
+             "^stage 1: budget 1000"),
+            (lambda: update_stats(SufficientStats(), 1, 2, "5", True), ValueError,
+             "treated_sum must be a number, got '5'"),
+            (lambda: update_stats(SufficientStats(), 1, 2, 5.0, True), ValueError,
+             "control_sum must be a number, got True"),
+            (lambda: update_stats(SufficientStats(), 1, 2, 5.0, 1.0, np.bool_(True)), ValueError,
+             "treated_sumsq must be a number"),
+            (lambda: update_stats(SufficientStats(), 1, 2, 5.0, 1.0, 1.0, "10"), ValueError,
+             "control_sumsq must be a number"),
+            (lambda: estimate_variance(SufficientStats(), fallback=("10", 1.0)), ValueError,
+             "fallback must be a number, got '10'"),
+            (lambda: robustness_diagnostics(builtin_scenarios()["norm"], [1] * 10,
+                                            TestOneTestOfANumber.PRIOR, ("10", True)),
+             ValueError, "sigma_sq must be a pair, each a number"),
+        ],
+        ids=["prior-bool-str", "prior-scalar", "prior-set", "prior-generator",
+             "prior-np-bool", "prior-str-variance",
+             "known-values", "pretrial", "outcome-variance", "posterior-variance", "thompson",
+             "stage-budget-str", "stage-budget-bool", "stage-tolerance-str",
+             "stage-tolerance-np-bool", "budget-str", "delta-bool", "stage-budget-huge-int",
+             "treated-sum", "control-sum", "treated-sumsq", "control-sumsq", "fallback",
+             "diagnostics"],
+    )
+    def test_what_is_no_number_is_refused_by_name(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build()
+
+    def test_valid_values_keep_their_form(self):
+        # The stage entries become floats; the budget and delta are stored as given, so
+        # an integer budget keeps its bytes in to_config().
+        schedule = RiskSchedule(-500, 0.05, [-500, np.float64(-400.0)], (0.01, Fraction(0)))
+        assert schedule.to_config() == {
+            "budget": -500, "delta": 0.05,
+            "stage_budgets": [-500.0, -400.0], "stage_tolerances": [0.01, 0.0],
+        }
+        assert type(schedule.budget) is int
+        assert all(type(v) is float for v in schedule.stage_budgets + schedule.stage_tolerances)
+        # An overflowing sum of squares is reported as inf, which stays a number.
+        stats = update_stats(SufficientStats(), 1, 2, 5, 1.0, math.inf, 0)
+        assert stats.treated_sumsq == math.inf and stats.sum_treated == 5.0
