@@ -77,7 +77,7 @@ def _load_json(kind: str, path: str) -> dict[str, Any]:
             value = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{kind} {path} not found") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or nesting too deep
         raise ConfigError(f"{kind} {path} is not valid JSON: {exc}") from None
     if not isinstance(value, dict):
         raise ConfigError(f"{kind} {path} does not hold a JSON object")
@@ -305,7 +305,7 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
     tolerances = spec.get("stage_tolerances", {"type": "uniform", "T": scenario.T})
     if isinstance(tolerances, dict):
         key, build = _GENERATORS[tolerances["type"]]
-        tolerances = build(delta, int(tolerances[key]))  # int(): JSON may give a count as 4.0
+        tolerances = build(delta, tolerances[key])
     budgets = spec.get("stage_budgets", budget)
     budgets = budgets if isinstance(budgets, list) else [budgets] * len(tolerances)
     schedule = RiskSchedule(budget, delta, budgets, tolerances)

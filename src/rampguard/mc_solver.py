@@ -322,13 +322,12 @@ def estimate_posterior_quantities(
     K: int,
     rng: np.random.Generator,
 ) -> PosteriorQuantities:
-    """Monte-Carlo estimates of the stage-cost moments from K joint draws.
+    """Monte-Carlo estimates of the stage-cost moments from K joint draws (``RULES["samples"]``).
 
     When no draw survives the budget condition the moment fields are NaN
     and ``survivor_count`` is zero; the solver maps that straight to m = 0.
     """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K!r}")
+    K = int(checked(RULES["samples"], K, "K"))
     r_prev, h1, h2 = sampler.draw_cost_batch(cost, K, rng)
     alive = r_prev >= B
     survivors = int(alive.sum())

@@ -89,6 +89,7 @@ RULES = {
     "positive": (lambda v: 0.0 < v < math.inf, "a finite number > 0"),
     "variance": (lambda v: VARIANCE_FLOOR <= v < math.inf,
                  f"a finite number >= {VARIANCE_FLOOR:g}"),
+    "tolerance": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "stages": whole(1, STAGE_CAP),
     "replications": whole(1, REPLICATION_CAP),
     "samples": whole(1, SAMPLE_CAP),
@@ -96,11 +97,11 @@ RULES = {
 }
 
 
-def checked(rule, value, name: str) -> float:
-    """``value`` as a float once it is a number that ``rule`` admits; ValueError naming ``name``."""
+def checked(rule, value, name: str, error=ValueError) -> float:
+    """``value`` as a float once it is a number ``rule`` admits; else ``error`` naming ``name``."""
     number = as_float(value)
     if number is None or not rule[0](number):
-        raise ValueError(f"{name} must be {rule[1]}, got {value!r}")
+        raise error(f"{name} must be {rule[1]}, got {value!r}")
     return number
 
 
@@ -109,11 +110,10 @@ def uniform_tolerance(delta: float, T: int) -> tuple[float, ...]:
 
     Returns the constant sequence ``Delta_t = 1 - (1 - delta)**(1/T)``, so
     the product of ``(1 - Delta_t)`` recovers ``1 - delta`` up to rounding.
+    ScheduleError unless ``delta`` passes ``RULES["tolerance"]`` and ``T`` ``RULES["stages"]``.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ScheduleError(f"delta must be in [0, 1), got {delta!r}")
-    if T < 1:
-        raise ScheduleError(f"stage count must be >= 1, got {T!r}")
+    delta = checked(RULES["tolerance"], delta, "delta", ScheduleError)
+    T = int(checked(RULES["stages"], T, "stage count", ScheduleError))
     step = 1.0 - (1.0 - delta) ** (1.0 / T)
     return (step,) * T
 
@@ -129,10 +129,10 @@ def sinc_gamma(delta: float) -> float:
     """Solve sin(pi g)/(pi g) = 1 - delta for g in [0, 1] by bisection.
 
     The function is strictly decreasing from 1 to 0 on [0, 1], so the root
-    is unique; bisection runs to an absolute width of 1e-14.
+    is unique; bisection runs to an absolute width of 1e-14. ``delta`` must
+    pass ``RULES["tolerance"]``; else :class:`ScheduleError`.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ScheduleError(f"delta must be in [0, 1), got {delta!r}")
+    delta = checked(RULES["tolerance"], delta, "delta", ScheduleError)
     if delta == 0.0:
         return 0.0
     target = 1.0 - delta
@@ -150,12 +150,12 @@ def sinc_schedule(delta: float, T_horizon: int) -> tuple[float, ...]:
     """First ``T_horizon`` terms of the infinite schedule (gamma/t)**2.
 
     Every finite prefix product of ``(1 - Delta_t)`` stays above
-    ``1 - delta``; the infinite product converges to it exactly.
+    ``1 - delta``; the infinite product converges to it exactly. The
+    arguments follow the rules of ``uniform_tolerance``.
     """
-    if T_horizon < 1:
-        raise ScheduleError(f"horizon must be >= 1, got {T_horizon!r}")
+    horizon = int(checked(RULES["stages"], T_horizon, "horizon", ScheduleError))
     g = sinc_gamma(delta)
-    return tuple((g / t) ** 2 for t in range(1, T_horizon + 1))
+    return tuple((g / t) ** 2 for t in range(1, horizon + 1))
 
 
 @dataclass(frozen=True)
@@ -164,8 +164,8 @@ class RiskSchedule:
 
     Valid by construction: the constructor refuses, with a
     :class:`ScheduleError` naming the first stage that fails, any plan
-    whose stage budget is not finite or falls below ``budget``, whose
-    tolerance lies outside [0, 1), or whose running product of
+    whose stage budget is not finite or falls below ``budget``, whose ``delta``
+    or stage tolerance fails ``RULES["tolerance"]``, or whose running product of
     ``(1 - Delta_t)`` dips below ``1 - delta`` (within ``REL_SLACK``).
     Every value must be a number to ``as_float``; the stage entries are
     stored as its floats, ``budget`` and ``delta`` as given.
@@ -177,31 +177,29 @@ class RiskSchedule:
     stage_tolerances: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        budget, delta = as_float(self.budget), as_float(self.delta)
+        budget, tolerance = as_float(self.budget), RULES["tolerance"]
         if budget is None or not (math.isfinite(budget) and budget < 0.0):
             raise ScheduleError(f"budget must be finite and < 0, got {self.budget!r}")
-        if delta is None or not 0.0 <= delta < 1.0:
-            raise ScheduleError(f"delta must be in [0, 1), got {self.delta!r}")
+        delta = checked(tolerance, self.delta, "delta", ScheduleError)
         raw = tuple(self.stage_budgets), tuple(self.stage_tolerances)
         if len(raw[0]) != len(raw[1]):
             raise ScheduleError(f"{len(raw[0])} stage budgets vs {len(raw[1])} stage tolerances")
-        budgets, tolerances = (tuple(map(as_float, entries)) for entries in raw)
+        budgets, tolerances = tuple(map(as_float, raw[0])), []
         threshold = (1.0 - delta) * (1.0 - REL_SLACK)
         prod = 1.0
-        for t, (b, d, given_b, given_d) in enumerate(zip(budgets, tolerances, *raw), start=1):
+        for t, (b, given_b, given_d) in enumerate(zip(budgets, *raw), start=1):
             if b is None or not (math.isfinite(b) and b >= budget):
                 raise ScheduleError(f"stage {t}: budget {given_b!r} must be finite "
                                     f"and >= the total budget {self.budget}")
-            if d is None or not 0.0 <= d < 1.0:
-                raise ScheduleError(f"stage {t}: tolerance must be in [0, 1), got {given_d!r}")
-            prod *= 1.0 - d
+            tolerances.append(checked(tolerance, given_d, f"stage {t}: tolerance", ScheduleError))
+            prod *= 1.0 - tolerances[-1]
             if prod < threshold:
                 raise ScheduleError(
                     f"stage {t}: tolerance product {prod:.12g} falls below "
                     f"1 - delta = {1.0 - delta:.12g}"
                 )
         object.__setattr__(self, "stage_budgets", budgets)
-        object.__setattr__(self, "stage_tolerances", tolerances)
+        object.__setattr__(self, "stage_tolerances", tuple(tolerances))
 
     @property
     def num_stages(self) -> int:
@@ -237,8 +235,11 @@ class RiskSchedule:
         T: int,
         stage_budgets: "tuple[float, ...] | list[float] | None" = None,
     ) -> "RiskSchedule":
-        budgets = (budget,) * T if stage_budgets is None else stage_budgets
-        return cls(budget, delta, budgets, uniform_tolerance(delta, T))
+        """The schedule of ``uniform_tolerance(delta, T)``, each stage budget ``budget``
+        unless ``stage_budgets`` gives them."""
+        tolerances = uniform_tolerance(delta, T)
+        budgets = (budget,) * len(tolerances) if stage_budgets is None else stage_budgets
+        return cls(budget, delta, budgets, tolerances)
 
     def to_config(self) -> dict[str, Any]:
         return {

@@ -31,6 +31,7 @@ from .posterior import (
     compute_posterior,
     posterior_moments,
 )
+from .schedules import RULES, checked
 
 if TYPE_CHECKING:
     import numpy as np
@@ -161,8 +162,7 @@ def _stage_cap(Delta_t: float, N_t: int) -> int:
     """The stage's cap ``N_t // 2``, once ``N_t`` and ``Delta_t`` pass every solver's rules."""
     if N_t < 1:
         raise ValueError(f"N_t must be >= 1, got {N_t!r}")
-    if not 0.0 <= Delta_t < 1.0:
-        raise ValueError(f"Delta_t must be in [0, 1), got {Delta_t!r}")
+    checked(RULES["tolerance"], Delta_t, "Delta_t")
     return N_t // 2
 
 

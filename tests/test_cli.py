@@ -100,13 +100,17 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "content, fault",
-        [(None, "not found"), ("{1,", "is not valid JSON"), ("[1, 2]", "does not hold a JSON object")],
-        ids=["missing", "invalid", "not-an-object"],
+        [(None, "not found"), (b"{1,", "is not valid JSON"),
+         (b'{"scenario": "norm" \xfe}', "is not valid JSON"), (b"[" * 100_000, "is not valid JSON"),
+         (b'{"budget": ' + b"1" * 5000 + b"}", "is not valid JSON"),
+         (b"[1, 2]", "does not hold a JSON object")],
+        ids=["missing", "invalid", "not-utf-8", "nested-too-deeply", "integer-too-long",
+             "not-an-object"],
     )
     def test_unreadable_config_file_exits_one(self, tmp_path, capsys, content, fault):
         path = tmp_path / "cfg.json"
         if content is not None:
-            path.write_text(content)
+            path.write_bytes(content)
         assert main(["run", "--config", str(path)]) == 1
         assert f"config file {path} {fault}" in capsys.readouterr().err
 
@@ -1298,15 +1302,17 @@ class TestNextStage:
 
     @pytest.mark.parametrize(
         "content, fault",
-        [("{1,", "is not valid JSON"), ("[1, 2]", "does not hold a JSON object")],
-        ids=["invalid", "not-an-object"],
+        [(b"{1,", "is not valid JSON"),
+         (b'{"version": 1, "budget": -500.0 \xff}', "is not valid JSON"),
+         (b"[" * 100_000, "is not valid JSON"), (b"[1, 2]", "does not hold a JSON object")],
+        ids=["invalid", "not-utf-8", "nested-too-deeply", "not-an-object"],
     )
     def test_a_state_file_that_holds_no_object_exits_one(self, tmp_path, capsys, content, fault):
         state = tmp_path / "state.json"
-        state.write_text(content)
+        state.write_bytes(content)
         assert main([*self.FRESH, "--state", str(state)]) == 1
         assert f"state file {state} {fault}" in capsys.readouterr().err
-        assert state.read_text() == content
+        assert state.read_bytes() == content
 
     def test_a_missing_file_is_refused_by_the_reader(self, tmp_path):
         # next-stage opens a fresh state where its file is missing; the

@@ -394,7 +394,8 @@ class TestEstimator:
         sampler = GaussianPosteriorSampler(
             PosteriorState((0.0, 0.0), (1.0, 1.0)), OutcomeVariance((1.0, 1.0))
         )
-        with pytest.raises(ValueError, match=f"K must be >= 1, got {K}"):
+        wants = rf"K must be a whole number in \[1, 1000000\], got {K}"
+        with pytest.raises(ValueError, match=wants):
             estimate_posterior_quantities(
                 sampler, ZeroCost(), -500.0, K, np.random.default_rng(0)
             )

@@ -8,6 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rampguard.diagnostics import robustness_diagnostics
+from rampguard.mc_solver import (
+    GaussianPosteriorSampler,
+    TreatmentEffectCost,
+    estimate_posterior_quantities,
+)
 from rampguard.posterior import (
     GaussianPrior,
     OutcomeVariance,
@@ -102,7 +107,8 @@ class TestSincSchedule:
 
     @pytest.mark.parametrize("horizon", [0, -2])
     def test_a_horizon_below_one_is_refused(self, horizon):
-        with pytest.raises(ScheduleError, match=f"horizon must be >= 1, got {horizon}"):
+        wants = rf"horizon must be a whole number in \[1, 10000\], got {horizon}"
+        with pytest.raises(ScheduleError, match=wants):
             sinc_schedule(0.05, horizon)
 
     def test_infinite_product_limit(self):
@@ -144,7 +150,8 @@ class TestValidation:
             RiskSchedule(-500.0, 0.01, (-500.0,) * 3, tol)
 
     def test_tolerance_range_violation(self):
-        with pytest.raises(ScheduleError, match=r"^stage 2: tolerance must be in \[0, 1\)"):
+        wants = r"^stage 2: tolerance must be in \[0, 1\), got 1.5$"
+        with pytest.raises(ScheduleError, match=wants):
             RiskSchedule(-500.0, 0.5, (-500.0,) * 2, (0.2, 1.5))
 
     def test_prefix_monotonicity(self):
@@ -426,3 +433,60 @@ class TestOneTestOfANumber:
         # An overflowing sum of squares is reported as inf, which stays a number.
         stats = update_stats(SufficientStats(), 1, 2, 5, 1.0, math.inf, 0)
         assert stats.treated_sumsq == math.inf and stats.sum_treated == 5.0
+
+
+def _estimate(K):
+    sampler = GaussianPosteriorSampler(
+        PosteriorState((0.0, 0.0), (1.0, 1.0)), OutcomeVariance((1.0, 1.0))
+    )
+    return estimate_posterior_quantities(
+        sampler, TreatmentEffectCost(), -500.0, K, np.random.default_rng(0)
+    )
+
+
+class TestOneToleranceAndCountRule:
+    """Every tolerance reads ``RULES["tolerance"]`` and every count its ``RULES`` entry; the
+    solvers' ``Delta_t`` is in ``test_solver.test_every_solver_shares_one_stage_entry``."""
+
+    TOLERANCE = r"must be in \[0, 1\), got "
+    STAGES = r"must be a whole number in \[1, 10000\], got "
+
+    @pytest.mark.parametrize(
+        "build,error,message",
+        [
+            (lambda: uniform_tolerance(0.05, True), ScheduleError,
+             "^stage count " + STAGES + "True"),
+            (lambda: uniform_tolerance(False, 3), ScheduleError, "^delta " + TOLERANCE + "False"),
+            (lambda: uniform_tolerance(0.05, 2.5), ScheduleError, "^stage count " + STAGES + "2.5"),
+            (lambda: uniform_tolerance("0.05", 3), ScheduleError, "^delta " + TOLERANCE + "'0.05'"),
+            (lambda: uniform_tolerance(0.05, 10_001), ScheduleError,
+             "^stage count " + STAGES + "10001"),
+            (lambda: sinc_gamma(False), ScheduleError, "^delta " + TOLERANCE + "False"),
+            (lambda: sinc_schedule("0.05", 3), ScheduleError, "^delta " + TOLERANCE + "'0.05'"),
+            (lambda: sinc_schedule(0.05, 2.5), ScheduleError, "^horizon " + STAGES + "2.5"),
+            (lambda: sinc_schedule(0.05, True), ScheduleError, "^horizon " + STAGES + "True"),
+            (lambda: RiskSchedule.uniform(-500.0, 0.05, True), ScheduleError,
+             "^stage count " + STAGES + "True"),
+            (lambda: RiskSchedule.uniform(-500.0, 0.05, 2.5), ScheduleError,
+             "^stage count " + STAGES + "2.5"),
+            (lambda: _estimate(2.5), ValueError,
+             r"^K must be a whole number in \[1, 1000000\], got 2.5"),
+            (lambda: _estimate(True), ValueError,
+             r"^K must be a whole number in \[1, 1000000\], got True"),
+        ],
+        ids=["uniform-T-bool", "uniform-delta-bool", "uniform-T-fraction", "uniform-delta-str",
+             "uniform-T-past-cap", "gamma-delta-bool", "sinc-delta-str", "sinc-horizon-fraction",
+             "sinc-horizon-bool", "schedule-T-bool", "schedule-T-fraction", "K-fraction",
+             "K-bool"],
+    )
+    def test_each_value_is_refused_by_its_rule(self, build, error, message):
+        with pytest.raises(error, match=message) as refused:
+            build()
+        assert type(refused.value) is error
+
+    @pytest.mark.parametrize("count", [3.0, np.int64(3)], ids=["whole-float", "np-int64"])
+    def test_a_whole_count_of_any_type_builds_what_the_integer_builds(self, count):
+        assert uniform_tolerance(0.05, count) == uniform_tolerance(0.05, 3)
+        assert sinc_schedule(0.05, count) == sinc_schedule(0.05, 3)
+        assert RiskSchedule.uniform(-500.0, 0.05, count) == RiskSchedule.uniform(-500.0, 0.05, 3)
+        assert _estimate(count) == _estimate(3)

@@ -356,7 +356,7 @@ def test_every_solver_shares_one_stage_entry(solve):
         with pytest.raises(ValueError) as refused:
             solve(0.01, n_t)
         assert str(refused.value) == f"N_t must be >= 1, got {n_t}"
-    for delta_t in (1.0, -0.1, math.nan):
+    for delta_t in (1.0, -0.1, math.nan, False, "0.01"):
         with pytest.raises(ValueError) as refused:
             solve(delta_t, 500)
         assert str(refused.value) == f"Delta_t must be in [0, 1), got {delta_t!r}"
