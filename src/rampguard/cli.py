@@ -141,6 +141,8 @@ _COST = _typed({"capped_effect": ("floor", _number(RULES["floor"]))},
                 '"treatment_effect" or {"type": "capped_effect", "floor": <number>}'))
 _COUNT = (lambda v: isinstance(v, int) and _NUMBER[0](v) and v >= 0, "an integer >= 0")
 _STAGE = (lambda v: _COUNT[0](v) and v >= 1, "an integer >= 1")
+# The population rule on the integer itself, which a float would round past 2**53.
+_POPULATION = (lambda v: _COUNT[0](v) and RULES["population"][0](v), "an integer in [1, 2**53]")
 _PAIR = _pair(RULES["finite"])
 _SUMSQ = (lambda v: _NUMBER[0](v) and 0.0 <= v < math.inf, "a finite number >= 0")
 _VARIANCES = _pair(RULES["variance"])
@@ -197,11 +199,11 @@ _STATE_SCHEMA = {
         "treated_sumsq": _SUMSQ,
         "control_sumsq": _SUMSQ,
     },
-    "pending": {"stage": _STAGE, "m": _COUNT, "n": _STAGE},
+    "pending": {"stage": _STAGE, "m": _COUNT, "n": _POPULATION},
     "last_call": {"inputs": _OBJECT, "outputs": _OBJECT},
 }
 # Flags that stand for no config or state entry; every other flag is checked as its entry.
-_FLAG_SCHEMA = {"--n-next": _STAGE, "--workers": _number(whole(1))}
+_FLAG_SCHEMA = {"--n-next": _POPULATION, "--workers": _number(whole(1))}
 # Keys that may be null, meaning absent.
 _NULLABLE_KEYS = {"sigma_sq", "pretrial_sigma_sq", "pending", "last_call"}
 

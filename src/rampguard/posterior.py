@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .schedules import RULES, as_float, checked
+from .schedules import RULES, as_float, checked, whole
 
 __all__ = [
     "InsufficientDataError",
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 Pair = tuple[float, float]  # indexed by arm: (control, treatment)
+_COUNT = whole(0)
 _NO_VARIANCE = "known-variance mode needs explicit values or a feed that reports true variances"
 
 
@@ -132,13 +133,12 @@ def update_stats(
 
     ``m_t`` treated units out of ``N_t`` contributed ``treated_sum`` (and
     ``treated_sumsq``), the remaining control units ``control_sum`` (and
-    ``control_sumsq``). Any ``m_t`` in ``[0, N_t]`` folds; the half cap is
-    a policy's rule, which the stage loops check (``trace.check_decision``).
-    Each sum must be a number to ``as_float``, ``inf`` included, or ``ValueError`` names it.
+    ``control_sumsq``). ``N_t`` and ``m_t`` must be whole numbers to ``as_float`` (no bool),
+    and any ``m_t`` in ``[0, N_t]`` folds; the half cap is a policy's rule, which the stage
+    loops check (``trace.check_decision``). Each sum must be a number to ``as_float``,
+    ``inf`` included, or ``ValueError`` names it.
     """
-    if N_t < 0:
-        raise ValueError(f"N_t must be >= 0, got {N_t!r}")
-    if not 0 <= m_t <= N_t:
+    if checked(_COUNT, m_t, "m_t") > checked(_COUNT, N_t, "N_t"):
         raise ValueError(f"m_t must be in [0, N_t={N_t}], got {m_t!r}")
     number = RULES["number"]
     return SufficientStats(

@@ -42,10 +42,9 @@ __all__ = [
 
 _MOMENTS = ("mean_control", "mean_treatment", "var_control", "var_treatment")
 # Each checked field: the test its values must pass and what the test wants.
-# Past 2**53 a float no longer holds every whole number.
 _RULES = {
     "T": RULES["stages"],
-    "population": (lambda v: 1 <= v <= 2**53 and v % 1 == 0, "a whole number in [1, 2**53]"),
+    "population": RULES["population"],
     "mean_control": RULES["finite"],
     "mean_treatment": RULES["finite"],
     "var_control": RULES["variance"],

@@ -91,6 +91,8 @@ RULES = {
                  f"a finite number >= {VARIANCE_FLOOR:g}"),
     "tolerance": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
     "stages": whole(1, STAGE_CAP),
+    # Past 2**53 a float no longer holds every whole number.
+    "population": (whole(1, 2**53)[0], "a whole number in [1, 2**53]"),
     "replications": whole(1, REPLICATION_CAP),
     "samples": whole(1, SAMPLE_CAP),
     "floor": (lambda v: abs(v) <= FLOOR_CAP, f"a number in [-{FLOOR_CAP:g}, {FLOOR_CAP:g}]"),

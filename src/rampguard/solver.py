@@ -160,10 +160,9 @@ class StageDecision:
 
 def _stage_cap(Delta_t: float, N_t: int) -> int:
     """The stage's cap ``N_t // 2``, once ``N_t`` and ``Delta_t`` pass every solver's rules."""
-    if N_t < 1:
-        raise ValueError(f"N_t must be >= 1, got {N_t!r}")
+    checked(RULES["population"], N_t, "N_t")
     checked(RULES["tolerance"], Delta_t, "Delta_t")
-    return N_t // 2
+    return int(N_t) // 2
 
 
 def _decided(m: int, branch: str, N_t: int) -> StageDecision:

@@ -1396,7 +1396,12 @@ class TestNextStage:
                 lambda state: state["pending"].update(m=300),
                 "pending.m must be <= pending.n // 2, the cap of a stage, got 300 of 500",
             ),
-            (lambda state: state["pending"].update(n=0), "pending.n must be an integer >= 1, got 0"),
+            # A float rounds 2**53 + 1 down to 2**53; the integer itself is past the bound.
+            *(
+                (_put("pending", "n", value=n),
+                 f"pending.n must be an integer in [1, 2**53], got {n}")
+                for n in (0, 2**53 + 1)
+            ),
             (
                 lambda state: state.update(stage=7),
                 "stage must be 2, one more than the consumed stages, got 7",
@@ -1454,6 +1459,7 @@ class TestNextStage:
             "pending-m-above-n",
             "pending-m-above-half",
             "zero-pending-n",
+            "pending-n-past-2**53",
             "stage-ahead-of-consumed",
             "pending-stage-not-the-last",
             "pending-with-nothing-consumed",
@@ -1500,6 +1506,7 @@ class TestNextStage:
             ("--prior-sigma0-sq", ["inf", "1"]),
             ("--prior-mu0", ["nan", "0"]),
             ("--prior-mu0", ["0", "inf"]),
+            ("--n-next", [str(2**53 + 1)]),
         ],
     )
     def test_bad_operator_inputs_exit_one(self, tmp_path, capsys, flag, values):

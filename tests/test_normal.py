@@ -62,3 +62,14 @@ def test_dense_grid_roundtrip():
     grid = np.linspace(1e-9, 1 - 1e-9, 100_000)
     worst = max(abs(normal_cdf(normal_quantile(p)) - p) for p in grid)
     assert worst <= 1e-8
+
+
+def test_within_seven_ulp_of_scipy():
+    # Uniform p, the lower tail down to 1e-300 and the upper tail up to 1 - 1e-16.
+    rng = np.random.default_rng(35)
+    p = np.concatenate([rng.uniform(size=10_000), 10.0 ** rng.uniform(-300, -1, 5_000),
+                        1.0 - 10.0 ** rng.uniform(-16, -1, 5_000)])
+    p = p[(p > 0.0) & (p < 1.0)]
+    exact = scipy.special.ndtri(p)
+    ours = np.array([normal_quantile(float(v)) for v in p])
+    assert np.all(np.abs(ours - exact) <= 7 * np.spacing(np.abs(exact)))

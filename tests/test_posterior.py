@@ -116,8 +116,12 @@ class TestUpdateStats:
             update_stats(SufficientStats(), 501, 500, 0.0, 0.0)
 
     def test_a_negative_stage_size_is_refused(self):
-        with pytest.raises(ValueError, match="N_t must be >= 0, got -1"):
-            update_stats(SufficientStats(), 0, -1, 0.0, 0.0)
+        # So is a fractional or boolean count: each must be a whole number to as_float.
+        for m_t, N_t, bad in [(0, -1, "N_t"), (1.5, 3, "m_t"), (1, 2.5, "N_t"), (True, 2, "m_t")]:
+            with pytest.raises(ValueError) as refused:
+                update_stats(SufficientStats(), m_t, N_t, 1.0, 1.0)
+            value = m_t if bad == "m_t" else N_t
+            assert str(refused.value) == f"{bad} must be a whole number >= 0, got {value!r}"
 
 
 class TestComputePosterior:

@@ -352,16 +352,17 @@ def _cantelli(delta_t, n_t, quantities=SURVIVING):
 @pytest.mark.parametrize("solve", [_scalar, _vectorized, _cantelli],
                          ids=["scalar", "vectorized", "cantelli"])
 def test_every_solver_shares_one_stage_entry(solve):
-    for n_t in (0, -1):
+    for n_t in (0, -1, True, 501.5, "500"):
         with pytest.raises(ValueError) as refused:
             solve(0.01, n_t)
-        assert str(refused.value) == f"N_t must be >= 1, got {n_t}"
+        assert str(refused.value) == f"N_t must be a whole number in [1, 2**53], got {n_t!r}"
     for delta_t in (1.0, -0.1, math.nan, False, "0.01"):
         with pytest.raises(ValueError) as refused:
             solve(delta_t, 500)
         assert str(refused.value) == f"Delta_t must be in [0, 1), got {delta_t!r}"
     assert solve(0.0, 500) == (0, BRANCH_ZERO_TOL)
     assert solve(0.01, 1) == (0, BRANCH_CAP)
+    assert solve(0.01, np.int64(500)) == solve(0.01, 500)
 
 
 def test_cantelli_without_survivors_is_empty_before_the_cap():
