@@ -31,12 +31,10 @@ _EXPORTS = {
         "estimate_variance", "init_posterior", "update_stats",
     ),
     "replication": (
-        "CompactTrace", "ReplicationSummary", "replication_stream", "resolve_workers",
-        "run_replications",
+        "CompactTrace", "ReplicationSummary", "resolve_workers", "run_replications",
     ),
     "scenarios": (
-        "Scenario", "ScenarioFeed", "builtin_scenarios", "generate_stage_outcomes",
-        "scenario_from_config",
+        "Scenario", "ScenarioFeed", "builtin_scenarios", "scenario_from_config",
     ),
     "schedules": (
         "RiskSchedule", "ScheduleError", "sinc_gamma", "sinc_schedule", "uniform_tolerance",

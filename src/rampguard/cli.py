@@ -8,7 +8,10 @@ Three subcommands:
   fig2a..fig2e), each a list of labelled ``run`` configs in ``_PRESETS``,
   and write its quantile or ruin tables with a provenance header.
 - ``next-stage``: operational single-step mode; feeds observed sums into a
-  JSON state file and prints the next treated-group size.
+  JSON state file and prints the next treated-group size. The file (version
+  2) keeps each stage as given: its budget, tolerance, ``n`` and ``m``, and
+  the sums observed for it. The stage number, the pending stage and the
+  statistics are derived when it is read; a version-1 file is refused.
 
 Exit codes: 0 success (``--help`` too), 1 config error (a usage error such
 as an unknown flag included, and inputs under which a posterior mean
@@ -43,7 +46,7 @@ from .posterior import (
     compute_posterior,
     update_stats,
 )
-from .schedules import (RULES, RiskSchedule, ScheduleError, as_float, sinc_schedule,
+from .schedules import (RULES, RiskSchedule, ScheduleError, admits, as_float, sinc_schedule,
                         uniform_tolerance, whole)
 from .solver import AnalyticPolicy, solve_ramp_size
 
@@ -103,9 +106,13 @@ def _list_of(check, length=None):
 
 
 def _number(rule):
-    """A value rule of ``schedules`` as a schema check: a number (``as_float``) that it admits."""
-    test, wants = rule
-    return (lambda v: (number := as_float(v)) is not None and test(number), wants)
+    """A value rule of ``schedules`` as a schema check: a number that it admits (``admits``)."""
+    return (lambda v: admits(rule, v), rule[1])
+
+
+def _integer(rule):
+    """The test of a JSON integer (no bool) that ``rule`` admits as itself, not as a float."""
+    return lambda v: isinstance(v, int) and admits(rule, v)
 
 
 def _pair(rule):
@@ -139,22 +146,11 @@ _TOLERANCES = _typed({kind: (key, _number(RULES["stages"]))
 _COST = _typed({"capped_effect": ("floor", _number(RULES["floor"]))},
                (lambda v: v in ("treatment_effect", {"type": "treatment_effect"}),
                 '"treatment_effect" or {"type": "capped_effect", "floor": <number>}'))
-_COUNT = (lambda v: isinstance(v, int) and _NUMBER[0](v) and v >= 0, "an integer >= 0")
-_STAGE = (lambda v: _COUNT[0](v) and v >= 1, "an integer >= 1")
-# The population rule on the integer itself, which a float would round past 2**53.
-_POPULATION = (lambda v: _COUNT[0](v) and RULES["population"][0](v), "an integer in [1, 2**53]")
+_POPULATION = (_integer(RULES["population"]), "an integer in [1, 2**53]")
 _PAIR = _pair(RULES["finite"])
-_SUMSQ = (lambda v: _NUMBER[0](v) and 0.0 <= v < math.inf, "a finite number >= 0")
 _VARIANCES = _pair(RULES["variance"])
 _NUMBERS = (_list_of(_NUMBER[0]), "a list of numbers")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
-
-
-def _observed_pair(unobserved: int):
-    """A version-1 pair of per-arm sums, whose entry of the unobserved arm is 0."""
-    which = ("first", "second")[unobserved]
-    return (lambda v: _PAIR[0](v) and v[unobserved] == 0,
-            f"{_PAIR[1]}, with the {which} 0, the sum that no rollout observes")
 
 
 # Each key maps to the check of its value and what the check wants, to the
@@ -183,29 +179,34 @@ _CONFIG_SCHEMA = {
     "thompson": {"c": _number(RULES["positive"])},
     "mc": {"samples": _number(RULES["samples"]), "cost": _COST},
 }
-# What next-stage reads from a version-1 state file; every key is required.
+# A version-2 state keeps its stages as given, one column per field: the inputs and sizes
+# of each decided stage, then the sums of each observed stage as the flags gave them
+# (null for a sum of squares not given). ``_read_stages`` derives everything else.
+_DECIDED = ("stage_budgets", "stage_tolerances", "n", "m")
+_OBSERVED = ("treated_sum", "control_sum", "treated_sumsq", "control_sumsq")
+_SUMSQS = (_list_of(lambda v: v is None or _NUMBER[0](v)), "a list of numbers or nulls")
+# What next-stage reads from a version-2 state file; every key is required.
 _STATE_SCHEMA = {
-    "version": (lambda v: v == 1, "1"),
+    "version": (lambda v: v == 2, "2"),
     "budget": _NUMBER,
     "delta": _NUMBER,
     **_BELIEF_SCHEMA,
-    "stage": _STAGE,
-    "tolerance_product": _NUMBER,
-    "consumed": {"stage_budgets": _NUMBERS, "stage_tolerances": _NUMBERS},
-    "stats": {
-        "treated_sums": _observed_pair(0),
-        "control_sums": _observed_pair(1),
-        "counts": (_list_of(_COUNT[0], 2), "a list of two integers >= 0"),
-        "treated_sumsq": _SUMSQ,
-        "control_sumsq": _SUMSQ,
+    "stages": {
+        "stage_budgets": _NUMBERS,
+        "stage_tolerances": _NUMBERS,
+        "n": (_list_of(_POPULATION[0]), "a list of integers in [1, 2**53]"),
+        "m": (_list_of(_integer(whole(0))), "a list of integers >= 0"),
+        "treated_sum": _NUMBERS,
+        "control_sum": _NUMBERS,
+        "treated_sumsq": _SUMSQS,
+        "control_sumsq": _SUMSQS,
     },
-    "pending": {"stage": _STAGE, "m": _COUNT, "n": _POPULATION},
     "last_call": {"inputs": _OBJECT, "outputs": _OBJECT},
 }
 # Flags that stand for no config or state entry; every other flag is checked as its entry.
 _FLAG_SCHEMA = {"--n-next": _POPULATION, "--workers": _number(whole(1))}
 # Keys that may be null, meaning absent.
-_NULLABLE_KEYS = {"sigma_sq", "pretrial_sigma_sq", "pending", "last_call"}
+_NULLABLE_KEYS = {"sigma_sq", "pretrial_sigma_sq", "last_call"}
 
 
 def _check_values(
@@ -345,13 +346,10 @@ def _resolve(source: str, config: dict[str, Any]) -> tuple[Scenario, str, RiskSc
 # ----------------------------------------------------------------- run
 
 
-def _write_json(file, value, durable: bool = False) -> None:
-    """Sorted, indented JSON and a newline into a path or descriptor; ``durable`` fsyncs it."""
-    with open(file, "w", encoding="utf-8") as fh:
+def _write_json(path: str, value) -> None:
+    """Sorted, indented JSON and a newline into ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(value, sort_keys=True, indent=2) + "\n")  # one write, not hundreds
-        if durable:
-            fh.flush()
-            os.fsync(fh.fileno())
 
 
 # Rows a table writer formats at a time: writing a file holds one chunk of Python values.
@@ -528,97 +526,79 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 _SUMSQ_SLACK = 1e-12
 
 
-def _stats_to_json(stats: SufficientStats) -> dict[str, Any]:
-    # Version-1 layout: per-arm pairs whose unobservable halves stay 0.
-    return {
-        "treated_sums": [0.0, stats.sum_treated],
-        "control_sums": [stats.sum_control, 0.0],
-        "counts": list(stats.counts),
-        "treated_sumsq": stats.treated_sumsq,
-        "control_sumsq": stats.control_sumsq,
-    }
-
-
-def _stats_from_json(d: dict[str, Any]) -> SufficientStats:
-    return SufficientStats(
-        sum_treated=float(d["treated_sums"][1]),
-        sum_control=float(d["control_sums"][0]),
-        counts=tuple(int(v) for v in d["counts"]),
-        treated_sumsq=float(d["treated_sumsq"]),
-        control_sumsq=float(d["control_sumsq"]),
-    )
-
-
 def _fresh_state(args: argparse.Namespace) -> dict[str, Any]:
     if args.budget is None or args.delta is None:
         raise ConfigError("a fresh state needs --budget and --delta (no state file found)")
     fresh = {
-        "version": 1, "stage": 1, "tolerance_product": 1.0, "pending": None, "last_call": None,
+        "version": 2, "last_call": None,
         "prior": dict(_DEFAULT_PRIOR), "variance_mode": "known",
         "sigma_sq": None, "pretrial_sigma_sq": None,
-        "consumed": {"stage_budgets": [], "stage_tolerances": []},
-        "stats": _stats_to_json(SufficientStats()),
+        "stages": {key: [] for key in _DECIDED + _OBSERVED},
     }
     return _with_flags(args, fresh)
 
 
-def _check_sums(what: str, counts, sums, sumsqs, whole_sumsq: bool) -> None:
-    """Refuse ``(treated, control)`` pairs of counts, sums and sums of squares (None where
-    not given) that no outcomes give, naming each arm ``f"{what} {arm}"``.
+def _check_sums(what: str, estimated: bool, m: int, n: int, row) -> None:
+    """Refuse a stage's observed ``row`` (its ``_OBSERVED`` entries, a sum of squares None
+    where not given) that no outcomes of its ``m`` treated and ``n - m`` control units give,
+    or that estimated mode would read as zero variance; each message starts ``what``.
 
-    Given sums must be finite, and 0 for an arm without units. With ``whole_sumsq`` (a
-    stage's, or estimated mode's stored ones: known mode takes stages without them), a
-    given sum of squares must be at least ``sum**2 / count`` (Cauchy-Schwarz).
+    Given sums must be finite, and 0 for an arm without units, and a given sum of squares
+    must be at least ``sum**2 / count`` (Cauchy-Schwarz).
     """
-    for arm, count, total, sumsq in zip(("treated", "control"), counts, sums, sumsqs):
+    if estimated and None in row[2:]:
+        raise ConfigError(f"{what}: estimated variance mode needs both sums of squares, "
+                          "--treated-sumsq and --control-sumsq")
+    for arm, count, total, sumsq in zip(("treated", "control"), (m, n - m), row[:2], row[2:]):
         given = [v for v in (total, sumsq) if v is not None]
         if not all(math.isfinite(v) for v in given):
             raise ConfigError(f"{what} {arm} sums must be finite, got {given}")
         if count == 0 and any(v != 0.0 for v in given):
             raise ConfigError(f"{what} {arm} group was empty, so its sums must be 0, got {given}")
         floor = total * total / count if count else 0.0
-        if whole_sumsq and sumsq is not None and sumsq < floor * (1.0 - _SUMSQ_SLACK):
+        if sumsq is not None and sumsq < floor * (1.0 - _SUMSQ_SLACK):
             raise ConfigError(f"{what} {arm} sum of squares {sumsq!r} is below "
                               f"its sum**2 / {count} = {floor!r}")
 
 
-def _observed_sums(args: argparse.Namespace, pending: dict[str, Any], mode: str):
-    """The pending stage's treated count, unit count and observations, as ``update_stats``
-    takes them, refused by ``_check_sums`` where they void the guarantee; in estimated
-    mode, missing sums of squares would read as zero variance."""
-    if args.treated_sum is None or args.control_sum is None:
-        raise ConfigError(
-            f"stage {pending['stage']} ran with m={pending['m']}; provide "
-            "--treated-sum and --control-sum before the next decision"
-        )
-    if mode == "estimated" and (args.treated_sumsq is None or args.control_sumsq is None):
-        raise ConfigError(
-            "estimated variance mode needs --treated-sumsq and --control-sumsq "
-            "with the observed sums"
-        )
-    m, n = int(pending["m"]), int(pending["n"])
-    _check_sums("the", (m, n - m), (args.treated_sum, args.control_sum),
-                (args.treated_sumsq, args.control_sumsq), whole_sumsq=True)
-    return (m, n, args.treated_sum, args.control_sum,
-            args.treated_sumsq or 0.0, args.control_sumsq or 0.0)
+def _fold(what: str, estimated: bool, stats: SufficientStats, m: int, n: int, row):
+    """``stats`` with one observed stage folded in, once ``_check_sums`` admits its row."""
+    _check_sums(what, estimated, m, n, row)
+    return update_stats(stats, m, n, row[0], row[1], row[2] or 0.0, row[3] or 0.0)
 
 
-def _check_progress(source: str, state: dict[str, Any], schedule: RiskSchedule) -> None:
-    """Refuse counters of a state file that disagree with its consumed stages."""
-    done, pending = schedule.num_stages, state["pending"]
-    checks = [
-        ("stage", state["stage"], done + 1, "one more than the consumed stages"),
-        ("tolerance_product", state["tolerance_product"], schedule.tolerance_product(),
-         "the product of (1 - Delta_t) over the consumed stages"),
-    ]
-    if pending is not None:
-        if pending["m"] > pending["n"] // 2:
-            raise ConfigError(f"{source}: pending.m must be <= pending.n // 2, the cap of a "
-                              f"stage, got {pending['m']!r} of {pending['n']!r}")
-        checks.append(("pending.stage", pending["stage"], done, "the number of consumed stages"))
-    for key, value, want, why in checks:
-        if value != want:
-            raise ConfigError(f"{source}: {key} must be {want!r}, {why}, got {value!r}")
+def _read_stages(source: str, state: dict[str, Any]) -> tuple[RiskSchedule, SufficientStats]:
+    """The schedule and the statistics of a checked state's stages, derived from them.
+
+    Each column holds one entry per stage: the ``_DECIDED`` ones per decided stage, the
+    ``_OBSERVED`` ones per observed stage, every decided stage but at most the last.
+    Every stage keeps ``m <= n // 2``, and each observed one, folded by ``update_stats``
+    in stage order, passes the rules of a stage observed now (``_check_sums``).
+    Stages that break the schedule rule raise ``ScheduleError``.
+    """
+    stages = state["stages"]
+    for keys in (_DECIDED, _OBSERVED):
+        for key in keys[1:]:
+            if len(stages[key]) != len(stages[keys[0]]):
+                raise ConfigError(f"{source}: stages.{key} must hold one entry per stage of "
+                                  f"stages.{keys[0]}, {len(stages[keys[0]])}, "
+                                  f"got {len(stages[key])}")
+    decided, observed = len(stages["n"]), len(stages["treated_sum"])
+    if not 0 <= decided - observed <= 1:
+        raise ConfigError(f"{source}: stages must observe every decided stage but at most the "
+                          f"last, got {observed} observed of {decided} decided")
+    estimated, stats = state["variance_mode"] == "estimated", SufficientStats()
+    for t, (m, n) in enumerate(zip(stages["m"], stages["n"]), start=1):
+        if m > n // 2:
+            raise ConfigError(f"{source}: stage {t} m must be <= n // 2, the cap of a stage, "
+                              f"got {m!r} of {n!r}")
+        if t <= observed:
+            row = [as_float(stages[key][t - 1]) for key in _OBSERVED]
+            stats = _fold(f"{source}: stage {t}", estimated, stats, m, n, row)
+    schedule = RiskSchedule(
+        state["budget"], state["delta"], stages["stage_budgets"], stages["stage_tolerances"]
+    )
+    return schedule, stats
 
 
 def _check_unchanged(source: str, args: argparse.Namespace, state: dict[str, Any]) -> None:
@@ -638,9 +618,9 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
     source = f"state file {args.state}"
     if os.path.exists(args.state):
         state = _load_json("state file", args.state)
-        if state.get("version") != 1:
+        if state.get("version") != 2:
             raise ConfigError(
-                f"{source} has version {state.get('version')!r}; this release reads version 1"
+                f"{source} has version {state.get('version')!r}; this release reads version 2"
             )
     else:
         state = _fresh_state(args)
@@ -650,15 +630,8 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
     prior, variance_policy = _prior_and_variance(source, state)
     if state["variance_mode"] == "known" and state.get("sigma_sq") is None:
         raise ConfigError(f"{source}: known variance mode needs sigma_sq (--sigma-sq v0 v1)")
-    # Consumed stages that break the schedule rule are refused here (exit 2).
-    consumed = state["consumed"]
-    schedule = RiskSchedule(
-        state["budget"], state["delta"], consumed["stage_budgets"], consumed["stage_tolerances"]
-    )
-    _check_progress(source, state, schedule)
-    stats = _stats_from_json(state["stats"])
-    _check_sums(f"{source}: the stored", stats.counts[::-1], (stats.sum_treated, stats.sum_control),
-                (stats.treated_sumsq, stats.control_sumsq), state["variance_mode"] == "estimated")
+    # Stages that break the schedule rule are refused here (exit 2).
+    schedule, stats = _read_stages(source, state)
 
     inputs = {
         "n_next": args.n_next,
@@ -675,16 +648,22 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
         # state advance.
         return _answer(last["outputs"])
 
-    pending = state.get("pending")
-    if pending is not None:
-        stats = update_stats(stats, *_observed_sums(args, pending, state["variance_mode"]))
-        state["stats"] = _stats_to_json(stats)
-        state["pending"] = None
+    stages, stage = state["stages"], schedule.num_stages + 1
+    if len(stages["treated_sum"]) < schedule.num_stages:
+        # The last decided stage awaits its observations, which the flags give.
+        m, n = stages["m"][-1], stages["n"][-1]
+        if args.treated_sum is None or args.control_sum is None:
+            raise ConfigError(f"stage {stage - 1} ran with m={m}; provide "
+                              "--treated-sum and --control-sum before the next decision")
+        row = [inputs[key] for key in _OBSERVED]
+        stats = _fold(f"stage {stage - 1}", state["variance_mode"] == "estimated", stats, m, n, row)
+        for key, value in zip(_OBSERVED, row):
+            stages[key].append(value)
     elif args.treated_sum is not None or args.control_sum is not None:
         raise ConfigError("no stage is awaiting observations; drop the observed sums")
 
     # The stage is admitted by the schedule rule, as one more stage of the
-    # consumed schedule. Once delta is spent, every call that names no
+    # stored schedule. Once delta is spent, every call that names no
     # stage it still admits (a zero-tolerance stage it does) is answered as
     # exhausted.
     try:
@@ -711,20 +690,16 @@ def cmd_next_stage(args: argparse.Namespace) -> int:
         N_t=n_next,
     )
 
-    stage = int(state["stage"])
     outputs = {
         "stage": stage,
         "m_next": decision.m,
         "p_next": decision.assignment_probability,
         "branch": decision.branch,
     }
-    state["pending"] = {"stage": stage, "m": decision.m, "n": n_next}
-    state["consumed"] = {
-        "stage_budgets": list(next_schedule.stage_budgets),
-        "stage_tolerances": list(next_schedule.stage_tolerances),
-    }
-    state["tolerance_product"] = next_schedule.tolerance_product()
-    state["stage"] = stage + 1
+    decided = (next_schedule.stage_budgets[-1], next_schedule.stage_tolerances[-1],
+               n_next, decision.m)
+    for key, value in zip(_DECIDED, decided):
+        stages[key].append(value)
     state["last_call"] = {"inputs": inputs, "outputs": outputs}
     _write_state(args.state, state)
     return _answer(outputs)
@@ -740,12 +715,16 @@ def _answer(outputs: dict[str, Any]) -> int:
 
 
 def _write_state(path: str, state: dict[str, Any]) -> None:
-    """Replace the state file atomically: a crash leaves the old or the new one."""
+    """Replace the state file atomically with its one-line sorted JSON, flushed and
+    fsynced: a crash leaves the old or the new one."""
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(os.path.abspath(path)), prefix=".rampguard-state-"
     )
     try:
-        _write_json(fd, state, durable=True)
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(state, sort_keys=True) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -30,7 +30,7 @@ from .posterior import (
     compute_posterior,
 )
 from .replication import usable_cpus
-from .schedules import RULES, SAMPLE_CAP, checked
+from .schedules import RULES, checked
 from .solver import (
     BRANCHES,
     BRANCH_CAP,
@@ -54,7 +54,6 @@ __all__ = [
     "estimate_posterior_quantities",
     "solve_ramp_size_cantelli",
     "CantelliPolicy",
-    "SAMPLE_CAP",
 ]
 
 # Per-unit history imputation runs in this many fixed row shards, each on

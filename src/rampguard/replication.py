@@ -29,7 +29,7 @@ import numpy as np
 
 from .batch import BLOCK_SIZE, BlockTraces, CompactTrace, run_block
 from .scenarios import Scenario, ScenarioFeed, has_sum_law
-from .schedules import REPLICATION_CAP, RULES, RiskSchedule, checked
+from .schedules import RULES, RiskSchedule, checked
 from .solver import AnalyticPolicy
 from .thompson import ThompsonPolicy
 from .trace import Policy, run_stages
@@ -37,7 +37,6 @@ from .trace import Policy, run_stages
 __all__ = [
     "BLOCK_SIZE",
     "GROUP_BLOCKS",
-    "REPLICATION_CAP",
     "STREAM_TAG",
     "UNIT_POPULATION_CAP",
     "CompactTrace",

@@ -33,6 +33,7 @@ __all__ = [
     "STAGE_CAP",
     "VARIANCE_FLOOR",
     "ScheduleError",
+    "admits",
     "as_float",
     "checked",
     "whole",
@@ -82,7 +83,7 @@ def whole(least: int, most: float = math.inf):
 
 
 # The value rules that the CLI's schemas and the constructors share: each a test of a
-# float and the wording of what it wants. ``checked`` applies one.
+# number and the wording of what it wants. ``admits`` and ``checked`` apply one.
 RULES = {
     "number": (lambda v: True, "a number"),
     "finite": (math.isfinite, "a finite number"),
@@ -99,12 +100,18 @@ RULES = {
 }
 
 
-def checked(rule, value, name: str, error=ValueError) -> float:
-    """``value`` as a float once it is a number ``rule`` admits; else ``error`` naming ``name``."""
+def admits(rule, value) -> bool:
+    """Whether ``value`` is a number (``as_float``) that ``rule`` admits. An integer is
+    tested as itself, not as the float that would round it past 2**53."""
     number = as_float(value)
-    if number is None or not rule[0](number):
+    return number is not None and rule[0](value if isinstance(value, int) else number)
+
+
+def checked(rule, value, name: str, error=ValueError) -> float:
+    """``value`` as a float once ``rule`` admits it (``admits``); else ``error`` naming ``name``."""
+    if not admits(rule, value):
         raise error(f"{name} must be {rule[1]}, got {value!r}")
-    return number
+    return as_float(value)
 
 
 def uniform_tolerance(delta: float, T: int) -> tuple[float, ...]:

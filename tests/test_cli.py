@@ -554,11 +554,13 @@ def _dotted(path) -> str:
 
 # One leaf of each kind of number a one-stage state file holds.
 _HUGE_LEAVES = [
-    ("budget",), ("consumed", "stage_budgets", 0), ("consumed", "stage_tolerances", 0),
-    ("pending", "n"), ("prior", "mu0", 0), ("prior", "sigma0_sq", 1), ("sigma_sq", 0),
-    ("stats", "treated_sums", 1), ("stats", "control_sums", 0), ("stats", "counts", 0),
-    ("stats", "treated_sumsq"), ("stats", "control_sumsq"),
+    ("budget",), ("stages", "stage_budgets", 0), ("stages", "stage_tolerances", 0),
+    ("stages", "n", 0), ("stages", "m", 0), ("prior", "mu0", 0), ("prior", "sigma0_sq", 1),
+    ("sigma_sq", 0),
 ]
+# The observed sums of the first stage of a two-stage state file.
+_OBSERVED_LEAVES = [("stages", key, 0)
+                    for key in ("treated_sum", "control_sum", "treated_sumsq", "control_sumsq")]
 
 
 class TestInlineScenarios:
@@ -1207,7 +1209,11 @@ class TestNextStage:
             "stage": 1, "m_next": 13, "p_next": 13 / 500, "branch": "root_selected"
         }
         saved = json.loads(state.read_text())
-        assert saved["pending"] == {"stage": 1, "m": 13, "n": 500}
+        assert saved["stages"] == {
+            "stage_budgets": [-500.0], "stage_tolerances": [0.005], "n": [500], "m": [13],
+            "treated_sum": [], "control_sum": [], "treated_sumsq": [], "control_sumsq": [],
+        }
+        assert state.read_text().count("\n") == 1  # one line
 
     def test_idempotent_rerun(self, tmp_path, capsys):
         state = tmp_path / "state.json"
@@ -1248,11 +1254,12 @@ class TestNextStage:
         out = json.loads(capsys.readouterr().out)
         assert out["stage"] == 2
         assert 0 <= out["m_next"] <= 250
-        saved = json.loads(state.read_text())
-        # Bit-exact float round trip through the JSON state file.
-        assert saved["stats"]["treated_sums"] == [0.0, 13.0]
-        assert saved["stats"]["control_sums"] == [487.0, 0.0]
-        assert saved["tolerance_product"] == (1 - 0.005) * (1 - 0.005)
+        stages = json.loads(state.read_text())["stages"]
+        # The stages as given: each decided stage's inputs, the observed stage's sums.
+        assert stages["stage_tolerances"] == [0.005, 0.005]
+        assert stages["n"] == [500, 500] and stages["m"] == [13, out["m_next"]]
+        assert (stages["treated_sum"], stages["control_sum"]) == ([13.0], [487.0])
+        assert (stages["treated_sumsq"], stages["control_sumsq"]) == ([143.0], [5357.0])
 
     def test_exhausted_tolerance_exits_four(self, tmp_path, capsys):
         state = tmp_path / "state.json"
@@ -1335,23 +1342,25 @@ class TestNextStage:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "consumed,message",
+        "stages,message",
         [
-            ({"stage_budgets": [-900.0], "stage_tolerances": [0.005]}, "stage 1: budget -900.0"),
+            ({"stage_budgets": [-900.0]}, "stage 1: budget -900.0"),
             (
-                {"stage_budgets": [-500.0] * 2, "stage_tolerances": [0.04, 0.04]},
+                {"stage_budgets": [-500.0] * 2, "stage_tolerances": [0.04, 0.04],
+                 "n": [500, 500], "m": [13, 13], "treated_sum": [13.0], "control_sum": [487.0],
+                 "treated_sumsq": [None], "control_sumsq": [None]},
                 "stage 2: tolerance product",
             ),
         ],
         ids=["stage-budget-below-floor", "tolerances-spend-more-than-delta"],
     )
     def test_consumed_stages_that_break_the_schedule_exit_two(
-        self, tmp_path, capsys, consumed, message
+        self, tmp_path, capsys, stages, message
     ):
         state = tmp_path / "state.json"
         assert main([*self.FRESH, "--state", str(state)]) == 0
         saved = json.loads(state.read_text())
-        saved["consumed"] = consumed
+        saved["stages"].update(stages)
         state.write_text(json.dumps(saved))
         before = state.read_bytes()
         capsys.readouterr()
@@ -1366,112 +1375,109 @@ class TestNextStage:
         [
             (lambda state: state.update(version=7), "version 7"),
             (lambda state: state.pop("version"), "version None"),
-            (lambda state: state.pop("consumed"), "'consumed'"),
-            (lambda state: state["stats"].pop("counts"), "stats.counts"),
+            (lambda state: state.pop("stages"), "'stages'"),
+            (lambda state: state["stages"].pop("m"), "stages.m"),
             (lambda state: state.update(budget="-500"), "budget must be a number"),
-            (
-                lambda state: state["stats"].update(counts=["a", "b"]),
-                "stats.counts must be a list of two integers",
-            ),
+            (lambda state: state["stages"].update(m=["a"]),
+             "stages.m must be a list of integers >= 0"),
             (lambda state: state.update(variance_mode="bogus"), "variance_mode"),
             (lambda state: state.update(sigma_sq=None), "needs sigma_sq"),
-            (lambda state: state.update(pending=[1, 13, 500]), "pending must be an object"),
-            (lambda state: state["pending"].update(m=13.5), "pending.m must be an integer"),
+            (lambda state: state.update(stages=[1, 13, 500]), "stages must be an object"),
+            (lambda state: state["stages"].update(m=[13.5]),
+             "stages.m must be a list of integers >= 0, got [13.5]"),
             (
                 lambda state: state.update(sigma_sq=[0.0, 10.0]),
                 "sigma_sq must be a pair, each a finite number >= 1e-280",
             ),
-            (lambda state: state["stats"].update(count=[0, 0]), "unknown key 'stats.count'"),
+            (lambda state: state["stages"].update(count=[0, 0]), "unknown key 'stages.count'"),
+            # A version-1 counter or statistic in a version-2 file.
+            *((lambda state, key=key: state.update({key: 1}), f"unknown key {key!r}")
+              for key in ("stage", "tolerance_product", "consumed", "stats", "pending")),
             (
                 lambda state: state.update(variance_mode="estimated"),
                 "estimated variance mode needs pretrial_sigma_sq",
             ),
-            # Counters that disagree with the consumed stages.
-            (lambda state: state["pending"].update(m=-5), "pending.m must be an integer >= 0"),
+            (lambda state: state["stages"].update(m=[-5]),
+             "stages.m must be a list of integers >= 0, got [-5]"),
             (
-                lambda state: state["pending"].update(m=501),
-                "pending.m must be <= pending.n // 2, the cap of a stage, got 501 of 500",
+                lambda state: state["stages"].update(m=[501]),
+                "stage 1 m must be <= n // 2, the cap of a stage, got 501 of 500",
             ),
             (
-                lambda state: state["pending"].update(m=300),
-                "pending.m must be <= pending.n // 2, the cap of a stage, got 300 of 500",
+                lambda state: state["stages"].update(m=[300]),
+                "stage 1 m must be <= n // 2, the cap of a stage, got 300 of 500",
             ),
             # A float rounds 2**53 + 1 down to 2**53; the integer itself is past the bound.
             *(
-                (_put("pending", "n", value=n),
-                 f"pending.n must be an integer in [1, 2**53], got {n}")
+                (_put("stages", "n", value=[n]),
+                 f"stages.n must be a list of integers in [1, 2**53], got [{n}]")
                 for n in (0, 2**53 + 1)
             ),
+            # Columns of unequal length.
             (
-                lambda state: state.update(stage=7),
-                "stage must be 2, one more than the consumed stages, got 7",
+                lambda state: state["stages"].update(n=[500, 500]),
+                "stages.n must hold one entry per stage of stages.stage_budgets, 1, got 2",
             ),
             (
-                lambda state: state["pending"].update(stage=2),
-                "pending.stage must be 1, the number of consumed stages, got 2",
+                lambda state: state["stages"].update(stage_tolerances=[]),
+                "stages.stage_tolerances must hold one entry per stage of stages.stage_budgets, "
+                "1, got 0",
             ),
             (
-                lambda state: state.update(
-                    stage=1, tolerance_product=1.0,
-                    consumed={"stage_budgets": [], "stage_tolerances": []},
-                ),
-                "pending.stage must be 0, the number of consumed stages, got 1",
+                lambda state: state["stages"].update(treated_sum=[13.0]),
+                "stages.control_sum must hold one entry per stage of stages.treated_sum, 1, got 0",
+            ),
+            # Two stages awaiting observations, and an observed stage never decided.
+            (
+                lambda state: state["stages"].update(
+                    stage_budgets=[-500.0] * 2, stage_tolerances=[0.005] * 2,
+                    n=[500, 500], m=[13, 13]),
+                "stages must observe every decided stage but at most the last, "
+                "got 0 observed of 2 decided",
+            ),
+            (
+                lambda state: state["stages"].update(
+                    treated_sum=[13.0] * 2, control_sum=[487.0] * 2,
+                    treated_sumsq=[None] * 2, control_sumsq=[None] * 2),
+                "stages must observe every decided stage but at most the last, "
+                "got 2 observed of 1 decided",
             ),
             (
                 lambda state: state["prior"].update(mu0=[float("nan"), 0.0]),
                 "prior.mu0 must be a pair, each a finite number",
             ),
             (
-                lambda state: state["stats"].update(treated_sums=[0.0, float("inf")]),
-                "stats.treated_sums must be a pair, each a finite number",
-            ),
-            (
-                lambda state: state["stats"].update(treated_sumsq=float("nan")),
-                "stats.treated_sumsq must be a finite number >= 0, got nan",
-            ),
-            (
-                lambda state: state["stats"].update(control_sumsq=-1.0),
-                "stats.control_sumsq must be a finite number >= 0, got -1.0",
-            ),
-            (
-                lambda state: state.update(tolerance_product=0.5),
-                "tolerance_product must be 0.995, the product of (1 - Delta_t) over the "
-                "consumed stages, got 0.5",
+                lambda state: state["stages"].update(treated_sumsq=["143"]),
+                "stages.treated_sumsq must be a list of numbers or nulls, got ['143']",
             ),
             # Integers past the float range: refused before they reach a float.
             *((_put(*path, value=10**400), f"{_dotted(path)} must be") for path in _HUGE_LEAVES),
             (_put("pretrial_sigma_sq", value=[10**400, 10.0]), "pretrial_sigma_sq must be"),
-            *(
-                (_put("stats", "counts", value=counts),
-                 "stats.counts must be a list of two integers >= 0")
-                for counts in ([-1000, 13], [487, -139])
-            ),
         ],
         ids=[
-            "future-version", "no-version", "no-consumed", "no-stats-counts",
-            "string-budget", "string-counts", "unknown-variance-mode", "known-without-sigma-sq",
-            "pending-not-object",
-            "fractional-pending-m",
+            "future-version", "no-version", "no-stages", "no-stages-m",
+            "string-budget", "string-m", "unknown-variance-mode", "known-without-sigma-sq",
+            "stages-not-object",
+            "fractional-m",
             "zero-sigma-sq",
             "unknown-key",
+            *(f"version-1-key-{key}"
+              for key in ("stage", "tolerance_product", "consumed", "stats", "pending")),
             "estimated-without-pretrial",
-            "negative-pending-m",
-            "pending-m-above-n",
-            "pending-m-above-half",
-            "zero-pending-n",
-            "pending-n-past-2**53",
-            "stage-ahead-of-consumed",
-            "pending-stage-not-the-last",
-            "pending-with-nothing-consumed",
+            "negative-m",
+            "m-above-n",
+            "m-above-half",
+            "zero-n",
+            "n-past-2**53",
+            "n-longer-than-the-schedule",
+            "tolerances-shorter-than-the-budgets",
+            "control-sums-shorter-than-the-treated",
+            "two-stages-pending",
+            "observed-past-decided",
             "nan-prior-mean",
-            "infinite-treated-sum",
-            "nan-treated-sumsq",
-            "negative-control-sumsq",
-            "tolerance-product-edited",
+            "string-sumsq",
             *(f"huge-{_dotted(path)}" for path in _HUGE_LEAVES),
             "huge-pretrial-sigma-sq",
-            "negative-control-count",
-            "negative-treated-count",
         ],
     )
     def test_unreadable_state_exits_one(self, tmp_path, capsys, edit, message):
@@ -1650,133 +1656,127 @@ class TestNextStage:
         assert main(["next-stage", "--state", str(state), *observed, "1.0", *self.NEXT]) == 1
         assert main(["next-stage", "--state", str(state), *observed, "0.0", *self.NEXT]) == 0
 
-    @pytest.mark.parametrize("key", ["treated_sumsq", "control_sumsq"])
-    def test_state_sumsq_that_is_not_finite_exits_one(self, tmp_path, capsys, key):
+    def _two_stage_state(self, tmp_path, opening):
+        """A state file after an opening call and one observed stage, and the pending ``m``."""
         state = tmp_path / "state.json"
-        assert main([*self.ESTIMATED, "--state", str(state)]) == 0
-        saved = json.loads(state.read_text())
-        saved["stats"][key] = float("nan")
-        state.write_text(json.dumps(saved))
-        before = state.read_bytes()
-        capsys.readouterr()
-        observed = [
-            "--treated-sum", "13.0", "--control-sum", "487.0",
-            "--treated-sumsq", "143.0", "--control-sumsq", "5000.0",
-        ]
-        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
-        assert f"stats.{key} must be a finite number >= 0, got nan" in capsys.readouterr().err
-        assert state.read_bytes() == before
-
-    @pytest.mark.parametrize("key, index, value", [("treated_sums", 0, 123.0),
-                                                   ("control_sums", 1, -7.5)])
-    def test_a_nonzero_unobserved_sum_exits_one(self, tmp_path, capsys, key, index, value):
-        """The version-1 layout keeps a 0 for the sum of each arm that no rollout observes."""
-        state = tmp_path / "state.json"
-        assert main([*self.FRESH, "--state", str(state)]) == 0
-        observed = ["--treated-sum", "13.0", "--control-sum", "487.0"]
+        assert main([*getattr(self, opening), "--state", str(state)]) == 0
+        observed = ["--treated-sum", "13.0", "--control-sum", "487.0",
+                    "--treated-sumsq", "143.0", "--control-sumsq", "5357.0"]
         assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
+        return state, json.loads(state.read_text())["stages"]["m"][-1]
+
+    def _refused_after(self, tmp_path, capsys, opening, edit):
+        """The stderr of a call on a two-stage state edited by ``edit``, which must exit 1
+        and leave the file's bytes as they were."""
+        state, m = self._two_stage_state(tmp_path, opening)
         saved = json.loads(state.read_text())
-        saved["stats"][key][index] = value
+        edit(saved)
         saved["last_call"] = None
         state.write_text(json.dumps(saved))
         before = state.read_bytes()
         capsys.readouterr()
-        observed = ["--treated-sum", "0.0", "--control-sum", "0.0"]
+        observed = ["--treated-sum", "0.0", "--control-sum", "0.0",
+                    "--treated-sumsq", f"{10.0 * m}", "--control-sumsq", f"{10.0 * (500 - m)}"]
         assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
-        which = ("first", "second")[index]
-        message = f"stats.{key} must be a pair, each a finite number, with the {which} 0"
-        assert message in capsys.readouterr().err
+        assert state.read_bytes() == before
+        err = capsys.readouterr().err
+        assert f"state file {state}: " in err
+        return err
+
+    @pytest.mark.parametrize(
+        "opening, edit, message",
+        [
+            ("ESTIMATED", _put("stages", "treated_sumsq", 0, value=math.nan),
+             "stage 1 treated sums must be finite, got [13.0, nan]"),
+            ("FRESH", _put("stages", "control_sum", 0, value=math.inf),
+             "stage 1 control sums must be finite, got [inf, 5357.0]"),
+            ("FRESH", _put("stages", "control_sumsq", 0, value=-1.0),
+             "stage 1 control sum of squares -1.0 is below its sum**2 / 487 = 487.0"),
+            ("FRESH", _put("stages", "treated_sumsq", 0, value=12.9),
+             "stage 1 treated sum of squares 12.9 is below its sum**2 / 13 = 13.0"),
+            # An empty arm, as the stage's m of 0 makes the treated one.
+            ("FRESH", _put("stages", "m", 0, value=0),
+             "stage 1 treated group was empty, so its sums must be 0, got [13.0, 143.0]"),
+            # Estimated mode would read a missing sum of squares as zero variance.
+            ("ESTIMATED", _put("stages", "control_sumsq", 0, value=None),
+             "stage 1: estimated variance mode needs both sums of squares"),
+            # The cap holds at every stage, not only the pending one.
+            ("FRESH", _put("stages", "m", 0, value=251),
+             "stage 1 m must be <= n // 2, the cap of a stage, got 251 of 500"),
+            *(("FRESH", _put(*path, value=10**400), f"{_dotted(path)} must be")
+              for path in _OBSERVED_LEAVES),
+        ],
+        ids=["nan-sumsq", "infinite-sum", "negative-sumsq", "sumsq-below-cauchy-schwarz",
+             "sums-of-an-empty-arm", "estimated-without-sumsq", "earlier-m-above-half",
+             *(f"huge-{path[1]}" for path in _OBSERVED_LEAVES)],
+    )
+    def test_a_stored_stage_that_breaks_a_stage_rule_exits_one(
+        self, tmp_path, capsys, opening, edit, message
+    ):
+        """A stored stage passes the rules of a stage given by the flags, and the refusal
+        names the stage."""
+        assert message in self._refused_after(tmp_path, capsys, opening, edit)
+
+    def test_a_version_1_file_exits_one_as_it_was(self, tmp_path, capsys):
+        # The layout the previous release wrote after one decided stage.
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({
+            "version": 1, "budget": -500.0, "delta": 0.05, "stage": 2,
+            "tolerance_product": 0.995, "pending": {"stage": 1, "m": 13, "n": 500},
+            "consumed": {"stage_budgets": [-500.0], "stage_tolerances": [0.005]},
+            "stats": {"treated_sums": [0.0, 0.0], "control_sums": [0.0, 0.0], "counts": [0, 0],
+                      "treated_sumsq": 0.0, "control_sumsq": 0.0},
+            "prior": {"mu0": [0.0, 0.0], "sigma0_sq": [100.0, 100.0]},
+            "variance_mode": "known", "sigma_sq": [10.0, 10.0], "pretrial_sigma_sq": None,
+            "last_call": None,
+        }, indent=2))
+        before = state.read_bytes()
+        observed = ["--treated-sum", "13.0", "--control-sum", "487.0"]
+        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
+        assert (f"state file {state} has version 1; this release reads version 2"
+                in capsys.readouterr().err)
         assert state.read_bytes() == before
 
     def test_a_stored_sum_whose_posterior_overflows_exits_one(self, tmp_path, capsys):
         # A control sum of 1e300 over the control variance estimated from it, clamped to
         # 1e-12, makes the posterior mean inf; read as is, it would decide m_next = 0.
-        state = tmp_path / "state.json"
-        assert main([*self.ESTIMATED, "--state", str(state)]) == 0
-        observed = ["--treated-sum", "13.0", "--control-sum", "487.0",
-                    "--treated-sumsq", "143.0", "--control-sumsq", "5357.0"]
-        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
-        saved = json.loads(state.read_text())
-        saved["stats"]["control_sums"][0] = 1e300
-        state.write_text(json.dumps(saved))
-        before = state.read_bytes()
-        capsys.readouterr()
-        m = saved["pending"]["m"]
-        observed = ["--treated-sum", "0.0", "--control-sum", "0.0",
-                    "--treated-sumsq", f"{10.0 * m}", "--control-sumsq", f"{10.0 * (500 - m)}"]
-        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
         # Its square passes the float range, so the stored sum of squares falls below it.
-        assert (f"state file {state}: the stored control sum of squares 5357.0 is below its "
-                "sum**2 / 487 = inf") in capsys.readouterr().err
-        assert state.read_bytes() == before
-
-    def _two_stage_state(self, tmp_path, opening):
-        """A state file after an opening call and one observed stage, and that stage's ``m``."""
-        state = tmp_path / "state.json"
-        assert main([*getattr(self, opening), "--state", str(state)]) == 0
-        observed = ["--treated-sum", "13.0", "--control-sum", "487.0",
-                    "--treated-sumsq", "143.0", "--control-sumsq", "5357.0"]
-        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
-        return state, json.loads(state.read_text())["pending"]["m"]
+        err = self._refused_after(tmp_path, capsys, "ESTIMATED",
+                                  _put("stages", "control_sum", 0, value=1e300))
+        assert "stage 1 control sum of squares 5357.0 is below its sum**2 / 487 = inf" in err
 
     def test_a_stored_sum_past_its_sum_of_squares_exits_one(self, tmp_path, capsys):
         # At 1e160 the sum's square overflows but its posterior mean would not: read as is,
         # the variance estimate clamps to 1e-12 and the call decides m_next = 0.
-        state, m = self._two_stage_state(tmp_path, "ESTIMATED")
-        saved = json.loads(state.read_text())
-        saved["stats"]["control_sums"][0] = 1e160
-        saved["last_call"] = None
-        state.write_text(json.dumps(saved))
-        before = state.read_bytes()
-        capsys.readouterr()
-        observed = ["--treated-sum", "0.0", "--control-sum", "0.0",
-                    "--treated-sumsq", f"{10.0 * m}", "--control-sumsq", f"{10.0 * (500 - m)}"]
-        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
-        assert "the stored control sum of squares 5357.0 is below its sum**2 / 487" in (
-            capsys.readouterr().err
-        )
-        assert state.read_bytes() == before
-
-    @pytest.mark.parametrize("opening", ["FRESH", "ESTIMATED"])
-    @pytest.mark.parametrize("key, value", [("treated_sums", [0.0, 13.0]), ("treated_sumsq", 143.0)])
-    def test_stored_sums_of_an_empty_arm_must_be_zero(self, tmp_path, capsys, opening, key, value):
-        state = tmp_path / "state.json"
-        assert main([*getattr(self, opening), "--state", str(state)]) == 0
-        saved = json.loads(state.read_text())
-        saved["stats"][key] = value
-        saved["last_call"] = None
-        state.write_text(json.dumps(saved))
-        before = state.read_bytes()
-        capsys.readouterr()
-        observed = ["--treated-sum", "0.0", "--control-sum", "0.0",
-                    "--treated-sumsq", "0.0", "--control-sumsq", "0.0"]
-        assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 1
-        assert "the stored treated group was empty, so its sums must be 0" in capsys.readouterr().err
-        assert state.read_bytes() == before
+        err = self._refused_after(tmp_path, capsys, "ESTIMATED",
+                                  _put("stages", "control_sum", 0, value=1e160))
+        assert "stage 1 control sum of squares 5357.0 is below its sum**2 / 487" in err
 
     def test_a_multi_stage_estimated_rollout_at_the_cauchy_schwarz_bound_is_accepted(self, tmp_path):
-        # Every outcome is 1.0, so each arm's stored sum of squares equals sum**2 / count.
+        # Every outcome is 1.0, so each stage's sum of squares equals sum**2 / count.
         state = tmp_path / "state.json"
         assert main([*self.ESTIMATED, "--state", str(state)]) == 0
         for _ in range(4):
-            m = json.loads(state.read_text())["pending"]["m"]
+            m = json.loads(state.read_text())["stages"]["m"][-1]
             observed = [f"{m}.0", f"{500 - m}.0"]
             argv = ["next-stage", "--state", str(state), "--treated-sum", observed[0],
                     "--control-sum", observed[1], "--treated-sumsq", observed[0],
                     "--control-sumsq", observed[1], *self.NEXT]
             assert main(argv) == 0
-        stats = json.loads(state.read_text())["stats"]
-        assert stats["treated_sums"][1] == stats["treated_sumsq"] == stats["counts"][1] > 0
-        assert stats["control_sums"][0] == stats["control_sumsq"] == stats["counts"][0] > 0
+        stages = json.loads(state.read_text())["stages"]
+        treated = [float(m) for m in stages["m"][:-1]]
+        assert stages["treated_sum"] == stages["treated_sumsq"] == treated and sum(treated) > 0
+        assert stages["control_sum"] == stages["control_sumsq"] == [500.0 - m for m in treated]
 
     def test_known_mode_stores_partial_sums_of_squares(self, tmp_path):
-        # Known mode takes a stage without its sums of squares, so the stored ones may be
-        # below sum**2 / count; the call that follows still decides.
+        # Known mode takes a stage without its sums of squares and stores them as null;
+        # the calls that follow still decide.
         state, m = self._two_stage_state(tmp_path, "FRESH")
         observed = ["--treated-sum", f"{10.0 * m}", "--control-sum", "0.0"]
         assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
-        stats = json.loads(state.read_text())["stats"]
-        assert stats["treated_sumsq"] < stats["treated_sums"][1] ** 2 / stats["counts"][1]
+        stages = json.loads(state.read_text())["stages"]
+        assert stages["treated_sumsq"] == [143.0, None]
+        assert stages["control_sumsq"] == [5357.0, None]
         observed = ["--treated-sum", "0.0", "--control-sum", "0.0"]
         assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
 
@@ -1837,7 +1837,7 @@ class TestNextStage:
                     "--treated-sumsq", "143.0", "--control-sumsq", "5357.0"]
         assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
         original = state.read_bytes()
-        m = json.loads(original)["pending"]["m"]
+        m = json.loads(original)["stages"]["m"][-1]
         observed = ["--treated-sum", "0.0", "--control-sum", "0.0",
                     "--treated-sumsq", f"{10.0 * m}", "--control-sumsq", f"{10.0 * (500 - m)}"]
         argv = ["next-stage", "--state", str(state), *observed, *self.NEXT]

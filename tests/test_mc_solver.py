@@ -31,7 +31,7 @@ from rampguard.posterior import (
 )
 from rampguard.replication import replication_stream, run_replications
 from rampguard.scenarios import ScenarioFeed, builtin_scenarios, generate_stage_outcomes
-from rampguard.schedules import FLOOR_CAP, RiskSchedule
+from rampguard.schedules import FLOOR_CAP, SAMPLE_CAP, RiskSchedule
 from rampguard.solver import BRANCH_ZERO_TOL, solve_ramp_size
 from rampguard.trace import StageOutcome, run_stages
 
@@ -613,7 +613,7 @@ class TestRunCantelli:
     def test_a_sample_count_within_the_bound_is_kept(self, samples):
         kept = CantelliPolicy(self.PRIOR, VariancePolicy(), samples=samples).samples
         assert kept == samples and type(kept) is int
-        assert mc_solver.SAMPLE_CAP == 10**6
+        assert SAMPLE_CAP == 10**6
 
     def test_short_run_shape_and_cap(self):
         scn = builtin_scenarios()["norm"]

@@ -22,7 +22,7 @@ from rampguard.replication import (
     run_replications,
 )
 from rampguard.scenarios import Scenario, ScenarioFeed, builtin_scenarios
-from rampguard.schedules import RiskSchedule
+from rampguard.schedules import REPLICATION_CAP, RiskSchedule
 from rampguard.solver import StageDecision
 from rampguard.trace import run_stages
 
@@ -317,7 +317,7 @@ class TestRunReplications:
         for reps in (10**6 + 1, 10**300):
             with pytest.raises(ValueError, match=r"K_rep must be a whole number in \[1, 1000000\]"):
                 run_replications(ANALYTIC, builtin_scenarios()[name], sched, reps, 0)
-        assert replication.REPLICATION_CAP == 10**6
+        assert REPLICATION_CAP == 10**6
 
     def test_supplied_variances_whose_quotient_overflows_are_refused_at_the_posterior(self):
         # Each treated unit adds -1e30 to the treated sum, and over 1e-280 that passes the

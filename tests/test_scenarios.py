@@ -202,6 +202,7 @@ class TestConstruction:
             ({"T": True}, "T must be a whole number"),
             ({"T": "3"}, "T must be a whole number"),
             ({"T": 10_001}, "T must be a whole number"),
+            ({"population": 2**53 + 1}, "population must be a whole number"),
             ({"population": 2**53 + 2}, "population must be a whole number"),
             ({"population": 10**400}, "population must be a whole number"),
             ({"population": [100, 100]}, "population must have one value per stage (T=3), has 2"),

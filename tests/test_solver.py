@@ -352,7 +352,7 @@ def _cantelli(delta_t, n_t, quantities=SURVIVING):
 @pytest.mark.parametrize("solve", [_scalar, _vectorized, _cantelli],
                          ids=["scalar", "vectorized", "cantelli"])
 def test_every_solver_shares_one_stage_entry(solve):
-    for n_t in (0, -1, True, 501.5, "500"):
+    for n_t in (0, -1, True, 501.5, "500", 2**53 + 1):
         with pytest.raises(ValueError) as refused:
             solve(0.01, n_t)
         assert str(refused.value) == f"N_t must be a whole number in [1, 2**53], got {n_t!r}"
