@@ -75,9 +75,17 @@ def _fail(code: int, message: str) -> int:
 
 
 def _load_json(kind: str, path: str) -> dict[str, Any]:
+    """The JSON object in ``path``, read as UTF-8 text in one read.
+
+    The bytes are decoded here, since ``json.loads`` would take UTF-16 bytes too, and line
+    ends are read as text mode reads them, so a refusal counts lines and characters alike.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            value = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        value = json.loads(text)
     except FileNotFoundError:
         raise ConfigError(f"{kind} {path} not found") from None
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or nesting too deep
@@ -562,9 +570,18 @@ def _check_sums(what: str, estimated: bool, m: int, n: int, row) -> None:
 
 
 def _fold(what: str, estimated: bool, stats: SufficientStats, m: int, n: int, row):
-    """``stats`` with one observed stage folded in, once ``_check_sums`` admits its row."""
+    """``stats`` with one observed stage folded in, once ``_check_sums`` admits its row.
+
+    Each running sum must stay finite: two admitted stages can add past the float maximum.
+    """
     _check_sums(what, estimated, m, n, row)
-    return update_stats(stats, m, n, row[0], row[1], row[2] or 0.0, row[3] or 0.0)
+    stats = update_stats(stats, m, n, row[0], row[1], row[2] or 0.0, row[3] or 0.0)
+    for arm, sums in (("treated", (stats.sum_treated, stats.treated_sumsq)),
+                      ("control", (stats.sum_control, stats.control_sumsq))):
+        if not all(map(math.isfinite, sums)):
+            raise ConfigError(f"{what} {arm} sums, added to the earlier stages', must stay "
+                              f"finite, got {list(sums)}")
+    return stats
 
 
 def _read_stages(source: str, state: dict[str, Any]) -> tuple[RiskSchedule, SufficientStats]:
@@ -616,14 +633,19 @@ def _check_unchanged(source: str, args: argparse.Namespace, state: dict[str, Any
 def cmd_next_stage(args: argparse.Namespace) -> int:
     _check_flags("next-stage", args)
     source = f"state file {args.state}"
-    if os.path.exists(args.state):
+    try:
         state = _load_json("state file", args.state)
+    except (ConfigError, OSError):
+        # Read first, so a stored state costs one open: a path that os.path.exists
+        # denies, missing or not, opens a fresh state.
+        if os.path.exists(args.state):
+            raise
+        state = _fresh_state(args)
+    else:
         if state.get("version") != 2:
             raise ConfigError(
                 f"{source} has version {state.get('version')!r}; this release reads version 2"
             )
-    else:
-        state = _fresh_state(args)
     _check_values(source, state, _STATE_SCHEMA, required=True)
     # A fresh state holds its flags already, so only a stored one can differ.
     _check_unchanged(source, args, state)
@@ -715,16 +737,20 @@ def _answer(outputs: dict[str, Any]) -> int:
 
 
 def _write_state(path: str, state: dict[str, Any]) -> None:
-    """Replace the state file atomically with its one-line sorted JSON, flushed and
-    fsynced: a crash leaves the old or the new one."""
+    """Replace the state file atomically with its one-line sorted JSON: its bytes go to a
+    ``mkstemp`` file, written whole and fsynced, which is then renamed over ``path``, so a
+    crash leaves the old file or the new one. The temporary file is removed on failure."""
+    data = memoryview((json.dumps(state, sort_keys=True) + "\n").encode("utf-8"))
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(os.path.abspath(path)), prefix=".rampguard-state-"
     )
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(state, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        try:
+            while data:  # a write may take fewer bytes than it is given
+                data = data[os.write(fd, data):]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -787,13 +813,30 @@ def _build_parser() -> argparse.ArgumentParser:
     nxt.add_argument("--control-sumsq", type=float, help="observed control sum of squares")
     nxt.set_defaults(func=cmd_next_stage)
 
+    parser.commands = sub.choices  # name -> the subcommand's parser, for _parse
     return parser
 
 
-def main(argv: "list[str] | None" = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with the same stdout, stderr and exit.
+
+    An argv that opens with a subcommand goes straight to that subcommand's parser,
+    which spares the top-level pass over every token, and what it leaves is refused
+    as the top level refuses it.
+    """
     parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+def main(argv: "list[str] | None" = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on a usage error, the code of an invalid schedule.
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG

@@ -1311,8 +1311,16 @@ class TestNextStage:
         "content, fault",
         [(b"{1,", "is not valid JSON"),
          (b'{"version": 1, "budget": -500.0 \xff}', "is not valid JSON"),
-         (b"[" * 100_000, "is not valid JSON"), (b"[1, 2]", "does not hold a JSON object")],
-        ids=["invalid", "not-utf-8", "nested-too-deeply", "not-an-object"],
+         (b"[" * 100_000, "is not valid JSON"), (b"[1, 2]", "does not hold a JSON object"),
+         (b'\xef\xbb\xbf{"version": 2}', "is not valid JSON: Unexpected UTF-8 BOM "
+          "(decode using utf-8-sig): line 1 column 1 (char 0)\n"),
+         ('{"version": 2}'.encode("utf-16"), "is not valid JSON: 'utf-8' codec can't decode "
+          "byte 0xff in position 0: invalid start byte\n"),
+         # Line ends are counted as text mode reads them.
+         (b'{\r\n"a": }\r\n', "is not valid JSON: Expecting value: line 2 column 6 (char 7)\n"),
+         (b'{\r"a":\r }', "is not valid JSON: Expecting value: line 3 column 2 (char 8)\n")],
+        ids=["invalid", "not-utf-8", "nested-too-deeply", "not-an-object", "utf-8-bom", "utf-16",
+             "crlf", "cr"],
     )
     def test_a_state_file_that_holds_no_object_exits_one(self, tmp_path, capsys, content, fault):
         state = tmp_path / "state.json"
@@ -1804,16 +1812,59 @@ class TestNextStage:
         ]
         assert main(["next-stage", "--state", str(state), *observed, *self.NEXT]) == 0
 
-    def test_failed_state_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+    # Stage 1 and stage 2 each admit a control sum of squares near the float maximum, and
+    # the two add past it; the calls differ, so the last one is no re-run.
+    OVERFLOW = [
+        ["next-stage", "--budget", "-500", "--delta", "0.05",
+         "--variance-mode", "estimated", "--pretrial-sigma-sq", "1", "1",
+         "--n-next", "4", "--delta-next", "0.005", "--b-next", "-500"],
+        *(["next-stage", "--treated-sum", "0", "--control-sum", "1e154", "--treated-sumsq", "0",
+           "--control-sumsq", sumsq, "--n-next", "4", "--delta-next", "0.005", "--b-next", "-500"]
+          for sumsq in ("1.7e308", "1.6e308")),
+    ]
+
+    def test_observed_sums_that_fold_past_the_float_maximum_exit_one(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        for argv in self.OVERFLOW[:2]:
+            assert main([*argv, "--state", str(state)]) == 0
+        before = state.read_bytes()
+        capsys.readouterr()
+        assert main([*self.OVERFLOW[2], "--state", str(state)]) == 1
+        assert capsys.readouterr().err == (
+            "rampguard: stage 2 control sums, added to the earlier stages', must stay finite, "
+            "got [2e+154, inf]\n")
+        assert state.read_bytes() == before
+
+    def test_stored_sums_that_fold_past_the_float_maximum_exit_one(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        for argv in self.OVERFLOW[:2]:
+            assert main([*argv, "--state", str(state)]) == 0
+        # Stage 2 stored as observed, as the refused call above would have stored it.
+        saved = json.loads(state.read_text())
+        for key, value in zip(cli._OBSERVED, (0.0, 1e154, 0.0, 1.6e308)):
+            saved["stages"][key].append(value)
+        saved["last_call"] = None
+        state.write_text(json.dumps(saved))
+        before = state.read_bytes()
+        capsys.readouterr()
+        assert main(["next-stage", "--state", str(state), *self.OVERFLOW[2][-6:]]) == 1
+        assert capsys.readouterr().err == (
+            f"rampguard: state file {state}: stage 2 control sums, added to the earlier "
+            "stages', must stay finite, got [2e+154, inf]\n")
+        assert state.read_bytes() == before
+
+    @pytest.mark.parametrize("fails", ["write", "fsync"])
+    def test_failed_state_write_keeps_the_old_file(self, tmp_path, monkeypatch, fails):
         state = tmp_path / "state.json"
         assert main([*self.FRESH, "--state", str(state)]) == 0
         before = state.read_bytes()
 
-        def fsync_fails(fd):
-            # The new state's bytes are in the temporary file; making them durable fails.
+        def fail(*args):
+            # Writing the new state's bytes to the temporary file, or making them
+            # durable, fails.
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli.os, "fsync", fsync_fails)
+        monkeypatch.setattr(cli.os, fails, fail)
         code = main(
             [
                 "next-stage", "--state", str(state),
@@ -1823,6 +1874,27 @@ class TestNextStage:
         assert code == 3
         assert state.read_bytes() == before
         assert os.listdir(tmp_path) == ["state.json"]
+
+    def test_short_writes_leave_the_same_state(self, tmp_path, monkeypatch):
+        """A state written 64 bytes per ``os.write`` call equals one written whole."""
+        observed = ["--treated-sum", "13.0", "--control-sum", "487.0",
+                    "--treated-sumsq", "143.0", "--control-sumsq", "5357.0", *self.NEXT]
+        whole, short = tmp_path / "whole.json", tmp_path / "short.json"
+        for state in (whole, short):
+            assert main([*self.ESTIMATED, "--state", str(state)]) == 0
+            if state == short:
+                write = os.write
+                monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:64]))
+            assert main(["next-stage", "--state", str(state), *observed]) == 0
+        assert short.read_bytes() == whole.read_bytes() and len(whole.read_bytes()) > 64 * 4
+
+    def test_a_path_that_is_not_a_file_opens_a_fresh_state(self, tmp_path, capsys):
+        # As os.path.exists reads it: a path under a file is no state file, so a call
+        # without the fresh-state flags asks for them.
+        (tmp_path / "plain").write_text("x")
+        argv = ["next-stage", "--state", str(tmp_path / "plain" / "state.json"), *self.NEXT]
+        assert main(argv) == 1
+        assert "a fresh state needs --budget and --delta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("opening", ["FRESH", "ESTIMATED"])
     def test_single_leaf_state_mutations_never_fail_at_run_time(self, tmp_path, capsys, opening):
@@ -1925,6 +1997,47 @@ class TestNextStageMatchesTheLoop:
                 "--control-sumsq", repr(outcome.control_sumsq),
             ]
         assert main(["next-stage", "--state", state, *head]) == cli.EXIT_EXHAUSTED
+
+
+class TestParse:
+    """``main`` hands a subcommand's argv straight to that subcommand's parser; what it
+    gives, prints and exits with is what the full parser gives."""
+
+    ARGVS = [
+        ["run", "--scenario", "norm", "--budget", "-500", "--delta", "0.05", "--reps", "3",
+         "--sigma-sq", "1", "2", "--T", "4", "--out", "o"],
+        ["reproduce", "fig2a", "--reps", "9", "--seed", "1", "--workers", "2"],
+        [*TestNextStage.FRESH, "--state", "s.json"],
+        ["next-stage", "--state=s.json", "--treated-sum", "-13.0", "--control-sum", "487",
+         "--treated-sumsq", "143", "--control-sumsq", "5357", *TestNextStage.NEXT],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["run", "reproduce", "fresh", "observed"])
+    def test_a_subcommand_parses_as_the_full_parser_parses_it(self, argv):
+        assert vars(cli._parse(argv)) == vars(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["next-stage", "--state", "s.json", "--bogus", "1"],
+            TestNextStage.FRESH,
+            ["next-stage", "--state", "s.json", "--n-next", "many"],
+            ["rollout", "--state", "s.json"],
+            [],
+        ],
+        ids=["unknown-flag", "no-state", "bad-n-next", "unknown-command", "empty"],
+    )
+    def test_a_usage_error_prints_and_exits_as_the_full_parser(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        assert exc.value.code == 2
+        assert main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == expected
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestConsoleEntry:
