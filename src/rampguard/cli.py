@@ -572,13 +572,15 @@ def _check_sums(what: str, estimated: bool, m: int, n: int, row) -> None:
 def _fold(what: str, estimated: bool, stats: SufficientStats, m: int, n: int, row):
     """``stats`` with one observed stage folded in, once ``_check_sums`` admits its row.
 
-    Each running sum must stay finite: two admitted stages can add past the float maximum.
+    Each running sum, and in estimated mode each running sum of squares, must stay finite:
+    two admitted stages can add past the float maximum. Known mode never reads the sums
+    of squares, so it keeps taking them as before.
     """
     _check_sums(what, estimated, m, n, row)
     stats = update_stats(stats, m, n, row[0], row[1], row[2] or 0.0, row[3] or 0.0)
     for arm, sums in (("treated", (stats.sum_treated, stats.treated_sumsq)),
                       ("control", (stats.sum_control, stats.control_sumsq))):
-        if not all(map(math.isfinite, sums)):
+        if not all(map(math.isfinite, sums if estimated else sums[:1])):
             raise ConfigError(f"{what} {arm} sums, added to the earlier stages', must stay "
                               f"finite, got {list(sums)}")
     return stats
@@ -633,19 +635,14 @@ def _check_unchanged(source: str, args: argparse.Namespace, state: dict[str, Any
 def cmd_next_stage(args: argparse.Namespace) -> int:
     _check_flags("next-stage", args)
     source = f"state file {args.state}"
-    try:
+    if os.path.exists(args.state):
         state = _load_json("state file", args.state)
-    except (ConfigError, OSError):
-        # Read first, so a stored state costs one open: a path that os.path.exists
-        # denies, missing or not, opens a fresh state.
-        if os.path.exists(args.state):
-            raise
-        state = _fresh_state(args)
-    else:
         if state.get("version") != 2:
             raise ConfigError(
                 f"{source} has version {state.get('version')!r}; this release reads version 2"
             )
+    else:
+        state = _fresh_state(args)
     _check_values(source, state, _STATE_SCHEMA, required=True)
     # A fresh state holds its flags already, so only a stored one can differ.
     _check_unchanged(source, args, state)

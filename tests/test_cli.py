@@ -1853,6 +1853,27 @@ class TestNextStage:
             "stages', must stay finite, got [2e+154, inf]\n")
         assert state.read_bytes() == before
 
+    def test_known_mode_refuses_only_sums_that_fold_past_the_float_maximum(
+        self, tmp_path, capsys
+    ):
+        # Known mode never reads the sums of squares, so two that add past the float
+        # maximum still decide; two sums that do are refused.
+        state = tmp_path / "state.json"
+        known = ["next-stage", "--budget", "-500", "--delta", "0.05", "--sigma-sq", "1", "1",
+                 *self.OVERFLOW[0][-6:]]
+        for argv in (known, *self.OVERFLOW[1:]):
+            assert main([*argv, "--state", str(state)]) == 0
+        assert json.loads(state.read_text())["stages"]["control_sumsq"] == [1.7e308, 1.6e308]
+        sums = ["next-stage", "--state", str(state), "--treated-sum", "0", *self.OVERFLOW[0][-6:]]
+        assert main([*sums, "--control-sum", "1e308"]) == 0
+        before = state.read_bytes()
+        capsys.readouterr()
+        assert main([*sums, "--control-sum", "1.5e308"]) == 1
+        assert capsys.readouterr().err == (
+            "rampguard: stage 4 control sums, added to the earlier stages', must stay finite, "
+            "got [inf, inf]\n")
+        assert state.read_bytes() == before
+
     @pytest.mark.parametrize("fails", ["write", "fsync"])
     def test_failed_state_write_keeps_the_old_file(self, tmp_path, monkeypatch, fails):
         state = tmp_path / "state.json"
