@@ -27,12 +27,14 @@ scenario = builtin_scenarios()["pte"]
 feed = ScenarioFeed(scenario, np.random.default_rng(7))
 
 trace = run_stages(schedule, feed, AnalyticPolicy(prior, VariancePolicy()))
+# One row of per-stage arrays: m, branch codes into labels, stage and cumulative cost.
+stages = trace.stages
 # Posterior after every observation, under the last stage's known variances.
 final = compute_posterior(
-    prior, OutcomeVariance(feed.true_variance(len(trace.records))), trace.final_stats
+    prior, OutcomeVariance(feed.true_variance(len(stages))), trace.final_stats
 )
 # The loop ran min(schedule, feed) stages; the budget and the ruin rule are the schedule's.
-final_cost = trace.records[-1].cum_cost
+final_cost = stages.cum_cost[-1]
 surplus = final_cost - schedule.budget
 ruined = final_cost <= schedule.budget
 
@@ -40,10 +42,10 @@ print(f"budget {schedule.budget:+.0f}, tolerance {schedule.delta:.0%}, "
       f"per-stage tolerance {schedule.stage_tolerances[0]:.4%}")
 print()
 print(f"{'stage':>5} {'treated':>8} {'branch':>15} {'stage cost':>11} {'cum cost':>9}")
-for r in trace.records:
-    print(f"{r.stage:>5} {r.m:>8} {r.branch:>15} {r.stage_cost:>11.1f} {r.cum_cost:>9.1f}")
+for t, (m, code, stage_cost, cum_cost) in enumerate(zip(*stages.columns()), 1):
+    print(f"{t:>5} {m:>8} {stages.labels[code]:>15} {stage_cost:>11.1f} {cum_cost:>9.1f}")
 print()
-print(f"ran {len(trace.records)} stages = min(schedule {schedule.num_stages}, "
+print(f"ran {len(stages)} stages = min(schedule {schedule.num_stages}, "
       f"feed {feed.num_stages})")
 print(f"final cumulative cost {final_cost:+.1f} -> budget surplus "
       f"{surplus:+.1f} ({'ruined' if ruined else 'budget respected'})")

@@ -35,7 +35,7 @@ for name in ("fat", "dec"):
     scenario = builtin_scenarios()[name]
     feed = ScenarioFeed(scenario, np.random.default_rng(3))
     trace = run_stages(schedule, feed, AnalyticPolicy(prior, VariancePolicy()))
-    m = np.array([r.m for r in trace.records])
+    m = trace.stages.m
     checks = robustness_diagnostics(scenario, m, prior, (10.0, 10.0))
     treated = [int(i) for i in np.flatnonzero(m)]
     print(f"\nscenario {name}: stages with treated units = {[i + 1 for i in treated]}")

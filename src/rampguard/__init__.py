@@ -30,9 +30,7 @@ _EXPORTS = {
         "PosteriorState", "SufficientStats", "VariancePolicy", "compute_posterior",
         "estimate_variance", "init_posterior", "update_stats",
     ),
-    "replication": (
-        "CompactTrace", "ReplicationSummary", "resolve_workers", "run_replications",
-    ),
+    "replication": ("ReplicationSummary", "resolve_workers", "run_replications"),
     "scenarios": (
         "Scenario", "ScenarioFeed", "builtin_scenarios", "scenario_from_config",
     ),
@@ -45,7 +43,7 @@ _EXPORTS = {
     ),
     "thompson": ("ThompsonPolicy", "thompson_assignment_probability"),
     "trace": (
-        "ExperimentTrace", "Policy", "Stage", "StageFeed", "StageOutcome", "StageRecord",
+        "BlockTraces", "ExperimentTrace", "Policy", "Stage", "StageFeed", "StageOutcome",
         "run_stages",
     ),
 }

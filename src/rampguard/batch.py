@@ -27,7 +27,6 @@ the tests compare this engine against.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 import numpy as np
@@ -35,56 +34,12 @@ import numpy as np
 from .scenarios import Scenario, draw_stage_sums, has_gaussian_sum_law
 from .schedules import RiskSchedule
 from .solver import AnalyticPolicy
-from .trace import Policy, check_decision
+from .trace import BlockTraces, Policy, check_decision
 
-__all__ = ["BLOCK_SIZE", "BlockStage", "BlockPolicy", "BlockTraces", "CompactTrace", "run_block"]
+__all__ = ["BLOCK_SIZE", "BlockStage", "BlockPolicy", "run_block"]
 
 # Replications per batch-engine block; every block draws from its stream whole.
 BLOCK_SIZE = 256
-
-
-@dataclass(frozen=True)
-class CompactTrace:
-    """Per-stage essentials of one replication, in stage order."""
-
-    m: tuple[int, ...]
-    branch: tuple[str, ...]
-    stage_cost: tuple[float, ...]
-    cum_cost: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class BlockTraces:
-    """Per-stage results of replications, shaped (replications, stages run).
-
-    ``branch`` holds indices into ``labels``, the policy's branch labels.
-    Iterating yields each replication's ``CompactTrace``, built
-    ``BLOCK_SIZE`` rows at a time.
-    """
-
-    m: np.ndarray
-    branch: np.ndarray
-    stage_cost: np.ndarray
-    cum_cost: np.ndarray
-    labels: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.m)
-
-    def __iter__(self):
-        labels = np.array(self.labels, dtype=object)
-        for start in range(0, len(self), BLOCK_SIZE):
-            rows = slice(start, start + BLOCK_SIZE)
-            m, branch = self.m[rows].tolist(), labels[self.branch[rows]].tolist()
-            costs = self.stage_cost[rows].tolist(), self.cum_cost[rows].tolist()
-            for row in zip(m, branch, *costs):
-                yield CompactTrace(*map(tuple, row))
-
-    @classmethod
-    def empty(cls, rows: int, stages: int, labels) -> "BlockTraces":
-        """Unfilled traces: int64 ``m``, int8 codes into ``labels``, float64 costs."""
-        dtypes = (np.int64, np.int8, np.float64, np.float64)
-        return cls(*(np.empty((rows, stages), d) for d in dtypes), tuple(labels))
 
 
 class BlockStage(NamedTuple):

@@ -17,7 +17,8 @@ Exit codes: 0 success (``--help`` too), 1 config error (a usage error such
 as an unknown flag included, and inputs under which a posterior mean
 overflows a float), 2 invalid schedule, 3 runtime failure, 4
 tolerance budget exhausted (next-stage only). The environment variable
-``RAMPGUARD_THREADS`` bounds the worker count. A flag that stands for a
+``RAMPGUARD_THREADS`` sets the worker count when ``--workers`` is absent;
+the usable CPUs bound the pool either way. A flag that stands for a
 config or state entry is written over that entry and checked only as that
 entry, by ``_check_values``, the schema checker of config and state files,
 before anything is written; ``--n-next`` and ``--workers``, which stand for

@@ -10,7 +10,7 @@ moments, so they are only available in simulation.
 
 Every condition depends only on the treated counts ``m``, the prior, the
 plug-in variances and the true moments, so one array computation checks a
-single rollout (``[r.m for r in trace.records]``) or a whole study of
+single rollout (``trace.stages.m`` of ``run_stages``) or a whole study of
 either engine (``summary.traces.m``).
 """
 
@@ -65,12 +65,15 @@ def robustness_diagnostics(
     """Evaluate the conservatism conditions at every entry of ``m``.
 
     ``m`` holds treated counts shaped ``(T,)`` for one rollout or ``(K, T)``
-    for K replications; column t is stage t + 1. ``sigma_sq`` is the
-    plug-in variance pair the solver used, two numbers to ``as_float``. The
-    history of a stage sums the earlier stages in stage order from 0.0,
-    exactly as a running total would.
+    for K replications; column t is stage t + 1, and a ``ValueError`` names
+    more columns than the scenario has stages. ``sigma_sq`` is the plug-in
+    variance pair the solver used, two numbers to ``as_float``. The history
+    of a stage sums the earlier stages in stage order from 0.0, exactly as a
+    running total would.
     """
     m = np.asarray(m)
+    if m.shape[-1] > scenario.T:
+        raise ValueError(f"m has {m.shape[-1]} stages; the scenario has {scenario.T}")
     stages = range(1, m.shape[-1] + 1)
     effect = np.array([scenario.true_effect(t) for t in stages])
     diff_var = np.array([scenario.effect_variance(t) for t in stages])

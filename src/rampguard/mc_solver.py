@@ -370,7 +370,7 @@ def solve_ramp_size_cantelli(
     direct estimate ``phi6_natural`` (the as-printed ``phi6`` mixes in the
     history mean and is reported for comparison only).
     """
-    cap = _stage_cap(Delta_t, N_t)
+    cap = _stage_cap(b_t, Delta_t, N_t)
     if Delta_t == 0.0:
         return _decided(0, BRANCH_ZERO_TOL, N_t)
     if q.phi0 == 0.0:

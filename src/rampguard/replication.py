@@ -27,19 +27,18 @@ from functools import partial
 
 import numpy as np
 
-from .batch import BLOCK_SIZE, BlockTraces, CompactTrace, run_block
+from .batch import BLOCK_SIZE, run_block
 from .scenarios import Scenario, ScenarioFeed, has_sum_law
 from .schedules import RULES, RiskSchedule, checked
 from .solver import AnalyticPolicy
 from .thompson import ThompsonPolicy
-from .trace import Policy, run_stages
+from .trace import BlockTraces, Policy, run_stages
 
 __all__ = [
     "BLOCK_SIZE",
     "GROUP_BLOCKS",
     "STREAM_TAG",
     "UNIT_POPULATION_CAP",
-    "CompactTrace",
     "ReplicationSummary",
     "run_replications",
     "resolve_workers",
@@ -55,8 +54,6 @@ GROUP_BLOCKS = 32
 UNIT_POPULATION_CAP = 10**7
 # Second key word of every batch-engine stream (see replication_stream).
 STREAM_TAG = 0xFFFF_FFFF
-# The per-stage result columns both engines produce, in BlockTraces order.
-_COLUMNS = ("m", "branch", "stage_cost", "cum_cost")
 
 
 def usable_cpus() -> int:
@@ -81,18 +78,14 @@ def replication_stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _run_chunk(policy, scenario, schedule, seed, reps) -> list[BlockTraces]:
-    """Per-unit results of ``reps``: one ``BlockTraces``, each row filled as its replication ends."""
+    """Per-unit results of ``reps``: one ``BlockTraces``, each replication's row copied in."""
     out = BlockTraces.empty(len(reps), min(schedule.num_stages, scenario.T), policy.branch_labels)
-    codes = {label: code for code, label in enumerate(out.labels)}
     cost = getattr(policy, "cost", None)
     for i, rep in enumerate(reps):
         feed = ScenarioFeed(scenario, replication_stream(seed, rep, 0), cost)
-        records = run_stages(schedule, feed, policy, partial(replication_stream, seed, rep)).records
-        for j, r in enumerate(records):
-            if r.branch not in codes:
-                raise ValueError(f"stage {r.stage}: branch {r.branch!r} is not in the policy's branch_labels")
-            out.m[i, j], out.branch[i, j] = r.m, codes[r.branch]
-            out.stage_cost[i, j], out.cum_cost[i, j] = r.stage_cost, r.cum_cost
+        row = run_stages(schedule, feed, policy, partial(replication_stream, seed, rep)).stages
+        for column, values in zip(out.columns(), row.columns()):
+            column[i] = values
     return [out]
 
 
@@ -101,8 +94,8 @@ def _join(chunks: list[list[BlockTraces]]) -> BlockTraces:
     parts = [traces for chunk in chunks for traces in chunk]
     if len(parts) == 1:
         return parts[0]
-    columns = (np.concatenate([getattr(p, f) for p in parts]) for f in _COLUMNS)
-    return BlockTraces(*columns, parts[0].labels)
+    columns = zip(*(p.columns() for p in parts))
+    return BlockTraces(*map(np.concatenate, columns), parts[0].labels)
 
 
 def _takes_batch_engine(policy: Policy, scenario: Scenario) -> bool:

@@ -31,7 +31,7 @@ from .posterior import (
     compute_posterior,
     posterior_moments,
 )
-from .schedules import RULES, checked
+from .schedules import RULES, checked, whole
 
 if TYPE_CHECKING:
     import numpy as np
@@ -158,10 +158,11 @@ class StageDecision:
     assignment_probability: float
 
 
-def _stage_cap(Delta_t: float, N_t: int) -> int:
-    """The stage's cap ``N_t // 2``, once ``N_t`` and ``Delta_t`` pass every solver's rules."""
+def _stage_cap(b_t: float, Delta_t: float, N_t: int) -> int:
+    """The stage's cap ``N_t // 2``, once ``N_t``, ``Delta_t`` and ``b_t`` pass their rules."""
     checked(RULES["population"], N_t, "N_t")
     checked(RULES["tolerance"], Delta_t, "Delta_t")
+    checked(RULES["finite"], b_t, "b_t")
     return int(N_t) // 2
 
 
@@ -197,9 +198,12 @@ def solve_ramp_size(
     the condition is squared into a quadratic whose floored roots (and their
     upper neighbours, guarding the floor against float rounding) are
     re-checked directly; the largest survivor in [0, N_t/2] is returned.
-    Total function: every failure mode maps to m = 0 with its branch label.
+    Every failure mode maps to m = 0 with its branch label. An input outside
+    its rule raises ``ValueError``: ``N_t``, ``Delta_t`` and ``b_t`` at the
+    stage entry; past the zero-tolerance and empty-cap exits, ``M1_prev``
+    (a whole number >= 0) and ``S_T1_prev`` (finite).
     """
-    cap = _stage_cap(Delta_t, N_t)
+    cap = _stage_cap(b_t, Delta_t, N_t)
     if Delta_t == 0.0:
         # Zero tolerance admits no treated units under positive predictive
         # variance; the quantile would be -inf.
@@ -207,8 +211,8 @@ def solve_ramp_size(
     if cap == 0:
         return _decided(0, BRANCH_CAP, N_t)
 
-    if M1_prev < 0:
-        raise ValueError(f"M1_prev must be >= 0, got {M1_prev!r}")
+    checked(whole(0), M1_prev, "M1_prev")
+    checked(RULES["finite"], S_T1_prev, "S_T1_prev")
     moments = PredictiveMoments(
         posterior.mu_p, posterior.sigma_p_sq, variance.sigma_sq, int(M1_prev)
     )
@@ -279,7 +283,7 @@ def solve_ramp_sizes(
     """
     import numpy as np
 
-    cap = _stage_cap(Delta_t, N_t)
+    cap = _stage_cap(b_t, Delta_t, N_t)
     S = np.asarray(S_T1_prev, dtype=float)
     if Delta_t == 0.0 or cap == 0:
         code = _CODE[BRANCH_ZERO_TOL if Delta_t == 0.0 else BRANCH_CAP]

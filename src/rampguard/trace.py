@@ -15,7 +15,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "StageOutcome",
-    "StageRecord",
+    "BlockTraces",
     "ExperimentTrace",
     "StageFeed",
     "Stage",
@@ -72,28 +72,47 @@ class StageFeed(Protocol):
 
 
 @dataclass(frozen=True)
-class StageRecord:
-    """One executed stage: the decision taken and the costs it incurred."""
+class BlockTraces:
+    """Per-stage results of replications, shaped (replications, stages run).
 
-    stage: int
-    n_units: int
-    m: int
-    branch: str
-    treated_sum: float
-    control_sum: float
-    stage_cost: float
-    cum_cost: float
+    ``branch`` holds indices into ``labels``, the policy's branch labels.
+    Indexing views rows: an index gives one replication's stages as 1-D
+    arrays, a slice a smaller study. Iterating yields each replication's row.
+    """
+
+    m: np.ndarray
+    branch: np.ndarray
+    stage_cost: np.ndarray
+    cum_cost: np.ndarray
+    labels: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    def __getitem__(self, rows) -> "BlockTraces":
+        return BlockTraces(*(column[rows] for column in self.columns()), self.labels)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """``m``, ``branch``, ``stage_cost`` and ``cum_cost``, in that order."""
+        return self.m, self.branch, self.stage_cost, self.cum_cost
+
+    @classmethod
+    def empty(cls, rows: int, stages: int, labels) -> "BlockTraces":
+        """Unfilled traces: int64 ``m``, int8 codes into ``labels``, float64 costs."""
+        dtypes = (np.int64, np.int8, np.float64, np.float64)
+        return cls(*(np.empty((rows, stages), d) for d in dtypes), tuple(labels))
 
 
 @dataclass(frozen=True)
 class ExperimentTrace:
     """The stages one experiment ran, and the statistics after its last stage.
 
-    The final cost is the last record's ``cum_cost``; the budget, and with
-    it the surplus and ruin (see ``run_replications``), is the schedule's.
+    ``stages`` is one replication's row of ``BlockTraces``: 1-D arrays in
+    stage order. The final cost is ``stages.cum_cost[-1]``; the budget, and
+    with it the surplus and ruin (see ``run_replications``), is the schedule's.
     """
 
-    records: list[StageRecord]
+    stages: BlockTraces
     final_stats: SufficientStats
 
 
@@ -146,21 +165,23 @@ def run_stages(
     """Run one experiment: stages 1..min(schedule, feed) under ``policy``.
 
     Each stage asks the policy for its treated-group size, checks it
-    (``check_decision``), commits the stage through the feed and folds the
-    observed sums into the running statistics; a stage without units is
-    refused before the policy is asked. A valid schedule admits every one
-    of its stages, so the schedule and the feed are the only stop rules.
-    ``streams`` maps a stage to its sampling stream; by default stage t
-    samples from a generator seeded t.
+    (``check_decision``) and its branch, which must be one of the policy's
+    ``branch_labels``, commits the stage through the feed, writes it into
+    the trace's row and folds the observed sums into the running statistics;
+    a stage without units is refused before the policy is asked. A valid
+    schedule admits every one of its stages, so the schedule and the feed
+    are the only stop rules. ``streams`` maps a stage to its sampling
+    stream; by default stage t samples from a generator seeded t.
     """
     if streams is None:
         streams = np.random.default_rng
 
-    records: list[StageRecord] = []
+    stages = min(schedule.num_stages, feed.num_stages)
+    row = BlockTraces.empty(1, stages, policy.branch_labels)[0]
+    codes = {label: code for code, label in enumerate(row.labels)}
     stats = SufficientStats()
     history: list[np.ndarray | None] = []
     cum_cost = 0.0
-    stages = min(schedule.num_stages, feed.num_stages)
     for t in range(1, stages + 1):
         n_t = feed.population(t)
         if n_t < 1:
@@ -171,12 +192,17 @@ def run_stages(
             Stage(t, n_t, b_t, delta_t, schedule.budget, stats, feed, history, streams)
         )
         check_decision(policy, t, n_t, decision.m, decision.m)
+        code = codes.get(decision.branch)
+        if code is None:
+            raise ValueError(
+                f"stage {t}: branch {decision.branch!r} is not in the policy's branch_labels"
+            )
         outcome = feed.run_stage(t, decision.m)
         cum_cost += outcome.true_cost
-        records.append(StageRecord(t, n_t, decision.m, decision.branch, outcome.treated_sum,
-                                   outcome.control_sum, outcome.true_cost, cum_cost))
+        row.m[t - 1], row.branch[t - 1] = decision.m, code
+        row.stage_cost[t - 1], row.cum_cost[t - 1] = outcome.true_cost, cum_cost
         if decision.m > 0:
             history.append(outcome.treated_outcomes)
         stats = update_stats(stats, decision.m, n_t, outcome.treated_sum, outcome.control_sum,
                              outcome.treated_sumsq, outcome.control_sumsq)
-    return ExperimentTrace(records, stats)
+    return ExperimentTrace(row, stats)

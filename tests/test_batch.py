@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, batch, replication, solver
-from rampguard.batch import BlockStage, BlockTraces, run_block
+from rampguard.batch import BlockStage, run_block
 from rampguard.posterior import (
     GaussianPrior,
     OutcomeVariance,
@@ -27,6 +27,7 @@ from rampguard.replication import (
 )
 from rampguard.scenarios import builtin_scenarios, draw_stage_sums
 from rampguard.schedules import RiskSchedule, ScheduleError
+from rampguard.trace import BlockTraces
 
 PRIOR = GaussianPrior((0.0, 0.0), (100.0, 100.0))
 ANALYTIC = AnalyticPolicy(prior=PRIOR, variance=VariancePolicy())
@@ -200,7 +201,9 @@ def test_prefix_property():
     scn = builtin_scenarios()["norm"]
     short = run_replications(ANALYTIC, scn, SCHED_05, 100, 3, keep_traces=True)
     long = run_replications(ANALYTIC, scn, SCHED_05, 300, 3, workers=2, keep_traces=True)
-    assert list(long.traces)[:100] == list(short.traces)
+    assert short.traces.labels == long.traces.labels
+    for got, want in zip(long.traces[:100].columns(), short.traces.columns()):
+        np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(long.final_costs[:100], short.final_costs)
 
 

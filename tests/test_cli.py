@@ -1998,19 +1998,19 @@ class TestNextStageMatchesTheLoop:
 
         state = str(tmp_path / "state.json")
         head = ["--budget", repr(schedule.budget), "--delta", repr(schedule.delta), *opening]
-        for record, outcome in zip(trace.records, feed.outcomes):
-            t = record.stage
+        stages = trace.stages
+        for t, (m, branch, outcome) in enumerate(zip(stages.m, stages.branch, feed.outcomes), 1):
             code = main(
                 [
                     "next-stage", "--state", state, *head,
-                    "--n-next", str(record.n_units),
+                    "--n-next", str(feed.population(t)),
                     "--delta-next", repr(schedule.stage_tolerances[t - 1]),
                     "--b-next", repr(schedule.stage_budgets[t - 1]),
                 ]
             )
             assert code == 0, f"stage {t}"
             out = json.loads(capsys.readouterr().out)
-            assert (out["m_next"], out["branch"]) == (record.m, record.branch), f"stage {t}"
+            assert (out["m_next"], out["branch"]) == (m, stages.labels[branch]), f"stage {t}"
             head = [
                 "--treated-sum", repr(outcome.treated_sum),
                 "--control-sum", repr(outcome.control_sum),

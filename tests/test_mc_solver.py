@@ -626,8 +626,8 @@ class TestRunCantelli:
             CantelliPolicy(self.PRIOR, VariancePolicy(), samples=2000),
             lambda t: sample_rng,
         )
-        assert len(trace.records) == 10
-        assert all(r.m <= r.n_units // 2 for r in trace.records)
+        assert len(trace.stages) == 10
+        assert all(m <= scn.population[t - 1] // 2 for t, m in enumerate(trace.stages.m, 1))
 
     def test_requires_treated_outcome_retention(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 2)
@@ -645,7 +645,8 @@ class TestRunCantelli:
             return np.random.default_rng(t)
 
         trace = run_stages(sched, feed, CantelliPolicy(self.PRIOR, VariancePolicy()), streams)
-        assert trace.records[0].m == 0 and trace.records[0].branch == BRANCH_ZERO_TOL
+        first = trace.stages[0]
+        assert first.m == 0 and first.labels[first.branch] == BRANCH_ZERO_TOL
         assert drawn == [2]
 
     def test_capped_summary_golden(self):
@@ -692,4 +693,4 @@ class TestRunCantelli:
             CantelliPolicy(self.PRIOR, VariancePolicy(), samples=50_000),
             lambda t: sample_rng,
         )
-        assert 0 <= trace.records[0].m <= 13
+        assert 0 <= trace.stages.m[0] <= 13

@@ -5,18 +5,26 @@ import os
 import tracemalloc
 import warnings
 from concurrent.futures import Future
+from functools import partial
 
 import numpy as np
 import pytest
 
-from rampguard import AnalyticPolicy, CantelliPolicy, ThompsonPolicy, cli, mc_solver, replication
+from rampguard import (
+    AnalyticPolicy,
+    CantelliPolicy,
+    CappedEffectCost,
+    ThompsonPolicy,
+    cli,
+    mc_solver,
+    replication,
+)
 from rampguard.posterior import GaussianPrior, NonFinitePosteriorError, VariancePolicy
 from rampguard.batch import run_block
 from rampguard.replication import (
     BLOCK_SIZE,
     GROUP_BLOCKS,
     STREAM_TAG,
-    CompactTrace,
     replication_stream,
     resolve_workers,
     run_replications,
@@ -273,7 +281,9 @@ class TestRunReplications:
         np.testing.assert_array_equal(summary.final_costs, np.zeros(7))
         got = summary.to_json_dict()
         assert got["m_quantiles"] == got["surplus_quantiles"] == {"q25": [], "q50": [], "q75": []}
-        assert list(summary.traces) == [CompactTrace((), (), (), ())] * 7
+        rows = list(summary.traces)
+        assert len(rows) == 7 and all(len(row) == 0 for row in rows)
+        assert all(column.shape == (0,) for row in rows for column in row.columns())
 
     def test_cantelli_policy_round_trip(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 5)
@@ -363,58 +373,50 @@ class TestRunReplications:
                 run_replications(policy, scn, sched, 5, 0)
 
 
-# The one-object-per-replication traces the summary once stored, kept here
-# as the reference that iterating the kept arrays must reproduce.
-def _compact(trace) -> CompactTrace:
-    return CompactTrace(
-        m=tuple(r.m for r in trace.records),
-        branch=tuple(r.branch for r in trace.records),
-        stage_cost=tuple(r.stage_cost for r in trace.records),
-        cum_cost=tuple(r.cum_cost for r in trace.records),
-    )
-
-
-def _compact_traces(block, count):
-    rows = (
-        block.m[:count].tolist(),
-        np.array(block.labels, dtype=object)[block.branch[:count]].tolist(),
-        block.stage_cost[:count].tolist(),
-        block.cum_cost[:count].tolist(),
-    )
-    return [CompactTrace(*map(tuple, row)) for row in zip(*rows)]
-
-
 def reference_traces(policy, scenario, schedule, count, seed):
+    """Each replication's row: every block through ``run_block`` alone, or every
+    replication through ``run_stages``."""
     if replication._takes_batch_engine(policy, scenario):
-        traces = []
+        rows = []
         for block in range(-(-count // BLOCK_SIZE)):
             rng = replication_stream(seed, STREAM_TAG, block)
             result = run_block(policy, schedule, scenario, [rng], BLOCK_SIZE)
-            traces += _compact_traces(result, count - block * BLOCK_SIZE)
-        return traces
+            rows += result[: count - block * BLOCK_SIZE]
+        return rows
+    cost = getattr(policy, "cost", None)
     return [
-        _compact(
-            run_stages(
-                schedule,
-                ScenarioFeed(scenario, replication_stream(seed, rep, 0)),
-                policy,
-                lambda t: replication_stream(seed, rep, t),
-            )
-        )
+        run_stages(
+            schedule,
+            ScenarioFeed(scenario, replication_stream(seed, rep, 0), cost),
+            policy,
+            partial(replication_stream, seed, rep),
+        ).stages
         for rep in range(count)
     ]
 
 
-def float_bits(values):
-    return np.array(values, dtype=float).tobytes()
+def assert_same_traces(got, want):
+    """Equal labels, and every column equal in dtype, shape and bytes."""
+    assert got.labels == want.labels
+    for name, a, b in zip(("m", "branch", "stage_cost", "cum_cost"), got.columns(), want.columns()):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 DIFFERENTIAL_CASES = {
     "per-unit fat": (ANALYTIC, "fat", 10, 12, 1),
+    "per-unit estimated pte": (
+        AnalyticPolicy(PRIOR, VariancePolicy("estimated", pretrial=(10.0, 10.0))), "pte", 10, 9, 2
+    ),
     "per-unit cantelli": (
         CantelliPolicy(prior=PRIOR, variance=VariancePolicy(), samples=500), "norm", 4, 5, 2
     ),
+    "per-unit capped cantelli": (
+        CantelliPolicy(PRIOR, VariancePolicy(), samples=200, cost=CappedEffectCost(-5.0)),
+        "norm", 4, 4, 1,
+    ),
     "per-unit thompson": (PerUnitThompson(c=1.0, prior=PRIOR), "npte", 5, 9, 1),
+    "per-unit thompson fat": (ThompsonPolicy(c=1.0, prior=PRIOR), "fat", 10, 9, 2),
     "batch norm": (ANALYTIC, "norm", 10, 300, 2),
     "batch bern": (ANALYTIC, "bern", 10, 257, 1),
     "batch thompson": (ThompsonPolicy(c=0.25, prior=PRIOR), "npte", 10, 260, 1),
@@ -429,11 +431,9 @@ class TestKeptTraces:
         sched = RiskSchedule.uniform(-500.0, 0.05, stages)
         summary = run_replications(policy, scn, sched, count, 3, workers=workers, keep_traces=True)
         ref = reference_traces(policy, scn, sched, count, 3)
-        assert list(summary.traces) == ref
+        assert len(summary.traces) == len(ref) == count
         for got, want in zip(summary.traces, ref):
-            assert got.m == want.m and got.branch == want.branch
-            assert float_bits(got.stage_cost) == float_bits(want.stage_cost)
-            assert float_bits(got.cum_cost) == float_bits(want.cum_cost)
+            assert_same_traces(got, want)
 
     @pytest.mark.parametrize("policy", [ANALYTIC, ThompsonPolicy(c=1.0, prior=PRIOR)])
     def test_a_summary_without_traces_holds_no_cost_matrix(self, policy):

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -333,8 +332,9 @@ class TestFeed:
             draw_stage_sums(builtin_scenarios()["norm"], t, m, np.random.default_rng(0))
 
 
-def per_trace_diagnostics(scenario, trace, prior, sigma_sq):
-    """The per-stage loop the array form replaced, kept as its reference.
+def per_trace_diagnostics(scenario, ms, prior, sigma_sq):
+    """The per-stage loop the array form replaced, kept as its reference,
+    over one rollout's treated counts ``ms`` in stage order.
 
     Returns one tuple per stage with a nonzero ramp: (stage, m, prior mean
     ok, prior variance ok, effect non-decreasing, control variance ok,
@@ -350,8 +350,7 @@ def per_trace_diagnostics(scenario, trace, prior, sigma_sq):
     hist_m = 0
     hist_effect = 0.0
     hist_var0 = 0.0
-    for record in trace.records:
-        t, m = record.stage, record.m
+    for t, m in enumerate(ms, 1):
         if m == 0:
             continue
         effect_t = scenario.true_effect(t)
@@ -391,7 +390,7 @@ class TestDiagnostics:
         sched = RiskSchedule.uniform(-500.0, delta, scn.T)
         feed = ScenarioFeed(scn, np.random.default_rng(seed))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
-        m = np.array([r.m for r in trace.records])
+        m = trace.stages.m
         return scn, m, robustness_diagnostics(scn, m, PRIOR, (10.0, 10.0))
 
     def test_stationary_scenario_passes(self):
@@ -418,12 +417,21 @@ class TestDiagnostics:
         assert checks.effect_variance_ok.all()
         assert checks.control_variance_ok.all()
 
+    def test_more_stages_than_the_scenario_are_refused(self):
+        scn = builtin_scenarios()["norm"]
+        message = "^m has 11 stages; the scenario has 10$"
+        for m in (np.ones((2, 11), int), np.ones(11, int)):
+            with pytest.raises(ValueError, match=message):
+                robustness_diagnostics(scn, m, PRIOR, (10.0, 10.0))
+        checks = robustness_diagnostics(scn, np.ones((2, 10), int), PRIOR, (10.0, 10.0))
+        assert checks.passed.shape == (2, 10)
+
     def test_zero_ramp_stages_carry_no_checks(self):
         scn = builtin_scenarios()["pte"]
         sched = RiskSchedule(-500.0, 0.0, (-500.0,) * 3, (0.0,) * 3)
         feed = ScenarioFeed(scn, np.random.default_rng(0))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
-        m = np.array([r.m for r in trace.records])
+        m = trace.stages.m
         checks = robustness_diagnostics(scn, m, PRIOR, (10.0, 10.0))
         assert m.shape == (3,) and not m.any()
         assert checks.passed.all() and not checks.has_history.any()
@@ -452,12 +460,9 @@ class TestDiagnostics:
                 checks = robustness_diagnostics(scn, m, prior, sigma_sq)
                 assert checks.passed.shape == checks.has_history.shape == m.shape
                 for row, *row_fields in zip(m, *fields(checks)):
-                    trace = SimpleNamespace(records=[
-                        SimpleNamespace(stage=t, m=int(v)) for t, v in enumerate(row, 1)
-                    ])
                     expected = [
                         tuple(True if v is None else v for v in entry)
-                        for entry in per_trace_diagnostics(scn, trace, prior, sigma_sq)
+                        for entry in per_trace_diagnostics(scn, row.tolist(), prior, sigma_sq)
                     ]
                     one = robustness_diagnostics(scn, row, prior, sigma_sq)
                     for f, g in zip(row_fields, fields(one)):
@@ -479,9 +484,7 @@ class TestDiagnostics:
             var_control=(10.0, 10.0), var_treatment=(10.0, 10.0),
         )
         m = np.array([139, 408])
-        trace = SimpleNamespace(records=[SimpleNamespace(stage=1, m=139),
-                                         SimpleNamespace(stage=2, m=408)])
-        assert per_trace_diagnostics(scn, trace, PRIOR, (10.0, 10.0))[1][4] is True
+        assert per_trace_diagnostics(scn, [139, 408], PRIOR, (10.0, 10.0))[1][4] is True
         checks = robustness_diagnostics(scn, m, PRIOR, (10.0, 10.0))
         assert checks.effect_nondecreasing.tolist() == [True, True]
 

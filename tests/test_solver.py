@@ -128,8 +128,26 @@ class TestSolveRampSize:
         assert d.branch == BRANCH_CAP
 
     def test_a_negative_treated_history_is_refused(self):
-        with pytest.raises(ValueError, match="M1_prev must be >= 0, got -1"):
+        with pytest.raises(ValueError, match=r"^M1_prev must be a whole number >= 0, got -1$"):
             solve_ramp_size(FLAT_POST, VAR10, -1, 0.0, -500.0, 0.005, 500)
+
+    def test_a_history_it_cannot_read_is_refused(self):
+        for m1 in (13.7, True, math.nan, math.inf, "13"):
+            with pytest.raises(ValueError) as refused:
+                solve_ramp_size(FLAT_POST, VAR10, m1, 0.0, -500.0, 0.005, 500)
+            assert str(refused.value) == f"M1_prev must be a whole number >= 0, got {m1!r}"
+        for s in (math.inf, -math.inf, math.nan, True, "0.0"):
+            with pytest.raises(ValueError) as refused:
+                solve_ramp_size(FLAT_POST, VAR10, 13, s, -500.0, 0.005, 500)
+            assert str(refused.value) == f"S_T1_prev must be a finite number, got {s!r}"
+        # At S_T1_prev = inf this state once decided the cap, 250, and at 0.0 it decides 123.
+        state = PosteriorState((0.0, -0.1), (1.0, 1.0))
+        with pytest.raises(ValueError, match="^S_T1_prev must be a finite number, got inf$"):
+            solve_ramp_size(state, VAR10, 10, math.inf, -500.0, 0.005, 500)
+        assert solve_ramp_size(state, VAR10, 10, 0.0, -500.0, 0.005, 500).m == 123
+        assert solve_ramp_size(FLAT_POST, VAR10, 13.0, np.float64(-3.0), -500.0, 0.005, 500) == (
+            solve_ramp_size(FLAT_POST, VAR10, 13, -3.0, -500.0, 0.005, 500)
+        )
 
     def test_zero_tolerance(self):
         d = solve_ramp_size(FLAT_POST, VAR10, 0, 0.0, -500.0, 0.0, 500)
@@ -335,17 +353,17 @@ class TestSolveRampSizes:
 SURVIVING = PosteriorQuantities(1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 100, 100)
 
 
-def _scalar(delta_t, n_t):
-    d = solve_ramp_size(FLAT_POST, VAR10, 0, 0.0, -500.0, delta_t, n_t)
+def _scalar(delta_t, n_t, b_t=-500.0):
+    d = solve_ramp_size(FLAT_POST, VAR10, 0, 0.0, b_t, delta_t, n_t)
     return d.m, d.branch
 
 
-def _vectorized(delta_t, n_t):
-    return solve_vectorized([(FLAT_POST, VAR10, 0, 0.0)] * 2, -500.0, delta_t, n_t)[0]
+def _vectorized(delta_t, n_t, b_t=-500.0):
+    return solve_vectorized([(FLAT_POST, VAR10, 0, 0.0)] * 2, b_t, delta_t, n_t)[0]
 
 
-def _cantelli(delta_t, n_t, quantities=SURVIVING):
-    d = solve_ramp_size_cantelli(quantities, -500.0, delta_t, n_t)
+def _cantelli(delta_t, n_t, b_t=-500.0, quantities=SURVIVING):
+    d = solve_ramp_size_cantelli(quantities, b_t, delta_t, n_t)
     return d.m, d.branch
 
 
@@ -360,6 +378,12 @@ def test_every_solver_shares_one_stage_entry(solve):
         with pytest.raises(ValueError) as refused:
             solve(delta_t, 500)
         assert str(refused.value) == f"Delta_t must be in [0, 1), got {delta_t!r}"
+    for b_t in (math.inf, -math.inf, math.nan, True, "-500"):
+        for delta_t in (0.0, 0.01):  # refused before the zero-tolerance exit too
+            with pytest.raises(ValueError) as refused:
+                solve(delta_t, 500, b_t)
+            assert str(refused.value) == f"b_t must be a finite number, got {b_t!r}"
+    assert solve(0.01, 500, np.float64(-500.0)) == solve(0.01, 500)
     assert solve(0.0, 500) == (0, BRANCH_ZERO_TOL)
     assert solve(0.01, 1) == (0, BRANCH_CAP)
     assert solve(0.01, np.int64(500)) == solve(0.01, 500)
@@ -368,8 +392,8 @@ def test_every_solver_shares_one_stage_entry(solve):
 def test_cantelli_without_survivors_is_empty_before_the_cap():
     # Cantelli's phi0 == 0 exit sits between the zero-tolerance and the empty-cap exits.
     none_survive = PosteriorQuantities(0.0, *(math.nan,) * 7, 100, 0)
-    assert _cantelli(0.01, 1, none_survive) == (0, BRANCH_EMPTY)
-    assert _cantelli(0.0, 1, none_survive) == (0, BRANCH_ZERO_TOL)
+    assert _cantelli(0.01, 1, quantities=none_survive) == (0, BRANCH_EMPTY)
+    assert _cantelli(0.0, 1, quantities=none_survive) == (0, BRANCH_ZERO_TOL)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -420,53 +444,54 @@ class TestRunExperiment:
         sched = RiskSchedule(-500.0, 0.0, (-500.0,) * 5, (0.0,) * 5)
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(0))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
-        assert [r.m for r in trace.records] == [0] * 5
-        assert trace.records[-1].cum_cost == 0.0
-        assert all(r.stage_cost == 0.0 for r in trace.records)
+        assert trace.stages.m.tolist() == [0] * 5
+        assert trace.stages.cum_cost[-1] == 0.0
+        assert (trace.stages.stage_cost == 0.0).all()
 
     def test_cap_respected_everywhere(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 10)
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(1))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
-        assert all(r.m <= r.n_units // 2 for r in trace.records)
+        assert all(m <= feed.population(t) // 2 for t, m in enumerate(trace.stages.m, 1))
         # The loop runs min(schedule, feed) stages: here the schedule's 10.
-        assert len(trace.records) == sched.num_stages == 10
+        assert len(trace.stages) == sched.num_stages == 10
 
     def test_feed_shorter_than_schedule_stops_the_run(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 12)
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(1))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
         # The feed's 10 stages end the run before the schedule's 12.
-        assert len(trace.records) == feed.num_stages == 10
+        assert len(trace.stages) == feed.num_stages == 10
 
     def test_spent_tolerance_then_zero_stages_still_run(self):
         sched = RiskSchedule(-500.0, 0.05, (-500.0,) * 4, (0.03, 1 - 0.95 / 0.97, 0.0, 0.0))
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(1))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
-        assert [r.branch for r in trace.records[2:]] == [BRANCH_ZERO_TOL] * 2
-        assert [r.m for r in trace.records[2:]] == [0, 0]
+        stages = trace.stages[2:]
+        assert [stages.labels[code] for code in stages.branch] == [BRANCH_ZERO_TOL] * 2
+        assert stages.m.tolist() == [0, 0]
 
     def test_cumulative_cost_identity(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 10)
         feed = ScenarioFeed(builtin_scenarios()["nte"], np.random.default_rng(2))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
         running = 0.0
-        for r in trace.records:
-            running += r.stage_cost
-            assert r.cum_cost == pytest.approx(running, rel=1e-12)
-        assert trace.records[-1].cum_cost - sched.budget == pytest.approx(running + 500.0)
+        for stage_cost, cum_cost in zip(trace.stages.stage_cost, trace.stages.cum_cost):
+            running += stage_cost
+            assert cum_cost == pytest.approx(running, rel=1e-12)
+        assert trace.stages.cum_cost[-1] - sched.budget == pytest.approx(running + 500.0)
 
     def test_estimated_variance_mode_matches_known_at_stage_one(self):
         sched = RiskSchedule.uniform(-500.0, 0.05, 3)
         feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(3))
         policy = VariancePolicy(mode="estimated", pretrial=(10.0, 10.0))
         trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, policy))
-        assert len(trace.records) == 3
+        assert len(trace.stages) == 3
         known_feed = ScenarioFeed(builtin_scenarios()["pte"], np.random.default_rng(3))
         known_policy = AnalyticPolicy(PRIOR, VariancePolicy(values=(10.0, 10.0)))
         known = run_stages(sched, known_feed, known_policy)
         # Stage 1 has no data, so the pretrial pair acts as the known pair.
-        assert trace.records[0].m == known.records[0].m
+        assert trace.stages.m[0] == known.stages.m[0]
 
     def test_invalid_schedule_rejected(self):
         with pytest.raises(ScheduleError):
@@ -481,7 +506,7 @@ class TestRunExperiment:
         for rep in range(40):
             feed = ScenarioFeed(scenario, np.random.default_rng(1000 + rep))
             trace = run_stages(sched, feed, AnalyticPolicy(PRIOR, VariancePolicy()))
-            finals.append(max(r.m for r in trace.records))
+            finals.append(trace.stages.m.max())
         assert np.median(finals) == 250
 
 

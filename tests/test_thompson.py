@@ -210,19 +210,19 @@ class TestRunThompson:
         for seed in range(100):
             feed = ScenarioFeed(scn, np.random.default_rng(seed))
             trace = run_stages(sched, feed, policy)
-            firsts.append(trace.records[0].m)
+            firsts.append(trace.stages.m[0])
         # Binomial(500, 0.5): mean 250, sd ~11; the average of 100 runs
         # stays within a few standard errors.
         assert np.mean(firsts) == pytest.approx(250, abs=5)
 
     def test_stops_where_the_schedule_ends(self):
         # The loop runs min(schedule, feed) stages, and the npte feed has 10.
-        assert len(self._run(1.0, seed=1, stages=3).records) == 3
-        assert len(self._run(1.0, seed=1).records) == 10
+        assert len(self._run(1.0, seed=1, stages=3).stages) == 3
+        assert len(self._run(1.0, seed=1).stages) == 10
 
     def test_rigidity_ordering_in_c(self):
         stage1 = {
-            c: np.median([self._run(c, seed).records[0].m for seed in range(60)])
+            c: np.median([self._run(c, seed).stages.m[0] for seed in range(60)])
             for c in (0.25, 1.0, 4.0)
         }
         assert stage1[0.25] >= stage1[1.0] >= stage1[4.0]
@@ -230,15 +230,16 @@ class TestRunThompson:
 
     def test_never_exceeds_population_and_runs_all_stages(self):
         trace = self._run(0.25, seed=3)
-        assert len(trace.records) == 10
-        for r in trace.records:
-            assert 0 <= r.m <= r.n_units
+        assert len(trace.stages) == 10
+        population = builtin_scenarios()["npte"].population
+        for t, m in enumerate(trace.stages.m, 1):
+            assert 0 <= m <= population[t - 1]
 
     def test_budget_accounting_present_despite_no_awareness(self):
         trace = self._run(1.0, seed=7)
         running = 0.0
-        for r in trace.records:
-            running += r.stage_cost
-            assert r.cum_cost == pytest.approx(running)
+        for stage_cost, cum_cost in zip(trace.stages.stage_cost, trace.stages.cum_cost):
+            running += stage_cost
+            assert cum_cost == pytest.approx(running)
         # The schedule's budget is -500, so the surplus is the final cost + 500.
-        assert trace.records[-1].cum_cost - (-500.0) == pytest.approx(running + 500.0)
+        assert trace.stages.cum_cost[-1] - (-500.0) == pytest.approx(running + 500.0)
